@@ -1,0 +1,61 @@
+"""Golden-CSV regression net: every experiment family, rerun at seed 0 with
+small trial counts, must reproduce the pinned tables in tests/golden/ to
+1e-9 relative (text cells exactly). A refactor that changes a number, the
+order of RNG draws, or a family's RNG stream id fails here.
+
+The pinned tables were written by the same calls as below; to regenerate
+after an intended change of the numbers, run each family with
+run_experiment(ExperimentConfig(experiment=..., trials=GOLDEN_TRIALS[...],
+seed=0, plots=False), "tests/golden")."""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_TRIALS = {
+    "maee_vs_snr": 40,
+    "maqe_bits": 200,
+    "pilot_correlation": 1,
+    "pilot_vs_tdm": 10,
+    "norm_se_vs_snr": 5,
+    "robustness_mismatch": 5,
+    "robustness_xpd": 5,
+}
+RTOL = 1e-9
+
+
+def _rows(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def _cells_match(got: str, want: str) -> bool:
+    try:
+        g, w = float(got), float(want)
+    except ValueError:
+        return got == want
+    return math.isclose(g, w, rel_tol=RTOL, abs_tol=0.0)
+
+
+def test_every_family_has_a_golden_table():
+    assert set(GOLDEN_TRIALS) == set(EXPERIMENTS)
+    assert {p.stem for p in GOLDEN_DIR.glob("*.csv")} == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("family", EXPERIMENTS)
+def test_family_matches_golden(family, tmp_path):
+    cfg = ExperimentConfig(experiment=family, trials=GOLDEN_TRIALS[family],
+                           seed=0, plots=False)
+    [path] = run_experiment(cfg, str(tmp_path))["files"]
+    got, want = _rows(Path(path)), _rows(GOLDEN_DIR / f"{family}.csv")
+    assert got[0] == want[0], "header changed"
+    assert len(got) == len(want), "row count changed"
+    for lineno, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=2):
+        assert len(g_row) == len(w_row), f"line {lineno}: width changed"
+        bad = [(g, w) for g, w in zip(g_row, w_row) if not _cells_match(g, w)]
+        assert not bad, f"{family}.csv line {lineno}: got/want {bad}"
