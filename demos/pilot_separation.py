@@ -66,12 +66,12 @@ def main():
     banner("pair power ratio straight from the correlator")
     met = ratio_metric(powers[(0, 0)], powers[(0, 1)])
     true = ratio_metric(gains[(0, 0)] ** 2, gains[(0, 1)] ** 2)
-    print(f"zeta from superimposed symbol: {met.value:8.4f}")
-    print(f"zeta from the true gains:      {true.value:8.4f}")
+    print(f"zeta from superimposed symbol: {met:8.4f}")
+    print(f"zeta from the true gains:      {true:8.4f}")
     delta = np.pi / 16
     print(f"inverted offset, pair (center 0, delta pi/16): "
-          f"{invert_ratio(met.value, 0.0, delta):8.4f} rad "
-          f"vs {invert_ratio(true.value, 0.0, delta):8.4f} rad from truth")
+          f"{invert_ratio(met, 0.0, delta):8.4f} rad "
+          f"vs {invert_ratio(true, 0.0, delta):8.4f} rad from truth")
 
     banner("analytic budget for a 4-chain probing with flat gains")
     asn4 = assign_pilots([0, 1, 2, 3], N)

@@ -108,11 +108,13 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + pad + step * (np.arange(n) + 0.5)
 
 
-def tx_beam_vector(arrays: ArrayConfig, pol: str, mu_x: float, mu_y: float) -> np.ndarray:
+def tx_beam_vector(arrays: ArrayConfig, pol: str, mu_x, mu_y) -> np.ndarray:
+    """Transmit beam steered at (mu_x, mu_y); equal-length 1-D arrays give
+    one column per pair (see upa_steering)."""
     a = upa_steering(mu_x, mu_y, arrays.n_x, arrays.n_y)
     if arrays.polarization_mode == "co":
         return a
-    v = np.zeros(arrays.n_tot, dtype=complex)
+    v = np.zeros((arrays.n_tot,) + a.shape[1:], dtype=complex)
     if pol == "v":
         v[: arrays.n_tx] = a
     else:
@@ -239,19 +241,18 @@ class ProbingPlan:
 
 
 def _fill_bucket(beams: list[Beam], n_probings: int, slots_per: int,
-                 rng: np.random.Generator, coverage: bool) -> list[list[Beam]]:
+                 rng: np.random.Generator) -> list[list[Beam]]:
     size = len(beams)
     if slots_per > size:
         raise InfeasibleCoverage(
             f"{slots_per} distinct columns requested from a {size}-beam codebook")
     total = n_probings * slots_per
-    if coverage and total < size:
+    if total < size:
         raise InfeasibleCoverage(
             f"{total} slots cannot cover {size} beams; increase probings or RF chains")
-    pool: list[Beam] = list(beams) if coverage else []
+    pool: list[Beam] = list(beams)
     while len(pool) < total:
         pool.append(beams[rng.integers(size)])
-    pool = pool[:total]
     order = rng.permutation(total)
     pool = [pool[i] for i in order]
 
@@ -282,13 +283,14 @@ def _fill_bucket(beams: list[Beam], n_probings: int, slots_per: int,
 
 def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
                         m_rf: int, seed: int | None = None, *,
-                        layout: str = "split-half", coverage: bool = True,
+                        layout: str = "split-half",
                         tx_axis: str = "azimuth") -> ProbingPlan:
     """Randomized probing matrices with distinct columns per probing and a
-    coverage pass that guarantees every codebook beam is probed at least once
-    when the slot budget allows. layout 'split-half' puts vertical beams in
-    the first half of the columns and horizontal in the second (cross mode);
-    'free' draws from the merged codebook."""
+    coverage pass that probes every codebook beam at least once; a slot
+    budget too small to cover the codebook raises InfeasibleCoverage. layout
+    'split-half' puts vertical beams in the first half of the columns and
+    horizontal in the second (cross mode); 'free' draws from the merged
+    codebook."""
     rng = np.random.default_rng(seed)
     cross = codebooks.config.arrays.polarization_mode == "cross"
     tx_dom = codebooks.domain(tx_axis)
@@ -298,11 +300,11 @@ def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
         if cross and layout == "split-half":
             if rf % 2:
                 raise ValueError("split-half layout needs an even RF chain count")
-            v = _fill_bucket(dom["v"], probings, rf // 2, rng, coverage)
-            h = _fill_bucket(dom["h"], probings, rf // 2, rng, coverage)
+            v = _fill_bucket(dom["v"], probings, rf // 2, rng)
+            h = _fill_bucket(dom["h"], probings, rf // 2, rng)
             return [v[i] + h[i] for i in range(probings)]
         merged = [b for pol in codebooks.pols for b in dom[pol]]
-        return [list(p) for p in _fill_bucket(merged, probings, rf, rng, coverage)]
+        return [list(p) for p in _fill_bucket(merged, probings, rf, rng)]
 
     tx = side(tx_dom, n_t, n_rf)
     rx = side(rx_dom, m_t, m_rf)

@@ -3,9 +3,12 @@
 Received-power evaluation, the difference/sum ratio metric and its
 closed-form inversion, the single-path sweep estimator, the multi-path
 pilot-probing estimator, and the grid-of-beams baseline used for
-comparison. Per-domain beam strengths in the sweep estimator are marginal
-sums of probe powers over the other probe axes, which keeps the ratio
-exact for a single path (common factors cancel) and averages down noise.
+comparison. Beam strengths are 1-D arrays per axis indexed by Beam.index.
+Per-domain strengths in the sweep estimator are marginal sums of probe
+powers over the other probe axes, which keeps the ratio exact for a single
+path (common factors cancel) and averages down noise. Every flow turns
+strengths into an estimate the same way: winner, stronger neighbour, ratio,
+closed-form inversion (_pair_and_invert).
 """
 
 import math
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, DimensionMismatch
-from .codebook import (AuxiliaryBeamPair, Beam, CodebookSet, ProbingPlan,
-                       build_codebooks, enumerate_abps, random_probing_plan,
-                       tx_beam_vector)
+from .codebook import (AuxiliaryBeamPair, Beam, CodebookSet,
+                       InfeasibleCoverage, ProbingPlan, build_codebooks,
+                       enumerate_abps, random_probing_plan, tx_beam_vector)
 from .geometry import (DegenerateDirection, angles_from_spatial_frequencies,
                        aoa_from_nu)
 from .pilot import PilotAssignment, assign_pilots, correlate_probing
@@ -25,6 +28,9 @@ from .pilot import PilotAssignment, assign_pilots, correlate_probing
 # endpoints it returns center -+ delta), so clamping only absorbs
 # floating-point overshoot and never biases attainable values.
 ZETA_CLAMP = 1.0
+
+# PathEstimate field holding each axis's spatial-frequency estimate
+_MU_KEYS = (("elevation", "mu_x"), ("azimuth", "mu_y"), ("receive", "nu"))
 
 
 class BothZero(ValueError):
@@ -37,15 +43,6 @@ class NoSignal(RuntimeError):
 
 class InsufficientNeighbors(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RatioMetric:
-    value: float
-    power_delta: float
-    power_sigma: float
-    axis: str | None = None
-    pair: AuxiliaryBeamPair | None = None
 
 
 @dataclass
@@ -65,7 +62,6 @@ class EstimationReport:
     paths: list[PathEstimate]
     iterations: int
     scheme: str
-    strengths: dict = field(default_factory=dict)
 
     @property
     def best(self) -> PathEstimate:
@@ -86,22 +82,18 @@ def received_symbol(w, h_k: np.ndarray, f, s: complex = 1.0,
     y = complex(wv.conj() @ h @ fv) * s
     if noise_sigma > 0:
         rng = np.random.default_rng() if rng is None else rng
-        n = noise_sigma * (rng.standard_normal(h.shape[0])
-                           + 1j * rng.standard_normal(h.shape[0])) / np.sqrt(2)
-        y += complex(wv.conj() @ n)
+        y += complex(wv.conj() @ _noise_like(h.shape[0], noise_sigma, rng))
     return y
 
 
-def ratio_metric(power_delta: float, power_sigma: float, axis: str | None = None,
-                 pair: AuxiliaryBeamPair | None = None) -> RatioMetric:
+def ratio_metric(power_delta: float, power_sigma: float) -> float:
+    """Difference-over-sum ratio of a pair's two powers, clipped to [-1, 1]."""
     if power_delta < 0 or power_sigma < 0:
         raise ValueError("powers must be nonnegative")
     total = power_delta + power_sigma
     if total == 0:
         raise BothZero("both pair powers are zero")
-    value = float(np.clip((power_delta - power_sigma) / total, -1.0, 1.0))
-    return RatioMetric(value=value, power_delta=power_delta,
-                       power_sigma=power_sigma, axis=axis, pair=pair)
+    return float(np.clip((power_delta - power_sigma) / total, -1.0, 1.0))
 
 
 def ratio_closed_form(mu: float, center: float, delta: float) -> float:
@@ -140,24 +132,24 @@ def _sigma_from_gamma(gamma: float | None) -> float:
 def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
            rng: np.random.Generator | None):
     """TDM probe of every (receive beam, elevation x azimuth transmit grid)
-    combination per polarization; returns marginal strengths per beam and the
+    combination per polarization; returns marginal strengths per axis and the
     probe count."""
     h = channel.h
-    rx_beams = codebooks.all_beams("receive")
-    w_mat = np.column_stack([b.vector for b in rx_beams])
+    w_mat = np.column_stack([b.vector for b in codebooks.all_beams("receive")])
     if w_mat.shape[0] != h.shape[1]:
         raise DimensionMismatch("receive beams do not match channel rows")
 
     arrays = codebooks.config.arrays
-    grid_meta: list[tuple[Beam, Beam]] = []
-    cols = []
+    cols, el_of, az_of = [], [], []  # grid columns and their beam indices
     for pol in codebooks.pols:
-        for eb in codebooks.tx_el[pol]:
-            for ab in codebooks.tx_az[pol]:
-                cols.append(tx_beam_vector(arrays, pol, eb.boresight_mu,
-                                           ab.boresight_mu))
-                grid_meta.append((eb, ab))
-    f_mat = np.column_stack(cols)
+        grid = [(eb, ab) for eb in codebooks.tx_el[pol]
+                for ab in codebooks.tx_az[pol]]
+        cols.append(tx_beam_vector(arrays, pol,
+                                   np.array([eb.boresight_mu for eb, _ in grid]),
+                                   np.array([ab.boresight_mu for _, ab in grid])))
+        el_of += [eb.index for eb, _ in grid]
+        az_of += [ab.index for _, ab in grid]
+    f_mat = np.hstack(cols)
     if f_mat.shape[0] != h.shape[2]:
         raise DimensionMismatch("transmit beams do not match channel columns")
 
@@ -168,61 +160,39 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
         y = y + _noise_like(y.shape, sigma, rng)
     powers = np.mean(np.abs(y) ** 2, axis=0)  # (n_rx, n_grid)
 
-    s_rx = {b: float(p) for b, p in zip(rx_beams, powers.sum(axis=1))}
-    s_el: dict[Beam, float] = {}
-    s_az: dict[Beam, float] = {}
     per_grid = powers.sum(axis=0)
-    for (eb, ab), p in zip(grid_meta, per_grid):
-        s_el[eb] = s_el.get(eb, 0.0) + float(p)
-        s_az[ab] = s_az.get(ab, 0.0) + float(p)
-    probes = len(rx_beams) * len(grid_meta)
-    return {"receive": s_rx, "elevation": s_el, "azimuth": s_az}, probes
+    strengths = {"receive": powers.sum(axis=1),
+                 "elevation": np.bincount(el_of, weights=per_grid),
+                 "azimuth": np.bincount(az_of, weights=per_grid)}
+    return strengths, powers.size
 
 
-def _winner(strengths: dict[Beam, float]) -> Beam:
-    best = None
-    for beam in sorted(strengths, key=lambda b: (b.polarization, b.index)):
-        if best is None or strengths[beam] > strengths[best]:
-            best = beam
-    if best is None or strengths[best] <= 0:
+def _winner(s: np.ndarray, among: list[int] | None = None) -> int:
+    """Index of the strongest beam, optionally among the given indices; the
+    lowest index wins a tie."""
+    idx = np.arange(len(s)) if among is None else np.sort(among)
+    win = int(idx[np.argmax(s[idx])])
+    if s[win] <= 0:
         raise NoSignal("no probe produced power")
-    return best
+    return win
 
 
-def _pair_for(winner: Beam, strengths: dict[Beam, float],
-              pairs: list[AuxiliaryBeamPair]) -> AuxiliaryBeamPair:
-    """Pair the winner with its stronger angular neighbor (same polarization);
-    edge beams have a single neighbor; single-beam codebooks cannot pair."""
-    siblings = sorted((b for b in strengths
-                       if b.polarization == winner.polarization
-                       and b.axis == winner.axis),
-                      key=lambda b: b.boresight_mu)
-    pos = siblings.index(winner)
-    cand = []
-    if pos > 0:
-        cand.append(siblings[pos - 1])
-    if pos + 1 < len(siblings):
-        cand.append(siblings[pos + 1])
-    if not cand:
-        raise InsufficientNeighbors(
-            f"{winner.axis} codebook has no neighbor for pairing")
-    cand.sort(key=lambda b: (-strengths.get(b, 0.0), b.index))
-    neighbor = cand[0]
-    members = {winner, neighbor}
-    for pair in pairs:
-        if set(pair.beams) == members:
-            return pair
-    raise InsufficientNeighbors("winner and neighbor are not an enumerated pair")
+def _pair_and_invert(s: np.ndarray, win: int, pairs: list[AuxiliaryBeamPair]
+                     ) -> tuple[float, AuxiliaryBeamPair, float]:
+    """Pair beam `win` with its stronger angular neighbour (the lower index on
+    a tie) and invert the pair's ratio metric; returns (spatial frequency,
+    pair, zeta). Pairs join adjacent same-polarization beams, so an edge beam
+    has one candidate and a single-beam codebook none."""
+    def other(pair: AuxiliaryBeamPair) -> int:
+        lo, hi = (b.index for b in pair.beams)
+        return hi if lo == win else lo
 
-
-def _domain_estimate(strengths: dict[Beam, float], pairs: list[AuxiliaryBeamPair],
-                     axis: str) -> tuple[float, AuxiliaryBeamPair, RatioMetric]:
-    winner = _winner(strengths)
-    pair = _pair_for(winner, strengths, pairs)
-    metric = ratio_metric(strengths.get(pair.beams[0], 0.0),
-                          strengths.get(pair.beams[1], 0.0), axis=axis, pair=pair)
-    mu = invert_ratio(metric.value, pair.center_mu, pair.delta)
-    return mu, pair, metric
+    cands = [p for p in pairs if win in (p.beams[0].index, p.beams[1].index)]
+    if not cands:
+        raise InsufficientNeighbors(f"beam {win} has no neighbor for pairing")
+    pair = min(cands, key=lambda p: (-s[other(p)], other(p)))
+    zeta = ratio_metric(s[pair.beams[0].index], s[pair.beams[1].index])
+    return invert_ratio(zeta, pair.center_mu, pair.delta), pair, zeta
 
 
 def _fill_angles(est: PathEstimate, arrays) -> None:
@@ -244,15 +214,13 @@ def estimate_single_path(channel: ChannelRealization, codebooks: CodebookSet,
     sigma = _sigma_from_gamma(gamma)
     strengths, probes = _sweep(channel, codebooks, sigma, rng)
     est = PathEstimate()
-    for axis, key in (("elevation", "mu_x"), ("azimuth", "mu_y"), ("receive", "nu")):
-        pairs = enumerate_abps(codebooks, axis)
-        mu, pair, metric = _domain_estimate(strengths[axis], pairs, axis)
+    for axis, key in _MU_KEYS:
+        s = strengths[axis]
+        mu, est.pairs[axis], est.zetas[axis] = _pair_and_invert(
+            s, _winner(s), enumerate_abps(codebooks, axis))
         setattr(est, key, mu)
-        est.pairs[axis] = pair
-        est.zetas[axis] = metric.value
     _fill_angles(est, codebooks.config.arrays)
-    return EstimationReport(paths=[est], iterations=probes, scheme="abp",
-                            strengths=strengths)
+    return EstimationReport(paths=[est], iterations=probes, scheme="abp")
 
 
 def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
@@ -265,16 +233,15 @@ def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
     sigma = _sigma_from_gamma(gamma)
     strengths, _ = _sweep(channel, codebooks, sigma, rng)
     est = PathEstimate()
-    for axis, key in (("elevation", "mu_x"), ("azimuth", "mu_y"), ("receive", "nu")):
-        winner = _winner(strengths[axis])
+    for axis, key in _MU_KEYS:
+        winner = codebooks.all_beams(axis)[_winner(strengths[axis])]
         setattr(est, key, winner.boresight_mu)
     _fill_angles(est, codebooks.config.arrays)
     n_tx = sum(len(codebooks.tx_el[p]) * len(codebooks.tx_az[p])
                for p in codebooks.pols)
     n_rx = len(codebooks.all_beams("receive"))
     iters = (n_tx ** n_rf) * (n_rx ** m_rf)
-    return EstimationReport(paths=[est], iterations=iters, scheme="gob",
-                            strengths=strengths)
+    return EstimationReport(paths=[est], iterations=iters, scheme="gob")
 
 
 def _memberships(pairs: list[AuxiliaryBeamPair]) -> dict[Beam, list[tuple[int, int]]]:
@@ -321,131 +288,110 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
                          sigma: float, rng: np.random.Generator | None):
     """Run every (tx probing, rx probing) slot, correlate each receive branch
     against the probing's pilot references, and accumulate |corr|^2 strengths
-    per transmit beam, per receive beam, and per receive probing."""
+    per transmit beam and per receive beam (arrays indexed by Beam.index, up
+    to the highest probed index) and per receive probing."""
     h = channel.h
     n = h.shape[0]
     if n != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
     rng = np.random.default_rng() if rng is None else rng
 
-    tx_strength: dict[Beam, float] = {}
-    rx_strength: dict[Beam, float] = {}
+    tx_idx = [[b.index for b in beams] for beams in plan.tx_beams]
+    rx_idx = [[b.index for b in beams] for beams in plan.rx_beams]
+    tx_strength = np.zeros(1 + max(map(max, tx_idx)))
+    rx_strength = np.zeros(1 + max(map(max, rx_idx)))
     probing_totals = np.zeros(plan.m_t)
 
-    plans_tags = [tag_probing(beams, memberships) for beams in plan.tx_beams]
-    refs_per_probing = [[pilots.ref(a, b) for a, b in tags] for tags in plans_tags]
-
-    for nt, (f_mat, beams_t) in enumerate(zip(plan.f_mats, plan.tx_beams)):
-        refs = refs_per_probing[nt]
+    for f_mat, beams, t_idx in zip(plan.f_mats, plan.tx_beams, tx_idx):
+        refs = [pilots.ref(a, b) for a, b in tag_probing(beams, memberships)]
         x = np.column_stack([r.sequence() for r in refs])  # (N, n_rf)
         hf = np.einsum("kmn,nj->kmj", h, f_mat)
         tx_signal = np.einsum("kmj,kj->km", hf, x)  # (N, M)
-        for mt, (w_mat, beams_r) in enumerate(zip(plan.w_mats, plan.rx_beams)):
+        for mt, (w_mat, r_idx) in enumerate(zip(plan.w_mats, rx_idx)):
             y = tx_signal @ w_mat.conj()  # (N, m_rf)
             if sigma > 0:
                 y = y + _noise_like((n, h.shape[1]), sigma, rng) @ w_mat.conj()
             rep = correlate_probing(y, refs)
             s = np.abs(rep.values) ** 2  # (m_rf, n_refs)
             probing_totals[mt] += float(s.sum())
-            for j, beam in enumerate(beams_t):
-                tx_strength[beam] = tx_strength.get(beam, 0.0) + float(s[:, j].sum())
-            for i, beam in enumerate(beams_r):
-                rx_strength[beam] = rx_strength.get(beam, 0.0) + float(s[i, :].sum())
+            np.add.at(tx_strength, t_idx, s.sum(axis=0))
+            np.add.at(rx_strength, r_idx, s.sum(axis=1))
     return tx_strength, rx_strength, probing_totals
+
+
+def _require_coverage(probings: list[list[Beam]], beams: list[Beam]) -> None:
+    probed = {b for probing in probings for b in probing}
+    missing = [b.index for b in beams if b not in probed]
+    if missing:
+        raise InfeasibleCoverage(
+            f"probing plan leaves {beams[0].axis} beams {missing} unprobed")
 
 
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
                        pilots: PilotAssignment, gamma: float | None,
                        n_select: int, rng: np.random.Generator | None = None,
-                       codebooks: CodebookSet | None = None,
-                       elevation: bool = True) -> EstimationReport:
+                       *, codebooks: CodebookSet) -> EstimationReport:
     """Multi-path estimation with simultaneous pilot-tagged probing.
 
     Azimuth stage: pick the receive probing with the largest summed strength,
     take the n_select strongest transmit beams, pair each with its stronger
     neighbor, and invert the per-pair ratio. Receive pairs form around the
-    best receive beam of the winning probing. When a codebook set is given
-    and elevation is requested, each selected path gets an elevation sweep
-    re-pointed at its azimuth estimate.
+    best receive beam of the winning probing. When every polarization has
+    more than one elevation beam, each selected path then gets an elevation
+    sweep re-pointed at its azimuth estimate; otherwise its elevation is the
+    range center. The plan must probe every azimuth and receive beam of
+    `codebooks` (InfeasibleCoverage otherwise).
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
+    _require_coverage(probing_plan.tx_beams, codebooks.all_beams("azimuth"))
+    _require_coverage(probing_plan.rx_beams, codebooks.all_beams("receive"))
     sigma = _sigma_from_gamma(gamma)
     rng = np.random.default_rng() if rng is None else rng
 
-    if codebooks is not None:
-        az_pairs = enumerate_abps(codebooks, "azimuth")
-        rx_pairs = enumerate_abps(codebooks, "receive")
-    else:
-        az_pairs, rx_pairs = _pairs_from_plan(probing_plan)
-    az_members = _memberships(az_pairs)
-
+    az_pairs = enumerate_abps(codebooks, "azimuth")
+    rx_pairs = enumerate_abps(codebooks, "receive")
     tx_s, rx_s, totals = _probe_and_correlate(channel, probing_plan, pilots,
-                                              az_members, sigma, rng)
+                                              _memberships(az_pairs), sigma, rng)
     if totals.sum() <= 0:
         raise NoSignal("no correlated energy in any probing")
 
     best_mt = int(np.argmax(totals))
-    best_rx_candidates = {b: rx_s.get(b, 0.0)
-                          for b in probing_plan.rx_beams[best_mt]}
-    rx_winner = _winner(best_rx_candidates)
-    rx_pair = _pair_for(rx_winner, rx_s, rx_pairs)
-    rx_metric = ratio_metric(rx_s.get(rx_pair.beams[0], 0.0),
-                             rx_s.get(rx_pair.beams[1], 0.0),
-                             axis="receive", pair=rx_pair)
-    nu_hat = invert_ratio(rx_metric.value, rx_pair.center_mu, rx_pair.delta)
-
-    ranked = sorted(tx_s, key=lambda b: (-tx_s[b], b.polarization, b.index))
-    selected = ranked[:n_select]
+    rx_winner = _winner(rx_s, [b.index for b in probing_plan.rx_beams[best_mt]])
+    receive = _pair_and_invert(rx_s, rx_winner, rx_pairs)
 
     paths: list[PathEstimate] = []
-    extra_tx_probings = 0
-    for beam in selected:
+    for beam in np.argsort(-tx_s, kind="stable")[:n_select]:
         est = PathEstimate()
-        pair = _pair_for(beam, tx_s, az_pairs)
-        metric = ratio_metric(tx_s.get(pair.beams[0], 0.0),
-                              tx_s.get(pair.beams[1], 0.0),
-                              axis="azimuth", pair=pair)
-        est.mu_y = invert_ratio(metric.value, pair.center_mu, pair.delta)
-        est.pairs["azimuth"] = pair
-        est.zetas["azimuth"] = metric.value
-        est.nu = nu_hat
-        est.pairs["receive"] = rx_pair
-        est.zetas["receive"] = rx_metric.value
+        est.mu_y, est.pairs["azimuth"], est.zetas["azimuth"] = \
+            _pair_and_invert(tx_s, int(beam), az_pairs)
+        est.nu, est.pairs["receive"], est.zetas["receive"] = receive
         paths.append(est)
 
-    if elevation and codebooks is not None \
-            and all(len(codebooks.tx_el[p]) > 1 for p in codebooks.pols):
+    extra_tx_probings = 0
+    if all(len(codebooks.tx_el[p]) > 1 for p in codebooks.pols):
+        n_el_t = _coverage_probings(codebooks, "elevation", probing_plan.n_rf)
         for est in paths:
-            n_el_t = _coverage_probings(codebooks, "elevation", probing_plan.n_rf)
             el_plan, el_pilots, el_pairs = _elevation_stage(
                 codebooks, est.mu_y, probing_plan, pilots,
                 int(rng.integers(2 ** 31)), n_el_t)
-            el_members = _memberships(el_pairs)
             el_tx, _, el_totals = _probe_and_correlate(
-                channel, el_plan, el_pilots, el_members, sigma, rng)
+                channel, el_plan, el_pilots, _memberships(el_pairs), sigma, rng)
             extra_tx_probings += el_plan.n_t
             if el_totals.sum() <= 0:
                 continue
-            pair = _pair_for(_winner(el_tx), el_tx, el_pairs)
-            metric = ratio_metric(el_tx.get(pair.beams[0], 0.0),
-                                  el_tx.get(pair.beams[1], 0.0),
-                                  axis="elevation", pair=pair)
-            est.mu_x = invert_ratio(metric.value, pair.center_mu, pair.delta)
-            est.pairs["elevation"] = pair
-            est.zetas["elevation"] = metric.value
+            est.mu_x, est.pairs["elevation"], est.zetas["elevation"] = \
+                _pair_and_invert(el_tx, _winner(el_tx), el_pairs)
 
-    arrays = codebooks.config.arrays if codebooks is not None else channel.arrays
+    el_center = 0.5 * sum(codebooks.config.el_range)
     for est in paths:
         if math.isnan(est.mu_x):
-            est.mu_x = 0.0 if codebooks is None else \
-                0.5 * sum(codebooks.config.el_range)
-        _fill_angles(est, arrays)
+            est.mu_x = el_center
+        _fill_angles(est, codebooks.config.arrays)
 
     iters = probing_plan.n_rf * (probing_plan.n_t + extra_tx_probings) \
         * probing_plan.m_rf * probing_plan.m_t
-    return EstimationReport(paths=paths, iterations=iters, scheme="abp",
-                            strengths={"tx": tx_s, "rx": rx_s})
+    return EstimationReport(paths=paths, iterations=iters, scheme="abp")
 
 
 def _coverage_probings(codebooks: CodebookSet, axis: str, n_rf: int) -> int:
@@ -469,27 +415,3 @@ def _elevation_stage(codebooks: CodebookSet, mu_az: float, plan: ProbingPlan,
                               coprime_with=pilots.coprime_with,
                               dc_zero=pilots.dc_zero)
     return el_plan, el_pilots, el_pairs
-
-
-def _pairs_from_plan(plan: ProbingPlan):
-    """Reconstruct pair lists from the beams present in a plan (used when no
-    codebook set is supplied)."""
-    def build(beams: set[Beam], axis: str) -> list[AuxiliaryBeamPair]:
-        pairs = []
-        next_id = 0
-        for pol in ("v", "h"):
-            pol_beams = sorted((b for b in beams if b.polarization == pol
-                                and b.axis == axis), key=lambda b: b.boresight_mu)
-            for lo, hi in zip(pol_beams, pol_beams[1:]):
-                delta = 0.5 * (hi.boresight_mu - lo.boresight_mu)
-                pairs.append(AuxiliaryBeamPair(
-                    abp_id=next_id, beams=(lo, hi), axis=axis,
-                    center_mu=0.5 * (lo.boresight_mu + hi.boresight_mu),
-                    delta=delta))
-                next_id += 1
-        return pairs
-
-    tx = {b for probing in plan.tx_beams for b in probing}
-    rx = {b for probing in plan.rx_beams for b in probing}
-    axis = next(iter(tx)).axis if tx else "azimuth"
-    return build(tx, axis), build(rx, "receive")

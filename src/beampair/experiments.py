@@ -4,7 +4,7 @@ Config files are flat key=value text with dotted section prefixes; unset
 keys fall back to the evaluated defaults (half-power offsets, 120/90/180
 degree sectors, K = 13.2 dB, chi = 0.2, mismatch 20 degrees, shift spacing
 p = 6, roots 25/29/34, 3-bit differential quantizer). Per-trial RNG streams
-come from a counter scheme: SeedSequence([master_seed, family_index,
+come from a counter scheme: SeedSequence([master_seed, family_id,
 point_index, trial]).
 """
 
@@ -19,17 +19,24 @@ from .channel import (ClusterProfile, OfdmConfig, clustered_channel_generate,
                       rician_narrowband)
 from .codebook import (AXES, CodebookConfig, build_codebooks, enumerate_abps,
                        random_probing_plan)
-from .estimator import estimate_multipath, estimate_single_path, gob_estimate
+from .estimator import (_noise_like, estimate_multipath, estimate_single_path,
+                        gob_estimate)
 from .feedback import (quantize_differential, quantize_direct, reconstruct,
                        worst_case_error)
 from .geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
-                       spatial_frequencies)
+                       aoa_from_nu, spatial_frequencies)
 from .metrics import (OverheadModel, build_rf_beamformers, ci95, maee,
                       normalized_spectral_efficiency, spectral_efficiency)
 from .pilot import assign_pilots, correlate_zero_lag, zc_sequence
 
 EXPERIMENTS = ("maee_vs_snr", "maqe_bits", "pilot_correlation", "pilot_vs_tdm",
                "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")
+
+# Family ids in the per-trial RNG streams. Fixed here, not derived from the
+# position in EXPERIMENTS, so adding or reordering families moves no stream.
+FAMILY_IDS = {"maee_vs_snr": 0, "maqe_bits": 1, "pilot_correlation": 2,
+              "pilot_vs_tdm": 3, "norm_se_vs_snr": 4, "robustness_mismatch": 5,
+              "robustness_xpd": 6}
 
 # positional pairing of stream count with the probing totals used in the
 # complexity accounting
@@ -258,7 +265,7 @@ def _fmt(x) -> str:
 
 
 def _trial_rng(cfg: ExperimentConfig, point: int, trial: int) -> np.random.Generator:
-    fam = EXPERIMENTS.index(cfg.experiment)
+    fam = FAMILY_IDS[cfg.experiment]
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, fam, point, trial]))
 
 
@@ -300,11 +307,23 @@ def _draw_in_spans(rng, spans) -> float:
     return float(rng.uniform(*spans[i]))
 
 
-def _angles_from_mu(mu_x: float, mu_y: float, nu: float,
-                    arrays: ArrayConfig) -> AngleSet:
-    theta, phi = angles_from_spatial_frequencies(mu_x, mu_y, arrays)
-    psi = float(np.arcsin(np.clip(nu / (2 * np.pi * arrays.d_r), -1.0, 1.0)))
-    return AngleSet(theta, phi, psi)
+def _span(codebooks, axis: str) -> tuple:
+    """First to last boresight of the pair coverage of one axis, across
+    polarizations."""
+    spans = _pair_coverage(codebooks, axis)
+    return (spans[0][0], spans[-1][1])
+
+
+def _cluster_profile(cfg: ExperimentConfig, codebooks, n_clusters: int,
+                     subpaths: int) -> ClusterProfile:
+    """Clustered-channel profile whose path directions span the codebooks'
+    pair coverage."""
+    return ClusterProfile(
+        n_clusters=n_clusters, subpaths_per_cluster=subpaths,
+        mu_y_range=_span(codebooks, "azimuth"),
+        mu_x_range=_span(codebooks, "elevation"),
+        nu_range=_span(codebooks, "receive"),
+        chi=cfg.chi, varsigma=math.radians(cfg.varsigma_deg))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +333,8 @@ def _run_maee(cfg: ExperimentConfig):
     arrays = _arrays(cfg, "co")
     cbs = build_codebooks(_codebook_config(cfg, arrays))
     cov = {ax: _pair_coverage(cbs, ax) for ax in AXES}
-    nlos_ranges = {
-        "mu_x": (cov["elevation"][0][0], cov["elevation"][-1][1]),
-        "mu_y": (cov["azimuth"][0][0], cov["azimuth"][-1][1]),
-        "nu": (cov["receive"][0][0], cov["receive"][-1][1]),
-    }
+    nlos_ranges = {"mu_x": _span(cbs, "elevation"), "mu_y": _span(cbs, "azimuth"),
+                   "nu": _span(cbs, "receive")}
     domains = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
     truths = {(s, sch, d): [] for s in cfg.snr_db for sch in ("abp", "gob")
               for d in domains}
@@ -332,7 +348,8 @@ def _run_maee(cfg: ExperimentConfig):
             nu = _draw_in_spans(rng, cov["receive"])
             while mu_x == 0.0 and mu_y == 0.0:
                 mu_x = _draw_in_spans(rng, cov["elevation"])
-            truth = _angles_from_mu(mu_x, mu_y, nu, arrays)
+            truth = AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, arrays),
+                             aoa_from_nu(nu, arrays))
             chan = rician_narrowband(arrays, truth, cfg.k_factor_db, cfg.n_nlos,
                                      rng, nlos_ranges)
             true_vals = {"elevation": mu_x, "azimuth": mu_y, "receive": nu,
@@ -444,15 +461,7 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
     rx_v = cbs.rx["v"]
     rx_h = cbs.rx["h"]
     w = (rx_v[len(rx_v) // 2].vector + rx_h[len(rx_h) // 2].vector) / np.sqrt(2)
-    cov_az = _pair_coverage(cbs, "azimuth")
-    cov_el = _pair_coverage(cbs, "elevation")
-    cov_rx = _pair_coverage(cbs, "receive")
-    profile = ClusterProfile(
-        n_clusters=cfg.n_clusters, subpaths_per_cluster=max(cfg.subpaths, 1),
-        mu_y_range=(cov_az[0][0], cov_az[-1][1]),
-        mu_x_range=(cov_el[0][0], cov_el[-1][1]),
-        nu_range=(cov_rx[0][0], cov_rx[-1][1]),
-        chi=cfg.chi, varsigma=math.radians(cfg.varsigma_deg))
+    profile = _cluster_profile(cfg, cbs, cfg.n_clusters, max(cfg.subpaths, 1))
     gamma = 10.0 ** (cfg.snr_db[0] / 10.0)
     sigma = math.sqrt(1.0 / gamma)
     n = ofdm.n_subcarriers
@@ -465,15 +474,13 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
         base = [np.einsum("kmn,n->km", h, f) for f in f_cols]  # H f per beam
         x = [r.sequence() for r in refs]
         y_pilot = sum(b * xi[:, None] for b, xi in zip(base, x)) @ w.conj()
-        y_pilot = y_pilot + sigma * (rng.standard_normal(n)
-                                     + 1j * rng.standard_normal(n)) / np.sqrt(2)
+        y_pilot = y_pilot + _noise_like(n, sigma, rng)
         for i, r in enumerate(refs):
             sums[("pilot", i)] += abs(correlate_zero_lag(y_pilot, r,
                                                          normalized=True))
         for i, (b, xi, r) in enumerate(zip(base, x, refs)):
             y = (b * xi[:, None]) @ w.conj()
-            y = y + sigma * (rng.standard_normal(n)
-                             + 1j * rng.standard_normal(n)) / np.sqrt(2)
+            y = y + _noise_like(n, sigma, rng)
             sums[("tdm", i)] += abs(correlate_zero_lag(y, r, normalized=True))
     table = ResultTable("pilot_vs_tdm",
                         ["beam", "root", "b", "scheme", "mean_amplitude",
@@ -503,21 +510,16 @@ def _se_complexities(cfg: ExperimentConfig) -> tuple[int, int]:
 
 def _gob_triples(report, cbs):
     """Boresight-only estimates from the same measurements: the stronger pair
-    member per domain."""
-    out = []
+    member per domain, or the elevation range center for a path that formed
+    no elevation pair."""
     el_center = 0.5 * sum(cbs.config.el_range)
-    for path in report.paths:
-        az_pair = path.pairs["azimuth"]
-        az = az_pair.beams[0 if path.zetas["azimuth"] >= 0 else 1].boresight_mu
-        if "elevation" in path.pairs:
-            el_pair = path.pairs["elevation"]
-            el = el_pair.beams[0 if path.zetas["elevation"] >= 0 else 1].boresight_mu
-        else:
-            el = el_center
-        rx_pair = path.pairs["receive"]
-        nu = rx_pair.beams[0 if path.zetas["receive"] >= 0 else 1].boresight_mu
-        out.append((el, az, nu))
-    return out
+
+    def stronger(path, axis: str) -> float:
+        if axis not in path.pairs:
+            return el_center
+        return path.pairs[axis].boresight(0 if path.zetas[axis] >= 0 else 1)
+
+    return [tuple(stronger(path, axis) for axis in AXES) for path in report.paths]
 
 
 def _se_trial(cfg: ExperimentConfig, arrays, ofdm, cbs, pilots, profile,
@@ -533,8 +535,7 @@ def _se_trial(cfg: ExperimentConfig, arrays, ofdm, cbs, pilots, profile,
     plan = random_probing_plan(cbs, n_t, m_t, n_rf, m_rf,
                                int(rng.integers(2 ** 31)), layout=layout)
     rep = estimate_multipath(chan, plan, pilots, gamma,
-                             cfg.n_select or cfg.n_s, rng, codebooks=cbs,
-                             elevation=True)
+                             cfg.n_select or cfg.n_s, rng, codebooks=cbs)
     abp = [(p.mu_x, p.mu_y, p.nu) for p in rep.paths]
     gob = _gob_triples(rep, cbs)
     perfect = []
@@ -550,28 +551,20 @@ def _se_trial(cfg: ExperimentConfig, arrays, ofdm, cbs, pilots, profile,
 
 def _se_setup(cfg: ExperimentConfig):
     arrays = _arrays(cfg, "cross")
-    ofdm = OfdmConfig(256, 64) if cfg.bandwidth == "desk" else \
+    # rate families run at desk scale (N=256) in place of the 125mhz default
+    ofdm = OfdmConfig(256, 64) if cfg.bandwidth in ("desk", "125mhz") else \
         OfdmConfig.profile(cfg.bandwidth)
     cbs = build_codebooks(_codebook_config(cfg, arrays))
     pairs = enumerate_abps(cbs, "azimuth")
     pilots = assign_pilots(pairs, ofdm.n_subcarriers, root_pool=cfg.roots,
                            p=None if cfg.p >= ofdm.n_subcarriers // 2 else cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
-    cov_az = _pair_coverage(cbs, "azimuth")
-    cov_el = _pair_coverage(cbs, "elevation")
-    cov_rx = _pair_coverage(cbs, "receive")
-    profile = ClusterProfile(
-        n_clusters=max(cfg.n_clusters, cfg.n_s), subpaths_per_cluster=cfg.subpaths,
-        mu_y_range=(cov_az[0][0], cov_az[-1][1]),
-        mu_x_range=(cov_el[0][0], cov_el[-1][1]),
-        nu_range=(cov_rx[0][0], cov_rx[-1][1]),
-        chi=cfg.chi, varsigma=math.radians(cfg.varsigma_deg))
+    profile = _cluster_profile(cfg, cbs, max(cfg.n_clusters, cfg.n_s),
+                               cfg.subpaths)
     return arrays, ofdm, cbs, pilots, profile
 
 
 def _run_norm_se(cfg: ExperimentConfig):
-    if cfg.bandwidth == "125mhz":
-        cfg = replace(cfg, bandwidth="desk")  # desk-scale N=256 default
     arrays, ofdm, cbs, pilots, profile = _se_setup(cfg)
     e_abp, e_gob = _se_complexities(cfg)
     overhead = OverheadModel(epsilon_t=cfg.epsilon_t, t_tot=cfg.t_tot)
@@ -612,8 +605,6 @@ def _run_robustness(cfg: ExperimentConfig):
                          "ci95"])
     for param, value in sweep:
         sub = replace(cfg, **{param: value})
-        if sub.bandwidth == "125mhz":
-            sub = replace(sub, bandwidth="desk")
         arrays, ofdm, cbs, pilots, profile = _se_setup(sub)
         gaps = []
         for t in range(cfg.trials):

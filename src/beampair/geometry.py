@@ -88,17 +88,20 @@ def spatial_frequencies(angles: AngleSet, cfg: ArrayConfig) -> SpatialFrequencie
     )
 
 
-def ula_steering(nu: float, m: int) -> np.ndarray:
-    """Unit-norm ULA steering vector, entry i = exp(j*i*nu)/sqrt(m)."""
+def ula_steering(nu, m: int) -> np.ndarray:
+    """Unit-norm ULA steering vector, entry i = exp(j*i*nu)/sqrt(m). A 1-D
+    array of nu gives an (m, len(nu)) matrix, one column per value."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return np.exp(1j * nu * np.arange(m)) / np.sqrt(m)
+    return np.exp(np.multiply.outer(np.arange(m), 1j * nu)) / np.sqrt(m)
 
 
-def upa_steering(mu_x: float, mu_y: float, n_x: int, n_y: int) -> np.ndarray:
+def upa_steering(mu_x, mu_y, n_x: int, n_y: int) -> np.ndarray:
     """Unit-norm UPA steering vector: Kronecker product of the x (elevation)
-    and y (azimuth) ULA factors, length n_x*n_y."""
-    return np.kron(ula_steering(mu_x, n_x), ula_steering(mu_y, n_y))
+    and y (azimuth) ULA factors, length n_x*n_y. Equal-length 1-D arrays of
+    (mu_x, mu_y) give an (n_x*n_y, len) matrix, one column per pair."""
+    a = ula_steering(mu_x, n_x)[:, None] * ula_steering(mu_y, n_y)[None, :]
+    return a.reshape((n_x * n_y,) + a.shape[2:])
 
 
 def angles_from_spatial_frequencies(mu_x: float, mu_y: float,

@@ -6,6 +6,7 @@ zero-lag correlation against per-beam references. Includes the analytic
 interference bounds used to sanity-check the separation.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ class LengthMismatch(ValueError):
     pass
 
 
-def _check_root(root: int, n: int, modulus: int) -> None:
+def _check_root(root: int, modulus: int) -> None:
     if root < 1:
         raise InvalidRoot(f"root {root} must be positive")
     if math.gcd(root, modulus) != 1:
@@ -50,7 +51,7 @@ def zc_symbol(root: int, b: int, p: int, n: int, k: int,
     coprime_with picks the root-validity modulus (n, or the n-1 variant some
     deployments use with a nulled subcarrier); the phase modulus is n under
     either choice (see zc_sequence)."""
-    _check_root(root, n, _modulus_for(n, coprime_with))
+    _check_root(root, _modulus_for(n, coprime_with))
     if not 0 <= k < n:
         raise ValueError("subcarrier index out of range")
     kk = k + p * b
@@ -70,7 +71,7 @@ def zc_sequence(root: int, b: int, p: int, n: int, dc_zero: bool = False,
     The flat level 1/sqrt(L) of the normalized correlation needs an odd
     length L and a root difference coprime with L (at L = 511 both entries
     are 1/sqrt(511) = 0.044237)."""
-    _check_root(root, n, _modulus_for(n, coprime_with))
+    _check_root(root, _modulus_for(n, coprime_with))
     kk = np.arange(n, dtype=np.int64) + p * b
     m = (root * kk * (kk + 1)) % (2 * n)
     seq = np.exp(1j * np.pi * m / n)
@@ -154,19 +155,17 @@ def assign_pilots(abps, n: int, root_pool=None, p: int | None = None,
     'n_minus_1' do not get the flat distinct-root cross level (see
     zc_sequence).
     """
-    if coprime_with not in ("n", "n_minus_1"):
-        raise ValueError("coprime_with must be 'n' or 'n_minus_1'")
+    modulus = _modulus_for(n, coprime_with)
     ids = [a if isinstance(a, int) else a.abp_id for a in abps]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate beam-pair ids")
-    modulus = n if coprime_with == "n" else n - 1
 
     if root_pool is None:
         pool = _extend_pool(DEFAULT_ROOT_POOL, len(ids), modulus)
     else:
         pool = list(root_pool)
         for root in pool:
-            _check_root(root, n, modulus)
+            _check_root(root, modulus)
         if len(pool) < len(ids):
             raise PoolExhausted(f"{len(ids)} pairs need {len(ids)} roots, pool has {len(pool)}")
     roots = {abp_id: pool[i] for i, abp_id in enumerate(sorted(ids))}
@@ -238,26 +237,25 @@ def interference_bounds(assignment: PilotAssignment, gains: FlatGains) -> dict[s
     """Upper bounds on the matched term and the three interference terms of
     the zero-lag correlator under flat gains: same pair and shift (i0), same
     root different shift (i1, zero when the shift spacing is valid), other
-    roots same polarization (i2), other polarization (i3)."""
+    roots same polarization (i2), other polarization (i3).
+
+    Each distinct-root product is bounded by sqrt(n*g), g the largest
+    gcd(r_i - r_j, n) over the assigned roots (a quadratic Gauss sum): g = 1,
+    the flat sqrt(n), at an odd n with root differences coprime with n, and
+    g >= 2 at even n (roots 25/29 at n = 512 cross at exactly 2*sqrt(n))."""
     n = assignment.n
+    roots = list(assignment.roots.values())
+    g = max((math.gcd(a - b, n) for a, b in itertools.combinations(roots, 2)),
+            default=1)
     q = np.sqrt(1.0 / (1.0 + gains.chi))
     avv = abs(gains.sum_rho_h_vv)
     avh = abs(gains.sum_rho_h_vh)
-    zero_ok = _shift_ok(assignment.p, list(assignment.roots.values()), n,
-                        assignment.delta_b_max)
+    zero_ok = _shift_ok(assignment.p, roots, n, assignment.delta_b_max)
     n_e = max(gains.n_rf // 2 - 1, 0)
     return {
         "i0": n * q * avv,
         "i1": 0.0 if zero_ok else n * q * avv,
-        "i2": q * avv * n_e * np.sqrt(n),
-        "i3": q * avh * (gains.n_rf / 2.0) * np.sqrt(n),
+        "i2": q * avv * n_e * np.sqrt(n * g),
+        "i3": q * avh * (gains.n_rf / 2.0) * np.sqrt(n * g),
     }
 
-
-def dump_pilot_csv(assignment: PilotAssignment, path: str) -> None:
-    lines = ["abp_id,root,b,p"]
-    for abp_id in sorted(assignment.roots):
-        for b in (0, 1):
-            lines.append(f"{abp_id},{assignment.roots[abp_id]},{b},{assignment.p}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -416,7 +416,7 @@ def _check_invariances(rng) -> bool:
                 p1 = abs(received_symbol(w, hh, f1)) ** 2
                 if p0 + p1 == 0:
                     return False
-                zetas.append(ratio_metric(p0, p1).value)
+                zetas.append(ratio_metric(p0, p1))
         if max(zetas) - min(zetas) > 1e-9:
             return False
     return True

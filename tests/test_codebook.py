@@ -77,6 +77,16 @@ class TestBeamVectors:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
         assert np.allclose(v[:32], h[32:])
 
+    def test_array_frequencies_stack_columns(self):
+        mu_x = np.array([0.2, -0.1, 0.5])
+        mu_y = np.array([-0.4, 0.9, 0.0])
+        for arrays, pol in ((CO, "v"), (CROSS, "v"), (CROSS, "h")):
+            f = tx_beam_vector(arrays, pol, mu_x, mu_y)
+            assert f.shape == (arrays.n_tot, 3)
+            for k in range(3):
+                assert np.array_equal(f[:, k],
+                                      tx_beam_vector(arrays, pol, mu_x[k], mu_y[k]))
+
     def test_rx_vector(self):
         w = rx_beam_vector(CROSS, "h", 0.7)
         assert w.shape == (8,)
@@ -203,7 +213,7 @@ class TestProbingPlan:
 
     def test_iteration_accounting(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
-        plan = random_probing_plan(cbs, 20, 20, 2, 2, seed=1, coverage=False)
+        plan = random_probing_plan(cbs, 20, 20, 2, 2, seed=1)
         assert plan.n_t == 20 and plan.m_t == 20
         assert plan.iterations() == 1600
 

@@ -9,13 +9,14 @@ import pytest
 from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
                               PathParams, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
-from beampair.codebook import (CodebookConfig, build_codebooks, enumerate_abps,
+from beampair.codebook import (CodebookConfig, InfeasibleCoverage, ProbingPlan,
+                               build_codebooks, enumerate_abps,
                                random_probing_plan, rx_beam_vector, tx_beam_vector)
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _memberships)
+                                _memberships, _sweep)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -87,9 +88,9 @@ class TestReceivedSymbol:
 
 class TestRatioMetric:
     def test_trivials(self):
-        assert ratio_metric(2.0, 2.0).value == 0.0
-        assert ratio_metric(4.0, 0.0).value == 1.0
-        assert ratio_metric(0.0, 4.0).value == -1.0
+        assert ratio_metric(2.0, 2.0) == 0.0
+        assert ratio_metric(4.0, 0.0) == 1.0
+        assert ratio_metric(0.0, 4.0) == -1.0
 
     def test_errors(self):
         with pytest.raises(BothZero):
@@ -198,6 +199,40 @@ class TestSinglePath:
         # 2 elevation x 6 azimuth transmit grid times 4 receive beams
         assert rep.iterations == 48
 
+    def test_sweep_marginals_match_loop(self):
+        """Marginal strengths per axis, indexed by Beam.index, against an
+        explicit loop over every (receive beam, transmit grid point) probe;
+        cross-polarized so indices run across both polarizations."""
+        cbs = build_codebooks(CodebookConfig(arrays=CROSS,
+                                             el_range=(-np.pi / 2, np.pi / 2)))
+        rng = np.random.default_rng(60)
+        paths = [PathParams(*(complex(rng.normal(), rng.normal()) for _ in range(4)),
+                            0.0, angles_for(rng.uniform(-0.6, 0.6),
+                                            rng.uniform(-1.0, 1.0),
+                                            rng.uniform(-1.2, 1.2), CROSS))
+                 for _ in range(3)]
+        chan = crosspol_frequency_response(paths, CROSS, OfdmConfig(8, 2),
+                                           CrossPolConfig(0.2, 0.3))
+        want = {axis: np.zeros(len(cbs.all_beams(axis)))
+                for axis in ("elevation", "azimuth", "receive")}
+        for w in cbs.all_beams("receive"):
+            for pol in cbs.pols:
+                for eb in cbs.tx_el[pol]:
+                    for ab in cbs.tx_az[pol]:
+                        f = tx_beam_vector(CROSS, pol, eb.boresight_mu,
+                                           ab.boresight_mu)
+                        p = np.mean([abs(received_symbol(w, chan.at(k), f)) ** 2
+                                     for k in range(8)])
+                        want["receive"][w.index] += p
+                        want["elevation"][eb.index] += p
+                        want["azimuth"][ab.index] += p
+        got, probes = _sweep(chan, cbs, 0.0, None)
+        assert len(cbs.tx_el["v"]) > 1
+        assert probes == len(cbs.all_beams("receive")) * sum(
+            len(cbs.tx_el[p]) * len(cbs.tx_az[p]) for p in cbs.pols)
+        for axis, s in want.items():
+            assert np.allclose(got[axis], s, rtol=1e-12, atol=0.0)
+
     def test_estimates_stay_inside_selected_pair(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         rng = np.random.default_rng(47)
@@ -247,7 +282,7 @@ class TestSinglePath:
                           for b in pair.beams]
                 if powers[0] + powers[1] == 0:
                     break
-                zetas.append(ratio_metric(powers[0], powers[1]).value)
+                zetas.append(ratio_metric(powers[0], powers[1]))
             else:
                 assert max(zetas) - min(zetas) < 1e-9
 
@@ -290,7 +325,7 @@ class TestCrossPolarized:
             chan = crosspol_frequency_response([path], CROSS, ofdm, xp)
             powers = [sum(abs(received_symbol(w, chan.at(0), b)) ** 2
                           for w in rx_beams) for b in pair.beams]
-            zeta = ratio_metric(powers[0], powers[1]).value
+            zeta = ratio_metric(powers[0], powers[1])
             want = ratio_closed_form(mu_y, pair.center_mu, pair.delta)
             assert abs(zeta - want) < 1e-6
 
@@ -318,7 +353,7 @@ class TestCrossPolarized:
                                                    CrossPolConfig(chi, vs))
                 powers = [sum(abs(received_symbol(w, chan.at(0), b)) ** 2
                               for w in rx_beams) for b in pair.beams]
-                vals.append(ratio_metric(powers[0], powers[1]).value)
+                vals.append(ratio_metric(powers[0], powers[1]))
             assert max(vals) - min(vals) < 1e-9
 
 
@@ -490,15 +525,40 @@ class TestMultipath:
         cbs = build_codebooks(CodebookConfig(arrays=CROSS,
                                              az_range=(-np.pi / 2, np.pi / 2)))
         pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
-        plan = random_probing_plan(cbs, 20, 20, 2, 2, seed=9, coverage=False)
+        plan = random_probing_plan(cbs, 20, 20, 2, 2, seed=9)
         rng = np.random.default_rng(57)
         ang = angles_for(0.3, -0.5, 0.4, CROSS)
         path = PathParams(1.0, 0.2, 0.1, 0.8, 0.0, ang)
         chan = crosspol_frequency_response([path], CROSS, OfdmConfig(64, 16),
                                            CrossPolConfig(0.2, 0.3))
         rep = estimate_multipath(chan, plan, pilots, None, 1, rng=rng,
-                                 codebooks=cbs, elevation=False)
+                                 codebooks=cbs)
         assert rep.iterations == 1600
+
+    def test_plan_must_probe_every_beam(self):
+        """A hand-built plan that skips an azimuth or receive beam is
+        rejected instead of pairing against a strength of zero."""
+        cbs = build_codebooks(CodebookConfig(arrays=CO))
+        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        chan = copol_frequency_response(
+            [PathParams.single_pol(1.0, 0.0, angles_for(0.1, 0.2, 0.3, CO))],
+            CO, OfdmConfig(64, 16))
+        az, rx = cbs.all_beams("azimuth"), cbs.all_beams("receive")
+
+        def plan(tx_beams, rx_beams):
+            return ProbingPlan(f_mats=[b.vector[:, None] for b in tx_beams],
+                               w_mats=[b.vector[:, None] for b in rx_beams],
+                               tx_beams=[[b] for b in tx_beams],
+                               rx_beams=[[b] for b in rx_beams], n_rf=1, m_rf=1)
+
+        rep = estimate_multipath(chan, plan(az, rx), pilots, None, 1,
+                                 codebooks=cbs)
+        assert set(rep.best.pairs) == {"azimuth", "receive", "elevation"}
+        for tx_beams, rx_beams, axis in ((az[:-1], rx, "azimuth"),
+                                         (az, rx[1:], "receive")):
+            with pytest.raises(InfeasibleCoverage, match=axis):
+                estimate_multipath(chan, plan(tx_beams, rx_beams), pilots, None,
+                                   1, codebooks=cbs)
 
     def test_n_select_guard(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))

@@ -115,6 +115,19 @@ class TestSteering:
         with pytest.raises(ValueError, match="m must be"):
             ula_steering(0.1, 0)
 
+    def test_array_frequencies_give_one_column_each(self):
+        """Column k of an array call equals the scalar call at value k, bit
+        for bit, so a batched grid reproduces per-beam vectors exactly."""
+        rng = np.random.default_rng(11)
+        mu_x = rng.uniform(-np.pi, np.pi, 7)
+        mu_y = rng.uniform(-np.pi, np.pi, 7)
+        a = ula_steering(mu_x, 5)
+        u = upa_steering(mu_x, mu_y, 3, 4)
+        assert a.shape == (5, 7) and u.shape == (12, 7)
+        for k in range(7):
+            assert np.array_equal(a[:, k], ula_steering(mu_x[k], 5))
+            assert np.array_equal(u[:, k], upa_steering(mu_x[k], mu_y[k], 3, 4))
+
 
 # ---------------------------------------------------------------------------
 # config validation

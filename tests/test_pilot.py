@@ -195,16 +195,33 @@ class TestBounds:
         q = np.sqrt(1 / 1.2)
         assert abs(b["i0"] - 1024 * q * 5.0) < 1e-9
         assert b["i1"] == 0.0
-        assert abs(b["i2"] - q * 5.0 * 1 * 32.0) < 1e-9
-        assert abs(b["i3"] - q * 1.0 * 2 * 32.0) < 1e-9
-        # cross-polarized share of the matched term scales as 2/sqrt(n)
-        assert abs(b["i3"] / b["i0"] - (1 / 16) * (1.0 / 5.0)) < 1e-12
+        # roots 25/29 differ by 4 = gcd(4, 1024): crosses bounded by
+        # sqrt(4 * 1024) = 64
+        assert abs(b["i2"] - q * 5.0 * 1 * 64.0) < 1e-9
+        assert abs(b["i3"] - q * 1.0 * 2 * 64.0) < 1e-9
+        # cross-polarized share of the matched term scales as 2*sqrt(g/n)
+        assert abs(b["i3"] / b["i0"] - (1 / 8) * (1.0 / 5.0)) < 1e-12
 
     def test_invalid_shift_keeps_full_leak_term(self):
         asn = PilotAssignment(n=12, p=12, roots={0: 5})
         g = FlatGains(chi=0.0, sum_rho_h_vv=1.0, sum_rho_h_vh=0.0, n_rf=2)
         b = interference_bounds(asn, g)
         assert b["i1"] == b["i0"] == 12.0
+
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_even_length_crosses_within_bounds(self, n):
+        """At even n, roots 25/29 differ by 4 = gcd(4, n), so their cross
+        reaches sqrt(4n) = 2*sqrt(n), twice the flat odd-length level; the
+        i2 (one other-root column) and i3 (two columns) bounds cover it."""
+        asn = assign_pilots([0, 1, 2], n, p=6)
+        ref = asn.ref(0, 0)
+        gains = FlatGains(chi=0.0, sum_rho_h_vv=1.0, sum_rho_h_vh=1.0, n_rf=4)
+        bounds = interference_bounds(asn, gains)
+        crosses = sorted(abs(correlate_zero_lag(asn.sequence(a, b), ref))
+                         for a in (1, 2) for b in (0, 1))
+        assert abs(crosses[-1] - 2 * np.sqrt(n)) < 1e-9
+        assert crosses[-1] <= bounds["i2"] + 1e-9
+        assert crosses[-1] + crosses[-2] <= bounds["i3"] + 1e-9
 
     def test_measured_terms_never_exceed_bounds(self):
         """Simultaneous-probing correlation terms under flat gains, at a
