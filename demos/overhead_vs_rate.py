@@ -42,36 +42,36 @@ def main():
 
     banner("monte-carlo rates at 40 trials per SNR point")
     cfg = validate_config(CONFIG)
-    out_dir = tempfile.mkdtemp(prefix="beampair_demo_")
-    out = run_experiment(cfg, out_dir=out_dir)
-    table = out["tables"]["norm_se_vs_snr"]
+    with tempfile.TemporaryDirectory(prefix="beampair_demo_") as out_dir:
+        out = run_experiment(cfg, out_dir=out_dir)
+        table = out["tables"]["norm_se_vs_snr"]
 
-    vals = {}
-    t_est = {}
-    for row in table.rows:
-        _, snr, scheme, metric, value, _ = row
-        if metric == "t_est":
-            t_est[scheme] = float(value)
-        else:
-            vals[(str(snr), scheme, metric)] = float(value)
+        vals = {}
+        t_est = {}
+        for row in table.rows:
+            _, snr, scheme, metric, value, _ = row
+            if metric == "t_est":
+                t_est[scheme] = float(value)
+            else:
+                vals[(str(snr), scheme, metric)] = float(value)
 
-    snrs = sorted({k[0] for k in vals}, key=float)
-    print(f"{'snr':>6} | {'se perfect':>10} {'se abp':>8} {'se gob':>8} | "
-          f"{'norm abp':>8} {'norm gob':>8}")
-    for snr in snrs:
-        print(f"{snr:>6} | {vals[(snr, 'perfect', 'se')]:10.3f} "
-              f"{vals[(snr, 'abp', 'se')]:8.3f} "
-              f"{vals[(snr, 'gob', 'se')]:8.3f} | "
-              f"{vals[(snr, 'abp', 'norm_se')]:8.3f} "
-              f"{vals[(snr, 'gob', 'norm_se')]:8.3f}")
-    print(f"t_est charged: abp {t_est['abp']:.0f} slots, "
-          f"gob {t_est['gob']:.0f} slots")
+        snrs = sorted({k[0] for k in vals}, key=float)
+        print(f"{'snr':>6} | {'se perfect':>10} {'se abp':>8} {'se gob':>8} | "
+              f"{'norm abp':>8} {'norm gob':>8}")
+        for snr in snrs:
+            print(f"{snr:>6} | {vals[(snr, 'perfect', 'se')]:10.3f} "
+                  f"{vals[(snr, 'abp', 'se')]:8.3f} "
+                  f"{vals[(snr, 'gob', 'se')]:8.3f} | "
+                  f"{vals[(snr, 'abp', 'norm_se')]:8.3f} "
+                  f"{vals[(snr, 'gob', 'norm_se')]:8.3f}")
+        print(f"t_est charged: abp {t_est['abp']:.0f} slots, "
+              f"gob {t_est['gob']:.0f} slots")
 
-    gains = [vals[(s, 'abp', 'norm_se')] - vals[(s, 'gob', 'norm_se')]
-             for s in snrs]
-    print(f"normalized-rate margin of the paired sweep: "
-          f"{min(gains):.3f}..{max(gains):.3f} bit/s/Hz across the sweep")
-    print(f"csv written under {out_dir}")
+        gains = [vals[(s, 'abp', 'norm_se')] - vals[(s, 'gob', 'norm_se')]
+                 for s in snrs]
+        print(f"normalized-rate margin of the paired sweep: "
+              f"{min(gains):.3f}..{max(gains):.3f} bit/s/Hz across the sweep")
+        print(f"csv written under {out_dir}")
 
 
 if __name__ == "__main__":

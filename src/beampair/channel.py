@@ -1,17 +1,20 @@
 """Wideband frequency-selective channel synthesis.
 
 Co-polarized and cross-polarized multi-path models, the narrowband Rician
-model, and a lightweight clustered generator. All realizations are
-per-subcarrier matrices H[k] built from explicit path parameters, so tests
-can rebuild them entry-wise from the defining formulas.
+model, and a lightweight clustered generator. A realization is stored as its
+path factors, H[k] = sum_l rho[k, l] u_l v_l^H, built from explicit path
+parameters; every beamformed quantity W^H H[k] F is computed from those
+factors, and the dense per-subcarrier tensor is built only when read, so
+tests can rebuild it entry-wise from the defining formulas.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
-                       spatial_frequencies, ula_steering, upa_steering)
+                       aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
 
 class DimensionMismatch(ValueError):
@@ -107,11 +110,9 @@ def pulse_samples(tau: float, ofdm: OfdmConfig, pulse: str = "raised-cosine") ->
 def pulse_coefficients(tau: float, ofdm: OfdmConfig,
                        pulse: str = "raised-cosine") -> np.ndarray:
     """Per-subcarrier delay-tap coefficients rho_tau[k] for k = 0..N-1:
-    sum over CP-window taps of p(d*T_s - tau) * exp(-j*2*pi*k*d/N)."""
-    p = pulse_samples(tau, ofdm, pulse)
-    k = np.arange(ofdm.n_subcarriers)
-    d = np.arange(ofdm.cp_length)
-    return (p[None, :] * np.exp(-2j * np.pi * np.outer(k, d) / ofdm.n_subcarriers)).sum(axis=1)
+    sum over CP-window taps of p(d*T_s - tau) * exp(-j*2*pi*k*d/N), i.e. the
+    length-N DFT of the zero-padded taps."""
+    return np.fft.fft(pulse_samples(tau, ofdm, pulse), n=ofdm.n_subcarriers)
 
 
 def pulse_coefficient(tau: float, k: int, ofdm: OfdmConfig,
@@ -138,35 +139,78 @@ def effective_gains(path: PathParams, xp: CrossPolConfig) -> dict[str, complex]:
 
 @dataclass
 class ChannelRealization:
-    """Per-subcarrier channel tensor plus the generating path parameters.
+    """Path-domain channel plus the generating path parameters.
 
-    h has shape (N, M, N_t) where M and N_t are the full (cross-pol stacked)
-    dimensions. For cross-pol realizations the four polarization blocks are
-    stored separately as well, each (N, m_tot, n_tx).
+    H[k] = sum_l rho[k, l] u_l v_l^H, with rho (N, L) the per-path delay-tap
+    coefficients and u (L, M, q), v (L, N_t, q) the receive and transmit
+    factors, M and N_t the full (cross-pol stacked) dimensions. Co-pol and
+    narrowband paths have q = 1 (u_l = g a_r, v_l = a_t); cross-pol paths
+    have q = 2 (u_l = G_eff kron a_r, v_l = I_2 kron a_t), which places the
+    vv/vh/hv/hh blocks in the top-left/top-right/bottom-left/bottom-right.
     """
 
-    h: np.ndarray
+    rho: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     paths: list[PathParams]
     arrays: ArrayConfig
     ofdm: OfdmConfig | None = None
     crosspol: CrossPolConfig | None = None
     pulse: str = "raised-cosine"
-    blocks: dict[str, np.ndarray] | None = None
     dominant_angles: list[AngleSet] = field(default_factory=list)
+    # always None: each polarization block is a slice of h, not a copy
+    blocks = None
 
     @property
-    def n_subcarriers(self) -> int:
-        return self.h.shape[0]
+    def shape(self) -> tuple[int, int, int]:
+        """(N, M, N_t) of the dense tensor, without building it."""
+        return self.rho.shape[0], self.u.shape[1], self.v.shape[1]
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Dense (N, M, N_t) tensor, built on first read; the experiments
+        never read it, the oracles and tests do."""
+        return np.tensordot(self.rho, self.u @ self.v.conj().transpose(0, 2, 1), axes=1)
 
     def at(self, k: int) -> np.ndarray:
         return self.h[k]
 
+    def beamformed(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """W^H H[k] F for every subcarrier, (N, i, j), from per-path products:
+        cost O(N L i j) instead of O(N M N_t j) on the dense tensor."""
+        if w.shape[0] != self.u.shape[1] or f.shape[0] != self.v.shape[1]:
+            raise DimensionMismatch(
+                f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
+        per_path = (w.conj().T @ self.u) @ (self.v.conj().transpose(0, 2, 1) @ f)
+        n_paths, i, j = per_path.shape
+        return (self.rho @ per_path.reshape(n_paths, i * j)).reshape(-1, i, j)
 
-def _steering_pair(path: PathParams, arrays: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    sf = spatial_frequencies(path.angles, arrays)
-    a_r = ula_steering(sf.nu, arrays.m_tot)
-    a_t = upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y)
-    return a_r, a_t
+
+def _path_factors(paths: list[PathParams], arrays: ArrayConfig,
+                  xp: CrossPolConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Receive and transmit factors (u, v) of ChannelRealization for all
+    paths, from one steering call per side: co-pol when xp is None (the
+    g_vv gain only), cross-pol with the effective gains of xp otherwise."""
+    sf = [spatial_frequencies(p.angles, arrays) for p in paths]
+    a_r = ula_steering(np.array([s.nu for s in sf]), arrays.m_tot).T  # (L, m)
+    a_t = upa_steering(np.array([s.mu_x for s in sf]), np.array([s.mu_y for s in sf]),
+                       arrays.n_x, arrays.n_y).T  # (L, n)
+    if xp is None:
+        g = np.array([p.g_vv for p in paths], dtype=complex)
+        return (g[:, None] * a_r)[:, :, None], a_t[:, :, None]
+    gains = [effective_gains(p, xp) for p in paths]
+    g = np.array([[[e["vv"], e["vh"]], [e["hv"], e["hh"]]] for e in gains])  # (L, 2, 2)
+    u = (g[:, :, None, :] * a_r[:, None, :, None]).reshape(len(paths), -1, 2)
+    v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(len(paths), -1, 2)
+    return u, v
+
+
+def _wideband(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
+              pulse: str, xp: CrossPolConfig | None = None) -> ChannelRealization:
+    """Realization with one column of delay-tap coefficients per path."""
+    rho = np.column_stack([pulse_coefficients(p.tau, ofdm, pulse) for p in paths])
+    return ChannelRealization(rho, *_path_factors(paths, arrays, xp), list(paths),
+                              arrays, ofdm=ofdm, crosspol=xp, pulse=pulse)
 
 
 def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
@@ -174,13 +218,7 @@ def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
     """H[k] = sum_r g_r * rho_{tau_r}[k] * a_r(psi_r) a_t*(theta_r, phi_r)."""
     if arrays.polarization_mode != "co":
         raise DimensionMismatch("co-polarized arrays required")
-    n = ofdm.n_subcarriers
-    h = np.zeros((n, arrays.m_tot, arrays.n_tx), dtype=complex)
-    for path in paths:
-        rho = pulse_coefficients(path.tau, ofdm, pulse)
-        a_r, a_t = _steering_pair(path, arrays)
-        h += rho[:, None, None] * (path.g_vv * np.outer(a_r, a_t.conj()))[None, :, :]
-    return ChannelRealization(h=h, paths=list(paths), arrays=arrays, ofdm=ofdm, pulse=pulse)
+    return _wideband(paths, arrays, ofdm, pulse)
 
 
 def crosspol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
@@ -192,23 +230,7 @@ def crosspol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
         raise DimensionMismatch("cross-polarized arrays required")
     if xp.chi < 0:
         raise InvalidChi("chi must be >= 0")
-    n = ofdm.n_subcarriers
-    m, nt = arrays.m_tot, arrays.n_tx
-    blocks = {ab: np.zeros((n, m, nt), dtype=complex) for ab in ("vv", "vh", "hv", "hh")}
-    for path in paths:
-        rho = pulse_coefficients(path.tau, ofdm, pulse)
-        a_r, a_t = _steering_pair(path, arrays)
-        outer = np.outer(a_r, a_t.conj())
-        eff = effective_gains(path, xp)
-        for ab in blocks:
-            blocks[ab] += rho[:, None, None] * (eff[ab] * outer)[None, :, :]
-    h = np.empty((n, 2 * m, 2 * nt), dtype=complex)
-    h[:, :m, :nt] = blocks["vv"]
-    h[:, :m, nt:] = blocks["vh"]
-    h[:, m:, :nt] = blocks["hv"]
-    h[:, m:, nt:] = blocks["hh"]
-    return ChannelRealization(h=h, paths=list(paths), arrays=arrays, ofdm=ofdm,
-                              crosspol=xp, pulse=pulse, blocks=blocks)
+    return _wideband(paths, arrays, ofdm, pulse, xp)
 
 
 def crosspol_direct(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
@@ -226,12 +248,26 @@ def crosspol_direct(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConf
     h = np.zeros((n, 2 * m, 2 * nt), dtype=complex)
     for path in paths:
         rho = pulse_coefficients(path.tau, ofdm, pulse)
-        a_r, a_t = _steering_pair(path, arrays)
-        outer = np.outer(a_r, a_t.conj())
+        sf = spatial_frequencies(path.angles, arrays)
+        outer = np.outer(ula_steering(sf.nu, m),
+                         upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).conj())
         gains = np.array([[path.g_vv, path.g_vh], [path.g_hv, path.g_hh]])
         core = (x_mask * np.kron(gains, outer)) @ r_givens
         h += rho[:, None, None] * core[None, :, :]
     return h
+
+
+def _visible_angles(mu_x: float, mu_y: float, nu: float,
+                    arrays: ArrayConfig) -> AngleSet:
+    """Path angles of a direction given in spatial frequencies, with
+    (mu_x, mu_y) pulled just inside the visible region if outside it."""
+    rad = np.hypot(mu_x / (2 * np.pi * arrays.d_tx), mu_y / (2 * np.pi * arrays.d_ty))
+    if rad >= 1.0:
+        scl = 0.999 / rad
+        mu_x *= scl
+        mu_y *= scl
+    return AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, arrays),
+                    aoa_from_nu(nu, arrays))
 
 
 def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
@@ -260,23 +296,11 @@ def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
         g = w_nlos * (rng.normal() + 1j * rng.normal()) / np.sqrt(2 * max(n_nlos, 1))
         mu_x = rng.uniform(*mu_x_rng)
         mu_y = rng.uniform(*mu_y_rng)
-        # keep the direction inside the visible region
-        rad = np.hypot(mu_x / (2 * np.pi * arrays.d_tx), mu_y / (2 * np.pi * arrays.d_ty))
-        if rad >= 1.0:
-            scl = 0.999 / rad
-            mu_x *= scl
-            mu_y *= scl
-        theta, phi = angles_from_spatial_frequencies(mu_x, mu_y, arrays)
-        psi = float(np.arcsin(np.clip(rng.uniform(*nu_rng) / (2 * np.pi * arrays.d_r), -1, 1)))
-        paths.append(PathParams.single_pol(g, 0.0, AngleSet(theta, phi, psi)))
+        ang = _visible_angles(mu_x, mu_y, rng.uniform(*nu_rng), arrays)
+        paths.append(PathParams.single_pol(g, 0.0, ang))
 
-    h = np.zeros((1, arrays.m_tot, arrays.n_tx), dtype=complex)
-    for path in paths:
-        a_r, a_t = _steering_pair(path, arrays)
-        h[0] += path.g_vv * np.outer(a_r, a_t.conj())
-    out = ChannelRealization(h=h, paths=paths, arrays=arrays)
-    out.dominant_angles = [los_angles]
-    return out
+    return ChannelRealization(np.ones((1, len(paths))), *_path_factors(paths, arrays),
+                              paths, arrays, dominant_angles=[los_angles])
 
 
 @dataclass(frozen=True)
@@ -313,21 +337,15 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     powers = np.exp(-delays / max(profile.delay_spread, 1e-12))
     powers = powers / powers.sum()
 
-    def draw_center(lo, hi):
-        return rng.uniform(lo, hi)
-
-    def lap(scale, size):
-        return rng.laplace(0.0, scale, size=size)
-
     paths: list[PathParams] = []
     dominant: list[tuple[float, AngleSet]] = []
     for ci in range(nc):
-        c_mu_x = draw_center(*profile.mu_x_range)
-        c_mu_y = draw_center(*profile.mu_y_range)
-        c_nu = draw_center(*profile.nu_range)
-        off_x = lap(profile.angle_spread, ns)
-        off_y = lap(profile.angle_spread, ns)
-        off_n = lap(profile.angle_spread, ns)
+        c_mu_x = rng.uniform(*profile.mu_x_range)
+        c_mu_y = rng.uniform(*profile.mu_y_range)
+        c_nu = rng.uniform(*profile.nu_range)
+        off_x = rng.laplace(0.0, profile.angle_spread, size=ns)
+        off_y = rng.laplace(0.0, profile.angle_spread, size=ns)
+        off_n = rng.laplace(0.0, profile.angle_spread, size=ns)
         sub_p = rng.exponential(1.0, size=ns)
         sub_p = powers[ci] * sub_p / sub_p.sum()
         best = None
@@ -335,14 +353,7 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
             mu_x = float(np.clip(c_mu_x + off_x[si], *profile.mu_x_range))
             mu_y = float(np.clip(c_mu_y + off_y[si], *profile.mu_y_range))
             nu = float(np.clip(c_nu + off_n[si], *profile.nu_range))
-            rad = np.hypot(mu_x / (2 * np.pi * arrays.d_tx), mu_y / (2 * np.pi * arrays.d_ty))
-            if rad >= 1.0:
-                scl = 0.999 / rad
-                mu_x *= scl
-                mu_y *= scl
-            theta, phi = angles_from_spatial_frequencies(mu_x, mu_y, arrays)
-            psi = float(np.arcsin(np.clip(nu / (2 * np.pi * arrays.d_r), -1, 1)))
-            ang = AngleSet(theta, phi, psi)
+            ang = _visible_angles(mu_x, mu_y, nu, arrays)
             amp = np.sqrt(sub_p[si])
 
             def cg():
@@ -435,9 +446,5 @@ def load_channel_csv(path: str) -> ChannelRealization:
             xp = CrossPolConfig(float(meta["chi"]), float(meta["varsigma"]))
             return crosspol_frequency_response(paths, arrays, ofdm, xp, pulse)
         return copol_frequency_response(paths, arrays, ofdm, pulse)
-    # narrowband fixture
-    h = np.zeros((1, arrays.m_tot, arrays.n_tx), dtype=complex)
-    for p in paths:
-        a_r, a_t = _steering_pair(p, arrays)
-        h[0] += p.g_vv * np.outer(a_r, a_t.conj())
-    return ChannelRealization(h=h, paths=paths, arrays=arrays)
+    return ChannelRealization(np.ones((1, len(paths))), *_path_factors(paths, arrays),
+                              paths, arrays)

@@ -134,11 +134,7 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
     """TDM probe of every (receive beam, elevation x azimuth transmit grid)
     combination per polarization; returns marginal strengths per axis and the
     probe count."""
-    h = channel.h
     w_mat = np.column_stack([b.vector for b in codebooks.all_beams("receive")])
-    if w_mat.shape[0] != h.shape[1]:
-        raise DimensionMismatch("receive beams do not match channel rows")
-
     arrays = codebooks.config.arrays
     cols, el_of, az_of = [], [], []  # grid columns and their beam indices
     for pol in codebooks.pols:
@@ -149,12 +145,7 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
                                    np.array([ab.boresight_mu for _, ab in grid])))
         el_of += [eb.index for eb, _ in grid]
         az_of += [ab.index for _, ab in grid]
-    f_mat = np.hstack(cols)
-    if f_mat.shape[0] != h.shape[2]:
-        raise DimensionMismatch("transmit beams do not match channel columns")
-
-    g = np.einsum("mi,kmn->kin", w_mat.conj(), h)
-    y = np.einsum("kin,nj->kij", g, f_mat)
+    y = channel.beamformed(w_mat, np.hstack(cols))
     if sigma > 0:
         rng = np.random.default_rng() if rng is None else rng
         y = y + _noise_like(y.shape, sigma, rng)
@@ -290,8 +281,7 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
     against the probing's pilot references, and accumulate |corr|^2 strengths
     per transmit beam and per receive beam (arrays indexed by Beam.index, up
     to the highest probed index) and per receive probing."""
-    h = channel.h
-    n = h.shape[0]
+    n, m, _ = channel.shape
     if n != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
     rng = np.random.default_rng() if rng is None else rng
@@ -301,16 +291,18 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
     tx_strength = np.zeros(1 + max(map(max, tx_idx)))
     rx_strength = np.zeros(1 + max(map(max, rx_idx)))
     probing_totals = np.zeros(plan.m_t)
+    # every receive probing at once: columns of w_all, split back per probing
+    w_all = np.hstack(plan.w_mats)
+    splits = np.cumsum([w_mat.shape[1] for w_mat in plan.w_mats])[:-1]
 
     for f_mat, beams, t_idx in zip(plan.f_mats, plan.tx_beams, tx_idx):
         refs = [pilots.ref(a, b) for a, b in tag_probing(beams, memberships)]
         x = np.column_stack([r.sequence() for r in refs])  # (N, n_rf)
-        hf = np.einsum("kmn,nj->kmj", h, f_mat)
-        tx_signal = np.einsum("kmj,kj->km", hf, x)  # (N, M)
-        for mt, (w_mat, r_idx) in enumerate(zip(plan.w_mats, rx_idx)):
-            y = tx_signal @ w_mat.conj()  # (N, m_rf)
+        y_all = np.einsum("kij,kj->ki", channel.beamformed(w_all, f_mat), x)
+        for mt, (w_mat, r_idx, y) in enumerate(
+                zip(plan.w_mats, rx_idx, np.split(y_all, splits, axis=1))):
             if sigma > 0:
-                y = y + _noise_like((n, h.shape[1]), sigma, rng) @ w_mat.conj()
+                y = y + _noise_like((n, m), sigma, rng) @ w_mat.conj()
             rep = correlate_probing(y, refs)
             s = np.abs(rep.values) ** 2  # (m_rf, n_refs)
             probing_totals[mt] += float(s.sum())

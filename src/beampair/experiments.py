@@ -455,7 +455,8 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
                            root_pool=cfg.roots, p=cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
     refs = [pilots.ref(a, b) for a, b in tags]
-    f_cols = [b.vector for b in beams]
+    f_mat = np.column_stack([b.vector for b in beams])
+    x = np.column_stack([r.sequence() for r in refs])  # (N, beam)
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
     rx_v = cbs.rx["v"]
@@ -470,17 +471,13 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
     for t in range(cfg.trials):
         rng = _trial_rng(cfg, 0, t)
         chan = clustered_channel_generate(profile, rng, arrays, ofdm)
-        h = chan.h
-        base = [np.einsum("kmn,n->km", h, f) for f in f_cols]  # H f per beam
-        x = [r.sequence() for r in refs]
-        y_pilot = sum(b * xi[:, None] for b, xi in zip(base, x)) @ w.conj()
-        y_pilot = y_pilot + _noise_like(n, sigma, rng)
+        # w* H[k] f x[k] per beam: the noiseless TDM slots, summed for the pilot
+        y_beam = chan.beamformed(w[:, None], f_mat)[:, 0, :] * x
+        y_pilot = y_beam.sum(axis=1) + _noise_like(n, sigma, rng)
         for i, r in enumerate(refs):
             sums[("pilot", i)] += abs(correlate_zero_lag(y_pilot, r,
                                                          normalized=True))
-        for i, (b, xi, r) in enumerate(zip(base, x, refs)):
-            y = (b * xi[:, None]) @ w.conj()
-            y = y + _noise_like(n, sigma, rng)
+            y = y_beam[:, i] + _noise_like(n, sigma, rng)
             sums[("tdm", i)] += abs(correlate_zero_lag(y, r, normalized=True))
     table = ResultTable("pilot_vs_tdm",
                         ["beam", "root", "b", "scheme", "mean_amplitude",

@@ -62,15 +62,19 @@ class OverheadModel:
 def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
                         gamma: float, n_s: int) -> float:
     """Per-subcarrier average of log2 det(I + (gamma/n_s) H_TR H_TR*) with
-    H_TR[k] = W* H[k] F."""
-    h = channel.h if isinstance(channel, ChannelRealization) else np.asarray(channel)
-    if h.ndim == 2:
-        h = h[None, :, :]
-    if w_rf.shape[0] != h.shape[1] or f_rf.shape[0] != h.shape[2]:
-        raise DimensionMismatch("beamformer shapes do not match the channel")
+    H_TR[k] = W* H[k] F. channel is a ChannelRealization (beamformed from
+    its path factors) or a dense (N, M, N_t) or (M, N_t) array."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    htr = np.einsum("mi,kmn,nj->kij", w_rf.conj(), h, f_rf)
+    if isinstance(channel, ChannelRealization):
+        htr = channel.beamformed(w_rf, f_rf)
+    else:
+        h = np.asarray(channel)
+        if h.ndim == 2:
+            h = h[None, :, :]
+        if w_rf.shape[0] != h.shape[1] or f_rf.shape[0] != h.shape[2]:
+            raise DimensionMismatch("beamformer shapes do not match the channel")
+        htr = w_rf.conj().T @ h @ f_rf
     gram = np.einsum("kij,klj->kil", htr, htr.conj())
     eye = np.eye(gram.shape[1])
     sign, logdet = np.linalg.slogdet(eye[None, :, :] + (gamma / n_s) * gram)

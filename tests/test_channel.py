@@ -9,7 +9,8 @@ from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
                               effective_gains, load_channel_csv, pulse_coefficient,
-                              pulse_coefficients, rician_narrowband, save_channel_csv)
+                              pulse_coefficients, pulse_samples, rician_narrowband,
+                              save_channel_csv)
 from beampair.geometry import AngleSet, ArrayConfig, spatial_frequencies, ula_steering, upa_steering
 
 CO = ArrayConfig(n_x=2, n_y=3, m_tot=2)
@@ -24,6 +25,14 @@ def random_angles(rng):
 
 def cgain(rng):
     return complex(rng.normal(), rng.normal())
+
+
+def _steering(path, arrays):
+    """(a_r, conj(a_t)) of one path, whose outer product is its steering
+    matrix."""
+    sf = spatial_frequencies(path.angles, arrays)
+    return (ula_steering(sf.nu, arrays.m_tot),
+            upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).conj())
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +75,21 @@ class TestOfdm:
     def test_unknown_pulse(self):
         with pytest.raises(ValueError, match="pulse"):
             pulse_coefficients(0.0, OFDM, "gaussian")
+
+    @pytest.mark.parametrize("pulse", ["raised-cosine", "unit-sample"])
+    def test_fft_matches_explicit_dft(self, pulse):
+        """The length-N FFT of the zero-padded taps equals the tap sum
+        sum_d p(d*Ts - tau) exp(-j*2*pi*k*d/N), written out as an N x D
+        matrix product."""
+        for ofdm in (OFDM, OfdmConfig(n_subcarriers=256, cp_length=64)):
+            k = np.arange(ofdm.n_subcarriers)
+            d = np.arange(ofdm.cp_length)
+            dft = np.exp(-2j * np.pi * np.outer(k, d) / ofdm.n_subcarriers)
+            for tau in (0.0, 1.0, 2.5, 7.3, 11.0):
+                tau *= ofdm.sample_period
+                want = dft @ pulse_samples(tau, ofdm, pulse)
+                got = pulse_coefficients(tau, ofdm, pulse)
+                assert np.max(np.abs(got - want)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +183,16 @@ class TestFrequencyResponse:
         rng = np.random.default_rng(14)
         paths = [PathParams(cgain(rng), cgain(rng), cgain(rng), cgain(rng),
                             0.0, random_angles(rng))]
-        real = crosspol_frequency_response(paths, CROSS, OFDM, CrossPolConfig(0.3, 0.2))
+        xp = CrossPolConfig(0.3, 0.2)
+        real = crosspol_frequency_response(paths, CROSS, OFDM, xp)
         m, nt = 2, 6
-        assert np.allclose(real.h[:, :m, :nt], real.blocks["vv"])
-        assert np.allclose(real.h[:, :m, nt:], real.blocks["vh"])
-        assert np.allclose(real.h[:, m:, :nt], real.blocks["hv"])
-        assert np.allclose(real.h[:, m:, nt:], real.blocks["hh"])
+        eff = effective_gains(paths[0], xp)
+        outer = pulse_coefficients(0.0, OFDM)[:, None, None] \
+            * np.outer(*_steering(paths[0], CROSS))
+        assert np.allclose(real.h[:, :m, :nt], eff["vv"] * outer)
+        assert np.allclose(real.h[:, :m, nt:], eff["vh"] * outer)
+        assert np.allclose(real.h[:, m:, :nt], eff["hv"] * outer)
+        assert np.allclose(real.h[:, m:, nt:], eff["hh"] * outer)
 
     def test_superposition(self):
         rng = np.random.default_rng(15)
@@ -174,6 +202,59 @@ class TestFrequencyResponse:
         split = copol_frequency_response([p1], CO, OFDM).h \
             + copol_frequency_response([p2], CO, OFDM).h
         assert np.max(np.abs(both.h - split)) < 1e-12
+
+    @pytest.mark.parametrize("n", [8, 64])
+    @pytest.mark.parametrize("mode", ["co", "cross"])
+    def test_beamformed_matches_dense_oracle(self, n, mode):
+        """W^H H[k] F from the path factors equals the contraction of the
+        dense tensor built from the defining formulas: the masked Kronecker
+        reference for cross-pol, the explicit path sum for co-pol."""
+        rng = np.random.default_rng(17)
+        ofdm = OfdmConfig(n_subcarriers=n, cp_length=n // 4)
+        arrays = CROSS if mode == "cross" else CO
+        for _ in range(10):
+            paths = [PathParams(cgain(rng), cgain(rng), cgain(rng), cgain(rng),
+                                rng.uniform(0, ofdm.cp_length / 2) * ofdm.sample_period,
+                                random_angles(rng))
+                     for _ in range(int(rng.integers(1, 5)))]
+            if mode == "cross":
+                xp = CrossPolConfig(rng.uniform(0.05, 0.5), rng.uniform(0.1, 0.6))
+                real = crosspol_frequency_response(paths, arrays, ofdm, xp)
+                dense = crosspol_direct(paths, arrays, ofdm, xp)
+            else:
+                real = copol_frequency_response(paths, arrays, ofdm)
+                dense = sum(pulse_coefficients(p.tau, ofdm)[:, None, None]
+                            * p.g_vv * np.outer(*_steering(p, arrays))
+                            for p in paths)
+            m, nt = dense.shape[1:]
+            n_w, n_f = (int(c) for c in rng.integers(1, 5, size=2))
+            w = rng.normal(size=(m, n_w)) + 1j * rng.normal(size=(m, n_w))
+            f = rng.normal(size=(nt, n_f)) + 1j * rng.normal(size=(nt, n_f))
+            want = np.einsum("mi,kmn,nj->kij", w.conj(), dense, f)
+            got = real.beamformed(w, f)
+            assert got.shape == (n, n_w, n_f)
+            assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_beamformed_narrowband(self):
+        """N = 1: the Rician realization against its explicit path sum."""
+        rng = np.random.default_rng(18)
+        for _ in range(10):
+            real = rician_narrowband(CO, random_angles(rng), n_nlos=4, rng=rng)
+            dense = sum(p.g_vv * np.outer(*_steering(p, CO)) for p in real.paths)
+            w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            f = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+            got = real.beamformed(w, f)
+            assert got.shape == (1, 3, 2)
+            assert np.max(np.abs(got[0] - w.conj().T @ dense @ f)) < 1e-12
+
+    def test_beamformed_shape_guard(self):
+        real = copol_frequency_response(
+            [PathParams.single_pol(1.0, 0.0, AngleSet(0.1, 0.2, 0.3))], CO, OFDM)
+        assert real.shape == (64, 2, 6)
+        with pytest.raises(DimensionMismatch):
+            real.beamformed(np.ones((3, 1)), np.ones((6, 1)))
+        with pytest.raises(DimensionMismatch):
+            real.beamformed(np.ones((2, 1)), np.ones((5, 1)))
 
     def test_mode_guards(self):
         p = [PathParams.single_pol(1.0, 0.0, AngleSet(0.1, 0.2, 0.3))]

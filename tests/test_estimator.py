@@ -255,8 +255,8 @@ class TestSinglePath:
             chan = los_channel(rng.uniform(-0.7, 0.7), rng.uniform(-1.0, 1.0),
                                rng.uniform(-1.5, 1.5), rng)
             scaled = ChannelRealization(
-                h=chan.h * complex(rng.normal(), rng.normal()),
-                paths=chan.paths, arrays=chan.arrays)
+                rho=chan.rho, u=chan.u * complex(rng.normal(), rng.normal()),
+                v=chan.v, paths=chan.paths, arrays=chan.arrays)
             a = estimate_single_path(chan, cbs).best
             b = estimate_single_path(scaled, cbs).best
             assert abs(a.mu_x - b.mu_x) < 1e-9
@@ -288,7 +288,9 @@ class TestSinglePath:
 
     def test_no_signal(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        dead = ChannelRealization(h=np.zeros((1, 4, 32), dtype=complex),
+        dead = ChannelRealization(rho=np.ones((1, 1)),
+                                  u=np.zeros((1, 4, 1), dtype=complex),
+                                  v=np.ones((1, 32, 1), dtype=complex),
                                   paths=[], arrays=CO)
         with pytest.raises(NoSignal):
             estimate_single_path(dead, cbs)

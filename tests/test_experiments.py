@@ -6,6 +6,8 @@ import os
 import numpy as np
 import pytest
 
+from beampair import experiments
+from beampair.channel import clustered_channel_generate
 from beampair.cli import main
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   IoError, ParseError, ResultTable,
@@ -189,6 +191,25 @@ class TestFamilies:
         assert tags == ["varsigma_0", "varsigma_10", "varsigma_20", "varsigma_30"]
         for row in table.rows:
             assert np.isfinite(float(row[4]))
+
+    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "pilot_vs_tdm"])
+    def test_trials_never_build_the_dense_tensor(self, family, tmp_path,
+                                                 monkeypatch):
+        """Estimation, rate and pilot correlation work from the path factors:
+        no realization of a rate trial (estimate + three rates) or of a
+        pilot_vs_tdm trial reads its dense h."""
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(clustered_channel_generate(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(experiments, "clustered_channel_generate", recording)
+        cfg = validate_config(f"experiment = {family}\ntrials = 1\n"
+                              "snr_db = 10\nplots = false\n")
+        run_experiment(cfg, str(tmp_path))
+        assert len(made) == 1
+        assert "h" not in made[0].__dict__
 
     def test_plot_emitted(self, tmp_path):
         pytest.importorskip("matplotlib")
