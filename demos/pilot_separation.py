@@ -32,13 +32,11 @@ def main():
           f"roots by pair = {asn.roots}")
 
     keys = [(a, b) for a in (0, 1) for b in (0, 1)]
-    refs = {k: asn.ref(*k) for k in keys}
-    seqs = {k: refs[k].sequence() for k in keys}
+    x = asn.references(keys)  # (N, 4): one reference column per key
+    seqs = {k: x[:, i] for i, k in enumerate(keys)}
 
     banner("the three correlation classes against reference (0, 0)")
-    m = abs(correlate_zero_lag(seqs[(0, 0)], refs[(0, 0)]))
-    s = abs(correlate_zero_lag(seqs[(0, 1)], refs[(0, 0)]))
-    c = abs(correlate_zero_lag(seqs[(1, 0)], refs[(0, 0)]))
+    m, s, c = abs(correlate_zero_lag(x[:, :3], seqs[(0, 0)]))
     print(f"matched (root 25, b=0):          {m:10.4f}   (n = {N})")
     print(f"same root, other shift (b=1):    {s:10.4e}   (exact zero)")
     print(f"other root (root 29):            {c:10.4f}   "
@@ -54,8 +52,7 @@ def main():
 
     print(f"{'beam':<10} {'true |g|':>9} {'recovered':>10} {'rel err':>9}")
     powers = {}
-    for k in keys:
-        corr = correlate_zero_lag(y, refs[k])
+    for k, corr in zip(keys, correlate_zero_lag(y, x)):
         powers[k] = abs(corr) ** 2
         g_hat = abs(corr) / N
         print(f"{str(k):<10} {gains[k]:9.3f} {g_hat:10.4f} "

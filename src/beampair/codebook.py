@@ -108,30 +108,26 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + pad + step * (np.arange(n) + 0.5)
 
 
-def tx_beam_vector(arrays: ArrayConfig, pol: str, mu_x, mu_y) -> np.ndarray:
-    """Transmit beam steered at (mu_x, mu_y); equal-length 1-D arrays give
-    one column per pair (see upa_steering)."""
-    a = upa_steering(mu_x, mu_y, arrays.n_x, arrays.n_y)
+def _pol_block(a: np.ndarray, arrays: ArrayConfig, pol: str) -> np.ndarray:
+    """A per-polarization steering vector (or matrix) as is in co-pol mode;
+    in cross-pol mode zero-padded into the pol's block of twice its length."""
     if arrays.polarization_mode == "co":
         return a
-    v = np.zeros((arrays.n_tot,) + a.shape[1:], dtype=complex)
-    if pol == "v":
-        v[: arrays.n_tx] = a
-    else:
-        v[arrays.n_tx:] = a
+    n = a.shape[0]
+    v = np.zeros((2 * n,) + a.shape[1:], dtype=complex)
+    lo = 0 if pol == "v" else n
+    v[lo:lo + n] = a
     return v
 
 
+def tx_beam_vector(arrays: ArrayConfig, pol: str, mu_x, mu_y) -> np.ndarray:
+    """Transmit beam steered at (mu_x, mu_y); equal-length 1-D arrays give
+    one column per pair (see upa_steering)."""
+    return _pol_block(upa_steering(mu_x, mu_y, arrays.n_x, arrays.n_y), arrays, pol)
+
+
 def rx_beam_vector(arrays: ArrayConfig, pol: str, nu: float) -> np.ndarray:
-    a = ula_steering(nu, arrays.m_tot)
-    if arrays.polarization_mode == "co":
-        return a
-    w = np.zeros(arrays.m_full, dtype=complex)
-    if pol == "v":
-        w[: arrays.m_tot] = a
-    else:
-        w[arrays.m_tot:] = a
-    return w
+    return _pol_block(ula_steering(nu, arrays.m_tot), arrays, pol)
 
 
 @dataclass
@@ -219,20 +215,26 @@ def enumerate_abps(codebooks: CodebookSet, axis: str | None = None) -> list[Auxi
 
 @dataclass
 class ProbingPlan:
-    f_mats: list[np.ndarray]
-    w_mats: list[np.ndarray]
+    """Beams of each transmit and receive probing, one per RF chain."""
+
     tx_beams: list[list[Beam]]
     rx_beams: list[list[Beam]]
-    n_rf: int
-    m_rf: int
 
     @property
     def n_t(self) -> int:
-        return len(self.f_mats)
+        return len(self.tx_beams)
 
     @property
     def m_t(self) -> int:
-        return len(self.w_mats)
+        return len(self.rx_beams)
+
+    @property
+    def n_rf(self) -> int:
+        return len(self.tx_beams[0])
+
+    @property
+    def m_rf(self) -> int:
+        return len(self.rx_beams[0])
 
     def iterations(self) -> int:
         """Multi-RF complexity accounting: RF chains times probings on each
@@ -308,10 +310,7 @@ def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
 
     tx = side(tx_dom, n_t, n_rf)
     rx = side(rx_dom, m_t, m_rf)
-    f_mats = [np.column_stack([b.vector for b in probing]) for probing in tx]
-    w_mats = [np.column_stack([b.vector for b in probing]) for probing in rx]
-    return ProbingPlan(f_mats=f_mats, w_mats=w_mats, tx_beams=tx, rx_beams=rx,
-                       n_rf=n_rf, m_rf=m_rf)
+    return ProbingPlan(tx_beams=tx, rx_beams=rx)
 
 
 def dump_codebook_csv(codebooks: CodebookSet, path: str) -> None:

@@ -22,7 +22,7 @@ from .codebook import (AuxiliaryBeamPair, Beam, CodebookSet,
                        enumerate_abps, random_probing_plan, tx_beam_vector)
 from .geometry import (DegenerateDirection, angles_from_spatial_frequencies,
                        aoa_from_nu)
-from .pilot import PilotAssignment, assign_pilots, correlate_probing
+from .pilot import PilotAssignment, assign_pilots, correlate_zero_lag
 
 # The inversion formula is exact on the closed interval |zeta| <= 1 (at the
 # endpoints it returns center -+ delta), so clamping only absorbs
@@ -292,19 +292,19 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
     rx_strength = np.zeros(1 + max(map(max, rx_idx)))
     probing_totals = np.zeros(plan.m_t)
     # every receive probing at once: columns of w_all, split back per probing
-    w_all = np.hstack(plan.w_mats)
-    splits = np.cumsum([w_mat.shape[1] for w_mat in plan.w_mats])[:-1]
+    w_mats = [np.column_stack([b.vector for b in beams]) for beams in plan.rx_beams]
+    w_all = np.hstack(w_mats)
+    splits = np.cumsum([w_mat.shape[1] for w_mat in w_mats])[:-1]
 
-    for f_mat, beams, t_idx in zip(plan.f_mats, plan.tx_beams, tx_idx):
-        refs = [pilots.ref(a, b) for a, b in tag_probing(beams, memberships)]
-        x = np.column_stack([r.sequence() for r in refs])  # (N, n_rf)
+    for beams, t_idx in zip(plan.tx_beams, tx_idx):
+        f_mat = np.column_stack([b.vector for b in beams])
+        x = pilots.references(tag_probing(beams, memberships))  # (N, n_rf)
         y_all = np.einsum("kij,kj->ki", channel.beamformed(w_all, f_mat), x)
         for mt, (w_mat, r_idx, y) in enumerate(
-                zip(plan.w_mats, rx_idx, np.split(y_all, splits, axis=1))):
+                zip(w_mats, rx_idx, np.split(y_all, splits, axis=1))):
             if sigma > 0:
                 y = y + _noise_like((n, m), sigma, rng) @ w_mat.conj()
-            rep = correlate_probing(y, refs)
-            s = np.abs(rep.values) ** 2  # (m_rf, n_refs)
+            s = np.abs(correlate_zero_lag(y, x)) ** 2  # (m_rf, n_rf)
             probing_totals[mt] += float(s.sum())
             np.add.at(tx_strength, t_idx, s.sum(axis=0))
             np.add.at(rx_strength, r_idx, s.sum(axis=1))

@@ -27,7 +27,8 @@ from .geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                        aoa_from_nu, spatial_frequencies)
 from .metrics import (OverheadModel, build_rf_beamformers, ci95, maee,
                       normalized_spectral_efficiency, spectral_efficiency)
-from .pilot import assign_pilots, correlate_zero_lag, zc_sequence
+from .pilot import (COPRIME_WITH, assign_pilots, correlate_zero_lag,
+                    zc_sequence)
 
 EXPERIMENTS = ("maee_vs_snr", "maqe_bits", "pilot_correlation", "pilot_vs_tdm",
                "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")
@@ -108,6 +109,15 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.snr_db:
             raise ConfigError("snr grid is empty")
+        if self.coprime_with not in COPRIME_WITH:
+            raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
+        if self.n_s < 1:
+            raise ConfigError("overhead.n_s must be >= 1")
+        try:  # the array, codebook and overhead settings validate themselves
+            _codebook_config(self, _arrays(self, "co"))
+            OverheadModel(epsilon_t=self.epsilon_t, t_tot=self.t_tot)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def parse_snr_grid(text: str) -> tuple:
@@ -209,12 +219,7 @@ def validate_config(raw: str) -> ExperimentConfig:
             raise
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    try:
-        return ExperimentConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -454,9 +459,8 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
     pilots = assign_pilots(sorted({a for a, _ in tags}), ofdm.n_subcarriers,
                            root_pool=cfg.roots, p=cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
-    refs = [pilots.ref(a, b) for a, b in tags]
+    x = pilots.references(tags)  # (N, beam)
     f_mat = np.column_stack([b.vector for b in beams])
-    x = np.column_stack([r.sequence() for r in refs])  # (N, beam)
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
     rx_v = cbs.rx["v"]
@@ -466,25 +470,24 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
     gamma = 10.0 ** (cfg.snr_db[0] / 10.0)
     sigma = math.sqrt(1.0 / gamma)
     n = ofdm.n_subcarriers
-    sums = {("pilot", i): 0.0 for i in range(4)}
-    sums.update({("tdm", i): 0.0 for i in range(4)})
+    sums = {"pilot": np.zeros(len(tags)), "tdm": np.zeros(len(tags))}
     for t in range(cfg.trials):
         rng = _trial_rng(cfg, 0, t)
         chan = clustered_channel_generate(profile, rng, arrays, ofdm)
         # w* H[k] f x[k] per beam: the noiseless TDM slots, summed for the pilot
         y_beam = chan.beamformed(w[:, None], f_mat)[:, 0, :] * x
         y_pilot = y_beam.sum(axis=1) + _noise_like(n, sigma, rng)
-        for i, r in enumerate(refs):
-            sums[("pilot", i)] += abs(correlate_zero_lag(y_pilot, r,
-                                                         normalized=True))
-            y = y_beam[:, i] + _noise_like(n, sigma, rng)
-            sums[("tdm", i)] += abs(correlate_zero_lag(y, r, normalized=True))
+        y_tdm = y_beam + np.column_stack([_noise_like(n, sigma, rng)
+                                          for _ in tags])
+        sums["pilot"] += np.abs(correlate_zero_lag(y_pilot, x, normalized=True))
+        sums["tdm"] += np.abs(np.diag(correlate_zero_lag(y_tdm, x,
+                                                         normalized=True)))
     table = ResultTable("pilot_vs_tdm",
                         ["beam", "root", "b", "scheme", "mean_amplitude",
                          "rel_diff"])
     for i, (a, b) in enumerate(tags):
-        s_p = sums[("pilot", i)] / cfg.trials
-        s_t = sums[("tdm", i)] / cfg.trials
+        s_p = float(sums["pilot"][i] / cfg.trials)
+        s_t = float(sums["tdm"][i] / cfg.trials)
         rel = abs(s_p - s_t) / s_t if s_t > 0 else math.inf
         table.add(i + 1, pilots.roots[a], b, "pilot", _fmt(s_p), _fmt(rel))
         table.add(i + 1, pilots.roots[a], b, "tdm", _fmt(s_t), _fmt(rel))

@@ -1,18 +1,20 @@
 """Multi-layer Zadoff-Chu pilots.
 
 A beam-pair id selects the ZC root and the within-pair beam id selects a
-frequency circular shift, so simultaneously probed beams stay separable by
-zero-lag correlation against per-beam references. Includes the analytic
-interference bounds used to sanity-check the separation.
+frequency circular shift, so the references of one probing form a fixed
+(N, n_rf) ZC matrix X and simultaneously probed beams separate by one
+zero-lag correlation Y^T X*. Includes the analytic interference bounds used
+to sanity-check the separation.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_ROOT_POOL = (25, 29, 34)
+COPRIME_WITH = ("n", "n_minus_1")  # root-validity modulus: n or n - 1
 
 
 class InvalidRoot(ValueError):
@@ -39,7 +41,7 @@ def _check_root(root: int, modulus: int) -> None:
 
 
 def _modulus_for(n: int, coprime_with: str) -> int:
-    if coprime_with not in ("n", "n_minus_1"):
+    if coprime_with not in COPRIME_WITH:
         raise ValueError("coprime_with must be 'n' or 'n_minus_1'")
     return n if coprime_with == "n" else n - 1
 
@@ -59,9 +61,11 @@ def zc_symbol(root: int, b: int, p: int, n: int, k: int,
     return complex(np.exp(1j * np.pi * m / n))
 
 
-def zc_sequence(root: int, b: int, p: int, n: int, dc_zero: bool = False,
+def zc_sequence(root, b, p: int, n: int, dc_zero: bool = False,
                 coprime_with: str = "n") -> np.ndarray:
     """Length-n pilot sequence; dc_zero nulls the centered DC subcarrier.
+    Equal-length 1-D arrays of root and b give an (n, len) matrix with one
+    column per (root, b); every root is validated.
 
     coprime_with only selects the root-validity modulus: the phase modulus
     is n under both 'n' and 'n_minus_1'. A root validated only against n-1,
@@ -71,31 +75,17 @@ def zc_sequence(root: int, b: int, p: int, n: int, dc_zero: bool = False,
     The flat level 1/sqrt(L) of the normalized correlation needs an odd
     length L and a root difference coprime with L (at L = 511 both entries
     are 1/sqrt(511) = 0.044237)."""
-    _check_root(root, _modulus_for(n, coprime_with))
-    kk = np.arange(n, dtype=np.int64) + p * b
-    m = (root * kk * (kk + 1)) % (2 * n)
+    modulus = _modulus_for(n, coprime_with)
+    roots = np.asarray(root)
+    for r in roots.flat:
+        _check_root(int(r), modulus)
+    k = np.arange(n, dtype=np.int64)
+    kk = (k[:, None] if roots.ndim else k) + p * np.asarray(b)
+    m = (roots * kk * (kk + 1)) % (2 * n)
     seq = np.exp(1j * np.pi * m / n)
     if dc_zero:
         seq[n // 2] = 0.0
     return seq
-
-
-@dataclass(frozen=True)
-class PilotRef:
-    root: int
-    b: int
-    p: int
-    n: int
-    dc_zero: bool = False
-    coprime_with: str = "n"
-
-    def sequence(self) -> np.ndarray:
-        return zc_sequence(self.root, self.b, self.p, self.n, self.dc_zero,
-                           self.coprime_with)
-
-    @property
-    def active_count(self) -> int:
-        return self.n - (1 if self.dc_zero else 0)
 
 
 @dataclass
@@ -108,29 +98,24 @@ class PilotAssignment:
     roots: dict[int, int]
     coprime_with: str = "n"
     dc_zero: bool = False
-    n_p: int = 2
-    delta_b_max: int = 1
 
-    def ref(self, abp_id: int, b: int) -> PilotRef:
-        if b not in (0, 1):
+    def references(self, tags) -> np.ndarray:
+        """(n, len(tags)) reference matrix, one column per (pair id,
+        within-pair id b) tag."""
+        if any(b not in (0, 1) for _, b in tags):
             raise ValueError("paired-beam id must be 0 or 1")
-        return PilotRef(self.roots[abp_id], b, self.p, self.n, self.dc_zero,
-                        self.coprime_with)
-
-    def sequence(self, abp_id: int, b: int) -> np.ndarray:
-        return self.ref(abp_id, b).sequence()
+        return zc_sequence(np.array([self.roots[a] for a, _ in tags]),
+                           np.array([b for _, b in tags]), self.p, self.n,
+                           self.dc_zero, self.coprime_with)
 
     @property
     def p_max(self) -> int:
-        return self.n // self.n_p
+        return self.n // 2  # two shifts per root
 
 
-def _shift_ok(p: int, roots: list[int], n: int, delta_b_max: int) -> bool:
-    for root in roots:
-        for db in range(1, delta_b_max + 1):
-            if (root * p * db) % n == 0:
-                return False
-    return True
+def _shift_ok(p: int, roots: list[int], n: int) -> bool:
+    """The two shifts of a root cancel at zero lag unless root * p = 0 mod n."""
+    return all((root * p) % n != 0 for root in roots)
 
 
 def _extend_pool(base: tuple[int, ...], count: int, modulus: int) -> list[int]:
@@ -171,55 +156,32 @@ def assign_pilots(abps, n: int, root_pool=None, p: int | None = None,
     roots = {abp_id: pool[i] for i, abp_id in enumerate(sorted(ids))}
     used = list(roots.values())
 
-    n_p, db_max = 2, 1
-    p_max = n // n_p
+    p_max = n // 2
     if p is not None:
         if not 1 <= p <= p_max:
             raise ShiftConflict(f"p={p} outside 1..{p_max}")
-        if not _shift_ok(p, used, n, db_max):
+        if not _shift_ok(p, used, n):
             raise ShiftConflict(f"p={p} makes a same-root correlation non-zero")
         chosen = p
     else:
-        chosen = next((q for q in range(1, p_max + 1) if _shift_ok(q, used, n, db_max)), None)
+        chosen = next((q for q in range(1, p_max + 1) if _shift_ok(q, used, n)), None)
         if chosen is None:
             raise ShiftConflict(f"no shift spacing in 1..{p_max} separates roots {used}")
     return PilotAssignment(n=n, p=chosen, roots=roots, coprime_with=coprime_with,
-                           dc_zero=dc_zero, n_p=n_p, delta_b_max=db_max)
+                           dc_zero=dc_zero)
 
 
-def correlate_zero_lag(received: np.ndarray, ref: PilotRef,
-                       normalized: bool = False) -> complex:
-    """sum_k Y[k] * x*[k] against the reference pilot; normalized divides by
-    the number of active subcarriers."""
-    y = np.asarray(received)
-    if y.shape != (ref.n,):
-        raise LengthMismatch(f"expected length {ref.n}, got {y.shape}")
-    val = complex(np.sum(y * ref.sequence().conj()))
-    return val / ref.active_count if normalized else val
-
-
-@dataclass
-class CorrelationReport:
-    """Zero-lag correlations per (receive branch, reference); optional bound
-    values attached by interference_bounds."""
-
-    values: np.ndarray
-    refs: list[PilotRef]
-    bounds: dict[str, float] = field(default_factory=dict)
-
-
-def correlate_probing(received: np.ndarray, refs: list[PilotRef],
-                      normalized: bool = False) -> CorrelationReport:
-    """received is (n_subcarriers, n_branches); returns (n_branches, n_refs)
-    correlation values."""
-    y = np.atleast_2d(np.asarray(received))
-    if y.shape[0] != refs[0].n:
-        raise LengthMismatch(f"expected {refs[0].n} subcarriers, got {y.shape[0]}")
-    x = np.column_stack([r.sequence() for r in refs])
+def correlate_zero_lag(received: np.ndarray, refs: np.ndarray,
+                       normalized: bool = False):
+    """Zero-lag correlation y^T x*: a vector against a vector gives a scalar,
+    (N, i) received branches against (N, j) references give (i, j).
+    normalized divides each reference column by its count of nonzero
+    entries (n, or n - 1 under dc_zero)."""
+    y, x = np.asarray(received), np.asarray(refs)
+    if y.shape[0] != x.shape[0]:
+        raise LengthMismatch(f"expected {x.shape[0]} subcarriers, got {y.shape[0]}")
     vals = y.T @ x.conj()
-    if normalized:
-        vals = vals / np.array([r.active_count for r in refs])[None, :]
-    return CorrelationReport(values=vals, refs=list(refs))
+    return vals / np.count_nonzero(x, axis=0) if normalized else vals
 
 
 @dataclass(frozen=True)
@@ -250,7 +212,7 @@ def interference_bounds(assignment: PilotAssignment, gains: FlatGains) -> dict[s
     q = np.sqrt(1.0 / (1.0 + gains.chi))
     avv = abs(gains.sum_rho_h_vv)
     avh = abs(gains.sum_rho_h_vh)
-    zero_ok = _shift_ok(assignment.p, roots, n, assignment.delta_b_max)
+    zero_ok = _shift_ok(assignment.p, roots, n)
     n_e = max(gains.n_rf // 2 - 1, 0)
     return {
         "i0": n * q * avv,

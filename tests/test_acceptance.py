@@ -181,8 +181,8 @@ def test_criterion_6_interference_bounds(capsys):
     n, p, n_rf = 509, 6, 6
     asn = assign_pilots([0, 1, 2, 3], n, p=p)
     cols = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0)]
-    seqs = [asn.sequence(a, b) for a, b in cols]
-    ref = asn.ref(0, 0)
+    seqs = asn.references(cols).T  # seqs[i] is column i
+    ref = asn.references([(0, 0)])[:, 0]
     rng = np.random.default_rng(33)
     ok = True
     worst_i1 = 0.0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import beampair.pilot
 from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
                               PathParams, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
@@ -537,6 +538,29 @@ class TestMultipath:
                                  codebooks=cbs)
         assert rep.iterations == 1600
 
+    def test_one_zc_call_per_transmit_probing(self, monkeypatch):
+        """Each transmit probing builds its reference matrix once and reuses
+        it for every receive probing. The default cross-pol codebook has one
+        elevation beam per polarization, so no elevation stage runs."""
+        cbs = build_codebooks(CodebookConfig(arrays=CROSS))
+        assert len(cbs.tx_el["v"]) == len(cbs.tx_el["h"]) == 1
+        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        plan = random_probing_plan(cbs, 2, 2, 3, 3, seed=0, layout="free")
+        path = PathParams(1.0, 0.2, 0.1, 0.8, 0.0, angles_for(0.3, -0.5, 0.4, CROSS))
+        chan = crosspol_frequency_response([path], CROSS, OfdmConfig(64, 16),
+                                           CrossPolConfig(0.2, 0.3))
+        calls = []
+
+        def counting_zc(*args, **kwargs):
+            calls.append(args)
+            return zc_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(beampair.pilot, "zc_sequence", counting_zc)
+        estimate_multipath(chan, plan, pilots, 10.0, 2,
+                           rng=np.random.default_rng(59), codebooks=cbs)
+        assert plan.n_t == 2
+        assert len(calls) == plan.n_t
+
     def test_plan_must_probe_every_beam(self):
         """A hand-built plan that skips an azimuth or receive beam is
         rejected instead of pairing against a strength of zero."""
@@ -548,10 +572,8 @@ class TestMultipath:
         az, rx = cbs.all_beams("azimuth"), cbs.all_beams("receive")
 
         def plan(tx_beams, rx_beams):
-            return ProbingPlan(f_mats=[b.vector[:, None] for b in tx_beams],
-                               w_mats=[b.vector[:, None] for b in rx_beams],
-                               tx_beams=[[b] for b in tx_beams],
-                               rx_beams=[[b] for b in rx_beams], n_rf=1, m_rf=1)
+            return ProbingPlan(tx_beams=[[b] for b in tx_beams],
+                               rx_beams=[[b] for b in rx_beams])
 
         rep = estimate_multipath(chan, plan(az, rx), pilots, None, 1,
                                  codebooks=cbs)

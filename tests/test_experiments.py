@@ -251,6 +251,22 @@ class TestCli:
         assert printed and printed[0].endswith("pilot_correlation.csv")
         assert os.path.exists(printed[0])
 
+    @pytest.mark.parametrize("line", [
+        "arrays.polarization = diag", "codebook.delta_mode = foo",
+        "arrays.n_x = 0", "pilot.coprime_with = m", "overhead.n_s = 0",
+        "overhead.epsilon_t = 0"])
+    def test_bad_values_are_invalid_config(self, line, tmp_path, capsys):
+        """Values the array, codebook, pilot and overhead settings reject
+        fail validation, so run stops before any trial."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"experiment = robustness_xpd\ntrials = 1\n{line}\n",
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--no-plots"]) == 1
+        assert capsys.readouterr().err.count("invalid config") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "invalid config" in capsys.readouterr().err

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from beampair.pilot import (DEFAULT_ROOT_POOL, FlatGains, InvalidRoot,
-                            LengthMismatch, PilotAssignment, PilotRef,
-                            PoolExhausted, ShiftConflict, assign_pilots,
-                            correlate_probing, correlate_zero_lag,
+                            LengthMismatch, PilotAssignment, PoolExhausted,
+                            ShiftConflict, assign_pilots, correlate_zero_lag,
                             interference_bounds, zc_sequence, zc_symbol)
 
 
@@ -60,12 +59,24 @@ class TestSequences:
         with pytest.raises(ValueError, match="coprime_with"):
             zc_sequence(25, 0, 6, 512, coprime_with="n_plus_1")
 
+    @pytest.mark.parametrize("dc_zero", [False, True])
+    def test_array_columns_match_scalar_calls(self, dc_zero):
+        """Arrays of roots and shift ids give one column per (root, b),
+        bit-identical to the scalar calls; every root is validated."""
+        roots, bs = np.array([25, 29, 25, 35]), np.array([0, 0, 1, 1])
+        x = zc_sequence(roots, bs, 6, 512, dc_zero=dc_zero)
+        assert x.shape == (512, 4)
+        for j, (root, b) in enumerate(zip(roots, bs)):
+            want = zc_sequence(int(root), int(b), 6, 512, dc_zero=dc_zero)
+            assert np.array_equal(x[:, j], want)
+        with pytest.raises(InvalidRoot, match="512"):
+            zc_sequence(np.array([25, 34]), np.array([0, 1]), 6, 512)
+
     def test_dc_zero(self):
         seq = zc_sequence(25, 0, 6, 512, dc_zero=True)
         assert seq[256] == 0.0
-        ref = PilotRef(25, 0, 6, 512, dc_zero=True)
-        assert ref.active_count == 511
-        assert abs(correlate_zero_lag(seq, ref, normalized=True) - 1.0) < 1e-12
+        assert np.count_nonzero(seq) == 511
+        assert abs(correlate_zero_lag(seq, seq, normalized=True) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +86,7 @@ class TestCorrelations:
     def test_matched_autocorrelation(self):
         for n, root in ((512, 25), (511, 29), (64, 7)):
             seq = zc_sequence(root, 0, 6, n)
-            ref = PilotRef(root, 0, 6, n)
+            ref = zc_sequence(root, 0, 6, n)
             assert abs(correlate_zero_lag(seq, ref) - n) < 1e-9
             assert abs(correlate_zero_lag(seq, ref, normalized=True) - 1.0) < 1e-12
 
@@ -106,25 +117,44 @@ class TestCorrelations:
 
     def test_linearity_and_length_guard(self):
         rng = np.random.default_rng(31)
-        ref = PilotRef(25, 0, 6, 128)
+        ref = zc_sequence(25, 0, 6, 128)
         y = rng.normal(size=128) + 1j * rng.normal(size=128)
         c = correlate_zero_lag(y, ref)
         assert abs(correlate_zero_lag((2 - 1j) * y, ref) - (2 - 1j) * c) < 1e-9
         with pytest.raises(LengthMismatch):
             correlate_zero_lag(y[:100], ref)
 
+    @pytest.mark.parametrize("dc_zero", [False, True])
+    def test_matrix_correlator_matches_oracle(self, dc_zero):
+        """(N, i) branches against (N, j) references give (i, j) entries
+        sum_k y[k, i] x*[k, j]; normalized divides by the nonzero count of
+        each reference column, n - 1 under dc_zero."""
+        n = 64
+        rng = np.random.default_rng(34)
+        y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        x = zc_sequence(np.array([25, 25, 29]), np.array([0, 1, 0]), 6, n,
+                        dc_zero=dc_zero)
+        raw = correlate_zero_lag(y, x)
+        assert raw.shape == (3, 3)
+        for i in range(3):
+            for j in range(3):
+                assert abs(raw[i, j] - np.sum(y[:, i] * x[:, j].conj())) < 1e-12
+        active = n - 1 if dc_zero else n
+        assert np.max(np.abs(correlate_zero_lag(y, x, normalized=True)
+                             - raw / active)) < 1e-12
+
     def test_probing_correlator_matches_columns(self):
         rng = np.random.default_rng(32)
-        refs = [PilotRef(25, 0, 6, 128), PilotRef(29, 1, 6, 128)]
+        refs = zc_sequence(np.array([25, 29]), np.array([0, 1]), 6, 128)
         y = rng.normal(size=(128, 3)) + 1j * rng.normal(size=(128, 3))
-        rep = correlate_probing(y, refs, normalized=True)
-        assert rep.values.shape == (3, 2)
+        values = correlate_zero_lag(y, refs, normalized=True)
+        assert values.shape == (3, 2)
         for i in range(3):
             for j in range(2):
-                want = correlate_zero_lag(y[:, i], refs[j], normalized=True)
-                assert abs(rep.values[i, j] - want) < 1e-12
+                want = correlate_zero_lag(y[:, i], refs[:, j], normalized=True)
+                assert abs(values[i, j] - want) < 1e-12
         with pytest.raises(LengthMismatch):
-            correlate_probing(y[:64], refs)
+            correlate_zero_lag(y[:64], refs)
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +163,18 @@ class TestCorrelations:
 class TestAssignment:
     def test_pairs_share_root_across_shifts(self):
         asn = assign_pilots([0, 1, 2], 512, p=6)
-        assert asn.ref(0, 0).root == asn.ref(0, 1).root
-        assert asn.ref(0, 0).b == 0 and asn.ref(0, 1).b == 1
+        x = asn.references([(0, 0), (0, 1)])
+        root = asn.roots[0]
+        assert np.array_equal(x[:, 0], zc_sequence(root, 0, 6, 512))
+        assert np.array_equal(x[:, 1], zc_sequence(root, 1, 6, 512))
         with pytest.raises(ValueError, match="0 or 1"):
-            asn.ref(0, 2)
+            asn.references([(0, 2)])
+
+    def test_references_reject_shift_id_two(self):
+        asn = assign_pilots([0, 1], 512, p=6)
+        assert asn.references([(0, 0), (1, 1)]).shape == (512, 2)
+        with pytest.raises(ValueError, match="0 or 1"):
+            asn.references([(0, 0), (1, 2)])
 
     def test_default_pool_order(self):
         """Sorted pair ids take the canonical roots in order; at length 512
@@ -214,11 +252,11 @@ class TestBounds:
         reaches sqrt(4n) = 2*sqrt(n), twice the flat odd-length level; the
         i2 (one other-root column) and i3 (two columns) bounds cover it."""
         asn = assign_pilots([0, 1, 2], n, p=6)
-        ref = asn.ref(0, 0)
+        ref = asn.references([(0, 0)])[:, 0]
         gains = FlatGains(chi=0.0, sum_rho_h_vv=1.0, sum_rho_h_vh=1.0, n_rf=4)
         bounds = interference_bounds(asn, gains)
-        crosses = sorted(abs(correlate_zero_lag(asn.sequence(a, b), ref))
-                         for a in (1, 2) for b in (0, 1))
+        others = asn.references([(a, b) for a in (1, 2) for b in (0, 1)])
+        crosses = sorted(abs(correlate_zero_lag(seq, ref)) for seq in others.T)
         assert abs(crosses[-1] - 2 * np.sqrt(n)) < 1e-9
         assert crosses[-1] <= bounds["i2"] + 1e-9
         assert crosses[-1] + crosses[-2] <= bounds["i3"] + 1e-9
@@ -231,8 +269,8 @@ class TestBounds:
         n, p, n_rf = 509, 6, 6
         asn = assign_pilots([0, 1, 2, 3], n, p=p)
         cols = [(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (3, 0)]
-        seqs = [asn.sequence(a, b) for a, b in cols]
-        ref = asn.ref(0, 0)
+        seqs = asn.references(cols).T  # seqs[i] is column i
+        ref = asn.references([(0, 0)])[:, 0]
         rng = np.random.default_rng(33)
         for _ in range(30):
             vv = complex(rng.normal(), rng.normal())
