@@ -26,23 +26,17 @@ class InfeasibleCoverage(ValueError):
 AXES = ("elevation", "azimuth", "receive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Beam:
-    vector: np.ndarray
+    """Column `index` of its axis's beam matrix (`vector` is a view of it);
+    beams compare by identity."""
+
+    vector: np.ndarray = field(repr=False)
     polarization: str
     axis: str
     boresight_mu: float
     index: int
     fixed_mu: float | None = None
-
-    def __hash__(self):
-        return hash((self.polarization, self.axis, self.index))
-
-    def __eq__(self, other):
-        if not isinstance(other, Beam):
-            return NotImplemented
-        return (self.polarization, self.axis, self.index) == \
-            (other.polarization, other.axis, other.index)
 
 
 @dataclass(frozen=True)
@@ -81,6 +75,10 @@ class CodebookConfig:
             raise ValueError(f"unknown delta_mode {self.delta_mode!r}")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
+        for axis in AXES:
+            lo, hi = self.mu_range(axis)
+            if not -np.inf < lo < hi < np.inf:  # also rejects NaN bounds
+                raise EmptyRange(f"{axis} range must be finite with lo < hi")
 
     def _n_for(self, axis: str) -> int:
         return {"elevation": self.arrays.n_x, "azimuth": self.arrays.n_y,
@@ -101,8 +99,6 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """Boresights spaced `step` apart, centered in [lo, hi]; any overhang is
     split equally between the two ends."""
     span = hi - lo
-    if span <= 0:
-        raise EmptyRange("coverage range must have positive width")
     n = max(1, int(np.ceil(span / step - 1e-9)))
     pad = (span - n * step) / 2.0
     return lo + pad + step * (np.arange(n) + 0.5)
@@ -130,23 +126,96 @@ def rx_beam_vector(arrays: ArrayConfig, pol: str, nu: float) -> np.ndarray:
     return _pol_block(ula_steering(nu, arrays.m_tot), arrays, pol)
 
 
-@dataclass
+def _pols(arrays: ArrayConfig) -> tuple[str, ...]:
+    return ("v", "h") if arrays.polarization_mode == "cross" else ("v",)
+
+
+@dataclass(frozen=True)
+class AxisBook:
+    """One axis of a codebook set as arrays, built once. Column i of `matrix`
+    and boresights[i] belong to beams[i] (vertical beams first, boresights
+    increasing per polarization). Pair table row k is the pair with per-axis
+    id k: members pairs[k] = (low, low + 1), center centers[k], offset
+    `delta`. members[i, b] is the id of the pair with beam i as member b, or
+    -1."""
+
+    beams: tuple[Beam, ...]
+    matrix: np.ndarray
+    boresights: np.ndarray
+    pairs: np.ndarray
+    centers: np.ndarray
+    delta: float
+    members: np.ndarray
+
+    def pair(self, k: int, abp_id: int | None = None) -> AuxiliaryBeamPair:
+        """Row k of the pair table as a pair object, with id k by default."""
+        lo, hi = self.pairs[k].tolist()
+        return AuxiliaryBeamPair(abp_id=k if abp_id is None else abp_id,
+                                 beams=(self.beams[lo], self.beams[hi]),
+                                 axis=self.beams[lo].axis,
+                                 center_mu=float(self.centers[k]), delta=self.delta)
+
+
+def _axis_book(cfg: CodebookConfig, axis: str, fixed_mu: float | None) -> AxisBook:
+    """Beam grid of one axis, one steering call per polarization; transmit
+    beams hold the other transmit axis at `fixed_mu`. In cross mode the
+    range is split in half, vertical beams below the midpoint."""
+    arrays = cfg.arrays
+    lo, hi = cfg.mu_range(axis)
+    step = 2 * cfg.delta(axis)
+    mid = 0.5 * (lo + hi)
+    cross = arrays.polarization_mode == "cross"
+    halves = {"v": (lo, mid), "h": (mid, hi)} if cross else {"v": (lo, hi)}
+    blocks, mus, pols = [], [], []
+    for pol, (plo, phi) in halves.items():
+        grid = _grid(plo, phi, step)
+        if axis == "receive":
+            blocks.append(rx_beam_vector(arrays, pol, grid))
+        else:
+            fixed = np.full(len(grid), fixed_mu)
+            blocks.append(tx_beam_vector(arrays, pol, *(
+                (grid, fixed) if axis == "elevation" else (fixed, grid))))
+        mus += grid.tolist()
+        pols += [pol] * len(grid)
+    matrix = np.hstack(blocks)
+    beams = tuple(Beam(vector=matrix[:, i], polarization=pol, axis=axis,
+                       boresight_mu=mu, index=i, fixed_mu=fixed_mu)
+                  for i, (pol, mu) in enumerate(zip(pols, mus)))
+    boresights = np.array(mus)
+    low = np.flatnonzero(np.array(pols[1:]) == np.array(pols[:-1]))
+    members = np.full((len(pols), 2), -1)
+    members[low, 0] = members[low + 1, 1] = np.arange(len(low))
+    return AxisBook(beams=beams, matrix=matrix, boresights=boresights,
+                    pairs=np.column_stack([low, low + 1]),
+                    centers=0.5 * (boresights[low] + boresights[low + 1]),
+                    delta=cfg.delta(axis), members=members)
+
+
+@dataclass(frozen=True)
 class CodebookSet:
+    """Per-axis beam books plus the sweep's transmit grid: one column per
+    same-polarization (elevation, azimuth) beam pair, indices grid_el/grid_az."""
+
     config: CodebookConfig
-    tx_el: dict[str, list[Beam]] = field(default_factory=dict)
-    tx_az: dict[str, list[Beam]] = field(default_factory=dict)
-    rx: dict[str, list[Beam]] = field(default_factory=dict)
+    books: dict[str, AxisBook]
+    grid: np.ndarray
+    grid_el: np.ndarray
+    grid_az: np.ndarray
 
     @property
     def pols(self) -> tuple[str, ...]:
-        return ("v", "h") if self.config.arrays.polarization_mode == "cross" else ("v",)
+        return _pols(self.config.arrays)
 
     def domain(self, axis: str) -> dict[str, list[Beam]]:
-        return {"elevation": self.tx_el, "azimuth": self.tx_az, "receive": self.rx}[axis]
+        return {pol: [b for b in self.books[axis].beams if b.polarization == pol]
+                for pol in self.pols}
+
+    tx_el = property(lambda self: self.domain("elevation"))
+    tx_az = property(lambda self: self.domain("azimuth"))
+    rx = property(lambda self: self.domain("receive"))
 
     def all_beams(self, axis: str) -> list[Beam]:
-        dom = self.domain(axis)
-        return [b for pol in self.pols for b in dom[pol]]
+        return list(self.books[axis].beams)
 
 
 def build_codebooks(cfg: CodebookConfig, fixed_el_mu: float | None = None,
@@ -154,62 +223,35 @@ def build_codebooks(cfg: CodebookConfig, fixed_el_mu: float | None = None,
     """Build per-domain beam grids. Transmit azimuth beams steer the azimuth
     frequency at a fixed elevation frequency (range center by default) and
     vice versa; the fixed values can be overridden, e.g. to re-point the
-    elevation sweep at an azimuth estimate."""
-    arrays = cfg.arrays
-    cross = arrays.polarization_mode == "cross"
+    elevation sweep at an azimuth estimate. The sweep grid steers both
+    frequencies, so it does not depend on the fixed values."""
     el_fix = fixed_el_mu if fixed_el_mu is not None else 0.5 * sum(cfg.el_range)
     az_fix = fixed_az_mu if fixed_az_mu is not None else 0.5 * sum(cfg.az_range)
-    out = CodebookSet(config=cfg)
-
-    for axis in AXES:
-        lo, hi = cfg.mu_range(axis)
-        if hi <= lo:
-            raise EmptyRange(f"{axis} range is empty")
-        step = 2 * cfg.delta(axis)
-        dom = out.domain(axis)
-        if cross:
-            mid = 0.5 * (lo + hi)
-            halves = {"v": (lo, mid), "h": (mid, hi)}
-        else:
-            halves = {"v": (lo, hi)}
-        idx = 0
-        for pol, (plo, phi) in halves.items():
-            beams = []
-            for mu in _grid(plo, phi, step):
-                if axis == "receive":
-                    vec = rx_beam_vector(arrays, pol, mu)
-                    fixed = None
-                elif axis == "azimuth":
-                    vec = tx_beam_vector(arrays, pol, el_fix, mu)
-                    fixed = el_fix
-                else:
-                    vec = tx_beam_vector(arrays, pol, mu, az_fix)
-                    fixed = az_fix
-                beams.append(Beam(vector=vec, polarization=pol, axis=axis,
-                                  boresight_mu=float(mu), index=idx, fixed_mu=fixed))
-                idx += 1
-            dom[pol] = beams
-    return out
+    books = {"elevation": _axis_book(cfg, "elevation", az_fix),
+             "azimuth": _axis_book(cfg, "azimuth", el_fix),
+             "receive": _axis_book(cfg, "receive", None)}
+    el, az = books["elevation"], books["azimuth"]
+    cols, grid_el, grid_az = [], [], []
+    for pol in _pols(cfg.arrays):
+        e = [b.index for b in el.beams if b.polarization == pol]
+        a = [b.index for b in az.beams if b.polarization == pol]
+        grid_el.append(np.repeat(e, len(a)))
+        grid_az.append(np.tile(a, len(e)))
+        cols.append(tx_beam_vector(cfg.arrays, pol, el.boresights[grid_el[-1]],
+                                   az.boresights[grid_az[-1]]))
+    return CodebookSet(config=cfg, books=books, grid=np.hstack(cols),
+                       grid_el=np.concatenate(grid_el),
+                       grid_az=np.concatenate(grid_az))
 
 
 def enumerate_abps(codebooks: CodebookSet, axis: str | None = None) -> list[AuxiliaryBeamPair]:
-    """Sliding adjacent-beam pairs within each polarization. Ids run over
-    domains in (elevation, azimuth, receive) order, vertical first, increasing
-    boresight; pairs never mix polarizations."""
-    axes = AXES if axis is None else (axis,)
+    """The pair tables as pair objects: adjacent same-polarization beams. Ids
+    run over domains in (elevation, azimuth, receive) order, vertical first,
+    increasing boresight."""
     pairs: list[AuxiliaryBeamPair] = []
-    next_id = 0
-    for ax in axes:
-        dom = codebooks.domain(ax)
-        delta = codebooks.config.delta(ax)
-        for pol in codebooks.pols:
-            beams = sorted(dom[pol], key=lambda b: b.boresight_mu)
-            for lo_beam, hi_beam in zip(beams, beams[1:]):
-                center = 0.5 * (lo_beam.boresight_mu + hi_beam.boresight_mu)
-                pairs.append(AuxiliaryBeamPair(
-                    abp_id=next_id, beams=(lo_beam, hi_beam), axis=ax,
-                    center_mu=center, delta=delta))
-                next_id += 1
+    for ax in AXES if axis is None else (axis,):
+        book = codebooks.books[ax]
+        pairs += [book.pair(k, len(pairs) + k) for k in range(len(book.pairs))]
     return pairs
 
 
@@ -255,30 +297,25 @@ def _fill_bucket(beams: list[Beam], n_probings: int, slots_per: int,
     pool: list[Beam] = list(beams)
     while len(pool) < total:
         pool.append(beams[rng.integers(size)])
-    order = rng.permutation(total)
-    pool = [pool[i] for i in order]
+    pool = [pool[i] for i in rng.permutation(total)]
 
     out: list[list[Beam]] = []
     for _ in range(n_probings):
         probing: list[Beam] = []
-        used: set[Beam] = set()
         i = 0
         while len(probing) < slots_per and i < len(pool):
-            if pool[i] in used:
+            if pool[i] in probing:
                 i += 1
             else:
-                beam = pool.pop(i)
-                probing.append(beam)
-                used.add(beam)
+                probing.append(pool.pop(i))
         # duplicates can strand pool items behind a same-beam pick; top up
         # from the codebook (any stranded item already appears in `probing`,
         # so coverage is not lost)
         for beam in beams:
             if len(probing) == slots_per:
                 break
-            if beam not in used:
+            if beam not in probing:
                 probing.append(beam)
-                used.add(beam)
         out.append(probing)
     return out
 
@@ -295,22 +332,19 @@ def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
     codebook."""
     rng = np.random.default_rng(seed)
     cross = codebooks.config.arrays.polarization_mode == "cross"
-    tx_dom = codebooks.domain(tx_axis)
-    rx_dom = codebooks.rx
 
-    def side(dom: dict[str, list[Beam]], probings: int, rf: int) -> list[list[Beam]]:
+    def side(axis: str, probings: int, rf: int) -> list[list[Beam]]:
         if cross and layout == "split-half":
             if rf % 2:
                 raise ValueError("split-half layout needs an even RF chain count")
+            dom = codebooks.domain(axis)
             v = _fill_bucket(dom["v"], probings, rf // 2, rng)
             h = _fill_bucket(dom["h"], probings, rf // 2, rng)
             return [v[i] + h[i] for i in range(probings)]
-        merged = [b for pol in codebooks.pols for b in dom[pol]]
-        return [list(p) for p in _fill_bucket(merged, probings, rf, rng)]
+        return _fill_bucket(codebooks.all_beams(axis), probings, rf, rng)
 
-    tx = side(tx_dom, n_t, n_rf)
-    rx = side(rx_dom, m_t, m_rf)
-    return ProbingPlan(tx_beams=tx, rx_beams=rx)
+    return ProbingPlan(tx_beams=side(tx_axis, n_t, n_rf),
+                       rx_beams=side("receive", m_t, m_rf))
 
 
 def dump_codebook_csv(codebooks: CodebookSet, path: str) -> None:

@@ -4,6 +4,8 @@ Received-power evaluation, the difference/sum ratio metric and its
 closed-form inversion, the single-path sweep estimator, the multi-path
 pilot-probing estimator, and the grid-of-beams baseline used for
 comparison. Beam strengths are 1-D arrays per axis indexed by Beam.index.
+Every flow reads the codebook's fixed matrices and pair tables (AxisBook);
+no trial rebuilds a beam, a grid or a pair list.
 Per-domain strengths in the sweep estimator are marginal sums of probe
 powers over the other probe axes, which keeps the ratio exact for a single
 path (common factors cancel) and averages down noise. Every flow turns
@@ -17,17 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, DimensionMismatch
-from .codebook import (AuxiliaryBeamPair, Beam, CodebookSet,
+from .codebook import (AuxiliaryBeamPair, AxisBook, Beam, CodebookSet,
                        InfeasibleCoverage, ProbingPlan, build_codebooks,
-                       enumerate_abps, random_probing_plan, tx_beam_vector)
+                       random_probing_plan)
+from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
 from .geometry import (DegenerateDirection, angles_from_spatial_frequencies,
                        aoa_from_nu)
 from .pilot import PilotAssignment, assign_pilots, correlate_zero_lag
-
-# The inversion formula is exact on the closed interval |zeta| <= 1 (at the
-# endpoints it returns center -+ delta), so clamping only absorbs
-# floating-point overshoot and never biases attainable values.
-ZETA_CLAMP = 1.0
 
 # PathEstimate field holding each axis's spatial-frequency estimate
 _MU_KEYS = (("elevation", "mu_x"), ("azimuth", "mu_y"), ("receive", "nu"))
@@ -93,7 +91,7 @@ def ratio_metric(power_delta: float, power_sigma: float) -> float:
     total = power_delta + power_sigma
     if total == 0:
         raise BothZero("both pair powers are zero")
-    return float(np.clip((power_delta - power_sigma) / total, -1.0, 1.0))
+    return float(min(max((power_delta - power_sigma) / total, -1.0), 1.0))
 
 
 def ratio_closed_form(mu: float, center: float, delta: float) -> float:
@@ -105,15 +103,17 @@ def ratio_closed_form(mu: float, center: float, delta: float) -> float:
 
 def invert_ratio(zeta: float, center_mu: float, delta: float) -> float:
     """Closed-form inverse of the ratio metric; output clamped to the pair
-    interval [center - delta, center + delta]."""
+    interval [center - delta, center + delta]. The formula is exact for
+    |zeta| <= 1 (the endpoints give center -+ delta), so clamping zeta to
+    [-1, 1] only absorbs floating-point overshoot."""
     if not 0 < delta < np.pi / 2:
         raise ValueError("delta must lie in (0, pi/2)")
-    z = float(np.clip(zeta, -ZETA_CLAMP, ZETA_CLAMP))
+    z = float(min(max(zeta, -1.0), 1.0))
     sd, cd = np.sin(delta), np.cos(delta)
     denom = sd * sd + z * z * cd * cd
     arg = (z * sd - z * np.sqrt(1.0 - z * z) * sd * cd) / denom
-    mu = center_mu - np.arcsin(np.clip(arg, -1.0, 1.0))
-    return float(np.clip(mu, center_mu - delta, center_mu + delta))
+    mu = center_mu - np.arcsin(min(max(arg, -1.0), 1.0))
+    return float(min(max(mu, center_mu - delta), center_mu + delta))
 
 
 def _noise_like(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -134,18 +134,7 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
     """TDM probe of every (receive beam, elevation x azimuth transmit grid)
     combination per polarization; returns marginal strengths per axis and the
     probe count."""
-    w_mat = np.column_stack([b.vector for b in codebooks.all_beams("receive")])
-    arrays = codebooks.config.arrays
-    cols, el_of, az_of = [], [], []  # grid columns and their beam indices
-    for pol in codebooks.pols:
-        grid = [(eb, ab) for eb in codebooks.tx_el[pol]
-                for ab in codebooks.tx_az[pol]]
-        cols.append(tx_beam_vector(arrays, pol,
-                                   np.array([eb.boresight_mu for eb, _ in grid]),
-                                   np.array([ab.boresight_mu for _, ab in grid])))
-        el_of += [eb.index for eb, _ in grid]
-        az_of += [ab.index for _, ab in grid]
-    y = channel.beamformed(w_mat, np.hstack(cols))
+    y = channel.beamformed(codebooks.books["receive"].matrix, codebooks.grid)
     if sigma > 0:
         rng = np.random.default_rng() if rng is None else rng
         y = y + _noise_like(y.shape, sigma, rng)
@@ -153,8 +142,8 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
 
     per_grid = powers.sum(axis=0)
     strengths = {"receive": powers.sum(axis=1),
-                 "elevation": np.bincount(el_of, weights=per_grid),
-                 "azimuth": np.bincount(az_of, weights=per_grid)}
+                 "elevation": np.bincount(codebooks.grid_el, weights=per_grid),
+                 "azimuth": np.bincount(codebooks.grid_az, weights=per_grid)}
     return strengths, powers.size
 
 
@@ -168,20 +157,17 @@ def _winner(s: np.ndarray, among: list[int] | None = None) -> int:
     return win
 
 
-def _pair_and_invert(s: np.ndarray, win: int, pairs: list[AuxiliaryBeamPair]
+def _pair_and_invert(s: np.ndarray, win: int, book: AxisBook
                      ) -> tuple[float, AuxiliaryBeamPair, float]:
     """Pair beam `win` with its stronger angular neighbour (the lower index on
     a tie) and invert the pair's ratio metric; returns (spatial frequency,
-    pair, zeta). Pairs join adjacent same-polarization beams, so an edge beam
-    has one candidate and a single-beam codebook none."""
-    def other(pair: AuxiliaryBeamPair) -> int:
-        lo, hi = (b.index for b in pair.beams)
-        return hi if lo == win else lo
-
-    cands = [p for p in pairs if win in (p.beams[0].index, p.beams[1].index)]
-    if not cands:
+    pair, zeta). The candidates are the pairs below and above `win` in the
+    pair table: an edge beam has one, a single-beam codebook none."""
+    below, above = book.members[win, 1], book.members[win, 0]
+    if below < 0 and above < 0:
         raise InsufficientNeighbors(f"beam {win} has no neighbor for pairing")
-    pair = min(cands, key=lambda p: (-s[other(p)], other(p)))
+    k = above if below < 0 or (above >= 0 and s[win + 1] > s[win - 1]) else below
+    pair = book.pair(int(k))
     zeta = ratio_metric(s[pair.beams[0].index], s[pair.beams[1].index])
     return invert_ratio(zeta, pair.center_mu, pair.delta), pair, zeta
 
@@ -208,7 +194,7 @@ def estimate_single_path(channel: ChannelRealization, codebooks: CodebookSet,
     for axis, key in _MU_KEYS:
         s = strengths[axis]
         mu, est.pairs[axis], est.zetas[axis] = _pair_and_invert(
-            s, _winner(s), enumerate_abps(codebooks, axis))
+            s, _winner(s), codebooks.books[axis])
         setattr(est, key, mu)
     _fill_angles(est, codebooks.config.arrays)
     return EstimationReport(paths=[est], iterations=probes, scheme="abp")
@@ -225,34 +211,28 @@ def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
     strengths, _ = _sweep(channel, codebooks, sigma, rng)
     est = PathEstimate()
     for axis, key in _MU_KEYS:
-        winner = codebooks.all_beams(axis)[_winner(strengths[axis])]
+        winner = codebooks.books[axis].beams[_winner(strengths[axis])]
         setattr(est, key, winner.boresight_mu)
     _fill_angles(est, codebooks.config.arrays)
-    n_tx = sum(len(codebooks.tx_el[p]) * len(codebooks.tx_az[p])
-               for p in codebooks.pols)
-    n_rx = len(codebooks.all_beams("receive"))
-    iters = (n_tx ** n_rf) * (n_rx ** m_rf)
+    iters = (codebooks.grid.shape[1] ** n_rf) \
+        * (len(codebooks.books["receive"].beams) ** m_rf)
     return EstimationReport(paths=[est], iterations=iters, scheme="gob")
 
 
-def _memberships(pairs: list[AuxiliaryBeamPair]) -> dict[Beam, list[tuple[int, int]]]:
-    out: dict[Beam, list[tuple[int, int]]] = {}
-    for pair in pairs:
-        for b, beam in enumerate(pair.beams):
-            out.setdefault(beam, []).append((pair.abp_id, b))
-    return out
-
-
-def tag_probing(beams: list[Beam], memberships: dict[Beam, list[tuple[int, int]]]
-                ) -> list[tuple[int, int]]:
+def tag_probing(idx, members: np.ndarray) -> list[tuple[int, int]]:
     """Assign a (pair id, within-pair id) pilot tag to every column of one
-    probing. Columns that are the two members of the same pair share its id;
-    remaining columns take an id not yet used in this probing."""
-    tags: list[tuple[int, int] | None] = [None] * len(beams)
+    probing, given the columns' beam indices and the axis's membership table
+    (AxisBook.members). Columns that are the two members of the same pair
+    share its id; remaining columns take an id not yet used in this probing."""
+    # per column, (pair id, b) in pair-id order: the pair below the beam
+    # (where it is member 1) comes before the pair above it (member 0)
+    opts = [[(row[b], b) for b in (1, 0) if row[b] >= 0]
+            for row in members[np.asarray(idx)].tolist()]
+    tags: list[tuple[int, int] | None] = [None] * len(opts)
     used: set[int] = set()
     by_pair: dict[int, list[tuple[int, int]]] = {}
-    for i, beam in enumerate(beams):
-        for abp_id, b in memberships.get(beam, []):
+    for i, col in enumerate(opts):
+        for abp_id, b in col:
             by_pair.setdefault(abp_id, []).append((i, b))
     # complete pairs first
     for abp_id, hits in by_pair.items():
@@ -261,26 +241,25 @@ def tag_probing(beams: list[Beam], memberships: dict[Beam, list[tuple[int, int]]
                 for i, b in hits:
                     tags[i] = (abp_id, b)
                 used.add(abp_id)
-    for i, beam in enumerate(beams):
+    for i, col in enumerate(opts):
         if tags[i] is not None:
             continue
-        opts = memberships.get(beam, [])
-        if not opts:
-            raise InsufficientNeighbors(f"beam {beam.index} belongs to no pair")
-        pick = next(((a, b) for a, b in opts if a not in used), opts[0])
+        if not col:
+            raise InsufficientNeighbors(f"beam {idx[i]} belongs to no pair")
+        pick = next(((a, b) for a, b in col if a not in used), col[0])
         tags[i] = pick
         used.add(pick[0])
     return tags  # type: ignore[return-value]
 
 
 def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
-                         pilots: PilotAssignment,
-                         memberships: dict[Beam, list[tuple[int, int]]],
-                         sigma: float, rng: np.random.Generator | None):
+                         pilots: PilotAssignment, tx_book: AxisBook,
+                         rx_book: AxisBook, sigma: float,
+                         rng: np.random.Generator | None):
     """Run every (tx probing, rx probing) slot, correlate each receive branch
     against the probing's pilot references, and accumulate |corr|^2 strengths
-    per transmit beam and per receive beam (arrays indexed by Beam.index, up
-    to the highest probed index) and per receive probing."""
+    per transmit beam and per receive beam (arrays indexed by Beam.index) and
+    per receive probing. Probing matrices are columns of the beam matrices."""
     n, m, _ = channel.shape
     if n != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
@@ -288,21 +267,21 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
 
     tx_idx = [[b.index for b in beams] for beams in plan.tx_beams]
     rx_idx = [[b.index for b in beams] for beams in plan.rx_beams]
-    tx_strength = np.zeros(1 + max(map(max, tx_idx)))
-    rx_strength = np.zeros(1 + max(map(max, rx_idx)))
+    tx_strength = np.zeros(len(tx_book.beams))
+    rx_strength = np.zeros(len(rx_book.beams))
     probing_totals = np.zeros(plan.m_t)
-    # every receive probing at once: columns of w_all, split back per probing
-    w_mats = [np.column_stack([b.vector for b in beams]) for beams in plan.rx_beams]
-    w_all = np.hstack(w_mats)
-    splits = np.cumsum([w_mat.shape[1] for w_mat in w_mats])[:-1]
+    # every receive probing at once: columns of w_all, split back per probing;
+    # np.take keeps column picks C-ordered (m[:, idx] is F-ordered) for BLAS
+    w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
+    splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
 
-    for beams, t_idx in zip(plan.tx_beams, tx_idx):
-        f_mat = np.column_stack([b.vector for b in beams])
-        x = pilots.references(tag_probing(beams, memberships))  # (N, n_rf)
+    for t_idx in tx_idx:
+        f_mat = np.take(tx_book.matrix, t_idx, axis=1)
+        x = pilots.references(tag_probing(t_idx, tx_book.members))  # (N, n_rf)
         y_all = np.einsum("kij,kj->ki", channel.beamformed(w_all, f_mat), x)
-        for mt, (w_mat, r_idx, y) in enumerate(
-                zip(w_mats, rx_idx, np.split(y_all, splits, axis=1))):
+        for mt, (r_idx, y) in enumerate(zip(rx_idx, np.split(y_all, splits, axis=1))):
             if sigma > 0:
+                w_mat = np.take(rx_book.matrix, r_idx, axis=1)
                 y = y + _noise_like((n, m), sigma, rng) @ w_mat.conj()
             s = np.abs(correlate_zero_lag(y, x)) ** 2  # (m_rf, n_rf)
             probing_totals[mt] += float(s.sum())
@@ -311,12 +290,12 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
     return tx_strength, rx_strength, probing_totals
 
 
-def _require_coverage(probings: list[list[Beam]], beams: list[Beam]) -> None:
-    probed = {b for probing in probings for b in probing}
-    missing = [b.index for b in beams if b not in probed]
+def _require_coverage(probings: list[list[Beam]], book: AxisBook) -> None:
+    probed = {b.index for probing in probings for b in probing}
+    missing = [b.index for b in book.beams if b.index not in probed]
     if missing:
         raise InfeasibleCoverage(
-            f"probing plan leaves {beams[0].axis} beams {missing} unprobed")
+            f"probing plan leaves {book.beams[0].axis} beams {missing} unprobed")
 
 
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
@@ -336,44 +315,56 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
-    _require_coverage(probing_plan.tx_beams, codebooks.all_beams("azimuth"))
-    _require_coverage(probing_plan.rx_beams, codebooks.all_beams("receive"))
+    az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
+    _require_coverage(probing_plan.tx_beams, az_book)
+    _require_coverage(probing_plan.rx_beams, rx_book)
     sigma = _sigma_from_gamma(gamma)
     rng = np.random.default_rng() if rng is None else rng
 
-    az_pairs = enumerate_abps(codebooks, "azimuth")
-    rx_pairs = enumerate_abps(codebooks, "receive")
     tx_s, rx_s, totals = _probe_and_correlate(channel, probing_plan, pilots,
-                                              _memberships(az_pairs), sigma, rng)
+                                              az_book, rx_book, sigma, rng)
     if totals.sum() <= 0:
         raise NoSignal("no correlated energy in any probing")
 
     best_mt = int(np.argmax(totals))
     rx_winner = _winner(rx_s, [b.index for b in probing_plan.rx_beams[best_mt]])
-    receive = _pair_and_invert(rx_s, rx_winner, rx_pairs)
+    receive = _pair_and_invert(rx_s, rx_winner, rx_book)
 
     paths: list[PathEstimate] = []
     for beam in np.argsort(-tx_s, kind="stable")[:n_select]:
         est = PathEstimate()
         est.mu_y, est.pairs["azimuth"], est.zetas["azimuth"] = \
-            _pair_and_invert(tx_s, int(beam), az_pairs)
+            _pair_and_invert(tx_s, int(beam), az_book)
         est.nu, est.pairs["receive"], est.zetas["receive"] = receive
         paths.append(est)
 
     extra_tx_probings = 0
-    if all(len(codebooks.tx_el[p]) > 1 for p in codebooks.pols):
-        n_el_t = _coverage_probings(codebooks, "elevation", probing_plan.n_rf)
+    el_beams = codebooks.tx_el
+    if all(len(beams) > 1 for beams in el_beams.values()):
+        # one elevation sweep per path, its beams re-pointed at the path's
+        # azimuth estimate; the pair ids, and so the pilots, stay the same
+        cross = codebooks.config.arrays.polarization_mode == "cross"
+        slots = max(probing_plan.n_rf // 2 if cross else probing_plan.n_rf, 1)
+        n_el_t = max(1, math.ceil(max(map(len, el_beams.values())) / slots))
+        layout = "split-half" if cross and probing_plan.n_rf % 2 == 0 else "free"
+        el_pilots = assign_pilots(
+            range(len(codebooks.books["elevation"].pairs)), pilots.n, p=pilots.p,
+            coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
         for est in paths:
-            el_plan, el_pilots, el_pairs = _elevation_stage(
-                codebooks, est.mu_y, probing_plan, pilots,
-                int(rng.integers(2 ** 31)), n_el_t)
+            el_cbs = build_codebooks(codebooks.config, fixed_az_mu=est.mu_y)
+            el_plan = random_probing_plan(
+                el_cbs, n_el_t, probing_plan.m_t, probing_plan.n_rf,
+                probing_plan.m_rf, int(rng.integers(2 ** 31)), layout=layout,
+                tx_axis="elevation")
+            el_book = el_cbs.books["elevation"]
             el_tx, _, el_totals = _probe_and_correlate(
-                channel, el_plan, el_pilots, _memberships(el_pairs), sigma, rng)
+                channel, el_plan, el_pilots, el_book, el_cbs.books["receive"],
+                sigma, rng)
             extra_tx_probings += el_plan.n_t
             if el_totals.sum() <= 0:
                 continue
             est.mu_x, est.pairs["elevation"], est.zetas["elevation"] = \
-                _pair_and_invert(el_tx, _winner(el_tx), el_pairs)
+                _pair_and_invert(el_tx, _winner(el_tx), el_book)
 
     el_center = 0.5 * sum(codebooks.config.el_range)
     for est in paths:
@@ -384,26 +375,3 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     iters = probing_plan.n_rf * (probing_plan.n_t + extra_tx_probings) \
         * probing_plan.m_rf * probing_plan.m_t
     return EstimationReport(paths=paths, iterations=iters, scheme="abp")
-
-
-def _coverage_probings(codebooks: CodebookSet, axis: str, n_rf: int) -> int:
-    per_pol = max(len(codebooks.domain(axis)[p]) for p in codebooks.pols)
-    slots = n_rf // 2 if codebooks.config.arrays.polarization_mode == "cross" else n_rf
-    slots = max(slots, 1)
-    return max(1, math.ceil(per_pol / slots))
-
-
-def _elevation_stage(codebooks: CodebookSet, mu_az: float, plan: ProbingPlan,
-                     pilots: PilotAssignment, seed: int, n_t: int):
-    """Rebuild the elevation codebook pointed at the azimuth estimate and
-    derive a matching probing plan and pilot assignment."""
-    cbs = build_codebooks(codebooks.config, fixed_az_mu=mu_az)
-    layout = "split-half" if (codebooks.config.arrays.polarization_mode == "cross"
-                              and plan.n_rf % 2 == 0) else "free"
-    el_plan = random_probing_plan(cbs, n_t, plan.m_t, plan.n_rf, plan.m_rf,
-                                  seed, layout=layout, tx_axis="elevation")
-    el_pairs = enumerate_abps(cbs, "elevation")
-    el_pilots = assign_pilots(el_pairs, pilots.n, p=pilots.p,
-                              coprime_with=pilots.coprime_with,
-                              dc_zero=pilots.dc_zero)
-    return el_plan, el_pilots, el_pairs

@@ -292,16 +292,10 @@ def _codebook_config(cfg: ExperimentConfig, arrays: ArrayConfig) -> CodebookConf
 def _pair_coverage(codebooks, axis: str) -> tuple:
     """Interval covered by the pair set: first to last boresight (per
     polarization in cross mode, returned as a list of intervals)."""
-    spans = []
-    for pol in codebooks.pols:
-        beams = sorted(codebooks.domain(axis)[pol], key=lambda b: b.boresight_mu)
-        if len(beams) >= 2:
-            spans.append((beams[0].boresight_mu, beams[-1].boresight_mu))
-    if not spans:
-        beams = codebooks.all_beams(axis)
-        mus = sorted(b.boresight_mu for b in beams)
-        spans.append((mus[0], mus[-1]))
-    return spans
+    spans = [(beams[0].boresight_mu, beams[-1].boresight_mu)
+             for beams in codebooks.domain(axis).values() if len(beams) >= 2]
+    mus = codebooks.books[axis].boresights
+    return spans or [(float(mus.min()), float(mus.max()))]
 
 
 def _draw_in_spans(rng, spans) -> float:
@@ -424,11 +418,8 @@ def fig_pilot_tags(pairs):
     h_pairs = [p for p in pairs if p.polarization == "h"]
     if not v_pairs or len(h_pairs) < 2:
         raise ConfigError("need at least one vertical and two horizontal pairs")
-    beams = [v_pairs[0].beams[0], v_pairs[0].beams[1],
-             h_pairs[0].beams[0], h_pairs[-1].beams[1]]
-    tags = [(v_pairs[0].abp_id, 0), (v_pairs[0].abp_id, 1),
-            (h_pairs[0].abp_id, 0), (h_pairs[-1].abp_id, 1)]
-    return beams, tags
+    picks = [(v_pairs[0], 0), (v_pairs[0], 1), (h_pairs[0], 0), (h_pairs[-1], 1)]
+    return [p.beams[b] for p, b in picks], [(p.abp_id, b) for p, b in picks]
 
 
 def _run_pilot_correlation(cfg: ExperimentConfig):
@@ -463,9 +454,8 @@ def _run_pilot_vs_tdm(cfg: ExperimentConfig):
     f_mat = np.column_stack([b.vector for b in beams])
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
-    rx_v = cbs.rx["v"]
-    rx_h = cbs.rx["h"]
-    w = (rx_v[len(rx_v) // 2].vector + rx_h[len(rx_h) // 2].vector) / np.sqrt(2)
+    mid_v, mid_h = (beams[len(beams) // 2].vector for beams in cbs.rx.values())
+    w = (mid_v + mid_h) / np.sqrt(2)
     profile = _cluster_profile(cfg, cbs, cfg.n_clusters, max(cfg.subpaths, 1))
     gamma = 10.0 ** (cfg.snr_db[0] / 10.0)
     sigma = math.sqrt(1.0 / gamma)

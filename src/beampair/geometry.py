@@ -125,4 +125,4 @@ def angles_from_spatial_frequencies(mu_x: float, mu_y: float,
 
 def aoa_from_nu(nu: float, cfg: ArrayConfig) -> float:
     """Invert a receive spatial frequency to the arrival angle psi."""
-    return float(np.arcsin(np.clip(nu / (2 * np.pi * cfg.d_r), -1.0, 1.0)))
+    return float(np.arcsin(min(max(nu / (2 * np.pi * cfg.d_r), -1.0), 1.0)))

@@ -9,7 +9,7 @@ to sanity-check the separation.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -91,22 +91,29 @@ def zc_sequence(root, b, p: int, n: int, dc_zero: bool = False,
 @dataclass
 class PilotAssignment:
     """Roots keyed by beam-pair id; both beams of a pair share the root and
-    differ only in the shift id b."""
+    differ only in the shift id b. Every reference is built once, on
+    construction: column 2k + b of `refs` (n, 2 * pairs) is shift b of the
+    k-th pair id of `roots`."""
 
     n: int
     p: int
     roots: dict[int, int]
     coprime_with: str = "n"
     dc_zero: bool = False
+    refs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._column = {a: 2 * k for k, a in enumerate(self.roots)}
+        self.refs = zc_sequence(np.repeat(list(self.roots.values()), 2),
+                                np.tile([0, 1], len(self.roots)), self.p,
+                                self.n, self.dc_zero, self.coprime_with)
 
     def references(self, tags) -> np.ndarray:
         """(n, len(tags)) reference matrix, one column per (pair id,
         within-pair id b) tag."""
         if any(b not in (0, 1) for _, b in tags):
             raise ValueError("paired-beam id must be 0 or 1")
-        return zc_sequence(np.array([self.roots[a] for a, _ in tags]),
-                           np.array([b for _, b in tags]), self.p, self.n,
-                           self.dc_zero, self.coprime_with)
+        return np.take(self.refs, [self._column[a] + b for a, b in tags], axis=1)
 
     @property
     def p_max(self) -> int:

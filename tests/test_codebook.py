@@ -64,6 +64,17 @@ class TestSpacing:
         with pytest.raises(EmptyRange):
             build_codebooks(default_cfg(az_range=(0.5, 0.5)))
 
+    @pytest.mark.parametrize("axis,key", [("elevation", "el_range"),
+                                          ("azimuth", "az_range"),
+                                          ("receive", "rx_range")])
+    @pytest.mark.parametrize("bounds", [(0.2, -0.2), (0.3, 0.3), (np.nan, 0.5),
+                                        (-0.5, np.nan), (-np.inf, 0.5)])
+    def test_bad_range_fails_in_the_config(self, axis, key, bounds):
+        """hi <= lo, a NaN and an infinite bound are rejected by the config,
+        before any codebook is built."""
+        with pytest.raises(EmptyRange, match=axis):
+            default_cfg(**{key: bounds})
+
 
 # ---------------------------------------------------------------------------
 # beam vectors
@@ -152,6 +163,74 @@ class TestPairs:
         cbs = build_codebooks(cfg)
         assert len(cbs.tx_az["v"]) == 1
         assert enumerate_abps(cbs, "azimuth") == []
+        assert cbs.books["azimuth"].pairs.shape == (0, 2)
+        assert cbs.books["azimuth"].members.tolist() == [[-1, -1]]
+
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_pair_table_matches_enumerated_pairs(self, arrays):
+        """Oracle: each axis's pair table holds the adjacent same-polarization
+        beams in boresight order, numbered per axis (the pairing rule written
+        out longhand below), and enumerate_abps lists exactly those pairs;
+        the membership table inverts the pair table."""
+        cbs = build_codebooks(default_cfg(arrays=arrays,
+                                          el_range=(-np.pi / 2, np.pi / 2)))
+        for axis in ("elevation", "azimuth", "receive"):
+            book = cbs.books[axis]
+            want = []
+            for pol in cbs.pols:
+                beams = sorted((b for b in cbs.all_beams(axis) if b.polarization == pol),
+                               key=lambda b: b.boresight_mu)
+                want += list(zip(beams, beams[1:]))
+            assert len(want) > 1
+            assert book.pairs.tolist() == [[lo.index, hi.index] for lo, hi in want]
+            assert book.centers.tolist() == [0.5 * (lo.boresight_mu + hi.boresight_mu)
+                                             for lo, hi in want]
+            assert book.delta == cbs.config.delta(axis)
+            pairs = enumerate_abps(cbs, axis)
+            assert [p.abp_id for p in pairs] == list(range(len(want)))
+            assert [p.beams for p in pairs] == want
+            assert [p.center_mu for p in pairs] == book.centers.tolist()
+            assert all(p.delta == book.delta and p.axis == axis for p in pairs)
+            members = np.full((len(book.beams), 2), -1)
+            for k, (lo, hi) in enumerate(want):
+                members[lo.index, 0] = members[hi.index, 1] = k
+            assert np.array_equal(book.members, members)
+
+
+# ---------------------------------------------------------------------------
+# beam matrices, built once per codebook set
+
+class TestBooks:
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_matrix_columns_are_the_beam_vectors(self, arrays):
+        """Each column equals a scalar steering call at the beam's boresight
+        (transmit beams at the fixed frequency of the other axis) bit for
+        bit, and each beam's vector is that column."""
+        cbs = build_codebooks(default_cfg(arrays=arrays), fixed_el_mu=0.31,
+                              fixed_az_mu=-0.2)
+        for axis in ("elevation", "azimuth", "receive"):
+            book = cbs.books[axis]
+            assert book.matrix.flags.c_contiguous
+            for i, beam in enumerate(book.beams):
+                assert beam.index == i and beam.boresight_mu == book.boresights[i]
+                mu, pol = beam.boresight_mu, beam.polarization
+                want = (rx_beam_vector(arrays, pol, mu) if axis == "receive" else
+                        tx_beam_vector(arrays, pol, mu, -0.2) if axis == "elevation"
+                        else tx_beam_vector(arrays, pol, 0.31, mu))
+                assert np.array_equal(book.matrix[:, i], want)
+                assert np.shares_memory(beam.vector, book.matrix)
+
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_sweep_grid_covers_every_same_pol_pair(self, arrays):
+        cbs = build_codebooks(default_cfg(arrays=arrays,
+                                          el_range=(-np.pi / 2, np.pi / 2)))
+        el, az = cbs.all_beams("elevation"), cbs.all_beams("azimuth")
+        want = [(e.index, a.index) for pol in cbs.pols for e in el for a in az
+                if e.polarization == a.polarization == pol]
+        assert list(zip(cbs.grid_el.tolist(), cbs.grid_az.tolist())) == want
+        for k, (e, a) in enumerate(want):
+            assert np.array_equal(cbs.grid[:, k], tx_beam_vector(
+                arrays, el[e].polarization, el[e].boresight_mu, az[a].boresight_mu))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 multi-path flows, the beam-sweep baseline, and brute-force oracles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import beampair.codebook
 import beampair.pilot
 from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
                               PathParams, copol_frequency_response,
@@ -17,7 +19,7 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _memberships, _sweep)
+                                _pair_and_invert, _sweep)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -167,6 +169,45 @@ class TestInversion:
                 invert_ratio(0.3, 0.0, bad)
 
 
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestScalarClamps:
+    """The scalar min/max clamps give the np.clip results bit for bit: at
+    the endpoints, just past +-1, and for NaN (which passes through)."""
+
+    EDGES = [-1.0, 1.0, 0.0, -0.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+             1.0 + 1e-9, -1.0 - 1e-9, 1.5, -1.5, np.nan, 0.3]
+
+    def test_ratio_metric(self):
+        for pd, ps in ((1.0, 0.0), (0.0, 1.0), (2.0, 2.0), (np.nan, 1.0),
+                       (1.0, np.nan), (np.inf, 1.0), (5e-324, 0.0), (0.7, 0.2)):
+            want = float(np.clip((pd - ps) / (pd + ps), -1.0, 1.0))
+            assert _bits(ratio_metric(pd, ps)) == _bits(want)
+
+    def test_invert_ratio(self):
+        def clipped(zeta, center, delta):
+            z = float(np.clip(zeta, -1.0, 1.0))
+            sd, cd = np.sin(delta), np.cos(delta)
+            arg = (z * sd - z * np.sqrt(1.0 - z * z) * sd * cd) \
+                / (sd * sd + z * z * cd * cd)
+            mu = center - np.arcsin(np.clip(arg, -1.0, 1.0))
+            return float(np.clip(mu, center - delta, center + delta))
+
+        for z in self.EDGES:
+            for center, delta in ((0.1, 0.35), (-1.2, np.pi / 8), (0.0, 1.5)):
+                assert _bits(invert_ratio(z, center, delta)) == \
+                    _bits(clipped(z, center, delta))
+
+    def test_aoa_from_nu(self):
+        for arrays in (CO, ArrayConfig(n_x=4, n_y=8, m_tot=4, d_r=0.7)):
+            scale = 2 * np.pi * arrays.d_r
+            for x in self.EDGES:
+                want = float(np.arcsin(np.clip(x * scale / scale, -1.0, 1.0)))
+                assert _bits(aoa_from_nu(x * scale, arrays)) == _bits(want)
+
+
 # ---------------------------------------------------------------------------
 # single-path estimation
 
@@ -303,6 +344,85 @@ class TestSinglePath:
         with pytest.raises(InsufficientNeighbors):
             estimate_single_path(los_channel(0.1, 0.0, 0.3, rng), cbs)
 
+    def test_no_per_trial_rebuild(self, monkeypatch):
+        """The estimators read the codebook set's matrices and pair tables:
+        no beam vector is built and no pair list enumerated per call. The
+        counters wrap every binding of the three functions in the package."""
+        calls = []
+        for name in ("tx_beam_vector", "rx_beam_vector", "enumerate_abps"):
+            original = getattr(beampair.codebook, name)
+
+            def counting(*args, _name=name, _fn=original, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("beampair") and vars(mod).get(name) is original:
+                    monkeypatch.setattr(mod, name, counting)
+        build_codebooks(CodebookConfig(arrays=CROSS))
+        assert calls, "the counters must see the build"
+        calls.clear()
+
+        def channel(arrays):
+            ang = angles_for(0.3, -0.5, 0.4, arrays)
+            if arrays is CO:
+                return copol_frequency_response(
+                    [PathParams.single_pol(1.0, 0.0, ang)], CO, OfdmConfig(64, 16))
+            return crosspol_frequency_response(
+                [PathParams(1.0, 0.2, 0.1, 0.8, 0.0, ang)], CROSS,
+                OfdmConfig(64, 16), CrossPolConfig(0.2, 0.3))
+
+        rng = np.random.default_rng(61)
+        for cfg in (CodebookConfig(arrays=CO),
+                    CodebookConfig(arrays=CROSS, el_range=(-np.pi / 2, np.pi / 2))):
+            cbs = build_codebooks(cfg)
+            calls.clear()
+            estimate_single_path(channel(cfg.arrays), cbs, gamma=10.0, rng=rng)
+            gob_estimate(channel(cfg.arrays), cbs, gamma=10.0, rng=rng)
+            assert calls == []
+        # one elevation beam per polarization, so no elevation stage (which
+        # re-points the elevation beams at each azimuth estimate)
+        cbs = build_codebooks(CodebookConfig(arrays=CROSS))
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
+        plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=0, layout="free")
+        calls.clear()
+        estimate_multipath(channel(CROSS), plan, pilots, 10.0, 2, rng=rng,
+                           codebooks=cbs)
+        assert calls == []
+
+
+class TestPairing:
+    """_pair_and_invert on a codebook's pair table."""
+
+    def test_stronger_neighbour_and_tie(self):
+        cbs = build_codebooks(CodebookConfig(arrays=CO))
+        book, pairs = cbs.books["azimuth"], enumerate_abps(cbs, "azimuth")
+        s = np.array([1.0, 2.0, 5.0, 2.0, 1.0, 0.5])
+        _, pair, _ = _pair_and_invert(s, 2, book)
+        assert pair == pairs[1]  # tie between beams 1 and 3: the lower wins
+        s[3] = np.nextafter(2.0, 3.0)
+        mu, pair, zeta = _pair_and_invert(s, 2, book)
+        assert pair == pairs[2]
+        assert zeta == ratio_metric(s[2], s[3])
+        assert mu == invert_ratio(zeta, pairs[2].center_mu, pairs[2].delta)
+
+    def test_edge_beams_have_one_candidate(self):
+        """Beams 0-3 are vertical and 4-7 horizontal: the last vertical and
+        the first horizontal beam never pair across the split, however
+        strong the other side is."""
+        cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2))
+        cbs = build_codebooks(cfg)
+        book, pairs = cbs.books["azimuth"], enumerate_abps(cbs, "azimuth")
+        s = np.array([1.0, 1.0, 2.0, 5.0, 9.0, 3.0, 1.0, 1.0])
+        for win, want in ((0, pairs[0]), (3, pairs[2]), (4, pairs[3]),
+                          (7, pairs[5])):
+            assert _pair_and_invert(s, win, book)[1] == want
+
+    def test_single_beam_axis_raises(self):
+        cbs = build_codebooks(CodebookConfig(arrays=CO, az_range=(-0.1, 0.1)))
+        with pytest.raises(InsufficientNeighbors):
+            _pair_and_invert(np.ones(1), 0, cbs.books["azimuth"])
+
 
 class TestCrossPolarized:
     def test_zeta_matches_closed_form(self):
@@ -402,11 +522,10 @@ class TestTagging:
     def test_pair_members_share_id(self):
         cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
-        pairs = enumerate_abps(cbs, "azimuth")
-        members = _memberships(pairs)
+        members = cbs.books["azimuth"].members
         v = cbs.tx_az["v"]
         h = cbs.tx_az["h"]
-        tags = tag_probing([v[0], v[1], h[0], h[2]], members)
+        tags = tag_probing([b.index for b in (v[0], v[1], h[0], h[2])], members)
         assert tags[0][0] == tags[1][0]
         assert (tags[0][1], tags[1][1]) == (0, 1)
         assert tags[2][0] != tags[3][0]
@@ -417,7 +536,7 @@ class TestTagging:
         cbs = build_codebooks(cfg)
         lone = cbs.tx_az["v"][0]
         with pytest.raises(InsufficientNeighbors):
-            tag_probing([lone], _memberships(enumerate_abps(cbs, "azimuth")))
+            tag_probing([lone.index], cbs.books["azimuth"].members)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +658,11 @@ class TestMultipath:
         assert rep.iterations == 1600
 
     def test_one_zc_call_per_transmit_probing(self, monkeypatch):
-        """Each transmit probing builds its reference matrix once and reuses
-        it for every receive probing. The default cross-pol codebook has one
-        elevation beam per polarization, so no elevation stage runs."""
+        """assign_pilots builds every reference once; a transmit probing
+        takes its reference matrix as columns of it and reuses it for every
+        receive probing, so the estimator makes no zc_sequence call. The
+        default cross-pol codebook has one elevation beam per polarization,
+        so no elevation stage runs."""
         cbs = build_codebooks(CodebookConfig(arrays=CROSS))
         assert len(cbs.tx_el["v"]) == len(cbs.tx_el["h"]) == 1
         pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
@@ -559,7 +680,7 @@ class TestMultipath:
         estimate_multipath(chan, plan, pilots, 10.0, 2,
                            rng=np.random.default_rng(59), codebooks=cbs)
         assert plan.n_t == 2
-        assert len(calls) == plan.n_t
+        assert calls == []
 
     def test_plan_must_probe_every_beam(self):
         """A hand-built plan that skips an azimuth or receive beam is

@@ -267,6 +267,22 @@ class TestCli:
         assert capsys.readouterr().err.count("invalid config") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", [
+        "codebook.az_range_deg = 10:-10", "codebook.el_range_deg = 5:5",
+        "codebook.rx_range_deg = 30:-30", "codebook.az_range_deg = nan:60",
+        "codebook.rx_range_deg = -90:nan"])
+    def test_bad_coverage_ranges_are_invalid_config(self, line, tmp_path, capsys):
+        """A coverage range with hi <= lo or a NaN bound fails validation
+        (the codebook config checks it), so run stops before any trial."""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"trials = 1\n{line}\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--no-plots"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("invalid config") == 2 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1
         assert "invalid config" in capsys.readouterr().err

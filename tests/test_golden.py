@@ -1,12 +1,13 @@
-"""Golden-CSV regression net: every experiment family, rerun at seed 0 with
-small trial counts, must reproduce the pinned tables in tests/golden/ to
-1e-9 relative (text cells exactly). A refactor that changes a number, the
-order of RNG draws, or a family's RNG stream id fails here.
+"""Golden-CSV regression net: every experiment family, rerun at seeds 0 and 1
+with small trial counts, must reproduce the pinned tables in tests/golden/
+(seed 0) and tests/golden/seed1/ to 1e-9 relative (text cells exactly). A
+refactor that changes a number, the order of RNG draws, or a family's RNG
+stream id fails here.
 
 The pinned tables were written by the same calls as below; to regenerate
 after an intended change of the numbers, run each family with
 run_experiment(ExperimentConfig(experiment=..., trials=GOLDEN_TRIALS[...],
-seed=0, plots=False), "tests/golden")."""
+seed=s, plots=False), GOLDEN_DIRS[s])."""
 
 import csv
 import math
@@ -17,6 +18,7 @@ import pytest
 from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_DIRS = {0: GOLDEN_DIR, 1: GOLDEN_DIR / "seed1"}
 GOLDEN_TRIALS = {
     "maee_vs_snr": 40,
     "maqe_bits": 200,
@@ -44,15 +46,23 @@ def _cells_match(got: str, want: str) -> bool:
 
 def test_every_family_has_a_golden_table():
     assert set(GOLDEN_TRIALS) == set(EXPERIMENTS)
-    assert {p.stem for p in GOLDEN_DIR.glob("*.csv")} == set(EXPERIMENTS)
+    for golden in GOLDEN_DIRS.values():
+        assert {p.stem for p in golden.glob("*.csv")} == set(EXPERIMENTS)
 
 
-@pytest.mark.parametrize("family", EXPERIMENTS)
-def test_family_matches_golden(family, tmp_path):
+# Seed-0 cases keep their bare family ids, so existing test ids stay stable;
+# seed-1 cases get a "-seed1" suffix.
+CASES = [(family, seed) for seed in GOLDEN_DIRS for family in EXPERIMENTS]
+
+
+@pytest.mark.parametrize(
+    "family,seed", CASES,
+    ids=[f if s == 0 else f"{f}-seed{s}" for f, s in CASES])
+def test_family_matches_golden(family, seed, tmp_path):
     cfg = ExperimentConfig(experiment=family, trials=GOLDEN_TRIALS[family],
-                           seed=0, plots=False)
+                           seed=seed, plots=False)
     [path] = run_experiment(cfg, str(tmp_path))["files"]
-    got, want = _rows(Path(path)), _rows(GOLDEN_DIR / f"{family}.csv")
+    got, want = _rows(Path(path)), _rows(GOLDEN_DIRS[seed] / f"{family}.csv")
     assert got[0] == want[0], "header changed"
     assert len(got) == len(want), "row count changed"
     for lineno, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=2):

@@ -4,6 +4,7 @@ flat-gain interference bounds."""
 import numpy as np
 import pytest
 
+import beampair.pilot
 from beampair.pilot import (DEFAULT_ROOT_POOL, FlatGains, InvalidRoot,
                             LengthMismatch, PilotAssignment, PoolExhausted,
                             ShiftConflict, assign_pilots, correlate_zero_lag,
@@ -175,6 +176,25 @@ class TestAssignment:
         assert asn.references([(0, 0), (1, 1)]).shape == (512, 2)
         with pytest.raises(ValueError, match="0 or 1"):
             asn.references([(0, 0), (1, 2)])
+
+    @pytest.mark.parametrize("dc_zero", [False, True])
+    def test_reference_matrix_built_once(self, dc_zero, monkeypatch):
+        """The assignment holds every reference as one (n, 2 * pairs)
+        matrix, column 2k + b being shift b of the k-th pair id; a probing's
+        references are its columns, taken without a zc_sequence call."""
+        asn = assign_pilots([3, 1], 64, p=6, dc_zero=dc_zero)
+        assert asn.refs.shape == (64, 4)
+        for k, a in enumerate(asn.roots):
+            for b in (0, 1):
+                assert np.array_equal(asn.refs[:, 2 * k + b],
+                                      zc_sequence(asn.roots[a], b, 6, 64, dc_zero))
+        monkeypatch.setattr(beampair.pilot, "zc_sequence", None)
+        tags = [(3, 1), (1, 0), (3, 0)]
+        got = asn.references(tags)
+        assert got.flags.c_contiguous  # the layout a column stack would have
+        for j, (a, b) in enumerate(tags):
+            k = list(asn.roots).index(a)
+            assert np.array_equal(got[:, j], asn.refs[:, 2 * k + b])
 
     def test_default_pool_order(self):
         """Sorted pair ids take the canonical roots in order; at length 512
