@@ -25,6 +25,10 @@ class InvalidChi(ValueError):
     pass
 
 
+class EmptyProfile(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class OfdmConfig:
     n_subcarriers: int
@@ -318,6 +322,10 @@ class ClusterProfile:
     chi: float = 0.2
     varsigma: float = np.radians(20.0)
     copol_gains_only: bool = False
+
+    def __post_init__(self):
+        if self.n_clusters < 1 or self.subpaths_per_cluster < 1:
+            raise EmptyProfile("n_clusters and subpaths_per_cluster must be >= 1")
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,

@@ -5,7 +5,8 @@ import sys
 from dataclasses import replace
 
 from .experiments import (EXPERIMENTS, ConfigError, IoError, ParseError,
-                          load_config, run_experiment, validate_config)
+                          load_config, run_experiment, setup_experiment,
+                          validate_config)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -26,18 +27,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val_p = sub.add_parser("validate", help="parse a config and report problems")
     val_p.add_argument("config")
+    val_p.set_defaults(experiment=None, seed=None, trials=None, no_plots=False)
 
     sub.add_parser("list-experiments", help="print the known experiment ids")
     return parser
 
 
 def _load(args) -> "ExperimentConfig":
-    if args.config is None:
-        cfg = validate_config("")
-    else:
-        cfg = load_config(args.config)
+    cfg = validate_config("") if args.config is None else load_config(args.config)
     overrides = {}
-    if getattr(args, "experiment", None) is not None:
+    if args.experiment is not None:
         overrides["experiment"] = args.experiment
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -54,25 +53,22 @@ def main(argv=None) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-        except (ParseError, ConfigError, OSError) as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 1
-        print(f"ok: experiment={cfg.experiment} trials={cfg.trials} "
-              f"seed={cfg.seed} snr_db={list(cfg.snr_db)}")
-        return 0
-    # run
     try:
         cfg = _load(args)
+        if args.command == "validate":
+            setup_experiment(cfg)
     except (ParseError, ConfigError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    if args.command == "validate":
+        print(f"ok: experiment={cfg.experiment} trials={cfg.trials} "
+              f"seed={cfg.seed} snr_db={list(cfg.snr_db)}")
+        return 0
     try:
         result = run_experiment(cfg, out_dir=args.out_dir)
-    except (ConfigError, IoError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (ConfigError, IoError) as exc:  # a ConfigError comes from the setup
+        kind = "invalid config" if isinstance(exc, ConfigError) else "run failed"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
     for path in result["files"]:
         print(path)

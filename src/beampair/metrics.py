@@ -103,10 +103,12 @@ def build_rf_beamformers(paths, arrays: ArrayConfig, n_s: int
     if not triples:
         raise EmptyInput("no path directions")
     pols = ("v", "h") if arrays.polarization_mode == "cross" else ("v",)
-    f_cols, w_cols = [], []
-    for i in range(n_s):
-        mu_x, mu_y, nu = triples[i % len(triples)]
-        pol = pols[i % len(pols)]
-        f_cols.append(tx_beam_vector(arrays, pol, mu_x, mu_y))
-        w_cols.append(rx_beam_vector(arrays, pol, nu))
-    return np.column_stack(f_cols), np.column_stack(w_cols)
+    dirs = np.array(triples, dtype=float)[np.arange(n_s) % len(triples)]
+    f = np.empty((arrays.n_tot, n_s), dtype=complex)
+    w = np.empty((arrays.m_full, n_s), dtype=complex)
+    # one steering call per polarization and side: streams j, j + len(pols), ...
+    for j, pol in enumerate(pols[:n_s]):
+        mu_x, mu_y, nu = dirs[j::len(pols)].T
+        f[:, j::len(pols)] = tx_beam_vector(arrays, pol, mu_x, mu_y)
+        w[:, j::len(pols)] = rx_beam_vector(arrays, pol, nu)
+    return f, w

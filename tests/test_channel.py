@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig,
-                              DimensionMismatch, InvalidChi, OfdmConfig, PathParams,
+                              DimensionMismatch, EmptyProfile, InvalidChi,
+                              OfdmConfig, PathParams,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
                               effective_gains, load_channel_csv, pulse_coefficient,
@@ -335,6 +336,12 @@ class TestClustered:
         real = clustered_channel_generate(prof, rng, CO, OFDM)
         assert all(p.g_vh == 0 and p.g_hv == 0 and p.g_hh == 0 for p in real.paths)
         assert real.h.shape == (64, 2, 6)
+
+    @pytest.mark.parametrize("shape", [{"n_clusters": 0}, {"subpaths_per_cluster": 0},
+                                       {"n_clusters": -1, "subpaths_per_cluster": 2}])
+    def test_empty_profile_rejected(self, shape):
+        with pytest.raises(EmptyProfile, match=">= 1"):
+            ClusterProfile(**shape)
 
     def test_sector_clipping(self):
         rng = np.random.default_rng(22)

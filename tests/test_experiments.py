@@ -1,7 +1,10 @@
 """Experiment driver tests: config parsing, CSV round trips, small
 deterministic runs of each family, and the command-line interface."""
 
+import csv
 import os
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,8 +15,7 @@ from beampair.cli import main
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   IoError, ParseError, ResultTable,
                                   emit_outputs, load_config, parse_snr_grid,
-                                  read_table_csv, run_experiment,
-                                  validate_config)
+                                  run_experiment, validate_config)
 
 # ---------------------------------------------------------------------------
 # SNR grid parsing
@@ -90,6 +92,52 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="trials"):
             validate_config("trials = 0")
 
+    # every config key: the field it sets, its parser, and a value to parse
+    KEYS = {
+        "experiment": ("experiment", str, "maqe_bits"),
+        "trials": ("trials", int, "2"), "seed": ("seed", int, "2"),
+        "snr_db": ("snr_db", parse_snr_grid, "0:5:10"),
+        "arrays.n_x": ("n_x", int, "2"), "arrays.n_y": ("n_y", int, "2"),
+        "arrays.m_tot": ("m_tot", int, "2"),
+        "arrays.polarization": ("polarization", str, "cross"),
+        "channel.k_factor_db": ("k_factor_db", float, "2.5"),
+        "channel.n_nlos": ("n_nlos", int, "2"),
+        "channel.bandwidth": ("bandwidth", str, "250mhz"),
+        "channel.n_clusters": ("n_clusters", int, "2"),
+        "channel.subpaths": ("subpaths", int, "2"),
+        "channel.chi": ("chi", float, "2.5"),
+        "channel.varsigma_deg": ("varsigma_deg", float, "2.5"),
+        "codebook.az_range_deg": ("az_range_deg", experiments._parse_pair, "-30:30"),
+        "codebook.el_range_deg": ("el_range_deg", experiments._parse_pair, "-20:20"),
+        "codebook.rx_range_deg": ("rx_range_deg", experiments._parse_pair, "-80:80"),
+        "codebook.delta_mode": ("delta_mode", str, "commensurate"),
+        "codebook.ell": ("ell", int, "2"), "pilot.p": ("p", int, "2"),
+        "pilot.roots": ("roots", experiments._parse_ints, "25,29"),
+        "pilot.coprime_with": ("coprime_with", str, "n_minus_1"),
+        "pilot.dc_zero": ("dc_zero", experiments._parse_bool, "yes"),
+        "quantizer.bits": ("bits", int, "2"),
+        "overhead.epsilon_t": ("epsilon_t", int, "2"),
+        "overhead.t_tot": ("t_tot", int, "2"), "overhead.n_bm": ("n_bm", int, "2"),
+        "overhead.m_bm": ("m_bm", int, "2"), "overhead.n_s": ("n_s", int, "2"),
+        "overhead.n_tx_total": ("n_tx_total", int, "2"),
+        "overhead.m_rx_total": ("m_rx_total", int, "2"),
+        "probing.n_t": ("n_t", int, "2"), "probing.m_t": ("m_t", int, "2"),
+        "probing.n_select": ("n_select", int, "2"),
+        "plots": ("plots", experiments._parse_bool, "off"),
+    }
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_key_sets_its_field(self, key):
+        attr, parse, text = self.KEYS[key]
+        got = getattr(validate_config(f"{key} = {text}\n"), attr)
+        assert got == parse(text) and type(got) is type(parse(text))
+        assert [f.metadata["parse"] for f in fields(ExperimentConfig)
+                if f.name == attr] == [parse]
+
+    def test_one_key_per_field(self):
+        assert sorted(f.name for f in fields(ExperimentConfig)) \
+            == sorted(attr for attr, _, _ in self.KEYS.values())
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(GOOD_CONFIG, encoding="utf-8")
@@ -110,10 +158,10 @@ class TestResultTable:
         table.add("10", "0.123456789")
         table.add("15", "0.5")
         path = emit_outputs(table, str(tmp_path))
-        back = read_table_csv(path)
-        assert back.name == "demo"
-        assert back.columns == ["snr_db", "value"]
-        assert back.rows == [("10", "0.123456789"), ("15", "0.5")]
+        assert os.path.basename(path) == "demo.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["snr_db", "value"], ["10", "0.123456789"], ["15", "0.5"]]
 
     def test_empty_table_refused(self, tmp_path):
         with pytest.raises(IoError, match="empty"):
@@ -282,6 +330,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("invalid config") == 2 and "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("family,line", [
+        *((family, line) for family in EXPERIMENTS for line in (
+            "channel.bandwidth = foo", "pilot.p = 0", "pilot.roots = 2",
+            "arrays.m_tot = 1", "channel.subpaths = 0", "channel.n_clusters = 0")),
+        ("pilot_vs_tdm", "arrays.polarization = co"),
+        ("norm_se_vs_snr", "overhead.n_s = 4")])
+    def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
+                                               capsys):
+        """validate runs the family's setup, so it exits 1 exactly when run
+        does; neither ends in a traceback, and a rejected run makes no
+        output directory."""
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\ntrials = 1\n{line}\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        validated = main(["validate", str(path)])
+        ran = main(["run", str(path), "--out-dir", str(out), "--no-plots"])
+        err = capsys.readouterr().err
+        assert validated == ran
+        assert "Traceback" not in err
+        assert err.count("invalid config") == 2 * ran
+        assert out.exists() == (ran == 0)
+
+    @pytest.mark.parametrize("family", EXPERIMENTS)
+    def test_validate_runs_no_trial(self, family, tmp_path, capsys, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("validate drew a channel")
+
+        monkeypatch.setattr(experiments, "clustered_channel_generate", no_trial)
+        monkeypatch.setattr(experiments, "rician_narrowband", no_trial)
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(f"ok: experiment={family} ")
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

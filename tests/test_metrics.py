@@ -4,8 +4,10 @@ with an eigenvalue oracle."""
 import numpy as np
 import pytest
 
+from beampair import metrics
 from beampair.channel import (ChannelRealization, DimensionMismatch, OfdmConfig,
                               PathParams, copol_frequency_response)
+from beampair.codebook import rx_beam_vector, tx_beam_vector
 from beampair.geometry import (AngleSet, ArrayConfig,
                                angles_from_spatial_frequencies, aoa_from_nu)
 from beampair.metrics import (EmptyInput, OverheadModel, build_rf_beamformers,
@@ -169,6 +171,37 @@ class TestBuildBeamformers:
         n = 8
         assert np.all(f[n:, 0] == 0) and np.all(f[:n, 1] == 0)
         assert np.all(w[3:, 0] == 0) and np.all(w[:3, 1] == 0)
+
+    @pytest.mark.parametrize("mode", ["co", "cross"])
+    @pytest.mark.parametrize("n_s", [1, 2, 3, 5])
+    def test_one_steering_call_per_polarization(self, mode, n_s, monkeypatch):
+        """Columns equal, bit for bit, the per-stream scalar steering calls
+        (stream i: path i mod L, polarization i mod 2 in cross mode), with
+        n_s below, at and above the path count, from at most one
+        tx_beam_vector and one rx_beam_vector call per polarization."""
+        arrays = ArrayConfig(2, 4, 3, polarization_mode=mode)
+        paths = [(0.1, 0.2, 0.3), (-0.4, 0.5, -0.6), (0.7, -0.8, 0.9)]
+        pols = ("v", "h") if mode == "cross" else ("v",)
+        want_f = [tx_beam_vector(arrays, pols[i % len(pols)], *paths[i % 3][:2])
+                  for i in range(n_s)]
+        want_w = [rx_beam_vector(arrays, pols[i % len(pols)], paths[i % 3][2])
+                  for i in range(n_s)]
+        calls = []
+
+        def counted(fn):
+            def wrapper(arrays, pol, *args):
+                calls.append((fn.__name__, pol))
+                return fn(arrays, pol, *args)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "tx_beam_vector", counted(tx_beam_vector))
+        monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector))
+        f, w = build_rf_beamformers(paths, arrays, n_s)
+        assert f.shape[1] == w.shape[1] == n_s
+        for i in range(n_s):
+            assert f[:, i].tobytes() == want_f[i].tobytes()
+            assert w[:, i].tobytes() == want_w[i].tobytes()
+        assert len(calls) == len(set(calls)) == 2 * min(n_s, len(pols))
 
     def test_guards(self):
         arrays = ArrayConfig(2, 4, 3)
