@@ -92,18 +92,15 @@ def _raised_cosine(t: np.ndarray, t_s: float, rolloff: float = 0.25) -> np.ndarr
     x = t / t_s
     num = np.sinc(x) * np.cos(np.pi * rolloff * x)
     den = 1.0 - (2.0 * rolloff * x) ** 2
-    out = np.empty_like(x)
-    reg = np.abs(den) > 1e-10
-    out[reg] = num[reg] / den[reg]
     # limit value at the den = 0 points: (pi/4) * sinc(1/(2*rolloff))
-    out[~reg] = (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff))
-    return out
+    out = np.full_like(x, (np.pi / 4.0) * np.sinc(1.0 / (2.0 * rolloff)))
+    return np.divide(num, den, out=out, where=np.abs(den) > 1e-10)
 
 
-def pulse_samples(tau: float, ofdm: OfdmConfig, pulse: str = "raised-cosine") -> np.ndarray:
-    """p(d*T_s - tau) for d = 0..D-1."""
-    d = np.arange(ofdm.cp_length)
-    t = d * ofdm.sample_period - tau
+def pulse_samples(tau, ofdm: OfdmConfig, pulse: str = "raised-cosine") -> np.ndarray:
+    """p(d*T_s - tau) for d = 0..D-1; a 1-D array of delays gives a
+    (D, len) matrix, one column per delay."""
+    t = np.subtract.outer(np.arange(ofdm.cp_length) * ofdm.sample_period, tau)
     if pulse == "unit-sample":
         return np.where(np.isclose(t, 0.0, atol=1e-15), 1.0, 0.0)
     if pulse == "raised-cosine":
@@ -111,12 +108,13 @@ def pulse_samples(tau: float, ofdm: OfdmConfig, pulse: str = "raised-cosine") ->
     raise ValueError(f"unknown pulse {pulse!r}")
 
 
-def pulse_coefficients(tau: float, ofdm: OfdmConfig,
+def pulse_coefficients(tau, ofdm: OfdmConfig,
                        pulse: str = "raised-cosine") -> np.ndarray:
     """Per-subcarrier delay-tap coefficients rho_tau[k] for k = 0..N-1:
     sum over CP-window taps of p(d*T_s - tau) * exp(-j*2*pi*k*d/N), i.e. the
-    length-N DFT of the zero-padded taps."""
-    return np.fft.fft(pulse_samples(tau, ofdm, pulse), n=ofdm.n_subcarriers)
+    length-N DFT of the zero-padded taps. A 1-D array of delays gives an
+    (N, len) matrix, one column per delay."""
+    return np.fft.fft(pulse_samples(tau, ofdm, pulse), n=ofdm.n_subcarriers, axis=0)
 
 
 def pulse_coefficient(tau: float, k: int, ofdm: OfdmConfig,
@@ -127,18 +125,24 @@ def pulse_coefficient(tau: float, k: int, ofdm: OfdmConfig,
     return complex(pulse_coefficients(tau, ofdm, pulse)[k])
 
 
+def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
+    """Effective gains [[vv, vh], [hv, hh]] of raw gains g (L, 2, 2) in the
+    same layout: the power-imbalance mask [[1, rc], [rc, 1]] (rc =
+    sqrt(chi)), then the polarization mismatch rotation of each row, then
+    the power scaling q = sqrt(1 / (1 + chi))."""
+    rc = np.sqrt(xp.chi)
+    c, s = np.cos(xp.varsigma), np.sin(xp.varsigma)
+    masked = g * np.array([[1.0, rc], [rc, 1.0]])
+    left, right = masked[..., 0], masked[..., 1]
+    rotated = np.stack([left * c + right * s, right * c - left * s], axis=-1)
+    return np.sqrt(1.0 / (1.0 + xp.chi)) * rotated
+
+
 def effective_gains(path: PathParams, xp: CrossPolConfig) -> dict[str, complex]:
     """Per-block path gains after the power-imbalance scaling and the
     polarization mismatch rotation are folded in."""
-    q = np.sqrt(1.0 / (1.0 + xp.chi))
-    rc = np.sqrt(xp.chi)
-    c, s = np.cos(xp.varsigma), np.sin(xp.varsigma)
-    return {
-        "vv": q * (path.g_vv * c + rc * path.g_vh * s),
-        "vh": q * (-path.g_vv * s + rc * path.g_vh * c),
-        "hv": q * (rc * path.g_hv * c + path.g_hh * s),
-        "hh": q * (-rc * path.g_hv * s + path.g_hh * c),
-    }
+    g = np.array([[[path.g_vv, path.g_vh], [path.g_hv, path.g_hh]]], dtype=complex)
+    return dict(zip(("vv", "vh", "hv", "hh"), _effective(g, xp).ravel().tolist()))
 
 
 @dataclass
@@ -190,31 +194,42 @@ class ChannelRealization:
         return (self.rho @ per_path.reshape(n_paths, i * j)).reshape(-1, i, j)
 
 
-def _path_factors(paths: list[PathParams], arrays: ArrayConfig,
-                  xp: CrossPolConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Receive and transmit factors (u, v) of ChannelRealization for all
-    paths, from one steering call per side: co-pol when xp is None (the
-    g_vv gain only), cross-pol with the effective gains of xp otherwise."""
-    sf = [spatial_frequencies(p.angles, arrays) for p in paths]
-    a_r = ula_steering(np.array([s.nu for s in sf]), arrays.m_tot).T  # (L, m)
-    a_t = upa_steering(np.array([s.mu_x for s in sf]), np.array([s.mu_y for s in sf]),
-                       arrays.n_x, arrays.n_y).T  # (L, n)
+def _realization(rho: np.ndarray, angles, g: np.ndarray, paths: list[PathParams],
+                 arrays: ArrayConfig, xp: CrossPolConfig | None = None,
+                 **meta) -> ChannelRealization:
+    """Realization of L paths from their delay-tap columns rho (N, L), their
+    angles ((L,) arrays theta, phi, psi) and gains, with one steering call
+    per side for all paths: co-pol when xp is None (g holds the (L,) vv
+    gains), cross-pol with the effective gains of the raw (L, 2, 2) g
+    otherwise."""
+    sf = spatial_frequencies(angles, arrays)
+    a_r = ula_steering(sf.nu, arrays.m_tot).T  # (L, m)
+    a_t = upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).T  # (L, n)
+    if xp is None:
+        u, v = (g[:, None] * a_r)[:, :, None], a_t[:, :, None]
+    else:
+        n_paths, e = len(g), _effective(g, xp)
+        u = (e[:, :, None, :] * a_r[:, None, :, None]).reshape(n_paths, -1, 2)
+        v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(n_paths, -1, 2)
+    return ChannelRealization(rho, u, v, paths, arrays, crosspol=xp, **meta)
+
+
+def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig | None,
+                pulse: str, xp: CrossPolConfig | None = None) -> ChannelRealization:
+    """Realization of explicit paths; narrowband (a single subcarrier of
+    unit taps) when ofdm is None, else one delay-tap column per distinct
+    delay, shared by the paths at that delay."""
+    paths = list(paths)
+    angles = np.array([tuple(p.angles) for p in paths]).T
     if xp is None:
         g = np.array([p.g_vv for p in paths], dtype=complex)
-        return (g[:, None] * a_r)[:, :, None], a_t[:, :, None]
-    gains = [effective_gains(p, xp) for p in paths]
-    g = np.array([[[e["vv"], e["vh"]], [e["hv"], e["hh"]]] for e in gains])  # (L, 2, 2)
-    u = (g[:, :, None, :] * a_r[:, None, :, None]).reshape(len(paths), -1, 2)
-    v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(len(paths), -1, 2)
-    return u, v
-
-
-def _wideband(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
-              pulse: str, xp: CrossPolConfig | None = None) -> ChannelRealization:
-    """Realization with one column of delay-tap coefficients per path."""
-    rho = np.column_stack([pulse_coefficients(p.tau, ofdm, pulse) for p in paths])
-    return ChannelRealization(rho, *_path_factors(paths, arrays, xp), list(paths),
-                              arrays, ofdm=ofdm, crosspol=xp, pulse=pulse)
+    else:
+        g = np.array([[[p.g_vv, p.g_vh], [p.g_hv, p.g_hh]] for p in paths], dtype=complex)
+    if ofdm is None:
+        return _realization(np.ones((1, len(paths))), angles, g, paths, arrays, xp)
+    taus, col = np.unique([p.tau for p in paths], return_inverse=True)
+    rho = np.take(pulse_coefficients(taus, ofdm, pulse), col, axis=1)
+    return _realization(rho, angles, g, paths, arrays, xp, ofdm=ofdm, pulse=pulse)
 
 
 def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
@@ -222,7 +237,7 @@ def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
     """H[k] = sum_r g_r * rho_{tau_r}[k] * a_r(psi_r) a_t*(theta_r, phi_r)."""
     if arrays.polarization_mode != "co":
         raise DimensionMismatch("co-polarized arrays required")
-    return _wideband(paths, arrays, ofdm, pulse)
+    return _from_paths(paths, arrays, ofdm, pulse)
 
 
 def crosspol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
@@ -232,9 +247,7 @@ def crosspol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
     effective gains, stacked into the full 2m x 2n matrix."""
     if arrays.polarization_mode != "cross":
         raise DimensionMismatch("cross-polarized arrays required")
-    if xp.chi < 0:
-        raise InvalidChi("chi must be >= 0")
-    return _wideband(paths, arrays, ofdm, pulse, xp)
+    return _from_paths(paths, arrays, ofdm, pulse, xp)
 
 
 def crosspol_direct(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
@@ -261,17 +274,20 @@ def crosspol_direct(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConf
     return h
 
 
-def _visible_angles(mu_x: float, mu_y: float, nu: float,
-                    arrays: ArrayConfig) -> AngleSet:
-    """Path angles of a direction given in spatial frequencies, with
-    (mu_x, mu_y) pulled just inside the visible region if outside it."""
+def _visible(mu_x: np.ndarray, mu_y: np.ndarray, nu: np.ndarray,
+             arrays: ArrayConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, phi, psi) arrays of directions given in spatial frequencies,
+    with each (mu_x, mu_y) outside the visible region pulled just inside it
+    along its own direction."""
     rad = np.hypot(mu_x / (2 * np.pi * arrays.d_tx), mu_y / (2 * np.pi * arrays.d_ty))
-    if rad >= 1.0:
-        scl = 0.999 / rad
-        mu_x *= scl
-        mu_y *= scl
-    return AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, arrays),
-                    aoa_from_nu(nu, arrays))
+    scl = np.where(rad >= 1.0, 0.999 / np.maximum(rad, 1.0), 1.0)  # x * 1.0 is exact
+    return (*angles_from_spatial_frequencies(mu_x * scl, mu_y * scl, arrays),
+            aoa_from_nu(nu, arrays))
+
+
+def _angle_sets(theta: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> list[AngleSet]:
+    """One AngleSet of floats per entry."""
+    return [AngleSet(*a) for a in zip(theta.tolist(), phi.tolist(), psi.tolist())]
 
 
 def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
@@ -290,21 +306,21 @@ def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
     w_nlos = np.sqrt(1.0 / (1.0 + kf))
 
     g_los = w_los * np.exp(2j * np.pi * rng.random())
-    paths = [PathParams.single_pol(g_los, 0.0, los_angles)]
-
     ranges = nlos_mu_ranges or {}
-    mu_x_rng = ranges.get("mu_x", (-np.pi / 2, np.pi / 2))
-    mu_y_rng = ranges.get("mu_y", (-np.pi / 2, np.pi / 2))
-    nu_rng = ranges.get("nu", (-np.pi / 2, np.pi / 2))
-    for _ in range(n_nlos):
-        g = w_nlos * (rng.normal() + 1j * rng.normal()) / np.sqrt(2 * max(n_nlos, 1))
-        mu_x = rng.uniform(*mu_x_rng)
-        mu_y = rng.uniform(*mu_y_rng)
-        ang = _visible_angles(mu_x, mu_y, rng.uniform(*nu_rng), arrays)
-        paths.append(PathParams.single_pol(g, 0.0, ang))
-
-    return ChannelRealization(np.ones((1, len(paths))), *_path_factors(paths, arrays),
-                              paths, arrays, dominant_angles=[los_angles])
+    lo, hi = np.array([ranges.get(key, (-np.pi / 2, np.pi / 2))
+                       for key in ("mu_x", "mu_y", "nu")]).T[:, :, None]
+    # per path: the gain's real and imaginary parts, then mu_x, mu_y and nu,
+    # uniform(lo, hi) draws being lo + (hi - lo) * random()
+    draws = np.array([(rng.normal(), rng.normal(), rng.random(), rng.random(), rng.random())
+                      for _ in range(n_nlos)]).reshape(n_nlos, 5).T
+    g = np.concatenate([[g_los], w_nlos * (draws[0] + 1j * draws[1])
+                        / np.sqrt(2 * max(n_nlos, 1))])
+    nlos = _visible(*(lo + (hi - lo) * draws[2:]), arrays)
+    paths = [PathParams.single_pol(gain, 0.0, ang)
+             for gain, ang in zip(g.tolist(), [los_angles, *_angle_sets(*nlos)])]
+    angles = [np.concatenate([[a], b]) for a, b in zip(los_angles, nlos)]
+    return _realization(np.ones((1, len(paths))), angles, g, paths, arrays,
+                        dominant_angles=[los_angles])
 
 
 @dataclass(frozen=True)
@@ -321,11 +337,11 @@ class ClusterProfile:
     nu_range: tuple[float, float] = (-np.pi / 2, np.pi / 2)
     chi: float = 0.2
     varsigma: float = np.radians(20.0)
-    copol_gains_only: bool = False
 
     def __post_init__(self):
         if self.n_clusters < 1 or self.subpaths_per_cluster < 1:
             raise EmptyProfile("n_clusters and subpaths_per_cluster must be >= 1")
+        CrossPolConfig(self.chi, self.varsigma)  # InvalidChi for chi < 0
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
@@ -335,57 +351,53 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     at zero delay), exponential power-delay profile, cluster centers uniform
     over the configured sectors, Laplacian subpath offsets, complex Gaussian
     subpath gains. Total mean path power is normalized to 1. The strongest
-    subpath of each cluster is recorded as that cluster's ground truth."""
+    subpath of each cluster is recorded as that cluster's ground truth.
+
+    Draws per cluster: the (mu_x, mu_y, nu) sector centers, the (mu_x, mu_y,
+    nu) x subpath offsets, the subpath powers, then per subpath the real and
+    imaginary parts of g_vv, g_vh, g_hv, g_hh. Everything after the draws is
+    one array pass over all L = clusters x subpaths paths."""
     nc, ns = profile.n_clusters, profile.subpaths_per_cluster
-    delays = np.concatenate([[0.0], rng.exponential(profile.delay_spread, size=nc - 1)]) \
-        if nc > 1 else np.zeros(1)
-    delays = np.sort(delays)
+    delays = np.zeros(nc)  # the first cluster at zero delay
+    delays[1:] = rng.exponential(profile.delay_spread, size=nc - 1)
+    delays.sort()
     max_delay = (ofdm.cp_length - 1) * ofdm.sample_period
     delays = np.minimum(delays, 0.9 * max_delay)
     powers = np.exp(-delays / max(profile.delay_spread, 1e-12))
     powers = powers / powers.sum()
 
-    paths: list[PathParams] = []
-    dominant: list[tuple[float, AngleSet]] = []
-    for ci in range(nc):
-        c_mu_x = rng.uniform(*profile.mu_x_range)
-        c_mu_y = rng.uniform(*profile.mu_y_range)
-        c_nu = rng.uniform(*profile.nu_range)
-        off_x = rng.laplace(0.0, profile.angle_spread, size=ns)
-        off_y = rng.laplace(0.0, profile.angle_spread, size=ns)
-        off_n = rng.laplace(0.0, profile.angle_spread, size=ns)
-        sub_p = rng.exponential(1.0, size=ns)
-        sub_p = powers[ci] * sub_p / sub_p.sum()
-        best = None
-        for si in range(ns):
-            mu_x = float(np.clip(c_mu_x + off_x[si], *profile.mu_x_range))
-            mu_y = float(np.clip(c_mu_y + off_y[si], *profile.mu_y_range))
-            nu = float(np.clip(c_nu + off_n[si], *profile.nu_range))
-            ang = _visible_angles(mu_x, mu_y, nu, arrays)
-            amp = np.sqrt(sub_p[si])
+    lo, hi = np.array([profile.mu_x_range, profile.mu_y_range, profile.nu_range]).T
+    draws = [(rng.random(3), rng.laplace(0.0, profile.angle_spread, size=(3, ns)),
+              rng.exponential(1.0, size=ns), rng.normal(size=(ns, 8)))
+             for _ in range(nc)]
+    unit, offsets, sub_p, parts = (np.array(d) for d in zip(*draws))
+    # uniform(lo, hi) draws are lo + (hi - lo) * random()
+    mus = (lo + (hi - lo) * unit)[:, :, None] + offsets  # (nc, 3, ns)
+    mus = np.minimum(np.maximum(mus, lo[:, None]), hi[:, None])
+    theta, phi, psi = _visible(*mus.transpose(1, 0, 2).reshape(3, -1), arrays)
 
-            def cg():
-                return amp * (rng.normal() + 1j * rng.normal()) / np.sqrt(2)
+    amp = np.sqrt(powers[:, None] * sub_p / sub_p.sum(axis=1, keepdims=True))
+    g = amp.reshape(-1, 1) * (parts[..., 0::2] + 1j * parts[..., 1::2]).reshape(-1, 4) \
+        / np.sqrt(2)
+    power = np.abs(g) ** 2
+    strength = power[:, 0] + power[:, 1] + power[:, 2] + power[:, 3]
+    angle_sets = _angle_sets(theta, phi, psi)
+    paths = [PathParams(*gains, tau, ang) for gains, tau, ang in
+             zip(g.tolist(), np.repeat(delays, ns).tolist(), angle_sets)]
+    # sorted delays make the clusters' powers non-increasing, so clusters
+    # are already in decreasing-power order
+    best = strength.reshape(nc, ns).argmax(axis=1) + ns * np.arange(nc)
+    dominant = [angle_sets[i] for i in best.tolist()]
 
-            if profile.copol_gains_only:
-                path = PathParams.single_pol(cg(), float(delays[ci]), ang)
-            else:
-                path = PathParams(cg(), cg(), cg(), cg(), float(delays[ci]), ang)
-            paths.append(path)
-            strength = abs(path.g_vv) ** 2 + abs(path.g_vh) ** 2 \
-                + abs(path.g_hv) ** 2 + abs(path.g_hh) ** 2
-            if best is None or strength > best[0]:
-                best = (strength, ang)
-        dominant.append((powers[ci], best[1]))
-
-    dominant.sort(key=lambda t: -t[0])
+    # one delay-tap column per cluster, shared by its subpaths
+    rho = np.take(pulse_coefficients(delays, ofdm, pulse), np.repeat(np.arange(nc), ns),
+                  axis=1)
     if arrays.polarization_mode == "cross":
-        xp = CrossPolConfig(profile.chi, profile.varsigma)
-        out = crosspol_frequency_response(paths, arrays, ofdm, xp, pulse)
+        g, xp = g.reshape(-1, 2, 2), CrossPolConfig(profile.chi, profile.varsigma)
     else:
-        out = copol_frequency_response(paths, arrays, ofdm, pulse)
-    out.dominant_angles = [a for _, a in dominant]
-    return out
+        g, xp = g[:, 0], None  # co-pol arrays see the vv gain only
+    return _realization(rho, (theta, phi, psi), g, paths, arrays, xp,
+                        ofdm=ofdm, pulse=pulse, dominant_angles=dominant)
 
 
 # ---------------------------------------------------------------------------
@@ -454,5 +466,4 @@ def load_channel_csv(path: str) -> ChannelRealization:
             xp = CrossPolConfig(float(meta["chi"]), float(meta["varsigma"]))
             return crosspol_frequency_response(paths, arrays, ofdm, xp, pulse)
         return copol_frequency_response(paths, arrays, ofdm, pulse)
-    return ChannelRealization(np.ones((1, len(paths))), *_path_factors(paths, arrays),
-                              paths, arrays)
+    return _from_paths(paths, arrays, None, pulse)

@@ -8,7 +8,7 @@ horizontal the upper half, and beam vectors are zero-padded outside their
 polarization block.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -216,6 +216,14 @@ class CodebookSet:
 
     def all_beams(self, axis: str) -> list[Beam]:
         return list(self.books[axis].beams)
+
+    def repointed(self, az_mu: float) -> "CodebookSet":
+        """The set with its elevation beams steered at azimuth frequency
+        az_mu, as build_codebooks(config, fixed_az_mu=az_mu) builds them.
+        Nothing else depends on that value (the sweep grid steers both
+        frequencies), so the other books and the grid are shared."""
+        books = dict(self.books, elevation=_axis_book(self.config, "elevation", az_mu))
+        return replace(self, books=books)
 
 
 def build_codebooks(cfg: CodebookConfig, fixed_el_mu: float | None = None,

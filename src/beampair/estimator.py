@@ -20,8 +20,7 @@ import numpy as np
 
 from .channel import ChannelRealization, DimensionMismatch
 from .codebook import (AuxiliaryBeamPair, AxisBook, Beam, CodebookSet,
-                       InfeasibleCoverage, ProbingPlan, build_codebooks,
-                       random_probing_plan)
+                       InfeasibleCoverage, ProbingPlan, random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
 from .geometry import (DegenerateDirection, angles_from_spatial_frequencies,
                        aoa_from_nu)
@@ -116,9 +115,15 @@ def invert_ratio(zeta: float, center_mu: float, delta: float) -> float:
     return float(min(max(mu, center_mu - delta), center_mu + delta))
 
 
-def _noise_like(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    return sigma * (rng.standard_normal(shape)
-                    + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+def _noise_like(shape, sigma: float, rng: np.random.Generator,
+                batch: tuple = ()) -> np.ndarray:
+    """Circular complex Gaussian noise of variance sigma^2 and `shape` (an
+    int or a tuple), real parts drawn before imaginary parts. A `batch`
+    shape makes that many such draws in one generator call, each equal to
+    what a separate call would give, stacked as batch + shape."""
+    dims = (shape,) if np.ndim(shape) == 0 else tuple(shape)
+    z = rng.standard_normal((math.prod(batch), 2, *dims))
+    return (sigma * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)).reshape(*batch, *dims)
 
 
 def _sigma_from_gamma(gamma: float | None) -> float:
@@ -274,15 +279,17 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
     # np.take keeps column picks C-ordered (m[:, idx] is F-ordered) for BLAS
     w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
     splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
+    if sigma > 0:  # element noise of every (tx, rx) probing, in loop order
+        noise = _noise_like((n, m), sigma, rng, batch=(len(tx_idx), len(rx_idx)))
 
-    for t_idx in tx_idx:
+    for nt, t_idx in enumerate(tx_idx):
         f_mat = np.take(tx_book.matrix, t_idx, axis=1)
         x = pilots.references(tag_probing(t_idx, tx_book.members))  # (N, n_rf)
         y_all = np.einsum("kij,kj->ki", channel.beamformed(w_all, f_mat), x)
         for mt, (r_idx, y) in enumerate(zip(rx_idx, np.split(y_all, splits, axis=1))):
             if sigma > 0:
                 w_mat = np.take(rx_book.matrix, r_idx, axis=1)
-                y = y + _noise_like((n, m), sigma, rng) @ w_mat.conj()
+                y = y + noise[nt, mt] @ w_mat.conj()
             s = np.abs(correlate_zero_lag(y, x)) ** 2  # (m_rf, n_rf)
             probing_totals[mt] += float(s.sum())
             np.add.at(tx_strength, t_idx, s.sum(axis=0))
@@ -351,7 +358,7 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
             range(len(codebooks.books["elevation"].pairs)), pilots.n, p=pilots.p,
             coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
         for est in paths:
-            el_cbs = build_codebooks(codebooks.config, fixed_az_mu=est.mu_y)
+            el_cbs = codebooks.repointed(est.mu_y)
             el_plan = random_probing_plan(
                 el_cbs, n_el_t, probing_plan.m_t, probing_plan.n_rf,
                 probing_plan.m_rf, int(rng.integers(2 ** 31)), layout=layout,

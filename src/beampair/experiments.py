@@ -288,6 +288,8 @@ _DOMAINS = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
 
 def _maee_setup(cfg: ExperimentConfig):
     arrays = _arrays(cfg, "co")
+    if arrays.polarization_mode != "co":  # the Rician channel is co-polarized
+        raise ConfigError("maee_vs_snr needs co-polarized arrays")
     cbs = _codebooks(cfg, arrays, paired=AXES)
     return SimpleNamespace(
         cfg=cfg, points=cfg.snr_db, arrays=arrays, cbs=cbs,
@@ -432,8 +434,9 @@ def _tdm_trial(s, snr: float, rng) -> tuple:
     chan = clustered_channel_generate(s.profile, rng, s.arrays, s.ofdm)
     # w* H[k] f x[k] per beam: the noiseless TDM slots, summed for the pilot
     y_beam = chan.beamformed(s.w[:, None], s.f)[:, 0, :] * s.x
-    y_pilot = y_beam.sum(axis=1) + _noise_like(n, sigma, rng)
-    y_tdm = y_beam + np.column_stack([_noise_like(n, sigma, rng) for _ in s.tags])
+    noise = _noise_like(n, sigma, rng, batch=(1 + len(s.tags),))  # pilot, then slots
+    y_pilot = y_beam.sum(axis=1) + noise[0]
+    y_tdm = y_beam + noise[1:].T
     return (np.abs(correlate_zero_lag(y_pilot, s.x, normalized=True)),
             np.abs(np.diag(correlate_zero_lag(y_tdm, s.x, normalized=True))))
 
@@ -468,12 +471,16 @@ def _rate_setup(cfg: ExperimentConfig):
     merged_az = len(cbs.books["azimuth"].beams)
     merged_rx = len(cbs.books["receive"].beams)
     n_rf, m_rf = min(cfg.n_s, merged_az), min(cfg.n_s, merged_rx)
+    n_t = cfg.n_t or max(2, math.ceil(merged_az / n_rf))
+    m_t = cfg.m_t or max(2, math.ceil(merged_rx / m_rf))
+    # every trial's probing plan must probe every azimuth and receive beam
+    for side, slots, beams in (("n_t", n_t * n_rf, merged_az), ("m_t", m_t * m_rf, merged_rx)):
+        if slots < beams:
+            raise ConfigError(f"probing.{side} gives {slots} slots for {beams} beams")
     return SimpleNamespace(
         cfg=cfg, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
         profile=_cluster_profile(cfg, cbs, max(cfg.n_clusters, cfg.n_s)),
-        n_rf=n_rf, m_rf=m_rf,
-        n_t=cfg.n_t or max(2, math.ceil(merged_az / n_rf)),
-        m_t=cfg.m_t or max(2, math.ceil(merged_rx / m_rf)))
+        n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t)
 
 
 def _gob_triples(report, cbs):

@@ -68,6 +68,10 @@ class AngleSet:
         if not (-np.pi / 2 <= self.psi <= np.pi / 2):
             raise ValueError("psi out of [-pi/2, pi/2]")
 
+    def __iter__(self):
+        """Unpacks as the triple (theta, phi, psi)."""
+        return iter((self.theta, self.phi, self.psi))
+
 
 @dataclass(frozen=True)
 class SpatialFrequencies:
@@ -78,13 +82,16 @@ class SpatialFrequencies:
     nu: float
 
 
-def spatial_frequencies(angles: AngleSet, cfg: ArrayConfig) -> SpatialFrequencies:
-    """Map physical angles to spatial frequencies for the configured spacings."""
-    st = np.sin(angles.theta)
+def spatial_frequencies(angles, cfg: ArrayConfig) -> SpatialFrequencies:
+    """Map physical angles to spatial frequencies for the configured spacings.
+    `angles` is an AngleSet, or a (theta, phi, psi) triple of equal-length
+    1-D arrays, which gives arrays, one entry per direction."""
+    theta, phi, psi = angles
+    st = np.sin(theta)
     return SpatialFrequencies(
-        mu_x=2 * np.pi * cfg.d_tx * st * np.cos(angles.phi),
-        mu_y=2 * np.pi * cfg.d_ty * st * np.sin(angles.phi),
-        nu=2 * np.pi * cfg.d_r * np.sin(angles.psi),
+        mu_x=2 * np.pi * cfg.d_tx * st * np.cos(phi),
+        mu_y=2 * np.pi * cfg.d_ty * st * np.sin(phi),
+        nu=2 * np.pi * cfg.d_r * np.sin(psi),
     )
 
 
@@ -104,9 +111,9 @@ def upa_steering(mu_x, mu_y, n_x: int, n_y: int) -> np.ndarray:
     return a.reshape((n_x * n_y,) + a.shape[2:])
 
 
-def angles_from_spatial_frequencies(mu_x: float, mu_y: float,
-                                    cfg: ArrayConfig) -> tuple[float, float]:
-    """Invert (mu_x, mu_y) to (theta, phi).
+def angles_from_spatial_frequencies(mu_x, mu_y, cfg: ArrayConfig):
+    """Invert (mu_x, mu_y) to (theta, phi); equal-length 1-D arrays give
+    arrays, floats give floats.
 
     phi uses the quadrant-aware arctangent; theta uses the radial form
     arcsin(|(mu_x/2pi d_tx, mu_y/2pi d_ty)|) with the argument clamped so
@@ -116,13 +123,16 @@ def angles_from_spatial_frequencies(mu_x: float, mu_y: float,
     """
     sx = mu_x / (2 * np.pi * cfg.d_tx)
     sy = mu_y / (2 * np.pi * cfg.d_ty)
-    if sx == 0.0 and sy == 0.0:
+    rad = np.hypot(sx, sy)
+    if np.count_nonzero(rad) < rad.size:  # hypot is 0 only at (0, 0)
         raise DegenerateDirection("azimuth undefined at mu_x = mu_y = 0")
     phi = np.arctan2(sy, sx)
-    theta = np.arcsin(min(1.0, np.hypot(sx, sy)))
-    return float(theta), float(phi)
+    theta = np.arcsin(np.fmin(1.0, rad))  # fmin, as min(1.0, .): NaN gives 1
+    return (float(theta), float(phi)) if theta.ndim == 0 else (theta, phi)
 
 
-def aoa_from_nu(nu: float, cfg: ArrayConfig) -> float:
-    """Invert a receive spatial frequency to the arrival angle psi."""
-    return float(np.arcsin(min(max(nu / (2 * np.pi * cfg.d_r), -1.0), 1.0)))
+def aoa_from_nu(nu, cfg: ArrayConfig):
+    """Invert a receive spatial frequency to the arrival angle psi; an array
+    gives an array, a float a float."""
+    psi = np.arcsin(np.minimum(np.maximum(nu / (2 * np.pi * cfg.d_r), -1.0), 1.0))
+    return float(psi) if psi.ndim == 0 else psi

@@ -183,12 +183,14 @@ def correlate_zero_lag(received: np.ndarray, refs: np.ndarray,
     """Zero-lag correlation y^T x*: a vector against a vector gives a scalar,
     (N, i) received branches against (N, j) references give (i, j).
     normalized divides each reference column by its count of nonzero
-    entries (n, or n - 1 under dc_zero)."""
+    entries: n, less one where zc_sequence's dc_zero nulled the DC
+    subcarrier n // 2, the only entry of a ZC reference that can be zero."""
     y, x = np.asarray(received), np.asarray(refs)
-    if y.shape[0] != x.shape[0]:
-        raise LengthMismatch(f"expected {x.shape[0]} subcarriers, got {y.shape[0]}")
+    n = x.shape[0]
+    if y.shape[0] != n:
+        raise LengthMismatch(f"expected {n} subcarriers, got {y.shape[0]}")
     vals = y.T @ x.conj()
-    return vals / np.count_nonzero(x, axis=0) if normalized else vals
+    return vals / (n - (x[n // 2] == 0)) if normalized else vals
 
 
 @dataclass(frozen=True)

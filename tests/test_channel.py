@@ -12,7 +12,8 @@ from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig
                               effective_gains, load_channel_csv, pulse_coefficient,
                               pulse_coefficients, pulse_samples, rician_narrowband,
                               save_channel_csv)
-from beampair.geometry import AngleSet, ArrayConfig, spatial_frequencies, ula_steering, upa_steering
+from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
+                               aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
 CO = ArrayConfig(n_x=2, n_y=3, m_tot=2)
 CROSS = ArrayConfig(n_x=2, n_y=3, m_tot=2, polarization_mode="cross")
@@ -78,6 +79,18 @@ class TestOfdm:
             pulse_coefficients(0.0, OFDM, "gaussian")
 
     @pytest.mark.parametrize("pulse", ["raised-cosine", "unit-sample"])
+    def test_delay_array_gives_one_column_each(self, pulse):
+        """An array of delays gives the per-delay taps and coefficients as
+        columns, bit for bit."""
+        taus = np.array([0.0, 1.0, 2.5, 7.3, 11.0]) * OFDM.sample_period
+        samples = pulse_samples(taus, OFDM, pulse)
+        coeffs = pulse_coefficients(taus, OFDM, pulse)
+        assert samples.shape == (16, 5) and coeffs.shape == (64, 5)
+        for j, tau in enumerate(taus):
+            assert samples[:, j].tobytes() == pulse_samples(tau, OFDM, pulse).tobytes()
+            assert coeffs[:, j].tobytes() == pulse_coefficients(tau, OFDM, pulse).tobytes()
+
+    @pytest.mark.parametrize("pulse", ["raised-cosine", "unit-sample"])
     def test_fft_matches_explicit_dft(self, pulse):
         """The length-N FFT of the zero-padded taps equals the tap sum
         sum_d p(d*Ts - tau) exp(-j*2*pi*k*d/N), written out as an N x D
@@ -108,6 +121,13 @@ class TestGains:
     def test_chi_validation(self):
         with pytest.raises(InvalidChi):
             CrossPolConfig(chi=-0.1)
+
+    def test_profile_rejects_negative_chi(self):
+        """A cluster profile fails on construction, not in the first trial
+        that builds a cross-pol channel from it."""
+        with pytest.raises(InvalidChi):
+            ClusterProfile(chi=-1.0)
+        assert ClusterProfile(chi=0.0).chi == 0.0
 
     def test_no_leakage_identity(self):
         """chi = 0 and zero mismatch leave the gains untouched."""
@@ -318,6 +338,8 @@ class TestClustered:
             assert real.paths[0].tau == 0.0
             for p in real.paths:
                 assert 0.0 <= p.tau <= 0.9 * max_delay + 1e-18
+        real = clustered_channel_generate(ClusterProfile(), rng, CO, OFDM)
+        assert real.h.shape == (64, 2, 6)
 
     def test_mean_power_normalized(self):
         rng = np.random.default_rng(20)
@@ -329,13 +351,6 @@ class TestClustered:
                        + abs(p.g_hh) ** 2 for p in real.paths)
         # four i.i.d. complex gains per path share the subpath power budget
         assert abs(acc / trials - 4.0) < 0.15
-
-    def test_copol_only_profile(self):
-        rng = np.random.default_rng(21)
-        prof = ClusterProfile(n_clusters=2, subpaths_per_cluster=2, copol_gains_only=True)
-        real = clustered_channel_generate(prof, rng, CO, OFDM)
-        assert all(p.g_vh == 0 and p.g_hv == 0 and p.g_hh == 0 for p in real.paths)
-        assert real.h.shape == (64, 2, 6)
 
     @pytest.mark.parametrize("shape", [{"n_clusters": 0}, {"subpaths_per_cluster": 0},
                                        {"n_clusters": -1, "subpaths_per_cluster": 2}])
@@ -352,6 +367,88 @@ class TestClustered:
             for p in real.paths:
                 sf = spatial_frequencies(p.angles, CROSS)
                 assert abs(sf.mu_y) <= 0.4 + 1e-9
+
+
+def _scalar_generate(profile, rng, arrays, ofdm):
+    """clustered_channel_generate written out as a per-cluster, per-subpath
+    loop of scalar draws and scalar geometry, with per-path delay taps and
+    gains: (paths, dominant angles, rho, u, v)."""
+    nc, ns = profile.n_clusters, profile.subpaths_per_cluster
+    delays = np.concatenate([[0.0], rng.exponential(profile.delay_spread, size=nc - 1)]) \
+        if nc > 1 else np.zeros(1)
+    delays = np.minimum(np.sort(delays), 0.9 * (ofdm.cp_length - 1) * ofdm.sample_period)
+    powers = np.exp(-delays / profile.delay_spread)
+    powers = powers / powers.sum()
+    paths, dominant = [], []
+    for ci in range(nc):
+        c_mu_x = rng.uniform(*profile.mu_x_range)
+        c_mu_y = rng.uniform(*profile.mu_y_range)
+        c_nu = rng.uniform(*profile.nu_range)
+        off_x = rng.laplace(0.0, profile.angle_spread, size=ns)
+        off_y = rng.laplace(0.0, profile.angle_spread, size=ns)
+        off_n = rng.laplace(0.0, profile.angle_spread, size=ns)
+        sub_p = rng.exponential(1.0, size=ns)
+        sub_p = powers[ci] * sub_p / sub_p.sum()
+        best = None
+        for si in range(ns):
+            mu_x = float(np.clip(c_mu_x + off_x[si], *profile.mu_x_range))
+            mu_y = float(np.clip(c_mu_y + off_y[si], *profile.mu_y_range))
+            nu = float(np.clip(c_nu + off_n[si], *profile.nu_range))
+            rad = np.hypot(mu_x / (2 * np.pi * arrays.d_tx), mu_y / (2 * np.pi * arrays.d_ty))
+            if rad >= 1.0:
+                mu_x *= 0.999 / rad
+                mu_y *= 0.999 / rad
+            ang = AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, arrays),
+                           aoa_from_nu(nu, arrays))
+            amp = np.sqrt(sub_p[si])
+            gains = [amp * (rng.normal() + 1j * rng.normal()) / np.sqrt(2) for _ in range(4)]
+            paths.append(PathParams(*gains, float(delays[ci]), ang))
+            strength = abs(gains[0]) ** 2 + abs(gains[1]) ** 2 + abs(gains[2]) ** 2 \
+                + abs(gains[3]) ** 2
+            if best is None or strength > best[0]:
+                best = (strength, ang)
+        dominant.append((powers[ci], best[1]))
+    dominant = [ang for _, ang in sorted(dominant, key=lambda t: -t[0])]
+
+    rho = np.column_stack([pulse_coefficients(p.tau, ofdm) for p in paths])
+    sf = [spatial_frequencies(p.angles, arrays) for p in paths]
+    a_r = ula_steering(np.array([f.nu for f in sf]), arrays.m_tot).T
+    a_t = upa_steering(np.array([f.mu_x for f in sf]), np.array([f.mu_y for f in sf]),
+                       arrays.n_x, arrays.n_y).T
+    if arrays.polarization_mode == "co":
+        g = np.array([p.g_vv for p in paths], dtype=complex)
+        return paths, dominant, rho, (g[:, None] * a_r)[:, :, None], a_t[:, :, None]
+    q, rc = np.sqrt(1.0 / (1.0 + profile.chi)), np.sqrt(profile.chi)
+    c, s = np.cos(profile.varsigma), np.sin(profile.varsigma)
+    g = np.array([[[q * (p.g_vv * c + rc * p.g_vh * s), q * (-p.g_vv * s + rc * p.g_vh * c)],
+                   [q * (rc * p.g_hv * c + p.g_hh * s), q * (-rc * p.g_hv * s + p.g_hh * c)]]
+                  for p in paths])
+    u = (g[:, :, None, :] * a_r[:, None, :, None]).reshape(len(paths), -1, 2)
+    v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(len(paths), -1, 2)
+    return paths, dominant, rho, u, v
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("n_clusters", [1, 5])
+    @pytest.mark.parametrize("subpaths", [1, 4])
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_array_generator_matches_scalar_loop(self, arrays, subpaths, n_clusters):
+        """Same draws in the same order, same numbers to the last bit, same
+        generator state afterwards; the wide profile clips subpaths at the
+        sector edges and pulls directions into the visible region."""
+        wide = dict(mu_x_range=(-2.5, 2.5), mu_y_range=(-2.5, 2.5), angle_spread=0.4)
+        for extra in ({}, wide):
+            prof = ClusterProfile(n_clusters=n_clusters, subpaths_per_cluster=subpaths,
+                                  **extra)
+            for seed in range(25):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                real = clustered_channel_generate(prof, rng, arrays, OFDM)
+                paths, dominant, rho, u, v = _scalar_generate(prof, ref_rng, arrays, OFDM)
+                assert real.paths == paths
+                assert real.dominant_angles == dominant
+                for got, want in ((real.rho, rho), (real.u, u), (real.v, v)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

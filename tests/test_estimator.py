@@ -19,7 +19,7 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _pair_and_invert, _sweep)
+                                _noise_like, _pair_and_invert, _sweep)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -27,6 +27,23 @@ from beampair.pilot import assign_pilots, zc_sequence
 
 CO = ArrayConfig(n_x=4, n_y=8, m_tot=4)
 CROSS = ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross")
+
+
+def _count_calls(monkeypatch, *names) -> list:
+    """Wrap every binding in the package of the named codebook functions;
+    the returned list gets one name per call."""
+    calls = []
+    for name in names:
+        original = getattr(beampair.codebook, name)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("beampair") and vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def angles_for(mu_x, mu_y, nu, arrays):
@@ -208,6 +225,20 @@ class TestScalarClamps:
                 assert _bits(aoa_from_nu(x * scale, arrays)) == _bits(want)
 
 
+def test_batched_noise_matches_separate_draws():
+    """One batched draw gives each entry's noise as separate calls would,
+    and leaves the generator where they leave it."""
+    for shape, batch in ((7, (5,)), ((6, 4), (3, 2)), ((2, 3), ())):
+        rng, ref = np.random.default_rng(62), np.random.default_rng(62)
+        got = _noise_like(shape, 0.3, rng, batch=batch)
+        want = np.array([_noise_like(shape, 0.3, ref)
+                         for _ in range(int(np.prod(batch)))])
+        assert got.shape == batch + np.shape(np.empty(shape))
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # single-path estimation
 
@@ -348,17 +379,8 @@ class TestSinglePath:
         """The estimators read the codebook set's matrices and pair tables:
         no beam vector is built and no pair list enumerated per call. The
         counters wrap every binding of the three functions in the package."""
-        calls = []
-        for name in ("tx_beam_vector", "rx_beam_vector", "enumerate_abps"):
-            original = getattr(beampair.codebook, name)
-
-            def counting(*args, _name=name, _fn=original, **kwargs):
-                calls.append(_name)
-                return _fn(*args, **kwargs)
-
-            for mod_name, mod in list(sys.modules.items()):
-                if mod_name.startswith("beampair") and vars(mod).get(name) is original:
-                    monkeypatch.setattr(mod, name, counting)
+        calls = _count_calls(monkeypatch, "tx_beam_vector", "rx_beam_vector",
+                             "enumerate_abps")
         build_codebooks(CodebookConfig(arrays=CROSS))
         assert calls, "the counters must see the build"
         calls.clear()
@@ -681,6 +703,38 @@ class TestMultipath:
                            rng=np.random.default_rng(59), codebooks=cbs)
         assert plan.n_t == 2
         assert calls == []
+
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_elevation_stage_builds_only_elevation_beams(self, arrays, monkeypatch):
+        """Each selected path re-points the elevation book alone: one
+        elevation steering call per polarization per path, and no other
+        beam vector (a whole codebook set per path made 4 calls per
+        polarization). The re-pointed book is the one build_codebooks makes
+        for that azimuth; the other books and the grid are shared."""
+        cfg = CodebookConfig(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2))
+        cbs = build_codebooks(cfg)
+        assert all(len(beams) > 1 for beams in cbs.tx_el.values())
+        repointed = cbs.repointed(-0.37)
+        want = build_codebooks(cfg, fixed_az_mu=-0.37).books["elevation"]
+        got = repointed.books["elevation"]
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.boresights.tobytes() == want.boresights.tobytes()
+        assert np.array_equal(got.members, want.members) and got.delta == want.delta
+        assert repointed.books["azimuth"] is cbs.books["azimuth"]
+        assert repointed.books["receive"] is cbs.books["receive"]
+        assert repointed.grid is cbs.grid
+
+        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=0, layout="free")
+        path = PathParams(1.0, 0.2, 0.1, 0.8, 0.0, angles_for(0.3, -0.5, 0.4, arrays))
+        ofdm = OfdmConfig(64, 16)
+        chan = copol_frequency_response([path], arrays, ofdm) if arrays is CO else \
+            crosspol_frequency_response([path], arrays, ofdm, CrossPolConfig(0.2, 0.3))
+        calls = _count_calls(monkeypatch, "tx_beam_vector", "rx_beam_vector")
+        rep = estimate_multipath(chan, plan, pilots, 10.0, 2,
+                                 rng=np.random.default_rng(60), codebooks=cbs)
+        assert all("elevation" in p.pairs for p in rep.paths)
+        assert calls == ["tx_beam_vector"] * (len(cbs.pols) * len(rep.paths))
 
     def test_plan_must_probe_every_beam(self):
         """A hand-built plan that skips an azimuth or receive beam is

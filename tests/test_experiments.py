@@ -271,6 +271,18 @@ class TestFamilies:
 # ---------------------------------------------------------------------------
 # command line
 
+# configs whose setup must fail: before these checks, each passed validation
+# and then failed in the first trial
+_SLOTS_AND_POLARIZATION = [
+    *((family, f"probing.{side} = 1") for family in ("norm_se_vs_snr", "robustness_xpd")
+      for side in ("n_t", "m_t")),
+    ("maee_vs_snr", "arrays.polarization = cross\ncodebook.el_range_deg = -90:90")]
+SETUP_REJECTS = [
+    *((family, "channel.chi = -1") for family in (
+        "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
+    *_SLOTS_AND_POLARIZATION]
+
+
 class TestCli:
     def test_list_experiments(self, capsys):
         assert main(["list-experiments"]) == 0
@@ -334,9 +346,11 @@ class TestCli:
     @pytest.mark.parametrize("family,line", [
         *((family, line) for family in EXPERIMENTS for line in (
             "channel.bandwidth = foo", "pilot.p = 0", "pilot.roots = 2",
-            "arrays.m_tot = 1", "channel.subpaths = 0", "channel.n_clusters = 0")),
+            "arrays.m_tot = 1", "channel.subpaths = 0", "channel.n_clusters = 0",
+            "channel.chi = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
-        ("norm_se_vs_snr", "overhead.n_s = 4")])
+        ("norm_se_vs_snr", "overhead.n_s = 4"),
+        *_SLOTS_AND_POLARIZATION])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -353,6 +367,15 @@ class TestCli:
         assert "Traceback" not in err
         assert err.count("invalid config") == 2 * ran
         assert out.exists() == (ran == 0)
+
+    @pytest.mark.parametrize("family,line", SETUP_REJECTS)
+    def test_setup_rejects_what_a_trial_would_fail_on(self, family, line):
+        """A negative chi (on every family with a cluster profile), a slot
+        budget that cannot probe every azimuth or receive beam, and
+        cross-pol arrays for the co-pol Rician channel fail in the setup."""
+        cfg = validate_config(f"experiment = {family}\n{line}\n")
+        with pytest.raises(ConfigError):
+            experiments.setup_experiment(cfg)
 
     @pytest.mark.parametrize("family", EXPERIMENTS)
     def test_validate_runs_no_trial(self, family, tmp_path, capsys, monkeypatch):

@@ -81,6 +81,51 @@ class TestInverse:
         assert abs(back.mu_y - sf.mu_y) < 1e-9
 
 
+class TestArrayForms:
+    """Arrays of angles or spatial frequencies give, entry by entry, the
+    same bits as scalar calls; scalar calls return floats."""
+
+    def test_inverse_maps_match_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        mu_x, mu_y = rng.uniform(-4.0, 4.0, size=(2, 200))  # some beyond endfire
+        nu = rng.uniform(-3.5, 3.5, size=200)
+        for arrays in (HALF, ArrayConfig(n_x=4, n_y=8, m_tot=4, d_tx=0.6, d_r=0.7)):
+            theta, phi = angles_from_spatial_frequencies(mu_x, mu_y, arrays)
+            psi = aoa_from_nu(nu, arrays)
+            assert theta.shape == phi.shape == psi.shape == (200,)
+            for i, (x, y, n) in enumerate(zip(mu_x.tolist(), mu_y.tolist(), nu.tolist())):
+                th, ph = angles_from_spatial_frequencies(x, y, arrays)
+                ps = aoa_from_nu(n, arrays)
+                assert type(th) is type(ph) is type(ps) is float
+                assert (theta[i], phi[i], psi[i]) == (th, ph, ps)
+
+    def test_nan_radius_clamps_like_the_scalar_form(self):
+        """A NaN radius reaches endfire (the clamp keeps 1 over NaN) in both
+        forms; NaN receive frequencies pass through."""
+        theta, _ = angles_from_spatial_frequencies(np.array([np.nan, 0.3]),
+                                                   np.array([0.2, 0.1]), HALF)
+        assert theta[0] == angles_from_spatial_frequencies(np.nan, 0.2, HALF)[0] == np.pi / 2
+        assert np.isnan(aoa_from_nu(np.array([np.nan]), HALF)[0])
+
+    def test_any_boresight_entry_raises(self):
+        with pytest.raises(DegenerateDirection):
+            angles_from_spatial_frequencies(np.array([0.3, 0.0]), np.array([0.1, 0.0]), HALF)
+
+    def test_angle_triple_of_arrays(self):
+        """A (theta, phi, psi) triple of arrays maps entry by entry; an
+        AngleSet unpacks as that triple."""
+        rng = np.random.default_rng(10)
+        theta = rng.uniform(-np.pi / 2, np.pi / 2, size=50)
+        phi = rng.uniform(-np.pi, np.pi, size=50)
+        psi = rng.uniform(-np.pi / 2, np.pi / 2, size=50)
+        sf = spatial_frequencies((theta, phi, psi), HALF)
+        for i in range(50):
+            ang = AngleSet(theta[i], phi[i], psi[i])
+            assert tuple(ang) == (theta[i], phi[i], psi[i])
+            one = spatial_frequencies(ang, HALF)
+            assert (sf.mu_x[i], sf.mu_y[i], sf.nu[i]) == (one.mu_x, one.mu_y, one.nu)
+
+
 # ---------------------------------------------------------------------------
 # steering vectors
 

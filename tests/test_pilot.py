@@ -144,6 +144,21 @@ class TestCorrelations:
         assert np.max(np.abs(correlate_zero_lag(y, x, normalized=True)
                              - raw / active)) < 1e-12
 
+    @pytest.mark.parametrize("n", [64, 511, 512])
+    @pytest.mark.parametrize("dc_zero", [False, True])
+    def test_normalization_is_the_nonzero_count(self, n, dc_zero):
+        """normalized divides by each reference's count of nonzero entries,
+        bit for bit, for a matrix and for a single column."""
+        rng = np.random.default_rng(35)
+        y = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
+        x = zc_sequence(np.array([25, 25, 29]), np.array([0, 1, 0]), 6, n,
+                        dc_zero=dc_zero)
+        got = correlate_zero_lag(y, x, normalized=True)
+        assert got.tobytes() == (correlate_zero_lag(y, x)
+                                 / np.count_nonzero(x, axis=0)).tobytes()
+        one = correlate_zero_lag(y[:, 0], x[:, 2], normalized=True)
+        assert one == correlate_zero_lag(y[:, 0], x[:, 2]) / np.count_nonzero(x[:, 2])
+
     def test_probing_correlator_matches_columns(self):
         rng = np.random.default_rng(32)
         refs = zc_sequence(np.array([25, 29]), np.array([0, 1]), 6, 128)
