@@ -13,7 +13,7 @@ from .feedback import (quantize_differential, quantize_direct, reconstruct,
 from .geometry import (AngleSet, ArrayConfig, SpatialFrequencies,
                        angles_from_spatial_frequencies, spatial_frequencies,
                        ula_steering, upa_steering)
-from .metrics import (OverheadModel, ci95, maee, maqe,
+from .metrics import (OverheadModel, ci95, maee,
                       normalized_spectral_efficiency, spectral_efficiency)
 from .pilot import (PilotAssignment, assign_pilots, correlate_zero_lag,
                     interference_bounds, zc_sequence, zc_symbol)

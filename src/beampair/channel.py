@@ -180,9 +180,6 @@ class ChannelRealization:
         never read it, the oracles and tests do."""
         return np.tensordot(self.rho, self.u @ self.v.conj().transpose(0, 2, 1), axes=1)
 
-    def at(self, k: int) -> np.ndarray:
-        return self.h[k]
-
     def beamformed(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         """W^H H[k] F for every subcarrier, (N, i, j), from per-path products:
         cost O(N L i j) instead of O(N M N_t j) on the dense tensor."""
@@ -399,71 +396,3 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     return _realization(rho, (theta, phi, psi), g, paths, arrays, xp,
                         ofdm=ofdm, pulse=pulse, dominant_angles=dominant)
 
-
-# ---------------------------------------------------------------------------
-# text fixture format: metadata header lines ("# key=value") + path rows
-
-_CSV_HEADER = ("g_vv_re,g_vv_im,g_vh_re,g_vh_im,g_hv_re,g_hv_im,"
-               "g_hh_re,g_hh_im,tau,theta,phi,psi")
-
-
-def save_channel_csv(real: ChannelRealization, path: str) -> None:
-    """Write the generating parameters (not the tensor) to a text fixture."""
-    lines = []
-    a = real.arrays
-    lines.append(f"# polarization_mode={a.polarization_mode}")
-    lines.append(f"# n_x={a.n_x} n_y={a.n_y} m_tot={a.m_tot}")
-    lines.append(f"# d_tx={a.d_tx!r} d_ty={a.d_ty!r} d_r={a.d_r!r}")
-    if real.ofdm is not None:
-        o = real.ofdm
-        lines.append(f"# n_subcarriers={o.n_subcarriers} cp_length={o.cp_length} "
-                     f"subcarrier_spacing={o.subcarrier_spacing!r}")
-    if real.crosspol is not None:
-        lines.append(f"# chi={real.crosspol.chi!r} varsigma={real.crosspol.varsigma!r}")
-    lines.append(f"# pulse={real.pulse}")
-    lines.append(_CSV_HEADER)
-    for p in real.paths:
-        row = [p.g_vv.real, p.g_vv.imag, p.g_vh.real, p.g_vh.imag,
-               p.g_hv.real, p.g_hv.imag, p.g_hh.real, p.g_hh.imag,
-               p.tau, p.angles.theta, p.angles.phi, p.angles.psi]
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_channel_csv(path: str) -> ChannelRealization:
-    """Rebuild a realization from a text fixture written by save_channel_csv."""
-    meta: dict[str, str] = {}
-    rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, val = tok.split("=", 1)
-                        meta[key] = val
-            elif line[0].isalpha() or line.startswith("g_"):
-                continue  # column header
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    arrays = ArrayConfig(
-        n_x=int(meta["n_x"]), n_y=int(meta["n_y"]), m_tot=int(meta["m_tot"]),
-        d_tx=float(meta["d_tx"]), d_ty=float(meta["d_ty"]), d_r=float(meta["d_r"]),
-        polarization_mode=meta["polarization_mode"])
-    paths = []
-    for r in rows:
-        ang = AngleSet(r[8 + 1], r[8 + 2], r[8 + 3])
-        paths.append(PathParams(complex(r[0], r[1]), complex(r[2], r[3]),
-                                complex(r[4], r[5]), complex(r[6], r[7]), r[8], ang))
-    pulse = meta.get("pulse", "raised-cosine")
-    if "n_subcarriers" in meta:
-        ofdm = OfdmConfig(int(meta["n_subcarriers"]), int(meta["cp_length"]),
-                          float(meta["subcarrier_spacing"]))
-        if "chi" in meta:
-            xp = CrossPolConfig(float(meta["chi"]), float(meta["varsigma"]))
-            return crosspol_frequency_response(paths, arrays, ofdm, xp, pulse)
-        return copol_frequency_response(paths, arrays, ofdm, pulse)
-    return _from_paths(paths, arrays, None, pulse)

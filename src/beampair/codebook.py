@@ -36,7 +36,6 @@ class Beam:
     axis: str
     boresight_mu: float
     index: int
-    fixed_mu: float | None = None
 
 
 @dataclass(frozen=True)
@@ -156,9 +155,9 @@ class AxisBook:
                                  center_mu=float(self.centers[k]), delta=self.delta)
 
 
-def _axis_book(cfg: CodebookConfig, axis: str, fixed_mu: float | None) -> AxisBook:
+def _axis_book(cfg: CodebookConfig, axis: str, other_mu: float | None = None) -> AxisBook:
     """Beam grid of one axis, one steering call per polarization; transmit
-    beams hold the other transmit axis at `fixed_mu`. In cross mode the
+    beams hold the other transmit axis at `other_mu`. In cross mode the
     range is split in half, vertical beams below the midpoint."""
     arrays = cfg.arrays
     lo, hi = cfg.mu_range(axis)
@@ -172,14 +171,14 @@ def _axis_book(cfg: CodebookConfig, axis: str, fixed_mu: float | None) -> AxisBo
         if axis == "receive":
             blocks.append(rx_beam_vector(arrays, pol, grid))
         else:
-            fixed = np.full(len(grid), fixed_mu)
+            fixed = np.full(len(grid), other_mu)
             blocks.append(tx_beam_vector(arrays, pol, *(
                 (grid, fixed) if axis == "elevation" else (fixed, grid))))
         mus += grid.tolist()
         pols += [pol] * len(grid)
     matrix = np.hstack(blocks)
     beams = tuple(Beam(vector=matrix[:, i], polarization=pol, axis=axis,
-                       boresight_mu=mu, index=i, fixed_mu=fixed_mu)
+                       boresight_mu=mu, index=i)
                   for i, (pol, mu) in enumerate(zip(pols, mus)))
     boresights = np.array(mus)
     low = np.flatnonzero(np.array(pols[1:]) == np.array(pols[:-1]))
@@ -210,34 +209,23 @@ class CodebookSet:
         return {pol: [b for b in self.books[axis].beams if b.polarization == pol]
                 for pol in self.pols}
 
-    tx_el = property(lambda self: self.domain("elevation"))
-    tx_az = property(lambda self: self.domain("azimuth"))
-    rx = property(lambda self: self.domain("receive"))
-
-    def all_beams(self, axis: str) -> list[Beam]:
-        return list(self.books[axis].beams)
-
     def repointed(self, az_mu: float) -> "CodebookSet":
         """The set with its elevation beams steered at azimuth frequency
-        az_mu, as build_codebooks(config, fixed_az_mu=az_mu) builds them.
-        Nothing else depends on that value (the sweep grid steers both
-        frequencies), so the other books and the grid are shared."""
+        az_mu in place of the azimuth range center. Nothing else depends on
+        that value (the sweep grid steers both frequencies), so the other
+        books and the grid are shared."""
         books = dict(self.books, elevation=_axis_book(self.config, "elevation", az_mu))
         return replace(self, books=books)
 
 
-def build_codebooks(cfg: CodebookConfig, fixed_el_mu: float | None = None,
-                    fixed_az_mu: float | None = None) -> CodebookSet:
+def build_codebooks(cfg: CodebookConfig) -> CodebookSet:
     """Build per-domain beam grids. Transmit azimuth beams steer the azimuth
-    frequency at a fixed elevation frequency (range center by default) and
-    vice versa; the fixed values can be overridden, e.g. to re-point the
-    elevation sweep at an azimuth estimate. The sweep grid steers both
-    frequencies, so it does not depend on the fixed values."""
-    el_fix = fixed_el_mu if fixed_el_mu is not None else 0.5 * sum(cfg.el_range)
-    az_fix = fixed_az_mu if fixed_az_mu is not None else 0.5 * sum(cfg.az_range)
-    books = {"elevation": _axis_book(cfg, "elevation", az_fix),
-             "azimuth": _axis_book(cfg, "azimuth", el_fix),
-             "receive": _axis_book(cfg, "receive", None)}
+    frequency at the elevation range center and elevation beams the
+    elevation frequency at the azimuth range center (`repointed` steers them
+    elsewhere). The sweep grid steers both frequencies."""
+    books = {"elevation": _axis_book(cfg, "elevation", 0.5 * sum(cfg.az_range)),
+             "azimuth": _axis_book(cfg, "azimuth", 0.5 * sum(cfg.el_range)),
+             "receive": _axis_book(cfg, "receive")}
     el, az = books["elevation"], books["azimuth"]
     cols, grid_el, grid_az = [], [], []
     for pol in _pols(cfg.arrays):
@@ -349,18 +337,8 @@ def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
             v = _fill_bucket(dom["v"], probings, rf // 2, rng)
             h = _fill_bucket(dom["h"], probings, rf // 2, rng)
             return [v[i] + h[i] for i in range(probings)]
-        return _fill_bucket(codebooks.all_beams(axis), probings, rf, rng)
+        return _fill_bucket(codebooks.books[axis].beams, probings, rf, rng)
 
     return ProbingPlan(tx_beams=side(tx_axis, n_t, n_rf),
                        rx_beams=side("receive", m_t, m_rf))
 
-
-def dump_codebook_csv(codebooks: CodebookSet, path: str) -> None:
-    """Debug dump: one row per beam, boresights in degrees."""
-    lines = ["domain,index,polarization,boresight_deg"]
-    for axis in AXES:
-        for beam in codebooks.all_beams(axis):
-            lines.append(f"{axis},{beam.index},{beam.polarization},"
-                         f"{np.degrees(beam.boresight_mu):.6f}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -346,7 +346,7 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         paths.append(est)
 
     extra_tx_probings = 0
-    el_beams = codebooks.tx_el
+    el_beams = codebooks.domain("elevation")
     if all(len(beams) > 1 for beams in el_beams.values()):
         # one elevation sweep per path, its beams re-pointed at the path's
         # azimuth estimate; the pair ids, and so the pilots, stay the same

@@ -154,6 +154,8 @@ class ExperimentConfig:
             raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
         if self.n_s < 1:
             raise ConfigError("overhead.n_s must be >= 1")
+        if self.bits < 1:
+            raise ConfigError("quantizer.bits must be >= 1")
         try:  # the array, codebook and overhead settings validate themselves
             _codebook_config(self, _arrays(self, "co"))
             OverheadModel(epsilon_t=self.epsilon_t, t_tot=self.t_tot)
@@ -417,7 +419,7 @@ def _tdm_setup(cfg: ExperimentConfig):
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
-    mid_v, mid_h = (beams[len(beams) // 2].vector for beams in cbs.rx.values())
+    mid_v, mid_h = (b[len(b) // 2].vector for b in cbs.domain("receive").values())
     return SimpleNamespace(
         cfg=cfg, points=[cfg.snr_db[0]], arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
@@ -555,23 +557,30 @@ def _norm_se_reduce(s, results):
 
 
 # robustness sweeps: the swept cluster-profile field, its values as written in
-# the row tags, and their conversion to the profile's units
-_SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.radians),
-           "robustness_xpd": ("chi", (0.0, 0.1, 0.2, 0.4), float)}
+# the row tags, their conversion to the profile's units, and the config field
+# that the sweep replaces
+_SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.radians,
+                                   "varsigma_deg"),
+           "robustness_xpd": ("chi", (0.0, 0.1, 0.2, 0.4), float, "chi")}
 
 
 def _robustness_setup(cfg: ExperimentConfig):
     """One point per sweep value: the cluster profile with that value. The
-    swept parameters reach nothing else, so codebooks and pilots are shared."""
+    swept parameters reach nothing else, so codebooks and pilots are shared.
+    The sweep sets the swept field, so a config that sets it too is
+    rejected."""
+    param, values, to_profile, key = _SWEEPS[cfg.experiment]
+    if getattr(cfg, key) != {f.name: f.default for f in fields(ExperimentConfig)}[key]:
+        raise ConfigError(f"{cfg.experiment} sweeps channel.{key} over "
+                          f"{', '.join(f'{v:g}' for v in values)}; leave it unset")
     s = _rate_setup(cfg)
-    param, values, to_profile = _SWEEPS[cfg.experiment]
     s.points = [replace(s.profile, **{param: to_profile(v)}) for v in values]
     return s
 
 
 def _robustness_reduce(s, results):
     name, snr = s.cfg.experiment, s.cfg.snr_db[0]
-    param, values, _ = _SWEEPS[name]
+    param, values, *_ = _SWEEPS[name]
     table = ResultTable(name, _RATE_COLUMNS)
     for value, trials in zip(values, results):
         gaps = [(r["perfect"] - r["abp"]) / r["perfect"]

@@ -24,25 +24,6 @@ class OutOfRange(ValueError):
 
 
 @dataclass(frozen=True)
-class QuantizerConfig:
-    bits: int
-    scheme: str
-    half_range: float
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if self.half_range <= 0:
-            raise ValueError("range must be positive")
-        if self.scheme not in ("differential", "direct"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    @property
-    def total_bits(self) -> int:
-        return self.bits + 1 if self.scheme == "differential" else self.bits
-
-
-@dataclass(frozen=True)
 class FeedbackWord:
     scheme: str
     codeword_index: int

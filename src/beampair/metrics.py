@@ -25,11 +25,6 @@ def maee(true_angles, estimates) -> float:
     return float(np.mean(np.abs(t - e)))
 
 
-def maqe(estimates, quantized) -> float:
-    """Mean absolute quantization error; inputs and output in degrees."""
-    return maee(estimates, quantized)
-
-
 def ci95(values) -> float:
     """95% confidence half-width of the mean."""
     v = np.asarray(values, dtype=float)
@@ -77,9 +72,9 @@ def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
         htr = w_rf.conj().T @ h @ f_rf
     gram = np.einsum("kij,klj->kil", htr, htr.conj())
     eye = np.eye(gram.shape[1])
-    sign, logdet = np.linalg.slogdet(eye[None, :, :] + (gamma / n_s) * gram)
-    rates = logdet / np.log(2.0)
-    return float(np.mean(np.where(sign > 0, rates, 0.0)))
+    # I plus a PSD matrix: the determinant is real and >= 1, so the sign is 1
+    _, logdet = np.linalg.slogdet(eye[None, :, :] + (gamma / n_s) * gram)
+    return float(np.mean(logdet / np.log(2.0)))
 
 
 def normalized_spectral_efficiency(r: float, estimator_iterations: int,

@@ -115,10 +115,6 @@ class PilotAssignment:
             raise ValueError("paired-beam id must be 0 or 1")
         return np.take(self.refs, [self._column[a] + b for a, b in tags], axis=1)
 
-    @property
-    def p_max(self) -> int:
-        return self.n // 2  # two shifts per root
-
 
 def _shift_ok(p: int, roots: list[int], n: int) -> bool:
     """The two shifts of a root cancel at zero lag unless root * p = 0 mod n."""
@@ -163,7 +159,7 @@ def assign_pilots(abps, n: int, root_pool=None, p: int | None = None,
     roots = {abp_id: pool[i] for i, abp_id in enumerate(sorted(ids))}
     used = list(roots.values())
 
-    p_max = n // 2
+    p_max = n // 2  # two shifts per root
     if p is not None:
         if not 1 <= p <= p_max:
             raise ShiftConflict(f"p={p} outside 1..{p_max}")

@@ -307,7 +307,7 @@ def _check_channel_elementwise(rng) -> bool:
                 for i in range(2):
                     for j in range(6):
                         want[i, j] += rho * pth.g_vv * a_r[i] * np.conj(a_t[j])
-            if np.max(np.abs(real.at(k) - want)) > 1e-12:
+            if np.max(np.abs(real.h[k] - want)) > 1e-12:
                 return False
     return True
 
@@ -331,9 +331,9 @@ def _check_two_path_toy() -> bool:
     rep = estimate_multipath(chan, plan, pilots, None, 2,
                              rng=np.random.default_rng(5), codebooks=cbs)
 
-    h0 = chan.at(0)
-    rx = [b.vector for b in cbs.rx["v"]]
-    az = cbs.tx_az["v"]
+    h0 = chan.h[0]
+    rx = [b.vector for b in cbs.domain("receive")["v"]]
+    az = cbs.domain("azimuth")["v"]
 
     def power(vec):
         return sum(abs(received_symbol(w, h0, vec)) ** 2 for w in rx)
@@ -344,7 +344,7 @@ def _check_two_path_toy() -> bool:
     oracle = []
     for win in order:
         mu_y = _sweep_invert(s_az, bores, win)
-        el = cbs.tx_el["v"]
+        el = cbs.domain("elevation")["v"]
         s_el = [power(np.kron(upa_steering(b.boresight_mu, 0.0, ARRAYS.n_x, 1),
                               upa_steering(0.0, mu_y, 1, ARRAYS.n_y)))
                 for b in el]

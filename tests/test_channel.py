@@ -1,5 +1,5 @@
 """Wideband channel construction tests: pulse taps, polarization blocks,
-statistical generators, and the text fixture round trip."""
+and statistical generators."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,8 @@ from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig
                               OfdmConfig, PathParams,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
-                              effective_gains, load_channel_csv, pulse_coefficient,
-                              pulse_coefficients, pulse_samples, rician_narrowband,
-                              save_channel_csv)
+                              effective_gains, pulse_coefficient,
+                              pulse_coefficients, pulse_samples, rician_narrowband)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
@@ -185,7 +184,7 @@ class TestFrequencyResponse:
                 for m in range(2):
                     for n in range(6):
                         want[m, n] += rho * p.g_vv * a_r[m] * np.conj(a_t[n])
-            assert np.max(np.abs(real.at(k) - want)) < 1e-12
+            assert np.max(np.abs(real.h[k] - want)) < 1e-12
 
     def test_crosspol_matches_direct(self):
         """Optimized block assembly equals the masked Kronecker reference."""
@@ -450,33 +449,3 @@ class TestDrawOrder:
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-
-# ---------------------------------------------------------------------------
-# fixtures on disk
-
-class TestCsvRoundTrip:
-    def test_crosspol_fixture(self, tmp_path):
-        rng = np.random.default_rng(23)
-        paths = [PathParams(cgain(rng), cgain(rng), cgain(rng), cgain(rng),
-                            rng.uniform(0, 3) * OFDM.sample_period,
-                            random_angles(rng)) for _ in range(4)]
-        real = crosspol_frequency_response(paths, CROSS, OFDM, CrossPolConfig(0.2, 0.35))
-        fn = str(tmp_path / "chan.csv")
-        save_channel_csv(real, fn)
-        back = load_channel_csv(fn)
-        assert back.arrays == CROSS
-        assert back.ofdm == OFDM
-        assert back.crosspol == CrossPolConfig(0.2, 0.35)
-        assert np.max(np.abs(back.h - real.h)) < 1e-9
-        for a, b in zip(real.paths, back.paths):
-            assert abs(a.g_vv - b.g_vv) < 1e-12
-            assert abs(a.tau - b.tau) < 1e-18
-
-    def test_narrowband_fixture(self, tmp_path):
-        rng = np.random.default_rng(24)
-        real = rician_narrowband(CO, AngleSet(0.3, -0.4, 0.2), 13.2, 3, rng)
-        fn = str(tmp_path / "nb.csv")
-        save_channel_csv(real, fn)
-        back = load_channel_csv(fn)
-        assert back.ofdm is None
-        assert np.max(np.abs(back.h - real.h)) < 1e-9

@@ -9,12 +9,15 @@ import pytest
 
 from beampair.codebook import (AuxiliaryBeamPair, CodebookConfig, CodebookSet,
                                EmptyRange, InfeasibleCoverage, build_codebooks,
-                               dump_codebook_csv, enumerate_abps,
+                               enumerate_abps,
                                random_probing_plan, rx_beam_vector, tx_beam_vector)
 from beampair.geometry import ArrayConfig
 
 CO = ArrayConfig(n_x=4, n_y=8, m_tot=4)
 CROSS = ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross")
+# coverage ranges whose centers, the transmit beams' fixed frequencies, are
+# nonzero, distinct and exact in binary: elevation 0.25, azimuth -0.25
+ASYM = {"el_range": (-0.25, 0.75), "az_range": (-1.0, 0.5)}
 
 
 def default_cfg(arrays=CO, **kw):
@@ -49,14 +52,14 @@ class TestSpacing:
     def test_receive_grid_size(self):
         """180 deg of mu at quarter-pi spacing gives four receive beams."""
         cbs = build_codebooks(default_cfg())
-        assert len(cbs.rx["v"]) == 4
-        centers = [b.boresight_mu for b in cbs.rx["v"]]
+        assert len(cbs.domain("receive")["v"]) == 4
+        centers = [b.boresight_mu for b in cbs.domain("receive")["v"]]
         assert np.allclose(centers, [-3 * np.pi / 8, -np.pi / 8, np.pi / 8, 3 * np.pi / 8])
 
     def test_azimuth_grid_size(self):
         """120 deg of mu at pi/8 spacing gives six centered azimuth beams."""
         cbs = build_codebooks(default_cfg())
-        centers = np.degrees([b.boresight_mu for b in cbs.tx_az["v"]])
+        centers = np.degrees([b.boresight_mu for b in cbs.domain("azimuth")["v"]])
         assert len(centers) == 6
         assert np.allclose(centers, [-56.25, -33.75, -11.25, 11.25, 33.75, 56.25])
 
@@ -105,17 +108,18 @@ class TestBeamVectors:
         assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
     def test_azimuth_beams_share_fixed_elevation(self):
-        cbs = build_codebooks(default_cfg(arrays=CROSS), fixed_el_mu=0.31)
-        for pol in ("v", "h"):
-            for b in cbs.tx_az[pol]:
-                assert b.fixed_mu == 0.31
-        ref = tx_beam_vector(CROSS, "v", 0.31, cbs.tx_az["v"][0].boresight_mu)
-        assert np.allclose(cbs.tx_az["v"][0].vector, ref)
+        """Every azimuth beam of both polarizations steers the elevation
+        frequency at the elevation range center."""
+        cbs = build_codebooks(default_cfg(arrays=CROSS, **ASYM))
+        for pol, beams in cbs.domain("azimuth").items():
+            for b in beams:
+                assert np.array_equal(
+                    b.vector, tx_beam_vector(CROSS, pol, 0.25, b.boresight_mu))
 
     def test_indices_unique_per_domain(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         for axis in ("elevation", "azimuth", "receive"):
-            ids = [(b.polarization, b.index) for b in cbs.all_beams(axis)]
+            ids = [(b.polarization, b.index) for b in cbs.books[axis].beams]
             assert len(set(ids)) == len(ids)
 
 
@@ -161,7 +165,7 @@ class TestPairs:
     def test_single_beam_domain_has_no_pairs(self):
         cfg = default_cfg(az_range=(-0.1, 0.1))
         cbs = build_codebooks(cfg)
-        assert len(cbs.tx_az["v"]) == 1
+        assert len(cbs.domain("azimuth")["v"]) == 1
         assert enumerate_abps(cbs, "azimuth") == []
         assert cbs.books["azimuth"].pairs.shape == (0, 2)
         assert cbs.books["azimuth"].members.tolist() == [[-1, -1]]
@@ -178,7 +182,7 @@ class TestPairs:
             book = cbs.books[axis]
             want = []
             for pol in cbs.pols:
-                beams = sorted((b for b in cbs.all_beams(axis) if b.polarization == pol),
+                beams = sorted((b for b in cbs.books[axis].beams if b.polarization == pol),
                                key=lambda b: b.boresight_mu)
                 want += list(zip(beams, beams[1:]))
             assert len(want) > 1
@@ -204,10 +208,9 @@ class TestBooks:
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
     def test_matrix_columns_are_the_beam_vectors(self, arrays):
         """Each column equals a scalar steering call at the beam's boresight
-        (transmit beams at the fixed frequency of the other axis) bit for
-        bit, and each beam's vector is that column."""
-        cbs = build_codebooks(default_cfg(arrays=arrays), fixed_el_mu=0.31,
-                              fixed_az_mu=-0.2)
+        (transmit beams at the range center of the other axis) bit for bit,
+        and each beam's vector is that column."""
+        cbs = build_codebooks(default_cfg(arrays=arrays, **ASYM))
         for axis in ("elevation", "azimuth", "receive"):
             book = cbs.books[axis]
             assert book.matrix.flags.c_contiguous
@@ -215,8 +218,8 @@ class TestBooks:
                 assert beam.index == i and beam.boresight_mu == book.boresights[i]
                 mu, pol = beam.boresight_mu, beam.polarization
                 want = (rx_beam_vector(arrays, pol, mu) if axis == "receive" else
-                        tx_beam_vector(arrays, pol, mu, -0.2) if axis == "elevation"
-                        else tx_beam_vector(arrays, pol, 0.31, mu))
+                        tx_beam_vector(arrays, pol, mu, -0.25) if axis == "elevation"
+                        else tx_beam_vector(arrays, pol, 0.25, mu))
                 assert np.array_equal(book.matrix[:, i], want)
                 assert np.shares_memory(beam.vector, book.matrix)
 
@@ -224,7 +227,7 @@ class TestBooks:
     def test_sweep_grid_covers_every_same_pol_pair(self, arrays):
         cbs = build_codebooks(default_cfg(arrays=arrays,
                                           el_range=(-np.pi / 2, np.pi / 2)))
-        el, az = cbs.all_beams("elevation"), cbs.all_beams("azimuth")
+        el, az = cbs.books["elevation"].beams, cbs.books["azimuth"].beams
         want = [(e.index, a.index) for pol in cbs.pols for e in el for a in az
                 if e.polarization == a.polarization == pol]
         assert list(zip(cbs.grid_el.tolist(), cbs.grid_az.tolist())) == want
@@ -305,15 +308,3 @@ class TestProbingPlan:
         plan = random_probing_plan(cbs, 4, 4, 2, 2, seed=2, tx_axis="elevation")
         assert all(b.axis == "elevation" for beams in plan.tx_beams for b in beams)
 
-
-# ---------------------------------------------------------------------------
-# debug dump
-
-def test_dump_csv(tmp_path):
-    cbs = build_codebooks(default_cfg(arrays=CROSS))
-    fn = tmp_path / "beams.csv"
-    dump_codebook_csv(cbs, str(fn))
-    lines = fn.read_text().strip().splitlines()
-    n_beams = sum(len(cbs.all_beams(ax)) for ax in ("elevation", "azimuth", "receive"))
-    assert lines[0] == "domain,index,polarization,boresight_deg"
-    assert len(lines) == 1 + n_beams

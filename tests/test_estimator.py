@@ -286,23 +286,24 @@ class TestSinglePath:
                  for _ in range(3)]
         chan = crosspol_frequency_response(paths, CROSS, OfdmConfig(8, 2),
                                            CrossPolConfig(0.2, 0.3))
-        want = {axis: np.zeros(len(cbs.all_beams(axis)))
+        want = {axis: np.zeros(len(cbs.books[axis].beams))
                 for axis in ("elevation", "azimuth", "receive")}
-        for w in cbs.all_beams("receive"):
+        el, az = cbs.domain("elevation"), cbs.domain("azimuth")
+        for w in cbs.books["receive"].beams:
             for pol in cbs.pols:
-                for eb in cbs.tx_el[pol]:
-                    for ab in cbs.tx_az[pol]:
+                for eb in el[pol]:
+                    for ab in az[pol]:
                         f = tx_beam_vector(CROSS, pol, eb.boresight_mu,
                                            ab.boresight_mu)
-                        p = np.mean([abs(received_symbol(w, chan.at(k), f)) ** 2
+                        p = np.mean([abs(received_symbol(w, chan.h[k], f)) ** 2
                                      for k in range(8)])
                         want["receive"][w.index] += p
                         want["elevation"][eb.index] += p
                         want["azimuth"][ab.index] += p
         got, probes = _sweep(chan, cbs, 0.0, None)
-        assert len(cbs.tx_el["v"]) > 1
-        assert probes == len(cbs.all_beams("receive")) * sum(
-            len(cbs.tx_el[p]) * len(cbs.tx_az[p]) for p in cbs.pols)
+        assert len(el["v"]) > 1
+        assert probes == len(cbs.books["receive"].beams) * sum(
+            len(el[p]) * len(az[p]) for p in cbs.pols)
         for axis, s in want.items():
             assert np.allclose(got[axis], s, rtol=1e-12, atol=0.0)
 
@@ -349,9 +350,9 @@ class TestSinglePath:
             chan = los_channel(rng.uniform(-0.6, 0.6), mu_y,
                                rng.uniform(-1.2, 1.2), rng)
             zetas = []
-            for w in (cbs.rx["v"][0], cbs.rx["v"][1],
+            for w in (cbs.domain("receive")["v"][0], cbs.domain("receive")["v"][1],
                       rng.normal(size=4) + 1j * rng.normal(size=4)):
-                powers = [abs(received_symbol(w, chan.at(0), b)) ** 2
+                powers = [abs(received_symbol(w, chan.h[0], b)) ** 2
                           for b in pair.beams]
                 if powers[0] + powers[1] == 0:
                     break
@@ -458,7 +459,7 @@ class TestCrossPolarized:
         ofdm = OfdmConfig(16, 4)
         xp = CrossPolConfig(chi=0.2, varsigma=np.radians(20.0))
         rng = np.random.default_rng(51)
-        rx_beams = cbs.rx["v"] + cbs.rx["h"]
+        rx_beams = cbs.domain("receive")["v"] + cbs.domain("receive")["h"]
         for _ in range(100):
             mu_y = rng.uniform(pair.center_mu - 0.95 * pair.delta,
                                pair.center_mu + 0.95 * pair.delta)
@@ -468,7 +469,7 @@ class TestCrossPolarized:
                               complex(rng.normal(), rng.normal()),
                               complex(rng.normal(), rng.normal()), 0.0, ang)
             chan = crosspol_frequency_response([path], CROSS, ofdm, xp)
-            powers = [sum(abs(received_symbol(w, chan.at(0), b)) ** 2
+            powers = [sum(abs(received_symbol(w, chan.h[0], b)) ** 2
                           for w in rx_beams) for b in pair.beams]
             zeta = ratio_metric(powers[0], powers[1])
             want = ratio_closed_form(mu_y, pair.center_mu, pair.delta)
@@ -483,7 +484,7 @@ class TestCrossPolarized:
         pair = enumerate_abps(cbs, "azimuth")[1]
         ofdm = OfdmConfig(16, 4)
         rng = np.random.default_rng(52)
-        rx_beams = cbs.rx["v"] + cbs.rx["h"]
+        rx_beams = cbs.domain("receive")["v"] + cbs.domain("receive")["h"]
         for _ in range(100):
             mu_y = rng.uniform(pair.center_mu - 0.9 * pair.delta,
                                pair.center_mu + 0.9 * pair.delta)
@@ -496,7 +497,7 @@ class TestCrossPolarized:
             for chi, vs in ((0.0, 0.0), (0.2, np.radians(20)), (0.4, np.radians(-35))):
                 chan = crosspol_frequency_response([path], CROSS, ofdm,
                                                    CrossPolConfig(chi, vs))
-                powers = [sum(abs(received_symbol(w, chan.at(0), b)) ** 2
+                powers = [sum(abs(received_symbol(w, chan.h[0], b)) ** 2
                               for w in rx_beams) for b in pair.beams]
                 vals.append(ratio_metric(powers[0], powers[1]))
             assert max(vals) - min(vals) < 1e-9
@@ -509,9 +510,9 @@ class TestGob:
     def test_on_boresight_is_exact(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         rng = np.random.default_rng(53)
-        mu_y = cbs.tx_az["v"][2].boresight_mu
-        mu_x = cbs.tx_el["v"][0].boresight_mu
-        nu = cbs.rx["v"][1].boresight_mu
+        mu_y = cbs.domain("azimuth")["v"][2].boresight_mu
+        mu_x = cbs.domain("elevation")["v"][0].boresight_mu
+        nu = cbs.domain("receive")["v"][1].boresight_mu
         rep = gob_estimate(los_channel(mu_x, mu_y, nu, rng), cbs)
         assert abs(rep.best.mu_y - mu_y) < 1e-12
         assert abs(rep.best.mu_x - mu_x) < 1e-12
@@ -523,10 +524,10 @@ class TestGob:
         cfg = CodebookConfig(arrays=CO)
         cbs = build_codebooks(cfg)
         rng = np.random.default_rng(54)
-        b = [beam.boresight_mu for beam in cbs.tx_az["v"]]
+        b = [beam.boresight_mu for beam in cbs.domain("azimuth")["v"]]
         mid = 0.5 * (b[3] + b[4])
-        rep = gob_estimate(los_channel(b[0], mid,
-                                       cbs.rx["v"][0].boresight_mu, rng), cbs)
+        nu = cbs.domain("receive")["v"][0].boresight_mu
+        rep = gob_estimate(los_channel(b[0], mid, nu, rng), cbs)
         assert abs(abs(rep.best.mu_y - mid) - cfg.delta("azimuth")) < 1e-9
 
     def test_iteration_model(self):
@@ -545,8 +546,8 @@ class TestTagging:
         cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
         members = cbs.books["azimuth"].members
-        v = cbs.tx_az["v"]
-        h = cbs.tx_az["h"]
+        v = cbs.domain("azimuth")["v"]
+        h = cbs.domain("azimuth")["h"]
         tags = tag_probing([b.index for b in (v[0], v[1], h[0], h[2])], members)
         assert tags[0][0] == tags[1][0]
         assert (tags[0][1], tags[1][1]) == (0, 1)
@@ -556,7 +557,7 @@ class TestTagging:
     def test_unpaired_beam_rejected(self):
         cfg = CodebookConfig(arrays=CO, az_range=(-0.1, 0.1))
         cbs = build_codebooks(cfg)
-        lone = cbs.tx_az["v"][0]
+        lone = cbs.domain("azimuth")["v"][0]
         with pytest.raises(InsufficientNeighbors):
             tag_probing([lone.index], cbs.books["azimuth"].members)
 
@@ -631,9 +632,9 @@ class TestMultipath:
         a time, rank azimuth beams, pair each winner with its stronger
         neighbor, invert longhand, then redo elevation at the azimuth
         estimate."""
-        h0 = chan.at(0)  # all paths arrive at zero delay, so k=0 suffices
-        rx = [b.vector for b in cbs.rx["v"]]
-        az = cbs.tx_az["v"]
+        h0 = chan.h[0]  # all paths arrive at zero delay, so k=0 suffices
+        rx = [b.vector for b in cbs.domain("receive")["v"]]
+        az = cbs.domain("azimuth")["v"]
 
         def power(f_vec):
             return sum(abs(received_symbol(w, h0, f_vec)) ** 2 for w in rx)
@@ -650,7 +651,7 @@ class TestMultipath:
             zeta = (s_az[lo] - s_az[hi]) / (s_az[lo] + s_az[hi])
             mu_y = invert_inline(zeta, center, delta)
 
-            el = cbs.tx_el["v"]
+            el = cbs.domain("elevation")["v"]
             arrays = cbs.config.arrays
             s_el = [power(np.kron(
                 upa_steering(b.boresight_mu, 0.0, arrays.n_x, 1)[: arrays.n_x],
@@ -686,7 +687,7 @@ class TestMultipath:
         default cross-pol codebook has one elevation beam per polarization,
         so no elevation stage runs."""
         cbs = build_codebooks(CodebookConfig(arrays=CROSS))
-        assert len(cbs.tx_el["v"]) == len(cbs.tx_el["h"]) == 1
+        assert len(cbs.domain("elevation")["v"]) == len(cbs.domain("elevation")["h"]) == 1
         pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
         plan = random_probing_plan(cbs, 2, 2, 3, 3, seed=0, layout="free")
         path = PathParams(1.0, 0.2, 0.1, 0.8, 0.0, angles_for(0.3, -0.5, 0.4, CROSS))
@@ -709,17 +710,18 @@ class TestMultipath:
         """Each selected path re-points the elevation book alone: one
         elevation steering call per polarization per path, and no other
         beam vector (a whole codebook set per path made 4 calls per
-        polarization). The re-pointed book is the one build_codebooks makes
-        for that azimuth; the other books and the grid are shared."""
+        polarization). The re-pointed book's columns are the scalar steering
+        vectors at that azimuth; the other books and the grid are shared."""
         cfg = CodebookConfig(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
-        assert all(len(beams) > 1 for beams in cbs.tx_el.values())
+        assert all(len(beams) > 1 for beams in cbs.domain("elevation").values())
         repointed = cbs.repointed(-0.37)
-        want = build_codebooks(cfg, fixed_az_mu=-0.37).books["elevation"]
-        got = repointed.books["elevation"]
-        assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert got.boresights.tobytes() == want.boresights.tobytes()
-        assert np.array_equal(got.members, want.members) and got.delta == want.delta
+        got, base = repointed.books["elevation"], cbs.books["elevation"]
+        for i, beam in enumerate(got.beams):
+            want = tx_beam_vector(arrays, beam.polarization, beam.boresight_mu, -0.37)
+            assert got.matrix[:, i].tobytes() == want.tobytes()
+        assert got.boresights.tobytes() == base.boresights.tobytes()
+        assert np.array_equal(got.members, base.members) and got.delta == base.delta
         assert repointed.books["azimuth"] is cbs.books["azimuth"]
         assert repointed.books["receive"] is cbs.books["receive"]
         assert repointed.grid is cbs.grid
@@ -744,7 +746,7 @@ class TestMultipath:
         chan = copol_frequency_response(
             [PathParams.single_pol(1.0, 0.0, angles_for(0.1, 0.2, 0.3, CO))],
             CO, OfdmConfig(64, 16))
-        az, rx = cbs.all_beams("azimuth"), cbs.all_beams("receive")
+        az, rx = cbs.books["azimuth"].beams, cbs.books["receive"].beams
 
         def plan(tx_beams, rx_beams):
             return ProbingPlan(tx_beams=[[b] for b in tx_beams],
@@ -806,7 +808,7 @@ def test_cross_terms_shrink_with_array_size():
             f0 = tx_beam_vector(arrays, "v", 0.0, mu_y)
             f1 = tx_beam_vector(arrays, "v", 0.0, mu_y + 0.9)
             f2 = tx_beam_vector(arrays, "h", 0.0, mu_y + 1.5)
-            h0 = chan.at(0)
+            h0 = chan.h[0]
             lead = complex(w.conj() @ h0 @ f0) * n
             y = np.array([complex(w.conj() @ h0 @ (f0 * x0[k] + f1 * x1[k]
                                                    + f2 * x2[k]))

@@ -2,6 +2,7 @@
 deterministic runs of each family, and the command-line interface."""
 
 import csv
+import math
 import os
 
 from dataclasses import fields
@@ -277,10 +278,14 @@ _SLOTS_AND_POLARIZATION = [
     *((family, f"probing.{side} = 1") for family in ("norm_se_vs_snr", "robustness_xpd")
       for side in ("n_t", "m_t")),
     ("maee_vs_snr", "arrays.polarization = cross\ncodebook.el_range_deg = -90:90")]
+# a robustness family sets its swept parameter itself; before its setup check,
+# a value set in the config was ignored without a word
+_SWEPT_KEY_SET = [("robustness_xpd", "channel.chi = 0.7"),
+                  ("robustness_mismatch", "channel.varsigma_deg = 40")]
 SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
-    *_SLOTS_AND_POLARIZATION]
+    *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET]
 
 
 class TestCli:
@@ -314,7 +319,7 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "arrays.polarization = diag", "codebook.delta_mode = foo",
         "arrays.n_x = 0", "pilot.coprime_with = m", "overhead.n_s = 0",
-        "overhead.epsilon_t = 0"])
+        "overhead.epsilon_t = 0", "quantizer.bits = -1", "quantizer.bits = 0"])
     def test_bad_values_are_invalid_config(self, line, tmp_path, capsys):
         """Values the array, codebook, pilot and overhead settings reject
         fail validation, so run stops before any trial."""
@@ -350,7 +355,7 @@ class TestCli:
             "channel.chi = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
-        *_SLOTS_AND_POLARIZATION])
+        *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -371,11 +376,21 @@ class TestCli:
     @pytest.mark.parametrize("family,line", SETUP_REJECTS)
     def test_setup_rejects_what_a_trial_would_fail_on(self, family, line):
         """A negative chi (on every family with a cluster profile), a slot
-        budget that cannot probe every azimuth or receive beam, and
-        cross-pol arrays for the co-pol Rician channel fail in the setup."""
+        budget that cannot probe every azimuth or receive beam, cross-pol
+        arrays for the co-pol Rician channel and a value for the parameter a
+        robustness family sweeps fail in the setup."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         with pytest.raises(ConfigError):
             experiments.setup_experiment(cfg)
+
+    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "pilot_vs_tdm"])
+    def test_swept_keys_set_the_profile_elsewhere(self, family):
+        """The keys the robustness families sweep are ordinary settings of
+        the other cluster-profile families."""
+        cfg = validate_config(f"experiment = {family}\nchannel.chi = 0.7\n"
+                              "channel.varsigma_deg = 40\n")
+        profile = experiments.setup_experiment(cfg).profile
+        assert profile.chi == 0.7 and profile.varsigma == math.radians(40.0)
 
     @pytest.mark.parametrize("family", EXPERIMENTS)
     def test_validate_runs_no_trial(self, family, tmp_path, capsys, monkeypatch):

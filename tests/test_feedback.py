@@ -4,26 +4,13 @@ mean error against brute-force oracles."""
 import numpy as np
 import pytest
 
-from beampair.feedback import (FeedbackWord, OutOfRange, QuantizerConfig,
-                               codewords, quantize_differential,
+from beampair.feedback import (FeedbackWord, OutOfRange, codewords, quantize_differential,
                                quantize_direct, reconstruct, worst_case_error)
 
 # ---------------------------------------------------------------------------
-# configuration and word validation
+# word validation
 
 class TestConfig:
-    def test_total_bits(self):
-        assert QuantizerConfig(3, "differential", 0.4).total_bits == 4
-        assert QuantizerConfig(4, "direct", 1.0).total_bits == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="bits"):
-            QuantizerConfig(0, "direct", 1.0)
-        with pytest.raises(ValueError, match="range"):
-            QuantizerConfig(2, "direct", 0.0)
-        with pytest.raises(ValueError, match="scheme"):
-            QuantizerConfig(2, "nearest", 1.0)
-
     def test_word_index_bounds(self):
         with pytest.raises(ValueError, match="codeword index"):
             FeedbackWord(scheme="direct", codeword_index=4, bits=2,
@@ -173,8 +160,6 @@ def test_differential_beats_direct_at_equal_payload():
                 mu = center + rng.uniform(-delta, delta)
                 w_d = quantize_differential(mu, center, delta, bits)
                 w_s = quantize_direct(mu, sector, bits + 1)
-                assert QuantizerConfig(bits, "differential", delta).total_bits \
-                    == QuantizerConfig(bits + 1, "direct", 1.0).total_bits
                 d_err.append(abs(reconstruct(w_d) - mu))
                 s_err.append(abs(reconstruct(w_s) - mu))
             assert np.mean(d_err) < np.mean(s_err)

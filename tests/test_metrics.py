@@ -11,7 +11,7 @@ from beampair.codebook import rx_beam_vector, tx_beam_vector
 from beampair.geometry import (AngleSet, ArrayConfig,
                                angles_from_spatial_frequencies, aoa_from_nu)
 from beampair.metrics import (EmptyInput, OverheadModel, build_rf_beamformers,
-                              ci95, maee, maqe, normalized_spectral_efficiency,
+                              ci95, maee, normalized_spectral_efficiency,
                               spectral_efficiency)
 
 # ---------------------------------------------------------------------------
@@ -36,9 +36,6 @@ class TestMaee:
             maee([], [])
         with pytest.raises(ValueError, match="equal length"):
             maee([1.0, 2.0], [1.0])
-
-    def test_maqe_alias(self):
-        assert maqe([5.0], [5.5]) == pytest.approx(0.5)
 
 
 class TestCi95:

@@ -224,7 +224,6 @@ class TestAssignment:
     def test_smallest_valid_shift_found(self):
         asn = assign_pilots([0, 1], 512)
         assert asn.p == 1
-        assert asn.p_max == 256
 
     def test_explicit_shift_validated(self):
         with pytest.raises(ShiftConflict, match="outside"):
