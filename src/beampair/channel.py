@@ -181,14 +181,16 @@ class ChannelRealization:
         return np.tensordot(self.rho, self.u @ self.v.conj().transpose(0, 2, 1), axes=1)
 
     def beamformed(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """W^H H[k] F for every subcarrier, (N, i, j), from per-path products:
-        cost O(N L i j) instead of O(N M N_t j) on the dense tensor."""
-        if w.shape[0] != self.u.shape[1] or f.shape[0] != self.v.shape[1]:
+        """W^H H[k] F for every subcarrier, (..., N, i, j), from per-path
+        products: cost O(N L i j), not O(N M N_t j) on the dense tensor. Batch
+        axes of w (..., M, i) and f (..., N_t, j) broadcast, bit for bit."""
+        if w.shape[-2] != self.u.shape[1] or f.shape[-2] != self.v.shape[1]:
             raise DimensionMismatch(
                 f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
-        per_path = (w.conj().T @ self.u) @ (self.v.conj().transpose(0, 2, 1) @ f)
-        n_paths, i, j = per_path.shape
-        return (self.rho @ per_path.reshape(n_paths, i * j)).reshape(-1, i, j)
+        wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u
+        per_path = wu @ (self.v.conj().transpose(0, 2, 1) @ f[..., None, :, :])
+        *batch, n_paths, i, j = per_path.shape
+        return (self.rho @ per_path.reshape(*batch, n_paths, i * j)).reshape(*batch, -1, i, j)
 
 
 def _realization(rho: np.ndarray, angles, g: np.ndarray, paths: list[PathParams],

@@ -24,7 +24,7 @@ from .codebook import (AuxiliaryBeamPair, AxisBook, Beam, CodebookSet,
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
 from .geometry import (DegenerateDirection, angles_from_spatial_frequencies,
                        aoa_from_nu)
-from .pilot import PilotAssignment, assign_pilots, correlate_zero_lag
+from .pilot import PilotAssignment, assign_pilots
 
 # PathEstimate field holding each axis's spatial-frequency estimate
 _MU_KEYS = (("elevation", "mu_x"), ("azimuth", "mu_y"), ("receive", "nu"))
@@ -123,7 +123,11 @@ def _noise_like(shape, sigma: float, rng: np.random.Generator,
     what a separate call would give, stacked as batch + shape."""
     dims = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     z = rng.standard_normal((math.prod(batch), 2, *dims))
-    return (sigma * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)).reshape(*batch, *dims)
+    out = np.empty((math.prod(batch), *dims), dtype=complex)
+    out.real, out.imag = z[:, 0], z[:, 1]
+    out *= sigma  # the bits of sigma * (re + 1j im) / sqrt 2: numpy divides
+    out *= 1 / np.sqrt(2)  # a complex by a real as a product with the reciprocal
+    return out.reshape(*batch, *dims)
 
 
 def _sigma_from_gamma(gamma: float | None) -> float:
@@ -261,40 +265,40 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
                          pilots: PilotAssignment, tx_book: AxisBook,
                          rx_book: AxisBook, sigma: float,
                          rng: np.random.Generator | None):
-    """Run every (tx probing, rx probing) slot, correlate each receive branch
-    against the probing's pilot references, and accumulate |corr|^2 strengths
-    per transmit beam and per receive beam (arrays indexed by Beam.index) and
-    per receive probing. Probing matrices are columns of the beam matrices."""
+    """Run every (tx probing, rx probing) slot at once, correlate each receive
+    branch against its tx probing's pilot references, and sum |corr|^2 per
+    transmit beam and receive beam (arrays indexed by Beam.index) and per
+    receive probing, in slot order. Each slot's matrix products keep the
+    operand layout of a per-slot product, so batching moves no bit."""
     n, m, _ = channel.shape
     if n != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
     rng = np.random.default_rng() if rng is None else rng
 
-    tx_idx = [[b.index for b in beams] for beams in plan.tx_beams]
-    rx_idx = [[b.index for b in beams] for beams in plan.rx_beams]
-    tx_strength = np.zeros(len(tx_book.beams))
-    rx_strength = np.zeros(len(rx_book.beams))
-    probing_totals = np.zeros(plan.m_t)
-    # every receive probing at once: columns of w_all, split back per probing;
-    # np.take keeps column picks C-ordered (m[:, idx] is F-ordered) for BLAS
-    w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
-    splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
-    if sigma > 0:  # element noise of every (tx, rx) probing, in loop order
-        noise = _noise_like((n, m), sigma, rng, batch=(len(tx_idx), len(rx_idx)))
+    tx_idx = np.array([[b.index for b in beams] for beams in plan.tx_beams])
+    rx_idx = np.array([[b.index for b in beams] for beams in plan.rx_beams])
+    (n_t, n_rf), (m_t, m_rf) = tx_idx.shape, rx_idx.shape
+    x = pilots.references([tag for t_idx in tx_idx
+                           for tag in tag_probing(t_idx, tx_book.members)])
+    # b[t]: tx probing t's (N, rx column, tx column) block; np.take keeps picks C-ordered
+    b = channel.beamformed(np.take(rx_book.matrix, rx_idx.ravel(), axis=1),
+                           np.take(tx_book.matrix, tx_idx, axis=1).transpose(1, 0, 2))
+    x = np.ascontiguousarray(x.reshape(n, n_t, n_rf).transpose(1, 0, 2))  # (n_t, N, n_rf)
+    y = np.einsum("tkrj,tkj->tkr", b, x)  # pilot-weighted sum per tx probing
+    y = y.reshape(n_t, n, m_t, m_rf).transpose(0, 2, 1, 3)  # (n_t, m_t, N, m_rf)
+    if sigma > 0:  # element noise of every slot, projected by its combiner
+        w_conj = np.ascontiguousarray(
+            np.take(rx_book.matrix, rx_idx, axis=1).transpose(1, 0, 2).conj())
+        y = _noise_like((n, m), sigma, rng, batch=(n_t, m_t)) @ w_conj + y
+    s = np.abs(y.swapaxes(-1, -2) @ x.conj()[:, None]) ** 2  # (n_t, m_t, m_rf, n_rf)
 
-    for nt, t_idx in enumerate(tx_idx):
-        f_mat = np.take(tx_book.matrix, t_idx, axis=1)
-        x = pilots.references(tag_probing(t_idx, tx_book.members))  # (N, n_rf)
-        y_all = np.einsum("kij,kj->ki", channel.beamformed(w_all, f_mat), x)
-        for mt, (r_idx, y) in enumerate(zip(rx_idx, np.split(y_all, splits, axis=1))):
-            if sigma > 0:
-                w_mat = np.take(rx_book.matrix, r_idx, axis=1)
-                y = y + noise[nt, mt] @ w_mat.conj()
-            s = np.abs(correlate_zero_lag(y, x)) ** 2  # (m_rf, n_rf)
-            probing_totals[mt] += float(s.sum())
-            np.add.at(tx_strength, t_idx, s.sum(axis=0))
-            np.add.at(rx_strength, r_idx, s.sum(axis=1))
-    return tx_strength, rx_strength, probing_totals
+    def in_slot_order(idx, weights, size: int) -> np.ndarray:
+        return np.bincount(np.broadcast_to(idx, weights.shape).ravel(),
+                           weights=weights.ravel(), minlength=size)
+
+    return (in_slot_order(tx_idx[:, None], s.sum(axis=2), len(tx_book.beams)),
+            in_slot_order(rx_idx, s.sum(axis=3), len(rx_book.beams)),
+            in_slot_order(np.arange(m_t), s.reshape(n_t, m_t, -1).sum(axis=2), m_t))
 
 
 def _require_coverage(probings: list[list[Beam]], book: AxisBook) -> None:

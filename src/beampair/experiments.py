@@ -29,8 +29,8 @@ from .feedback import (quantize_differential, quantize_direct, reconstruct,
                        worst_case_error)
 from .geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                        aoa_from_nu, spatial_frequencies)
-from .metrics import (OverheadModel, build_rf_beamformers, ci95, maee,
-                      normalized_spectral_efficiency, spectral_efficiency)
+from .metrics import (EmptyInput, OverheadModel, build_rf_beamformers, ci95,
+                      maee, normalized_spectral_efficiency, spectral_efficiency)
 from .pilot import (COPRIME_WITH, assign_pilots, correlate_zero_lag,
                     zc_sequence)
 
@@ -501,7 +501,8 @@ def _gob_triples(report, cbs):
 
 def _rates(s, profile: ClusterProfile, snr: float, rng) -> dict:
     """Spectral efficiency of one channel draw steered at the true dominant
-    directions ("perfect"), at the ABP estimates and at the GoB estimates."""
+    directions ("perfect"), at the ABP estimates and at the GoB estimates:
+    one beamformer build and one rate call for the three schemes."""
     cfg, gamma = s.cfg, 10.0 ** (snr / 10.0)
     chan = clustered_channel_generate(profile, rng, s.arrays, s.ofdm)
     plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
@@ -513,9 +514,8 @@ def _rates(s, profile: ClusterProfile, snr: float, rng) -> dict:
     triples = {"perfect": [(sf.mu_x, sf.mu_y, sf.nu) for sf in perfect],
                "abp": [(p.mu_x, p.mu_y, p.nu) for p in rep.paths],
                "gob": _gob_triples(rep, s.cbs)}
-    return {name: spectral_efficiency(
-        chan, *build_rf_beamformers(dirs, s.arrays, cfg.n_s), gamma, cfg.n_s)
-        for name, dirs in triples.items()}
+    f, w = build_rf_beamformers(list(triples.values()), s.arrays, cfg.n_s)
+    return dict(zip(triples, spectral_efficiency(chan, f, w, gamma, cfg.n_s).tolist()))
 
 
 _RATE_COLUMNS = ["experiment", "snr_db", "scheme", "metric", "value", "ci95"]
@@ -585,6 +585,9 @@ def _robustness_reduce(s, results):
     for value, trials in zip(values, results):
         gaps = [(r["perfect"] - r["abp"]) / r["perfect"]
                 for r in trials if r["perfect"] > 0]
+        if not gaps:
+            raise EmptyInput(f"{name} at {param}_{value:g}: no trial has a "
+                             "positive perfect rate")
         table.add(name, _fmt(snr), f"{param}_{value:g}", "se_gap_frac",
                   _fmt(float(np.mean(gaps))), _fmt(ci95(gaps)))
     return {name: table}

@@ -55,10 +55,12 @@ class OverheadModel:
 
 
 def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
-                        gamma: float, n_s: int) -> float:
+                        gamma: float, n_s: int) -> float | np.ndarray:
     """Per-subcarrier average of log2 det(I + (gamma/n_s) H_TR H_TR*) with
     H_TR[k] = W* H[k] F. channel is a ChannelRealization (beamformed from
-    its path factors) or a dense (N, M, N_t) or (M, N_t) array."""
+    its path factors) or a dense (N, M, N_t) or (M, N_t) array. Leading
+    batch axes of f_rf (..., N_t, j) and w_rf (..., M, i) give one rate per
+    batch entry, as an array; 2-D beamformers give a float."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if isinstance(channel, ChannelRealization):
@@ -67,14 +69,26 @@ def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
         h = np.asarray(channel)
         if h.ndim == 2:
             h = h[None, :, :]
-        if w_rf.shape[0] != h.shape[1] or f_rf.shape[0] != h.shape[2]:
+        if w_rf.shape[-2] != h.shape[1] or f_rf.shape[-2] != h.shape[2]:
             raise DimensionMismatch("beamformer shapes do not match the channel")
-        htr = w_rf.conj().T @ h @ f_rf
-    gram = np.einsum("kij,klj->kil", htr, htr.conj())
-    eye = np.eye(gram.shape[1])
-    # I plus a PSD matrix: the determinant is real and >= 1, so the sign is 1
-    _, logdet = np.linalg.slogdet(eye[None, :, :] + (gamma / n_s) * gram)
-    return float(np.mean(logdet / np.log(2.0)))
+        htr = np.swapaxes(w_rf.conj(), -1, -2)[..., None, :, :] @ h @ f_rf[..., None, :, :]
+    *batch, n_sub, n_r, n_c = htr.shape
+    # streams first: g[c, r] holds entry (r, c) of every H_TR[k] as one lane
+    g = np.ascontiguousarray(htr.reshape(-1, n_r, n_c).transpose(2, 1, 0))
+    a = np.zeros((n_r, n_r, g.shape[-1]), dtype=complex)
+    for col in g:  # H_TR H_TR*, one stream column's outer product at a time
+        a += col[:, None] * col[None, :].conj()
+    a *= gamma / n_s
+    a[np.arange(n_r), np.arange(n_r)] += 1.0
+    # I plus a PSD matrix is Hermitian positive definite: elimination without
+    # pivoting meets real pivots >= 1, whose product is the determinant
+    logdet = np.zeros(g.shape[-1])
+    for p in range(n_r):
+        pivot = a[p, p].real
+        logdet += np.log(pivot)
+        a[p + 1:, p + 1:] -= a[p + 1:, p, None] * (a[p, None, p + 1:] / pivot)
+    rate = np.mean((logdet / np.log(2.0)).reshape(*batch, n_sub), axis=-1)
+    return rate if batch else float(rate)
 
 
 def normalized_spectral_efficiency(r: float, estimator_iterations: int,
@@ -91,19 +105,25 @@ def build_rf_beamformers(paths, arrays: ArrayConfig, n_s: int
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Analog beamformers from per-path direction triples (mu_x, mu_y, nu):
     one steering column per stream, cycling over paths when n_s exceeds the
-    path count and alternating polarization halves in cross mode."""
+    path count and alternating polarization halves in cross mode. `paths`
+    may also hold S such lists, one per beamformer set, each of its own
+    length: then f is (S, N_t, n_s) and w (S, M, n_s), from the same one
+    steering call per polarization and side."""
     if n_s < 1:
         raise ValueError("n_s must be >= 1")
-    triples = list(paths)
-    if not triples:
+    paths = list(paths)
+    stacked = any(np.ndim(p) > 1 for p in paths)
+    sets = [np.array(p, dtype=float).reshape(-1, 3) for p in (paths if stacked else [paths])]
+    if not all(map(len, sets)):
         raise EmptyInput("no path directions")
+    dirs = np.stack([d[np.arange(n_s) % len(d)] for d in sets])  # (S, n_s, 3)
     pols = ("v", "h") if arrays.polarization_mode == "cross" else ("v",)
-    dirs = np.array(triples, dtype=float)[np.arange(n_s) % len(triples)]
-    f = np.empty((arrays.n_tot, n_s), dtype=complex)
-    w = np.empty((arrays.m_full, n_s), dtype=complex)
+    f = np.empty((arrays.n_tot, len(sets), n_s), dtype=complex)
+    w = np.empty((arrays.m_full, len(sets), n_s), dtype=complex)
     # one steering call per polarization and side: streams j, j + len(pols), ...
     for j, pol in enumerate(pols[:n_s]):
-        mu_x, mu_y, nu = dirs[j::len(pols)].T
-        f[:, j::len(pols)] = tx_beam_vector(arrays, pol, mu_x, mu_y)
-        w[:, j::len(pols)] = rx_beam_vector(arrays, pol, nu)
-    return f, w
+        mu_x, mu_y, nu = np.moveaxis(dirs[:, j::len(pols)], -1, 0)  # (S, k) each
+        f[:, :, j::len(pols)] = tx_beam_vector(arrays, pol, mu_x, mu_y)
+        w[:, :, j::len(pols)] = rx_beam_vector(arrays, pol, nu)
+    f, w = f.transpose(1, 0, 2), w.transpose(1, 0, 2)
+    return (f, w) if stacked else (f[0], w[0])

@@ -19,11 +19,12 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _noise_like, _pair_and_invert, _sweep)
+                                _noise_like, _pair_and_invert,
+                                _probe_and_correlate, _sweep)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
-from beampair.pilot import assign_pilots, zc_sequence
+from beampair.pilot import assign_pilots, correlate_zero_lag, zc_sequence
 
 CO = ArrayConfig(n_x=4, n_y=8, m_tot=4)
 CROSS = ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross")
@@ -237,6 +238,17 @@ def test_batched_noise_matches_separate_draws():
         assert got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_noise_is_the_complex_expression_bit_for_bit():
+    """The in-place assembly gives the bits of sigma * (re + 1j im) / sqrt 2
+    on the same draw."""
+    for shape, batch in ((7, ()), ((64, 8), (3, 2))):
+        rng, ref = np.random.default_rng(63), np.random.default_rng(63)
+        z = ref.standard_normal((int(np.prod(batch)), 2) + np.shape(np.empty(shape)))
+        want = (0.3 * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)).reshape(
+            batch + np.shape(np.empty(shape)))
+        assert _noise_like(shape, 0.3, rng, batch=batch).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +783,69 @@ class TestMultipath:
             CO, OfdmConfig(64, 16))
         with pytest.raises(ValueError, match="n_select"):
             estimate_multipath(chan, plan, pilots, None, 0, rng=rng, codebooks=cbs)
+
+
+def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
+    """Per-slot reference for _probe_and_correlate: per tx probing one
+    beamformed call and pilot-weighted sum, per (tx, rx) slot the noise
+    projection, a zero-lag correlation and np.add.at accumulation."""
+    n, m, _ = channel.shape
+    tx_idx = [[b.index for b in beams] for beams in plan.tx_beams]
+    rx_idx = [[b.index for b in beams] for beams in plan.rx_beams]
+    tx_strength = np.zeros(len(tx_book.beams))
+    rx_strength = np.zeros(len(rx_book.beams))
+    totals = np.zeros(plan.m_t)
+    w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
+    splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
+    if sigma > 0:  # every slot's element noise in one draw, in loop order
+        z = rng.standard_normal((len(tx_idx) * len(rx_idx), 2, n, m))
+        noise = (sigma * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)).reshape(
+            len(tx_idx), len(rx_idx), n, m)
+    for nt, t_idx in enumerate(tx_idx):
+        f_mat = np.take(tx_book.matrix, t_idx, axis=1)
+        x = pilots.references(tag_probing(t_idx, tx_book.members))
+        y_all = np.einsum("kij,kj->ki", channel.beamformed(w_all, f_mat), x)
+        for mt, (r_idx, y) in enumerate(zip(rx_idx, np.split(y_all, splits, axis=1))):
+            if sigma > 0:
+                y = y + noise[nt, mt] @ np.take(rx_book.matrix, r_idx, axis=1).conj()
+            s = np.abs(correlate_zero_lag(y, x)) ** 2
+            totals[mt] += float(s.sum())
+            np.add.at(tx_strength, t_idx, s.sum(axis=0))
+            np.add.at(rx_strength, r_idx, s.sum(axis=1))
+    return tx_strength, rx_strength, totals
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("layout,tx_axis,n_t,m_t,n_rf,m_rf", [
+    ("free", "azimuth", 3, 3, 3, 3),
+    ("free", "azimuth", 4, 5, 2, 1),
+    ("split-half", "azimuth", 4, 3, 2, 2),
+    ("split-half", "elevation", 4, 3, 2, 2),
+    ("free", "elevation", 2, 4, 3, 1),
+])
+def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
+                                           n_rf, m_rf):
+    """The batched probing gives the per-slot loop's strengths and probing
+    totals bit for bit, and leaves the generator where the loop leaves it,
+    on free and split-half plans, azimuth and elevation books, m_rf = 1."""
+    cbs = build_codebooks(CodebookConfig(arrays=CROSS, el_range=(-np.pi / 2, np.pi / 2)))
+    tx_book, rx_book = cbs.books[tx_axis], cbs.books["receive"]
+    pilots = assign_pilots(range(len(tx_book.pairs)), 64, p=1)
+    rng = np.random.default_rng(64)
+    paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                        angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
+             for tau in (0.0, 2e-9, 5e-9)]
+    chan = crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
+                                       CrossPolConfig(0.3, 0.2))
+    plan = random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, seed=5, layout=layout,
+                               tx_axis=tx_axis)
+    got_rng, want_rng = np.random.default_rng(65), np.random.default_rng(65)
+    got = _probe_and_correlate(chan, plan, pilots, tx_book, rx_book, sigma, got_rng)
+    want = _probe_and_correlate_loop(chan, plan, pilots, tx_book, rx_book, sigma,
+                                     want_rng)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

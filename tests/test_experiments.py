@@ -13,6 +13,7 @@ import pytest
 from beampair import experiments
 from beampair.channel import clustered_channel_generate
 from beampair.cli import main
+from beampair.metrics import EmptyInput
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   IoError, ParseError, ResultTable,
                                   emit_outputs, load_config, parse_snr_grid,
@@ -240,6 +241,18 @@ class TestFamilies:
         assert tags == ["varsigma_0", "varsigma_10", "varsigma_20", "varsigma_30"]
         for row in table.rows:
             assert np.isfinite(float(row[4]))
+
+    def test_robustness_point_without_a_positive_rate_is_an_error(self):
+        """A sweep point none of whose trials has a positive perfect rate
+        raises EmptyInput naming the point, instead of writing a nan."""
+        s = experiments.setup_experiment(ExperimentConfig(
+            experiment="robustness_xpd", trials=2, plots=False))
+        good = [{"perfect": 2.0, "abp": 1.5, "gob": 1.0}] * 2
+        dropped = [{"perfect": 0.0, "abp": 0.0, "gob": 0.0}] * 2
+        table = experiments._robustness_reduce(s, [good] * 4)["robustness_xpd"]
+        assert [float(r[4]) for r in table.rows] == [0.25] * 4
+        with pytest.raises(EmptyInput, match="robustness_xpd at chi_0.2: no trial"):
+            experiments._robustness_reduce(s, [good, good, dropped, good])
 
     @pytest.mark.parametrize("family", ["norm_se_vs_snr", "pilot_vs_tdm"])
     def test_trials_never_build_the_dense_tensor(self, family, tmp_path,

@@ -19,6 +19,9 @@ from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_DIRS = {0: GOLDEN_DIR, 1: GOLDEN_DIR / "seed1"}
+# seed-0 tables with the elevation stage running: directory, config overrides
+EL90_DIR, EL90 = GOLDEN_DIR / "el90", {"el_range_deg": (-90.0, 90.0)}
+EL90_FAMILIES = ("norm_se_vs_snr", "robustness_xpd")
 GOLDEN_TRIALS = {
     "maee_vs_snr": 40,
     "maqe_bits": 200,
@@ -48,21 +51,24 @@ def test_every_family_has_a_golden_table():
     assert set(GOLDEN_TRIALS) == set(EXPERIMENTS)
     for golden in GOLDEN_DIRS.values():
         assert {p.stem for p in golden.glob("*.csv")} == set(EXPERIMENTS)
+    assert {p.stem for p in EL90_DIR.glob("*.csv")} == set(EL90_FAMILIES)
 
 
-# Seed-0 cases keep their bare family ids, so existing test ids stay stable;
-# seed-1 cases get a "-seed1" suffix.
-CASES = [(family, seed) for seed in GOLDEN_DIRS for family in EXPERIMENTS]
+# (family, seed, overrides, golden directory). Seed-0 cases keep their bare
+# family ids, so existing test ids stay stable; seed-1 cases get a "-seed1"
+# suffix, the elevation-stage cases "-el90".
+CASES = [(family, seed, {}, golden) for seed, golden in GOLDEN_DIRS.items()
+         for family in EXPERIMENTS] \
+    + [(family, 0, EL90, EL90_DIR) for family in EL90_FAMILIES]
+IDS = [f if golden == GOLDEN_DIR else f"{f}-{golden.name}" for f, _, _, golden in CASES]
 
 
-@pytest.mark.parametrize(
-    "family,seed", CASES,
-    ids=[f if s == 0 else f"{f}-seed{s}" for f, s in CASES])
-def test_family_matches_golden(family, seed, tmp_path):
+@pytest.mark.parametrize("family,seed,overrides,golden", CASES, ids=IDS)
+def test_family_matches_golden(family, seed, overrides, golden, tmp_path):
     cfg = ExperimentConfig(experiment=family, trials=GOLDEN_TRIALS[family],
-                           seed=seed, plots=False)
+                           seed=seed, plots=False, **overrides)
     [path] = run_experiment(cfg, str(tmp_path))["files"]
-    got, want = _rows(Path(path)), _rows(GOLDEN_DIRS[seed] / f"{family}.csv")
+    got, want = _rows(Path(path)), _rows(golden / f"{family}.csv")
     assert got[0] == want[0], "header changed"
     assert len(got) == len(want), "row count changed"
     for lineno, (g_row, w_row) in enumerate(zip(got[1:], want[1:]), start=2):

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from beampair import metrics
-from beampair.channel import (ChannelRealization, DimensionMismatch, OfdmConfig,
-                              PathParams, copol_frequency_response)
+from beampair import experiments
+from beampair.channel import (ChannelRealization, CrossPolConfig,
+                              DimensionMismatch, OfdmConfig, PathParams,
+                              copol_frequency_response, crosspol_frequency_response)
 from beampair.codebook import rx_beam_vector, tx_beam_vector
 from beampair.geometry import (AngleSet, ArrayConfig,
                                angles_from_spatial_frequencies, aoa_from_nu)
@@ -117,6 +119,45 @@ class TestSpectralEfficiency:
             got = spectral_efficiency(h, f, w, gamma, n_s)
             assert abs(got - want) < 1e-10
 
+    @pytest.mark.parametrize("n_s", [1, 2, 3, 4, 5])
+    def test_kernel_matches_eigenvalue_oracle(self, n_s):
+        """The elimination kernel against sum log2(1 + c lambda_i) over the
+        Gram eigenvalues, on dense channels (receive streams n_s, transmit
+        streams n_s + 1) and on a path-domain realization, whose H_TR has
+        rank at most its path count."""
+        rng = np.random.default_rng(85)
+
+        def oracle(htr, gamma):
+            lam = np.linalg.eigvalsh(htr @ np.swapaxes(htr.conj(), -1, -2))
+            return np.mean(np.sum(np.log2(1 + (gamma / n_s) * np.maximum(lam, 0.0)),
+                                  axis=-1))
+
+        for _ in range(20):
+            h = rng.normal(size=(4, 5, 6)) + 1j * rng.normal(size=(4, 5, 6))
+            f = rng.normal(size=(6, n_s + 1)) + 1j * rng.normal(size=(6, n_s + 1))
+            w = rng.normal(size=(5, n_s)) + 1j * rng.normal(size=(5, n_s))
+            gamma = rng.uniform(0.5, 50.0)
+            want = oracle(w.conj().T @ h @ f, gamma)
+            assert spectral_efficiency(h, f, w, gamma, n_s) == pytest.approx(want, rel=1e-12)
+        arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
+        paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                            AngleSet(*rng.uniform(0.1, 1.0, size=3)))
+                 for tau in (0.0, 3e-9)]
+        chan = crosspol_frequency_response(paths, arrays, OfdmConfig(32, 8),
+                                           CrossPolConfig(0.3, 0.1))
+        f = rng.normal(size=(16, n_s)) + 1j * rng.normal(size=(16, n_s))
+        w = rng.normal(size=(6, n_s)) + 1j * rng.normal(size=(6, n_s))
+        want = oracle(w.conj().T @ chan.h @ f, 10.0)
+        assert spectral_efficiency(chan, f, w, 10.0, n_s) == pytest.approx(want, rel=1e-12)
+
+    def test_zero_snr_is_exactly_zero(self):
+        rng = np.random.default_rng(86)
+        h = rng.normal(size=(3, 4, 8)) + 1j * rng.normal(size=(3, 4, 8))
+        f = rng.normal(size=(2, 8, 3)) + 1j * rng.normal(size=(2, 8, 3))
+        w = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+        assert spectral_efficiency(h, f[0], w[0], 0.0, 3) == 0.0
+        assert spectral_efficiency(h, f, w, 0.0, 3).tolist() == [0.0, 0.0]
+
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(84)
         h = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))
@@ -200,9 +241,60 @@ class TestBuildBeamformers:
             assert w[:, i].tobytes() == want_w[i].tobytes()
         assert len(calls) == len(set(calls)) == 2 * min(n_s, len(pols))
 
+    def test_stacked_sets_equal_separate_calls(self):
+        """Three sets of different path counts in one call: each stacked
+        beamformer, its beamformed block and its rate equal the separate
+        per-set call bit for bit."""
+        arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
+        rng = np.random.default_rng(87)
+        sets = [[tuple(rng.uniform(-0.9, 0.9, size=3)) for _ in range(count)]
+                for count in (3, 1, 2)]
+        paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                            AngleSet(*rng.uniform(0.1, 1.0, size=3)))
+                 for tau in (0.0, 3e-9, 7e-9)]
+        chan = crosspol_frequency_response(paths, arrays, OfdmConfig(32, 8),
+                                           CrossPolConfig(0.3, 0.1))
+        f, w = build_rf_beamformers(sets, arrays, 3)
+        assert f.shape == (3, 16, 3) and w.shape == (3, 6, 3)
+        rates = spectral_efficiency(chan, f, w, 10.0, 3)
+        blocks = chan.beamformed(w, f)
+        for i, dirs in enumerate(sets):
+            f_i, w_i = build_rf_beamformers(dirs, arrays, 3)
+            assert f[i].tobytes() == f_i.tobytes() and w[i].tobytes() == w_i.tobytes()
+            assert blocks[i].tobytes() == chan.beamformed(w_i, f_i).tobytes()
+            rate = spectral_efficiency(chan, f_i, w_i, 10.0, 3)
+            assert isinstance(rate, float) and rates[i] == rate
+
+    def test_one_rate_call_per_trial(self, monkeypatch):
+        """A rate trial builds the perfect, ABP and GoB beamformers with one
+        tx and one rx steering call per polarization and evaluates the three
+        rates in one spectral_efficiency call."""
+        cfg = experiments.ExperimentConfig(experiment="norm_se_vs_snr", trials=1,
+                                           plots=False)
+        s = experiments.setup_experiment(cfg)
+        calls = []
+
+        def counted(fn, *names):
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__,) + tuple(args[i] for i in names))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(metrics, "tx_beam_vector", counted(tx_beam_vector, 1))
+        monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector, 1))
+        monkeypatch.setattr(experiments, "spectral_efficiency",
+                            counted(spectral_efficiency))
+        rates = experiments._rates(s, s.profile, 10.0, np.random.default_rng(88))
+        assert set(rates) == {"perfect", "abp", "gob"}
+        assert all(isinstance(r, float) for r in rates.values())
+        assert sorted(calls) == [("rx_beam_vector", "h"), ("rx_beam_vector", "v"),
+                                 ("spectral_efficiency",),
+                                 ("tx_beam_vector", "h"), ("tx_beam_vector", "v")]
+
     def test_guards(self):
         arrays = ArrayConfig(2, 4, 3)
-        with pytest.raises(EmptyInput, match="no path directions"):
-            build_rf_beamformers([], arrays, 1)
+        for paths in ([], [[(0.1, 0.2, 0.3)], []], [[], [(0.1, 0.2, 0.3)]]):
+            with pytest.raises(EmptyInput, match="no path directions"):
+                build_rf_beamformers(paths, arrays, 1)
         with pytest.raises(ValueError, match="n_s"):
             build_rf_beamformers([(0.1, 0.2, 0.3)], arrays, 0)
