@@ -16,6 +16,6 @@ from .geometry import (AngleSet, ArrayConfig, SpatialFrequencies,
 from .metrics import (OverheadModel, ci95, maee,
                       normalized_spectral_efficiency, spectral_efficiency)
 from .pilot import (PilotAssignment, assign_pilots, correlate_zero_lag,
-                    interference_bounds, zc_sequence, zc_symbol)
+                    interference_bounds, zc_sequence)
 
 __version__ = "0.1.0"

@@ -117,14 +117,6 @@ def pulse_coefficients(tau, ofdm: OfdmConfig,
     return np.fft.fft(pulse_samples(tau, ofdm, pulse), n=ofdm.n_subcarriers, axis=0)
 
 
-def pulse_coefficient(tau: float, k: int, ofdm: OfdmConfig,
-                      pulse: str = "raised-cosine") -> complex:
-    """Single-subcarrier convenience wrapper around pulse_coefficients."""
-    if not 0 <= k < ofdm.n_subcarriers:
-        raise ValueError("subcarrier index out of range")
-    return complex(pulse_coefficients(tau, ofdm, pulse)[k])
-
-
 def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
     """Effective gains [[vv, vh], [hv, hh]] of raw gains g (L, 2, 2) in the
     same layout: the power-imbalance mask [[1, rc], [rc, 1]] (rc =
@@ -138,13 +130,6 @@ def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
     return np.sqrt(1.0 / (1.0 + xp.chi)) * rotated
 
 
-def effective_gains(path: PathParams, xp: CrossPolConfig) -> dict[str, complex]:
-    """Per-block path gains after the power-imbalance scaling and the
-    polarization mismatch rotation are folded in."""
-    g = np.array([[[path.g_vv, path.g_vh], [path.g_hv, path.g_hh]]], dtype=complex)
-    return dict(zip(("vv", "vh", "hv", "hh"), _effective(g, xp).ravel().tolist()))
-
-
 @dataclass
 class ChannelRealization:
     """Path-domain channel plus the generating path parameters.
@@ -155,6 +140,8 @@ class ChannelRealization:
     narrowband paths have q = 1 (u_l = g a_r, v_l = a_t); cross-pol paths
     have q = 2 (u_l = G_eff kron a_r, v_l = I_2 kron a_t), which places the
     vv/vh/hv/hh blocks in the top-left/top-right/bottom-left/bottom-right.
+    A stacked realization holds T trials' factors u (T, L, M, q) and
+    v (T, L, N_t, q) over one rho; its `paths` are empty.
     """
 
     rho: np.ndarray
@@ -171,24 +158,27 @@ class ChannelRealization:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(N, M, N_t) of the dense tensor, without building it."""
-        return self.rho.shape[0], self.u.shape[1], self.v.shape[1]
+        """(N, M, N_t) of the dense tensor (per trial when stacked), without
+        building it."""
+        return self.rho.shape[0], self.u.shape[-2], self.v.shape[-2]
 
     @cached_property
     def h(self) -> np.ndarray:
-        """Dense (N, M, N_t) tensor, built on first read; the experiments
-        never read it, the oracles and tests do."""
-        return np.tensordot(self.rho, self.u @ self.v.conj().transpose(0, 2, 1), axes=1)
+        """Dense (N, M, N_t) tensor ((T, N, M, N_t) when stacked), built on
+        first read; the experiments never read it, the oracles and tests do."""
+        per_path = self.u @ self.v.conj().swapaxes(-1, -2)
+        return np.moveaxis(np.tensordot(self.rho, per_path, axes=([1], [-3])), 0, -3)
 
     def beamformed(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         """W^H H[k] F for every subcarrier, (..., N, i, j), from per-path
         products: cost O(N L i j), not O(N M N_t j) on the dense tensor. Batch
-        axes of w (..., M, i) and f (..., N_t, j) broadcast, bit for bit."""
-        if w.shape[-2] != self.u.shape[1] or f.shape[-2] != self.v.shape[1]:
+        axes of w (..., M, i) and f (..., N_t, j), and a stacked realization's
+        trial axis, broadcast as in matmul, bit for bit."""
+        if (w.shape[-2], f.shape[-2]) != self.shape[1:]:
             raise DimensionMismatch(
                 f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
         wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u
-        per_path = wu @ (self.v.conj().transpose(0, 2, 1) @ f[..., None, :, :])
+        per_path = wu @ (self.v.conj().swapaxes(-1, -2) @ f[..., None, :, :])
         *batch, n_paths, i, j = per_path.shape
         return (self.rho @ per_path.reshape(*batch, n_paths, i * j)).reshape(*batch, -1, i, j)
 
@@ -200,12 +190,15 @@ def _realization(rho: np.ndarray, angles, g: np.ndarray, paths: list[PathParams]
     angles ((L,) arrays theta, phi, psi) and gains, with one steering call
     per side for all paths: co-pol when xp is None (g holds the (L,) vv
     gains), cross-pol with the effective gains of the raw (L, 2, 2) g
-    otherwise."""
+    otherwise. Co-pol angles and gains of shape (T, L) give a stacked
+    realization of T trials."""
     sf = spatial_frequencies(angles, arrays)
-    a_r = ula_steering(sf.nu, arrays.m_tot).T  # (L, m)
-    a_t = upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).T  # (L, n)
+    lead = np.shape(sf.nu)  # (L,), or (T, L) stacked
+    a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
+    a_t = upa_steering(sf.mu_x.ravel(), sf.mu_y.ravel(), arrays.n_x,
+                       arrays.n_y).T.reshape(*lead, arrays.n_tx)
     if xp is None:
-        u, v = (g[:, None] * a_r)[:, :, None], a_t[:, :, None]
+        u, v = (g[..., None] * a_r)[..., None], a_t[..., None]
     else:
         n_paths, e = len(g), _effective(g, xp)
         u = (e[:, :, None, :] * a_r[:, None, :, None]).reshape(n_paths, -1, 2)
@@ -289,6 +282,40 @@ def _angle_sets(theta: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> list[Ang
     return [AngleSet(*a) for a in zip(theta.tolist(), phi.tolist(), psi.tolist())]
 
 
+def _rician_draws(rng: np.random.Generator, n_nlos: int) -> tuple[float, np.ndarray]:
+    """A Rician realization's draws: the LOS phase (a fraction of a turn),
+    then per NLOS path the gain's real and imaginary parts and the uniform
+    fractions of its mu_x, mu_y and nu ranges, as an (n_nlos, 5) array."""
+    phase = rng.random()
+    draws = np.empty((n_nlos, 5))
+    for row in draws:
+        rng.standard_normal(out=row[:2])
+        rng.random(out=row[2:])
+    return phase, draws
+
+
+def _rician_paths(arrays: ArrayConfig, los_angles, phase, draws: np.ndarray,
+                  k_factor_db: float, nlos_mu_ranges: dict | None):
+    """Gains (..., L) and (theta, phi, psi) arrays (..., L) of Rician
+    realizations from their draws (see _rician_draws), the LOS path first.
+    Leading axes of the LOS angles, the phase and the draws are trial axes."""
+    kf = 10.0 ** (k_factor_db / 10.0)
+    w_los = np.sqrt(kf / (1.0 + kf))
+    w_nlos = np.sqrt(1.0 / (1.0 + kf))
+    n_nlos = draws.shape[-2]
+    ranges = nlos_mu_ranges or {}
+    lo, hi = np.array([ranges.get(key, (-np.pi / 2, np.pi / 2))
+                       for key in ("mu_x", "mu_y", "nu")]).T
+    # uniform(lo, hi) draws are lo + (hi - lo) * random()
+    nlos = _visible(*np.moveaxis(lo + (hi - lo) * draws[..., 2:], -1, 0), arrays)
+    g = np.concatenate([(w_los * np.exp(2j * np.pi * np.asarray(phase)))[..., None],
+                        w_nlos * (draws[..., 0] + 1j * draws[..., 1])
+                        / np.sqrt(2 * max(n_nlos, 1))], axis=-1)
+    angles = [np.concatenate([np.asarray(a)[..., None], b], axis=-1)
+              for a, b in zip(los_angles, nlos)]
+    return g, angles
+
+
 def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
                       k_factor_db: float = 13.2, n_nlos: int = 5,
                       rng: np.random.Generator | None = None,
@@ -300,24 +327,11 @@ def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
     if n_nlos < 0:
         raise ValueError("n_nlos must be >= 0")
     rng = np.random.default_rng() if rng is None else rng
-    kf = 10.0 ** (k_factor_db / 10.0)
-    w_los = np.sqrt(kf / (1.0 + kf))
-    w_nlos = np.sqrt(1.0 / (1.0 + kf))
-
-    g_los = w_los * np.exp(2j * np.pi * rng.random())
-    ranges = nlos_mu_ranges or {}
-    lo, hi = np.array([ranges.get(key, (-np.pi / 2, np.pi / 2))
-                       for key in ("mu_x", "mu_y", "nu")]).T[:, :, None]
-    # per path: the gain's real and imaginary parts, then mu_x, mu_y and nu,
-    # uniform(lo, hi) draws being lo + (hi - lo) * random()
-    draws = np.array([(rng.normal(), rng.normal(), rng.random(), rng.random(), rng.random())
-                      for _ in range(n_nlos)]).reshape(n_nlos, 5).T
-    g = np.concatenate([[g_los], w_nlos * (draws[0] + 1j * draws[1])
-                        / np.sqrt(2 * max(n_nlos, 1))])
-    nlos = _visible(*(lo + (hi - lo) * draws[2:]), arrays)
-    paths = [PathParams.single_pol(gain, 0.0, ang)
-             for gain, ang in zip(g.tolist(), [los_angles, *_angle_sets(*nlos)])]
-    angles = [np.concatenate([[a], b]) for a, b in zip(los_angles, nlos)]
+    phase, draws = _rician_draws(rng, n_nlos)
+    g, angles = _rician_paths(arrays, tuple(los_angles), phase, draws, k_factor_db,
+                              nlos_mu_ranges)
+    paths = [PathParams.single_pol(gain, 0.0, ang) for gain, ang in
+             zip(g.tolist(), [los_angles, *_angle_sets(*(a[1:] for a in angles))])]
     return _realization(np.ones((1, len(paths))), angles, g, paths, arrays,
                         dominant_angles=[los_angles])
 

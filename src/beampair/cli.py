@@ -4,9 +4,15 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .estimator import BothZero, InsufficientNeighbors, NoSignal
 from .experiments import (EXPERIMENTS, ConfigError, IoError, ParseError,
                           load_config, run_experiment, setup_experiment,
                           validate_config)
+from .metrics import EmptyInput
+
+# typed failures of a run whose config was valid: I/O, an empty reduction,
+# and the estimator's no-signal and pairing errors
+RUN_FAILURES = (IoError, EmptyInput, NoSignal, BothZero, InsufficientNeighbors)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +72,7 @@ def main(argv=None) -> int:
         return 0
     try:
         result = run_experiment(cfg, out_dir=args.out_dir)
-    except (ConfigError, IoError) as exc:  # a ConfigError comes from the setup
+    except (ConfigError, *RUN_FAILURES) as exc:  # a ConfigError comes from the setup
         kind = "invalid config" if isinstance(exc, ConfigError) else "run failed"
         print(f"{kind}: {exc}", file=sys.stderr)
         return 1

@@ -147,7 +147,9 @@ class AxisBook:
     members: np.ndarray
 
     def pair(self, k: int, abp_id: int | None = None) -> AuxiliaryBeamPair:
-        """Row k of the pair table as a pair object, with id k by default."""
+        """Row k (an int or a 0-d integer array) of the pair table as a pair
+        object, with id k by default."""
+        k = int(k)
         lo, hi = self.pairs[k].tolist()
         return AuxiliaryBeamPair(abp_id=k if abp_id is None else abp_id,
                                  beams=(self.beams[lo], self.beams[hi]),

@@ -11,6 +11,9 @@ powers over the other probe axes, which keeps the ratio exact for a single
 path (common factors cancel) and averages down noise. Every flow turns
 strengths into an estimate the same way: winner, stronger neighbour, ratio,
 closed-form inversion (_pair_and_invert).
+The sweep estimators are array kernels over a leading trial axis: the
+public single-realization calls are their one-trial case, and the
+experiments run them on a stacked realization of a chunk of trials.
 """
 
 import math
@@ -19,15 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, DimensionMismatch
-from .codebook import (AuxiliaryBeamPair, AxisBook, Beam, CodebookSet,
-                       InfeasibleCoverage, ProbingPlan, random_probing_plan)
+from .codebook import (AXES, AxisBook, Beam, CodebookSet, InfeasibleCoverage,
+                       ProbingPlan, random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
-from .geometry import (DegenerateDirection, angles_from_spatial_frequencies,
-                       aoa_from_nu)
+from .geometry import _angles, aoa_from_nu
 from .pilot import PilotAssignment, assign_pilots
-
-# PathEstimate field holding each axis's spatial-frequency estimate
-_MU_KEYS = (("elevation", "mu_x"), ("azimuth", "mu_y"), ("receive", "nu"))
 
 
 class BothZero(ValueError):
@@ -83,14 +82,18 @@ def received_symbol(w, h_k: np.ndarray, f, s: complex = 1.0,
     return y
 
 
-def ratio_metric(power_delta: float, power_sigma: float) -> float:
-    """Difference-over-sum ratio of a pair's two powers, clipped to [-1, 1]."""
-    if power_delta < 0 or power_sigma < 0:
+def ratio_metric(power_delta, power_sigma):
+    """Difference-over-sum ratio of a pair's two powers, clipped to [-1, 1];
+    arrays give an array, one ratio per entry, floats a float."""
+    p_d, p_s = np.asarray(power_delta), np.asarray(power_sigma)
+    if (np.fmin(p_d, p_s) < 0).any():  # fmin: a NaN hides no negative power
         raise ValueError("powers must be nonnegative")
-    total = power_delta + power_sigma
-    if total == 0:
+    total = p_d + p_s
+    if not total.all():
         raise BothZero("both pair powers are zero")
-    return float(min(max((power_delta - power_sigma) / total, -1.0), 1.0))
+    with np.errstate(invalid="ignore"):  # inf / inf is NaN, as for floats
+        zeta = np.minimum(np.maximum((p_d - p_s) / total, -1.0), 1.0)
+    return float(zeta) if zeta.ndim == 0 else zeta
 
 
 def ratio_closed_form(mu: float, center: float, delta: float) -> float:
@@ -100,19 +103,22 @@ def ratio_closed_form(mu: float, center: float, delta: float) -> float:
     return -np.sin(v) * np.sin(delta) / (1.0 - np.cos(v) * np.cos(delta))
 
 
-def invert_ratio(zeta: float, center_mu: float, delta: float) -> float:
+def invert_ratio(zeta, center_mu, delta: float):
     """Closed-form inverse of the ratio metric; output clamped to the pair
     interval [center - delta, center + delta]. The formula is exact for
     |zeta| <= 1 (the endpoints give center -+ delta), so clamping zeta to
-    [-1, 1] only absorbs floating-point overshoot."""
+    [-1, 1] only absorbs floating-point overshoot. Arrays of zeta and
+    center_mu give an array, floats a float."""
     if not 0 < delta < np.pi / 2:
         raise ValueError("delta must lie in (0, pi/2)")
-    z = float(min(max(zeta, -1.0), 1.0))
+    z = np.minimum(np.maximum(zeta, -1.0), 1.0)
     sd, cd = np.sin(delta), np.cos(delta)
-    denom = sd * sd + z * z * cd * cd
-    arg = (z * sd - z * np.sqrt(1.0 - z * z) * sd * cd) / denom
-    mu = center_mu - np.arcsin(min(max(arg, -1.0), 1.0))
-    return float(min(max(mu, center_mu - delta), center_mu + delta))
+    zz = z * z
+    denom = sd * sd + zz * cd * cd
+    arg = (z * sd - z * np.sqrt(1.0 - zz) * sd * cd) / denom
+    mu = center_mu - np.arcsin(np.minimum(np.maximum(arg, -1.0), 1.0))
+    mu = np.minimum(np.maximum(mu, center_mu - delta), center_mu + delta)
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def _noise_like(shape, sigma: float, rng: np.random.Generator,
@@ -123,11 +129,16 @@ def _noise_like(shape, sigma: float, rng: np.random.Generator,
     what a separate call would give, stacked as batch + shape."""
     dims = (shape,) if np.ndim(shape) == 0 else tuple(shape)
     z = rng.standard_normal((math.prod(batch), 2, *dims))
-    out = np.empty((math.prod(batch), *dims), dtype=complex)
-    out.real, out.imag = z[:, 0], z[:, 1]
+    return _complex_noise(z[:, 0], z[:, 1], sigma).reshape(*batch, *dims)
+
+
+def _complex_noise(re: np.ndarray, im: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma * (re + 1j im) / sqrt 2 from standard normals re and im."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     out *= sigma  # the bits of sigma * (re + 1j im) / sqrt 2: numpy divides
     out *= 1 / np.sqrt(2)  # a complex by a real as a product with the reciprocal
-    return out.reshape(*batch, *dims)
+    return out
 
 
 def _sigma_from_gamma(gamma: float | None) -> float:
@@ -138,57 +149,117 @@ def _sigma_from_gamma(gamma: float | None) -> float:
     return float(np.sqrt(1.0 / gamma))
 
 
-def _sweep(channel: ChannelRealization, codebooks: CodebookSet, sigma: float,
-           rng: np.random.Generator | None):
+def _sweep_normals(n: int, codebooks: CodebookSet, gamma: float | None,
+                   rng: np.random.Generator | None, batch: tuple = ()):
+    """The standard normals of a sweep's receiver noise over n subcarriers
+    at linear SNR gamma, (*batch, 2, n, receive beams, grid columns), real
+    parts before imaginary parts; None at infinite SNR, which draws
+    nothing."""
+    if _sigma_from_gamma(gamma) == 0:
+        return None
+    rng = np.random.default_rng() if rng is None else rng
+    return rng.standard_normal(
+        (*batch, 2, n, len(codebooks.books["receive"].beams), codebooks.grid.shape[1]))
+
+
+def _sweep(channel: ChannelRealization, codebooks: CodebookSet, normals=None,
+           gamma: float | None = None):
     """TDM probe of every (receive beam, elevation x azimuth transmit grid)
-    combination per polarization; returns marginal strengths per axis and the
-    probe count."""
+    combination per polarization, plus receiver noise at linear SNR gamma
+    made from `normals` (see _sweep_normals) when given. The noise
+    broadcasts against the (..., N, receive beams, grid columns) outputs,
+    so a leading axis of the normals makes one sweep per draw. Returns the
+    marginal strengths per axis, (..., beams) over the sweeps' leading axes
+    (a stacked realization's trial axis, the normals'), and the probe count
+    per sweep."""
     y = channel.beamformed(codebooks.books["receive"].matrix, codebooks.grid)
-    if sigma > 0:
-        rng = np.random.default_rng() if rng is None else rng
-        y = y + _noise_like(y.shape, sigma, rng)
-    powers = np.mean(np.abs(y) ** 2, axis=0)  # (n_rx, n_grid)
+    if normals is not None:
+        y = y + _complex_noise(normals[..., 0, :, :, :], normals[..., 1, :, :, :],
+                               _sigma_from_gamma(gamma))
+    powers = np.mean(np.abs(y) ** 2, axis=-3)  # (..., n_rx, n_grid)
+    *lead, n_rx, n_grid = powers.shape
+    per_grid = powers.sum(axis=-2).reshape(-1, n_grid)
+    n_sweeps = len(per_grid)
 
-    per_grid = powers.sum(axis=0)
-    strengths = {"receive": powers.sum(axis=1),
-                 "elevation": np.bincount(codebooks.grid_el, weights=per_grid),
-                 "azimuth": np.bincount(codebooks.grid_az, weights=per_grid)}
-    return strengths, powers.size
+    def marginal(idx: np.ndarray, size: int) -> np.ndarray:
+        # one bincount for all sweeps, sweep t's bins offset by t * size
+        bins = idx + size * np.arange(n_sweeps)[:, None]
+        return np.bincount(bins.ravel(), weights=per_grid.ravel(),
+                           minlength=n_sweeps * size).reshape(*lead, size)
+
+    books = codebooks.books
+    strengths = {"receive": powers.sum(axis=-1),
+                 "elevation": marginal(codebooks.grid_el, len(books["elevation"].beams)),
+                 "azimuth": marginal(codebooks.grid_az, len(books["azimuth"].beams))}
+    return strengths, n_rx * n_grid
 
 
-def _winner(s: np.ndarray, among: list[int] | None = None) -> int:
-    """Index of the strongest beam, optionally among the given indices; the
-    lowest index wins a tie."""
-    idx = np.arange(len(s)) if among is None else np.sort(among)
-    win = int(idx[np.argmax(s[idx])])
-    if s[win] <= 0:
+def _winner(s: np.ndarray, among=None) -> np.ndarray:
+    """Index of the strongest beam in each row of s (..., beams), optionally
+    among the given indices; the lowest index wins a tie."""
+    idx = np.arange(s.shape[-1]) if among is None else np.sort(among)
+    cand = s if among is None else s[..., idx]
+    if (cand.max(axis=-1) <= 0).any():
         raise NoSignal("no probe produced power")
-    return win
+    return idx[np.argmax(cand, axis=-1)]
 
 
-def _pair_and_invert(s: np.ndarray, win: int, book: AxisBook
-                     ) -> tuple[float, AuxiliaryBeamPair, float]:
-    """Pair beam `win` with its stronger angular neighbour (the lower index on
-    a tie) and invert the pair's ratio metric; returns (spatial frequency,
-    pair, zeta). The candidates are the pairs below and above `win` in the
-    pair table: an edge beam has one, a single-beam codebook none."""
+def _pair_and_invert(s: np.ndarray, win, book: AxisBook):
+    """Pair each winner with its stronger angular neighbour (the lower index
+    on a tie) and invert the pair's ratio metric. The strengths s are
+    (beams,), for winners win of any shape, or (rows, beams), for one winner
+    per row; returns the spatial frequencies, the pair ids (rows of book's
+    pair table) and the zetas, each shaped like win. The candidates are the
+    pairs below and above the winner in the pair table: an edge beam has
+    one, a single-beam codebook none."""
+    win = np.asarray(win)
     below, above = book.members[win, 1], book.members[win, 0]
-    if below < 0 and above < 0:
-        raise InsufficientNeighbors(f"beam {win} has no neighbor for pairing")
-    k = above if below < 0 or (above >= 0 and s[win + 1] > s[win - 1]) else below
-    pair = book.pair(int(k))
-    zeta = ratio_metric(s[pair.beams[0].index], s[pair.beams[1].index])
-    return invert_ratio(zeta, pair.center_mu, pair.delta), pair, zeta
+    top = np.maximum(below, above)  # -1 where the winner belongs to no pair
+    if top.min() < 0:
+        raise InsufficientNeighbors(f"beam {win[top < 0][0]} has no neighbor for pairing")
+    rows = () if s.ndim == 1 else (np.arange(len(s)),)
+
+    def at(i):  # the strength of beam i, in each row
+        return s[(*rows, i)]
+
+    # negative indices wrap, so both neighbour picks are beams; they are
+    # read only where the winner has both neighbours
+    up = (below < 0) | ((above >= 0) & (at(win + 1 - s.shape[-1]) > at(win - 1)))
+    k = np.where(up, above, below)
+    lo = book.pairs[k, 0]  # pair k is beams (lo, lo + 1)
+    zeta = ratio_metric(at(lo), at(lo + 1))
+    return invert_ratio(zeta, book.centers[k], book.delta), k, zeta
 
 
-def _fill_angles(est: PathEstimate, arrays) -> None:
-    try:
-        est.theta, est.phi = angles_from_spatial_frequencies(est.mu_x, est.mu_y,
-                                                             arrays)
-    except DegenerateDirection:
-        est.theta, est.phi = 0.0, 0.0
-    if not math.isnan(est.nu):
-        est.psi = aoa_from_nu(est.nu, arrays)
+def _fill_angles(mus: np.ndarray, arrays) -> np.ndarray:
+    """Rows (mu_x, mu_y, nu, theta, phi, psi) of spatial-frequency rows
+    (..., 3). A transmit direction at (0, 0), where DegenerateDirection
+    leaves the azimuth undefined, gets (theta, phi) = (0, 0)."""
+    rows = np.empty(mus.shape[:-1] + (6,))
+    rows[..., :3] = mus
+    rows[..., 3], rows[..., 4], rad = _angles(mus[..., 0], mus[..., 1], arrays)
+    rows[rad == 0, 4] = 0.0  # theta is 0 there already
+    rows[..., 5] = aoa_from_nu(mus[..., 2], arrays)
+    return rows
+
+
+def _abp_rows(strengths: dict, codebooks: CodebookSet):
+    """Single-path ABP estimates of sweeps' strengths (..., beams) per axis:
+    angle rows (..., 6) as in _fill_angles, plus each axis's pair ids and
+    zetas (...)."""
+    est = {axis: _pair_and_invert(s, _winner(s), codebooks.books[axis])
+           for axis, s in strengths.items()}
+    mus = np.stack([est[axis][0] for axis in AXES], axis=-1)
+    return (_fill_angles(mus, codebooks.config.arrays),
+            {axis: e[1] for axis, e in est.items()}, {axis: e[2] for axis, e in est.items()})
+
+
+def _gob_rows(strengths: dict, codebooks: CodebookSet) -> np.ndarray:
+    """Grid-of-beams estimates of sweeps' strengths: per axis the strongest
+    beam's boresight; angle rows (..., 6) as in _fill_angles."""
+    mus = np.stack([codebooks.books[axis].boresights[_winner(strengths[axis])]
+                    for axis in AXES], axis=-1)
+    return _fill_angles(mus, codebooks.config.arrays)
 
 
 def estimate_single_path(channel: ChannelRealization, codebooks: CodebookSet,
@@ -197,15 +268,12 @@ def estimate_single_path(channel: ChannelRealization, codebooks: CodebookSet,
     """Single-path estimation from a full TDM sweep: pick per-domain winners
     by marginal strength, pair each with its stronger neighbor, invert the
     ratio, and map spatial frequencies back to physical angles."""
-    sigma = _sigma_from_gamma(gamma)
-    strengths, probes = _sweep(channel, codebooks, sigma, rng)
-    est = PathEstimate()
-    for axis, key in _MU_KEYS:
-        s = strengths[axis]
-        mu, est.pairs[axis], est.zetas[axis] = _pair_and_invert(
-            s, _winner(s), codebooks.books[axis])
-        setattr(est, key, mu)
-    _fill_angles(est, codebooks.config.arrays)
+    strengths, probes = _sweep(
+        channel, codebooks, _sweep_normals(channel.shape[0], codebooks, gamma, rng), gamma)
+    row, ids, zetas = _abp_rows(strengths, codebooks)
+    est = PathEstimate(*row.tolist(),
+                       pairs={a: codebooks.books[a].pair(k) for a, k in ids.items()},
+                       zetas=zetas)
     return EstimationReport(paths=[est], iterations=probes, scheme="abp")
 
 
@@ -216,13 +284,9 @@ def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
     """Grid-of-beams baseline over the same sweep: the estimate per domain is
     the strongest beam's boresight. The iteration count follows the
     exhaustive-search complexity (tx count)^n_rf * (rx count)^m_rf."""
-    sigma = _sigma_from_gamma(gamma)
-    strengths, _ = _sweep(channel, codebooks, sigma, rng)
-    est = PathEstimate()
-    for axis, key in _MU_KEYS:
-        winner = codebooks.books[axis].beams[_winner(strengths[axis])]
-        setattr(est, key, winner.boresight_mu)
-    _fill_angles(est, codebooks.config.arrays)
+    strengths, _ = _sweep(
+        channel, codebooks, _sweep_normals(channel.shape[0], codebooks, gamma, rng), gamma)
+    est = PathEstimate(*_gob_rows(strengths, codebooks).tolist())
     iters = (codebooks.grid.shape[1] ** n_rf) \
         * (len(codebooks.books["receive"].beams) ** m_rf)
     return EstimationReport(paths=[est], iterations=iters, scheme="gob")
@@ -339,15 +403,16 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
 
     best_mt = int(np.argmax(totals))
     rx_winner = _winner(rx_s, [b.index for b in probing_plan.rx_beams[best_mt]])
-    receive = _pair_and_invert(rx_s, rx_winner, rx_book)
-
-    paths: list[PathEstimate] = []
-    for beam in np.argsort(-tx_s, kind="stable")[:n_select]:
-        est = PathEstimate()
-        est.mu_y, est.pairs["azimuth"], est.zetas["azimuth"] = \
-            _pair_and_invert(tx_s, int(beam), az_book)
-        est.nu, est.pairs["receive"], est.zetas["receive"] = receive
-        paths.append(est)
+    nu, rx_k, rx_zeta = _pair_and_invert(rx_s, rx_winner, rx_book)
+    mu_y, az_k, az_zeta = _pair_and_invert(
+        tx_s, np.argsort(-tx_s, kind="stable")[:n_select], az_book)
+    n_paths = len(mu_y)
+    mus = np.empty((n_paths, 3))  # (mu_x, mu_y, nu) per path
+    # mu_x is the elevation range center unless a path's elevation stage pairs
+    mus[:, 0], mus[:, 1], mus[:, 2] = 0.5 * sum(codebooks.config.el_range), mu_y, nu
+    rx_pair = rx_book.pair(rx_k)
+    pairs = [{"azimuth": az_book.pair(k), "receive": rx_pair} for k in az_k.tolist()]
+    zetas = [{"azimuth": z, "receive": rx_zeta} for z in az_zeta.tolist()]
 
     extra_tx_probings = 0
     el_beams = codebooks.domain("elevation")
@@ -361,8 +426,8 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         el_pilots = assign_pilots(
             range(len(codebooks.books["elevation"].pairs)), pilots.n, p=pilots.p,
             coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
-        for est in paths:
-            el_cbs = codebooks.repointed(est.mu_y)
+        for p in range(n_paths):
+            el_cbs = codebooks.repointed(float(mu_y[p]))
             el_plan = random_probing_plan(
                 el_cbs, n_el_t, probing_plan.m_t, probing_plan.n_rf,
                 probing_plan.m_rf, int(rng.integers(2 ** 31)), layout=layout,
@@ -374,14 +439,13 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
             extra_tx_probings += el_plan.n_t
             if el_totals.sum() <= 0:
                 continue
-            est.mu_x, est.pairs["elevation"], est.zetas["elevation"] = \
-                _pair_and_invert(el_tx, _winner(el_tx), el_book)
+            mus[p, 0], k, zetas[p]["elevation"] = _pair_and_invert(
+                el_tx, _winner(el_tx), el_book)
+            pairs[p]["elevation"] = el_book.pair(k)
 
-    el_center = 0.5 * sum(codebooks.config.el_range)
-    for est in paths:
-        if math.isnan(est.mu_x):
-            est.mu_x = el_center
-        _fill_angles(est, codebooks.config.arrays)
+    rows = _fill_angles(mus, codebooks.config.arrays)
+    paths = [PathEstimate(*row, pairs=pr, zetas=z)
+             for row, pr, z in zip(rows.tolist(), pairs, zetas)]
 
     iters = probing_plan.n_rf * (probing_plan.n_t + extra_tx_probings) \
         * probing_plan.m_rf * probing_plan.m_t

@@ -5,9 +5,11 @@ keys fall back to the evaluated defaults (half-power offsets, 120/90/180
 degree sectors, K = 13.2 dB, chi = 0.2, mismatch 20 degrees, shift spacing
 p = 6, roots 25/29/34, 3-bit differential quantizer).
 
-Each family is a setup -> trial -> reduce declaration (Family) run by one
-loop, which alone draws the per-trial RNG streams from a counter scheme:
-SeedSequence([master_seed, family_id, point_index, trial]).
+Each family is a setup -> draw -> compute -> reduce declaration (Family)
+run by one loop, which alone makes the per-trial RNG streams from a counter
+scheme, SeedSequence([master_seed, family_id, point_index, trial]), and
+walks each point's trials in chunks of TRIAL_CHUNK: a draw step per trial on
+its own stream, then one compute step over the chunk.
 """
 
 import csv
@@ -19,16 +21,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import (ClusterProfile, OfdmConfig, clustered_channel_generate,
-                      rician_narrowband)
+from .channel import (ClusterProfile, OfdmConfig, _realization, _rician_draws,
+                      _rician_paths, clustered_channel_generate)
 from .codebook import (AXES, CodebookConfig, CodebookSet, build_codebooks,
                        enumerate_abps, random_probing_plan)
-from .estimator import (_noise_like, estimate_multipath, estimate_single_path,
-                        gob_estimate)
+from .estimator import (_abp_rows, _fill_angles, _gob_rows, _noise_like,
+                        _sweep, _sweep_normals, estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct,
                        worst_case_error)
-from .geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
-                       aoa_from_nu, spatial_frequencies)
+from .geometry import ArrayConfig, spatial_frequencies
 from .metrics import (EmptyInput, OverheadModel, build_rf_beamformers, ci95,
                       maee, normalized_spectral_efficiency, spectral_efficiency)
 from .pilot import (COPRIME_WITH, assign_pilots, correlate_zero_lag,
@@ -46,6 +47,11 @@ FAMILY_IDS = {"maee_vs_snr": 0, "maqe_bits": 1, "pilot_correlation": 2,
 # positional pairing of stream count with the probing totals used in the
 # complexity accounting
 STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
+
+# Trials per compute step. Larger chunks amortize more of the per-trial
+# numpy dispatch but hold more trials' arrays at once; see README for the
+# throughput and peak-memory trade-off that set this value.
+TRIAL_CHUNK = 64
 
 
 class ConfigError(ValueError):
@@ -260,8 +266,10 @@ def _codebooks(cfg: ExperimentConfig, arrays: ArrayConfig,
 
 
 def _draw_in_spans(rng, spans) -> float:
-    widths = np.array([hi - lo for lo, hi in spans])
-    i = rng.choice(len(spans), p=widths / widths.sum()) if len(spans) > 1 else 0
+    i = 0
+    if len(spans) > 1:
+        widths = np.array([hi - lo for lo, hi in spans])
+        i = rng.choice(len(spans), p=widths / widths.sum())
     return float(rng.uniform(*spans[i]))
 
 
@@ -283,7 +291,8 @@ def _cluster_profile(cfg: ExperimentConfig, codebooks, n_clusters: int) -> Clust
 
 
 # ---------------------------------------------------------------------------
-# families: setup(cfg) -> trial(setup, point, rng) -> reduce(setup, results)
+# families: setup(cfg) -> draw(setup, point, rng) per trial
+# -> compute(setup, point, draws) per chunk -> reduce(setup, results)
 
 _DOMAINS = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
 
@@ -292,6 +301,8 @@ def _maee_setup(cfg: ExperimentConfig):
     arrays = _arrays(cfg, "co")
     if arrays.polarization_mode != "co":  # the Rician channel is co-polarized
         raise ConfigError("maee_vs_snr needs co-polarized arrays")
+    if cfg.n_nlos < 0:
+        raise ConfigError("channel.n_nlos must be >= 0")
     cbs = _codebooks(cfg, arrays, paired=AXES)
     return SimpleNamespace(
         cfg=cfg, points=cfg.snr_db, arrays=arrays, cbs=cbs,
@@ -302,22 +313,37 @@ def _maee_setup(cfg: ExperimentConfig):
                      "nu": _span(cbs, "receive")})
 
 
-def _maee_trial(s, snr: float, rng) -> list:
-    """True, ABP-estimated and GoB-estimated directions in _DOMAINS order."""
+def _maee_draw(s, snr: float, rng) -> tuple:
+    """One trial's draws, in the order of the per-trial flow: the true
+    spatial frequencies (mu_x redrawn while (mu_x, mu_y) = (0, 0)), the
+    Rician channel's draws, then the normals of the ABP and the GoB sweep
+    noise (None at infinite SNR)."""
     mu_x = _draw_in_spans(rng, s.cov["elevation"])
     mu_y = _draw_in_spans(rng, s.cov["azimuth"])
     nu = _draw_in_spans(rng, s.cov["receive"])
     while mu_x == 0.0 and mu_y == 0.0:
         mu_x = _draw_in_spans(rng, s.cov["elevation"])
-    truth = AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, s.arrays),
-                     aoa_from_nu(nu, s.arrays))
-    chan = rician_narrowband(s.arrays, truth, s.cfg.k_factor_db, s.cfg.n_nlos,
-                             rng, s.nlos_ranges)
-    out = [(mu_x, mu_y, nu, truth.theta, truth.phi, truth.psi)]
-    for est_fn in (estimate_single_path, gob_estimate):
-        est = est_fn(chan, s.cbs, 10.0 ** (snr / 10.0), rng).best
-        out.append((est.mu_x, est.mu_y, est.nu, est.theta, est.phi, est.psi))
-    return out
+    phase, nlos = _rician_draws(rng, s.cfg.n_nlos)
+    normals = _sweep_normals(1, s.cbs, 10.0 ** (snr / 10.0), rng, batch=(2,))
+    return (mu_x, mu_y, nu), phase, nlos, normals
+
+
+def _maee_compute(s, snr: float, draws: list) -> np.ndarray:
+    """True, ABP-estimated and GoB-estimated directions of a chunk of
+    trials, (T, 3, 6) in _DOMAINS order: one stacked Rician realization,
+    one sweep pass for both schemes' noise draws."""
+    mus, phase, nlos, normals = zip(*draws)
+    truth = _fill_angles(np.array(mus), s.arrays)  # no (0, 0): the draw redraws it
+    g, angles = _rician_paths(s.arrays, truth[:, 3:].T, np.array(phase), np.array(nlos),
+                              s.cfg.k_factor_db, s.nlos_ranges)
+    chan = _realization(np.ones((1, g.shape[-1])), angles, g, [], s.arrays)
+    if normals[0] is None:  # infinite SNR: both schemes read the noiseless sweep
+        abp_s = gob_s = _sweep(chan, s.cbs)[0]
+    else:  # normals (T, scheme, ...) -> (scheme, T, ...): one sweep per scheme
+        both, _ = _sweep(chan, s.cbs, np.array(normals).swapaxes(0, 1),
+                         10.0 ** (snr / 10.0))
+        abp_s, gob_s = ({ax: v[i] for ax, v in both.items()} for i in (0, 1))
+    return np.stack([truth, _abp_rows(abp_s, s.cbs)[0], _gob_rows(gob_s, s.cbs)], axis=1)
 
 
 def _maee_reduce(s, results):
@@ -593,24 +619,32 @@ def _robustness_reduce(s, results):
     return {name: table}
 
 
+def _whole_trial(s, point, draws: list) -> list:
+    """Compute step of a family whose draw step runs its whole trial."""
+    return draws
+
+
 # An experiment family. setup(cfg) builds once everything the trials share,
-# plus `points`, the sweep; trial(setup, point, rng) runs one Monte-Carlo
-# trial and returns plain numbers; reduce(setup, results), results[i] being
-# point i's trial results in trial order, builds the tables. same_streams:
-# every point replays point 0's trial streams, so the points' channels
-# differ only in the swept parameter.
-Family = namedtuple("Family", "setup trial reduce same_streams", defaults=(False,))
+# plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
+# trial's draws from its stream; compute(setup, point, draws) turns a chunk
+# of trials' draws, in trial order, into one result per trial; reduce(setup,
+# results), results[i] being point i's trial results in trial order, builds
+# the tables. A family whose draw step runs its whole trial computes with
+# _whole_trial. same_streams: every point replays point 0's trial streams,
+# so the points' channels differ only in the swept parameter.
+Family = namedtuple("Family", "setup draw compute reduce same_streams",
+                    defaults=(False,))
 _ROBUSTNESS = Family(
     _robustness_setup, lambda s, profile, rng: _rates(s, profile, s.cfg.snr_db[0], rng),
-    _robustness_reduce, same_streams=True)
+    _whole_trial, _robustness_reduce, same_streams=True)
 FAMILIES = {
-    "maee_vs_snr": Family(_maee_setup, _maee_trial, _maee_reduce),
-    "maqe_bits": Family(_maqe_setup, _maqe_trial, _maqe_reduce),
-    "pilot_correlation": Family(_correlation_setup, None, lambda s, _: s.tables),
-    "pilot_vs_tdm": Family(_tdm_setup, _tdm_trial, _tdm_reduce),
+    "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
+    "maqe_bits": Family(_maqe_setup, _maqe_trial, _whole_trial, _maqe_reduce),
+    "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
+    "pilot_vs_tdm": Family(_tdm_setup, _tdm_trial, _whole_trial, _tdm_reduce),
     "norm_se_vs_snr": Family(
         _norm_se_setup, lambda s, snr, rng: _rates(s, s.profile, snr, rng),
-        _norm_se_reduce),
+        _whole_trial, _norm_se_reduce),
     "robustness_mismatch": _ROBUSTNESS,
     "robustness_xpd": _ROBUSTNESS,
 }
@@ -639,14 +673,12 @@ def _plot_tables(tables: dict, out_dir: str) -> list:
         fig, ax = plt.subplots(figsize=(6, 4))
         try:
             _plot_one(ax, name, table)
-        except Exception:
+            ax.set_title(name)
+            fig.tight_layout()
+            path = os.path.join(out_dir, f"{name}.png")
+            fig.savefig(path)
+        finally:
             plt.close(fig)
-            continue
-        ax.set_title(name)
-        fig.tight_layout()
-        path = os.path.join(out_dir, f"{name}.png")
-        fig.savefig(path)
-        plt.close(fig)
         paths.append(path)
     return paths
 
@@ -673,12 +705,7 @@ def _plot_one(ax, name: str, table: ResultTable) -> None:
         ax.legend()
     else:
         labels = [" ".join(str(v) for v in r[:-1]) for r in table.rows]
-        vals = []
-        for r in table.rows:
-            try:
-                vals.append(float(r[-1]))
-            except ValueError:
-                vals.append(0.0)
+        vals = [float(r[-1]) for r in table.rows]  # every family's last column is numeric
         ax.bar(range(len(vals)), vals)
         ax.set_xticks(range(len(vals)))
         ax.set_xticklabels(labels, rotation=90, fontsize=5)
@@ -692,10 +719,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     family = FAMILIES[cfg.experiment]
     s = setup_experiment(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    results = [[family.trial(s, point, _trial_rng(cfg, 0 if family.same_streams
-                                                  else pi, t))
-                for t in range(cfg.trials)]
-               for pi, point in enumerate(s.points)]
+    results = []
+    for pi, point in enumerate(s.points):
+        stream = 0 if family.same_streams else pi
+        trials = []
+        for start in range(0, cfg.trials, TRIAL_CHUNK):
+            draws = [family.draw(s, point, _trial_rng(cfg, stream, t))
+                     for t in range(start, min(start + TRIAL_CHUNK, cfg.trials))]
+            trials.extend(family.compute(s, point, draws))
+        results.append(trials)
     tables = family.reduce(s, results)
     files = [emit_outputs(t, out_dir) for t in tables.values()]
     if cfg.plots:

@@ -111,6 +111,18 @@ def upa_steering(mu_x, mu_y, n_x: int, n_y: int) -> np.ndarray:
     return a.reshape((n_x * n_y,) + a.shape[2:])
 
 
+def _angles(mu_x, mu_y, cfg: ArrayConfig):
+    """(theta, phi, rad) of (mu_x, mu_y), as in
+    angles_from_spatial_frequencies but without raising. rad is the radial
+    sine, 0 only at the direction (0, 0), whose azimuth is undefined (there
+    theta is 0 and phi means nothing)."""
+    sx = mu_x / (2 * np.pi * cfg.d_tx)
+    sy = mu_y / (2 * np.pi * cfg.d_ty)
+    rad = np.hypot(sx, sy)
+    theta = np.arcsin(np.fmin(1.0, rad))  # fmin, as min(1.0, .): NaN gives 1
+    return theta, np.arctan2(sy, sx), rad
+
+
 def angles_from_spatial_frequencies(mu_x, mu_y, cfg: ArrayConfig):
     """Invert (mu_x, mu_y) to (theta, phi); equal-length 1-D arrays give
     arrays, floats give floats.
@@ -121,13 +133,9 @@ def angles_from_spatial_frequencies(mu_x, mu_y, cfg: ArrayConfig):
     returned theta is nonnegative; directions with negative elevation map to
     the equivalent (|theta|, phi + pi) parameterization.
     """
-    sx = mu_x / (2 * np.pi * cfg.d_tx)
-    sy = mu_y / (2 * np.pi * cfg.d_ty)
-    rad = np.hypot(sx, sy)
-    if np.count_nonzero(rad) < rad.size:  # hypot is 0 only at (0, 0)
+    theta, phi, rad = _angles(mu_x, mu_y, cfg)
+    if np.count_nonzero(rad) < rad.size:
         raise DegenerateDirection("azimuth undefined at mu_x = mu_y = 0")
-    phi = np.arctan2(sy, sx)
-    theta = np.arcsin(np.fmin(1.0, rad))  # fmin, as min(1.0, .): NaN gives 1
     return (float(theta), float(phi)) if theta.ndim == 0 else (theta, phi)
 
 

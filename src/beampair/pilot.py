@@ -46,25 +46,12 @@ def _modulus_for(n: int, coprime_with: str) -> int:
     return n if coprime_with == "n" else n - 1
 
 
-def zc_symbol(root: int, b: int, p: int, n: int, k: int,
-              coprime_with: str = "n") -> complex:
-    """exp(j*pi*root*(k + p*b)(k + p*b + 1)/n). Integer phase arithmetic is
-    reduced mod 2n before the complex exponential to keep precision.
-    coprime_with picks the root-validity modulus (n, or the n-1 variant some
-    deployments use with a nulled subcarrier); the phase modulus is n under
-    either choice (see zc_sequence)."""
-    _check_root(root, _modulus_for(n, coprime_with))
-    if not 0 <= k < n:
-        raise ValueError("subcarrier index out of range")
-    kk = k + p * b
-    m = (root * kk * (kk + 1)) % (2 * n)
-    return complex(np.exp(1j * np.pi * m / n))
-
-
 def zc_sequence(root, b, p: int, n: int, dc_zero: bool = False,
                 coprime_with: str = "n") -> np.ndarray:
-    """Length-n pilot sequence; dc_zero nulls the centered DC subcarrier.
-    Equal-length 1-D arrays of root and b give an (n, len) matrix with one
+    """Length-n pilot sequence, entry k being
+    exp(j*pi*root*(k + p*b)(k + p*b + 1)/n) with the integer phase reduced
+    mod 2n before the exponential to keep precision; dc_zero nulls the
+    centered DC subcarrier. Equal-length 1-D arrays of root and b give an (n, len) matrix with one
     column per (root, b); every root is validated.
 
     coprime_with only selects the root-validity modulus: the phase modulus

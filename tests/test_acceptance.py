@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from beampair.channel import (CrossPolConfig, OfdmConfig, PathParams,
-                              copol_frequency_response, effective_gains,
-                              pulse_coefficient, rician_narrowband)
+                              copol_frequency_response, pulse_coefficients,
+                              rician_narrowband, _effective)
 from beampair.codebook import (CodebookConfig, build_codebooks, enumerate_abps,
                                random_probing_plan)
 from beampair.estimator import (estimate_multipath, estimate_single_path,
@@ -303,7 +303,7 @@ def _check_channel_elementwise(rng) -> bool:
                 sf = spatial_frequencies(pth.angles, arrays)
                 a_r = ula_steering(sf.nu, 2)
                 a_t = upa_steering(sf.mu_x, sf.mu_y, 2, 3)
-                rho = pulse_coefficient(pth.tau, k, ofdm)
+                rho = pulse_coefficients(pth.tau, ofdm)[k]
                 for i in range(2):
                     for j in range(6):
                         want[i, j] += rho * pth.g_vv * a_r[i] * np.conj(a_t[j])
@@ -430,11 +430,12 @@ def _check_givens_energy(rng) -> bool:
                          complex(rng.normal(), rng.normal()),
                          0.0, AngleSet(0.1, 0.2, 0.3))
         chi = rng.uniform(0.0, 0.9)
-        base = effective_gains(pth, CrossPolConfig(chi, 0.0))
-        rot = effective_gains(pth, CrossPolConfig(chi, rng.uniform(-np.pi, np.pi)))
-        for a, b in (("vv", "vh"), ("hv", "hh")):
-            e0 = abs(base[a]) ** 2 + abs(base[b]) ** 2
-            e1 = abs(rot[a]) ** 2 + abs(rot[b]) ** 2
+        g = np.array([[[pth.g_vv, pth.g_vh], [pth.g_hv, pth.g_hh]]])
+        base = _effective(g, CrossPolConfig(chi, 0.0))[0]
+        rot = _effective(g, CrossPolConfig(chi, rng.uniform(-np.pi, np.pi)))[0]
+        for row in (0, 1):  # (vv, vh), then (hv, hh)
+            e0 = abs(base[row, 0]) ** 2 + abs(base[row, 1]) ** 2
+            e1 = abs(rot[row, 0]) ** 2 + abs(rot[row, 1]) ** 2
             if abs(e0 - e1) > 1e-10:
                 return False
     return True

@@ -9,8 +9,8 @@ from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig
                               OfdmConfig, PathParams,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
-                              effective_gains, pulse_coefficient,
-                              pulse_coefficients, pulse_samples, rician_narrowband)
+                              pulse_coefficients, pulse_samples, rician_narrowband,
+                              _effective, _realization, _rician_draws, _rician_paths)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
@@ -26,6 +26,12 @@ def random_angles(rng):
 
 def cgain(rng):
     return complex(rng.normal(), rng.normal())
+
+
+def raw_gains(path) -> np.ndarray:
+    """A path's gains as the (1, 2, 2) [[vv, vh], [hv, hh]] input of
+    _effective."""
+    return np.array([[[path.g_vv, path.g_vh], [path.g_hv, path.g_hh]]], dtype=complex)
 
 
 def _steering(path, arrays):
@@ -67,11 +73,15 @@ class TestOfdm:
         assert np.allclose(rho, np.exp(-2j * np.pi * k * d0 / 64), atol=1e-12)
 
     def test_single_entry_matches_vector(self):
+        """Entry k is the CP-window tap sum written out:
+        sum_d p(d*T_s - tau) exp(-j*2*pi*k*d/N)."""
         tau = 2.5 * OFDM.sample_period
         rho = pulse_coefficients(tau, OFDM)
-        assert abs(pulse_coefficient(tau, 5, OFDM) - rho[5]) < 1e-12
-        with pytest.raises(ValueError, match="subcarrier"):
-            pulse_coefficient(tau, 64, OFDM)
+        taps = pulse_samples(tau, OFDM)
+        for k in (0, 5, 63):
+            want = sum(taps[d] * np.exp(-2j * np.pi * k * d / 64)
+                       for d in range(OFDM.cp_length))
+            assert abs(rho[k] - want) < 1e-12
 
     def test_unknown_pulse(self):
         with pytest.raises(ValueError, match="pulse"):
@@ -131,9 +141,9 @@ class TestGains:
     def test_no_leakage_identity(self):
         """chi = 0 and zero mismatch leave the gains untouched."""
         p = PathParams(1 + 2j, 3j, -1.0, 0.5, 0.0, AngleSet(0.1, 0.2, 0.3))
-        eff = effective_gains(p, CrossPolConfig(chi=0.0, varsigma=0.0))
-        assert eff["vv"] == 1 + 2j and eff["hh"] == 0.5
-        assert eff["vh"] == 0.0 and eff["hv"] == 0.0
+        eff = _effective(raw_gains(p), CrossPolConfig(chi=0.0, varsigma=0.0))[0]
+        assert eff[0, 0] == 1 + 2j and eff[1, 1] == 0.5
+        assert eff[0, 1] == 0.0 and eff[1, 0] == 0.0
 
     def test_rotation_preserves_row_energy(self):
         """The mismatch rotation moves energy between the two blocks fed by
@@ -143,11 +153,12 @@ class TestGains:
             p = PathParams(cgain(rng), cgain(rng), cgain(rng), cgain(rng),
                            0.0, AngleSet(0.1, 0.2, 0.3))
             chi = rng.uniform(0.0, 0.9)
-            base = effective_gains(p, CrossPolConfig(chi, 0.0))
-            rot = effective_gains(p, CrossPolConfig(chi, rng.uniform(-np.pi, np.pi)))
-            for a, b in (("vv", "vh"), ("hv", "hh")):
-                e0 = abs(base[a]) ** 2 + abs(base[b]) ** 2
-                e1 = abs(rot[a]) ** 2 + abs(rot[b]) ** 2
+            base = _effective(raw_gains(p), CrossPolConfig(chi, 0.0))[0]
+            rot = _effective(raw_gains(p),
+                             CrossPolConfig(chi, rng.uniform(-np.pi, np.pi)))[0]
+            for row in (0, 1):  # (vv, vh), then (hv, hh)
+                e0 = abs(base[row, 0]) ** 2 + abs(base[row, 1]) ** 2
+                e1 = abs(rot[row, 0]) ** 2 + abs(rot[row, 1]) ** 2
                 assert abs(e0 - e1) < 1e-10
 
     def test_leakage_share(self):
@@ -156,10 +167,10 @@ class TestGains:
         p = PathParams(0.0, 2.0, 0.0, 0.0, 0.0, AngleSet(0.1, 0.2, 0.3))
         last = -1.0
         for chi in (0.1, 0.2, 0.4):
-            eff = effective_gains(p, CrossPolConfig(chi, 0.0))
-            share = abs(eff["vh"]) ** 2
+            eff = _effective(raw_gains(p), CrossPolConfig(chi, 0.0))[0]
+            share = abs(eff[0, 1]) ** 2  # vh
             assert abs(share - 4.0 * chi / (1 + chi)) < 1e-12
-            assert eff["vv"] == 0.0
+            assert eff[0, 0] == 0.0  # vv
             assert share > last
             last = share
 
@@ -180,7 +191,7 @@ class TestFrequencyResponse:
                 sf = spatial_frequencies(p.angles, CO)
                 a_r = ula_steering(sf.nu, 2)
                 a_t = upa_steering(sf.mu_x, sf.mu_y, 2, 3)
-                rho = pulse_coefficient(p.tau, k, OFDM)
+                rho = pulse_coefficients(p.tau, OFDM)[k]
                 for m in range(2):
                     for n in range(6):
                         want[m, n] += rho * p.g_vv * a_r[m] * np.conj(a_t[n])
@@ -206,13 +217,13 @@ class TestFrequencyResponse:
         xp = CrossPolConfig(0.3, 0.2)
         real = crosspol_frequency_response(paths, CROSS, OFDM, xp)
         m, nt = 2, 6
-        eff = effective_gains(paths[0], xp)
+        eff = _effective(raw_gains(paths[0]), xp)[0]  # [[vv, vh], [hv, hh]]
         outer = pulse_coefficients(0.0, OFDM)[:, None, None] \
             * np.outer(*_steering(paths[0], CROSS))
-        assert np.allclose(real.h[:, :m, :nt], eff["vv"] * outer)
-        assert np.allclose(real.h[:, :m, nt:], eff["vh"] * outer)
-        assert np.allclose(real.h[:, m:, :nt], eff["hv"] * outer)
-        assert np.allclose(real.h[:, m:, nt:], eff["hh"] * outer)
+        assert np.allclose(real.h[:, :m, :nt], eff[0, 0] * outer)
+        assert np.allclose(real.h[:, :m, nt:], eff[0, 1] * outer)
+        assert np.allclose(real.h[:, m:, :nt], eff[1, 0] * outer)
+        assert np.allclose(real.h[:, m:, nt:], eff[1, 1] * outer)
 
     def test_superposition(self):
         rng = np.random.default_rng(15)
@@ -306,6 +317,28 @@ class TestRician:
             real = rician_narrowband(CO, AngleSet(0.3, 0.4, 0.2), 6.0, 4, rng)
             acc += sum(abs(p.g_vv) ** 2 for p in real.paths)
         assert abs(acc / trials - 1.0) < 0.03
+
+    def test_stacked_realization_equals_its_trials(self):
+        """A stacked realization of T Rician trials, built in one pass from
+        their draws, holds each trial: the per-trial realization's
+        beamformed outputs bit for bit, and its dense tensor."""
+        rng = np.random.default_rng(19)
+        los = [random_angles(rng) for _ in range(5)]
+        singles = [rician_narrowband(CO, a, 6.0, 4, np.random.default_rng(t))
+                   for t, a in enumerate(los)]
+        phase, draws = zip(*(_rician_draws(np.random.default_rng(t), 4)
+                             for t in range(5)))
+        g, angles = _rician_paths(CO, np.array([tuple(a) for a in los]).T,
+                                  np.array(phase), np.array(draws), 6.0, None)
+        stacked = _realization(np.ones((1, 5)), angles, g, [], CO)
+        assert stacked.shape == (1, 2, 6)
+        w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        f = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        got = stacked.beamformed(w, f)
+        assert got.shape == (5, 1, 3, 4) and stacked.h.shape == (5, 1, 2, 6)
+        for t, single in enumerate(singles):
+            assert got[t].tobytes() == single.beamformed(w, f).tobytes()
+            assert np.allclose(stacked.h[t], single.h, rtol=0.0, atol=1e-15)
 
     def test_nlos_ranges_respected(self):
         rng = np.random.default_rng(18)
@@ -428,6 +461,21 @@ def _scalar_generate(profile, rng, arrays, ofdm):
 
 
 class TestDrawOrder:
+    @pytest.mark.parametrize("n_nlos", [0, 1, 5])
+    def test_rician_draws_match_scalar_calls(self, n_nlos):
+        """The Rician draws are the scalar calls they replaced, in their
+        order: the LOS phase, then per NLOS path two normals and three
+        uniforms; same numbers to the last bit, same generator state."""
+        for seed in range(25):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            phase, draws = _rician_draws(rng, n_nlos)
+            assert phase == ref_rng.random()
+            want = [(ref_rng.normal(), ref_rng.normal(), ref_rng.random(),
+                     ref_rng.random(), ref_rng.random()) for _ in range(n_nlos)]
+            assert draws.shape == (n_nlos, 5)
+            assert draws.tobytes() == np.array(want).reshape(n_nlos, 5).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("n_clusters", [1, 5])
     @pytest.mark.parametrize("subpaths", [1, 4])
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])

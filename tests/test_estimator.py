@@ -19,7 +19,7 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _noise_like, _pair_and_invert,
+                                _fill_angles, _noise_like, _pair_and_invert,
                                 _probe_and_correlate, _sweep)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
@@ -118,6 +118,24 @@ class TestRatioMetric:
             ratio_metric(0.0, 0.0)
         with pytest.raises(ValueError, match="nonnegative"):
             ratio_metric(-1.0, 2.0)
+
+    def test_arrays_give_the_float_results(self):
+        """ratio_metric and invert_ratio on arrays equal their float calls
+        entry by entry, bit for bit; one bad entry raises for all."""
+        rng = np.random.default_rng(40)
+        p_d, p_s = rng.uniform(0.0, 2.0, 50), rng.uniform(0.0, 2.0, 50)
+        centers = rng.uniform(-1.0, 1.0, 50)
+        zeta = ratio_metric(p_d, p_s)
+        mu = invert_ratio(zeta, centers, 0.3)
+        assert zeta.shape == mu.shape == (50,)
+        for i in range(50):
+            z_i = ratio_metric(float(p_d[i]), float(p_s[i]))
+            assert isinstance(z_i, float) and _bits(zeta[i]) == _bits(z_i)
+            assert _bits(mu[i]) == _bits(invert_ratio(z_i, float(centers[i]), 0.3))
+        with pytest.raises(BothZero):
+            ratio_metric(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ratio_metric(np.array([1.0, np.nan]), np.array([1.0, -1.0]))
 
     def test_closed_form_center_and_sign(self):
         for delta in (0.1, np.pi / 8, 1.2):
@@ -312,7 +330,7 @@ class TestSinglePath:
                         want["receive"][w.index] += p
                         want["elevation"][eb.index] += p
                         want["azimuth"][ab.index] += p
-        got, probes = _sweep(chan, cbs, 0.0, None)
+        got, probes = _sweep(chan, cbs)
         assert len(el["v"]) > 1
         assert probes == len(cbs.books["receive"].beams) * sum(
             len(el[p]) * len(az[p]) for p in cbs.pols)
@@ -426,6 +444,22 @@ class TestSinglePath:
         assert calls == []
 
 
+class TestAngleFill:
+    def test_boresight_rows_get_zero_angles(self):
+        """A transmit direction at (0, 0) of either sign, where
+        angles_from_spatial_frequencies raises DegenerateDirection, gets
+        (theta, phi) = (0, 0); the other rows are the angle maps' values."""
+        mus = np.array([[0.3, -0.2, 0.1], [-0.0, 0.0, -0.4], [0.0, -0.0, 0.2],
+                        [-0.0, -0.0, 0.0], [0.0, 0.5, 1.0]])
+        rows = _fill_angles(mus, CO)
+        assert rows.shape == (5, 6) and rows[:, :3].tobytes() == mus.tobytes()
+        assert _bits(rows[1:4, 3:5]) == _bits(np.zeros((3, 2)))
+        for i in (0, 4):
+            theta, phi = angles_from_spatial_frequencies(mus[i, 0], mus[i, 1], CO)
+            assert (rows[i, 3], rows[i, 4]) == (theta, phi)
+        assert rows[:, 5].tolist() == [aoa_from_nu(nu, CO) for nu in mus[:, 2]]
+
+
 class TestPairing:
     """_pair_and_invert on a codebook's pair table."""
 
@@ -433,11 +467,11 @@ class TestPairing:
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         book, pairs = cbs.books["azimuth"], enumerate_abps(cbs, "azimuth")
         s = np.array([1.0, 2.0, 5.0, 2.0, 1.0, 0.5])
-        _, pair, _ = _pair_and_invert(s, 2, book)
-        assert pair == pairs[1]  # tie between beams 1 and 3: the lower wins
+        _, k, _ = _pair_and_invert(s, 2, book)
+        assert book.pair(k) == pairs[1]  # tie between beams 1 and 3: the lower wins
         s[3] = np.nextafter(2.0, 3.0)
-        mu, pair, zeta = _pair_and_invert(s, 2, book)
-        assert pair == pairs[2]
+        mu, k, zeta = _pair_and_invert(s, 2, book)
+        assert book.pair(k) == pairs[2]
         assert zeta == ratio_metric(s[2], s[3])
         assert mu == invert_ratio(zeta, pairs[2].center_mu, pairs[2].delta)
 
@@ -451,7 +485,7 @@ class TestPairing:
         s = np.array([1.0, 1.0, 2.0, 5.0, 9.0, 3.0, 1.0, 1.0])
         for win, want in ((0, pairs[0]), (3, pairs[2]), (4, pairs[3]),
                           (7, pairs[5])):
-            assert _pair_and_invert(s, win, book)[1] == want
+            assert book.pair(_pair_and_invert(s, win, book)[1]) == want
 
     def test_single_beam_axis_raises(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO, az_range=(-0.1, 0.1)))

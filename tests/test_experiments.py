@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 
 from beampair import experiments
-from beampair.channel import clustered_channel_generate
+from beampair.channel import clustered_channel_generate, rician_narrowband
 from beampair.cli import main
+from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
+                                estimate_single_path, gob_estimate)
+from beampair.geometry import AngleSet, angles_from_spatial_frequencies, aoa_from_nu
 from beampair.metrics import EmptyInput
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   IoError, ParseError, ResultTable,
                                   emit_outputs, load_config, parse_snr_grid,
                                   run_experiment, validate_config)
+
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 # ---------------------------------------------------------------------------
 # SNR grid parsing
@@ -281,6 +286,121 @@ class TestFamilies:
         assert len(pngs) == 1
         assert os.path.getsize(pngs[0]) > 0
 
+    @pytest.mark.parametrize("family", EXPERIMENTS)
+    def test_plot_reads_every_golden_table(self, family):
+        """_plot_one draws each family's pinned table without raising, on a
+        stub axis that records its calls (matplotlib is optional), and a
+        bar chart gets the table's last column as numbers."""
+        calls = []
+
+        class StubAxis:
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: calls.append((name, args))
+
+        with open(os.path.join(GOLDEN_DIR, f"{family}.csv"), newline="",
+                  encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        experiments._plot_one(StubAxis(), family, ResultTable(family, header, rows))
+        assert calls
+        bars = [args for name, args in calls if name == "bar"]
+        for _, vals in bars:
+            assert vals == [float(r[-1]) for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# trials in chunks: per-trial draws, one compute step per chunk
+
+def _maee_trial(s, snr: float, rng) -> list:
+    """The per-trial maee_vs_snr flow that the chunked draw and compute
+    steps replace, kept as their reference: true, ABP-estimated and
+    GoB-estimated directions in _DOMAINS order."""
+    mu_x = experiments._draw_in_spans(rng, s.cov["elevation"])
+    mu_y = experiments._draw_in_spans(rng, s.cov["azimuth"])
+    nu = experiments._draw_in_spans(rng, s.cov["receive"])
+    while mu_x == 0.0 and mu_y == 0.0:
+        mu_x = experiments._draw_in_spans(rng, s.cov["elevation"])
+    truth = AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, s.arrays),
+                     aoa_from_nu(nu, s.arrays))
+    chan = rician_narrowband(s.arrays, truth, s.cfg.k_factor_db, s.cfg.n_nlos,
+                             rng, s.nlos_ranges)
+    out = [(mu_x, mu_y, nu, truth.theta, truth.phi, truth.psi)]
+    for est_fn in (estimate_single_path, gob_estimate):
+        est = est_fn(chan, s.cbs, 10.0 ** (snr / 10.0), rng).best
+        out.append((est.mu_x, est.mu_y, est.nu, est.theta, est.phi, est.psi))
+    return out
+
+
+def _chunk_against_reference(cfg: ExperimentConfig, snr: float, trials: int):
+    """One chunk of `trials` maee_vs_snr trials at point 0, drawn and
+    computed, and the reference per-trial flow on the same streams; asserts
+    that each draw step leaves its generator where the reference leaves it
+    and returns (chunk rows (T, 3, 6), reference rows (T, 3, 6))."""
+    s = experiments.setup_experiment(cfg)
+    draws, want = [], []
+    for t in range(trials):
+        rng, ref_rng = (experiments._trial_rng(cfg, 0, t) for _ in range(2))
+        draws.append(experiments._maee_draw(s, snr, rng))
+        want.append(_maee_trial(s, snr, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
+    return experiments._maee_compute(s, snr, draws), np.array(want, dtype=float)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("snr", [10.0, -5.0, math.inf])
+    @pytest.mark.parametrize("overrides", [{}, {"n_nlos": 0}, {"k_factor_db": 0.0}])
+    def test_chunk_equals_per_trial_flow(self, snr, overrides):
+        """The chunk's rows are the per-trial flow's, byte for byte; at
+        infinite SNR neither draws sweep noise."""
+        cfg = ExperimentConfig(trials=24, plots=False, **overrides)
+        got, want = _chunk_against_reference(cfg, snr, 24)
+        assert got.shape == (24, 3, 6)
+        assert got.tobytes() == want.tobytes()
+
+    def test_boresight_estimate_inside_a_chunk(self):
+        """With 3 elevation and 5 azimuth beams the middle GoB beams sit at
+        spatial frequency 0, so some GoB estimates land on boresight (0, 0),
+        where the azimuth is undefined: those rows get (theta, phi) = (0, 0)
+        and the other rows of the chunk are untouched."""
+        cfg = ExperimentConfig(trials=64, seed=2, n_x=6, n_y=7, plots=False)
+        got, want = _chunk_against_reference(cfg, 10.0, 64)
+        gob = got[:, 2]
+        at_boresight = (gob[:, 0] == 0.0) & (gob[:, 1] == 0.0)
+        assert 0 < at_boresight.sum() < len(gob)
+        assert np.all(gob[at_boresight, 3:5] == 0.0)
+        assert np.all(gob[~at_boresight, 3] > 0.0)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("family,trials", [("maee_vs_snr", 20), ("maqe_bits", 20),
+                                               ("norm_se_vs_snr", 3)])
+    def test_chunk_size_moves_no_byte(self, family, trials, tmp_path, monkeypatch):
+        """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes."""
+        cfg = ExperimentConfig(experiment=family, trials=trials, snr_db=(0.0, 10.0),
+                               plots=False)
+        texts = []
+        for chunk in (1, 7, trials):
+            monkeypatch.setattr(experiments, "TRIAL_CHUNK", chunk)
+            [path] = run_experiment(cfg, str(tmp_path / str(chunk)))["files"]
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
+        assert texts[0] == texts[1] == texts[2]
+
+    def test_run_walks_trials_in_chunks(self, tmp_path, monkeypatch):
+        """Each point's trials reach the compute step in chunks of
+        TRIAL_CHUNK, the last one partial."""
+        chunks = []
+
+        def compute(s, point, draws):
+            chunks.append(len(draws))
+            return draws
+
+        family = experiments.FAMILIES["maqe_bits"]
+        monkeypatch.setattr(experiments, "TRIAL_CHUNK", 4)
+        monkeypatch.setitem(experiments.FAMILIES, "maqe_bits",
+                            family._replace(compute=compute))
+        run_experiment(ExperimentConfig(experiment="maqe_bits", trials=10,
+                                        plots=False), str(tmp_path))
+        assert chunks == [4, 4, 2] * 2  # two points (array widths)
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -290,7 +410,8 @@ class TestFamilies:
 _SLOTS_AND_POLARIZATION = [
     *((family, f"probing.{side} = 1") for family in ("norm_se_vs_snr", "robustness_xpd")
       for side in ("n_t", "m_t")),
-    ("maee_vs_snr", "arrays.polarization = cross\ncodebook.el_range_deg = -90:90")]
+    ("maee_vs_snr", "arrays.polarization = cross\ncodebook.el_range_deg = -90:90"),
+    ("maee_vs_snr", "channel.n_nlos = -1")]
 # a robustness family sets its swept parameter itself; before its setup check,
 # a value set in the config was ignored without a word
 _SWEPT_KEY_SET = [("robustness_xpd", "channel.chi = 0.7"),
@@ -410,12 +531,34 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("validate drew a channel")
 
-        monkeypatch.setattr(experiments, "clustered_channel_generate", no_trial)
-        monkeypatch.setattr(experiments, "rician_narrowband", no_trial)
+        # what the draw steps call first: channel draws, maee_vs_snr's
+        # direction draws, the sweep noise
+        for name in ("clustered_channel_generate", "_rician_draws",
+                     "_draw_in_spans", "_sweep_normals"):
+            monkeypatch.setattr(experiments, name, no_trial)
         path = tmp_path / "cfg.cfg"
         path.write_text(f"experiment = {family}\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.startswith(f"ok: experiment={family} ")
+
+    @pytest.mark.parametrize("error", [EmptyInput, NoSignal, BothZero,
+                                       InsufficientNeighbors])
+    def test_typed_run_failure(self, error, tmp_path, capsys, monkeypatch):
+        """A typed error raised while a valid config runs ends the run with
+        'run failed' on stderr, exit status 1 and no traceback."""
+        def failing(s, point, draws):
+            raise error("no usable trial")
+
+        family = experiments.FAMILIES["maqe_bits"]
+        monkeypatch.setitem(experiments.FAMILIES, "maqe_bits",
+                            family._replace(compute=failing))
+        path = tmp_path / "cfg.cfg"
+        path.write_text("experiment = maqe_bits\ntrials = 2\n", encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "run failed: no usable trial\n"
+        assert captured.out == ""
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

@@ -7,7 +7,11 @@ stream id fails here.
 The pinned tables were written by the same calls as below; to regenerate
 after an intended change of the numbers, run each family with
 run_experiment(ExperimentConfig(experiment=..., trials=GOLDEN_TRIALS[...],
-seed=s, plots=False), GOLDEN_DIRS[s])."""
+seed=s, plots=False), GOLDEN_DIRS[s]), and the el90 and chunks cases with
+their overrides below.
+
+tests/golden/chunks/ pins maee_vs_snr at seed 1 and 150 trials: more than
+two chunks of TRIAL_CHUNK trials, the last one partial."""
 
 import csv
 import math
@@ -22,6 +26,9 @@ GOLDEN_DIRS = {0: GOLDEN_DIR, 1: GOLDEN_DIR / "seed1"}
 # seed-0 tables with the elevation stage running: directory, config overrides
 EL90_DIR, EL90 = GOLDEN_DIR / "el90", {"el_range_deg": (-90.0, 90.0)}
 EL90_FAMILIES = ("norm_se_vs_snr", "robustness_xpd")
+# seed-1 tables run over several trial chunks: directory, config overrides
+CHUNKS_DIR, CHUNKS = GOLDEN_DIR / "chunks", {"trials": 150}
+CHUNKS_FAMILIES = ("maee_vs_snr",)
 GOLDEN_TRIALS = {
     "maee_vs_snr": 40,
     "maqe_bits": 200,
@@ -52,21 +59,23 @@ def test_every_family_has_a_golden_table():
     for golden in GOLDEN_DIRS.values():
         assert {p.stem for p in golden.glob("*.csv")} == set(EXPERIMENTS)
     assert {p.stem for p in EL90_DIR.glob("*.csv")} == set(EL90_FAMILIES)
+    assert {p.stem for p in CHUNKS_DIR.glob("*.csv")} == set(CHUNKS_FAMILIES)
 
 
 # (family, seed, overrides, golden directory). Seed-0 cases keep their bare
 # family ids, so existing test ids stay stable; seed-1 cases get a "-seed1"
-# suffix, the elevation-stage cases "-el90".
+# suffix, the elevation-stage cases "-el90", the multi-chunk cases "-chunks".
 CASES = [(family, seed, {}, golden) for seed, golden in GOLDEN_DIRS.items()
          for family in EXPERIMENTS] \
-    + [(family, 0, EL90, EL90_DIR) for family in EL90_FAMILIES]
+    + [(family, 0, EL90, EL90_DIR) for family in EL90_FAMILIES] \
+    + [(family, 1, CHUNKS, CHUNKS_DIR) for family in CHUNKS_FAMILIES]
 IDS = [f if golden == GOLDEN_DIR else f"{f}-{golden.name}" for f, _, _, golden in CASES]
 
 
 @pytest.mark.parametrize("family,seed,overrides,golden", CASES, ids=IDS)
 def test_family_matches_golden(family, seed, overrides, golden, tmp_path):
-    cfg = ExperimentConfig(experiment=family, trials=GOLDEN_TRIALS[family],
-                           seed=seed, plots=False, **overrides)
+    cfg = ExperimentConfig(**{"experiment": family, "trials": GOLDEN_TRIALS[family],
+                              "seed": seed, "plots": False, **overrides})
     [path] = run_experiment(cfg, str(tmp_path))["files"]
     got, want = _rows(Path(path)), _rows(golden / f"{family}.csv")
     assert got[0] == want[0], "header changed"

@@ -1,6 +1,9 @@
 """Polyphase pilot sequences, root/shift assignment, correlators, and the
 flat-gain interference bounds."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,7 @@ import beampair.pilot
 from beampair.pilot import (DEFAULT_ROOT_POOL, FlatGains, InvalidRoot,
                             LengthMismatch, PilotAssignment, PoolExhausted,
                             ShiftConflict, assign_pilots, correlate_zero_lag,
-                            interference_bounds, zc_sequence, zc_symbol)
+                            interference_bounds, zc_sequence)
 
 
 def xcorr(a: np.ndarray, b: np.ndarray) -> complex:
@@ -29,11 +32,13 @@ class TestSequences:
             assert np.max(np.abs(np.abs(seq) - 1.0)) < 1e-12
 
     def test_symbol_matches_sequence(self):
+        """Entry k is exp(j*pi*root*(k + p*b)(k + p*b + 1)/n), written out
+        with the integer exponent taken mod 2n (the exponential's period)."""
         seq = zc_sequence(29, 1, 6, 128)
         for k in (0, 1, 63, 127):
-            assert abs(zc_symbol(29, 1, 6, 128, k) - seq[k]) < 1e-12
-        with pytest.raises(ValueError, match="index"):
-            zc_symbol(29, 1, 6, 128, 128)
+            kk = k + 6 * 1
+            phase = (29 * kk * (kk + 1)) % (2 * 128)
+            assert abs(cmath.exp(1j * math.pi * phase / 128) - seq[k]) < 1e-12
 
     def test_modular_phase_matches_analytic(self):
         """The mod-2n reduction only rewrites the exponent; at small sizes
