@@ -59,7 +59,8 @@ def main():
     print(f"{'axis':<10} {'members (rad)':<20} {'zeta':>8} "
           f"{'inverted':>9} {'truth':>9} {'error':>10}")
     for axis in ("elevation", "azimuth", "receive"):
-        lo, hi = (b.boresight_mu for b in est.pairs[axis].beams)
+        book = cbs.books[axis]
+        lo, hi = book.boresights[book.pairs[est.pairs[axis]]]
         print(f"{axis:<10} [{lo:7.4f}, {hi:7.4f}]   {est.zetas[axis]:8.4f} "
               f"{hats[axis]:9.4f} {truths[axis]:9.4f} "
               f"{abs(hats[axis] - truths[axis]):10.2e}")

@@ -2,13 +2,14 @@
 
 Co-polarized and cross-polarized multi-path models, the narrowband Rician
 model, and a lightweight clustered generator. A realization is stored as its
-path factors, H[k] = sum_l rho[k, l] u_l v_l^H, built from explicit path
-parameters; every beamformed quantity W^H H[k] F is computed from those
-factors, and the dense per-subcarrier tensor is built only when read, so
-tests can rebuild it entry-wise from the defining formulas.
+path factors, H[k] = sum_l rho[k, l] u_l v_l^H, built from per-path arrays
+of gains, delays and angles (explicit PathParams are one source of them);
+every beamformed quantity W^H H[k] F is computed from those factors, and the
+dense per-subcarrier tensor is built only when read, so tests can rebuild it
+entry-wise from the defining formulas.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -132,27 +133,24 @@ def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
 
 @dataclass
 class ChannelRealization:
-    """Path-domain channel plus the generating path parameters.
+    """Path-domain channel: H[k] = sum_l rho[k, l] u_l v_l^H.
 
-    H[k] = sum_l rho[k, l] u_l v_l^H, with rho (N, L) the per-path delay-tap
-    coefficients and u (L, M, q), v (L, N_t, q) the receive and transmit
-    factors, M and N_t the full (cross-pol stacked) dimensions. Co-pol and
-    narrowband paths have q = 1 (u_l = g a_r, v_l = a_t); cross-pol paths
-    have q = 2 (u_l = G_eff kron a_r, v_l = I_2 kron a_t), which places the
-    vv/vh/hv/hh blocks in the top-left/top-right/bottom-left/bottom-right.
-    A stacked realization holds T trials' factors u (T, L, M, q) and
-    v (T, L, N_t, q) over one rho; its `paths` are empty.
+    rho (N, L) holds the per-path delay-tap coefficients and u (L, M, q),
+    v (L, N_t, q) the receive and transmit factors, M and N_t the full
+    (cross-pol stacked) dimensions. Co-pol and narrowband paths have q = 1
+    (u_l = g a_r, v_l = a_t); cross-pol paths have q = 2 (u_l = G_eff kron
+    a_r, v_l = I_2 kron a_t), which places the vv/vh/hv/hh blocks in the
+    top-left/top-right/bottom-left/bottom-right. dominant_angles holds the
+    (theta, phi, psi) arrays (K,) of the paths that are the realization's
+    ground truth, strongest first (K = 0 for explicit paths). A stacked
+    realization holds T trials' factors u (T, L, M, q) and v (T, L, N_t, q)
+    over one rho, and dominant angles (T, K).
     """
 
     rho: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    paths: list[PathParams]
-    arrays: ArrayConfig
-    ofdm: OfdmConfig | None = None
-    crosspol: CrossPolConfig | None = None
-    pulse: str = "raised-cosine"
-    dominant_angles: list[AngleSet] = field(default_factory=list)
+    dominant_angles: tuple
     # always None: each polarization block is a slice of h, not a copy
     blocks = None
 
@@ -183,15 +181,15 @@ class ChannelRealization:
         return (self.rho @ per_path.reshape(*batch, n_paths, i * j)).reshape(*batch, -1, i, j)
 
 
-def _realization(rho: np.ndarray, angles, g: np.ndarray, paths: list[PathParams],
-                 arrays: ArrayConfig, xp: CrossPolConfig | None = None,
-                 **meta) -> ChannelRealization:
+def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
+                 xp: CrossPolConfig | None = None, dominant=slice(0)) -> ChannelRealization:
     """Realization of L paths from their delay-tap columns rho (N, L), their
     angles ((L,) arrays theta, phi, psi) and gains, with one steering call
     per side for all paths: co-pol when xp is None (g holds the (L,) vv
     gains), cross-pol with the effective gains of the raw (L, 2, 2) g
-    otherwise. Co-pol angles and gains of shape (T, L) give a stacked
-    realization of T trials."""
+    otherwise. `dominant` indexes the paths whose angles are the ground
+    truth (none by default). Co-pol angles and gains of shape (T, L) give a
+    stacked realization of T trials."""
     sf = spatial_frequencies(angles, arrays)
     lead = np.shape(sf.nu)  # (L,), or (T, L) stacked
     a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
@@ -203,13 +201,12 @@ def _realization(rho: np.ndarray, angles, g: np.ndarray, paths: list[PathParams]
         n_paths, e = len(g), _effective(g, xp)
         u = (e[:, :, None, :] * a_r[:, None, :, None]).reshape(n_paths, -1, 2)
         v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(n_paths, -1, 2)
-    return ChannelRealization(rho, u, v, paths, arrays, crosspol=xp, **meta)
+    return ChannelRealization(rho, u, v, tuple(np.asarray(a)[..., dominant] for a in angles))
 
 
-def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig | None,
+def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
                 pulse: str, xp: CrossPolConfig | None = None) -> ChannelRealization:
-    """Realization of explicit paths; narrowband (a single subcarrier of
-    unit taps) when ofdm is None, else one delay-tap column per distinct
+    """Realization of explicit paths: one delay-tap column per distinct
     delay, shared by the paths at that delay."""
     paths = list(paths)
     angles = np.array([tuple(p.angles) for p in paths]).T
@@ -217,11 +214,9 @@ def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig |
         g = np.array([p.g_vv for p in paths], dtype=complex)
     else:
         g = np.array([[[p.g_vv, p.g_vh], [p.g_hv, p.g_hh]] for p in paths], dtype=complex)
-    if ofdm is None:
-        return _realization(np.ones((1, len(paths))), angles, g, paths, arrays, xp)
     taus, col = np.unique([p.tau for p in paths], return_inverse=True)
     rho = np.take(pulse_coefficients(taus, ofdm, pulse), col, axis=1)
-    return _realization(rho, angles, g, paths, arrays, xp, ofdm=ofdm, pulse=pulse)
+    return _realization(rho, angles, g, arrays, xp)
 
 
 def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
@@ -277,11 +272,6 @@ def _visible(mu_x: np.ndarray, mu_y: np.ndarray, nu: np.ndarray,
             aoa_from_nu(nu, arrays))
 
 
-def _angle_sets(theta: np.ndarray, phi: np.ndarray, psi: np.ndarray) -> list[AngleSet]:
-    """One AngleSet of floats per entry."""
-    return [AngleSet(*a) for a in zip(theta.tolist(), phi.tolist(), psi.tolist())]
-
-
 def _rician_draws(rng: np.random.Generator, n_nlos: int) -> tuple[float, np.ndarray]:
     """A Rician realization's draws: the LOS phase (a fraction of a turn),
     then per NLOS path the gain's real and imaginary parts and the uniform
@@ -330,10 +320,8 @@ def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
     phase, draws = _rician_draws(rng, n_nlos)
     g, angles = _rician_paths(arrays, tuple(los_angles), phase, draws, k_factor_db,
                               nlos_mu_ranges)
-    paths = [PathParams.single_pol(gain, 0.0, ang) for gain, ang in
-             zip(g.tolist(), [los_angles, *_angle_sets(*(a[1:] for a in angles))])]
-    return _realization(np.ones((1, len(paths))), angles, g, paths, arrays,
-                        dominant_angles=[los_angles])
+    return _realization(np.ones((1, len(g))), angles, g, arrays,
+                        dominant=slice(1))  # the LOS path
 
 
 @dataclass(frozen=True)
@@ -357,19 +345,17 @@ class ClusterProfile:
         CrossPolConfig(self.chi, self.varsigma)  # InvalidChi for chi < 0
 
 
-def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
-                               arrays: ArrayConfig, ofdm: OfdmConfig,
-                               pulse: str = "raised-cosine") -> ChannelRealization:
-    """Draw a clustered realization: exponential cluster delays (first cluster
-    at zero delay), exponential power-delay profile, cluster centers uniform
-    over the configured sectors, Laplacian subpath offsets, complex Gaussian
-    subpath gains. Total mean path power is normalized to 1. The strongest
-    subpath of each cluster is recorded as that cluster's ground truth.
+def _clustered_paths(profile: ClusterProfile, rng: np.random.Generator,
+                     arrays: ArrayConfig, ofdm: OfdmConfig):
+    """A clustered realization's path parameters as arrays: the raw gains
+    (L, 4) in (vv, vh, hv, hh) order, the cluster delays (n_clusters,), the
+    (theta, phi, psi) arrays (L,) and the index of each cluster's strongest
+    subpath (n_clusters,), L = clusters x subpaths, cluster by cluster.
 
     Draws per cluster: the (mu_x, mu_y, nu) sector centers, the (mu_x, mu_y,
     nu) x subpath offsets, the subpath powers, then per subpath the real and
     imaginary parts of g_vv, g_vh, g_hv, g_hh. Everything after the draws is
-    one array pass over all L = clusters x subpaths paths."""
+    one array pass over all paths."""
     nc, ns = profile.n_clusters, profile.subpaths_per_cluster
     delays = np.zeros(nc)  # the first cluster at zero delay
     delays[1:] = rng.exponential(profile.delay_spread, size=nc - 1)
@@ -387,28 +373,34 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     # uniform(lo, hi) draws are lo + (hi - lo) * random()
     mus = (lo + (hi - lo) * unit)[:, :, None] + offsets  # (nc, 3, ns)
     mus = np.minimum(np.maximum(mus, lo[:, None]), hi[:, None])
-    theta, phi, psi = _visible(*mus.transpose(1, 0, 2).reshape(3, -1), arrays)
+    angles = _visible(*mus.transpose(1, 0, 2).reshape(3, -1), arrays)
 
     amp = np.sqrt(powers[:, None] * sub_p / sub_p.sum(axis=1, keepdims=True))
     g = amp.reshape(-1, 1) * (parts[..., 0::2] + 1j * parts[..., 1::2]).reshape(-1, 4) \
         / np.sqrt(2)
     power = np.abs(g) ** 2
     strength = power[:, 0] + power[:, 1] + power[:, 2] + power[:, 3]
-    angle_sets = _angle_sets(theta, phi, psi)
-    paths = [PathParams(*gains, tau, ang) for gains, tau, ang in
-             zip(g.tolist(), np.repeat(delays, ns).tolist(), angle_sets)]
     # sorted delays make the clusters' powers non-increasing, so clusters
     # are already in decreasing-power order
     best = strength.reshape(nc, ns).argmax(axis=1) + ns * np.arange(nc)
-    dominant = [angle_sets[i] for i in best.tolist()]
+    return g, delays, angles, best
 
+
+def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
+                               arrays: ArrayConfig, ofdm: OfdmConfig,
+                               pulse: str = "raised-cosine") -> ChannelRealization:
+    """Draw a clustered realization (see _clustered_paths): exponential
+    cluster delays (first cluster at zero delay), exponential power-delay
+    profile, cluster centers uniform over the configured sectors, Laplacian
+    subpath offsets, complex Gaussian subpath gains. Total mean path power is
+    normalized to 1. The strongest subpath of each cluster is that cluster's
+    ground truth. Co-pol arrays see the vv gains only."""
+    g, delays, angles, best = _clustered_paths(profile, rng, arrays, ofdm)
     # one delay-tap column per cluster, shared by its subpaths
-    rho = np.take(pulse_coefficients(delays, ofdm, pulse), np.repeat(np.arange(nc), ns),
-                  axis=1)
+    rho = np.repeat(pulse_coefficients(delays, ofdm, pulse), profile.subpaths_per_cluster,
+                    axis=1)
     if arrays.polarization_mode == "cross":
         g, xp = g.reshape(-1, 2, 2), CrossPolConfig(profile.chi, profile.varsigma)
     else:
-        g, xp = g[:, 0], None  # co-pol arrays see the vv gain only
-    return _realization(rho, (theta, phi, psi), g, paths, arrays, xp,
-                        ofdm=ofdm, pulse=pulse, dominant_angles=dominant)
-
+        g, xp = g[:, 0], None
+    return _realization(rho, angles, g, arrays, xp, dominant=best)

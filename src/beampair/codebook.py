@@ -146,16 +146,6 @@ class AxisBook:
     delta: float
     members: np.ndarray
 
-    def pair(self, k: int, abp_id: int | None = None) -> AuxiliaryBeamPair:
-        """Row k (an int or a 0-d integer array) of the pair table as a pair
-        object, with id k by default."""
-        k = int(k)
-        lo, hi = self.pairs[k].tolist()
-        return AuxiliaryBeamPair(abp_id=k if abp_id is None else abp_id,
-                                 beams=(self.beams[lo], self.beams[hi]),
-                                 axis=self.beams[lo].axis,
-                                 center_mu=float(self.centers[k]), delta=self.delta)
-
 
 def _axis_book(cfg: CodebookConfig, axis: str, other_mu: float | None = None) -> AxisBook:
     """Beam grid of one axis, one steering call per polarization; transmit
@@ -249,41 +239,29 @@ def enumerate_abps(codebooks: CodebookSet, axis: str | None = None) -> list[Auxi
     pairs: list[AuxiliaryBeamPair] = []
     for ax in AXES if axis is None else (axis,):
         book = codebooks.books[ax]
-        pairs += [book.pair(k, len(pairs) + k) for k in range(len(book.pairs))]
+        pairs += [AuxiliaryBeamPair(abp_id=len(pairs) + k,
+                                    beams=(book.beams[lo], book.beams[hi]), axis=ax,
+                                    center_mu=center, delta=book.delta)
+                  for k, ((lo, hi), center) in enumerate(zip(book.pairs.tolist(),
+                                                             book.centers.tolist()))]
     return pairs
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbingPlan:
-    """Beams of each transmit and receive probing, one per RF chain."""
+    """Beam indices of each probing, one per RF chain: tx_idx (n_t, n_rf)
+    into the transmit axis's book, rx_idx (m_t, m_rf) into the receive
+    book."""
 
-    tx_beams: list[list[Beam]]
-    rx_beams: list[list[Beam]]
-
-    @property
-    def n_t(self) -> int:
-        return len(self.tx_beams)
-
-    @property
-    def m_t(self) -> int:
-        return len(self.rx_beams)
-
-    @property
-    def n_rf(self) -> int:
-        return len(self.tx_beams[0])
-
-    @property
-    def m_rf(self) -> int:
-        return len(self.rx_beams[0])
-
-    def iterations(self) -> int:
-        """Multi-RF complexity accounting: RF chains times probings on each
-        side."""
-        return self.n_rf * self.n_t * self.m_rf * self.m_t
+    tx_idx: np.ndarray
+    rx_idx: np.ndarray
 
 
-def _fill_bucket(beams: list[Beam], n_probings: int, slots_per: int,
-                 rng: np.random.Generator) -> list[list[Beam]]:
+def _fill_bucket(beams: list[int], n_probings: int, slots_per: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """(n_probings, slots_per) picks from the beam indices `beams`, distinct
+    within each probing, every beam at least once: the beams plus random
+    extras, shuffled, then taken greedily in order per probing."""
     size = len(beams)
     if slots_per > size:
         raise InfeasibleCoverage(
@@ -292,14 +270,12 @@ def _fill_bucket(beams: list[Beam], n_probings: int, slots_per: int,
     if total < size:
         raise InfeasibleCoverage(
             f"{total} slots cannot cover {size} beams; increase probings or RF chains")
-    pool: list[Beam] = list(beams)
-    while len(pool) < total:
-        pool.append(beams[rng.integers(size)])
+    pool = beams + [beams[rng.integers(size)] for _ in range(total - size)]
     pool = [pool[i] for i in rng.permutation(total)]
 
-    out: list[list[Beam]] = []
+    out = []
     for _ in range(n_probings):
-        probing: list[Beam] = []
+        probing: list[int] = []
         i = 0
         while len(probing) < slots_per and i < len(pool):
             if pool[i] in probing:
@@ -309,13 +285,9 @@ def _fill_bucket(beams: list[Beam], n_probings: int, slots_per: int,
         # duplicates can strand pool items behind a same-beam pick; top up
         # from the codebook (any stranded item already appears in `probing`,
         # so coverage is not lost)
-        for beam in beams:
-            if len(probing) == slots_per:
-                break
-            if beam not in probing:
-                probing.append(beam)
+        probing += [b for b in beams if b not in probing][:slots_per - len(probing)]
         out.append(probing)
-    return out
+    return np.array(out, dtype=int)
 
 
 def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
@@ -331,16 +303,12 @@ def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
     rng = np.random.default_rng(seed)
     cross = codebooks.config.arrays.polarization_mode == "cross"
 
-    def side(axis: str, probings: int, rf: int) -> list[list[Beam]]:
+    def side(axis: str, probings: int, rf: int) -> np.ndarray:
         if cross and layout == "split-half":
             if rf % 2:
                 raise ValueError("split-half layout needs an even RF chain count")
-            dom = codebooks.domain(axis)
-            v = _fill_bucket(dom["v"], probings, rf // 2, rng)
-            h = _fill_bucket(dom["h"], probings, rf // 2, rng)
-            return [v[i] + h[i] for i in range(probings)]
-        return _fill_bucket(codebooks.books[axis].beams, probings, rf, rng)
+            return np.hstack([_fill_bucket([b.index for b in beams], probings, rf // 2, rng)
+                              for beams in codebooks.domain(axis).values()])
+        return _fill_bucket(list(range(len(codebooks.books[axis].beams))), probings, rf, rng)
 
-    return ProbingPlan(tx_beams=side(tx_axis, n_t, n_rf),
-                       rx_beams=side("receive", m_t, m_rf))
-
+    return ProbingPlan(tx_idx=side(tx_axis, n_t, n_rf), rx_idx=side("receive", m_t, m_rf))

@@ -43,6 +43,10 @@ class InsufficientNeighbors(RuntimeError):
 
 @dataclass
 class PathEstimate:
+    """One path's estimate. pairs[axis] is the id of the pair whose ratio
+    gave that axis's estimate (a row of the axis's AxisBook.pairs), and
+    zetas[axis] that ratio; an axis with no pair has neither."""
+
     mu_x: float = math.nan
     mu_y: float = math.nan
     nu: float = math.nan
@@ -271,8 +275,7 @@ def estimate_single_path(channel: ChannelRealization, codebooks: CodebookSet,
     strengths, probes = _sweep(
         channel, codebooks, _sweep_normals(channel.shape[0], codebooks, gamma, rng), gamma)
     row, ids, zetas = _abp_rows(strengths, codebooks)
-    est = PathEstimate(*row.tolist(),
-                       pairs={a: codebooks.books[a].pair(k) for a, k in ids.items()},
+    est = PathEstimate(*row.tolist(), pairs={a: int(k) for a, k in ids.items()},
                        zetas=zetas)
     return EstimationReport(paths=[est], iterations=probes, scheme="abp")
 
@@ -339,8 +342,7 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
         raise DimensionMismatch("pilot length must equal the subcarrier count")
     rng = np.random.default_rng() if rng is None else rng
 
-    tx_idx = np.array([[b.index for b in beams] for beams in plan.tx_beams])
-    rx_idx = np.array([[b.index for b in beams] for beams in plan.rx_beams])
+    tx_idx, rx_idx = plan.tx_idx, plan.rx_idx
     (n_t, n_rf), (m_t, m_rf) = tx_idx.shape, rx_idx.shape
     x = pilots.references([tag for t_idx in tx_idx
                            for tag in tag_probing(t_idx, tx_book.members)])
@@ -365,12 +367,12 @@ def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
             in_slot_order(np.arange(m_t), s.reshape(n_t, m_t, -1).sum(axis=2), m_t))
 
 
-def _require_coverage(probings: list[list[Beam]], book: AxisBook) -> None:
-    probed = {b.index for probing in probings for b in probing}
-    missing = [b.index for b in book.beams if b.index not in probed]
-    if missing:
+def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
+    n = len(book.beams)
+    missing = np.flatnonzero(np.bincount(idx.ravel(), minlength=n)[:n] == 0)
+    if missing.size:
         raise InfeasibleCoverage(
-            f"probing plan leaves {book.beams[0].axis} beams {missing} unprobed")
+            f"probing plan leaves {book.beams[0].axis} beams {missing.tolist()} unprobed")
 
 
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
@@ -391,8 +393,9 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
-    _require_coverage(probing_plan.tx_beams, az_book)
-    _require_coverage(probing_plan.rx_beams, rx_book)
+    _require_coverage(probing_plan.tx_idx, az_book)
+    _require_coverage(probing_plan.rx_idx, rx_book)
+    (n_t, n_rf), (m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape
     sigma = _sigma_from_gamma(gamma)
     rng = np.random.default_rng() if rng is None else rng
 
@@ -402,7 +405,7 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         raise NoSignal("no correlated energy in any probing")
 
     best_mt = int(np.argmax(totals))
-    rx_winner = _winner(rx_s, [b.index for b in probing_plan.rx_beams[best_mt]])
+    rx_winner = _winner(rx_s, probing_plan.rx_idx[best_mt])
     nu, rx_k, rx_zeta = _pair_and_invert(rx_s, rx_winner, rx_book)
     mu_y, az_k, az_zeta = _pair_and_invert(
         tx_s, np.argsort(-tx_s, kind="stable")[:n_select], az_book)
@@ -410,8 +413,7 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     mus = np.empty((n_paths, 3))  # (mu_x, mu_y, nu) per path
     # mu_x is the elevation range center unless a path's elevation stage pairs
     mus[:, 0], mus[:, 1], mus[:, 2] = 0.5 * sum(codebooks.config.el_range), mu_y, nu
-    rx_pair = rx_book.pair(rx_k)
-    pairs = [{"azimuth": az_book.pair(k), "receive": rx_pair} for k in az_k.tolist()]
+    pairs = [{"azimuth": k, "receive": int(rx_k)} for k in az_k.tolist()]
     zetas = [{"azimuth": z, "receive": rx_zeta} for z in az_zeta.tolist()]
 
     extra_tx_probings = 0
@@ -420,33 +422,31 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         # one elevation sweep per path, its beams re-pointed at the path's
         # azimuth estimate; the pair ids, and so the pilots, stay the same
         cross = codebooks.config.arrays.polarization_mode == "cross"
-        slots = max(probing_plan.n_rf // 2 if cross else probing_plan.n_rf, 1)
+        slots = max(n_rf // 2 if cross else n_rf, 1)
         n_el_t = max(1, math.ceil(max(map(len, el_beams.values())) / slots))
-        layout = "split-half" if cross and probing_plan.n_rf % 2 == 0 else "free"
+        layout = "split-half" if cross and n_rf % 2 == 0 else "free"
+        extra_tx_probings = n_el_t * n_paths
         el_pilots = assign_pilots(
             range(len(codebooks.books["elevation"].pairs)), pilots.n, p=pilots.p,
             coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
         for p in range(n_paths):
             el_cbs = codebooks.repointed(float(mu_y[p]))
             el_plan = random_probing_plan(
-                el_cbs, n_el_t, probing_plan.m_t, probing_plan.n_rf,
-                probing_plan.m_rf, int(rng.integers(2 ** 31)), layout=layout,
-                tx_axis="elevation")
+                el_cbs, n_el_t, m_t, n_rf, m_rf, int(rng.integers(2 ** 31)),
+                layout=layout, tx_axis="elevation")
             el_book = el_cbs.books["elevation"]
             el_tx, _, el_totals = _probe_and_correlate(
                 channel, el_plan, el_pilots, el_book, el_cbs.books["receive"],
                 sigma, rng)
-            extra_tx_probings += el_plan.n_t
             if el_totals.sum() <= 0:
                 continue
             mus[p, 0], k, zetas[p]["elevation"] = _pair_and_invert(
                 el_tx, _winner(el_tx), el_book)
-            pairs[p]["elevation"] = el_book.pair(k)
+            pairs[p]["elevation"] = int(k)
 
     rows = _fill_angles(mus, codebooks.config.arrays)
     paths = [PathEstimate(*row, pairs=pr, zetas=z)
              for row, pr, z in zip(rows.tolist(), pairs, zetas)]
 
-    iters = probing_plan.n_rf * (probing_plan.n_t + extra_tx_probings) \
-        * probing_plan.m_rf * probing_plan.m_t
+    iters = n_rf * (n_t + extra_tx_probings) * m_rf * m_t
     return EstimationReport(paths=paths, iterations=iters, scheme="abp")

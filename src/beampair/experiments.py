@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.snr_db:
             raise ConfigError("snr grid is empty")
+        if any(math.isnan(x) or x == -math.inf for x in self.snr_db):
+            raise ConfigError("snr_db values must be numbers above -inf dB")
         if self.coprime_with not in COPRIME_WITH:
             raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
         if self.n_s < 1:
@@ -336,7 +338,7 @@ def _maee_compute(s, snr: float, draws: list) -> np.ndarray:
     truth = _fill_angles(np.array(mus), s.arrays)  # no (0, 0): the draw redraws it
     g, angles = _rician_paths(s.arrays, truth[:, 3:].T, np.array(phase), np.array(nlos),
                               s.cfg.k_factor_db, s.nlos_ranges)
-    chan = _realization(np.ones((1, g.shape[-1])), angles, g, [], s.arrays)
+    chan = _realization(np.ones((1, g.shape[-1])), angles, g, s.arrays)
     if normals[0] is None:  # infinite SNR: both schemes read the noiseless sweep
         abp_s = gob_s = _sweep(chan, s.cbs)[0]
     else:  # normals (T, scheme, ...) -> (scheme, T, ...): one sweep per scheme
@@ -486,7 +488,11 @@ def _tdm_reduce(s, results):
 
 def _rate_setup(cfg: ExperimentConfig):
     """What the rate families' trials share: codebooks whose azimuth and
-    receive beams all pair, pilots, the cluster profile and probing sizes."""
+    receive beams all pair, pilots, the cluster profile and probing sizes.
+    An unset probing key takes its default; a set one must be >= 1."""
+    for key in ("n_t", "m_t", "n_select"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+            raise ConfigError(f"probing.{key} must be >= 1")
     arrays = _arrays(cfg, "cross")
     # rate families run at desk scale (N=256) in place of the 125mhz default
     ofdm = OfdmConfig(256, 64) if cfg.bandwidth in ("desk", "125mhz") else \
@@ -499,8 +505,8 @@ def _rate_setup(cfg: ExperimentConfig):
     merged_az = len(cbs.books["azimuth"].beams)
     merged_rx = len(cbs.books["receive"].beams)
     n_rf, m_rf = min(cfg.n_s, merged_az), min(cfg.n_s, merged_rx)
-    n_t = cfg.n_t or max(2, math.ceil(merged_az / n_rf))
-    m_t = cfg.m_t or max(2, math.ceil(merged_rx / m_rf))
+    n_t = max(2, math.ceil(merged_az / n_rf)) if cfg.n_t is None else cfg.n_t
+    m_t = max(2, math.ceil(merged_rx / m_rf)) if cfg.m_t is None else cfg.m_t
     # every trial's probing plan must probe every azimuth and receive beam
     for side, slots, beams in (("n_t", n_t * n_rf, merged_az), ("m_t", m_t * m_rf, merged_rx)):
         if slots < beams:
@@ -508,7 +514,8 @@ def _rate_setup(cfg: ExperimentConfig):
     return SimpleNamespace(
         cfg=cfg, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
         profile=_cluster_profile(cfg, cbs, max(cfg.n_clusters, cfg.n_s)),
-        n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t)
+        n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
+        n_select=cfg.n_s if cfg.n_select is None else cfg.n_select)
 
 
 def _gob_triples(report, cbs):
@@ -520,7 +527,8 @@ def _gob_triples(report, cbs):
     def stronger(path, axis: str) -> float:
         if axis not in path.pairs:
             return el_center
-        return path.pairs[axis].boresight(0 if path.zetas[axis] >= 0 else 1)
+        book = cbs.books[axis]
+        return book.boresights[book.pairs[path.pairs[axis], 0 if path.zetas[axis] >= 0 else 1]]
 
     return [tuple(stronger(path, axis) for axis in AXES) for path in report.paths]
 
@@ -533,11 +541,10 @@ def _rates(s, profile: ClusterProfile, snr: float, rng) -> dict:
     chan = clustered_channel_generate(profile, rng, s.arrays, s.ofdm)
     plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
                                int(rng.integers(2 ** 31)), layout="free")
-    rep = estimate_multipath(chan, plan, s.pilots, gamma,
-                             cfg.n_select or cfg.n_s, rng, codebooks=s.cbs)
-    perfect = [spatial_frequencies(ang, s.arrays)
-               for ang in chan.dominant_angles[: cfg.n_s]]
-    triples = {"perfect": [(sf.mu_x, sf.mu_y, sf.nu) for sf in perfect],
+    rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, rng,
+                             codebooks=s.cbs)
+    perfect = spatial_frequencies([a[: cfg.n_s] for a in chan.dominant_angles], s.arrays)
+    triples = {"perfect": np.column_stack([perfect.mu_x, perfect.mu_y, perfect.nu]),
                "abp": [(p.mu_x, p.mu_y, p.nu) for p in rep.paths],
                "gob": _gob_triples(rep, s.cbs)}
     f, w = build_rf_beamformers(list(triples.values()), s.arrays, cfg.n_s)
@@ -549,7 +556,10 @@ _RATE_COLUMNS = ["experiment", "snr_db", "scheme", "metric", "value", "ci95"]
 
 def _norm_se_setup(cfg: ExperimentConfig):
     s = _rate_setup(cfg)
-    if cfg.n_tx_total is not None and cfg.m_rx_total is not None:
+    if (cfg.n_tx_total is None) != (cfg.m_rx_total is None):
+        missing = "n_tx_total" if cfg.n_tx_total is None else "m_rx_total"
+        raise ConfigError(f"overhead.{missing} is unset; set both probing totals or neither")
+    if cfg.n_tx_total is not None:
         n_tx, m_rx = cfg.n_tx_total, cfg.m_rx_total
     elif cfg.n_s in STREAMS_TO_PROBINGS:
         n_tx, m_rx = STREAMS_TO_PROBINGS[cfg.n_s]

@@ -4,13 +4,14 @@ and statistical generators."""
 import numpy as np
 import pytest
 
-from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig,
+from beampair.channel import (ClusterProfile, CrossPolConfig,
                               DimensionMismatch, EmptyProfile, InvalidChi,
                               OfdmConfig, PathParams,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
                               pulse_coefficients, pulse_samples, rician_narrowband,
-                              _effective, _realization, _rician_draws, _rician_paths)
+                              _clustered_paths, _effective, _realization,
+                              _rician_draws, _rician_paths)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
@@ -34,12 +35,22 @@ def raw_gains(path) -> np.ndarray:
     return np.array([[[path.g_vv, path.g_vh], [path.g_hv, path.g_hh]]], dtype=complex)
 
 
-def _steering(path, arrays):
-    """(a_r, conj(a_t)) of one path, whose outer product is its steering
-    matrix."""
-    sf = spatial_frequencies(path.angles, arrays)
+def _steering(angles, arrays):
+    """(a_r, conj(a_t)) of one path's (theta, phi, psi), whose outer product
+    is its steering matrix."""
+    sf = spatial_frequencies(angles, arrays)
     return (ula_steering(sf.nu, arrays.m_tot),
             upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).conj())
+
+
+def rician_with_paths(los, k_factor_db, n_nlos, seed):
+    """A co-pol Rician realization on a generator seeded `seed`, and its
+    per-path gains (L,) and angle rows (L, 3), LOS first, from the same
+    draws on a second generator."""
+    real = rician_narrowband(CO, los, k_factor_db, n_nlos, np.random.default_rng(seed))
+    draws = _rician_draws(np.random.default_rng(seed), n_nlos)
+    g, angles = _rician_paths(CO, tuple(los), *draws, k_factor_db, None)
+    return real, g, np.column_stack(angles)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +230,7 @@ class TestFrequencyResponse:
         m, nt = 2, 6
         eff = _effective(raw_gains(paths[0]), xp)[0]  # [[vv, vh], [hv, hh]]
         outer = pulse_coefficients(0.0, OFDM)[:, None, None] \
-            * np.outer(*_steering(paths[0], CROSS))
+            * np.outer(*_steering(paths[0].angles, CROSS))
         assert np.allclose(real.h[:, :m, :nt], eff[0, 0] * outer)
         assert np.allclose(real.h[:, :m, nt:], eff[0, 1] * outer)
         assert np.allclose(real.h[:, m:, :nt], eff[1, 0] * outer)
@@ -255,7 +266,7 @@ class TestFrequencyResponse:
             else:
                 real = copol_frequency_response(paths, arrays, ofdm)
                 dense = sum(pulse_coefficients(p.tau, ofdm)[:, None, None]
-                            * p.g_vv * np.outer(*_steering(p, arrays))
+                            * p.g_vv * np.outer(*_steering(p.angles, arrays))
                             for p in paths)
             m, nt = dense.shape[1:]
             n_w, n_f = (int(c) for c in rng.integers(1, 5, size=2))
@@ -269,9 +280,9 @@ class TestFrequencyResponse:
     def test_beamformed_narrowband(self):
         """N = 1: the Rician realization against its explicit path sum."""
         rng = np.random.default_rng(18)
-        for _ in range(10):
-            real = rician_narrowband(CO, random_angles(rng), n_nlos=4, rng=rng)
-            dense = sum(p.g_vv * np.outer(*_steering(p, CO)) for p in real.paths)
+        for seed in range(10):
+            real, g, angles = rician_with_paths(random_angles(rng), 13.2, 4, seed)
+            dense = sum(gain * np.outer(*_steering(ang, CO)) for gain, ang in zip(g, angles))
             w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
             f = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
             got = real.beamformed(w, f)
@@ -301,21 +312,21 @@ class TestFrequencyResponse:
 class TestRician:
     def test_los_power_share(self):
         """The direct path magnitude is set by the K-factor, deterministically."""
-        rng = np.random.default_rng(16)
-        real = rician_narrowband(CO, AngleSet(0.3, 0.4, 0.2), k_factor_db=13.2,
-                                 n_nlos=5, rng=rng)
+        real, g, angles = rician_with_paths(AngleSet(0.3, 0.4, 0.2), 13.2, 5, 16)
         kf = 10 ** 1.32
-        assert abs(abs(real.paths[0].g_vv) - np.sqrt(kf / (1 + kf))) < 1e-12
-        assert len(real.paths) == 6
+        assert abs(abs(g[0]) - np.sqrt(kf / (1 + kf))) < 1e-12
+        assert g.shape == (6,) and angles.shape == (6, 3)
         assert real.h.shape == (1, 2, 6)
+        # the LOS path is the ground truth
+        assert [a.tolist() for a in real.dominant_angles] == [[0.3], [0.4], [0.2]]
 
     def test_total_power_normalized(self):
         rng = np.random.default_rng(17)
         acc = 0.0
         trials = 4000
         for _ in range(trials):
-            real = rician_narrowband(CO, AngleSet(0.3, 0.4, 0.2), 6.0, 4, rng)
-            acc += sum(abs(p.g_vv) ** 2 for p in real.paths)
+            g, _ = _rician_paths(CO, (0.3, 0.4, 0.2), *_rician_draws(rng, 4), 6.0, None)
+            acc += sum(abs(g) ** 2)
         assert abs(acc / trials - 1.0) < 0.03
 
     def test_stacked_realization_equals_its_trials(self):
@@ -330,7 +341,7 @@ class TestRician:
                              for t in range(5)))
         g, angles = _rician_paths(CO, np.array([tuple(a) for a in los]).T,
                                   np.array(phase), np.array(draws), 6.0, None)
-        stacked = _realization(np.ones((1, 5)), angles, g, [], CO)
+        stacked = _realization(np.ones((1, 5)), angles, g, CO)
         assert stacked.shape == (1, 2, 6)
         w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         f = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
@@ -344,13 +355,12 @@ class TestRician:
         rng = np.random.default_rng(18)
         ranges = {"mu_x": (0.1, 0.3), "mu_y": (-0.2, 0.0), "nu": (0.5, 0.6)}
         for _ in range(50):
-            real = rician_narrowband(CO, AngleSet(0.3, 0.4, 0.2), 10.0, 6, rng,
-                                     nlos_mu_ranges=ranges)
-            for p in real.paths[1:]:
-                sf = spatial_frequencies(p.angles, CO)
-                assert 0.1 - 1e-9 <= sf.mu_x <= 0.3 + 1e-9
-                assert -0.2 - 1e-9 <= sf.mu_y <= 1e-9
-                assert 0.5 - 1e-9 <= sf.nu <= 0.6 + 1e-9
+            _, angles = _rician_paths(CO, (0.3, 0.4, 0.2), *_rician_draws(rng, 6), 10.0,
+                                      ranges)
+            sf = spatial_frequencies([a[1:] for a in angles], CO)
+            assert np.all((0.1 - 1e-9 <= sf.mu_x) & (sf.mu_x <= 0.3 + 1e-9))
+            assert np.all((-0.2 - 1e-9 <= sf.mu_y) & (sf.mu_y <= 1e-9))
+            assert np.all((0.5 - 1e-9 <= sf.nu) & (sf.nu <= 0.6 + 1e-9))
 
     def test_nlos_count_guard(self):
         with pytest.raises(ValueError, match="n_nlos"):
@@ -361,15 +371,16 @@ class TestClustered:
     def test_shapes_and_delays(self):
         rng = np.random.default_rng(19)
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4)
+        max_delay = (OFDM.cp_length - 1) * OFDM.sample_period
         for _ in range(20):
             real = clustered_channel_generate(prof, rng, CROSS, OFDM)
             assert real.h.shape == (64, 4, 12)
-            assert len(real.paths) == 12
-            assert len(real.dominant_angles) == 3
-            max_delay = (OFDM.cp_length - 1) * OFDM.sample_period
-            assert real.paths[0].tau == 0.0
-            for p in real.paths:
-                assert 0.0 <= p.tau <= 0.9 * max_delay + 1e-18
+            assert [a.shape for a in real.dominant_angles] == [(3,)] * 3
+            g, delays, angles, best = _clustered_paths(prof, rng, CROSS, OFDM)
+            assert g.shape == (12, 4) and [a.shape for a in angles] == [(12,)] * 3
+            assert best.shape == (3,) and delays.shape == (3,)
+            assert delays[0] == 0.0
+            assert np.all((0.0 <= delays) & (delays <= 0.9 * max_delay + 1e-18))
         real = clustered_channel_generate(ClusterProfile(), rng, CO, OFDM)
         assert real.h.shape == (64, 2, 6)
 
@@ -378,9 +389,8 @@ class TestClustered:
         prof = ClusterProfile(n_clusters=2, subpaths_per_cluster=3)
         acc, trials = 0.0, 3000
         for _ in range(trials):
-            real = clustered_channel_generate(prof, rng, CROSS, OFDM)
-            acc += sum(abs(p.g_vv) ** 2 + abs(p.g_vh) ** 2 + abs(p.g_hv) ** 2
-                       + abs(p.g_hh) ** 2 for p in real.paths)
+            g = _clustered_paths(prof, rng, CROSS, OFDM)[0]
+            acc += (abs(g) ** 2).sum()
         # four i.i.d. complex gains per path share the subpath power budget
         assert abs(acc / trials - 4.0) < 0.15
 
@@ -395,10 +405,8 @@ class TestClustered:
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4,
                               mu_y_range=(-0.4, 0.4))
         for _ in range(30):
-            real = clustered_channel_generate(prof, rng, CROSS, OFDM)
-            for p in real.paths:
-                sf = spatial_frequencies(p.angles, CROSS)
-                assert abs(sf.mu_y) <= 0.4 + 1e-9
+            sf = spatial_frequencies(_clustered_paths(prof, rng, CROSS, OFDM)[2], CROSS)
+            assert np.all(abs(sf.mu_y) <= 0.4 + 1e-9)
 
 
 def _scalar_generate(profile, rng, arrays, ofdm):
@@ -481,19 +489,30 @@ class TestDrawOrder:
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
     def test_array_generator_matches_scalar_loop(self, arrays, subpaths, n_clusters):
         """Same draws in the same order, same numbers to the last bit, same
-        generator state afterwards; the wide profile clips subpaths at the
-        sector edges and pulls directions into the visible region."""
+        generator state afterwards, for the parameter step (gains, delays,
+        angles, dominant paths) and the realization built on it; the wide
+        profile clips subpaths at the sector edges and pulls directions into
+        the visible region."""
         wide = dict(mu_x_range=(-2.5, 2.5), mu_y_range=(-2.5, 2.5), angle_spread=0.4)
         for extra in ({}, wide):
             prof = ClusterProfile(n_clusters=n_clusters, subpaths_per_cluster=subpaths,
                                   **extra)
             for seed in range(25):
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                real = clustered_channel_generate(prof, rng, arrays, OFDM)
+                rng, real_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+                g, delays, angles, best = _clustered_paths(prof, rng, arrays, OFDM)
+                real = clustered_channel_generate(prof, real_rng, arrays, OFDM)
                 paths, dominant, rho, u, v = _scalar_generate(prof, ref_rng, arrays, OFDM)
-                assert real.paths == paths
-                assert real.dominant_angles == dominant
-                for got, want in ((real.rho, rho), (real.u, u), (real.v, v)):
+                want_angles = np.array([tuple(p.angles) for p in paths]).T
+                want_dominant = np.array([tuple(a) for a in dominant]).T
+                for got, want in (
+                        (g, [[p.g_vv, p.g_vh, p.g_hv, p.g_hh] for p in paths]),
+                        (np.repeat(delays, subpaths), [p.tau for p in paths]),
+                        (np.stack(angles), want_angles),
+                        (np.stack([a[best] for a in angles]), want_dominant),
+                        (np.stack(real.dominant_angles), want_dominant),
+                        (real.rho, rho), (real.u, u), (real.v, v)):
+                    want = np.asarray(want)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                for gen in (rng, real_rng):
+                    assert gen.bit_generator.state == ref_rng.bit_generator.state
 

@@ -12,6 +12,7 @@ from beampair.codebook import (AuxiliaryBeamPair, CodebookConfig, CodebookSet,
                                enumerate_abps,
                                random_probing_plan, rx_beam_vector, tx_beam_vector)
 from beampair.geometry import ArrayConfig
+from beampair.metrics import OverheadModel
 
 CO = ArrayConfig(n_x=4, n_y=8, m_tot=4)
 CROSS = ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross")
@@ -244,17 +245,17 @@ class TestProbingPlan:
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         a = random_probing_plan(cbs, 6, 4, 2, 2, seed=5)
         b = random_probing_plan(cbs, 6, 4, 2, 2, seed=5)
-        assert a.tx_beams == b.tx_beams
+        assert np.array_equal(a.tx_idx, b.tx_idx) and np.array_equal(a.rx_idx, b.rx_idx)
         c = random_probing_plan(cbs, 6, 4, 2, 2, seed=6)
-        assert any(fa != fc for fa, fc in zip(a.tx_beams, c.tx_beams))
+        assert not np.array_equal(a.tx_idx, c.tx_idx)
 
     def test_split_half_layout(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=0)
-        for beams in plan.tx_beams:
-            assert [b.polarization for b in beams] == ["v", "h"]
-        for beams in plan.rx_beams:
-            assert [b.polarization for b in beams] == ["v", "h"]
+        for idx, axis in ((plan.tx_idx, "azimuth"), (plan.rx_idx, "receive")):
+            beams = cbs.books[axis].beams
+            for row in idx.tolist():
+                assert [beams[i].polarization for i in row] == ["v", "h"]
 
     def test_split_half_needs_even_rf(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
@@ -267,21 +268,16 @@ class TestProbingPlan:
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         for seed in range(20):
             plan = random_probing_plan(cbs, 3, 2, 2, 2, seed=seed)
-            counts = {}
-            for beams in plan.tx_beams:
-                for b in beams:
-                    counts[b] = counts.get(b, 0) + 1
-            assert all(c == 1 for c in counts.values())
-            assert len(counts) == 6
+            assert plan.tx_idx.shape == (3, 2)
+            assert np.bincount(plan.tx_idx.ravel()).tolist() == [1] * 6
 
     def test_coverage_at_least_once_with_slack(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         for seed in range(20):
             plan = random_probing_plan(cbs, 5, 4, 2, 2, seed=seed)
-            seen = {b for beams in plan.tx_beams for b in beams}
-            assert len(seen) == 6
-            for beams in plan.tx_beams:
-                assert len(set(beams)) == len(beams)
+            assert set(plan.tx_idx.ravel().tolist()) == set(range(6))
+            for row in plan.tx_idx.tolist():
+                assert len(set(row)) == len(row)
 
     def test_infeasible_budgets(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
@@ -292,19 +288,87 @@ class TestProbingPlan:
             random_probing_plan(small, 4, 1, 2, 4, seed=0)
 
     def test_iteration_accounting(self):
+        """The plan's index arrays are (probings, RF chains) per side, the
+        factors of the multi-RF complexity count."""
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 20, 20, 2, 2, seed=1)
-        assert plan.n_t == 20 and plan.m_t == 20
-        assert plan.iterations() == 1600
+        assert plan.tx_idx.shape == (20, 2) and plan.rx_idx.shape == (20, 2)
+        (n_t, n_rf), (m_t, m_rf) = plan.tx_idx.shape, plan.rx_idx.shape
+        assert OverheadModel.abp_complexity(n_rf, n_t, m_rf, m_t) == 1600
 
     def test_free_layout_mixes_polarizations(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=3, layout="free")
-        pols = {b.polarization for beams in plan.tx_beams for b in beams}
-        assert pols == {"v", "h"}
+        beams = cbs.books["azimuth"].beams
+        assert {beams[i].polarization for i in plan.tx_idx.ravel().tolist()} == {"v", "h"}
 
     def test_elevation_axis_plan(self):
+        """tx_idx indexes the elevation book, and covers it."""
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 4, 4, 2, 2, seed=2, tx_axis="elevation")
-        assert all(b.axis == "elevation" for beams in plan.tx_beams for b in beams)
+        n_el = len(cbs.books["elevation"].beams)
+        assert n_el != len(cbs.books["azimuth"].beams)
+        assert set(plan.tx_idx.ravel().tolist()) == set(range(n_el))
 
+
+def _fill_bucket_beams(beams, n_probings, slots_per, rng):
+    """The Beam-list bucket fill that the index-array one replaced, kept as
+    its reference (budget checks left out)."""
+    size = len(beams)
+    total = n_probings * slots_per
+    pool = list(beams)
+    while len(pool) < total:
+        pool.append(beams[rng.integers(size)])
+    pool = [pool[i] for i in rng.permutation(total)]
+    out = []
+    for _ in range(n_probings):
+        probing = []
+        i = 0
+        while len(probing) < slots_per and i < len(pool):
+            if pool[i] in probing:
+                i += 1
+            else:
+                probing.append(pool.pop(i))
+        for beam in beams:
+            if len(probing) == slots_per:
+                break
+            if beam not in probing:
+                probing.append(beam)
+        out.append(probing)
+    return out
+
+
+def _beam_list_plan(codebooks, n_t, m_t, n_rf, m_rf, seed, layout, tx_axis):
+    """The Beam-list random_probing_plan, kept as the reference: per side,
+    one list of Beams per probing."""
+    rng = np.random.default_rng(seed)
+    cross = codebooks.config.arrays.polarization_mode == "cross"
+
+    def side(axis, probings, rf):
+        if cross and layout == "split-half":
+            dom = codebooks.domain(axis)
+            v = _fill_bucket_beams(dom["v"], probings, rf // 2, rng)
+            h = _fill_bucket_beams(dom["h"], probings, rf // 2, rng)
+            return [v[i] + h[i] for i in range(probings)]
+        return _fill_bucket_beams(list(codebooks.books[axis].beams), probings, rf, rng)
+
+    return side(tx_axis, n_t, n_rf), side("receive", m_t, m_rf)
+
+
+@pytest.mark.parametrize("tx_axis", ["azimuth", "elevation"])
+@pytest.mark.parametrize("arrays,layout", [(CO, "free"), (CROSS, "free"),
+                                           (CROSS, "split-half")],
+                         ids=["co-free", "cross-free", "cross-split-half"])
+def test_plan_matches_the_beam_list_fill(arrays, layout, tx_axis):
+    """Seeds 0-199 at three slot budgets (exact cover, slack, wide
+    probings): each plan's index arrays are the beam indices of the
+    Beam-list plan drawn from the same seed."""
+    cbs = build_codebooks(default_cfg(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2)))
+    for sizes in ((3, 2, 2, 2), (6, 4, 2, 2), (2, 2, 4, 2)):
+        for seed in range(200):
+            plan = random_probing_plan(cbs, *sizes, seed=seed, layout=layout,
+                                       tx_axis=tx_axis)
+            want_tx, want_rx = _beam_list_plan(cbs, *sizes, seed, layout, tx_axis)
+            for got, want in ((plan.tx_idx, want_tx), (plan.rx_idx, want_rx)):
+                assert got.dtype.kind == "i"
+                assert got.tolist() == [[b.index for b in row] for row in want]

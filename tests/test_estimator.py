@@ -1,7 +1,9 @@
 """Ratio-metric estimation tests: the closed-form inversion, single-path and
 multi-path flows, the beam-sweep baseline, and brute-force oracles."""
 
+import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -347,9 +349,10 @@ class TestSinglePath:
             est = rep.best
             for axis, value in (("elevation", est.mu_x), ("azimuth", est.mu_y),
                                 ("receive", est.nu)):
-                pair = est.pairs[axis]
-                assert pair.center_mu - pair.delta - 1e-12 <= value
-                assert value <= pair.center_mu + pair.delta + 1e-12
+                book = cbs.books[axis]
+                center = book.centers[est.pairs[axis]]
+                assert center - book.delta - 1e-12 <= value
+                assert value <= center + book.delta + 1e-12
 
     def test_gain_scaling_invariance(self):
         """Scaling the whole channel must not move any estimate."""
@@ -358,9 +361,8 @@ class TestSinglePath:
         for _ in range(1000):
             chan = los_channel(rng.uniform(-0.7, 0.7), rng.uniform(-1.0, 1.0),
                                rng.uniform(-1.5, 1.5), rng)
-            scaled = ChannelRealization(
-                rho=chan.rho, u=chan.u * complex(rng.normal(), rng.normal()),
-                v=chan.v, paths=chan.paths, arrays=chan.arrays)
+            scaled = dataclasses.replace(
+                chan, u=chan.u * complex(rng.normal(), rng.normal()))
             a = estimate_single_path(chan, cbs).best
             b = estimate_single_path(scaled, cbs).best
             assert abs(a.mu_x - b.mu_x) < 1e-9
@@ -395,7 +397,7 @@ class TestSinglePath:
         dead = ChannelRealization(rho=np.ones((1, 1)),
                                   u=np.zeros((1, 4, 1), dtype=complex),
                                   v=np.ones((1, 32, 1), dtype=complex),
-                                  paths=[], arrays=CO)
+                                  dominant_angles=())
         with pytest.raises(NoSignal):
             estimate_single_path(dead, cbs)
 
@@ -468,10 +470,11 @@ class TestPairing:
         book, pairs = cbs.books["azimuth"], enumerate_abps(cbs, "azimuth")
         s = np.array([1.0, 2.0, 5.0, 2.0, 1.0, 0.5])
         _, k, _ = _pair_and_invert(s, 2, book)
-        assert book.pair(k) == pairs[1]  # tie between beams 1 and 3: the lower wins
+        assert k == 1  # tie between beams 1 and 3: the lower wins
+        assert [b.index for b in pairs[1].beams] == [1, 2]
         s[3] = np.nextafter(2.0, 3.0)
         mu, k, zeta = _pair_and_invert(s, 2, book)
-        assert book.pair(k) == pairs[2]
+        assert k == 2
         assert zeta == ratio_metric(s[2], s[3])
         assert mu == invert_ratio(zeta, pairs[2].center_mu, pairs[2].delta)
 
@@ -481,11 +484,11 @@ class TestPairing:
         strong the other side is."""
         cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
-        book, pairs = cbs.books["azimuth"], enumerate_abps(cbs, "azimuth")
+        book = cbs.books["azimuth"]
         s = np.array([1.0, 1.0, 2.0, 5.0, 9.0, 3.0, 1.0, 1.0])
-        for win, want in ((0, pairs[0]), (3, pairs[2]), (4, pairs[3]),
-                          (7, pairs[5])):
-            assert book.pair(_pair_and_invert(s, win, book)[1]) == want
+        for win, want in ((0, 0), (3, 2), (4, 3), (7, 5)):
+            assert _pair_and_invert(s, win, book)[1] == want
+        assert book.pairs[[0, 2, 3, 5]].tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
     def test_single_beam_axis_raises(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO, az_range=(-0.1, 0.1)))
@@ -748,7 +751,7 @@ class TestMultipath:
         monkeypatch.setattr(beampair.pilot, "zc_sequence", counting_zc)
         estimate_multipath(chan, plan, pilots, 10.0, 2,
                            rng=np.random.default_rng(59), codebooks=cbs)
-        assert plan.n_t == 2
+        assert plan.tx_idx.shape == (2, 3)
         assert calls == []
 
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
@@ -792,19 +795,15 @@ class TestMultipath:
         chan = copol_frequency_response(
             [PathParams.single_pol(1.0, 0.0, angles_for(0.1, 0.2, 0.3, CO))],
             CO, OfdmConfig(64, 16))
-        az, rx = cbs.books["azimuth"].beams, cbs.books["receive"].beams
-
-        def plan(tx_beams, rx_beams):
-            return ProbingPlan(tx_beams=[[b] for b in tx_beams],
-                               rx_beams=[[b] for b in rx_beams])
-
-        rep = estimate_multipath(chan, plan(az, rx), pilots, None, 1,
+        az = np.arange(len(cbs.books["azimuth"].beams))[:, None]
+        rx = np.arange(len(cbs.books["receive"].beams))[:, None]
+        rep = estimate_multipath(chan, ProbingPlan(az, rx), pilots, None, 1,
                                  codebooks=cbs)
         assert set(rep.best.pairs) == {"azimuth", "receive", "elevation"}
-        for tx_beams, rx_beams, axis in ((az[:-1], rx, "azimuth"),
-                                         (az, rx[1:], "receive")):
-            with pytest.raises(InfeasibleCoverage, match=axis):
-                estimate_multipath(chan, plan(tx_beams, rx_beams), pilots, None,
+        for tx_idx, rx_idx, missing in ((az[:-1], rx, f"azimuth beams [{len(az) - 1}]"),
+                                        (az, rx[1:], "receive beams [0]")):
+            with pytest.raises(InfeasibleCoverage, match=re.escape(missing)):
+                estimate_multipath(chan, ProbingPlan(tx_idx, rx_idx), pilots, None,
                                    1, codebooks=cbs)
 
     def test_n_select_guard(self):
@@ -824,11 +823,10 @@ def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rn
     beamformed call and pilot-weighted sum, per (tx, rx) slot the noise
     projection, a zero-lag correlation and np.add.at accumulation."""
     n, m, _ = channel.shape
-    tx_idx = [[b.index for b in beams] for beams in plan.tx_beams]
-    rx_idx = [[b.index for b in beams] for beams in plan.rx_beams]
+    tx_idx, rx_idx = plan.tx_idx.tolist(), plan.rx_idx.tolist()
     tx_strength = np.zeros(len(tx_book.beams))
     rx_strength = np.zeros(len(rx_book.beams))
-    totals = np.zeros(plan.m_t)
+    totals = np.zeros(len(rx_idx))
     w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
     splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
     if sigma > 0:  # every slot's element noise in one draw, in loop order

@@ -98,6 +98,11 @@ class TestValidateConfig:
             validate_config("experiment = beam_search")
         with pytest.raises(ConfigError, match="trials"):
             validate_config("trials = 0")
+        for grid in ("nan", "-inf", "10,nan", "0,-inf"):
+            with pytest.raises(ConfigError, match="snr_db"):
+                validate_config(f"snr_db = {grid}")
+        # infinite SNR (noise sigma 0) stays valid
+        assert validate_config("snr_db = inf").snr_db == (math.inf,)
 
     # every config key: the field it sets, its parser, and a value to parse
     KEYS = {
@@ -416,10 +421,18 @@ _SLOTS_AND_POLARIZATION = [
 # a value set in the config was ignored without a word
 _SWEPT_KEY_SET = [("robustness_xpd", "channel.chi = 0.7"),
                   ("robustness_mismatch", "channel.varsigma_deg = 40")]
+# probing sizes below 1, and one of the two probing totals: a 0 used to be
+# replaced by the default, a negative n_select failed in the first trial, and
+# a lone total was ignored for the STREAMS_TO_PROBINGS table
+_PROBING_KEYS = [
+    *((family, f"probing.{key} = {value}") for family in ("norm_se_vs_snr", "robustness_xpd")
+      for key in ("n_t", "m_t", "n_select") for value in (0, -1)),
+    ("norm_se_vs_snr", "overhead.n_tx_total = 7"),
+    ("norm_se_vs_snr", "overhead.m_rx_total = 7")]
 SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
-    *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET]
+    *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS]
 
 
 class TestCli:
@@ -453,7 +466,8 @@ class TestCli:
     @pytest.mark.parametrize("line", [
         "arrays.polarization = diag", "codebook.delta_mode = foo",
         "arrays.n_x = 0", "pilot.coprime_with = m", "overhead.n_s = 0",
-        "overhead.epsilon_t = 0", "quantizer.bits = -1", "quantizer.bits = 0"])
+        "overhead.epsilon_t = 0", "quantizer.bits = -1", "quantizer.bits = 0",
+        "snr_db = -inf", "snr_db = nan"])
     def test_bad_values_are_invalid_config(self, line, tmp_path, capsys):
         """Values the array, codebook, pilot and overhead settings reject
         fail validation, so run stops before any trial."""
@@ -489,7 +503,7 @@ class TestCli:
             "channel.chi = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
-        *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET])
+        *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -516,6 +530,28 @@ class TestCli:
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         with pytest.raises(ConfigError):
             experiments.setup_experiment(cfg)
+
+    @pytest.mark.parametrize("line,missing", [("overhead.n_tx_total = 7", "m_rx_total"),
+                                              ("overhead.m_rx_total = 7", "n_tx_total")])
+    def test_probing_totals_are_set_together(self, line, missing):
+        """One probing total alone names the other; both set replace the
+        STREAMS_TO_PROBINGS entry of n_s."""
+        cfg = validate_config(f"experiment = norm_se_vs_snr\n{line}\n")
+        with pytest.raises(ConfigError, match=f"overhead.{missing} is unset"):
+            experiments.setup_experiment(cfg)
+        cfg = validate_config("experiment = norm_se_vs_snr\noverhead.n_tx_total = 7\n"
+                              "overhead.m_rx_total = 9\n")
+        assert experiments.setup_experiment(cfg).iters["abp"] == 3 * 7 * 3 * 9
+
+    def test_probing_keys_are_used_when_set(self):
+        """A set probing size is used as it is; an unset one takes its
+        default (n_select: overhead.n_s)."""
+        unset = experiments.setup_experiment(validate_config("experiment = robustness_xpd\n"))
+        assert (unset.n_t, unset.m_t, unset.n_select) == (2, 2, 3)
+        cfg = validate_config("experiment = robustness_xpd\nprobing.n_t = 5\n"
+                              "probing.m_t = 6\nprobing.n_select = 1\n")
+        s = experiments.setup_experiment(cfg)
+        assert (s.n_t, s.m_t, s.n_select) == (5, 6, 1)
 
     @pytest.mark.parametrize("family", ["norm_se_vs_snr", "pilot_vs_tdm"])
     def test_swept_keys_set_the_profile_elsewhere(self, family):
