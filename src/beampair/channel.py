@@ -99,8 +99,8 @@ def _raised_cosine(t: np.ndarray, t_s: float, rolloff: float = 0.25) -> np.ndarr
 
 
 def pulse_samples(tau, ofdm: OfdmConfig, pulse: str = "raised-cosine") -> np.ndarray:
-    """p(d*T_s - tau) for d = 0..D-1; a 1-D array of delays gives a
-    (D, len) matrix, one column per delay."""
+    """p(d*T_s - tau) for d = 0..D-1; an array of delays gives a (D, *shape)
+    array, one column per delay."""
     t = np.subtract.outer(np.arange(ofdm.cp_length) * ofdm.sample_period, tau)
     if pulse == "unit-sample":
         return np.where(np.isclose(t, 0.0, atol=1e-15), 1.0, 0.0)
@@ -113,13 +113,13 @@ def pulse_coefficients(tau, ofdm: OfdmConfig,
                        pulse: str = "raised-cosine") -> np.ndarray:
     """Per-subcarrier delay-tap coefficients rho_tau[k] for k = 0..N-1:
     sum over CP-window taps of p(d*T_s - tau) * exp(-j*2*pi*k*d/N), i.e. the
-    length-N DFT of the zero-padded taps. A 1-D array of delays gives an
-    (N, len) matrix, one column per delay."""
+    length-N DFT of the zero-padded taps. An array of delays gives an
+    (N, *shape) array, one column per delay."""
     return np.fft.fft(pulse_samples(tau, ofdm, pulse), n=ofdm.n_subcarriers, axis=0)
 
 
 def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
-    """Effective gains [[vv, vh], [hv, hh]] of raw gains g (L, 2, 2) in the
+    """Effective gains [[vv, vh], [hv, hh]] of raw gains g (..., 2, 2) in the
     same layout: the power-imbalance mask [[1, rc], [rc, 1]] (rc =
     sqrt(chi)), then the polarization mismatch rotation of each row, then
     the power scaling q = sqrt(1 / (1 + chi))."""
@@ -142,9 +142,10 @@ class ChannelRealization:
     a_r, v_l = I_2 kron a_t), which places the vv/vh/hv/hh blocks in the
     top-left/top-right/bottom-left/bottom-right. dominant_angles holds the
     (theta, phi, psi) arrays (K,) of the paths that are the realization's
-    ground truth, strongest first (K = 0 for explicit paths). A stacked
-    realization holds T trials' factors u (T, L, M, q) and v (T, L, N_t, q)
-    over one rho, and dominant angles (T, K).
+    ground truth, strongest first (empty for explicit paths). A stacked
+    realization holds T trials' factors u (T, L, M, q) and v (T, L, N_t, q),
+    over one rho (N, L) or per-trial taps rho (T, N, L), and any dominant
+    angles as (T, K) arrays.
     """
 
     rho: np.ndarray
@@ -158,14 +159,15 @@ class ChannelRealization:
     def shape(self) -> tuple[int, int, int]:
         """(N, M, N_t) of the dense tensor (per trial when stacked), without
         building it."""
-        return self.rho.shape[0], self.u.shape[-2], self.v.shape[-2]
+        return self.rho.shape[-2], self.u.shape[-2], self.v.shape[-2]
 
     @cached_property
     def h(self) -> np.ndarray:
         """Dense (N, M, N_t) tensor ((T, N, M, N_t) when stacked), built on
         first read; the experiments never read it, the oracles and tests do."""
         per_path = self.u @ self.v.conj().swapaxes(-1, -2)
-        return np.moveaxis(np.tensordot(self.rho, per_path, axes=([1], [-3])), 0, -3)
+        *batch, n_paths, m, n_t = per_path.shape
+        return (self.rho @ per_path.reshape(*batch, n_paths, m * n_t)).reshape(*batch, -1, m, n_t)
 
     def beamformed(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         """W^H H[k] F for every subcarrier, (..., N, i, j), from per-path
@@ -188,8 +190,9 @@ def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
     per side for all paths: co-pol when xp is None (g holds the (L,) vv
     gains), cross-pol with the effective gains of the raw (L, 2, 2) g
     otherwise. `dominant` indexes the paths whose angles are the ground
-    truth (none by default). Co-pol angles and gains of shape (T, L) give a
-    stacked realization of T trials."""
+    truth (none by default). Angles and gains with leading axes (T, L) give
+    a stacked realization of T trials, and so do per-trial delay taps rho
+    (T, N, L); `dominant` then indexes the flattened, trial-major paths."""
     sf = spatial_frequencies(angles, arrays)
     lead = np.shape(sf.nu)  # (L,), or (T, L) stacked
     a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
@@ -198,10 +201,10 @@ def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
     if xp is None:
         u, v = (g[..., None] * a_r)[..., None], a_t[..., None]
     else:
-        n_paths, e = len(g), _effective(g, xp)
-        u = (e[:, :, None, :] * a_r[:, None, :, None]).reshape(n_paths, -1, 2)
-        v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(n_paths, -1, 2)
-    return ChannelRealization(rho, u, v, tuple(np.asarray(a)[..., dominant] for a in angles))
+        e = _effective(g, xp)
+        u = (e[..., None, :] * a_r[..., None, :, None]).reshape(*lead, -1, 2)
+        v = (np.eye(2)[:, None, :] * a_t[..., None, :, None]).reshape(*lead, -1, 2)
+    return ChannelRealization(rho, u, v, tuple(np.ravel(a)[dominant] for a in angles))
 
 
 def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
@@ -345,62 +348,84 @@ class ClusterProfile:
         CrossPolConfig(self.chi, self.varsigma)  # InvalidChi for chi < 0
 
 
-def _clustered_paths(profile: ClusterProfile, rng: np.random.Generator,
-                     arrays: ArrayConfig, ofdm: OfdmConfig):
-    """A clustered realization's path parameters as arrays: the raw gains
-    (L, 4) in (vv, vh, hv, hh) order, the cluster delays (n_clusters,), the
-    (theta, phi, psi) arrays (L,) and the index of each cluster's strongest
-    subpath (n_clusters,), L = clusters x subpaths, cluster by cluster.
+def _clustered_draws(profile: ClusterProfile, rng: np.random.Generator):
+    """A clustered realization's draws, in order: the exponential delays of
+    every cluster but the first, then per cluster the uniform fractions of
+    the (mu_x, mu_y, nu) sector centers, the (mu_x, mu_y, nu) x subpath
+    Laplacian offsets, the exponential subpath powers and per subpath the
+    real and imaginary parts of g_vv, g_vh, g_hv, g_hh. Returned as arrays
+    (nc - 1,), (nc, 3), (nc, ns, 3) (the offsets subpath-major),
+    (nc, ns) and (nc, ns, 8)."""
+    delays = rng.exponential(profile.delay_spread, size=profile.n_clusters - 1)
+    ns = profile.subpaths_per_cluster
+    draws = [(rng.random(3), rng.laplace(0.0, profile.angle_spread, size=(3, ns)).T,
+              rng.exponential(1.0, size=ns), rng.normal(size=(ns, 8)))
+             for _ in range(profile.n_clusters)]
+    return (delays, *(np.array(d) for d in zip(*draws)))
 
-    Draws per cluster: the (mu_x, mu_y, nu) sector centers, the (mu_x, mu_y,
-    nu) x subpath offsets, the subpath powers, then per subpath the real and
-    imaginary parts of g_vv, g_vh, g_hv, g_hh. Everything after the draws is
-    one array pass over all paths."""
-    nc, ns = profile.n_clusters, profile.subpaths_per_cluster
-    delays = np.zeros(nc)  # the first cluster at zero delay
-    delays[1:] = rng.exponential(profile.delay_spread, size=nc - 1)
-    delays.sort()
+
+def _clustered_paths(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: OfdmConfig):
+    """Clustered realizations' path parameters from their draws (see
+    _clustered_draws), in one array pass: the raw gains (..., L, 4) in (vv,
+    vh, hv, hh) order, the sorted cluster delays (..., n_clusters), the
+    (theta, phi, psi) arrays (..., L) and the index of each cluster's
+    strongest subpath (..., n_clusters), L = clusters x subpaths, cluster by
+    cluster. A leading axis of the draws is a trial axis; the indices then
+    count the flattened, trial-major paths (trial t's from t * L)."""
+    delay_draws, unit, offsets, sub_p, parts = draws
+    lead, ns = delay_draws.shape[:-1], profile.subpaths_per_cluster
+    delays = np.zeros((*lead, profile.n_clusters))  # the first cluster at zero delay
+    delays[..., 1:] = delay_draws
+    delays.sort(axis=-1)
     max_delay = (ofdm.cp_length - 1) * ofdm.sample_period
     delays = np.minimum(delays, 0.9 * max_delay)
     powers = np.exp(-delays / max(profile.delay_spread, 1e-12))
-    powers = powers / powers.sum()
+    powers = powers / powers.sum(axis=-1, keepdims=True)
 
     lo, hi = np.array([profile.mu_x_range, profile.mu_y_range, profile.nu_range]).T
-    draws = [(rng.random(3), rng.laplace(0.0, profile.angle_spread, size=(3, ns)),
-              rng.exponential(1.0, size=ns), rng.normal(size=(ns, 8)))
-             for _ in range(nc)]
-    unit, offsets, sub_p, parts = (np.array(d) for d in zip(*draws))
     # uniform(lo, hi) draws are lo + (hi - lo) * random()
-    mus = (lo + (hi - lo) * unit)[:, :, None] + offsets  # (nc, 3, ns)
-    mus = np.minimum(np.maximum(mus, lo[:, None]), hi[:, None])
-    angles = _visible(*mus.transpose(1, 0, 2).reshape(3, -1), arrays)
+    mus = (lo + (hi - lo) * unit)[..., None, :] + offsets  # (..., nc, ns, 3)
+    mus = np.minimum(np.maximum(mus, lo), hi).reshape(*lead, -1, 3)
+    angles = _visible(mus[..., 0], mus[..., 1], mus[..., 2], arrays)
 
-    amp = np.sqrt(powers[:, None] * sub_p / sub_p.sum(axis=1, keepdims=True))
-    g = amp.reshape(-1, 1) * (parts[..., 0::2] + 1j * parts[..., 1::2]).reshape(-1, 4) \
-        / np.sqrt(2)
+    amp = np.sqrt(powers[..., None] * sub_p / sub_p.sum(axis=-1, keepdims=True))
+    g = amp.reshape(*lead, -1, 1) \
+        * (parts[..., 0::2] + 1j * parts[..., 1::2]).reshape(*lead, -1, 4) / np.sqrt(2)
     power = np.abs(g) ** 2
-    strength = power[:, 0] + power[:, 1] + power[:, 2] + power[:, 3]
+    strength = power[..., 0] + power[..., 1] + power[..., 2] + power[..., 3]
     # sorted delays make the clusters' powers non-increasing, so clusters
     # are already in decreasing-power order
-    best = strength.reshape(nc, ns).argmax(axis=1) + ns * np.arange(nc)
-    return g, delays, angles, best
+    best = strength.reshape(-1, ns).argmax(axis=-1) + ns * np.arange(strength.size // ns)
+    return g, delays, angles, best.reshape(delays.shape)
+
+
+def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
+                           ofdm: OfdmConfig, pulse: str = "raised-cosine") -> ChannelRealization:
+    """Realization of clustered draws (see _clustered_draws): one trial's,
+    or T trials' stacked on a leading axis, which gives a stacked
+    realization with per-trial delay taps rho (T, N, L). All delays share
+    one pulse_coefficients call, and each side one steering call."""
+    g, delays, angles, best = _clustered_paths(profile, draws, arrays, ofdm)
+    # one delay-tap column per cluster, shared by its subpaths; the taps
+    # (N, T, nc) of stacked trials are read as (T, N, nc), and with one
+    # subpath per cluster they are rho as they are, without a copy
+    taps = pulse_coefficients(delays, ofdm, pulse).swapaxes(0, -2)
+    ns = profile.subpaths_per_cluster
+    rho = taps if ns == 1 else np.repeat(taps, ns, axis=-1)
+    if arrays.polarization_mode == "cross":
+        g, xp = g.reshape(*g.shape[:-1], 2, 2), CrossPolConfig(profile.chi, profile.varsigma)
+    else:
+        g, xp = g[..., 0], None
+    return _realization(rho, angles, g, arrays, xp, dominant=best)
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
                                arrays: ArrayConfig, ofdm: OfdmConfig,
                                pulse: str = "raised-cosine") -> ChannelRealization:
-    """Draw a clustered realization (see _clustered_paths): exponential
-    cluster delays (first cluster at zero delay), exponential power-delay
-    profile, cluster centers uniform over the configured sectors, Laplacian
-    subpath offsets, complex Gaussian subpath gains. Total mean path power is
-    normalized to 1. The strongest subpath of each cluster is that cluster's
-    ground truth. Co-pol arrays see the vv gains only."""
-    g, delays, angles, best = _clustered_paths(profile, rng, arrays, ofdm)
-    # one delay-tap column per cluster, shared by its subpaths
-    rho = np.repeat(pulse_coefficients(delays, ofdm, pulse), profile.subpaths_per_cluster,
-                    axis=1)
-    if arrays.polarization_mode == "cross":
-        g, xp = g.reshape(-1, 2, 2), CrossPolConfig(profile.chi, profile.varsigma)
-    else:
-        g, xp = g[:, 0], None
-    return _realization(rho, angles, g, arrays, xp, dominant=best)
+    """Draw a clustered realization: exponential cluster delays (first
+    cluster at zero delay), exponential power-delay profile, cluster centers
+    uniform over the configured sectors, Laplacian subpath offsets, complex
+    Gaussian subpath gains. Total mean path power is normalized to 1. The
+    strongest subpath of each cluster is that cluster's ground truth. Co-pol
+    arrays see the vv gains only."""
+    return _clustered_realization(profile, _clustered_draws(profile, rng), arrays, ofdm, pulse)

@@ -8,8 +8,8 @@ p = 6, roots 25/29/34, 3-bit differential quantizer).
 Each family is a setup -> draw -> compute -> reduce declaration (Family)
 run by one loop, which alone makes the per-trial RNG streams from a counter
 scheme, SeedSequence([master_seed, family_id, point_index, trial]), and
-walks each point's trials in chunks of TRIAL_CHUNK: a draw step per trial on
-its own stream, then one compute step over the chunk.
+walks each point's trials in chunks (see CHUNK_SUBCARRIERS): a draw step per
+trial on its own stream, then one compute step over the chunk.
 """
 
 import csv
@@ -21,8 +21,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .channel import (ClusterProfile, OfdmConfig, _realization, _rician_draws,
-                      _rician_paths, clustered_channel_generate)
+from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
+                      _realization, _rician_draws, _rician_paths,
+                      clustered_channel_generate)
 from .codebook import (AXES, CodebookConfig, CodebookSet, build_codebooks,
                        enumerate_abps, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _noise_like,
@@ -48,10 +49,16 @@ FAMILY_IDS = {"maee_vs_snr": 0, "maqe_bits": 1, "pilot_correlation": 2,
 # complexity accounting
 STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 
-# Trials per compute step. Larger chunks amortize more of the per-trial
-# numpy dispatch but hold more trials' arrays at once; see README for the
-# throughput and peak-memory trade-off that set this value.
+# Trials per compute step: at most TRIAL_CHUNK, and at most CHUNK_SUBCARRIERS
+# trial-subcarriers (trials x subcarriers per trial). Larger chunks amortize
+# more of the per-trial numpy dispatch, but a chunk's per-subcarrier arrays
+# (noise, delay taps, beam outputs) grow with trials x subcarriers, so the
+# second bound holds them near one size at any bandwidth: 4,096 / 512 = 8
+# trials at N = 512, 4,096 / 256 = 16 at N = 256, 4,096 / 1,024 = 4 at
+# N = 1,024, and TRIAL_CHUNK = 64 for a narrowband family (N = 1). See README
+# for the throughput and peak-memory trade-off that set both values.
 TRIAL_CHUNK = 64
+CHUNK_SUBCARRIERS = 4096
 
 
 class ConfigError(ValueError):
@@ -457,18 +464,36 @@ def _tdm_setup(cfg: ExperimentConfig):
         profile=_cluster_profile(cfg, cbs, cfg.n_clusters))
 
 
-def _tdm_trial(s, snr: float, rng) -> tuple:
-    """Per-beam correlation amplitudes of the pilot and the TDM scheme."""
+def _tdm_draw(s, snr: float, rng) -> tuple:
+    """One trial's draws, in the order of the per-trial flow: the clustered
+    channel's, then the noise rows (N,) of the pilot and of each TDM slot."""
     sigma = math.sqrt(1.0 / 10.0 ** (snr / 10.0))
-    n = s.ofdm.n_subcarriers
-    chan = clustered_channel_generate(s.profile, rng, s.arrays, s.ofdm)
-    # w* H[k] f x[k] per beam: the noiseless TDM slots, summed for the pilot
-    y_beam = chan.beamformed(s.w[:, None], s.f)[:, 0, :] * s.x
-    noise = _noise_like(n, sigma, rng, batch=(1 + len(s.tags),))  # pilot, then slots
-    y_pilot = y_beam.sum(axis=1) + noise[0]
-    y_tdm = y_beam + noise[1:].T
-    return (np.abs(correlate_zero_lag(y_pilot, s.x, normalized=True)),
-            np.abs(np.diag(correlate_zero_lag(y_tdm, s.x, normalized=True))))
+    return (_clustered_draws(s.profile, rng),
+            _noise_like(s.ofdm.n_subcarriers, sigma, rng, batch=(1 + len(s.tags),)))
+
+
+def _tdm_compute(s, snr: float, draws: list) -> np.ndarray:
+    """Per-beam correlation amplitudes of the pilot and the TDM scheme for a
+    chunk of trials, (T, scheme, beam): one stacked realization, one
+    beamformed pass and one batched correlation per scheme. Each trial's
+    correlation operands keep the per-trial layout, (1, N) @ (N, beam) for
+    the pilot and (beam, N) @ (N, beam) for TDM, so its amplitudes are the
+    per-trial flow's bit for bit."""
+    channel, noise = zip(*draws)
+    chan = _clustered_realization(s.profile, [np.array(d) for d in zip(*channel)],
+                                  s.arrays, s.ofdm)
+    # w* H[k] f x[k] per beam: the noiseless TDM slots, summed for the pilot;
+    # then each slot takes its own noise row in place, trial by trial, as a
+    # stacked copy of all noise rows (320 KB at 8 trials, N = 512) would be
+    # paged in afresh by every chunk
+    y = chan.beamformed(s.w[:, None], s.f)[..., 0, :]  # (T, N, beam)
+    y *= s.x
+    y_pilot = y.sum(axis=-1) + np.array([rows[0] for rows in noise])
+    for y_t, rows in zip(y, noise):
+        y_t += rows[1:].T
+    pilot = correlate_zero_lag(y_pilot[..., None], s.x, normalized=True)[:, 0]
+    tdm = np.diagonal(correlate_zero_lag(y, s.x, normalized=True), axis1=-2, axis2=-1)
+    return np.abs(np.stack([pilot, tdm], axis=1))
 
 
 def _tdm_reduce(s, results):
@@ -480,7 +505,10 @@ def _tdm_reduce(s, results):
     for i, (root, (_, b)) in enumerate(zip(s.roots, s.tags)):
         s_p = float(pilot[i] / len(trials))
         s_t = float(tdm[i] / len(trials))
-        rel = abs(s_p - s_t) / s_t if s_t > 0 else math.inf
+        if not s_t > 0:
+            raise EmptyInput(f"pilot_vs_tdm beam {i + 1}: mean TDM amplitude is {s_t:g}, "
+                             "so its rel_diff has no value")
+        rel = abs(s_p - s_t) / s_t
         table.add(i + 1, root, b, "pilot", _fmt(s_p), _fmt(rel))
         table.add(i + 1, root, b, "tdm", _fmt(s_t), _fmt(rel))
     return {"pilot_vs_tdm": table}
@@ -559,6 +587,9 @@ def _norm_se_setup(cfg: ExperimentConfig):
     if (cfg.n_tx_total is None) != (cfg.m_rx_total is None):
         missing = "n_tx_total" if cfg.n_tx_total is None else "m_rx_total"
         raise ConfigError(f"overhead.{missing} is unset; set both probing totals or neither")
+    for key in ("n_tx_total", "m_rx_total", "n_bm", "m_bm"):
+        if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
+            raise ConfigError(f"overhead.{key} must be >= 1")
     if cfg.n_tx_total is not None:
         n_tx, m_rx = cfg.n_tx_total, cfg.m_rx_total
     elif cfg.n_s in STREAMS_TO_PROBINGS:
@@ -651,7 +682,7 @@ FAMILIES = {
     "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
     "maqe_bits": Family(_maqe_setup, _maqe_trial, _whole_trial, _maqe_reduce),
     "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
-    "pilot_vs_tdm": Family(_tdm_setup, _tdm_trial, _whole_trial, _tdm_reduce),
+    "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
     "norm_se_vs_snr": Family(
         _norm_se_setup, lambda s, snr, rng: _rates(s, s.profile, snr, rng),
         _whole_trial, _norm_se_reduce),
@@ -721,6 +752,13 @@ def _plot_one(ax, name: str, table: ResultTable) -> None:
         ax.set_xticklabels(labels, rotation=90, fontsize=5)
 
 
+def _chunk_trials(s) -> int:
+    """Trials per compute step for a family's setup (see CHUNK_SUBCARRIERS);
+    a setup without an OFDM grid is narrowband: one subcarrier per trial."""
+    n = s.ofdm.n_subcarriers if hasattr(s, "ofdm") else 1
+    return max(1, min(TRIAL_CHUNK, CHUNK_SUBCARRIERS // n))
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     """Run one experiment family: its setup (ConfigError before any output
     directory is made), every trial, then its tables; writes one CSV per
@@ -729,13 +767,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     family = FAMILIES[cfg.experiment]
     s = setup_experiment(cfg)
     os.makedirs(out_dir, exist_ok=True)
+    chunk = _chunk_trials(s)
     results = []
     for pi, point in enumerate(s.points):
         stream = 0 if family.same_streams else pi
         trials = []
-        for start in range(0, cfg.trials, TRIAL_CHUNK):
+        for start in range(0, cfg.trials, chunk):
             draws = [family.draw(s, point, _trial_rng(cfg, stream, t))
-                     for t in range(start, min(start + TRIAL_CHUNK, cfg.trials))]
+                     for t in range(start, min(start + chunk, cfg.trials))]
             trials.extend(family.compute(s, point, draws))
         results.append(trials)
     tables = family.reduce(s, results)

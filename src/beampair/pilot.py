@@ -164,15 +164,18 @@ def assign_pilots(abps, n: int, root_pool=None, p: int | None = None,
 def correlate_zero_lag(received: np.ndarray, refs: np.ndarray,
                        normalized: bool = False):
     """Zero-lag correlation y^T x*: a vector against a vector gives a scalar,
-    (N, i) received branches against (N, j) references give (i, j).
+    (N, i) received branches against (N, j) references give (i, j), and
+    leading batch axes of the branches (..., N, i) give (..., i, j), each
+    entry equal to its unbatched correlation bit for bit.
     normalized divides each reference column by its count of nonzero
     entries: n, less one where zc_sequence's dc_zero nulled the DC
     subcarrier n // 2, the only entry of a ZC reference that can be zero."""
     y, x = np.asarray(received), np.asarray(refs)
     n = x.shape[0]
-    if y.shape[0] != n:
-        raise LengthMismatch(f"expected {n} subcarriers, got {y.shape[0]}")
-    vals = y.T @ x.conj()
+    rows = y if y.ndim == 1 else np.swapaxes(y, -1, -2)  # (..., i, N)
+    if rows.shape[-1] != n:
+        raise LengthMismatch(f"expected {n} subcarriers, got {rows.shape[-1]}")
+    vals = rows @ x.conj()
     return vals / (n - (x[n // 2] == 0)) if normalized else vals
 
 

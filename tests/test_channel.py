@@ -10,8 +10,8 @@ from beampair.channel import (ClusterProfile, CrossPolConfig,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
                               pulse_coefficients, pulse_samples, rician_narrowband,
-                              _clustered_paths, _effective, _realization,
-                              _rician_draws, _rician_paths)
+                              _clustered_draws, _clustered_paths, _clustered_realization,
+                              _effective, _realization, _rician_draws, _rician_paths)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
@@ -376,7 +376,8 @@ class TestClustered:
             real = clustered_channel_generate(prof, rng, CROSS, OFDM)
             assert real.h.shape == (64, 4, 12)
             assert [a.shape for a in real.dominant_angles] == [(3,)] * 3
-            g, delays, angles, best = _clustered_paths(prof, rng, CROSS, OFDM)
+            g, delays, angles, best = _clustered_paths(prof, _clustered_draws(prof, rng),
+                                                       CROSS, OFDM)
             assert g.shape == (12, 4) and [a.shape for a in angles] == [(12,)] * 3
             assert best.shape == (3,) and delays.shape == (3,)
             assert delays[0] == 0.0
@@ -389,7 +390,7 @@ class TestClustered:
         prof = ClusterProfile(n_clusters=2, subpaths_per_cluster=3)
         acc, trials = 0.0, 3000
         for _ in range(trials):
-            g = _clustered_paths(prof, rng, CROSS, OFDM)[0]
+            g = _clustered_paths(prof, _clustered_draws(prof, rng), CROSS, OFDM)[0]
             acc += (abs(g) ** 2).sum()
         # four i.i.d. complex gains per path share the subpath power budget
         assert abs(acc / trials - 4.0) < 0.15
@@ -400,12 +401,47 @@ class TestClustered:
         with pytest.raises(EmptyProfile, match=">= 1"):
             ClusterProfile(**shape)
 
+    @pytest.mark.parametrize("subpaths", [1, 4])
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_stacked_realization_equals_its_trials(self, arrays, subpaths):
+        """A stacked realization of T trials' clustered draws, built in one
+        array pass with per-trial delay taps, holds each trial's
+        clustered_channel_generate realization on the same stream: its
+        factors, dominant angles, dense tensor and beamformed outputs byte
+        for byte. Trial 0's tensor is also the masked Kronecker reference
+        (cross-pol) of its explicit paths."""
+        prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
+        draws = [_clustered_draws(prof, np.random.default_rng(t)) for t in range(5)]
+        stacked = _clustered_realization(prof, [np.array(d) for d in zip(*draws)], arrays, OFDM)
+        assert stacked.rho.shape == (5, 64, 3 * subpaths)
+        rng = np.random.default_rng(23)
+        w = rng.normal(size=(stacked.shape[1], 2)) + 1j * rng.normal(size=(stacked.shape[1], 2))
+        f = rng.normal(size=(stacked.shape[2], 3)) + 1j * rng.normal(size=(stacked.shape[2], 3))
+        got = stacked.beamformed(w, f)
+        assert got.shape == (5, 64, 2, 3) and stacked.h.shape == (5, *stacked.shape)
+        for t in range(5):
+            single = clustered_channel_generate(prof, np.random.default_rng(t), arrays, OFDM)
+            assert single.shape == stacked.shape
+            for mine, want in ((stacked.rho[t], single.rho), (stacked.u[t], single.u),
+                               (stacked.v[t], single.v), (got[t], single.beamformed(w, f)),
+                               (stacked.h[t], single.h),
+                               *zip((a[t] for a in stacked.dominant_angles),
+                                    single.dominant_angles)):
+                assert mine.shape == want.shape and mine.tobytes() == want.tobytes()
+        if arrays is CROSS:
+            g, delays, angles, _ = _clustered_paths(prof, draws[0], CROSS, OFDM)
+            paths = [PathParams(*g[i], delays[i // subpaths], AngleSet(*(a[i] for a in angles)))
+                     for i in range(len(g))]
+            ref = crosspol_direct(paths, CROSS, OFDM, CrossPolConfig(prof.chi, prof.varsigma))
+            assert np.max(np.abs(stacked.h[0] - ref)) < 1e-12
+
     def test_sector_clipping(self):
         rng = np.random.default_rng(22)
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4,
                               mu_y_range=(-0.4, 0.4))
         for _ in range(30):
-            sf = spatial_frequencies(_clustered_paths(prof, rng, CROSS, OFDM)[2], CROSS)
+            angles = _clustered_paths(prof, _clustered_draws(prof, rng), CROSS, OFDM)[2]
+            sf = spatial_frequencies(angles, CROSS)
             assert np.all(abs(sf.mu_y) <= 0.4 + 1e-9)
 
 
@@ -499,7 +535,8 @@ class TestDrawOrder:
                                   **extra)
             for seed in range(25):
                 rng, real_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
-                g, delays, angles, best = _clustered_paths(prof, rng, arrays, OFDM)
+                g, delays, angles, best = _clustered_paths(prof, _clustered_draws(prof, rng),
+                                                           arrays, OFDM)
                 real = clustered_channel_generate(prof, real_rng, arrays, OFDM)
                 paths, dominant, rho, u, v = _scalar_generate(prof, ref_rng, arrays, OFDM)
                 want_angles = np.array([tuple(p.angles) for p in paths]).T

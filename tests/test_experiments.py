@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from beampair import experiments
-from beampair.channel import clustered_channel_generate, rician_narrowband
+from beampair.channel import (_clustered_realization, clustered_channel_generate,
+                              rician_narrowband)
 from beampair.cli import main
-from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
+from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal, _noise_like,
                                 estimate_single_path, gob_estimate)
 from beampair.geometry import AngleSet, angles_from_spatial_frequencies, aoa_from_nu
 from beampair.metrics import EmptyInput
+from beampair.pilot import correlate_zero_lag
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   IoError, ParseError, ResultTable,
                                   emit_outputs, load_config, parse_snr_grid,
@@ -264,23 +266,27 @@ class TestFamilies:
         with pytest.raises(EmptyInput, match="robustness_xpd at chi_0.2: no trial"):
             experiments._robustness_reduce(s, [good, good, dropped, good])
 
-    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "pilot_vs_tdm"])
-    def test_trials_never_build_the_dense_tensor(self, family, tmp_path,
+    @pytest.mark.parametrize("family,maker,trials", [
+        ("norm_se_vs_snr", clustered_channel_generate, 1),
+        ("pilot_vs_tdm", _clustered_realization, 3)], ids=["norm_se_vs_snr", "pilot_vs_tdm"])
+    def test_trials_never_build_the_dense_tensor(self, family, maker, trials, tmp_path,
                                                  monkeypatch):
         """Estimation, rate and pilot correlation work from the path factors:
-        no realization of a rate trial (estimate + three rates) or of a
-        pilot_vs_tdm trial reads its dense h."""
+        neither the realization of a rate trial (estimate + three rates) nor
+        the stacked realization of a pilot_vs_tdm chunk (all 3 trials) reads
+        its dense h."""
         made = []
 
         def recording(*args, **kwargs):
-            made.append(clustered_channel_generate(*args, **kwargs))
+            made.append(maker(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(experiments, "clustered_channel_generate", recording)
-        cfg = validate_config(f"experiment = {family}\ntrials = 1\n"
+        monkeypatch.setattr(experiments, maker.__name__, recording)
+        cfg = validate_config(f"experiment = {family}\ntrials = {trials}\n"
                               "snr_db = 10\nplots = false\n")
         run_experiment(cfg, str(tmp_path))
         assert len(made) == 1
+        assert made[0].u.shape[:-3] == ((trials,) if family == "pilot_vs_tdm" else ())
         assert "h" not in made[0].__dict__
 
     def test_plot_emitted(self, tmp_path):
@@ -337,17 +343,40 @@ def _maee_trial(s, snr: float, rng) -> list:
 
 def _chunk_against_reference(cfg: ExperimentConfig, snr: float, trials: int):
     """One chunk of `trials` maee_vs_snr trials at point 0, drawn and
-    computed, and the reference per-trial flow on the same streams; asserts
-    that each draw step leaves its generator where the reference leaves it
-    and returns (chunk rows (T, 3, 6), reference rows (T, 3, 6))."""
+    computed, and the reference per-trial flow on the same streams (see
+    _draws_against_reference): (chunk rows (T, 3, 6), reference rows)."""
+    s, draws, want = _draws_against_reference(cfg, experiments._maee_draw, _maee_trial,
+                                              snr, trials)
+    return experiments._maee_compute(s, snr, draws), want
+
+
+def _tdm_trial(s, snr: float, rng) -> np.ndarray:
+    """The per-trial pilot_vs_tdm flow that the chunked draw and compute
+    steps replace, kept as their reference: per-beam correlation amplitudes
+    of the pilot and the TDM scheme, (scheme, beam)."""
+    sigma = math.sqrt(1.0 / 10.0 ** (snr / 10.0))
+    n = s.ofdm.n_subcarriers
+    chan = clustered_channel_generate(s.profile, rng, s.arrays, s.ofdm)
+    y_beam = chan.beamformed(s.w[:, None], s.f)[:, 0, :] * s.x
+    noise = _noise_like(n, sigma, rng, batch=(1 + len(s.tags),))  # pilot, then slots
+    y_pilot = y_beam.sum(axis=1) + noise[0]
+    y_tdm = y_beam + noise[1:].T
+    return np.array([np.abs(correlate_zero_lag(y_pilot, s.x, normalized=True)),
+                     np.abs(np.diag(correlate_zero_lag(y_tdm, s.x, normalized=True)))])
+
+
+def _draws_against_reference(cfg: ExperimentConfig, draw, trial, snr: float, trials: int):
+    """`trials` draw steps at point 0 and the reference per-trial flow on
+    the same streams; asserts that each draw step leaves its generator where
+    the reference leaves it and returns (setup, draws, reference results)."""
     s = experiments.setup_experiment(cfg)
     draws, want = [], []
     for t in range(trials):
         rng, ref_rng = (experiments._trial_rng(cfg, 0, t) for _ in range(2))
-        draws.append(experiments._maee_draw(s, snr, rng))
-        want.append(_maee_trial(s, snr, ref_rng))
+        draws.append(draw(s, snr, rng))
+        want.append(trial(s, snr, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
-    return experiments._maee_compute(s, snr, draws), np.array(want, dtype=float)
+    return s, draws, np.array(want, dtype=float)
 
 
 class TestChunks:
@@ -375,12 +404,28 @@ class TestChunks:
         assert np.all(gob[~at_boresight, 3] > 0.0)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("snr", [10.0, -10.0])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dc_zero": True}, {"bandwidth": "250mhz"}, {"subpaths": 4}])
+    def test_tdm_chunk_equals_per_trial_flow(self, snr, overrides):
+        """A pilot_vs_tdm chunk's amplitudes (T, scheme, beam) are the
+        per-trial flow's, byte for byte, and each draw step leaves its
+        generator where the flow leaves it."""
+        cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=9, plots=False, **overrides)
+        s, draws, want = _draws_against_reference(cfg, experiments._tdm_draw, _tdm_trial,
+                                                  snr, 9)
+        got = experiments._tdm_compute(s, snr, draws)
+        assert got.shape == want.shape == (9, 2, 4)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("family,trials", [("maee_vs_snr", 20), ("maqe_bits", 20),
-                                               ("norm_se_vs_snr", 3)])
+                                               ("pilot_vs_tdm", 20), ("norm_se_vs_snr", 3)])
     def test_chunk_size_moves_no_byte(self, family, trials, tmp_path, monkeypatch):
-        """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes."""
+        """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes (the
+        subcarrier bound lifted, so TRIAL_CHUNK alone sets the chunk)."""
         cfg = ExperimentConfig(experiment=family, trials=trials, snr_db=(0.0, 10.0),
                                plots=False)
+        monkeypatch.setattr(experiments, "CHUNK_SUBCARRIERS", trials * 1024)
         texts = []
         for chunk in (1, 7, trials):
             monkeypatch.setattr(experiments, "TRIAL_CHUNK", chunk)
@@ -406,6 +451,42 @@ class TestChunks:
                                         plots=False), str(tmp_path))
         assert chunks == [4, 4, 2] * 2  # two points (array widths)
 
+    @pytest.mark.parametrize("family,line,size", [
+        ("pilot_vs_tdm", "", 8), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 4),
+        ("norm_se_vs_snr", "", 16), ("maee_vs_snr", "", 64), ("maqe_bits", "", 64)])
+    def test_chunk_holds_at_most_chunk_subcarriers(self, family, line, size, tmp_path,
+                                                   monkeypatch):
+        """A chunk holds TRIAL_CHUNK trials, or CHUNK_SUBCARRIERS //
+        subcarriers when that is fewer: 8 trials at N = 512, 4 at N = 1,024,
+        16 at N = 256; the narrowband families keep TRIAL_CHUNK."""
+        cfg = validate_config(f"experiment = {family}\n{line}\n")
+        assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == size
+        if family != "pilot_vs_tdm":
+            return
+        chunks = []
+        family_steps = experiments.FAMILIES[family]
+
+        def compute(s, point, draws):
+            chunks.append(len(draws))
+            return family_steps.compute(s, point, draws)
+
+        monkeypatch.setitem(experiments.FAMILIES, family, family_steps._replace(compute=compute))
+        run_experiment(validate_config(f"experiment = {family}\ntrials = 10\n{line}\n"
+                                       "plots = false\n"), str(tmp_path))
+        assert chunks == [size] * (10 // size) + [10 % size]
+
+    def test_tdm_reduce_names_a_beam_without_tdm_amplitude(self):
+        """A beam whose mean TDM amplitude is 0 has no relative difference:
+        the reduce step raises EmptyInput naming the beam, instead of
+        writing inf."""
+        s = experiments.setup_experiment(ExperimentConfig(experiment="pilot_vs_tdm"))
+        amps = np.array([[[0.1, 0.2, 0.3, 0.4], [0.1, 0.25, 0.3, 0.5]]] * 3)
+        table = experiments._tdm_reduce(s, [list(amps)])["pilot_vs_tdm"]
+        assert [float(r[5]) for r in table.rows[2:4]] == [0.2] * 2
+        amps[:, 1, 1] = 0.0
+        with pytest.raises(EmptyInput, match="pilot_vs_tdm beam 2: mean TDM amplitude is 0"):
+            experiments._tdm_reduce(s, [list(amps)])
+
 
 # ---------------------------------------------------------------------------
 # command line
@@ -429,10 +510,17 @@ _PROBING_KEYS = [
       for key in ("n_t", "m_t", "n_select") for value in (0, -1)),
     ("norm_se_vs_snr", "overhead.n_tx_total = 7"),
     ("norm_se_vs_snr", "overhead.m_rx_total = 7")]
+# probing totals and GoB codebook sizes below 1: each validated, then a
+# negative GoB count ended the run in a traceback after every trial, and a
+# 0 wrote an estimation time of 0
+_OVERHEAD_SIZES = [
+    ("norm_se_vs_snr", "overhead.n_bm = -10"), ("norm_se_vs_snr", "overhead.m_bm = 0"),
+    ("norm_se_vs_snr", "overhead.n_tx_total = 0\noverhead.m_rx_total = 5"),
+    ("norm_se_vs_snr", "overhead.n_tx_total = 5\noverhead.m_rx_total = -1")]
 SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
-    *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS]
+    *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS, *_OVERHEAD_SIZES]
 
 
 class TestCli:
@@ -503,7 +591,7 @@ class TestCli:
             "channel.chi = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
-        *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS])
+        *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS, *_OVERHEAD_SIZES])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -569,7 +657,7 @@ class TestCli:
 
         # what the draw steps call first: channel draws, maee_vs_snr's
         # direction draws, the sweep noise
-        for name in ("clustered_channel_generate", "_rician_draws",
+        for name in ("clustered_channel_generate", "_clustered_draws", "_rician_draws",
                      "_draw_in_spans", "_sweep_normals"):
             monkeypatch.setattr(experiments, name, no_trial)
         path = tmp_path / "cfg.cfg"

@@ -177,6 +177,24 @@ class TestCorrelations:
         with pytest.raises(LengthMismatch):
             correlate_zero_lag(y[:64], refs)
 
+    @pytest.mark.parametrize("branches", [1, 4])
+    def test_batched_branches_equal_their_correlations(self, branches):
+        """Leading batch axes of the received branches (..., N, i) give
+        (..., i, j), each batch entry its unbatched correlation (one vector
+        when i = 1) bit for bit; branches of the wrong length are refused."""
+        rng = np.random.default_rng(36)
+        refs = zc_sequence(np.array([25, 25, 29, 35]), np.array([0, 1, 0, 1]), 6, 512,
+                           dc_zero=True)
+        y = rng.normal(size=(2, 3, 512, branches)) + 1j * rng.normal(size=(2, 3, 512, branches))
+        got = correlate_zero_lag(y, refs, normalized=True)
+        assert got.shape == (2, 3, branches, 4)
+        for b in np.ndindex(2, 3):
+            one = y[b][:, 0] if branches == 1 else y[b]
+            want = correlate_zero_lag(one, refs, normalized=True)
+            assert got[b].reshape(want.shape).tobytes() == want.tobytes()
+        with pytest.raises(LengthMismatch, match="got 256"):
+            correlate_zero_lag(y[:, :, :256], refs)
+
 
 # ---------------------------------------------------------------------------
 # root and shift assignment
