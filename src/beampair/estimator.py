@@ -200,28 +200,33 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, normals=None,
 
 def _winner(s: np.ndarray, among=None) -> np.ndarray:
     """Index of the strongest beam in each row of s (..., beams), optionally
-    among the given indices; the lowest index wins a tie."""
-    idx = np.arange(s.shape[-1]) if among is None else np.sort(among)
-    cand = s if among is None else s[..., idx]
+    among the given indices of each row (..., k); the lowest index wins a
+    tie."""
+    if among is None:
+        idx, cand = np.arange(s.shape[-1]), s
+    else:
+        idx = np.sort(among, axis=-1)
+        cand = np.take_along_axis(s, idx, axis=-1)
     if (cand.max(axis=-1) <= 0).any():
         raise NoSignal("no probe produced power")
-    return idx[np.argmax(cand, axis=-1)]
+    best = np.argmax(cand, axis=-1)
+    return idx[best] if among is None else np.take_along_axis(idx, best[..., None], -1)[..., 0]
 
 
 def _pair_and_invert(s: np.ndarray, win, book: AxisBook):
     """Pair each winner with its stronger angular neighbour (the lower index
     on a tie) and invert the pair's ratio metric. The strengths s are
-    (beams,), for winners win of any shape, or (rows, beams), for one winner
-    per row; returns the spatial frequencies, the pair ids (rows of book's
-    pair table) and the zetas, each shaped like win. The candidates are the
-    pairs below and above the winner in the pair table: an edge beam has
-    one, a single-beam codebook none."""
+    (beams,), for winners win of any shape, or (rows, beams), for winners
+    win (rows, ...) of each row; returns the spatial frequencies, the pair
+    ids (rows of book's pair table) and the zetas, each shaped like win. The
+    candidates are the pairs below and above the winner in the pair table:
+    an edge beam has one, a single-beam codebook none."""
     win = np.asarray(win)
     below, above = book.members[win, 1], book.members[win, 0]
     top = np.maximum(below, above)  # -1 where the winner belongs to no pair
     if top.min() < 0:
         raise InsufficientNeighbors(f"beam {win[top < 0][0]} has no neighbor for pairing")
-    rows = () if s.ndim == 1 else (np.arange(len(s)),)
+    rows = () if s.ndim == 1 else (np.arange(len(s)).reshape(-1, *(1,) * (win.ndim - 1)),)
 
     def at(i):  # the strength of beam i, in each row
         return s[(*rows, i)]
@@ -328,57 +333,111 @@ def tag_probing(idx, members: np.ndarray) -> list[tuple[int, int]]:
     return tags  # type: ignore[return-value]
 
 
-def _probe_and_correlate(channel: ChannelRealization, plan: ProbingPlan,
-                         pilots: PilotAssignment, tx_book: AxisBook,
-                         rx_book: AxisBook, sigma: float,
-                         rng: np.random.Generator | None):
-    """Run every (tx probing, rx probing) slot at once, correlate each receive
-    branch against its tx probing's pilot references, and sum |corr|^2 per
-    transmit beam and receive beam (arrays indexed by Beam.index) and per
-    receive probing, in slot order. Each slot's matrix products keep the
-    operand layout of a per-slot product, so batching moves no bit."""
-    n, m, _ = channel.shape
+def _slot_noise(rx_idx: np.ndarray, n_t: int, rx_book: AxisBook, n: int, sigma: float,
+                rng: np.random.Generator):
+    """Element noise of every (tx probing, rx probing) slot of one trial's
+    plan, in one draw, projected by the slot's combiner: (n_t, m_t, N,
+    m_rf) for receive plan rx_idx (m_t, m_rf); None when sigma is 0, which
+    draws nothing."""
+    if sigma == 0:
+        return None
+    w_conj = np.ascontiguousarray(
+        np.take(rx_book.matrix, rx_idx, axis=1).transpose(1, 0, 2).conj())
+    return _noise_like((n, len(rx_book.matrix)), sigma, rng, batch=(n_t, len(rx_idx))) @ w_conj
+
+
+def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx: np.ndarray,
+                         pilots: PilotAssignment, tx_book: AxisBook, rx_book: AxisBook,
+                         noise: list | None):
+    """Run every (tx probing, rx probing) slot of T trials at once, plans
+    tx_idx (T, n_t, n_rf) and rx_idx (T, m_t, m_rf) on a realization stacked
+    over the T trials, plus the slots' projected noise when given: one
+    (n_t, m_t, N, m_rf) array per trial (see _slot_noise). Correlate each
+    receive branch against its tx probing's pilot references, and sum
+    |corr|^2 per transmit beam and receive beam (indexed by Beam.index) and
+    per receive probing, in slot order: (T, beams), (T, beams), (T, m_t).
+    Each slot's matrix products keep the operand layout of a per-slot,
+    per-trial product, so batching moves no bit."""
+    n = channel.shape[0]
     if n != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
-    rng = np.random.default_rng() if rng is None else rng
-
-    tx_idx, rx_idx = plan.tx_idx, plan.rx_idx
-    (n_t, n_rf), (m_t, m_rf) = tx_idx.shape, rx_idx.shape
-    x = pilots.references([tag for t_idx in tx_idx
+    (n_trials, n_t, n_rf), (_, m_t, m_rf) = tx_idx.shape, rx_idx.shape
+    x = pilots.references([tag for t_idx in tx_idx.reshape(-1, n_rf)
                            for tag in tag_probing(t_idx, tx_book.members)])
-    # b[t]: tx probing t's (N, rx column, tx column) block; np.take keeps picks C-ordered
-    b = channel.beamformed(np.take(rx_book.matrix, rx_idx.ravel(), axis=1),
-                           np.take(tx_book.matrix, tx_idx, axis=1).transpose(1, 0, 2))
-    x = np.ascontiguousarray(x.reshape(n, n_t, n_rf).transpose(1, 0, 2))  # (n_t, N, n_rf)
-    y = np.einsum("tkrj,tkj->tkr", b, x)  # pilot-weighted sum per tx probing
-    y = y.reshape(n_t, n, m_t, m_rf).transpose(0, 2, 1, 3)  # (n_t, m_t, N, m_rf)
-    if sigma > 0:  # element noise of every slot, projected by its combiner
-        w_conj = np.ascontiguousarray(
-            np.take(rx_book.matrix, rx_idx, axis=1).transpose(1, 0, 2).conj())
-        y = _noise_like((n, m), sigma, rng, batch=(n_t, m_t)) @ w_conj + y
-    s = np.abs(y.swapaxes(-1, -2) @ x.conj()[:, None]) ** 2  # (n_t, m_t, m_rf, n_rf)
+    # b[t, trial]: tx probing t's (N, rx column, tx column) block of one
+    # trial; np.take keeps picks C-ordered, and each trial's combiner
+    # (M, m_t m_rf) and precoders (N_t, n_t, n_rf) are laid out as alone
+    w = np.ascontiguousarray(np.take(rx_book.matrix, rx_idx.reshape(n_trials, -1), axis=1)
+                             .transpose(1, 0, 2))
+    f = np.ascontiguousarray(np.take(tx_book.matrix, tx_idx, axis=1).transpose(1, 0, 2, 3))
+    b = channel.beamformed(w, f.transpose(2, 0, 1, 3))
+    x = np.ascontiguousarray(x.reshape(n, n_trials, n_t, n_rf).transpose(2, 1, 0, 3))
+    y = np.einsum("atkrj,atkj->atkr", b, x)  # pilot-weighted sum per tx probing
+    del b
+    # (T, n_t, m_t, N, m_rf)
+    y = y.reshape(n_t, n_trials, n, m_t, m_rf).transpose(1, 0, 3, 2, 4)
+    if noise is not None:  # noise + y, in a stacked copy of the noise
+        noisy = np.stack(noise)
+        noisy += y
+        y = noisy
+    # (T, n_t, m_t, m_rf, n_rf)
+    s = np.abs(y.swapaxes(-1, -2) @ x.swapaxes(0, 1).conj()[:, :, None]) ** 2
 
     def in_slot_order(idx, weights, size: int) -> np.ndarray:
-        return np.bincount(np.broadcast_to(idx, weights.shape).ravel(),
-                           weights=weights.ravel(), minlength=size)
+        # one bincount for all trials, trial t's bins offset by t * size
+        trial = np.arange(n_trials).reshape(-1, *(1,) * (weights.ndim - 1))
+        bins = np.broadcast_to(idx + size * trial, weights.shape)
+        return np.bincount(bins.ravel(), weights=weights.ravel(),
+                           minlength=n_trials * size).reshape(n_trials, size)
 
-    return (in_slot_order(tx_idx[:, None], s.sum(axis=2), len(tx_book.beams)),
-            in_slot_order(rx_idx, s.sum(axis=3), len(rx_book.beams)),
-            in_slot_order(np.arange(m_t), s.reshape(n_t, m_t, -1).sum(axis=2), m_t))
+    return (in_slot_order(tx_idx[:, :, None], s.sum(axis=3), len(tx_book.beams)),
+            in_slot_order(rx_idx[:, None], s.sum(axis=4), len(rx_book.beams)),
+            in_slot_order(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
 
 
 def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
+    """Every trial's plan idx (T, probings, slots) probes every beam."""
     n = len(book.beams)
-    missing = np.flatnonzero(np.bincount(idx.ravel(), minlength=n)[:n] == 0)
+    trial, missing = np.nonzero(~(idx.reshape(len(idx), -1, 1) == np.arange(n)).any(axis=1))
     if missing.size:
+        where = f" in trial {trial[0]}" if len(idx) > 1 else ""
         raise InfeasibleCoverage(
-            f"probing plan leaves {book.beams[0].axis} beams {missing.tolist()} unprobed")
+            f"probing plan leaves {book.beams[0].axis} beams "
+            f"{missing[trial == trial[0]].tolist()} unprobed{where}")
+
+
+def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: float,
+                     n_select: int, rng: np.random.Generator) -> tuple:
+    """One trial's draws of estimate_multipath, in its order: the azimuth
+    stage's slot noise (see _slot_noise), then, when the elevation stage
+    runs (every polarization has more than one elevation beam), per
+    selected path the seed of its elevation plan and that plan's slot
+    noise. Returns (noise, [(elevation plan, noise) per path]). Which beam
+    indices a plan picks does not depend on where the elevation beams
+    point, so the plans come from `codebooks` itself."""
+    rx_book = codebooks.books["receive"]
+    (n_t, n_rf), (m_t, m_rf) = plan.tx_idx.shape, plan.rx_idx.shape
+    el_draws = []
+    draws = (_slot_noise(plan.rx_idx, n_t, rx_book, n, sigma, rng), el_draws)
+    el_beams = codebooks.domain("elevation")
+    if all(len(beams) > 1 for beams in el_beams.values()):
+        cross = codebooks.config.arrays.polarization_mode == "cross"
+        slots = max(n_rf // 2 if cross else n_rf, 1)
+        n_el_t = max(1, math.ceil(max(map(len, el_beams.values())) / slots))
+        layout = "split-half" if cross and n_rf % 2 == 0 else "free"
+        for _ in range(min(n_select, len(codebooks.books["azimuth"].beams))):
+            el_plan = random_probing_plan(codebooks, n_el_t, m_t, n_rf, m_rf,
+                                          int(rng.integers(2 ** 31)), layout=layout,
+                                          tx_axis="elevation")
+            el_draws.append(
+                (el_plan, _slot_noise(el_plan.rx_idx, n_el_t, rx_book, n, sigma, rng)))
+    return draws
 
 
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
                        pilots: PilotAssignment, gamma: float | None,
                        n_select: int, rng: np.random.Generator | None = None,
-                       *, codebooks: CodebookSet) -> EstimationReport:
+                       *, codebooks: CodebookSet, draws=None) -> EstimationReport:
     """Multi-path estimation with simultaneous pilot-tagged probing.
 
     Azimuth stage: pick the receive probing with the largest summed strength,
@@ -389,64 +448,79 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     sweep re-pointed at its azimuth estimate; otherwise its elevation is the
     range center. The plan must probe every azimuth and receive beam of
     `codebooks` (InfeasibleCoverage otherwise).
+
+    A realization stacked over T trials, with a plan whose index arrays
+    carry the same leading trial axis, (T, n_t, n_rf) and (T, m_t, m_rf),
+    is estimated in one pass: the report's paths are the T x n_select
+    estimates, trial-major, and its iterations the trials' total. `draws`
+    holds each trial's noise and elevation plans at gamma (see
+    _multipath_draws); when None, they are drawn from rng, trial by trial.
+    A one-trial realization and plan are the T = 1 case.
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
+    tx_idx, rx_idx = probing_plan.tx_idx, probing_plan.rx_idx
+    if tx_idx.ndim == 2:  # one trial: a stack of one
+        channel = ChannelRealization(channel.rho, channel.u[None], channel.v[None], ())
+        tx_idx, rx_idx = tx_idx[None], rx_idx[None]
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
-    _require_coverage(probing_plan.tx_idx, az_book)
-    _require_coverage(probing_plan.rx_idx, rx_book)
-    (n_t, n_rf), (m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape
-    sigma = _sigma_from_gamma(gamma)
-    rng = np.random.default_rng() if rng is None else rng
+    _require_coverage(tx_idx, az_book)
+    _require_coverage(rx_idx, rx_book)
+    (n_trials, n_t, n_rf), (_, m_t, m_rf) = tx_idx.shape, rx_idx.shape
+    if draws is None:
+        rng = np.random.default_rng() if rng is None else rng
+        sigma = _sigma_from_gamma(gamma)
+        draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), channel.shape[0], sigma,
+                                  n_select, rng) for tx, rx in zip(tx_idx, rx_idx)]
 
-    tx_s, rx_s, totals = _probe_and_correlate(channel, probing_plan, pilots,
-                                              az_book, rx_book, sigma, rng)
-    if totals.sum() <= 0:
+    az_noise = [az for az, _ in draws]
+    tx_s, rx_s, totals = _probe_and_correlate(
+        channel, tx_idx, rx_idx, pilots, az_book, rx_book,
+        None if az_noise[0] is None else az_noise)
+    if (totals.sum(axis=-1) <= 0).any():
         raise NoSignal("no correlated energy in any probing")
 
-    best_mt = int(np.argmax(totals))
-    rx_winner = _winner(rx_s, probing_plan.rx_idx[best_mt])
+    best_mt = np.argmax(totals, axis=-1)
+    rx_winner = _winner(rx_s, rx_idx[np.arange(n_trials), best_mt])
     nu, rx_k, rx_zeta = _pair_and_invert(rx_s, rx_winner, rx_book)
     mu_y, az_k, az_zeta = _pair_and_invert(
-        tx_s, np.argsort(-tx_s, kind="stable")[:n_select], az_book)
-    n_paths = len(mu_y)
-    mus = np.empty((n_paths, 3))  # (mu_x, mu_y, nu) per path
+        tx_s, np.argsort(-tx_s, kind="stable")[:, :n_select], az_book)
+    n_paths = mu_y.shape[1]
+    mus = np.empty((n_trials, n_paths, 3))  # (mu_x, mu_y, nu) per path
     # mu_x is the elevation range center unless a path's elevation stage pairs
-    mus[:, 0], mus[:, 1], mus[:, 2] = 0.5 * sum(codebooks.config.el_range), mu_y, nu
-    pairs = [{"azimuth": k, "receive": int(rx_k)} for k in az_k.tolist()]
-    zetas = [{"azimuth": z, "receive": rx_zeta} for z in az_zeta.tolist()]
+    mus[..., 0] = 0.5 * sum(codebooks.config.el_range)
+    mus[..., 1], mus[..., 2] = mu_y, nu[:, None]
+    pairs = [{"azimuth": k, "receive": r} for ks, r in zip(az_k.tolist(), rx_k.tolist())
+             for k in ks]
+    zetas = [{"azimuth": z, "receive": r} for zs, r in zip(az_zeta.tolist(), rx_zeta.tolist())
+             for z in zs]
 
-    extra_tx_probings = 0
-    el_beams = codebooks.domain("elevation")
-    if all(len(beams) > 1 for beams in el_beams.values()):
+    # the elevation stage's tx probings, all trials' and paths'
+    el_probings = sum(len(el_plan.tx_idx) for _, el_draws in draws for el_plan, _ in el_draws)
+    if el_probings:
         # one elevation sweep per path, its beams re-pointed at the path's
         # azimuth estimate; the pair ids, and so the pilots, stay the same
-        cross = codebooks.config.arrays.polarization_mode == "cross"
-        slots = max(n_rf // 2 if cross else n_rf, 1)
-        n_el_t = max(1, math.ceil(max(map(len, el_beams.values())) / slots))
-        layout = "split-half" if cross and n_rf % 2 == 0 else "free"
-        extra_tx_probings = n_el_t * n_paths
         el_pilots = assign_pilots(
             range(len(codebooks.books["elevation"].pairs)), pilots.n, p=pilots.p,
             coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
-        for p in range(n_paths):
-            el_cbs = codebooks.repointed(float(mu_y[p]))
-            el_plan = random_probing_plan(
-                el_cbs, n_el_t, m_t, n_rf, m_rf, int(rng.integers(2 ** 31)),
-                layout=layout, tx_axis="elevation")
-            el_book = el_cbs.books["elevation"]
-            el_tx, _, el_totals = _probe_and_correlate(
-                channel, el_plan, el_pilots, el_book, el_cbs.books["receive"],
-                sigma, rng)
-            if el_totals.sum() <= 0:
-                continue
-            mus[p, 0], k, zetas[p]["elevation"] = _pair_and_invert(
-                el_tx, _winner(el_tx), el_book)
-            pairs[p]["elevation"] = int(k)
+        for t, (_, el_draws) in enumerate(draws):
+            trial = ChannelRealization(  # trial t, as a stack of one
+                channel.rho[t:t + 1] if channel.rho.ndim == 3 else channel.rho,
+                channel.u[t:t + 1], channel.v[t:t + 1], ())
+            for p, (el_plan, el_noise) in enumerate(el_draws):
+                el_book = codebooks.repointed(float(mu_y[t, p])).books["elevation"]
+                el_tx, _, el_totals = _probe_and_correlate(
+                    trial, el_plan.tx_idx[None], el_plan.rx_idx[None], el_pilots, el_book,
+                    rx_book, None if el_noise is None else [el_noise])
+                if el_totals.sum() <= 0:
+                    continue
+                mus[t, p, 0], k, zetas[t * n_paths + p]["elevation"] = _pair_and_invert(
+                    el_tx[0], _winner(el_tx[0]), el_book)
+                pairs[t * n_paths + p]["elevation"] = int(k)
 
-    rows = _fill_angles(mus, codebooks.config.arrays)
+    rows = _fill_angles(mus, codebooks.config.arrays).reshape(-1, 6)
     paths = [PathEstimate(*row, pairs=pr, zetas=z)
              for row, pr, z in zip(rows.tolist(), pairs, zetas)]
 
-    iters = n_rf * (n_t + extra_tx_probings) * m_rf * m_t
+    iters = n_rf * (n_trials * n_t + el_probings) * m_rf * m_t
     return EstimationReport(paths=paths, iterations=iters, scheme="abp")

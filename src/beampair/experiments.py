@@ -8,8 +8,9 @@ p = 6, roots 25/29/34, 3-bit differential quantizer).
 Each family is a setup -> draw -> compute -> reduce declaration (Family)
 run by one loop, which alone makes the per-trial RNG streams from a counter
 scheme, SeedSequence([master_seed, family_id, point_index, trial]), and
-walks each point's trials in chunks (see CHUNK_SUBCARRIERS): a draw step per
-trial on its own stream, then one compute step over the chunk.
+walks the trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every
+point: a draw step per trial on its own stream, then one compute step over
+the chunk.
 """
 
 import csv
@@ -22,12 +23,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
-                      _realization, _rician_draws, _rician_paths,
-                      clustered_channel_generate)
-from .codebook import (AXES, CodebookConfig, CodebookSet, build_codebooks,
+                      _realization, _rician_draws, _rician_paths)
+from .codebook import (AXES, CodebookConfig, CodebookSet, ProbingPlan, build_codebooks,
                        enumerate_abps, random_probing_plan)
-from .estimator import (_abp_rows, _fill_angles, _gob_rows, _noise_like,
-                        _sweep, _sweep_normals, estimate_multipath)
+from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws, _noise_like,
+                        _sigma_from_gamma, _sweep, _sweep_normals, estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct,
                        worst_case_error)
 from .geometry import ArrayConfig, spatial_frequencies
@@ -50,13 +50,15 @@ FAMILY_IDS = {"maee_vs_snr": 0, "maqe_bits": 1, "pilot_correlation": 2,
 STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 
 # Trials per compute step: at most TRIAL_CHUNK, and at most CHUNK_SUBCARRIERS
-# trial-subcarriers (trials x subcarriers per trial). Larger chunks amortize
-# more of the per-trial numpy dispatch, but a chunk's per-subcarrier arrays
-# (noise, delay taps, beam outputs) grow with trials x subcarriers, so the
-# second bound holds them near one size at any bandwidth: 4,096 / 512 = 8
-# trials at N = 512, 4,096 / 256 = 16 at N = 256, 4,096 / 1,024 = 4 at
-# N = 1,024, and TRIAL_CHUNK = 64 for a narrowband family (N = 1). See README
-# for the throughput and peak-memory trade-off that set both values.
+# trial-subcarrier rows (trials x the subcarrier rows of a trial's arrays,
+# see _chunk_trials). Larger chunks amortize more of the per-trial numpy
+# dispatch, but a chunk's per-subcarrier arrays (noise, delay taps, beam
+# outputs) grow with trials x rows, so the second bound holds them near one
+# size at any bandwidth: a pilot_vs_tdm trial holds N rows, so 4,096 / 512 =
+# 8 trials at N = 512 and 4,096 / 1,024 = 4 at N = 1,024; a rate trial holds
+# an N-row block per probing slot, so 4,096 / (2 x 2 x 256) = 4 at the
+# default probing; a narrowband family (one row) keeps TRIAL_CHUNK = 64. See
+# README for the throughput and peak-memory trade-offs that set both values.
 TRIAL_CHUNK = 64
 CHUNK_SUBCARRIERS = 4096
 
@@ -461,7 +463,8 @@ def _tdm_setup(cfg: ExperimentConfig):
         x=pilots.references(tags),  # (N, beam)
         f=np.column_stack([b.vector for b in beams]),
         w=(mid_v + mid_h) / np.sqrt(2),
-        profile=_cluster_profile(cfg, cbs, cfg.n_clusters))
+        profile=_cluster_profile(cfg, cbs, cfg.n_clusters),
+        trial_subcarriers=ofdm.n_subcarriers)
 
 
 def _tdm_draw(s, snr: float, rng) -> tuple:
@@ -543,40 +546,63 @@ def _rate_setup(cfg: ExperimentConfig):
         cfg=cfg, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
         profile=_cluster_profile(cfg, cbs, max(cfg.n_clusters, cfg.n_s)),
         n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
-        n_select=cfg.n_s if cfg.n_select is None else cfg.n_select)
+        n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
+        # the azimuth stage's slot noise and probe outputs hold one (N, m_rf)
+        # block per (tx probing, rx probing) slot
+        trial_subcarriers=n_t * m_t * ofdm.n_subcarriers)
 
 
-def _gob_triples(report, cbs):
-    """Boresight-only estimates from the same measurements: the stronger pair
-    member per domain, or the elevation range center for a path that formed
-    no elevation pair."""
-    el_center = 0.5 * sum(cbs.config.el_range)
-
-    def stronger(path, axis: str) -> float:
-        if axis not in path.pairs:
-            return el_center
-        book = cbs.books[axis]
-        return book.boresights[book.pairs[path.pairs[axis], 0 if path.zetas[axis] >= 0 else 1]]
-
-    return [tuple(stronger(path, axis) for axis in AXES) for path in report.paths]
-
-
-def _rates(s, profile: ClusterProfile, snr: float, rng) -> dict:
-    """Spectral efficiency of one channel draw steered at the true dominant
-    directions ("perfect"), at the ABP estimates and at the GoB estimates:
-    one beamformer build and one rate call for the three schemes."""
-    cfg, gamma = s.cfg, 10.0 ** (snr / 10.0)
-    chan = clustered_channel_generate(profile, rng, s.arrays, s.ofdm)
+def _rate_draw(s, snr: float, rng) -> tuple:
+    """One rate trial's draws, in the order of the per-trial flow: the
+    clustered channel's, the probing plan's seed and its plan, then
+    estimate_multipath's (see estimator._multipath_draws). They read the
+    shared cluster profile's draw sizes, never a swept field."""
+    channel = _clustered_draws(s.profile, rng)
     plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
                                int(rng.integers(2 ** 31)), layout="free")
-    rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, rng,
-                             codebooks=s.cbs)
-    perfect = spatial_frequencies([a[: cfg.n_s] for a in chan.dominant_angles], s.arrays)
-    triples = {"perfect": np.column_stack([perfect.mu_x, perfect.mu_y, perfect.nu]),
-               "abp": [(p.mu_x, p.mu_y, p.nu) for p in rep.paths],
-               "gob": _gob_triples(rep, s.cbs)}
-    f, w = build_rf_beamformers(list(triples.values()), s.arrays, cfg.n_s)
-    return dict(zip(triples, spectral_efficiency(chan, f, w, gamma, cfg.n_s).tolist()))
+    sigma = _sigma_from_gamma(10.0 ** (snr / 10.0))
+    return channel, plan, _multipath_draws(s.cbs, plan, s.ofdm.n_subcarriers, sigma,
+                                           s.n_select, rng)
+
+
+def _gob_directions(paths, cbs) -> np.ndarray:
+    """Boresight-only estimates from the same measurements, (paths, 3): per
+    domain the stronger member of the path's pair, or the elevation range
+    center where a path formed no elevation pair."""
+    mus = np.full((len(paths), 3), 0.5 * sum(cbs.config.el_range))
+    for i, axis in enumerate(AXES):
+        book = cbs.books[axis]
+        k = np.array([p.pairs.get(axis, -1) for p in paths])
+        stronger = np.array([p.zetas.get(axis, 0.0) >= 0 for p in paths], dtype=bool)
+        has = k >= 0
+        mus[has, i] = book.boresights[book.pairs[k[has], np.where(stronger[has], 0, 1)]]
+    return mus
+
+
+_SCHEMES = ("perfect", "abp", "gob")
+
+
+def _rate_compute(s, profile: ClusterProfile, snr: float, draws: list) -> list:
+    """Spectral efficiency of a chunk of trials' channels steered at the
+    true dominant directions ("perfect"), at the ABP estimates and at the
+    GoB estimates, one {scheme: rate} per trial: one stacked realization,
+    one estimate_multipath pass, one beamformer build and one rate call for
+    the 3 x T beamformer sets."""
+    channel, plans, estimator_draws = zip(*draws)
+    n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
+    chan = _clustered_realization(profile, [np.array(d) for d in zip(*channel)],
+                                  s.arrays, s.ofdm)
+    plan = ProbingPlan(np.array([p.tx_idx for p in plans]), np.array([p.rx_idx for p in plans]))
+    rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
+                             draws=estimator_draws)
+    perfect = spatial_frequencies([a[:, :n_s] for a in chan.dominant_angles], s.arrays)
+    abp = np.array([(p.mu_x, p.mu_y, p.nu) for p in rep.paths])
+    sets = [*np.stack([perfect.mu_x, perfect.mu_y, perfect.nu], axis=-1),
+            *abp.reshape(n, -1, 3), *_gob_directions(rep.paths, s.cbs).reshape(n, -1, 3)]
+    f, w = build_rf_beamformers(sets, s.arrays, n_s)  # (scheme x trial, ., n_s)
+    rates = spectral_efficiency(chan, f.reshape(3, n, *f.shape[1:]),
+                                w.reshape(3, n, *w.shape[1:]), gamma, n_s)
+    return [dict(zip(_SCHEMES, r)) for r in rates.T.tolist()]
 
 
 _RATE_COLUMNS = ["experiment", "snr_db", "scheme", "metric", "value", "ci95"]
@@ -668,24 +694,27 @@ def _whole_trial(s, point, draws: list) -> list:
 # An experiment family. setup(cfg) builds once everything the trials share,
 # plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
 # trial's draws from its stream; compute(setup, point, draws) turns a chunk
-# of trials' draws, in trial order, into one result per trial; reduce(setup,
-# results), results[i] being point i's trial results in trial order, builds
-# the tables. A family whose draw step runs its whole trial computes with
-# _whole_trial. same_streams: every point replays point 0's trial streams,
-# so the points' channels differ only in the swept parameter.
+# of trials' draws, in trial order, into one result per trial, and leaves
+# the draws as they were; reduce(setup, results), results[i] being point
+# i's trial results in trial order, builds the tables. A family whose draw
+# step runs its whole trial computes with _whole_trial. same_streams: every
+# point shares point 0's trial streams and so its draws, made once per chunk
+# and computed at every point, so the points' channels differ only in the
+# swept parameter; such a draw step must not read the swept field.
 Family = namedtuple("Family", "setup draw compute reduce same_streams",
                     defaults=(False,))
 _ROBUSTNESS = Family(
-    _robustness_setup, lambda s, profile, rng: _rates(s, profile, s.cfg.snr_db[0], rng),
-    _whole_trial, _robustness_reduce, same_streams=True)
+    _robustness_setup, lambda s, profile, rng: _rate_draw(s, s.cfg.snr_db[0], rng),
+    lambda s, profile, draws: _rate_compute(s, profile, s.cfg.snr_db[0], draws),
+    _robustness_reduce, same_streams=True)
 FAMILIES = {
     "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
     "maqe_bits": Family(_maqe_setup, _maqe_trial, _whole_trial, _maqe_reduce),
     "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
     "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
     "norm_se_vs_snr": Family(
-        _norm_se_setup, lambda s, snr, rng: _rates(s, s.profile, snr, rng),
-        _whole_trial, _norm_se_reduce),
+        _norm_se_setup, _rate_draw,
+        lambda s, snr, draws: _rate_compute(s, s.profile, snr, draws), _norm_se_reduce),
     "robustness_mismatch": _ROBUSTNESS,
     "robustness_xpd": _ROBUSTNESS,
 }
@@ -753,10 +782,11 @@ def _plot_one(ax, name: str, table: ResultTable) -> None:
 
 
 def _chunk_trials(s) -> int:
-    """Trials per compute step for a family's setup (see CHUNK_SUBCARRIERS);
-    a setup without an OFDM grid is narrowband: one subcarrier per trial."""
-    n = s.ofdm.n_subcarriers if hasattr(s, "ofdm") else 1
-    return max(1, min(TRIAL_CHUNK, CHUNK_SUBCARRIERS // n))
+    """Trials per compute step for a family's setup (see CHUNK_SUBCARRIERS).
+    A setup with per-subcarrier arrays states how many subcarrier rows one
+    trial's hold as `trial_subcarriers`; one without is narrowband: one row
+    per trial."""
+    return max(1, min(TRIAL_CHUNK, CHUNK_SUBCARRIERS // getattr(s, "trial_subcarriers", 1)))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
@@ -768,15 +798,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     s = setup_experiment(cfg)
     os.makedirs(out_dir, exist_ok=True)
     chunk = _chunk_trials(s)
-    results = []
-    for pi, point in enumerate(s.points):
-        stream = 0 if family.same_streams else pi
-        trials = []
-        for start in range(0, cfg.trials, chunk):
-            draws = [family.draw(s, point, _trial_rng(cfg, stream, t))
-                     for t in range(start, min(start + chunk, cfg.trials))]
-            trials.extend(family.compute(s, point, draws))
-        results.append(trials)
+    results = [[] for _ in s.points]
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        for pi, point in enumerate(s.points):
+            if pi == 0 or not family.same_streams:
+                draws = [family.draw(s, point, _trial_rng(cfg, pi, t)) for t in trials]
+            results[pi].extend(family.compute(s, point, draws))
     tables = family.reduce(s, results)
     files = [emit_outputs(t, out_dir) for t in tables.values()]
     if cfg.plots:

@@ -75,14 +75,19 @@ def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
     *batch, n_sub, n_r, n_c = htr.shape
     # streams first: g[c, r] holds entry (r, c) of every H_TR[k] as one lane
     g = np.ascontiguousarray(htr.reshape(-1, n_r, n_c).transpose(2, 1, 0))
+    del htr
     a = np.zeros((n_r, n_r, g.shape[-1]), dtype=complex)
-    for col in g:  # H_TR H_TR*, one stream column's outer product at a time
-        a += col[:, None] * col[None, :].conj()
+    conj, row = np.empty_like(a[0]), np.empty_like(a[0])
+    for col in g:  # H_TR H_TR*, one stream column's outer product at a time,
+        np.conjugate(col, out=conj)  # a row at a time, through reused buffers
+        for r in range(n_r):
+            a[r] += np.multiply(col[r], conj, out=row)
+    del g, conj, row
     a *= gamma / n_s
     a[np.arange(n_r), np.arange(n_r)] += 1.0
     # I plus a PSD matrix is Hermitian positive definite: elimination without
     # pivoting meets real pivots >= 1, whose product is the determinant
-    logdet = np.zeros(g.shape[-1])
+    logdet = np.zeros(a.shape[-1])
     for p in range(n_r):
         pivot = a[p, p].real
         logdet += np.log(pivot)

@@ -22,7 +22,7 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
                                 _fill_angles, _noise_like, _pair_and_invert,
-                                _probe_and_correlate, _sweep)
+                                _probe_and_correlate, _slot_noise, _sweep)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -806,6 +806,69 @@ class TestMultipath:
                 estimate_multipath(chan, ProbingPlan(tx_idx, rx_idx), pilots, None,
                                    1, codebooks=cbs)
 
+    @pytest.mark.parametrize("el_range", [None, (-np.pi / 2, np.pi / 2)],
+                             ids=["azimuth", "elevation"])
+    def test_stack_equals_one_trial_calls(self, el_range):
+        """Three trials' channels and plans, stacked, give each trial the
+        one-trial call's pairs, zetas and angles bit for bit, with and
+        without the elevation stage, and the one-trial calls' total
+        iterations; drawing each trial's noise in turn from one generator
+        leaves it where the one-trial calls leave it."""
+        cfg = CodebookConfig(arrays=CROSS) if el_range is None else \
+            CodebookConfig(arrays=CROSS, el_range=el_range)
+        cbs = build_codebooks(cfg)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
+        rng = np.random.default_rng(66)
+        chans, plans = [], []
+        for seed in range(3):
+            paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                                angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
+                     for tau in (0.0, 2e-9, 5e-9)]
+            chans.append(crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
+                                                     CrossPolConfig(0.3, 0.2)))
+            plans.append(random_probing_plan(cbs, 6, 4, 2, 2, seed=seed, layout="free"))
+        stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
+                                     for a in ("rho", "u", "v")), ())
+        plan = ProbingPlan(*(np.stack([getattr(p, a) for p in plans])
+                             for a in ("tx_idx", "rx_idx")))
+        got_rng, want_rng = np.random.default_rng(67), np.random.default_rng(67)
+        got = estimate_multipath(stack, plan, pilots, 10.0, 2, got_rng, codebooks=cbs)
+        want = [estimate_multipath(c, p, pilots, 10.0, 2, want_rng, codebooks=cbs)
+                for c, p in zip(chans, plans)]
+        assert got.iterations == sum(w.iterations for w in want)
+        want_paths = [path for w in want for path in w.paths]
+        assert len(got.paths) == len(want_paths) == 6
+        for g, w in zip(got.paths, want_paths):
+            assert g.pairs == w.pairs and list(g.zetas) == list(w.zetas)
+            assert [_bits(v) for v in g.zetas.values()] == [_bits(v) for v in w.zetas.values()]
+            assert [_bits(v) for v in dataclasses.astuple(g)[:6]] == \
+                [_bits(v) for v in dataclasses.astuple(w)[:6]]
+        assert all(("elevation" in g.pairs) == (el_range is not None) for g in got.paths)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_stacked_plan_must_probe_every_beam_in_every_trial(self):
+        """A stacked plan whose trial 1 skips an azimuth beam, or whose trial
+        0 skips a receive beam, is rejected naming the trial."""
+        cbs = build_codebooks(CodebookConfig(arrays=CO))
+        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        chan = copol_frequency_response(
+            [PathParams.single_pol(1.0, 0.0, angles_for(0.1, 0.2, 0.3, CO))],
+            CO, OfdmConfig(64, 16))
+        stack = ChannelRealization(chan.rho, np.stack([chan.u] * 2), np.stack([chan.v] * 2), ())
+        az = np.arange(len(cbs.books["azimuth"].beams))[:, None]
+        rx = np.arange(len(cbs.books["receive"].beams))[:, None]
+        rep = estimate_multipath(stack, ProbingPlan(np.stack([az, az]), np.stack([rx, rx])),
+                                 pilots, None, 1, codebooks=cbs)
+        assert len(rep.paths) == 2
+        az_gap, rx_gap = az.copy(), rx.copy()
+        az_gap[-1], rx_gap[0] = 0, 1
+        for tx_idx, rx_idx, missing in (
+                ([az, az_gap], [rx, rx], f"azimuth beams [{len(az) - 1}] unprobed in trial 1"),
+                ([az, az], [rx_gap, rx], "receive beams [0] unprobed in trial 0")):
+            with pytest.raises(InfeasibleCoverage, match=re.escape(missing)):
+                estimate_multipath(stack, ProbingPlan(np.stack(tx_idx), np.stack(rx_idx)),
+                                   pilots, None, 1, codebooks=cbs)
+
     def test_n_select_guard(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
@@ -857,26 +920,36 @@ def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rn
 ])
 def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
                                            n_rf, m_rf):
-    """The batched probing gives the per-slot loop's strengths and probing
-    totals bit for bit, and leaves the generator where the loop leaves it,
-    on free and split-half plans, azimuth and elevation books, m_rf = 1."""
+    """The batched probing of two trials, each with its own channel and plan,
+    gives each trial the per-slot loop's strengths and probing totals bit
+    for bit, and drawing the trials' slot noise in turn leaves the
+    generator where the loops leave it, on free and split-half plans,
+    azimuth and elevation books, m_rf = 1."""
     cbs = build_codebooks(CodebookConfig(arrays=CROSS, el_range=(-np.pi / 2, np.pi / 2)))
     tx_book, rx_book = cbs.books[tx_axis], cbs.books["receive"]
     pilots = assign_pilots(range(len(tx_book.pairs)), 64, p=1)
     rng = np.random.default_rng(64)
-    paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
-                        angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
-             for tau in (0.0, 2e-9, 5e-9)]
-    chan = crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
-                                       CrossPolConfig(0.3, 0.2))
-    plan = random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, seed=5, layout=layout,
-                               tx_axis=tx_axis)
+    chans, plans = [], []
+    for seed in (5, 6):
+        paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                            angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
+                 for tau in (0.0, 2e-9, 5e-9)]
+        chans.append(crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
+                                                 CrossPolConfig(0.3, 0.2)))
+        plans.append(random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, seed=seed,
+                                         layout=layout, tx_axis=tx_axis))
+    stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
+                                 for a in ("rho", "u", "v")), ())
     got_rng, want_rng = np.random.default_rng(65), np.random.default_rng(65)
-    got = _probe_and_correlate(chan, plan, pilots, tx_book, rx_book, sigma, got_rng)
-    want = _probe_and_correlate_loop(chan, plan, pilots, tx_book, rx_book, sigma,
-                                     want_rng)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    noise = [_slot_noise(p.rx_idx, n_t, rx_book, 64, sigma, got_rng) for p in plans]
+    got = _probe_and_correlate(stack, np.stack([p.tx_idx for p in plans]),
+                               np.stack([p.rx_idx for p in plans]), pilots, tx_book,
+                               rx_book, None if sigma == 0 else noise)
+    for t, (chan, plan) in enumerate(zip(chans, plans)):
+        want = _probe_and_correlate_loop(chan, plan, pilots, tx_book, rx_book, sigma,
+                                         want_rng)
+        for g, w in zip(got, want):
+            assert g[t].shape == w.shape and g[t].tobytes() == w.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

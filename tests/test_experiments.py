@@ -14,10 +14,12 @@ from beampair import experiments
 from beampair.channel import (_clustered_realization, clustered_channel_generate,
                               rician_narrowband)
 from beampair.cli import main
+from beampair.codebook import AXES, ProbingPlan, random_probing_plan
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal, _noise_like,
-                                estimate_single_path, gob_estimate)
-from beampair.geometry import AngleSet, angles_from_spatial_frequencies, aoa_from_nu
-from beampair.metrics import EmptyInput
+                                estimate_multipath, estimate_single_path, gob_estimate)
+from beampair.geometry import (AngleSet, angles_from_spatial_frequencies, aoa_from_nu,
+                               spatial_frequencies)
+from beampair.metrics import EmptyInput, build_rf_beamformers, spectral_efficiency
 from beampair.pilot import correlate_zero_lag
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   IoError, ParseError, ResultTable,
@@ -267,14 +269,14 @@ class TestFamilies:
             experiments._robustness_reduce(s, [good, good, dropped, good])
 
     @pytest.mark.parametrize("family,maker,trials", [
-        ("norm_se_vs_snr", clustered_channel_generate, 1),
+        ("norm_se_vs_snr", _clustered_realization, 3),
         ("pilot_vs_tdm", _clustered_realization, 3)], ids=["norm_se_vs_snr", "pilot_vs_tdm"])
     def test_trials_never_build_the_dense_tensor(self, family, maker, trials, tmp_path,
                                                  monkeypatch):
         """Estimation, rate and pilot correlation work from the path factors:
-        neither the realization of a rate trial (estimate + three rates) nor
-        the stacked realization of a pilot_vs_tdm chunk (all 3 trials) reads
-        its dense h."""
+        neither the stacked realization of a rate chunk (estimate + three
+        rates) nor that of a pilot_vs_tdm chunk (all 3 trials each) reads its
+        dense h."""
         made = []
 
         def recording(*args, **kwargs):
@@ -286,7 +288,7 @@ class TestFamilies:
                               "snr_db = 10\nplots = false\n")
         run_experiment(cfg, str(tmp_path))
         assert len(made) == 1
-        assert made[0].u.shape[:-3] == ((trials,) if family == "pilot_vs_tdm" else ())
+        assert made[0].u.shape[:-3] == (trials,)
         assert "h" not in made[0].__dict__
 
     def test_plot_emitted(self, tmp_path):
@@ -365,6 +367,51 @@ def _tdm_trial(s, snr: float, rng) -> np.ndarray:
                      np.abs(np.diag(correlate_zero_lag(y_tdm, s.x, normalized=True)))])
 
 
+def _gob_triples(report, cbs):
+    """Boresight-only estimates from the same measurements: the stronger pair
+    member per domain, or the elevation range center for a path that formed
+    no elevation pair."""
+    el_center = 0.5 * sum(cbs.config.el_range)
+
+    def stronger(path, axis: str) -> float:
+        if axis not in path.pairs:
+            return el_center
+        book = cbs.books[axis]
+        return book.boresights[book.pairs[path.pairs[axis], 0 if path.zetas[axis] >= 0 else 1]]
+
+    return [tuple(stronger(path, axis) for axis in AXES) for path in report.paths]
+
+
+def _rates(s, profile, snr: float, rng) -> dict:
+    """The per-trial rate flow that the chunked draw and compute steps
+    replace, kept as their reference: spectral efficiency of one channel
+    draw steered at the true dominant directions ("perfect"), at the ABP
+    estimates and at the GoB estimates."""
+    cfg, gamma = s.cfg, 10.0 ** (snr / 10.0)
+    chan = clustered_channel_generate(profile, rng, s.arrays, s.ofdm)
+    plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
+                               int(rng.integers(2 ** 31)), layout="free")
+    rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, rng,
+                             codebooks=s.cbs)
+    perfect = spatial_frequencies([a[: cfg.n_s] for a in chan.dominant_angles], s.arrays)
+    triples = {"perfect": np.column_stack([perfect.mu_x, perfect.mu_y, perfect.nu]),
+               "abp": [(p.mu_x, p.mu_y, p.nu) for p in rep.paths],
+               "gob": _gob_triples(rep, s.cbs)}
+    f, w = build_rf_beamformers(list(triples.values()), s.arrays, cfg.n_s)
+    return dict(zip(triples, spectral_efficiency(chan, f, w, gamma, cfg.n_s).tolist()))
+
+
+def _draw_bytes(draws) -> list:
+    """The arrays of a draw step's output, in order, as bytes."""
+    if isinstance(draws, np.ndarray):
+        return [draws.tobytes()]
+    if isinstance(draws, ProbingPlan):
+        return [draws.tx_idx.tobytes(), draws.rx_idx.tobytes()]
+    if isinstance(draws, (tuple, list)):
+        return [b for d in draws for b in _draw_bytes(d)]
+    return [draws]
+
+
 def _draws_against_reference(cfg: ExperimentConfig, draw, trial, snr: float, trials: int):
     """`trials` draw steps at point 0 and the reference per-trial flow on
     the same streams; asserts that each draw step leaves its generator where
@@ -418,8 +465,60 @@ class TestChunks:
         assert got.shape == want.shape == (9, 2, 4)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("family,trials", [("maee_vs_snr", 20), ("maqe_bits", 20),
-                                               ("pilot_vs_tdm", 20), ("norm_se_vs_snr", 3)])
+    @pytest.mark.parametrize("snr", [10.0, -10.0])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"el_range_deg": (-90.0, 90.0)}, {"n_s": 2}, {"subpaths": 4}],
+        ids=["default", "el90", "n_s2", "subpaths4"])
+    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_xpd"])
+    def test_rate_chunk_equals_per_trial_flow(self, family, overrides, snr):
+        """A rate chunk's rates (T, scheme) are the per-trial flow's, byte
+        for byte, and each draw step leaves its generator where the flow
+        leaves it; robustness_xpd at its last sweep point, chi = 0.4."""
+        cfg = ExperimentConfig(experiment=family, trials=6, snr_db=(snr,), plots=False,
+                               **overrides)
+
+        def profile(s):
+            return s.points[-1] if family == "robustness_xpd" else s.profile
+
+        s, draws, want = _draws_against_reference(
+            cfg, experiments._rate_draw,
+            lambda s, snr, rng: list(_rates(s, profile(s), snr, rng).values()), snr, 6)
+        got = np.array([[r[k] for k in ("perfect", "abp", "gob")]
+                        for r in experiments._rate_compute(s, profile(s), snr, draws)])
+        assert got.shape == want.shape == (6, 3)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("overrides", [{}, {"el_range_deg": (-90.0, 90.0)}],
+                             ids=["default", "el90"])
+    @pytest.mark.parametrize("family", ["robustness_xpd", "robustness_mismatch"])
+    def test_sweep_points_share_point_0_draws(self, family, overrides, tmp_path, monkeypatch):
+        """A same_streams family's draw step on point 0's stream gives, with
+        any sweep point, point 0's draws byte for byte and leaves the
+        generator in the same state: no draw reads the swept field. A run
+        makes each trial's draws once, at point 0, for every point."""
+        cfg = ExperimentConfig(experiment=family, trials=6, plots=False, **overrides)
+        s = experiments.setup_experiment(cfg)
+        steps = experiments.FAMILIES[family]
+        assert steps.same_streams and len(s.points) == 4
+        for t in range(3):
+            rngs = [experiments._trial_rng(cfg, 0, t) for _ in s.points]
+            draws = [_draw_bytes(steps.draw(s, point, rng))
+                     for point, rng in zip(s.points, rngs)]
+            assert all(d == draws[0] for d in draws[1:])
+            assert all(r.bit_generator.state == rngs[0].bit_generator.state for r in rngs[1:])
+        drawn = []
+
+        def draw(s, point, rng):
+            drawn.append(point)
+            return steps.draw(s, point, rng)
+
+        monkeypatch.setitem(experiments.FAMILIES, family, steps._replace(draw=draw))
+        run_experiment(cfg, str(tmp_path))
+        assert drawn == [s.points[0]] * 6
+
+    @pytest.mark.parametrize("family,trials", [
+        ("maee_vs_snr", 20), ("maqe_bits", 20), ("pilot_vs_tdm", 20), ("norm_se_vs_snr", 3),
+        ("robustness_xpd", 9), ("robustness_mismatch", 9)])
     def test_chunk_size_moves_no_byte(self, family, trials, tmp_path, monkeypatch):
         """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes (the
         subcarrier bound lifted, so TRIAL_CHUNK alone sets the chunk)."""
@@ -435,8 +534,8 @@ class TestChunks:
         assert texts[0] == texts[1] == texts[2]
 
     def test_run_walks_trials_in_chunks(self, tmp_path, monkeypatch):
-        """Each point's trials reach the compute step in chunks of
-        TRIAL_CHUNK, the last one partial."""
+        """The trials reach the compute step in chunks of TRIAL_CHUNK, the
+        last one partial: chunks in the outer loop, each at every point."""
         chunks = []
 
         def compute(s, point, draws):
@@ -449,16 +548,21 @@ class TestChunks:
                             family._replace(compute=compute))
         run_experiment(ExperimentConfig(experiment="maqe_bits", trials=10,
                                         plots=False), str(tmp_path))
-        assert chunks == [4, 4, 2] * 2  # two points (array widths)
+        assert chunks == [4, 4, 4, 4, 2, 2]  # two points (array widths) per chunk
 
     @pytest.mark.parametrize("family,line,size", [
         ("pilot_vs_tdm", "", 8), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 4),
-        ("norm_se_vs_snr", "", 16), ("maee_vs_snr", "", 64), ("maqe_bits", "", 64)])
+        ("norm_se_vs_snr", "", 4), ("robustness_xpd", "", 4),
+        ("norm_se_vs_snr", "overhead.n_s = 2", 2), ("maee_vs_snr", "", 64),
+        ("maqe_bits", "", 64)])
     def test_chunk_holds_at_most_chunk_subcarriers(self, family, line, size, tmp_path,
                                                    monkeypatch):
-        """A chunk holds TRIAL_CHUNK trials, or CHUNK_SUBCARRIERS //
-        subcarriers when that is fewer: 8 trials at N = 512, 4 at N = 1,024,
-        16 at N = 256; the narrowband families keep TRIAL_CHUNK."""
+        """A chunk holds TRIAL_CHUNK trials, or CHUNK_SUBCARRIERS // the
+        subcarrier rows of a trial when that is fewer: a pilot_vs_tdm trial
+        holds N rows (8 trials at N = 512, 4 at N = 1,024), a rate trial one
+        N-row block per probing slot (2 x 2 slots at N = 256 give 4 trials,
+        3 x 2 at n_s = 2 give 2); the narrowband families keep
+        TRIAL_CHUNK."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == size
         if family != "pilot_vs_tdm":
@@ -657,8 +761,7 @@ class TestCli:
 
         # what the draw steps call first: channel draws, maee_vs_snr's
         # direction draws, the sweep noise
-        for name in ("clustered_channel_generate", "_clustered_draws", "_rician_draws",
-                     "_draw_in_spans", "_sweep_normals"):
+        for name in ("_clustered_draws", "_rician_draws", "_draw_in_spans", "_sweep_normals"):
             monkeypatch.setattr(experiments, name, no_trial)
         path = tmp_path / "cfg.cfg"
         path.write_text(f"experiment = {family}\n", encoding="utf-8")

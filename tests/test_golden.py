@@ -10,9 +10,10 @@ run_experiment(ExperimentConfig(experiment=..., trials=GOLDEN_TRIALS[...],
 seed=s, plots=False), GOLDEN_DIRS[s]), and the el90 and chunks cases with
 their overrides below.
 
-tests/golden/chunks/ pins maee_vs_snr and pilot_vs_tdm at seed 1 and 150
-trials: several chunks each (64 trials a chunk for maee_vs_snr, 8 for
-pilot_vs_tdm at N = 512), the last one partial."""
+tests/golden/chunks/ pins maee_vs_snr, pilot_vs_tdm, norm_se_vs_snr and
+robustness_xpd at seed 1 and 150 trials: several chunks each (64 trials a
+chunk for maee_vs_snr, 8 for pilot_vs_tdm at N = 512, 4 for the rate
+families), the last one partial."""
 
 import csv
 import math
@@ -29,7 +30,7 @@ EL90_DIR, EL90 = GOLDEN_DIR / "el90", {"el_range_deg": (-90.0, 90.0)}
 EL90_FAMILIES = ("norm_se_vs_snr", "robustness_xpd")
 # seed-1 tables run over several trial chunks: directory, config overrides
 CHUNKS_DIR, CHUNKS = GOLDEN_DIR / "chunks", {"trials": 150}
-CHUNKS_FAMILIES = ("maee_vs_snr", "pilot_vs_tdm")
+CHUNKS_FAMILIES = ("maee_vs_snr", "pilot_vs_tdm", "norm_se_vs_snr", "robustness_xpd")
 GOLDEN_TRIALS = {
     "maee_vs_snr": 40,
     "maqe_bits": 200,

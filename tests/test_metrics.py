@@ -265,13 +265,15 @@ class TestBuildBeamformers:
             rate = spectral_efficiency(chan, f_i, w_i, 10.0, 3)
             assert isinstance(rate, float) and rates[i] == rate
 
-    def test_one_rate_call_per_trial(self, monkeypatch):
-        """A rate trial builds the perfect, ABP and GoB beamformers with one
-        tx and one rx steering call per polarization and evaluates the three
-        rates in one spectral_efficiency call."""
-        cfg = experiments.ExperimentConfig(experiment="norm_se_vs_snr", trials=1,
+    def test_one_rate_call_per_chunk(self, monkeypatch):
+        """A rate chunk builds the perfect, ABP and GoB beamformers of all
+        its trials with one tx and one rx steering call per polarization and
+        evaluates the 3 x T rates in one spectral_efficiency call."""
+        cfg = experiments.ExperimentConfig(experiment="norm_se_vs_snr", trials=3,
                                            plots=False)
         s = experiments.setup_experiment(cfg)
+        draws = [experiments._rate_draw(s, 10.0, np.random.default_rng(88 + t))
+                 for t in range(3)]
         calls = []
 
         def counted(fn, *names):
@@ -284,9 +286,10 @@ class TestBuildBeamformers:
         monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector, 1))
         monkeypatch.setattr(experiments, "spectral_efficiency",
                             counted(spectral_efficiency))
-        rates = experiments._rates(s, s.profile, 10.0, np.random.default_rng(88))
-        assert set(rates) == {"perfect", "abp", "gob"}
-        assert all(isinstance(r, float) for r in rates.values())
+        rates = experiments._rate_compute(s, s.profile, 10.0, draws)
+        assert len(rates) == 3
+        assert all(set(r) == {"perfect", "abp", "gob"} for r in rates)
+        assert all(isinstance(v, float) for r in rates for v in r.values())
         assert sorted(calls) == [("rx_beam_vector", "h"), ("rx_beam_vector", "v"),
                                  ("spectral_efficiency",),
                                  ("tx_beam_vector", "h"), ("tx_beam_vector", "v")]
