@@ -3,8 +3,7 @@
 from .channel import (ChannelRealization, ClusterProfile, CrossPolConfig,
                       OfdmConfig, PathParams, clustered_channel_generate,
                       rician_narrowband)
-from .codebook import (AuxiliaryBeamPair, Beam, CodebookConfig, CodebookSet,
-                       ProbingPlan, build_codebooks, enumerate_abps,
+from .codebook import (CodebookConfig, CodebookSet, ProbingPlan, build_codebooks,
                        random_probing_plan)
 from .estimator import (estimate_multipath, estimate_single_path, gob_estimate,
                         invert_ratio, ratio_metric, received_symbol)

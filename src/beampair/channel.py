@@ -89,8 +89,12 @@ class PathParams:
         return cls(g, 0.0, 0.0, 0.0, tau, angles)
 
 
-def _raised_cosine(t: np.ndarray, t_s: float, rolloff: float = 0.25) -> np.ndarray:
-    x = t / t_s
+def pulse_samples(tau, ofdm: OfdmConfig) -> np.ndarray:
+    """Raised-cosine (rolloff 0.25) taps p(d*T_s - tau) for d = 0..D-1; an
+    array of delays gives a (D, *shape) array, one column per delay."""
+    rolloff = 0.25
+    x = np.subtract.outer(np.arange(ofdm.cp_length) * ofdm.sample_period, tau) \
+        / ofdm.sample_period
     num = np.sinc(x) * np.cos(np.pi * rolloff * x)
     den = 1.0 - (2.0 * rolloff * x) ** 2
     # limit value at the den = 0 points: (pi/4) * sinc(1/(2*rolloff))
@@ -98,24 +102,12 @@ def _raised_cosine(t: np.ndarray, t_s: float, rolloff: float = 0.25) -> np.ndarr
     return np.divide(num, den, out=out, where=np.abs(den) > 1e-10)
 
 
-def pulse_samples(tau, ofdm: OfdmConfig, pulse: str = "raised-cosine") -> np.ndarray:
-    """p(d*T_s - tau) for d = 0..D-1; an array of delays gives a (D, *shape)
-    array, one column per delay."""
-    t = np.subtract.outer(np.arange(ofdm.cp_length) * ofdm.sample_period, tau)
-    if pulse == "unit-sample":
-        return np.where(np.isclose(t, 0.0, atol=1e-15), 1.0, 0.0)
-    if pulse == "raised-cosine":
-        return _raised_cosine(t, ofdm.sample_period)
-    raise ValueError(f"unknown pulse {pulse!r}")
-
-
-def pulse_coefficients(tau, ofdm: OfdmConfig,
-                       pulse: str = "raised-cosine") -> np.ndarray:
+def pulse_coefficients(tau, ofdm: OfdmConfig) -> np.ndarray:
     """Per-subcarrier delay-tap coefficients rho_tau[k] for k = 0..N-1:
     sum over CP-window taps of p(d*T_s - tau) * exp(-j*2*pi*k*d/N), i.e. the
     length-N DFT of the zero-padded taps. An array of delays gives an
     (N, *shape) array, one column per delay."""
-    return np.fft.fft(pulse_samples(tau, ofdm, pulse), n=ofdm.n_subcarriers, axis=0)
+    return np.fft.fft(pulse_samples(tau, ofdm), n=ofdm.n_subcarriers, axis=0)
 
 
 def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
@@ -208,7 +200,7 @@ def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
 
 
 def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
-                pulse: str, xp: CrossPolConfig | None = None) -> ChannelRealization:
+                xp: CrossPolConfig | None = None) -> ChannelRealization:
     """Realization of explicit paths: one delay-tap column per distinct
     delay, shared by the paths at that delay."""
     paths = list(paths)
@@ -218,30 +210,29 @@ def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
     else:
         g = np.array([[[p.g_vv, p.g_vh], [p.g_hv, p.g_hh]] for p in paths], dtype=complex)
     taus, col = np.unique([p.tau for p in paths], return_inverse=True)
-    rho = np.take(pulse_coefficients(taus, ofdm, pulse), col, axis=1)
+    rho = np.take(pulse_coefficients(taus, ofdm), col, axis=1)
     return _realization(rho, angles, g, arrays, xp)
 
 
 def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
-                             ofdm: OfdmConfig, pulse: str = "raised-cosine") -> ChannelRealization:
+                             ofdm: OfdmConfig) -> ChannelRealization:
     """H[k] = sum_r g_r * rho_{tau_r}[k] * a_r(psi_r) a_t*(theta_r, phi_r)."""
     if arrays.polarization_mode != "co":
         raise DimensionMismatch("co-polarized arrays required")
-    return _from_paths(paths, arrays, ofdm, pulse)
+    return _from_paths(paths, arrays, ofdm)
 
 
 def crosspol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
-                                ofdm: OfdmConfig, xp: CrossPolConfig,
-                                pulse: str = "raised-cosine") -> ChannelRealization:
+                                ofdm: OfdmConfig, xp: CrossPolConfig) -> ChannelRealization:
     """Cross-polarized model: per-block responses H^ab[k] built from the
     effective gains, stacked into the full 2m x 2n matrix."""
     if arrays.polarization_mode != "cross":
         raise DimensionMismatch("cross-polarized arrays required")
-    return _from_paths(paths, arrays, ofdm, pulse, xp)
+    return _from_paths(paths, arrays, ofdm, xp)
 
 
 def crosspol_direct(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
-                    xp: CrossPolConfig, pulse: str = "raised-cosine") -> np.ndarray:
+                    xp: CrossPolConfig) -> np.ndarray:
     """Reference construction of the cross-pol model as written: Hadamard
     product with the imbalance mask, Kronecker gain expansion, and the
     mismatch rotation applied on the right. Kept as an oracle for tests."""
@@ -254,7 +245,7 @@ def crosspol_direct(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConf
     n = ofdm.n_subcarriers
     h = np.zeros((n, 2 * m, 2 * nt), dtype=complex)
     for path in paths:
-        rho = pulse_coefficients(path.tau, ofdm, pulse)
+        rho = pulse_coefficients(path.tau, ofdm)
         sf = spatial_frequencies(path.angles, arrays)
         outer = np.outer(ula_steering(sf.nu, m),
                          upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).conj())
@@ -400,7 +391,7 @@ def _clustered_paths(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: 
 
 
 def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
-                           ofdm: OfdmConfig, pulse: str = "raised-cosine") -> ChannelRealization:
+                           ofdm: OfdmConfig) -> ChannelRealization:
     """Realization of clustered draws (see _clustered_draws): one trial's,
     or T trials' stacked on a leading axis, which gives a stacked
     realization with per-trial delay taps rho (T, N, L). All delays share
@@ -409,7 +400,7 @@ def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
     # one delay-tap column per cluster, shared by its subpaths; the taps
     # (N, T, nc) of stacked trials are read as (T, N, nc), and with one
     # subpath per cluster they are rho as they are, without a copy
-    taps = pulse_coefficients(delays, ofdm, pulse).swapaxes(0, -2)
+    taps = pulse_coefficients(delays, ofdm).swapaxes(0, -2)
     ns = profile.subpaths_per_cluster
     rho = taps if ns == 1 else np.repeat(taps, ns, axis=-1)
     if arrays.polarization_mode == "cross":
@@ -420,12 +411,11 @@ def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
-                               arrays: ArrayConfig, ofdm: OfdmConfig,
-                               pulse: str = "raised-cosine") -> ChannelRealization:
+                               arrays: ArrayConfig, ofdm: OfdmConfig) -> ChannelRealization:
     """Draw a clustered realization: exponential cluster delays (first
     cluster at zero delay), exponential power-delay profile, cluster centers
     uniform over the configured sectors, Laplacian subpath offsets, complex
     Gaussian subpath gains. Total mean path power is normalized to 1. The
     strongest subpath of each cluster is that cluster's ground truth. Co-pol
     arrays see the vv gains only."""
-    return _clustered_realization(profile, _clustered_draws(profile, rng), arrays, ofdm, pulse)
+    return _clustered_realization(profile, _clustered_draws(profile, rng), arrays, ofdm)

@@ -1,4 +1,4 @@
-"""Steering codebooks, beam pairs, and randomized probing plans.
+"""Steering codebooks, beam-pair tables, and randomized probing plans.
 
 Beam grids are uniform in spatial frequency with adjacent boresights spaced
 two offsets apart, so every adjacent same-polarization pair straddles a
@@ -8,7 +8,7 @@ horizontal the upper half, and beam vectors are zero-padded outside their
 polarization block.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,34 +24,6 @@ class InfeasibleCoverage(ValueError):
 
 
 AXES = ("elevation", "azimuth", "receive")
-
-
-@dataclass(frozen=True, eq=False)
-class Beam:
-    """Column `index` of its axis's beam matrix (`vector` is a view of it);
-    beams compare by identity."""
-
-    vector: np.ndarray = field(repr=False)
-    polarization: str
-    axis: str
-    boresight_mu: float
-    index: int
-
-
-@dataclass(frozen=True)
-class AuxiliaryBeamPair:
-    abp_id: int
-    beams: tuple[Beam, Beam]
-    axis: str
-    center_mu: float
-    delta: float
-
-    @property
-    def polarization(self) -> str:
-        return self.beams[0].polarization
-
-    def boresight(self, b: int) -> float:
-        return self.beams[b].boresight_mu
 
 
 @dataclass(frozen=True)
@@ -125,20 +97,19 @@ def rx_beam_vector(arrays: ArrayConfig, pol: str, nu: float) -> np.ndarray:
     return _pol_block(ula_steering(nu, arrays.m_tot), arrays, pol)
 
 
-def _pols(arrays: ArrayConfig) -> tuple[str, ...]:
-    return ("v", "h") if arrays.polarization_mode == "cross" else ("v",)
-
-
 @dataclass(frozen=True)
 class AxisBook:
     """One axis of a codebook set as arrays, built once. Column i of `matrix`
-    and boresights[i] belong to beams[i] (vertical beams first, boresights
-    increasing per polarization). Pair table row k is the pair with per-axis
-    id k: members pairs[k] = (low, low + 1), center centers[k], offset
-    `delta`. members[i, b] is the id of the pair with beam i as member b, or
-    -1."""
+    is beam i, with boresight boresights[i] and polarization pols[i], "v" or
+    "h" (vertical beams first, boresights increasing per polarization);
+    by_pol[pol] holds the indices of one polarization's beams. Pair table
+    row k is the pair with per-axis id k: members pairs[k] = (low, low + 1),
+    center centers[k], offset `delta`. members[i, b] is the id of the pair
+    with beam i as member b, or -1."""
 
-    beams: tuple[Beam, ...]
+    axis: str
+    pols: np.ndarray
+    by_pol: dict[str, np.ndarray]
     matrix: np.ndarray
     boresights: np.ndarray
     pairs: np.ndarray
@@ -168,15 +139,13 @@ def _axis_book(cfg: CodebookConfig, axis: str, other_mu: float | None = None) ->
                 (grid, fixed) if axis == "elevation" else (fixed, grid))))
         mus += grid.tolist()
         pols += [pol] * len(grid)
-    matrix = np.hstack(blocks)
-    beams = tuple(Beam(vector=matrix[:, i], polarization=pol, axis=axis,
-                       boresight_mu=mu, index=i)
-                  for i, (pol, mu) in enumerate(zip(pols, mus)))
-    boresights = np.array(mus)
-    low = np.flatnonzero(np.array(pols[1:]) == np.array(pols[:-1]))
+    boresights, pols = np.array(mus), np.array(pols)
+    low = np.flatnonzero(pols[1:] == pols[:-1])
     members = np.full((len(pols), 2), -1)
     members[low, 0] = members[low + 1, 1] = np.arange(len(low))
-    return AxisBook(beams=beams, matrix=matrix, boresights=boresights,
+    return AxisBook(axis=axis, pols=pols,
+                    by_pol={pol: np.flatnonzero(pols == pol) for pol in halves},
+                    matrix=np.hstack(blocks), boresights=boresights,
                     pairs=np.column_stack([low, low + 1]),
                     centers=0.5 * (boresights[low] + boresights[low + 1]),
                     delta=cfg.delta(axis), members=members)
@@ -192,14 +161,6 @@ class CodebookSet:
     grid: np.ndarray
     grid_el: np.ndarray
     grid_az: np.ndarray
-
-    @property
-    def pols(self) -> tuple[str, ...]:
-        return _pols(self.config.arrays)
-
-    def domain(self, axis: str) -> dict[str, list[Beam]]:
-        return {pol: [b for b in self.books[axis].beams if b.polarization == pol]
-                for pol in self.pols}
 
     def repointed(self, az_mu: float) -> "CodebookSet":
         """The set with its elevation beams steered at azimuth frequency
@@ -220,9 +181,8 @@ def build_codebooks(cfg: CodebookConfig) -> CodebookSet:
              "receive": _axis_book(cfg, "receive")}
     el, az = books["elevation"], books["azimuth"]
     cols, grid_el, grid_az = [], [], []
-    for pol in _pols(cfg.arrays):
-        e = [b.index for b in el.beams if b.polarization == pol]
-        a = [b.index for b in az.beams if b.polarization == pol]
+    for pol in cfg.arrays.pols:
+        e, a = el.by_pol[pol], az.by_pol[pol]
         grid_el.append(np.repeat(e, len(a)))
         grid_az.append(np.tile(a, len(e)))
         cols.append(tx_beam_vector(cfg.arrays, pol, el.boresights[grid_el[-1]],
@@ -230,21 +190,6 @@ def build_codebooks(cfg: CodebookConfig) -> CodebookSet:
     return CodebookSet(config=cfg, books=books, grid=np.hstack(cols),
                        grid_el=np.concatenate(grid_el),
                        grid_az=np.concatenate(grid_az))
-
-
-def enumerate_abps(codebooks: CodebookSet, axis: str | None = None) -> list[AuxiliaryBeamPair]:
-    """The pair tables as pair objects: adjacent same-polarization beams. Ids
-    run over domains in (elevation, azimuth, receive) order, vertical first,
-    increasing boresight."""
-    pairs: list[AuxiliaryBeamPair] = []
-    for ax in AXES if axis is None else (axis,):
-        book = codebooks.books[ax]
-        pairs += [AuxiliaryBeamPair(abp_id=len(pairs) + k,
-                                    beams=(book.beams[lo], book.beams[hi]), axis=ax,
-                                    center_mu=center, delta=book.delta)
-                  for k, ((lo, hi), center) in enumerate(zip(book.pairs.tolist(),
-                                                             book.centers.tolist()))]
-    return pairs
 
 
 @dataclass(frozen=True)
@@ -307,8 +252,8 @@ def random_probing_plan(codebooks: CodebookSet, n_t: int, m_t: int, n_rf: int,
         if cross and layout == "split-half":
             if rf % 2:
                 raise ValueError("split-half layout needs an even RF chain count")
-            return np.hstack([_fill_bucket([b.index for b in beams], probings, rf // 2, rng)
-                              for beams in codebooks.domain(axis).values()])
-        return _fill_bucket(list(range(len(codebooks.books[axis].beams))), probings, rf, rng)
+            return np.hstack([_fill_bucket(idx.tolist(), probings, rf // 2, rng)
+                              for idx in codebooks.books[axis].by_pol.values()])
+        return _fill_bucket(list(range(len(codebooks.books[axis].pols))), probings, rf, rng)
 
     return ProbingPlan(tx_idx=side(tx_axis, n_t, n_rf), rx_idx=side("receive", m_t, m_rf))

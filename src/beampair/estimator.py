@@ -3,9 +3,10 @@
 Received-power evaluation, the difference/sum ratio metric and its
 closed-form inversion, the single-path sweep estimator, the multi-path
 pilot-probing estimator, and the grid-of-beams baseline used for
-comparison. Beam strengths are 1-D arrays per axis indexed by Beam.index.
-Every flow reads the codebook's fixed matrices and pair tables (AxisBook);
-no trial rebuilds a beam, a grid or a pair list.
+comparison. Beam strengths are 1-D arrays per axis indexed by beam, the
+column of the axis's AxisBook.matrix. Every flow reads the codebook's fixed
+matrices and pair tables (AxisBook); no trial rebuilds a beam, a grid or a
+pair list.
 Per-domain strengths in the sweep estimator are marginal sums of probe
 powers over the other probe axes, which keeps the ratio exact for a single
 path (common factors cancel) and averages down noise. Every flow turns
@@ -22,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, DimensionMismatch
-from .codebook import (AXES, AxisBook, Beam, CodebookSet, InfeasibleCoverage,
-                       ProbingPlan, random_probing_plan)
+from .codebook import (AXES, AxisBook, CodebookSet, InfeasibleCoverage, ProbingPlan,
+                       random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
 from .geometry import _angles, aoa_from_nu
 from .pilot import PilotAssignment, assign_pilots
@@ -71,11 +72,9 @@ class EstimationReport:
 def received_symbol(w, h_k: np.ndarray, f, s: complex = 1.0,
                     noise_sigma: float = 0.0,
                     rng: np.random.Generator | None = None) -> complex:
-    """w* H f s + w* n for one probe on one subcarrier; noise is drawn fresh
-    with covariance noise_sigma^2 I."""
-    wv = w.vector if isinstance(w, Beam) else np.asarray(w)
-    fv = f.vector if isinstance(f, Beam) else np.asarray(f)
-    h = np.asarray(h_k)
+    """w* H f s + w* n for one probe on one subcarrier, beam vectors w and f;
+    noise is drawn fresh with covariance noise_sigma^2 I."""
+    wv, fv, h = np.asarray(w), np.asarray(f), np.asarray(h_k)
     if h.ndim != 2 or wv.shape != (h.shape[0],) or fv.shape != (h.shape[1],):
         raise DimensionMismatch(
             f"w {wv.shape}, H {h.shape}, f {fv.shape} do not line up")
@@ -163,7 +162,7 @@ def _sweep_normals(n: int, codebooks: CodebookSet, gamma: float | None,
         return None
     rng = np.random.default_rng() if rng is None else rng
     return rng.standard_normal(
-        (*batch, 2, n, len(codebooks.books["receive"].beams), codebooks.grid.shape[1]))
+        (*batch, 2, n, len(codebooks.books["receive"].pols), codebooks.grid.shape[1]))
 
 
 def _sweep(channel: ChannelRealization, codebooks: CodebookSet, normals=None,
@@ -193,8 +192,8 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, normals=None,
 
     books = codebooks.books
     strengths = {"receive": powers.sum(axis=-1),
-                 "elevation": marginal(codebooks.grid_el, len(books["elevation"].beams)),
-                 "azimuth": marginal(codebooks.grid_az, len(books["azimuth"].beams))}
+                 "elevation": marginal(codebooks.grid_el, len(books["elevation"].pols)),
+                 "azimuth": marginal(codebooks.grid_az, len(books["azimuth"].pols))}
     return strengths, n_rx * n_grid
 
 
@@ -296,7 +295,7 @@ def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
         channel, codebooks, _sweep_normals(channel.shape[0], codebooks, gamma, rng), gamma)
     est = PathEstimate(*_gob_rows(strengths, codebooks).tolist())
     iters = (codebooks.grid.shape[1] ** n_rf) \
-        * (len(codebooks.books["receive"].beams) ** m_rf)
+        * (len(codebooks.books["receive"].pols) ** m_rf)
     return EstimationReport(paths=[est], iterations=iters, scheme="gob")
 
 
@@ -354,7 +353,7 @@ def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx
     over the T trials, plus the slots' projected noise when given: one
     (n_t, m_t, N, m_rf) array per trial (see _slot_noise). Correlate each
     receive branch against its tx probing's pilot references, and sum
-    |corr|^2 per transmit beam and receive beam (indexed by Beam.index) and
+    |corr|^2 per transmit beam and receive beam (indexed by book column) and
     per receive probing, in slot order: (T, beams), (T, beams), (T, m_t).
     Each slot's matrix products keep the operand layout of a per-slot,
     per-trial product, so batching moves no bit."""
@@ -390,19 +389,19 @@ def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx
         return np.bincount(bins.ravel(), weights=weights.ravel(),
                            minlength=n_trials * size).reshape(n_trials, size)
 
-    return (in_slot_order(tx_idx[:, :, None], s.sum(axis=3), len(tx_book.beams)),
-            in_slot_order(rx_idx[:, None], s.sum(axis=4), len(rx_book.beams)),
+    return (in_slot_order(tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
+            in_slot_order(rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
             in_slot_order(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
 
 
 def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
     """Every trial's plan idx (T, probings, slots) probes every beam."""
-    n = len(book.beams)
+    n = len(book.pols)
     trial, missing = np.nonzero(~(idx.reshape(len(idx), -1, 1) == np.arange(n)).any(axis=1))
     if missing.size:
         where = f" in trial {trial[0]}" if len(idx) > 1 else ""
         raise InfeasibleCoverage(
-            f"probing plan leaves {book.beams[0].axis} beams "
+            f"probing plan leaves {book.axis} beams "
             f"{missing[trial == trial[0]].tolist()} unprobed{where}")
 
 
@@ -419,13 +418,13 @@ def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: f
     (n_t, n_rf), (m_t, m_rf) = plan.tx_idx.shape, plan.rx_idx.shape
     el_draws = []
     draws = (_slot_noise(plan.rx_idx, n_t, rx_book, n, sigma, rng), el_draws)
-    el_beams = codebooks.domain("elevation")
-    if all(len(beams) > 1 for beams in el_beams.values()):
+    el_beams = codebooks.books["elevation"].by_pol
+    if all(len(idx) > 1 for idx in el_beams.values()):
         cross = codebooks.config.arrays.polarization_mode == "cross"
         slots = max(n_rf // 2 if cross else n_rf, 1)
         n_el_t = max(1, math.ceil(max(map(len, el_beams.values())) / slots))
         layout = "split-half" if cross and n_rf % 2 == 0 else "free"
-        for _ in range(min(n_select, len(codebooks.books["azimuth"].beams))):
+        for _ in range(min(n_select, len(codebooks.books["azimuth"].pols))):
             el_plan = random_probing_plan(codebooks, n_el_t, m_t, n_rf, m_rf,
                                           int(rng.integers(2 ** 31)), layout=layout,
                                           tx_axis="elevation")

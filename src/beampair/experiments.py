@@ -24,8 +24,8 @@ import numpy as np
 
 from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
                       _realization, _rician_draws, _rician_paths)
-from .codebook import (AXES, CodebookConfig, CodebookSet, ProbingPlan, build_codebooks,
-                       enumerate_abps, random_probing_plan)
+from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, ProbingPlan,
+                       build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws, _noise_like,
                         _sigma_from_gamma, _sweep, _sweep_normals, estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct,
@@ -76,10 +76,11 @@ class IoError(OSError):
 
 
 def parse_snr_grid(text: str) -> tuple:
-    """'start:step:stop' inclusive, or a comma list, or a single value."""
-    text = text.strip()
+    """'start:step:stop' inclusive, or a comma list, or a single value; a
+    U+2212 minus reads as '-'."""
+    text = text.strip().replace("−", "-")
     if ":" in text:
-        parts = text.replace("−", "-").split(":")
+        parts = text.split(":")
         if len(parts) != 3:
             raise ParseError(f"snr grid {text!r} is not start:step:stop")
         start, step, stop = (float(p) for p in parts)
@@ -318,8 +319,8 @@ def _maee_setup(cfg: ExperimentConfig):
     return SimpleNamespace(
         cfg=cfg, points=cfg.snr_db, arrays=arrays, cbs=cbs,
         # every beam pairs, so each polarization spans an interval of its own
-        cov={ax: [(beams[0].boresight_mu, beams[-1].boresight_mu)
-                  for beams in cbs.domain(ax).values()] for ax in AXES},
+        cov={ax: [tuple(cbs.books[ax].boresights[idx[[0, -1]]].tolist())
+                  for idx in cbs.books[ax].by_pol.values()] for ax in AXES},
         nlos_ranges={"mu_x": _span(cbs, "elevation"), "mu_y": _span(cbs, "azimuth"),
                      "nu": _span(cbs, "receive")})
 
@@ -416,15 +417,16 @@ def _maqe_reduce(s, results):
     return {"maqe_bits": table}
 
 
-def fig_pilot_tags(pairs):
-    """The four-beam tagging: one complete vertical pair plus one member each
-    of two different horizontal pairs."""
-    v_pairs = [p for p in pairs if p.polarization == "v"]
-    h_pairs = [p for p in pairs if p.polarization == "h"]
+def fig_pilot_tags(book: AxisBook):
+    """The four-beam tagging of one axis book: one complete vertical pair plus
+    one member each of two different horizontal pairs. Returns the four
+    beams' indices and their (pair id, b) tags."""
+    pair_pols = book.pols[book.pairs[:, 0]]
+    v_pairs, h_pairs = (np.flatnonzero(pair_pols == pol).tolist() for pol in ("v", "h"))
     if not v_pairs or len(h_pairs) < 2:
         raise ConfigError("need at least one vertical and two horizontal pairs")
-    picks = [(v_pairs[0], 0), (v_pairs[0], 1), (h_pairs[0], 0), (h_pairs[-1], 1)]
-    return [p.beams[b] for p, b in picks], [(p.abp_id, b) for p, b in picks]
+    tags = [(v_pairs[0], 0), (v_pairs[0], 1), (h_pairs[0], 0), (h_pairs[-1], 1)]
+    return [int(book.pairs[k, b]) for k, b in tags], tags
 
 
 def _correlation_setup(cfg: ExperimentConfig):
@@ -450,18 +452,19 @@ def _tdm_setup(cfg: ExperimentConfig):
         raise ConfigError("pilot_vs_tdm needs cross-polarized arrays")
     ofdm = OfdmConfig.profile(cfg.bandwidth)
     cbs = _codebooks(cfg, arrays)
-    beams, tags = fig_pilot_tags(enumerate_abps(cbs, "azimuth"))
+    az, rx = cbs.books["azimuth"], cbs.books["receive"]
+    beams, tags = fig_pilot_tags(az)
     pilots = assign_pilots(sorted({a for a, _ in tags}), ofdm.n_subcarriers,
                            root_pool=cfg.roots, p=cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
-    mid_v, mid_h = (b[len(b) // 2].vector for b in cbs.domain("receive").values())
+    mid_v, mid_h = (rx.matrix[:, idx[len(idx) // 2]] for idx in rx.by_pol.values())
     return SimpleNamespace(
         cfg=cfg, points=[cfg.snr_db[0]], arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
         x=pilots.references(tags),  # (N, beam)
-        f=np.column_stack([b.vector for b in beams]),
+        f=az.matrix[:, beams],
         w=(mid_v + mid_h) / np.sqrt(2),
         profile=_cluster_profile(cfg, cbs, cfg.n_clusters),
         trial_subcarriers=ofdm.n_subcarriers)
@@ -533,8 +536,8 @@ def _rate_setup(cfg: ExperimentConfig):
                            ofdm.n_subcarriers, root_pool=cfg.roots,
                            p=None if cfg.p >= ofdm.n_subcarriers // 2 else cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
-    merged_az = len(cbs.books["azimuth"].beams)
-    merged_rx = len(cbs.books["receive"].beams)
+    merged_az = len(cbs.books["azimuth"].pols)
+    merged_rx = len(cbs.books["receive"].pols)
     n_rf, m_rf = min(cfg.n_s, merged_az), min(cfg.n_s, merged_rx)
     n_t = max(2, math.ceil(merged_az / n_rf)) if cfg.n_t is None else cfg.n_t
     m_t = max(2, math.ceil(merged_rx / m_rf)) if cfg.m_t is None else cfg.m_t

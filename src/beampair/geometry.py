@@ -37,6 +37,11 @@ class ArrayConfig:
             raise ValueError(f"unknown polarization_mode {self.polarization_mode!r}")
 
     @property
+    def pols(self) -> tuple[str, ...]:
+        """Polarization labels, vertical first: ("v", "h") in cross mode."""
+        return ("v", "h") if self.polarization_mode == "cross" else ("v",)
+
+    @property
     def n_tx(self) -> int:
         """Per-polarization transmit element count."""
         return self.n_x * self.n_y

@@ -122,7 +122,7 @@ def build_rf_beamformers(paths, arrays: ArrayConfig, n_s: int
     if not all(map(len, sets)):
         raise EmptyInput("no path directions")
     dirs = np.stack([d[np.arange(n_s) % len(d)] for d in sets])  # (S, n_s, 3)
-    pols = ("v", "h") if arrays.polarization_mode == "cross" else ("v",)
+    pols = arrays.pols
     f = np.empty((arrays.n_tot, len(sets), n_s), dtype=complex)
     w = np.empty((arrays.m_full, len(sets), n_s), dtype=complex)
     # one steering call per polarization and side: streams j, j + len(pols), ...

@@ -123,7 +123,7 @@ def assign_pilots(abps, n: int, root_pool=None, p: int | None = None,
     """Give each beam pair a distinct root and pick (or verify) the circular
     shift spacing p so same-root different-shift correlations cancel.
 
-    abps may be pair objects with abp_id attributes or plain ids. coprime_with
+    abps are the pairs' ids (ints, rows of a pair table). coprime_with
     selects the root validity modulus: 'n' (the correlation-cancellation
     requirement) or 'n_minus_1' (an alternative convention kept as an option).
     The sequences keep phase modulus n either way, so roots admitted only by
@@ -131,7 +131,7 @@ def assign_pilots(abps, n: int, root_pool=None, p: int | None = None,
     zc_sequence).
     """
     modulus = _modulus_for(n, coprime_with)
-    ids = [a if isinstance(a, int) else a.abp_id for a in abps]
+    ids = list(abps)
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate beam-pair ids")
 

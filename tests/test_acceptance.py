@@ -10,8 +10,7 @@ import pytest
 from beampair.channel import (CrossPolConfig, OfdmConfig, PathParams,
                               copol_frequency_response, pulse_coefficients,
                               rician_narrowband, _effective)
-from beampair.codebook import (CodebookConfig, build_codebooks, enumerate_abps,
-                               random_probing_plan)
+from beampair.codebook import CodebookConfig, build_codebooks, random_probing_plan
 from beampair.estimator import (estimate_multipath, estimate_single_path,
                                 invert_ratio, ratio_closed_form, ratio_metric,
                                 received_symbol)
@@ -327,28 +326,27 @@ def _check_two_path_toy() -> bool:
                                    _angles(*mu_b, ARRAYS))]
     chan = copol_frequency_response(paths, ARRAYS, OfdmConfig(64, 16))
     plan = random_probing_plan(cbs, 6, 3, 1, 1, seed=3, layout="free")
-    pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+    pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
     rep = estimate_multipath(chan, plan, pilots, None, 2,
                              rng=np.random.default_rng(5), codebooks=cbs)
 
     h0 = chan.h[0]
-    rx = [b.vector for b in cbs.domain("receive")["v"]]
-    az = cbs.domain("azimuth")["v"]
+    rx, az, el = (cbs.books[axis] for axis in ("receive", "azimuth", "elevation"))
 
     def power(vec):
-        return sum(abs(received_symbol(w, h0, vec)) ** 2 for w in rx)
+        return sum(abs(received_symbol(w, h0, vec)) ** 2 for w in rx.matrix.T)
 
-    s_az = [power(b.vector) for b in az]
-    order = sorted(range(len(az)), key=lambda i: -s_az[i])[:2]
-    bores = [b.boresight_mu for b in az]
+    # co-polarized arrays: every beam of a book is vertical
+    s_az = [power(f) for f in az.matrix.T]
+    order = sorted(range(len(s_az)), key=lambda i: -s_az[i])[:2]
+    bores = az.boresights.tolist()
     oracle = []
     for win in order:
         mu_y = _sweep_invert(s_az, bores, win)
-        el = cbs.domain("elevation")["v"]
-        s_el = [power(np.kron(upa_steering(b.boresight_mu, 0.0, ARRAYS.n_x, 1),
+        s_el = [power(np.kron(upa_steering(mu, 0.0, ARRAYS.n_x, 1),
                               upa_steering(0.0, mu_y, 1, ARRAYS.n_y)))
-                for b in el]
-        mu_x = _sweep_invert(s_el, [b.boresight_mu for b in el])
+                for mu in el.boresights.tolist()]
+        mu_x = _sweep_invert(s_el, el.boresights.tolist())
         oracle.append((mu_x, mu_y))
     for est in rep.paths:
         truth = mu_a if abs(est.mu_y - mu_a[1]) < abs(est.mu_y - mu_b[1]) else mu_b

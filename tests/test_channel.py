@@ -70,16 +70,24 @@ class TestOfdm:
             OfdmConfig(n_subcarriers=64, cp_length=64)
 
     def test_zero_delay_is_flat(self):
-        """A path at tau = 0 hits the pulse only at d = 0, so every
-        subcarrier sees the same coefficient 1."""
-        for pulse in ("raised-cosine", "unit-sample"):
-            rho = pulse_coefficients(0.0, OFDM, pulse)
-            assert np.allclose(rho, 1.0, atol=1e-12)
+        """A path at tau = 0 hits the pulse only at d = 0 (the other taps sit
+        on the raised cosine's zeros), so every subcarrier sees the same
+        coefficient 1."""
+        unit = np.zeros(OFDM.cp_length)
+        unit[0] = 1.0
+        assert np.allclose(pulse_samples(0.0, OFDM), unit, rtol=0, atol=1e-15)
+        assert np.allclose(pulse_coefficients(0.0, OFDM), 1.0, atol=1e-12)
 
     def test_unit_sample_integer_delay(self):
-        """tau = d0*Ts turns the tap sum into a single twiddle factor."""
+        """At tau = d0*Ts the raised-cosine taps are the unit sample at d0 to
+        within ~1e-16, which turns the tap sum into a single twiddle
+        factor."""
         d0 = 3
-        rho = pulse_coefficients(d0 * OFDM.sample_period, OFDM, "unit-sample")
+        unit = np.zeros(OFDM.cp_length)
+        unit[d0] = 1.0
+        assert np.allclose(pulse_samples(d0 * OFDM.sample_period, OFDM), unit,
+                           rtol=0, atol=1e-15)
+        rho = pulse_coefficients(d0 * OFDM.sample_period, OFDM)
         k = np.arange(64)
         assert np.allclose(rho, np.exp(-2j * np.pi * k * d0 / 64), atol=1e-12)
 
@@ -94,24 +102,18 @@ class TestOfdm:
                        for d in range(OFDM.cp_length))
             assert abs(rho[k] - want) < 1e-12
 
-    def test_unknown_pulse(self):
-        with pytest.raises(ValueError, match="pulse"):
-            pulse_coefficients(0.0, OFDM, "gaussian")
-
-    @pytest.mark.parametrize("pulse", ["raised-cosine", "unit-sample"])
-    def test_delay_array_gives_one_column_each(self, pulse):
+    def test_delay_array_gives_one_column_each(self):
         """An array of delays gives the per-delay taps and coefficients as
         columns, bit for bit."""
         taus = np.array([0.0, 1.0, 2.5, 7.3, 11.0]) * OFDM.sample_period
-        samples = pulse_samples(taus, OFDM, pulse)
-        coeffs = pulse_coefficients(taus, OFDM, pulse)
+        samples = pulse_samples(taus, OFDM)
+        coeffs = pulse_coefficients(taus, OFDM)
         assert samples.shape == (16, 5) and coeffs.shape == (64, 5)
         for j, tau in enumerate(taus):
-            assert samples[:, j].tobytes() == pulse_samples(tau, OFDM, pulse).tobytes()
-            assert coeffs[:, j].tobytes() == pulse_coefficients(tau, OFDM, pulse).tobytes()
+            assert samples[:, j].tobytes() == pulse_samples(tau, OFDM).tobytes()
+            assert coeffs[:, j].tobytes() == pulse_coefficients(tau, OFDM).tobytes()
 
-    @pytest.mark.parametrize("pulse", ["raised-cosine", "unit-sample"])
-    def test_fft_matches_explicit_dft(self, pulse):
+    def test_fft_matches_explicit_dft(self):
         """The length-N FFT of the zero-padded taps equals the tap sum
         sum_d p(d*Ts - tau) exp(-j*2*pi*k*d/N), written out as an N x D
         matrix product."""
@@ -121,8 +123,8 @@ class TestOfdm:
             dft = np.exp(-2j * np.pi * np.outer(k, d) / ofdm.n_subcarriers)
             for tau in (0.0, 1.0, 2.5, 7.3, 11.0):
                 tau *= ofdm.sample_period
-                want = dft @ pulse_samples(tau, ofdm, pulse)
-                got = pulse_coefficients(tau, ofdm, pulse)
+                want = dft @ pulse_samples(tau, ofdm)
+                got = pulse_coefficients(tau, ofdm)
                 assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -1,16 +1,17 @@
-"""Beam grids, pair enumeration, and randomized probing plans.
+"""Beam grids, pair tables, and randomized probing plans.
 
 Coverage ranges and boresights are spatial-frequency values; tests quote
 them in radians unless a comment says otherwise.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
-from beampair.codebook import (AuxiliaryBeamPair, CodebookConfig, CodebookSet,
-                               EmptyRange, InfeasibleCoverage, build_codebooks,
-                               enumerate_abps,
-                               random_probing_plan, rx_beam_vector, tx_beam_vector)
+from beampair.codebook import (CodebookConfig, EmptyRange, InfeasibleCoverage,
+                               build_codebooks, random_probing_plan, rx_beam_vector,
+                               tx_beam_vector)
 from beampair.geometry import ArrayConfig
 from beampair.metrics import OverheadModel
 
@@ -23,6 +24,22 @@ ASYM = {"el_range": (-0.25, 0.75), "az_range": (-1.0, 0.5)}
 
 def default_cfg(arrays=CO, **kw):
     return CodebookConfig(arrays=arrays, **kw)
+
+
+# one beam of a book, read off its arrays: the references below run on these
+Rec = namedtuple("Rec", "pol index boresight")
+
+
+def _records(book) -> list:
+    return [Rec(pol, i, mu) for i, (pol, mu)
+            in enumerate(zip(book.pols.tolist(), book.boresights.tolist()))]
+
+
+def _by_pol(book) -> dict:
+    """Per-polarization record lists, vertical first."""
+    recs = _records(book)
+    return {pol: [r for r in recs if r.pol == pol] for pol in ("v", "h")
+            if any(r.pol == pol for r in recs)}
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +69,15 @@ class TestSpacing:
 
     def test_receive_grid_size(self):
         """180 deg of mu at quarter-pi spacing gives four receive beams."""
-        cbs = build_codebooks(default_cfg())
-        assert len(cbs.domain("receive")["v"]) == 4
-        centers = [b.boresight_mu for b in cbs.domain("receive")["v"]]
+        book = build_codebooks(default_cfg()).books["receive"]
+        assert len(book.by_pol["v"]) == 4
+        centers = book.boresights[book.by_pol["v"]]
         assert np.allclose(centers, [-3 * np.pi / 8, -np.pi / 8, np.pi / 8, 3 * np.pi / 8])
 
     def test_azimuth_grid_size(self):
         """120 deg of mu at pi/8 spacing gives six centered azimuth beams."""
-        cbs = build_codebooks(default_cfg())
-        centers = np.degrees([b.boresight_mu for b in cbs.domain("azimuth")["v"]])
+        book = build_codebooks(default_cfg()).books["azimuth"]
+        centers = np.degrees(book.boresights[book.by_pol["v"]])
         assert len(centers) == 6
         assert np.allclose(centers, [-56.25, -33.75, -11.25, 11.25, 33.75, 56.25])
 
@@ -111,63 +128,60 @@ class TestBeamVectors:
     def test_azimuth_beams_share_fixed_elevation(self):
         """Every azimuth beam of both polarizations steers the elevation
         frequency at the elevation range center."""
-        cbs = build_codebooks(default_cfg(arrays=CROSS, **ASYM))
-        for pol, beams in cbs.domain("azimuth").items():
-            for b in beams:
+        book = build_codebooks(default_cfg(arrays=CROSS, **ASYM)).books["azimuth"]
+        for pol, idx in book.by_pol.items():
+            for i in idx:
                 assert np.array_equal(
-                    b.vector, tx_beam_vector(CROSS, pol, 0.25, b.boresight_mu))
+                    book.matrix[:, i], tx_beam_vector(CROSS, pol, 0.25, book.boresights[i]))
 
-    def test_indices_unique_per_domain(self):
-        cbs = build_codebooks(default_cfg(arrays=CROSS))
+    @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
+    def test_indices_unique_per_domain(self, arrays):
+        """Each beam index lies in exactly one polarization's index array,
+        which lists that polarization's beams in book order."""
+        cbs = build_codebooks(default_cfg(arrays=arrays))
         for axis in ("elevation", "azimuth", "receive"):
-            ids = [(b.polarization, b.index) for b in cbs.books[axis].beams]
-            assert len(set(ids)) == len(ids)
+            book = cbs.books[axis]
+            assert book.axis == axis and list(book.by_pol) == list(arrays.pols)
+            assert {pol: idx.tolist() for pol, idx in book.by_pol.items()} == \
+                {pol: [r.index for r in recs] for pol, recs in _by_pol(book).items()}
+            assert sorted(np.concatenate(list(book.by_pol.values())).tolist()) == \
+                list(range(len(book.pols)))
 
 
 # ---------------------------------------------------------------------------
-# pair enumeration
+# pair tables
 
 class TestPairs:
     def test_adjacent_within_polarization(self):
         """Eight azimuth beams split 4+4 over polarizations pair as
         (0,1)(1,2)(2,3) and (4,5)(5,6)(6,7); no pair straddles the split."""
         cfg = default_cfg(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2))
-        cbs = build_codebooks(cfg)
-        pairs = enumerate_abps(cbs, "azimuth")
-        idx = [(p.beams[0].index, p.beams[1].index) for p in pairs]
-        assert idx == [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
-        assert all(p.beams[0].polarization == p.beams[1].polarization for p in pairs)
+        book = build_codebooks(cfg).books["azimuth"]
+        assert book.pairs.tolist() == [[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [6, 7]]
+        assert (book.pols[book.pairs[:, 0]] == book.pols[book.pairs[:, 1]]).all()
 
     def test_geometry_of_each_pair(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
-        for pair in enumerate_abps(cbs):
-            assert abs(pair.boresight(0) - (pair.center_mu - pair.delta)) < 1e-9
-            assert abs(pair.boresight(1) - (pair.center_mu + pair.delta)) < 1e-9
-            assert pair.beams[0].boresight_mu < pair.beams[1].boresight_mu
-
-    def test_ids_are_sequential(self):
-        cbs = build_codebooks(default_cfg(arrays=CROSS))
-        pairs = enumerate_abps(cbs)
-        assert [p.abp_id for p in pairs] == list(range(len(pairs)))
-        axes = [p.axis for p in pairs]
-        assert axes == sorted(axes, key=("elevation", "azimuth", "receive").index)
+        for book in cbs.books.values():
+            lo, hi = book.boresights[book.pairs.T]
+            assert np.allclose(lo, book.centers - book.delta, rtol=0, atol=1e-9)
+            assert np.allclose(hi, book.centers + book.delta, rtol=0, atol=1e-9)
+            assert (lo < hi).all()
 
     def test_pair_intervals_tile_each_half(self):
         """Consecutive pair intervals abut exactly, so the swept range has
         no coverage holes between the first and last boresight."""
         cbs = build_codebooks(default_cfg(arrays=CROSS))
-        for axis in ("elevation", "azimuth", "receive"):
+        for book in cbs.books.values():
             for pol in ("v", "h"):
-                pairs = [p for p in enumerate_abps(cbs, axis)
-                         if p.polarization == pol]
-                for a, b in zip(pairs, pairs[1:]):
-                    assert abs((a.center_mu + a.delta) - (b.center_mu - b.delta)) < 1e-9
+                centers = book.centers[book.pols[book.pairs[:, 0]] == pol]
+                assert np.allclose(centers[:-1] + book.delta, centers[1:] - book.delta,
+                                   rtol=0, atol=1e-9)
 
     def test_single_beam_domain_has_no_pairs(self):
         cfg = default_cfg(az_range=(-0.1, 0.1))
         cbs = build_codebooks(cfg)
-        assert len(cbs.domain("azimuth")["v"]) == 1
-        assert enumerate_abps(cbs, "azimuth") == []
+        assert len(cbs.books["azimuth"].by_pol["v"]) == 1
         assert cbs.books["azimuth"].pairs.shape == (0, 2)
         assert cbs.books["azimuth"].members.tolist() == [[-1, -1]]
 
@@ -175,28 +189,23 @@ class TestPairs:
     def test_pair_table_matches_enumerated_pairs(self, arrays):
         """Oracle: each axis's pair table holds the adjacent same-polarization
         beams in boresight order, numbered per axis (the pairing rule written
-        out longhand below), and enumerate_abps lists exactly those pairs;
-        the membership table inverts the pair table."""
+        out longhand below, on beam records); the membership table inverts
+        the pair table."""
         cbs = build_codebooks(default_cfg(arrays=arrays,
                                           el_range=(-np.pi / 2, np.pi / 2)))
         for axis in ("elevation", "azimuth", "receive"):
             book = cbs.books[axis]
             want = []
-            for pol in cbs.pols:
-                beams = sorted((b for b in cbs.books[axis].beams if b.polarization == pol),
-                               key=lambda b: b.boresight_mu)
+            for pol in arrays.pols:
+                beams = sorted((r for r in _records(book) if r.pol == pol),
+                               key=lambda r: r.boresight)
                 want += list(zip(beams, beams[1:]))
             assert len(want) > 1
             assert book.pairs.tolist() == [[lo.index, hi.index] for lo, hi in want]
-            assert book.centers.tolist() == [0.5 * (lo.boresight_mu + hi.boresight_mu)
+            assert book.centers.tolist() == [0.5 * (lo.boresight + hi.boresight)
                                              for lo, hi in want]
             assert book.delta == cbs.config.delta(axis)
-            pairs = enumerate_abps(cbs, axis)
-            assert [p.abp_id for p in pairs] == list(range(len(want)))
-            assert [p.beams for p in pairs] == want
-            assert [p.center_mu for p in pairs] == book.centers.tolist()
-            assert all(p.delta == book.delta and p.axis == axis for p in pairs)
-            members = np.full((len(book.beams), 2), -1)
+            members = np.full((len(book.pols), 2), -1)
             for k, (lo, hi) in enumerate(want):
                 members[lo.index, 0] = members[hi.index, 1] = k
             assert np.array_equal(book.members, members)
@@ -209,32 +218,29 @@ class TestBooks:
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
     def test_matrix_columns_are_the_beam_vectors(self, arrays):
         """Each column equals a scalar steering call at the beam's boresight
-        (transmit beams at the range center of the other axis) bit for bit,
-        and each beam's vector is that column."""
+        (transmit beams at the range center of the other axis) bit for bit."""
         cbs = build_codebooks(default_cfg(arrays=arrays, **ASYM))
         for axis in ("elevation", "azimuth", "receive"):
             book = cbs.books[axis]
             assert book.matrix.flags.c_contiguous
-            for i, beam in enumerate(book.beams):
-                assert beam.index == i and beam.boresight_mu == book.boresights[i]
-                mu, pol = beam.boresight_mu, beam.polarization
+            assert book.matrix.shape[1] == len(book.boresights) == len(book.pols)
+            for pol, i, mu in _records(book):
                 want = (rx_beam_vector(arrays, pol, mu) if axis == "receive" else
                         tx_beam_vector(arrays, pol, mu, -0.25) if axis == "elevation"
                         else tx_beam_vector(arrays, pol, 0.25, mu))
                 assert np.array_equal(book.matrix[:, i], want)
-                assert np.shares_memory(beam.vector, book.matrix)
 
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
     def test_sweep_grid_covers_every_same_pol_pair(self, arrays):
         cbs = build_codebooks(default_cfg(arrays=arrays,
                                           el_range=(-np.pi / 2, np.pi / 2)))
-        el, az = cbs.books["elevation"].beams, cbs.books["azimuth"].beams
-        want = [(e.index, a.index) for pol in cbs.pols for e in el for a in az
-                if e.polarization == a.polarization == pol]
+        el, az = _records(cbs.books["elevation"]), _records(cbs.books["azimuth"])
+        want = [(e.index, a.index) for pol in arrays.pols for e in el for a in az
+                if e.pol == a.pol == pol]
         assert list(zip(cbs.grid_el.tolist(), cbs.grid_az.tolist())) == want
         for k, (e, a) in enumerate(want):
             assert np.array_equal(cbs.grid[:, k], tx_beam_vector(
-                arrays, el[e].polarization, el[e].boresight_mu, az[a].boresight_mu))
+                arrays, el[e].pol, el[e].boresight, az[a].boresight))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +259,8 @@ class TestProbingPlan:
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=0)
         for idx, axis in ((plan.tx_idx, "azimuth"), (plan.rx_idx, "receive")):
-            beams = cbs.books[axis].beams
-            for row in idx.tolist():
-                assert [beams[i].polarization for i in row] == ["v", "h"]
+            for row in idx:
+                assert cbs.books[axis].pols[row].tolist() == ["v", "h"]
 
     def test_split_half_needs_even_rf(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
@@ -299,21 +304,21 @@ class TestProbingPlan:
     def test_free_layout_mixes_polarizations(self):
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=3, layout="free")
-        beams = cbs.books["azimuth"].beams
-        assert {beams[i].polarization for i in plan.tx_idx.ravel().tolist()} == {"v", "h"}
+        assert set(cbs.books["azimuth"].pols[plan.tx_idx.ravel()].tolist()) == {"v", "h"}
 
     def test_elevation_axis_plan(self):
         """tx_idx indexes the elevation book, and covers it."""
         cbs = build_codebooks(default_cfg(arrays=CROSS))
         plan = random_probing_plan(cbs, 4, 4, 2, 2, seed=2, tx_axis="elevation")
-        n_el = len(cbs.books["elevation"].beams)
-        assert n_el != len(cbs.books["azimuth"].beams)
+        n_el = len(cbs.books["elevation"].pols)
+        assert n_el != len(cbs.books["azimuth"].pols)
         assert set(plan.tx_idx.ravel().tolist()) == set(range(n_el))
 
 
 def _fill_bucket_beams(beams, n_probings, slots_per, rng):
-    """The Beam-list bucket fill that the index-array one replaced, kept as
-    its reference (budget checks left out)."""
+    """The bucket fill over lists of beams that the index-array one
+    replaced, kept as its reference (budget checks left out); here the beams
+    are records."""
     size = len(beams)
     total = n_probings * slots_per
     pool = list(beams)
@@ -339,18 +344,18 @@ def _fill_bucket_beams(beams, n_probings, slots_per, rng):
 
 
 def _beam_list_plan(codebooks, n_t, m_t, n_rf, m_rf, seed, layout, tx_axis):
-    """The Beam-list random_probing_plan, kept as the reference: per side,
-    one list of Beams per probing."""
+    """The beam-list random_probing_plan, kept as the reference: per side,
+    one list of beam records per probing."""
     rng = np.random.default_rng(seed)
     cross = codebooks.config.arrays.polarization_mode == "cross"
 
     def side(axis, probings, rf):
         if cross and layout == "split-half":
-            dom = codebooks.domain(axis)
+            dom = _by_pol(codebooks.books[axis])
             v = _fill_bucket_beams(dom["v"], probings, rf // 2, rng)
             h = _fill_bucket_beams(dom["h"], probings, rf // 2, rng)
             return [v[i] + h[i] for i in range(probings)]
-        return _fill_bucket_beams(list(codebooks.books[axis].beams), probings, rf, rng)
+        return _fill_bucket_beams(_records(codebooks.books[axis]), probings, rf, rng)
 
     return side(tx_axis, n_t, n_rf), side("receive", m_t, m_rf)
 
@@ -362,7 +367,7 @@ def _beam_list_plan(codebooks, n_t, m_t, n_rf, m_rf, seed, layout, tx_axis):
 def test_plan_matches_the_beam_list_fill(arrays, layout, tx_axis):
     """Seeds 0-199 at three slot budgets (exact cover, slack, wide
     probings): each plan's index arrays are the beam indices of the
-    Beam-list plan drawn from the same seed."""
+    beam-list plan drawn from the same seed."""
     cbs = build_codebooks(default_cfg(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2)))
     for sizes in ((3, 2, 2, 2), (6, 4, 2, 2), (2, 2, 4, 2)):
         for seed in range(200):

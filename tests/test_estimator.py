@@ -5,6 +5,7 @@ import dataclasses
 import math
 import re
 import sys
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
                               PathParams, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
 from beampair.codebook import (CodebookConfig, InfeasibleCoverage, ProbingPlan,
-                               build_codebooks, enumerate_abps,
-                               random_probing_plan, rx_beam_vector, tx_beam_vector)
+                               build_codebooks, random_probing_plan, rx_beam_vector,
+                               tx_beam_vector)
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
@@ -47,6 +48,21 @@ def _count_calls(monkeypatch, *names) -> list:
             if mod_name.startswith("beampair") and vars(mod).get(name) is original:
                 monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+# pair k of a book's pair table, read off its arrays: its two beam vectors
+# (member 0, then member 1), its center and its offset
+Pair = namedtuple("Pair", "vectors center delta")
+
+
+def _pair(book, k: int) -> Pair:
+    return Pair(tuple(book.matrix[:, book.pairs[k]].T), float(book.centers[k]), book.delta)
+
+
+def _pol_boresights(cbs, axis: str, pol: str = "v") -> np.ndarray:
+    """Boresights of one polarization's beams of an axis, in book order."""
+    book = cbs.books[axis]
+    return book.boresights[book.pols == pol]
 
 
 def angles_for(mu_x, mu_y, nu, arrays):
@@ -305,9 +321,10 @@ class TestSinglePath:
         assert rep.iterations == 48
 
     def test_sweep_marginals_match_loop(self):
-        """Marginal strengths per axis, indexed by Beam.index, against an
-        explicit loop over every (receive beam, transmit grid point) probe;
-        cross-polarized so indices run across both polarizations."""
+        """Marginal strengths per axis, indexed by book column, against an
+        explicit loop over every (receive beam, same-polarization elevation
+        and azimuth beam) probe; cross-polarized so indices run across both
+        polarizations."""
         cbs = build_codebooks(CodebookConfig(arrays=CROSS,
                                              el_range=(-np.pi / 2, np.pi / 2)))
         rng = np.random.default_rng(60)
@@ -318,24 +335,21 @@ class TestSinglePath:
                  for _ in range(3)]
         chan = crosspol_frequency_response(paths, CROSS, OfdmConfig(8, 2),
                                            CrossPolConfig(0.2, 0.3))
-        want = {axis: np.zeros(len(cbs.books[axis].beams))
-                for axis in ("elevation", "azimuth", "receive")}
-        el, az = cbs.domain("elevation"), cbs.domain("azimuth")
-        for w in cbs.books["receive"].beams:
-            for pol in cbs.pols:
-                for eb in el[pol]:
-                    for ab in az[pol]:
-                        f = tx_beam_vector(CROSS, pol, eb.boresight_mu,
-                                           ab.boresight_mu)
-                        p = np.mean([abs(received_symbol(w, chan.h[k], f)) ** 2
-                                     for k in range(8)])
-                        want["receive"][w.index] += p
-                        want["elevation"][eb.index] += p
-                        want["azimuth"][ab.index] += p
+        el, az, rx = (cbs.books[axis] for axis in ("elevation", "azimuth", "receive"))
+        want = {axis: np.zeros(len(book.pols)) for axis, book in cbs.books.items()}
+        same_pol = [(e, a) for e in range(len(el.pols)) for a in range(len(az.pols))
+                    if el.pols[e] == az.pols[a]]
+        for r, w in enumerate(rx.matrix.T):
+            for e, a in same_pol:
+                f = tx_beam_vector(CROSS, el.pols[e], el.boresights[e], az.boresights[a])
+                p = np.mean([abs(received_symbol(w, chan.h[k], f)) ** 2
+                             for k in range(8)])
+                want["receive"][r] += p
+                want["elevation"][e] += p
+                want["azimuth"][a] += p
         got, probes = _sweep(chan, cbs)
-        assert len(el["v"]) > 1
-        assert probes == len(cbs.books["receive"].beams) * sum(
-            len(el[p]) * len(az[p]) for p in cbs.pols)
+        assert len(_pol_boresights(cbs, "elevation")) > 1
+        assert probes == len(rx.pols) * len(same_pol)
         for axis, s in want.items():
             assert np.allclose(got[axis], s, rtol=1e-12, atol=0.0)
 
@@ -374,18 +388,19 @@ class TestSinglePath:
     def test_combiner_invariance(self):
         """The transmit-pair metric is the same through any receive beam."""
         cbs = build_codebooks(EXACT_CFG)
-        pair = enumerate_abps(cbs, "azimuth")[1]
+        pair = _pair(cbs.books["azimuth"], 1)
+        rx = cbs.books["receive"]
         rng = np.random.default_rng(49)
         for _ in range(1000):
-            mu_y = rng.uniform(pair.center_mu - pair.delta,
-                               pair.center_mu + pair.delta)
+            mu_y = rng.uniform(pair.center - pair.delta,
+                               pair.center + pair.delta)
             chan = los_channel(rng.uniform(-0.6, 0.6), mu_y,
                                rng.uniform(-1.2, 1.2), rng)
             zetas = []
-            for w in (cbs.domain("receive")["v"][0], cbs.domain("receive")["v"][1],
+            for w in (rx.matrix[:, 0], rx.matrix[:, 1],
                       rng.normal(size=4) + 1j * rng.normal(size=4)):
-                powers = [abs(received_symbol(w, chan.h[0], b)) ** 2
-                          for b in pair.beams]
+                powers = [abs(received_symbol(w, chan.h[0], f)) ** 2
+                          for f in pair.vectors]
                 if powers[0] + powers[1] == 0:
                     break
                 zetas.append(ratio_metric(powers[0], powers[1]))
@@ -410,10 +425,9 @@ class TestSinglePath:
 
     def test_no_per_trial_rebuild(self, monkeypatch):
         """The estimators read the codebook set's matrices and pair tables:
-        no beam vector is built and no pair list enumerated per call. The
-        counters wrap every binding of the three functions in the package."""
-        calls = _count_calls(monkeypatch, "tx_beam_vector", "rx_beam_vector",
-                             "enumerate_abps")
+        no beam vector is built per call. The counters wrap every binding of
+        the two steering functions in the package."""
+        calls = _count_calls(monkeypatch, "tx_beam_vector", "rx_beam_vector")
         build_codebooks(CodebookConfig(arrays=CROSS))
         assert calls, "the counters must see the build"
         calls.clear()
@@ -467,16 +481,16 @@ class TestPairing:
 
     def test_stronger_neighbour_and_tie(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        book, pairs = cbs.books["azimuth"], enumerate_abps(cbs, "azimuth")
+        book = cbs.books["azimuth"]
         s = np.array([1.0, 2.0, 5.0, 2.0, 1.0, 0.5])
         _, k, _ = _pair_and_invert(s, 2, book)
         assert k == 1  # tie between beams 1 and 3: the lower wins
-        assert [b.index for b in pairs[1].beams] == [1, 2]
+        assert book.pairs[1].tolist() == [1, 2]
         s[3] = np.nextafter(2.0, 3.0)
         mu, k, zeta = _pair_and_invert(s, 2, book)
         assert k == 2
         assert zeta == ratio_metric(s[2], s[3])
-        assert mu == invert_ratio(zeta, pairs[2].center_mu, pairs[2].delta)
+        assert mu == invert_ratio(zeta, book.centers[2], book.delta)
 
     def test_edge_beams_have_one_candidate(self):
         """Beams 0-3 are vertical and 4-7 horizontal: the last vertical and
@@ -504,24 +518,24 @@ class TestCrossPolarized:
         cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2),
                              delta_mode="commensurate", ell=1)
         cbs = build_codebooks(cfg)
-        pair = enumerate_abps(cbs, "azimuth")[0]
+        pair = _pair(cbs.books["azimuth"], 0)
         ofdm = OfdmConfig(16, 4)
         xp = CrossPolConfig(chi=0.2, varsigma=np.radians(20.0))
         rng = np.random.default_rng(51)
-        rx_beams = cbs.domain("receive")["v"] + cbs.domain("receive")["h"]
+        rx_beams = cbs.books["receive"].matrix.T
         for _ in range(100):
-            mu_y = rng.uniform(pair.center_mu - 0.95 * pair.delta,
-                               pair.center_mu + 0.95 * pair.delta)
+            mu_y = rng.uniform(pair.center - 0.95 * pair.delta,
+                               pair.center + 0.95 * pair.delta)
             ang = angles_for(rng.uniform(-0.4, 0.4), mu_y, rng.uniform(-1, 1), CROSS)
             path = PathParams(complex(rng.normal(), rng.normal()),
                               complex(rng.normal(), rng.normal()),
                               complex(rng.normal(), rng.normal()),
                               complex(rng.normal(), rng.normal()), 0.0, ang)
             chan = crosspol_frequency_response([path], CROSS, ofdm, xp)
-            powers = [sum(abs(received_symbol(w, chan.h[0], b)) ** 2
-                          for w in rx_beams) for b in pair.beams]
+            powers = [sum(abs(received_symbol(w, chan.h[0], f)) ** 2
+                          for w in rx_beams) for f in pair.vectors]
             zeta = ratio_metric(powers[0], powers[1])
-            want = ratio_closed_form(mu_y, pair.center_mu, pair.delta)
+            want = ratio_closed_form(mu_y, pair.center, pair.delta)
             assert abs(zeta - want) < 1e-6
 
     def test_zeta_ignores_mismatch_and_imbalance(self):
@@ -530,13 +544,13 @@ class TestCrossPolarized:
         cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2),
                              delta_mode="commensurate", ell=1)
         cbs = build_codebooks(cfg)
-        pair = enumerate_abps(cbs, "azimuth")[1]
+        pair = _pair(cbs.books["azimuth"], 1)
         ofdm = OfdmConfig(16, 4)
         rng = np.random.default_rng(52)
-        rx_beams = cbs.domain("receive")["v"] + cbs.domain("receive")["h"]
+        rx_beams = cbs.books["receive"].matrix.T
         for _ in range(100):
-            mu_y = rng.uniform(pair.center_mu - 0.9 * pair.delta,
-                               pair.center_mu + 0.9 * pair.delta)
+            mu_y = rng.uniform(pair.center - 0.9 * pair.delta,
+                               pair.center + 0.9 * pair.delta)
             ang = angles_for(rng.uniform(-0.4, 0.4), mu_y, rng.uniform(-1, 1), CROSS)
             path = PathParams(complex(rng.normal(), rng.normal()),
                               complex(rng.normal(), rng.normal()),
@@ -546,8 +560,8 @@ class TestCrossPolarized:
             for chi, vs in ((0.0, 0.0), (0.2, np.radians(20)), (0.4, np.radians(-35))):
                 chan = crosspol_frequency_response([path], CROSS, ofdm,
                                                    CrossPolConfig(chi, vs))
-                powers = [sum(abs(received_symbol(w, chan.h[0], b)) ** 2
-                              for w in rx_beams) for b in pair.beams]
+                powers = [sum(abs(received_symbol(w, chan.h[0], f)) ** 2
+                              for w in rx_beams) for f in pair.vectors]
                 vals.append(ratio_metric(powers[0], powers[1]))
             assert max(vals) - min(vals) < 1e-9
 
@@ -559,9 +573,9 @@ class TestGob:
     def test_on_boresight_is_exact(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         rng = np.random.default_rng(53)
-        mu_y = cbs.domain("azimuth")["v"][2].boresight_mu
-        mu_x = cbs.domain("elevation")["v"][0].boresight_mu
-        nu = cbs.domain("receive")["v"][1].boresight_mu
+        mu_y = _pol_boresights(cbs, "azimuth")[2]
+        mu_x = _pol_boresights(cbs, "elevation")[0]
+        nu = _pol_boresights(cbs, "receive")[1]
         rep = gob_estimate(los_channel(mu_x, mu_y, nu, rng), cbs)
         assert abs(rep.best.mu_y - mu_y) < 1e-12
         assert abs(rep.best.mu_x - mu_x) < 1e-12
@@ -573,9 +587,9 @@ class TestGob:
         cfg = CodebookConfig(arrays=CO)
         cbs = build_codebooks(cfg)
         rng = np.random.default_rng(54)
-        b = [beam.boresight_mu for beam in cbs.domain("azimuth")["v"]]
+        b = _pol_boresights(cbs, "azimuth")
         mid = 0.5 * (b[3] + b[4])
-        nu = cbs.domain("receive")["v"][0].boresight_mu
+        nu = _pol_boresights(cbs, "receive")[0]
         rep = gob_estimate(los_channel(b[0], mid, nu, rng), cbs)
         assert abs(abs(rep.best.mu_y - mid) - cfg.delta("azimuth")) < 1e-9
 
@@ -594,10 +608,9 @@ class TestTagging:
     def test_pair_members_share_id(self):
         cfg = CodebookConfig(arrays=CROSS, az_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
-        members = cbs.books["azimuth"].members
-        v = cbs.domain("azimuth")["v"]
-        h = cbs.domain("azimuth")["h"]
-        tags = tag_probing([b.index for b in (v[0], v[1], h[0], h[2])], members)
+        book = cbs.books["azimuth"]
+        v, h = (np.flatnonzero(book.pols == pol) for pol in ("v", "h"))
+        tags = tag_probing([v[0], v[1], h[0], h[2]], book.members)
         assert tags[0][0] == tags[1][0]
         assert (tags[0][1], tags[1][1]) == (0, 1)
         assert tags[2][0] != tags[3][0]
@@ -606,9 +619,9 @@ class TestTagging:
     def test_unpaired_beam_rejected(self):
         cfg = CodebookConfig(arrays=CO, az_range=(-0.1, 0.1))
         cbs = build_codebooks(cfg)
-        lone = cbs.domain("azimuth")["v"][0]
+        assert cbs.books["azimuth"].pols.tolist() == ["v"]
         with pytest.raises(InsufficientNeighbors):
-            tag_probing([lone.index], cbs.books["azimuth"].members)
+            tag_probing([0], cbs.books["azimuth"].members)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +638,7 @@ class TestMultipath:
         """One path, one RF chain per side: the pilot-probing flow and the
         sequential sweep give the same numbers."""
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         ofdm = OfdmConfig(64, 16)
         rng = np.random.default_rng(56)
         for t in range(20):
@@ -648,8 +661,7 @@ class TestMultipath:
         """Two well-separated paths: the estimator and an explicit-loop
         sweep oracle agree, and both land within a tenth of a degree."""
         cbs = build_codebooks(TOY_CFG)
-        az_pairs = enumerate_abps(cbs, "azimuth")
-        pilots = assign_pilots(az_pairs, 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         ofdm = OfdmConfig(64, 16)
         d_az = TOY_CFG.delta("azimuth")
         d_el = TOY_CFG.delta("elevation")
@@ -682,35 +694,36 @@ class TestMultipath:
         neighbor, invert longhand, then redo elevation at the azimuth
         estimate."""
         h0 = chan.h[0]  # all paths arrive at zero delay, so k=0 suffices
-        rx = [b.vector for b in cbs.domain("receive")["v"]]
-        az = cbs.domain("azimuth")["v"]
+        rx_book, az_book = cbs.books["receive"], cbs.books["azimuth"]
+        rx = rx_book.matrix[:, rx_book.pols == "v"].T
+        az = _pol_boresights(cbs, "azimuth")
 
         def power(f_vec):
             return sum(abs(received_symbol(w, h0, f_vec)) ** 2 for w in rx)
 
-        s_az = [power(b.vector) for b in az]
+        s_az = [power(f) for f in az_book.matrix[:, az_book.pols == "v"].T]
         order = sorted(range(len(az)), key=lambda i: -s_az[i])
         results = []
         for win in order[:2]:
             nb = [i for i in (win - 1, win + 1) if 0 <= i < len(az)]
             nb.sort(key=lambda i: -s_az[i])
             lo, hi = sorted((win, nb[0]))
-            delta = 0.5 * (az[hi].boresight_mu - az[lo].boresight_mu)
-            center = 0.5 * (az[hi].boresight_mu + az[lo].boresight_mu)
+            delta = 0.5 * (az[hi] - az[lo])
+            center = 0.5 * (az[hi] + az[lo])
             zeta = (s_az[lo] - s_az[hi]) / (s_az[lo] + s_az[hi])
             mu_y = invert_inline(zeta, center, delta)
 
-            el = cbs.domain("elevation")["v"]
+            el = _pol_boresights(cbs, "elevation")
             arrays = cbs.config.arrays
             s_el = [power(np.kron(
-                upa_steering(b.boresight_mu, 0.0, arrays.n_x, 1)[: arrays.n_x],
-                upa_steering(0.0, mu_y, 1, arrays.n_y))) for b in el]
+                upa_steering(mu_x, 0.0, arrays.n_x, 1)[: arrays.n_x],
+                upa_steering(0.0, mu_y, 1, arrays.n_y))) for mu_x in el]
             win_e = max(range(len(el)), key=lambda i: s_el[i])
             nb_e = [i for i in (win_e - 1, win_e + 1) if 0 <= i < len(el)]
             nb_e.sort(key=lambda i: -s_el[i])
             lo_e, hi_e = sorted((win_e, nb_e[0]))
-            delta_e = 0.5 * (el[hi_e].boresight_mu - el[lo_e].boresight_mu)
-            center_e = 0.5 * (el[hi_e].boresight_mu + el[lo_e].boresight_mu)
+            delta_e = 0.5 * (el[hi_e] - el[lo_e])
+            center_e = 0.5 * (el[hi_e] + el[lo_e])
             zeta_e = (s_el[lo_e] - s_el[hi_e]) / (s_el[lo_e] + s_el[hi_e])
             results.append((invert_inline(zeta_e, center_e, delta_e), mu_y))
         return results
@@ -718,7 +731,7 @@ class TestMultipath:
     def test_iteration_accounting(self):
         cbs = build_codebooks(CodebookConfig(arrays=CROSS,
                                              az_range=(-np.pi / 2, np.pi / 2)))
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         plan = random_probing_plan(cbs, 20, 20, 2, 2, seed=9)
         rng = np.random.default_rng(57)
         ang = angles_for(0.3, -0.5, 0.4, CROSS)
@@ -736,8 +749,8 @@ class TestMultipath:
         default cross-pol codebook has one elevation beam per polarization,
         so no elevation stage runs."""
         cbs = build_codebooks(CodebookConfig(arrays=CROSS))
-        assert len(cbs.domain("elevation")["v"]) == len(cbs.domain("elevation")["h"]) == 1
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        assert cbs.books["elevation"].pols.tolist() == ["v", "h"]
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         plan = random_probing_plan(cbs, 2, 2, 3, 3, seed=0, layout="free")
         path = PathParams(1.0, 0.2, 0.1, 0.8, 0.0, angles_for(0.3, -0.5, 0.4, CROSS))
         chan = crosspol_frequency_response([path], CROSS, OfdmConfig(64, 16),
@@ -763,19 +776,20 @@ class TestMultipath:
         vectors at that azimuth; the other books and the grid are shared."""
         cfg = CodebookConfig(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
-        assert all(len(beams) > 1 for beams in cbs.domain("elevation").values())
+        assert all(len(idx) > 1 for idx in cbs.books["elevation"].by_pol.values())
         repointed = cbs.repointed(-0.37)
         got, base = repointed.books["elevation"], cbs.books["elevation"]
-        for i, beam in enumerate(got.beams):
-            want = tx_beam_vector(arrays, beam.polarization, beam.boresight_mu, -0.37)
+        for i, (pol, mu) in enumerate(zip(got.pols, got.boresights)):
+            want = tx_beam_vector(arrays, pol, mu, -0.37)
             assert got.matrix[:, i].tobytes() == want.tobytes()
         assert got.boresights.tobytes() == base.boresights.tobytes()
+        assert got.axis == "elevation" and np.array_equal(got.pols, base.pols)
         assert np.array_equal(got.members, base.members) and got.delta == base.delta
         assert repointed.books["azimuth"] is cbs.books["azimuth"]
         assert repointed.books["receive"] is cbs.books["receive"]
         assert repointed.grid is cbs.grid
 
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=0, layout="free")
         path = PathParams(1.0, 0.2, 0.1, 0.8, 0.0, angles_for(0.3, -0.5, 0.4, arrays))
         ofdm = OfdmConfig(64, 16)
@@ -785,18 +799,18 @@ class TestMultipath:
         rep = estimate_multipath(chan, plan, pilots, 10.0, 2,
                                  rng=np.random.default_rng(60), codebooks=cbs)
         assert all("elevation" in p.pairs for p in rep.paths)
-        assert calls == ["tx_beam_vector"] * (len(cbs.pols) * len(rep.paths))
+        assert calls == ["tx_beam_vector"] * (len(arrays.pols) * len(rep.paths))
 
     def test_plan_must_probe_every_beam(self):
         """A hand-built plan that skips an azimuth or receive beam is
         rejected instead of pairing against a strength of zero."""
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         chan = copol_frequency_response(
             [PathParams.single_pol(1.0, 0.0, angles_for(0.1, 0.2, 0.3, CO))],
             CO, OfdmConfig(64, 16))
-        az = np.arange(len(cbs.books["azimuth"].beams))[:, None]
-        rx = np.arange(len(cbs.books["receive"].beams))[:, None]
+        az = np.arange(len(cbs.books["azimuth"].pols))[:, None]
+        rx = np.arange(len(cbs.books["receive"].pols))[:, None]
         rep = estimate_multipath(chan, ProbingPlan(az, rx), pilots, None, 1,
                                  codebooks=cbs)
         assert set(rep.best.pairs) == {"azimuth", "receive", "elevation"}
@@ -850,13 +864,13 @@ class TestMultipath:
         """A stacked plan whose trial 1 skips an azimuth beam, or whose trial
         0 skips a receive beam, is rejected naming the trial."""
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         chan = copol_frequency_response(
             [PathParams.single_pol(1.0, 0.0, angles_for(0.1, 0.2, 0.3, CO))],
             CO, OfdmConfig(64, 16))
         stack = ChannelRealization(chan.rho, np.stack([chan.u] * 2), np.stack([chan.v] * 2), ())
-        az = np.arange(len(cbs.books["azimuth"].beams))[:, None]
-        rx = np.arange(len(cbs.books["receive"].beams))[:, None]
+        az = np.arange(len(cbs.books["azimuth"].pols))[:, None]
+        rx = np.arange(len(cbs.books["receive"].pols))[:, None]
         rep = estimate_multipath(stack, ProbingPlan(np.stack([az, az]), np.stack([rx, rx])),
                                  pilots, None, 1, codebooks=cbs)
         assert len(rep.paths) == 2
@@ -871,7 +885,7 @@ class TestMultipath:
 
     def test_n_select_guard(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        pilots = assign_pilots(enumerate_abps(cbs, "azimuth"), 64, p=1)
+        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         plan = random_probing_plan(cbs, 6, 4, 1, 1, seed=0, layout="free")
         rng = np.random.default_rng(58)
         chan = copol_frequency_response(
@@ -887,8 +901,8 @@ def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rn
     projection, a zero-lag correlation and np.add.at accumulation."""
     n, m, _ = channel.shape
     tx_idx, rx_idx = plan.tx_idx.tolist(), plan.rx_idx.tolist()
-    tx_strength = np.zeros(len(tx_book.beams))
-    rx_strength = np.zeros(len(rx_book.beams))
+    tx_strength = np.zeros(len(tx_book.pols))
+    rx_strength = np.zeros(len(rx_book.pols))
     totals = np.zeros(len(rx_idx))
     w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
     splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]

@@ -14,11 +14,12 @@ from beampair import experiments
 from beampair.channel import (_clustered_realization, clustered_channel_generate,
                               rician_narrowband)
 from beampair.cli import main
-from beampair.codebook import AXES, ProbingPlan, random_probing_plan
+from beampair.codebook import (AXES, CodebookConfig, ProbingPlan, build_codebooks,
+                               random_probing_plan)
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal, _noise_like,
                                 estimate_multipath, estimate_single_path, gob_estimate)
-from beampair.geometry import (AngleSet, angles_from_spatial_frequencies, aoa_from_nu,
-                               spatial_frequencies)
+from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
+                               aoa_from_nu, spatial_frequencies)
 from beampair.metrics import EmptyInput, build_rf_beamformers, spectral_efficiency
 from beampair.pilot import correlate_zero_lag
 from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
@@ -38,7 +39,10 @@ class TestParseSnrGrid:
         assert parse_snr_grid("0:2.5:5") == (0.0, 2.5, 5.0)
 
     def test_unicode_minus(self):
+        """A U+2212 minus reads as '-' in every form."""
         assert parse_snr_grid("−10:5:0") == (-10.0, -5.0, 0.0)
+        assert parse_snr_grid("−10,0") == (-10.0, 0.0)
+        assert parse_snr_grid("−5") == (-5.0,)
 
     def test_comma_and_single(self):
         assert parse_snr_grid("0, 5, 12.5") == (0.0, 5.0, 12.5)
@@ -194,6 +198,22 @@ class TestResultTable:
 # experiment families, kept tiny for speed
 
 class TestFamilies:
+    def test_fig_pilot_tags_read_the_pair_table(self):
+        """Eight azimuth beams, 4 + 4 over polarizations, give vertical pairs
+        0-2 and horizontal pairs 3-5. The four-beam tagging takes both
+        members of pair 0, member 0 of pair 3 and member 1 of pair 5, and
+        each beam index is that member of its tagged pair."""
+        arrays = ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross")
+        book = build_codebooks(CodebookConfig(arrays, az_range=(-np.pi / 2, np.pi / 2)))\
+            .books["azimuth"]
+        beams, tags = experiments.fig_pilot_tags(book)
+        assert tags == [(0, 0), (0, 1), (3, 0), (5, 1)]
+        assert beams == [book.pairs[k, b] for k, b in tags] == [0, 1, 4, 7]
+        assert book.pols[beams].tolist() == ["v", "v", "h", "h"]
+        co = build_codebooks(CodebookConfig(ArrayConfig(n_x=4, n_y=8, m_tot=4)))
+        with pytest.raises(ConfigError, match="horizontal"):
+            experiments.fig_pilot_tags(co.books["azimuth"])
+
     def test_maee_schema_and_determinism(self, tmp_path):
         cfg = validate_config("trials = 3\nsnr_db = 10\nplots = false\n")
         out_a = run_experiment(cfg, str(tmp_path / "a"))

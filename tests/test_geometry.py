@@ -190,6 +190,11 @@ class TestConfigs:
         with pytest.raises(ValueError, match="polarization_mode"):
             ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="circular")
 
+    def test_polarization_labels(self):
+        """Vertical first; co-polarized arrays carry the vertical label only."""
+        assert HALF.pols == ("v",)
+        assert ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross").pols == ("v", "h")
+
     def test_cross_mode_doubles_totals(self):
         cross = ArrayConfig(n_x=4, n_y=8, m_tot=4, polarization_mode="cross")
         assert cross.n_tx == 32

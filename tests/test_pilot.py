@@ -271,12 +271,12 @@ class TestAssignment:
         with pytest.raises(InvalidRoot):
             assign_pilots([0], 512, root_pool=(34,))
 
-    def test_accepts_pair_objects(self):
-        class FakePair:
-            def __init__(self, abp_id):
-                self.abp_id = abp_id
-        asn = assign_pilots([FakePair(3), FakePair(1)], 512, p=6)
-        assert sorted(asn.roots) == [1, 3]
+    def test_accepts_unsorted_ids(self):
+        """Pair ids in any order (here rows of a pair table) get roots from
+        the pool in sorted-id order."""
+        asn = assign_pilots([3, 1], 512, p=6)
+        assert asn.roots == assign_pilots([1, 3], 512, p=6).roots
+        assert list(asn.roots) == [1, 3]
 
 
 # ---------------------------------------------------------------------------
