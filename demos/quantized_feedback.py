@@ -1,17 +1,17 @@
 """Differential feedback spends its bits inside one pair interval.
 
-An estimate is reported as its offset from the pair center, so the
+An estimate is reported as its signed offset from the pair center, so the
 quantizer range is the pair half-width delta instead of the whole sector.
-At equal total payload (offset bits plus the sign bit against plain
-uniform bits) the differential cells are narrower by the sector-to-pair
-ratio, and both the mean and the worst-case reconstruction error shrink
-accordingly. Run with no arguments.
+At equal total payload (offset bits plus the paper's nominal sign bit
+against plain uniform bits) the differential cells are narrower by the
+sector-to-pair ratio, and both the mean and the worst-case reconstruction
+error shrink accordingly. Run with no arguments.
 """
 
 import numpy as np
 
-from beampair.feedback import (codewords, quantize_differential,
-                               quantize_direct, reconstruct,
+from beampair.feedback import (codewords, quantize_differential, quantize_direct,
+                               reconstruct_differential, reconstruct_direct,
                                worst_case_error)
 
 DELTA = np.pi / 16          # pair half-width
@@ -37,10 +37,9 @@ def main():
 
     banner("round trip of one estimate")
     mu_hat = CENTER + 0.29 * DELTA
-    word = quantize_differential(mu_hat, CENTER, DELTA, bits=3)
-    back = reconstruct(word)
-    print(f"estimate {mu_hat:+.4f} -> codeword {word.codeword_index} "
-          f"(sign {word.sign_bit:+d}) -> {back:+.4f}, "
+    index = quantize_differential(mu_hat, CENTER, DELTA, bits=3)
+    back = reconstruct_differential(index, CENTER, DELTA, bits=3)
+    print(f"estimate {mu_hat:+.4f} -> codeword {index} -> {back:+.4f}, "
           f"|error| {abs(back - mu_hat):.2e} rad")
 
     banner("equal payload, 4000 draws per row")
@@ -48,14 +47,11 @@ def main():
     print(f"{'payload':>7} | {'diff mean':>10} {'diff worst':>10} | "
           f"{'direct mean':>11} {'direct worst':>12}")
     for bits in (2, 3, 4):
-        diff_err, direct_err = [], []
-        for _ in range(4000):
-            mu = CENTER + rng.uniform(-DELTA, DELTA)
-            w = quantize_differential(mu, CENTER, DELTA, bits=bits)
-            diff_err.append(abs(reconstruct(w) - mu))
-            w = quantize_direct(mu, SECTOR, bits=bits + 1)
-            direct_err.append(abs(reconstruct(w) - mu))
-        d, u = np.asarray(diff_err), np.asarray(direct_err)
+        mu = CENTER + rng.uniform(-DELTA, DELTA, 4000)
+        index = quantize_differential(mu, CENTER, DELTA, bits=bits)
+        d = np.abs(reconstruct_differential(index, CENTER, DELTA, bits=bits) - mu)
+        index = quantize_direct(mu, SECTOR, bits=bits + 1)
+        u = np.abs(reconstruct_direct(index, SECTOR, bits=bits + 1) - mu)
         print(f"{bits + 1:>7} | {d.mean():10.5f} {d.max():10.5f} | "
               f"{u.mean():11.5f} {u.max():12.5f}")
     print(f"direct worst case at b bits is {half_sector:.4f} / 2^b over the "

@@ -7,8 +7,8 @@ from .codebook import (CodebookConfig, CodebookSet, ProbingPlan, build_codebooks
                        random_probing_plan)
 from .estimator import (estimate_multipath, estimate_single_path, gob_estimate,
                         invert_ratio, ratio_metric, received_symbol)
-from .feedback import (quantize_differential, quantize_direct, reconstruct,
-                       worst_case_error)
+from .feedback import (quantize_differential, quantize_direct, reconstruct_differential,
+                       reconstruct_direct, worst_case_error)
 from .geometry import (AngleSet, ArrayConfig, SpatialFrequencies,
                        angles_from_spatial_frequencies, spatial_frequencies,
                        ula_steering, upa_steering)

@@ -28,8 +28,8 @@ from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, ProbingPlan,
                        build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws, _noise_like,
                         _sigma_from_gamma, _sweep, _sweep_normals, estimate_multipath)
-from .feedback import (quantize_differential, quantize_direct, reconstruct,
-                       worst_case_error)
+from .feedback import (quantize_differential, quantize_direct, reconstruct_differential,
+                       reconstruct_direct, worst_case_error)
 from .geometry import ArrayConfig, spatial_frequencies
 from .metrics import (EmptyInput, OverheadModel, build_rf_beamformers, ci95,
                       maee, normalized_spectral_efficiency, spectral_efficiency)
@@ -76,9 +76,8 @@ class IoError(OSError):
 
 
 def parse_snr_grid(text: str) -> tuple:
-    """'start:step:stop' inclusive, or a comma list, or a single value; a
-    U+2212 minus reads as '-'."""
-    text = text.strip().replace("−", "-")
+    """'start:step:stop' inclusive, or a comma list, or a single value."""
+    text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -94,7 +93,7 @@ def parse_snr_grid(text: str) -> tuple:
 
 
 def _parse_pair(text: str) -> tuple:
-    parts = text.replace("−", "-").split(":")
+    parts = text.split(":")
     if len(parts) != 2:
         raise ParseError(f"range {text!r} is not lo:hi")
     return (float(parts[0]), float(parts[1]))
@@ -183,7 +182,7 @@ class ExperimentConfig:
 
 def validate_config(raw: str) -> ExperimentConfig:
     """Parse the flat key=value text format; empty input yields the default
-    configuration."""
+    configuration. A U+2212 minus reads as '-' in every value."""
     by_key = {".".join(filter(None, (f.metadata["section"], f.name))): f
               for f in fields(ExperimentConfig)}
     values = {}
@@ -195,7 +194,7 @@ def validate_config(raw: str) -> ExperimentConfig:
             raise ParseError(f"line {lineno}: expected key = value, got {stripped!r}")
         key, _, val = stripped.partition("=")
         key = key.strip()
-        val = val.strip()
+        val = val.strip().replace("−", "-")
         if key not in by_key:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         try:
@@ -275,6 +274,15 @@ def _codebooks(cfg: ExperimentConfig, arrays: ArrayConfig,
         if lone.size:
             raise ConfigError(f"{axis} beams {lone.tolist()} belong to no pair")
     return cbs
+
+
+def _reject_swept_key(cfg: ExperimentConfig, key: str, values) -> None:
+    """A family that sweeps the config field `key` over `values` itself
+    rejects a config that sets it to anything but its default."""
+    f = next(f for f in fields(ExperimentConfig) if f.name == key)
+    if getattr(cfg, key) != f.default:
+        raise ConfigError(f"{cfg.experiment} sweeps {f.metadata['section']}.{key} over "
+                          f"{', '.join(f'{v:g}' for v in values)}; leave it unset")
 
 
 def _draw_in_spans(rng, spans) -> float:
@@ -375,22 +383,39 @@ _MAQE_N_Y = (8, 16)
 
 
 def _maqe_setup(cfg: ExperimentConfig):
-    """One point per transmit array width: its azimuth book."""
-    books = [_codebooks(cfg, ArrayConfig(n_x=cfg.n_x, n_y=n_y, m_tot=cfg.m_tot),
-                        paired=("azimuth",)).books["azimuth"]
+    """One point per transmit array width: its azimuth book. The family
+    sweeps arrays.n_y itself and quantizes co-polarized books, so a config
+    that sets the width or cross-polarized arrays is rejected."""
+    _reject_swept_key(cfg, "n_y", _MAQE_N_Y)
+    arrays = _arrays(cfg, "co")
+    if arrays.polarization_mode != "co":
+        raise ConfigError("maqe_bits needs co-polarized arrays")
+    books = [_codebooks(cfg, replace(arrays, n_y=n_y), paired=("azimuth",)).books["azimuth"]
              for n_y in _MAQE_N_Y]
     return SimpleNamespace(
         cfg=cfg, points=books,
         sector=(math.radians(cfg.az_range_deg[0]), math.radians(cfg.az_range_deg[1])))
 
 
-def _maqe_trial(s, book, rng) -> tuple:
-    """Differential and direct quantization errors of one draw."""
+def _maqe_draw(s, book, rng) -> tuple:
+    """One trial's pair center and the estimate drawn inside its pair."""
     center = float(book.centers[rng.integers(len(book.centers))])
-    mu = center + rng.uniform(-book.delta, book.delta)
-    word = quantize_differential(mu, center, book.delta, s.cfg.bits)
-    word_d = quantize_direct(mu, s.sector, s.cfg.bits + 1)
-    return abs(reconstruct(word) - mu), abs(reconstruct(word_d) - mu)
+    return center, center + rng.uniform(-book.delta, book.delta)
+
+
+def _differential_errors(mu, center, delta: float, bits: int) -> np.ndarray:
+    index = quantize_differential(mu, center, delta, bits)
+    return np.abs(reconstruct_differential(index, center, delta, bits) - mu)
+
+
+def _maqe_compute(s, book, draws: list) -> np.ndarray:
+    """Differential and direct quantization errors of a chunk of trials,
+    (T, 2)."""
+    center, mu = np.array(draws).T
+    bits = s.cfg.bits + 1  # the direct scheme at the differential word's bits_total
+    direct = reconstruct_direct(quantize_direct(mu, s.sector, bits), s.sector, bits)
+    return np.stack([_differential_errors(mu, center, book.delta, s.cfg.bits),
+                     np.abs(direct - mu)], axis=1)
 
 
 def _maqe_reduce(s, results):
@@ -399,17 +424,15 @@ def _maqe_reduce(s, results):
     table = ResultTable("maqe_bits",
                         ["n_y", "scheme", "bits_total", "metric", "value_deg"])
     for n_y, book, trials in zip(_MAQE_N_Y, s.points, results):
-        diff_errs, direct_errs = zip(*trials)
+        diff_errs, direct_errs = np.array(trials).T
         table.add(n_y, "differential", bits + 1, "maqe_deg",
                   _fmt(float(deg(np.mean(diff_errs)))))
         table.add(n_y, "direct", bits + 1, "maqe_deg",
                   _fmt(float(deg(np.mean(direct_errs)))))
         # dense worst-case sweep across one pair interval
-        offs = np.linspace(-book.delta, book.delta, (2 ** bits) * 512 + 1)
         center = float(book.centers[0])
-        worst = max(abs(reconstruct(quantize_differential(center + o, center,
-                                                          book.delta, bits))
-                        - (center + o)) for o in offs)
+        mu = center + np.linspace(-book.delta, book.delta, (2 ** bits) * 512 + 1)
+        worst = _differential_errors(mu, center, book.delta, bits).max()
         table.add(n_y, "differential", bits + 1, "worst_case_deg",
                   _fmt(float(deg(worst))))
         table.add(n_y, "differential", bits + 1, "worst_case_bound_deg",
@@ -666,9 +689,7 @@ def _robustness_setup(cfg: ExperimentConfig):
     The sweep sets the swept field, so a config that sets it too is
     rejected."""
     param, values, to_profile, key = _SWEEPS[cfg.experiment]
-    if getattr(cfg, key) != {f.name: f.default for f in fields(ExperimentConfig)}[key]:
-        raise ConfigError(f"{cfg.experiment} sweeps channel.{key} over "
-                          f"{', '.join(f'{v:g}' for v in values)}; leave it unset")
+    _reject_swept_key(cfg, key, values)
     s = _rate_setup(cfg)
     s.points = [replace(s.profile, **{param: to_profile(v)}) for v in values]
     return s
@@ -689,18 +710,12 @@ def _robustness_reduce(s, results):
     return {name: table}
 
 
-def _whole_trial(s, point, draws: list) -> list:
-    """Compute step of a family whose draw step runs its whole trial."""
-    return draws
-
-
 # An experiment family. setup(cfg) builds once everything the trials share,
 # plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
 # trial's draws from its stream; compute(setup, point, draws) turns a chunk
 # of trials' draws, in trial order, into one result per trial, and leaves
 # the draws as they were; reduce(setup, results), results[i] being point
-# i's trial results in trial order, builds the tables. A family whose draw
-# step runs its whole trial computes with _whole_trial. same_streams: every
+# i's trial results in trial order, builds the tables. same_streams: every
 # point shares point 0's trial streams and so its draws, made once per chunk
 # and computed at every point, so the points' channels differ only in the
 # swept parameter; such a draw step must not read the swept field.
@@ -712,7 +727,7 @@ _ROBUSTNESS = Family(
     _robustness_reduce, same_streams=True)
 FAMILIES = {
     "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
-    "maqe_bits": Family(_maqe_setup, _maqe_trial, _whole_trial, _maqe_reduce),
+    "maqe_bits": Family(_maqe_setup, _maqe_draw, _maqe_compute, _maqe_reduce),
     "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
     "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
     "norm_se_vs_snr": Family(

@@ -1,41 +1,24 @@
-"""Angle feedback quantization.
+"""Angle feedback quantization, as array kernels.
 
-Differential scheme: the offset of an estimate from its pair center is
-quantized on [-delta, +delta] together with a sign bit, so the payload
-scales with the pair width instead of the whole sector. Direct scheme:
-plain uniform quantization over the sector, used as the baseline at equal
-total bits.
+Differential scheme: the signed offset of an estimate from its pair center
+is quantized on [-delta, +delta] with `bits` bits, so the payload scales
+with the pair width instead of the whole sector. The paper's sign bit adds
+no resolution to that word, and its published reconstruction
+center + sign * offset would mirror an estimate through the pair center.
+Direct scheme: plain uniform quantization over the sector, used as the
+baseline at equal total bits.
 
-The sign bit follows the ratio-metric convention: an estimate left of the
-pair center gives a positive ratio, recorded as +1. The default
-reconstruction applies the sign to the quantized magnitude so round trips
-land on the estimate's side; the published formula (center + sign * offset)
-is kept behind the paper_literal flag even though it mirrors the estimate
-to the wrong side when the sign bit is taken from the ratio.
+A quantizer takes an estimate or an array of them (centers broadcast) and
+returns codeword indices of the same shape, 0-d for a float; the matching
+reconstruct call maps them back on the `codewords` grid it searched. An
+estimate outside the quantizer's range, or NaN, raises OutOfRange.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class OutOfRange(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class FeedbackWord:
-    scheme: str
-    codeword_index: int
-    bits: int
-    center_mu: float
-    half_range: float
-    sign_bit: int = 0
-    paper_literal: bool = False
-
-    def __post_init__(self):
-        if not 0 <= self.codeword_index < 2 ** self.bits:
-            raise ValueError("codeword index out of range")
 
 
 def codewords(lo: float, hi: float, bits: int) -> np.ndarray:
@@ -45,47 +28,46 @@ def codewords(lo: float, hi: float, bits: int) -> np.ndarray:
     return lo + step * (np.arange(n) + 0.5)
 
 
-def _nearest(value: float, lo: float, hi: float, bits: int) -> int:
-    return int(np.argmin(np.abs(codewords(lo, hi, bits) - value)))
+def _nearest(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Index of the grid point nearest each value, the lower one on a tie:
+    np.argmin over the sorted grid, read from the two neighbours a binary
+    search finds, so memory grows with the values and not the grid."""
+    i = np.clip(np.searchsorted(grid, values), 1, len(grid) - 1)
+    return np.where(np.abs(grid[i] - values) < np.abs(grid[i - 1] - values), i, i - 1)
 
 
-def quantize_differential(mu_hat: float, center_mu: float, delta: float,
-                          bits: int, paper_literal: bool = False) -> FeedbackWord:
-    offset = mu_hat - center_mu
-    if abs(offset) > delta + 1e-12:
-        raise OutOfRange(f"estimate {mu_hat} outside pair interval")
-    sign = 1 if offset <= 0 else -1  # left of center <=> positive ratio
-    target = abs(offset) if paper_literal else offset
-    idx = _nearest(target, -delta, delta, bits)
-    return FeedbackWord(scheme="differential", codeword_index=idx, bits=bits,
-                        center_mu=center_mu, half_range=delta, sign_bit=sign,
-                        paper_literal=paper_literal)
+def _require(inside, mu: np.ndarray, where: str) -> None:
+    inside = np.asarray(inside)
+    if not inside.all():
+        bad = np.broadcast_to(mu, inside.shape)[~inside][0]
+        raise OutOfRange(f"estimate {bad} outside {where}")
 
 
-def quantize_direct(mu_hat: float, sector_range: tuple[float, float],
-                    bits: int) -> FeedbackWord:
+def quantize_differential(mu_hat, center_mu, delta: float, bits: int) -> np.ndarray:
+    """Codeword index of each offset mu_hat - center_mu on [-delta, delta]."""
+    mu = np.asarray(mu_hat, dtype=float)
+    offset = mu - center_mu
+    _require(np.abs(offset) <= delta + 1e-12, mu, "pair interval")  # NaN fails too
+    return _nearest(offset, codewords(-delta, delta, bits))
+
+
+def quantize_direct(mu_hat, sector_range: tuple[float, float], bits: int) -> np.ndarray:
+    """Codeword index of each estimate on the sector (lo, hi)."""
     lo, hi = sector_range
-    if not lo - 1e-12 <= mu_hat <= hi + 1e-12:
-        raise OutOfRange(f"estimate {mu_hat} outside sector {sector_range}")
-    idx = _nearest(mu_hat, lo, hi, bits)
-    center = 0.5 * (lo + hi)
-    return FeedbackWord(scheme="direct", codeword_index=idx, bits=bits,
-                        center_mu=center, half_range=0.5 * (hi - lo))
+    mu = np.asarray(mu_hat, dtype=float)
+    _require((lo - 1e-12 <= mu) & (mu <= hi + 1e-12), mu, f"sector {sector_range}")
+    return _nearest(mu, codewords(lo, hi, bits))
 
 
-def reconstruct(word: FeedbackWord, center_mu: float | None = None) -> float:
-    """Recover the fed-back spatial frequency. The pair center may be
-    overridden, e.g. when the receiver tracks centers separately."""
-    center = word.center_mu if center_mu is None else center_mu
-    if word.scheme == "direct":
-        lo = center - word.half_range
-        hi = center + word.half_range
-        return float(codewords(lo, hi, word.bits)[word.codeword_index])
-    cw = float(codewords(-word.half_range, word.half_range,
-                         word.bits)[word.codeword_index])
-    if word.paper_literal:
-        return center + word.sign_bit * cw
-    return center + cw
+def reconstruct_differential(index, center_mu, delta: float, bits: int):
+    """The fed-back spatial frequency: the pair center plus the offset
+    codeword at `index`."""
+    return center_mu + codewords(-delta, delta, bits)[index]
+
+
+def reconstruct_direct(index, sector_range: tuple[float, float], bits: int):
+    """The fed-back spatial frequency: the sector codeword at `index`."""
+    return codewords(*sector_range, bits)[index]
 
 
 def worst_case_error(half_range: float, bits: int) -> float:

@@ -15,7 +15,7 @@ from beampair.estimator import (estimate_multipath, estimate_single_path,
                                 invert_ratio, ratio_closed_form, ratio_metric,
                                 received_symbol)
 from beampair.experiments import run_experiment, validate_config
-from beampair.feedback import codewords, quantize_differential, reconstruct
+from beampair.feedback import codewords, quantize_differential, reconstruct_differential
 from beampair.geometry import (AngleSet, ArrayConfig,
                                angles_from_spatial_frequencies, aoa_from_nu,
                                spatial_frequencies, ula_steering, upa_steering)
@@ -367,7 +367,8 @@ def _check_quantizer_enumeration(rng) -> bool:
         center = rng.uniform(-1.0, 1.0)
         bits = int(rng.integers(1, 7))
         mu = center + rng.uniform(-delta, delta)
-        back = reconstruct(quantize_differential(mu, center, delta, bits))
+        back = reconstruct_differential(quantize_differential(mu, center, delta, bits),
+                                        center, delta, bits)
         grid = center + codewords(-delta, delta, bits)
         best = min(grid, key=lambda c: abs(c - mu))
         if abs(back - best) > 1e-12:

@@ -39,10 +39,13 @@ class TestParseSnrGrid:
         assert parse_snr_grid("0:2.5:5") == (0.0, 2.5, 5.0)
 
     def test_unicode_minus(self):
-        """A U+2212 minus reads as '-' in every form."""
-        assert parse_snr_grid("−10:5:0") == (-10.0, -5.0, 0.0)
-        assert parse_snr_grid("−10,0") == (-10.0, 0.0)
-        assert parse_snr_grid("−5") == (-5.0,)
+        """A U+2212 minus reads as '-' in every form of the grid, and in
+        every other value."""
+        assert validate_config("snr_db = −10:5:0").snr_db == (-10.0, -5.0, 0.0)
+        assert validate_config("snr_db = −10,0").snr_db == (-10.0, 0.0)
+        assert validate_config("snr_db = −5").snr_db == (-5.0,)
+        assert validate_config("channel.k_factor_db = −3").k_factor_db == -3.0
+        assert validate_config("codebook.el_range_deg = −90:90").el_range_deg == (-90.0, 90.0)
 
     def test_comma_and_single(self):
         assert parse_snr_grid("0, 5, 12.5") == (0.0, 5.0, 12.5)
@@ -622,10 +625,13 @@ _SLOTS_AND_POLARIZATION = [
       for side in ("n_t", "m_t")),
     ("maee_vs_snr", "arrays.polarization = cross\ncodebook.el_range_deg = -90:90"),
     ("maee_vs_snr", "channel.n_nlos = -1")]
-# a robustness family sets its swept parameter itself; before its setup check,
-# a value set in the config was ignored without a word
-_SWEPT_KEY_SET = [("robustness_xpd", "channel.chi = 0.7"),
-                  ("robustness_mismatch", "channel.varsigma_deg = 40")]
+# a robustness family sets its swept parameter itself, maqe_bits its array
+# width, and maqe_bits quantizes co-polarized books; before their setup
+# checks, such a value set in the config was ignored without a word
+_IGNORED_SETTINGS = [("robustness_xpd", "channel.chi = 0.7"),
+                     ("robustness_mismatch", "channel.varsigma_deg = 40"),
+                     ("maqe_bits", "arrays.n_y = 4"),
+                     ("maqe_bits", "arrays.polarization = cross")]
 # probing sizes below 1, and one of the two probing totals: a 0 used to be
 # replaced by the default, a negative n_select failed in the first trial, and
 # a lone total was ignored for the STREAMS_TO_PROBINGS table
@@ -644,7 +650,7 @@ _OVERHEAD_SIZES = [
 SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
-    *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS, *_OVERHEAD_SIZES]
+    *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES]
 
 
 class TestCli:
@@ -715,7 +721,7 @@ class TestCli:
             "channel.chi = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
-        *_SLOTS_AND_POLARIZATION, *_SWEPT_KEY_SET, *_PROBING_KEYS, *_OVERHEAD_SIZES])
+        *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -737,10 +743,19 @@ class TestCli:
     def test_setup_rejects_what_a_trial_would_fail_on(self, family, line):
         """A negative chi (on every family with a cluster profile), a slot
         budget that cannot probe every azimuth or receive beam, cross-pol
-        arrays for the co-pol Rician channel and a value for the parameter a
-        robustness family sweeps fail in the setup."""
+        arrays for the co-pol Rician channel or maqe_bits' co-pol books and
+        a value for the parameter a robustness family or maqe_bits sweeps
+        fail in the setup."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         with pytest.raises(ConfigError):
+            experiments.setup_experiment(cfg)
+
+    @pytest.mark.parametrize("line,message", [
+        ("arrays.n_y = 4", "maqe_bits sweeps arrays.n_y over 8, 16; leave it unset"),
+        ("arrays.polarization = cross", "maqe_bits needs co-polarized arrays")])
+    def test_maqe_bits_setup_names_what_it_ignores(self, line, message):
+        cfg = validate_config(f"experiment = maqe_bits\n{line}\n")
+        with pytest.raises(ConfigError, match=message):
             experiments.setup_experiment(cfg)
 
     @pytest.mark.parametrize("line,missing", [("overhead.n_tx_total = 7", "m_rx_total"),

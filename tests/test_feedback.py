@@ -1,20 +1,21 @@
-"""Feedback quantizer tests: codeword grids, sign handling, worst-case and
-mean error against brute-force oracles."""
+"""Feedback quantizer tests: codeword grids, round trips, worst-case and
+mean error against brute-force oracles, range checks, and array calls
+against their 0-d case."""
 
 import numpy as np
 import pytest
 
-from beampair.feedback import (FeedbackWord, OutOfRange, codewords, quantize_differential,
-                               quantize_direct, reconstruct, worst_case_error)
+from beampair.feedback import (OutOfRange, codewords, quantize_differential, quantize_direct,
+                               reconstruct_differential, reconstruct_direct, worst_case_error)
 
-# ---------------------------------------------------------------------------
-# word validation
 
-class TestConfig:
-    def test_word_index_bounds(self):
-        with pytest.raises(ValueError, match="codeword index"):
-            FeedbackWord(scheme="direct", codeword_index=4, bits=2,
-                         center_mu=0.0, half_range=1.0)
+def _differential_round_trip(mu, center, delta, bits):
+    return reconstruct_differential(quantize_differential(mu, center, delta, bits),
+                                    center, delta, bits)
+
+
+def _direct_round_trip(mu, sector, bits):
+    return reconstruct_direct(quantize_direct(mu, sector, bits), sector, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +38,6 @@ class TestCodewords:
 # differential scheme
 
 class TestDifferential:
-    def test_sign_convention(self):
-        """Estimates left of the pair center (positive ratio) set +1."""
-        assert quantize_differential(0.1, 0.3, 0.5, 3).sign_bit == 1
-        assert quantize_differential(0.3, 0.3, 0.5, 3).sign_bit == 1
-        assert quantize_differential(0.5, 0.3, 0.5, 3).sign_bit == -1
-
     def test_round_trip_is_nearest_codeword(self):
         """Quantize/reconstruct lands on the codeword nearest the offset."""
         rng = np.random.default_rng(70)
@@ -51,10 +46,16 @@ class TestDifferential:
             center = rng.uniform(-1.0, 1.0)
             bits = int(rng.integers(1, 7))
             mu = center + rng.uniform(-delta, delta)
-            back = reconstruct(quantize_differential(mu, center, delta, bits))
+            back = _differential_round_trip(mu, center, delta, bits)
             grid = center + codewords(-delta, delta, bits)
             want = grid[np.argmin(np.abs(grid - mu))]
             assert abs(back - want) < 1e-12
+
+    def test_tie_takes_the_lower_codeword(self):
+        """An offset midway between two codewords takes the lower index, as
+        an argmin over the grid does."""
+        assert quantize_differential(0.3, 0.3, 0.5, 1) == 0
+        assert quantize_direct(0.0, (-1.0, 1.0), 1) == 0
 
     def test_worst_case_error_met_exactly(self):
         """A dense sweep that hits the cell edges attains, and never
@@ -62,52 +63,46 @@ class TestDifferential:
         delta, center = 0.35, -0.2
         for bits in (2, 3, 4):
             sweep = np.linspace(center - delta, center + delta, 2 ** 12 + 1)
-            errs = [abs(reconstruct(quantize_differential(m, center, delta, bits)) - m)
-                    for m in sweep]
+            errs = np.abs(_differential_round_trip(sweep, center, delta, bits) - sweep)
             wc = worst_case_error(delta, bits)
-            assert abs(max(errs) - wc) < 1e-9
-            assert max(errs) <= wc + 1e-12
+            assert abs(errs.max() - wc) < 1e-9
+            assert errs.max() <= wc + 1e-12
 
     def test_mean_error_quarter_cell(self):
         """Uniform input: mean absolute quantization error is cell/4."""
         delta, center, bits = 0.5, 0.1, 3
         sweep = np.linspace(center - delta, center + delta, 20001)
-        errs = [abs(reconstruct(quantize_differential(m, center, delta, bits)) - m)
-                for m in sweep]
+        errs = np.abs(_differential_round_trip(sweep, center, delta, bits) - sweep)
         cell = 2 * delta / 2 ** bits
         assert abs(np.mean(errs) - cell / 4) < 0.01 * cell
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange, match="outside pair interval"):
             quantize_differential(1.0, 0.0, 0.5, 3)
+        with pytest.raises(OutOfRange, match="estimate 1.0 outside pair interval"):
+            quantize_differential(np.array([0.1, 1.0, -0.2]), 0.0, 0.5, 3)
         # the boundary itself is fine
         quantize_differential(0.5, 0.0, 0.5, 3)
 
     def test_center_override(self):
-        word = quantize_differential(0.42, 0.3, 0.4, 4)
-        base = reconstruct(word)
-        moved = reconstruct(word, center_mu=1.3)
+        """Reconstructing at another pair center moves the value by the
+        difference of the centers."""
+        index = quantize_differential(0.42, 0.3, 0.4, 4)
+        base = reconstruct_differential(index, 0.3, 0.4, 4)
+        moved = reconstruct_differential(index, 1.3, 0.4, 4)
         assert abs((moved - 1.3) - (base - 0.3)) < 1e-12
 
-    def test_paper_literal_mirrors_through_center(self):
-        """The published reconstruction applies the ratio-convention sign to
-        the quantized magnitude. With +1 meaning left of center, that lands
-        every off-center estimate on the wrong side: the literal output is
-        the default one reflected through the pair center."""
+    def test_reconstruction_keeps_the_estimates_side(self):
+        """The signed offset is quantized, so a round trip lands on the
+        estimate's side of the pair center: an offset of +3/8 of the pair
+        width comes back as +1/4 at 2 bits, where the published
+        center + sign * offset gives -1/4."""
         center, delta, bits = 0.4, 1.0, 2
         for off in (3 * delta / 8, -3 * delta / 8, 0.8 * delta, -0.6 * delta):
-            mu = center + off
-            lit = quantize_differential(mu, center, delta, bits, paper_literal=True)
-            dflt = quantize_differential(mu, center, delta, bits)
-            assert lit.sign_bit == (1 if off <= 0 else -1)
-            assert reconstruct(lit) == pytest.approx(
-                2 * center - reconstruct(dflt), abs=1e-12)
-        # worked example: offset +3/8 of the pair width
-        lit = quantize_differential(center + 0.375, center, delta, bits,
-                                    paper_literal=True)
-        assert reconstruct(lit) == pytest.approx(center - 0.25, abs=1e-12)
-        dflt = quantize_differential(center + 0.375, center, delta, bits)
-        assert reconstruct(dflt) == pytest.approx(center + 0.25, abs=1e-12)
+            back = _differential_round_trip(center + off, center, delta, bits)
+            assert np.sign(back - center) == np.sign(off)
+        back = _differential_round_trip(center + 0.375, center, delta, bits)
+        assert back == pytest.approx(center + 0.25, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -120,31 +115,67 @@ class TestDirect:
         for _ in range(1000):
             bits = int(rng.integers(1, 8))
             mu = rng.uniform(*sector)
-            back = reconstruct(quantize_direct(mu, sector, bits))
+            back = _direct_round_trip(mu, sector, bits)
             grid = codewords(sector[0], sector[1], bits)
             assert abs(back - grid[np.argmin(np.abs(grid - mu))]) < 1e-12
 
     def test_asymmetric_sector(self):
-        word = quantize_direct(1.1, (0.2, 1.4), 3)
-        assert word.center_mu == pytest.approx(0.8)
-        assert word.half_range == pytest.approx(0.6)
-        assert 0.2 < reconstruct(word) < 1.4
+        """An off-center sector quantizes on its own grid."""
+        index = quantize_direct(1.05, (0.2, 1.4), 3)
+        assert index == 5
+        back = reconstruct_direct(index, (0.2, 1.4), 3)
+        assert back == pytest.approx(1.025)
+        assert 0.2 < back < 1.4
 
     def test_worst_case(self):
         sector = (-0.9, 0.9)
         bits = 3
         sweep = np.linspace(*sector, 2 ** 12 + 1)
-        errs = [abs(reconstruct(quantize_direct(m, sector, bits)) - m)
-                for m in sweep]
-        assert abs(max(errs) - worst_case_error(0.9, bits)) < 1e-9
+        errs = np.abs(_direct_round_trip(sweep, sector, bits) - sweep)
+        assert abs(errs.max() - worst_case_error(0.9, bits)) < 1e-9
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange, match="outside sector"):
             quantize_direct(0.7, (-0.5, 0.5), 2)
+        with pytest.raises(OutOfRange, match="estimate -0.6 outside sector"):
+            quantize_direct(np.array([0.1, -0.6]), (-0.5, 0.5), 2)
 
 
 # ---------------------------------------------------------------------------
-# scheme comparison
+# both schemes
+
+def test_nan_is_out_of_range():
+    """A NaN estimate becomes no codeword, alone or as one element of an
+    array."""
+    for mu in (np.nan, np.array([0.1, np.nan, -0.1])):
+        with pytest.raises(OutOfRange, match="nan outside pair interval"):
+            quantize_differential(mu, 0.0, 0.5, 3)
+        with pytest.raises(OutOfRange, match="nan outside sector"):
+            quantize_direct(mu, (-0.5, 0.5), 3)
+    with pytest.raises(OutOfRange, match="estimate 0.1 outside pair interval"):
+        quantize_differential(0.1, np.array([0.0, np.nan]), 0.5, 3)  # a NaN center
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_array_call_equals_scalar_calls(bits):
+    """An array call gives, element by element, the index and the value of
+    the 0-d call on that element; a 0-d call gives 0-d results."""
+    rng = np.random.default_rng(73 + bits)
+    delta, sector = 0.3, (-0.9, 1.1)
+    center = rng.uniform(-0.5, 0.5, 40)
+    mu = center + rng.uniform(-delta, delta, 40)
+    index = quantize_differential(mu, center, delta, bits)
+    back = reconstruct_differential(index, center, delta, bits)
+    d_index = quantize_direct(mu, sector, bits)
+    d_back = reconstruct_direct(d_index, sector, bits)
+    for t in range(len(mu)):
+        i = quantize_differential(mu[t], center[t], delta, bits)
+        assert np.ndim(i) == 0 and i == index[t]
+        assert reconstruct_differential(i, center[t], delta, bits) == back[t]
+        i = quantize_direct(mu[t], sector, bits)
+        assert np.ndim(i) == 0 and i == d_index[t]
+        assert reconstruct_direct(i, sector, bits) == d_back[t]
+
 
 def test_differential_beats_direct_at_equal_payload():
     """Same total feedback bits: quantizing the pair offset outperforms
@@ -154,14 +185,10 @@ def test_differential_beats_direct_at_equal_payload():
     rng = np.random.default_rng(72)
     for delta in (np.pi / 16, np.pi / 8):
         for bits in (2, 3, 4):
-            d_err, s_err = [], []
-            for _ in range(400):
-                center = rng.uniform(sector[0] + delta, sector[1] - delta)
-                mu = center + rng.uniform(-delta, delta)
-                w_d = quantize_differential(mu, center, delta, bits)
-                w_s = quantize_direct(mu, sector, bits + 1)
-                d_err.append(abs(reconstruct(w_d) - mu))
-                s_err.append(abs(reconstruct(w_s) - mu))
+            center = rng.uniform(sector[0] + delta, sector[1] - delta, 400)
+            mu = center + rng.uniform(-delta, delta, 400)
+            d_err = np.abs(_differential_round_trip(mu, center, delta, bits) - mu)
+            s_err = np.abs(_direct_round_trip(mu, sector, bits + 1) - mu)
             assert np.mean(d_err) < np.mean(s_err)
             assert worst_case_error(delta, bits) \
                 < worst_case_error(0.5 * (sector[1] - sector[0]), bits + 1)
