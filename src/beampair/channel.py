@@ -64,8 +64,8 @@ class CrossPolConfig:
     varsigma: float = 0.0
 
     def __post_init__(self):
-        if self.chi < 0:
-            raise InvalidChi("chi must be >= 0")
+        if not 0 <= self.chi < np.inf:  # NaN fails too
+            raise InvalidChi("chi must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ class ClusterProfile:
     def __post_init__(self):
         if self.n_clusters < 1 or self.subpaths_per_cluster < 1:
             raise EmptyProfile("n_clusters and subpaths_per_cluster must be >= 1")
-        CrossPolConfig(self.chi, self.varsigma)  # InvalidChi for chi < 0
+        CrossPolConfig(self.chi, self.varsigma)  # InvalidChi for a bad chi
 
 
 def _clustered_draws(profile: ClusterProfile, rng: np.random.Generator):

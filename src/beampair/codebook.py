@@ -8,7 +8,7 @@ horizontal the upper half, and beam vectors are zero-padded outside their
 polarization block.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,11 +101,12 @@ def rx_beam_vector(arrays: ArrayConfig, pol: str, nu: float) -> np.ndarray:
 class AxisBook:
     """One axis of a codebook set as arrays, built once. Column i of `matrix`
     is beam i, with boresight boresights[i] and polarization pols[i], "v" or
-    "h" (vertical beams first, boresights increasing per polarization);
-    by_pol[pol] holds the indices of one polarization's beams. Pair table
-    row k is the pair with per-axis id k: members pairs[k] = (low, low + 1),
-    center centers[k], offset `delta`. members[i, b] is the id of the pair
-    with beam i as member b, or -1."""
+    "h" (vertical beams first, boresights increasing per polarization); a
+    book steered at an array of other-axis values holds one matrix per
+    value, (values, antennas, beams). by_pol[pol] holds the indices of one
+    polarization's beams. Pair table row k is the pair with per-axis id k:
+    members pairs[k] = (low, low + 1), center centers[k], offset `delta`.
+    members[i, b] is the id of the pair with beam i as member b, or -1."""
 
     axis: str
     pols: np.ndarray
@@ -118,9 +119,10 @@ class AxisBook:
     members: np.ndarray
 
 
-def _axis_book(cfg: CodebookConfig, axis: str, other_mu: float | None = None) -> AxisBook:
+def _axis_book(cfg: CodebookConfig, axis: str, other_mu=None) -> AxisBook:
     """Beam grid of one axis, one steering call per polarization; transmit
-    beams hold the other transmit axis at `other_mu`. In cross mode the
+    beams hold the other transmit axis at `other_mu`, and a 1-D array of
+    held values gives one matrix per value (see AxisBook). In cross mode the
     range is split in half, vertical beams below the midpoint."""
     arrays = cfg.arrays
     lo, hi = cfg.mu_range(axis)
@@ -134,9 +136,9 @@ def _axis_book(cfg: CodebookConfig, axis: str, other_mu: float | None = None) ->
         if axis == "receive":
             blocks.append(rx_beam_vector(arrays, pol, grid))
         else:
-            fixed = np.full(len(grid), other_mu)
-            blocks.append(tx_beam_vector(arrays, pol, *(
-                (grid, fixed) if axis == "elevation" else (fixed, grid))))
+            grid_b, fixed = np.broadcast_arrays(grid, np.asarray(other_mu)[..., None])
+            blocks.append(np.moveaxis(tx_beam_vector(arrays, pol, *(
+                (grid_b, fixed) if axis == "elevation" else (fixed, grid_b))), 0, -2))
         mus += grid.tolist()
         pols += [pol] * len(grid)
     boresights, pols = np.array(mus), np.array(pols)
@@ -145,7 +147,7 @@ def _axis_book(cfg: CodebookConfig, axis: str, other_mu: float | None = None) ->
     members[low, 0] = members[low + 1, 1] = np.arange(len(low))
     return AxisBook(axis=axis, pols=pols,
                     by_pol={pol: np.flatnonzero(pols == pol) for pol in halves},
-                    matrix=np.hstack(blocks), boresights=boresights,
+                    matrix=np.concatenate(blocks, axis=-1), boresights=boresights,
                     pairs=np.column_stack([low, low + 1]),
                     centers=0.5 * (boresights[low] + boresights[low + 1]),
                     delta=cfg.delta(axis), members=members)
@@ -162,20 +164,13 @@ class CodebookSet:
     grid_el: np.ndarray
     grid_az: np.ndarray
 
-    def repointed(self, az_mu: float) -> "CodebookSet":
-        """The set with its elevation beams steered at azimuth frequency
-        az_mu in place of the azimuth range center. Nothing else depends on
-        that value (the sweep grid steers both frequencies), so the other
-        books and the grid are shared."""
-        books = dict(self.books, elevation=_axis_book(self.config, "elevation", az_mu))
-        return replace(self, books=books)
-
 
 def build_codebooks(cfg: CodebookConfig) -> CodebookSet:
     """Build per-domain beam grids. Transmit azimuth beams steer the azimuth
     frequency at the elevation range center and elevation beams the
-    elevation frequency at the azimuth range center (`repointed` steers them
-    elsewhere). The sweep grid steers both frequencies."""
+    elevation frequency at the azimuth range center (the multi-path
+    elevation stage steers them at each azimuth estimate). The sweep grid
+    steers both frequencies."""
     books = {"elevation": _axis_book(cfg, "elevation", 0.5 * sum(cfg.az_range)),
              "azimuth": _axis_book(cfg, "azimuth", 0.5 * sum(cfg.el_range)),
              "receive": _axis_book(cfg, "receive")}

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import ChannelRealization, DimensionMismatch
 from .codebook import (AXES, AxisBook, CodebookSet, InfeasibleCoverage, ProbingPlan,
-                       random_probing_plan)
+                       _axis_book, random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
 from .geometry import _angles, aoa_from_nu
 from .pilot import PilotAssignment, assign_pilots
@@ -223,7 +223,7 @@ def _pair_and_invert(s: np.ndarray, win, book: AxisBook):
     win = np.asarray(win)
     below, above = book.members[win, 1], book.members[win, 0]
     top = np.maximum(below, above)  # -1 where the winner belongs to no pair
-    if top.min() < 0:
+    if (top < 0).any():
         raise InsufficientNeighbors(f"beam {win[top < 0][0]} has no neighbor for pairing")
     rows = () if s.ndim == 1 else (np.arange(len(s)).reshape(-1, *(1,) * (win.ndim - 1)),)
 
@@ -350,8 +350,9 @@ def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx
                          noise: list | None):
     """Run every (tx probing, rx probing) slot of T trials at once, plans
     tx_idx (T, n_t, n_rf) and rx_idx (T, m_t, m_rf) on a realization stacked
-    over the T trials, plus the slots' projected noise when given: one
-    (n_t, m_t, N, m_rf) array per trial (see _slot_noise). Correlate each
+    over the T trials, from a transmit book of one matrix or one per trial
+    (see AxisBook), plus the slots' projected noise when given: one (n_t,
+    m_t, N, m_rf) array per trial (see _slot_noise). Correlate each
     receive branch against its tx probing's pilot references, and sum
     |corr|^2 per transmit beam and receive beam (indexed by book column) and
     per receive probing, in slot order: (T, beams), (T, beams), (T, m_t).
@@ -364,12 +365,13 @@ def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx
     x = pilots.references([tag for t_idx in tx_idx.reshape(-1, n_rf)
                            for tag in tag_probing(t_idx, tx_book.members)])
     # b[t, trial]: tx probing t's (N, rx column, tx column) block of one
-    # trial; np.take keeps picks C-ordered, and each trial's combiner
+    # trial; the gathers keep picks C-ordered, and each trial's combiner
     # (M, m_t m_rf) and precoders (N_t, n_t, n_rf) are laid out as alone
     w = np.ascontiguousarray(np.take(rx_book.matrix, rx_idx.reshape(n_trials, -1), axis=1)
                              .transpose(1, 0, 2))
-    f = np.ascontiguousarray(np.take(tx_book.matrix, tx_idx, axis=1).transpose(1, 0, 2, 3))
-    b = channel.beamformed(w, f.transpose(2, 0, 1, 3))
+    f = np.take_along_axis(tx_book.matrix.reshape(-1, *tx_book.matrix.shape[-2:]),
+                           tx_idx.reshape(n_trials, 1, -1), axis=-1)
+    b = channel.beamformed(w, f.reshape(n_trials, -1, n_t, n_rf).transpose(2, 0, 1, 3))
     x = np.ascontiguousarray(x.reshape(n, n_trials, n_t, n_rf).transpose(2, 1, 0, 3))
     y = np.einsum("atkrj,atkj->atkr", b, x)  # pilot-weighted sum per tx probing
     del b
@@ -444,9 +446,11 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     neighbor, and invert the per-pair ratio. Receive pairs form around the
     best receive beam of the winning probing. When every polarization has
     more than one elevation beam, each selected path then gets an elevation
-    sweep re-pointed at its azimuth estimate; otherwise its elevation is the
-    range center. The plan must probe every azimuth and receive beam of
-    `codebooks` (InfeasibleCoverage otherwise).
+    sweep steered at its azimuth estimate, all (trial, path) rows in one
+    pass. A path keeps the elevation range center, and no elevation pair,
+    when the stage is skipped or its sweep collects no energy. The plan
+    must probe every azimuth and receive beam of `codebooks`
+    (InfeasibleCoverage otherwise).
 
     A realization stacked over T trials, with a plan whose index arrays
     carry the same leading trial axis, (T, n_t, n_rf) and (T, m_t, m_rf),
@@ -494,32 +498,30 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     zetas = [{"azimuth": z, "receive": r} for zs, r in zip(az_zeta.tolist(), rx_zeta.tolist())
              for z in zs]
 
-    # the elevation stage's tx probings, all trials' and paths'
-    el_probings = sum(len(el_plan.tx_idx) for _, el_draws in draws for el_plan, _ in el_draws)
-    if el_probings:
-        # one elevation sweep per path, its beams re-pointed at the path's
-        # azimuth estimate; the pair ids, and so the pilots, stay the same
-        el_pilots = assign_pilots(
-            range(len(codebooks.books["elevation"].pairs)), pilots.n, p=pilots.p,
-            coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
-        for t, (_, el_draws) in enumerate(draws):
-            trial = ChannelRealization(  # trial t, as a stack of one
-                channel.rho[t:t + 1] if channel.rho.ndim == 3 else channel.rho,
-                channel.u[t:t + 1], channel.v[t:t + 1], ())
-            for p, (el_plan, el_noise) in enumerate(el_draws):
-                el_book = codebooks.repointed(float(mu_y[t, p])).books["elevation"]
-                el_tx, _, el_totals = _probe_and_correlate(
-                    trial, el_plan.tx_idx[None], el_plan.rx_idx[None], el_pilots, el_book,
-                    rx_book, None if el_noise is None else [el_noise])
-                if el_totals.sum() <= 0:
-                    continue
-                mus[t, p, 0], k, zetas[t * n_paths + p]["elevation"] = _pair_and_invert(
-                    el_tx[0], _winner(el_tx[0]), el_book)
-                pairs[t * n_paths + p]["elevation"] = int(k)
+    el_draws = [d for _, trial_draws in draws for d in trial_draws]  # trial-major
+    if el_draws:
+        # one elevation sweep per (trial, path) row, its beams steered at the
+        # row's azimuth estimate; the pair ids, and so the pilots, stay the same
+        el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
+        el_pilots = assign_pilots(range(len(el_book.pairs)), pilots.n, p=pilots.p,
+                                  coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
+        el_plans, el_noise = zip(*el_draws)
+        trial = np.repeat(np.arange(n_trials), n_paths)
+        el_tx, _, el_totals = _probe_and_correlate(
+            ChannelRealization(channel.rho[trial] if channel.rho.ndim == 3 else channel.rho,
+                               channel.u[trial], channel.v[trial], ()),
+            *(np.stack([getattr(plan, a) for plan in el_plans]) for a in ("tx_idx", "rx_idx")),
+            el_pilots, el_book, rx_book, None if el_noise[0] is None else el_noise)
+        hit = np.flatnonzero(el_totals.sum(axis=-1) > 0)  # the others keep the center
+        mu_x, el_k, el_zeta = _pair_and_invert(el_tx[hit], _winner(el_tx[hit]), el_book)
+        mus.reshape(-1, 3)[hit, 0] = mu_x
+        for i, k, z in zip(hit.tolist(), el_k.tolist(), el_zeta.tolist()):
+            pairs[i]["elevation"], zetas[i]["elevation"] = k, z
 
     rows = _fill_angles(mus, codebooks.config.arrays).reshape(-1, 6)
     paths = [PathEstimate(*row, pairs=pr, zetas=z)
              for row, pr, z in zip(rows.tolist(), pairs, zetas)]
 
-    iters = n_rf * (n_trials * n_t + el_probings) * m_rf * m_t
+    probings = n_trials * n_t + sum(len(plan.tx_idx) for plan, _ in el_draws)
+    iters = n_rf * probings * m_rf * m_t
     return EstimationReport(paths=paths, iterations=iters, scheme="abp")

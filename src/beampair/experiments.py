@@ -163,10 +163,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not self.snr_db:
             raise ConfigError("snr grid is empty")
         if any(math.isnan(x) or x == -math.inf for x in self.snr_db):
             raise ConfigError("snr_db values must be numbers above -inf dB")
+        for key in ("k_factor_db", "chi", "varsigma_deg"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"channel.{key} must be finite")
         if self.coprime_with not in COPRIME_WITH:
             raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
         if self.n_s < 1:

@@ -11,7 +11,8 @@ baseline at equal total bits.
 A quantizer takes an estimate or an array of them (centers broadcast) and
 returns codeword indices of the same shape, 0-d for a float; the matching
 reconstruct call maps them back on the `codewords` grid it searched. An
-estimate outside the quantizer's range, or NaN, raises OutOfRange.
+estimate outside the quantizer's range, or NaN, raises OutOfRange, and so
+does an index that is not an integer in [0, 2**bits).
 """
 
 import numpy as np
@@ -59,15 +60,24 @@ def quantize_direct(mu_hat, sector_range: tuple[float, float], bits: int) -> np.
     return _nearest(mu, codewords(lo, hi, bits))
 
 
+def _codeword(grid: np.ndarray, index):
+    """grid[index] for integer indices in [0, len(grid)); any other index
+    raises OutOfRange instead of wrapping or failing in the indexing."""
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" or ((idx < 0) | (idx >= len(grid))).any():
+        raise OutOfRange(f"codeword index {index} is not an integer in [0, {len(grid)})")
+    return grid[idx]
+
+
 def reconstruct_differential(index, center_mu, delta: float, bits: int):
     """The fed-back spatial frequency: the pair center plus the offset
     codeword at `index`."""
-    return center_mu + codewords(-delta, delta, bits)[index]
+    return center_mu + _codeword(codewords(-delta, delta, bits), index)
 
 
 def reconstruct_direct(index, sector_range: tuple[float, float], bits: int):
     """The fed-back spatial frequency: the sector codeword at `index`."""
-    return codewords(*sector_range, bits)[index]
+    return _codeword(codewords(*sector_range, bits), index)
 
 
 def worst_case_error(half_range: float, bits: int) -> float:

@@ -140,15 +140,18 @@ class TestGains:
         with pytest.raises(ValueError, match="tau"):
             PathParams.single_pol(1.0, -1e-9, AngleSet(0.1, 0.2, 0.3))
 
-    def test_chi_validation(self):
+    @pytest.mark.parametrize("chi", [-0.1, np.nan, np.inf])
+    def test_chi_validation(self, chi):
+        """A negative, NaN or infinite chi raises; NaN passes a `< 0` check."""
         with pytest.raises(InvalidChi):
-            CrossPolConfig(chi=-0.1)
+            CrossPolConfig(chi=chi)
 
     def test_profile_rejects_negative_chi(self):
         """A cluster profile fails on construction, not in the first trial
         that builds a cross-pol channel from it."""
-        with pytest.raises(InvalidChi):
-            ClusterProfile(chi=-1.0)
+        for chi in (-1.0, np.nan):
+            with pytest.raises(InvalidChi):
+                ClusterProfile(chi=chi)
         assert ClusterProfile(chi=0.0).chi == 0.0
 
     def test_no_leakage_identity(self):

@@ -16,14 +16,15 @@ from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
                               PathParams, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
 from beampair.codebook import (CodebookConfig, InfeasibleCoverage, ProbingPlan,
-                               build_codebooks, random_probing_plan, rx_beam_vector,
+                               _axis_book, build_codebooks, random_probing_plan, rx_beam_vector,
                                tx_beam_vector)
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _fill_angles, _noise_like, _pair_and_invert,
-                                _probe_and_correlate, _slot_noise, _sweep)
+                                _fill_angles, _multipath_draws, _noise_like,
+                                _pair_and_invert, _probe_and_correlate, _sigma_from_gamma,
+                                _slot_noise, _sweep, _winner)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -509,6 +510,13 @@ class TestPairing:
         with pytest.raises(InsufficientNeighbors):
             _pair_and_invert(np.ones(1), 0, cbs.books["azimuth"])
 
+    def test_zero_rows(self):
+        """Rows of strengths (0, beams) with winners (0,) pair nothing and
+        give three empty arrays."""
+        book = build_codebooks(CodebookConfig(arrays=CO)).books["azimuth"]
+        out = _pair_and_invert(np.ones((0, len(book.pols))), np.zeros(0, dtype=int), book)
+        assert [a.shape for a in out] == [(0,)] * 3
+
 
 class TestCrossPolarized:
     def test_zeta_matches_closed_form(self):
@@ -769,25 +777,27 @@ class TestMultipath:
 
     @pytest.mark.parametrize("arrays", [CO, CROSS], ids=["co", "cross"])
     def test_elevation_stage_builds_only_elevation_beams(self, arrays, monkeypatch):
-        """Each selected path re-points the elevation book alone: one
-        elevation steering call per polarization per path, and no other
-        beam vector (a whole codebook set per path made 4 calls per
-        polarization). The re-pointed book's columns are the scalar steering
-        vectors at that azimuth; the other books and the grid are shared."""
+        """The elevation stage steers the elevation book alone, at every
+        (trial, path) row's azimuth estimate in one steering call per
+        polarization, and builds no other beam vector (a book per path made
+        one call per polarization per path). Each row's slice of the stacked
+        book holds the scalar steering vectors at that row's azimuth; its
+        pair table, members and delta are the default book's."""
         cfg = CodebookConfig(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2))
         cbs = build_codebooks(cfg)
         assert all(len(idx) > 1 for idx in cbs.books["elevation"].by_pol.values())
-        repointed = cbs.repointed(-0.37)
-        got, base = repointed.books["elevation"], cbs.books["elevation"]
-        for i, (pol, mu) in enumerate(zip(got.pols, got.boresights)):
-            want = tx_beam_vector(arrays, pol, mu, -0.37)
-            assert got.matrix[:, i].tobytes() == want.tobytes()
+        held = np.array([-0.37, 0.0, 0.81])
+        got, base = _axis_book(cfg, "elevation", held), cbs.books["elevation"]
+        assert got.matrix.shape == (len(held),) + base.matrix.shape
+        assert got.matrix[1].tobytes() == base.matrix.tobytes()  # 0: the range center
+        for r, az in enumerate(held):
+            for i, (pol, mu) in enumerate(zip(got.pols, got.boresights)):
+                want = tx_beam_vector(arrays, pol, mu, az)
+                assert got.matrix[r, :, i].tobytes() == want.tobytes()
         assert got.boresights.tobytes() == base.boresights.tobytes()
         assert got.axis == "elevation" and np.array_equal(got.pols, base.pols)
-        assert np.array_equal(got.members, base.members) and got.delta == base.delta
-        assert repointed.books["azimuth"] is cbs.books["azimuth"]
-        assert repointed.books["receive"] is cbs.books["receive"]
-        assert repointed.grid is cbs.grid
+        assert np.array_equal(got.pairs, base.pairs) and np.array_equal(got.members, base.members)
+        assert got.centers.tobytes() == base.centers.tobytes() and got.delta == base.delta
 
         pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
         plan = random_probing_plan(cbs, 6, 4, 2, 2, seed=0, layout="free")
@@ -798,8 +808,8 @@ class TestMultipath:
         calls = _count_calls(monkeypatch, "tx_beam_vector", "rx_beam_vector")
         rep = estimate_multipath(chan, plan, pilots, 10.0, 2,
                                  rng=np.random.default_rng(60), codebooks=cbs)
-        assert all("elevation" in p.pairs for p in rep.paths)
-        assert calls == ["tx_beam_vector"] * (len(arrays.pols) * len(rep.paths))
+        assert len(rep.paths) == 2 and all("elevation" in p.pairs for p in rep.paths)
+        assert calls == ["tx_beam_vector"] * len(arrays.pols)
 
     def test_plan_must_probe_every_beam(self):
         """A hand-built plan that skips an azimuth or receive beam is
@@ -964,6 +974,77 @@ def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
                                          want_rng)
         for g, w in zip(got, want):
             assert g[t].shape == w.shape and g[t].tobytes() == w.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
+    """Per-(trial, path) reference for the elevation stage of
+    estimate_multipath on a realization stacked over trials: per row, the
+    elevation book steered at that row's azimuth estimate alone, one
+    probing of that trial, and one pairing. Returns (mu_x, elevation pair
+    id, zeta) per row, trial-major, or None for a row with no energy."""
+    rx_book = codebooks.books["receive"]
+    el_pilots = assign_pilots(range(len(codebooks.books["elevation"].pairs)), pilots.n,
+                              p=pilots.p, coprime_with=pilots.coprime_with,
+                              dc_zero=pilots.dc_zero)
+    out = []
+    for t, (_, el_draws) in enumerate(draws):
+        trial = ChannelRealization(  # trial t, as a stack of one
+            channel.rho[t:t + 1] if channel.rho.ndim == 3 else channel.rho,
+            channel.u[t:t + 1], channel.v[t:t + 1], ())
+        for p, (el_plan, el_noise) in enumerate(el_draws):
+            el_book = _axis_book(codebooks.config, "elevation", float(mu_y[t, p]))
+            el_tx, _, el_totals = _probe_and_correlate(
+                trial, el_plan.tx_idx[None], el_plan.rx_idx[None], el_pilots, el_book,
+                rx_book, None if el_noise is None else [el_noise])
+            if el_totals.sum() <= 0:
+                out.append(None)
+                continue
+            mu_x, k, zeta = _pair_and_invert(el_tx[0], _winner(el_tx[0]), el_book)
+            out.append((float(mu_x), int(k), float(zeta)))
+    return out
+
+
+@pytest.mark.parametrize("gamma", [None, 10.0], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("arrays,n_rf,layout", [(CO, 2, "free"), (CROSS, 3, "free"),
+                                                (CROSS, 2, "split-half")],
+                         ids=["co-free", "cross-free", "cross-split-half"])
+def test_elevation_stage_matches_the_per_path_loop(arrays, n_rf, layout, gamma):
+    """Three stacked trials under a full elevation range, two paths each:
+    the batched elevation stage gives every (trial, path) row the
+    per-row loop's mu_x, elevation pair id and zeta bit for bit, and
+    leaves the generator where the loop's draws leave it."""
+    cbs = build_codebooks(CodebookConfig(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2)))
+    pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
+    ofdm = OfdmConfig(64, 16)
+    rng = np.random.default_rng(68)
+    chans, plans = [], []
+    for seed in range(3):
+        angles = [angles_for(*rng.uniform(-0.8, 0.8, size=3), arrays) for _ in range(3)]
+        gains = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        if arrays is CO:
+            paths = [PathParams.single_pol(g[0], tau, a)
+                     for g, tau, a in zip(gains, (0.0, 2e-9, 5e-9), angles)]
+            chans.append(copol_frequency_response(paths, arrays, ofdm))
+        else:
+            paths = [PathParams(*g, tau, a) for g, tau, a in zip(gains, (0.0, 2e-9, 5e-9), angles)]
+            chans.append(crosspol_frequency_response(paths, arrays, ofdm,
+                                                     CrossPolConfig(0.3, 0.2)))
+        plans.append(random_probing_plan(cbs, 6, 4, n_rf, 2, seed=seed, layout=layout))
+    stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
+                                 for a in ("rho", "u", "v")), ())
+    plan = ProbingPlan(*(np.stack([getattr(p, a) for p in plans])
+                         for a in ("tx_idx", "rx_idx")))
+    got_rng, want_rng = np.random.default_rng(69), np.random.default_rng(69)
+    got = estimate_multipath(stack, plan, pilots, gamma, 2, got_rng, codebooks=cbs)
+    draws = [_multipath_draws(cbs, p, 64, _sigma_from_gamma(gamma), 2, want_rng)
+             for p in plans]
+    mu_y = np.array([g.mu_y for g in got.paths]).reshape(3, 2)
+    want = _elevation_stage_loop(stack, draws, mu_y, cbs, pilots)
+    assert len(got.paths) == len(want) == 6 and None not in want
+    for g, (mu_x, k, zeta) in zip(got.paths, want):
+        assert _bits(g.mu_x) == _bits(mu_x)
+        assert g.pairs["elevation"] == k and _bits(g.zetas["elevation"]) == _bits(zeta)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 

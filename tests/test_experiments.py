@@ -115,6 +115,16 @@ class TestValidateConfig:
         # infinite SNR (noise sigma 0) stays valid
         assert validate_config("snr_db = inf").snr_db == (math.inf,)
 
+    @pytest.mark.parametrize("family,line", [
+        ("maee_vs_snr", "channel.k_factor_db = nan"), ("maee_vs_snr", "channel.k_factor_db = inf"),
+        ("norm_se_vs_snr", "channel.chi = nan"), ("pilot_vs_tdm", "channel.chi = inf"),
+        ("robustness_xpd", "channel.varsigma_deg = inf")])
+    def test_non_finite_channel_settings(self, family, line):
+        """A NaN or infinite K-factor, chi or mismatch rotation is a config
+        error; each ran to a CSV of nothing but nan."""
+        with pytest.raises(ConfigError, match=f"{line.split(' =')[0]} must be finite"):
+            validate_config(f"experiment = {family}\n{line}\n")
+
     # every config key: the field it sets, its parser, and a value to parse
     KEYS = {
         "experiment": ("experiment", str, "maqe_bits"),
@@ -685,7 +695,9 @@ class TestCli:
         "arrays.polarization = diag", "codebook.delta_mode = foo",
         "arrays.n_x = 0", "pilot.coprime_with = m", "overhead.n_s = 0",
         "overhead.epsilon_t = 0", "quantizer.bits = -1", "quantizer.bits = 0",
-        "snr_db = -inf", "snr_db = nan"])
+        "snr_db = -inf", "snr_db = nan", "seed = -1", "channel.k_factor_db = nan",
+        "channel.k_factor_db = inf", "channel.chi = nan", "channel.chi = inf",
+        "channel.varsigma_deg = nan", "channel.varsigma_deg = -inf"])
     def test_bad_values_are_invalid_config(self, line, tmp_path, capsys):
         """Values the array, codebook, pilot and overhead settings reject
         fail validation, so run stops before any trial."""
@@ -718,7 +730,7 @@ class TestCli:
         *((family, line) for family in EXPERIMENTS for line in (
             "channel.bandwidth = foo", "pilot.p = 0", "pilot.roots = 2",
             "arrays.m_tot = 1", "channel.subpaths = 0", "channel.n_clusters = 0",
-            "channel.chi = -1")),
+            "channel.chi = -1", "seed = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
         *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES])

@@ -156,6 +156,21 @@ def test_nan_is_out_of_range():
         quantize_differential(0.1, np.array([0.0, np.nan]), 0.5, 3)  # a NaN center
 
 
+@pytest.mark.parametrize("index", [-1, 8, 2.0, np.array([0, 7, -1]), np.array([1.0])],
+                         ids=["minus-one", "two-to-the-bits", "float", "array-minus-one",
+                              "float-array"])
+def test_reconstruct_rejects_a_bad_index(index):
+    """An index outside [0, 2**bits), or not an integer, is no codeword: -1
+    no longer wraps to the last one (0.4375 at center 0, delta 0.5, 3
+    bits), and 2**bits or a float raises OutOfRange, not IndexError."""
+    with pytest.raises(OutOfRange, match=r"not an integer in \[0, 8\)"):
+        reconstruct_differential(index, 0.0, 0.5, 3)
+    with pytest.raises(OutOfRange, match=r"not an integer in \[0, 8\)"):
+        reconstruct_direct(index, (-0.5, 0.5), 3)
+    assert reconstruct_differential(np.int64(7), 0.0, 0.5, 3) == 0.4375
+    assert reconstruct_direct(np.array([0, 7]), (-0.5, 0.5), 3).tolist() == [-0.4375, 0.4375]
+
+
 @pytest.mark.parametrize("bits", range(1, 7))
 def test_array_call_equals_scalar_calls(bits):
     """An array call gives, element by element, the index and the value of

@@ -1,0 +1,55 @@
+"""Write the CSVs of the byte-identity matrix for the tree this script sits
+in, one directory per case, so that two trees compare with one `diff -r`:
+
+    python tools/byte_cases.py OUT_DIR
+
+The matrix: every family at seeds 0-2 at its golden trial count;
+norm_se_vs_snr, robustness_xpd and robustness_mismatch at 5 and 40 trials
+and seeds 0-2, at default settings and under an elevation range of -90:90
+(alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both);
+and the four chunks families at their golden overrides (150 trials,
+seed 1)."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment  # noqa: E402
+from test_golden import CHUNKS, CHUNKS_FAMILIES, EL90, GOLDEN_TRIALS  # noqa: E402
+
+RATE_FAMILIES = ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
+EL90_VARIANTS = {"el90": {}, "el90-ns2": {"n_s": 2}, "el90-sub4": {"subpaths": 4},
+                 "el90-ns2-sub4": {"n_s": 2, "subpaths": 4}}
+
+
+def cases():
+    """(case name, ExperimentConfig keyword arguments) of every case."""
+    for seed in range(3):
+        for family in EXPERIMENTS:
+            yield f"{family}-s{seed}", {"experiment": family, "seed": seed,
+                                        "trials": GOLDEN_TRIALS[family]}
+        for family in RATE_FAMILIES:
+            for trials in (5, 40):
+                base = {"experiment": family, "seed": seed, "trials": trials}
+                yield f"{family}-s{seed}-t{trials}", base
+                for name, extra in EL90_VARIANTS.items():
+                    yield f"{family}-s{seed}-t{trials}-{name}", {**base, **EL90, **extra}
+    for family in CHUNKS_FAMILIES:
+        yield f"{family}-chunks", {"experiment": family, "seed": 1, **CHUNKS}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    for name, kwargs in cases():
+        run_experiment(ExperimentConfig(plots=False, **kwargs), str(out / name))
+        print(name, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
