@@ -169,34 +169,79 @@ class ChannelRealization:
         if (w.shape[-2], f.shape[-2]) != self.shape[1:]:
             raise DimensionMismatch(
                 f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
+        return self.combined(w, _precoded(self.v, f))
+
+    def combined(self, w: np.ndarray, vf: np.ndarray) -> np.ndarray:
+        """beamformed(w, f) from vf = _precoded(v, f), its transmit half, so
+        that realizations which share v and f (the points of a sweep that
+        changes only u) compute V^H F once."""
         wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u
-        per_path = wu @ (self.v.conj().swapaxes(-1, -2) @ f[..., None, :, :])
+        per_path = wu @ vf
         *batch, n_paths, i, j = per_path.shape
         return (self.rho @ per_path.reshape(*batch, n_paths, i * j)).reshape(*batch, -1, i, j)
 
 
-def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
-                 xp: CrossPolConfig | None = None, dominant=slice(0)) -> ChannelRealization:
-    """Realization of L paths from their delay-tap columns rho (N, L), their
-    angles ((L,) arrays theta, phi, psi) and gains, with one steering call
-    per side for all paths: co-pol when xp is None (g holds the (L,) vv
-    gains), cross-pol with the effective gains of the raw (L, 2, 2) g
-    otherwise. `dominant` indexes the paths whose angles are the ground
-    truth (none by default). Angles and gains with leading axes (T, L) give
-    a stacked realization of T trials, and so do per-trial delay taps rho
-    (T, N, L); `dominant` then indexes the flattened, trial-major paths."""
+def _precoded(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """V^H F per path, (..., L, q, j), of transmit factors v (..., L, N_t, q)
+    and precoders f (..., N_t, j), batch axes broadcasting as in matmul."""
+    return v.conj().swapaxes(-1, -2) @ f[..., None, :, :]
+
+
+@dataclass(frozen=True)
+class SteeredPaths:
+    """A realization less its receive factors u: the delay taps rho, the
+    raw gains g ((..., L) co-pol, (..., L, 2, 2) cross-pol), the receive
+    steering a_r (..., L, M), the transmit factors v and the dominant angles,
+    as in ChannelRealization. None of them reads chi or varsigma, so the
+    points of a sweep over those share one SteeredPaths and differ only in
+    realization(xp)."""
+
+    rho: np.ndarray
+    g: np.ndarray
+    a_r: np.ndarray
+    v: np.ndarray
+    dominant_angles: tuple
+
+    def realization(self, xp) -> ChannelRealization:
+        """The realization under cross-pol settings xp (anything with chi and
+        varsigma: a CrossPolConfig or a ClusterProfile); co-pol paths (q = 1)
+        take their gains as they are and ignore xp."""
+        if self.v.shape[-1] == 1:
+            u = (self.g[..., None] * self.a_r)[..., None]
+        else:
+            e = _effective(self.g, xp)
+            u = (e[..., None, :] * self.a_r[..., None, :, None]).reshape(*self.g.shape[:-2], -1, 2)
+        return ChannelRealization(self.rho, u, self.v, self.dominant_angles)
+
+
+def _steered(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross: bool,
+             dominant=slice(0)) -> SteeredPaths:
+    """Steered paths of L paths from their delay-tap columns rho (N, L), their
+    angles ((L,) arrays theta, phi, psi) and raw gains g, with one steering
+    call per side for all paths: co-pol transmit factors, or cross-pol ones
+    (I_2 kron a_t) when `cross`. `dominant` indexes the paths whose angles
+    are the ground truth (none by default). Angles and gains with leading
+    axes (T, L) give the paths of T stacked trials, and so do per-trial
+    delay taps rho (T, N, L); `dominant` then indexes the flattened,
+    trial-major paths."""
     sf = spatial_frequencies(angles, arrays)
     lead = np.shape(sf.nu)  # (L,), or (T, L) stacked
     a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
     a_t = upa_steering(sf.mu_x.ravel(), sf.mu_y.ravel(), arrays.n_x,
                        arrays.n_y).T.reshape(*lead, arrays.n_tx)
-    if xp is None:
-        u, v = (g[..., None] * a_r)[..., None], a_t[..., None]
-    else:
-        e = _effective(g, xp)
-        u = (e[..., None, :] * a_r[..., None, :, None]).reshape(*lead, -1, 2)
+    if cross:
         v = (np.eye(2)[:, None, :] * a_t[..., None, :, None]).reshape(*lead, -1, 2)
-    return ChannelRealization(rho, u, v, tuple(np.ravel(a)[dominant] for a in angles))
+    else:
+        v = a_t[..., None]
+    return SteeredPaths(rho, g, a_r, v, tuple(np.ravel(a)[dominant] for a in angles))
+
+
+def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
+                 xp: CrossPolConfig | None = None, dominant=slice(0)) -> ChannelRealization:
+    """Realization of paths as in _steered: co-pol when xp is None (g holds
+    the (L,) vv gains), cross-pol with the effective gains of the raw
+    (L, 2, 2) g otherwise."""
+    return _steered(rho, angles, g, arrays, xp is not None, dominant).realization(xp)
 
 
 def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
@@ -390,12 +435,12 @@ def _clustered_paths(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: 
     return g, delays, angles, best.reshape(delays.shape)
 
 
-def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
-                           ofdm: OfdmConfig) -> ChannelRealization:
-    """Realization of clustered draws (see _clustered_draws): one trial's,
-    or T trials' stacked on a leading axis, which gives a stacked
-    realization with per-trial delay taps rho (T, N, L). All delays share
-    one pulse_coefficients call, and each side one steering call."""
+def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
+                       ofdm: OfdmConfig) -> SteeredPaths:
+    """Steered paths of clustered draws (see _clustered_draws): one trial's,
+    or T trials' stacked on a leading axis, with per-trial delay taps rho
+    (T, N, L). All delays share one pulse_coefficients call, and each side
+    one steering call. The profile's chi and varsigma are not read."""
     g, delays, angles, best = _clustered_paths(profile, draws, arrays, ofdm)
     # one delay-tap column per cluster, shared by its subpaths; the taps
     # (N, T, nc) of stacked trials are read as (T, N, nc), and with one
@@ -403,11 +448,16 @@ def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
     taps = pulse_coefficients(delays, ofdm).swapaxes(0, -2)
     ns = profile.subpaths_per_cluster
     rho = taps if ns == 1 else np.repeat(taps, ns, axis=-1)
-    if arrays.polarization_mode == "cross":
-        g, xp = g.reshape(*g.shape[:-1], 2, 2), CrossPolConfig(profile.chi, profile.varsigma)
-    else:
-        g, xp = g[..., 0], None
-    return _realization(rho, angles, g, arrays, xp, dominant=best)
+    cross = arrays.polarization_mode == "cross"
+    g = g.reshape(*g.shape[:-1], 2, 2) if cross else g[..., 0]
+    return _steered(rho, angles, g, arrays, cross, dominant=best)
+
+
+def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
+                           ofdm: OfdmConfig) -> ChannelRealization:
+    """Realization of clustered draws (see _clustered_steered) under the
+    profile's chi and varsigma."""
+    return _clustered_steered(profile, draws, arrays, ofdm).realization(profile)
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,

@@ -18,11 +18,12 @@ experiments run them on a stacked realization of a chunk of trials.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, DimensionMismatch
+from .channel import ChannelRealization, DimensionMismatch, _precoded
 from .codebook import (AXES, AxisBook, CodebookSet, InfeasibleCoverage, ProbingPlan,
                        _axis_book, random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
@@ -345,44 +346,65 @@ def _slot_noise(rx_idx: np.ndarray, n_t: int, rx_book: AxisBook, n: int, sigma: 
     return _noise_like((n, len(rx_book.matrix)), sigma, rng, batch=(n_t, len(rx_idx))) @ w_conj
 
 
-def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx: np.ndarray,
-                         pilots: PilotAssignment, tx_book: AxisBook, rx_book: AxisBook,
-                         noise: list | None):
-    """Run every (tx probing, rx probing) slot of T trials at once, plans
-    tx_idx (T, n_t, n_rf) and rx_idx (T, m_t, m_rf) on a realization stacked
-    over the T trials, from a transmit book of one matrix or one per trial
-    (see AxisBook), plus the slots' projected noise when given: one (n_t,
-    m_t, N, m_rf) array per trial (see _slot_noise). Correlate each
+# One stage's (tx probing, rx probing) slots of T trials, as far as neither
+# the channel nor the steering of the transmit beams reaches them: plans
+# tx_idx (T, n_t, n_rf) and rx_idx (T, m_t, m_rf), each tx probing's pilot
+# references x (n_t, T, N, n_rf), the gathered combiners w (T, M, m_t m_rf)
+# and the slots' projected noise stacked (T, n_t, m_t, N, m_rf), or None.
+_Slots = namedtuple("_Slots", "tx_idx rx_idx x w noise")
+
+
+def _slots(tx_idx: np.ndarray, rx_idx: np.ndarray, pilots: PilotAssignment,
+           tx_book: AxisBook, rx_book: AxisBook, noise: list | None) -> _Slots:
+    """The _Slots of plans tx_idx and rx_idx, tagged from tx_book's pair
+    membership table, with one (n_t, m_t, N, m_rf) noise array per trial
+    (see _slot_noise) when given. The gathers keep picks C-ordered, so each
+    trial's combiner (M, m_t m_rf) is laid out as alone."""
+    n_trials, n_t, n_rf = tx_idx.shape
+    x = pilots.references([tag for t_idx in tx_idx.reshape(-1, n_rf)
+                           for tag in tag_probing(t_idx, tx_book.members)])
+    return _Slots(
+        tx_idx, rx_idx,
+        np.ascontiguousarray(x.reshape(pilots.n, n_trials, n_t, n_rf).transpose(2, 1, 0, 3)),
+        np.ascontiguousarray(np.take(rx_book.matrix, rx_idx.reshape(n_trials, -1), axis=1)
+                             .transpose(1, 0, 2)),
+        None if noise is None else np.stack(noise))
+
+
+def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
+    """The transmit beams of plans tx_idx (T, n_t, n_rf), (n_t, T, N_t, n_rf),
+    from a book of one matrix or one per trial (see AxisBook); each trial's
+    precoders (N_t, n_t, n_rf) are laid out as alone."""
+    n_trials, n_t, n_rf = tx_idx.shape
+    f = np.take_along_axis(tx_book.matrix.reshape(-1, *tx_book.matrix.shape[-2:]),
+                           tx_idx.reshape(n_trials, 1, -1), axis=-1)
+    return f.reshape(n_trials, -1, n_t, n_rf).transpose(2, 0, 1, 3)
+
+
+def _probe_and_correlate(channel: ChannelRealization, slots: _Slots, vf: np.ndarray,
+                         tx_book: AxisBook, rx_book: AxisBook):
+    """Run every slot of T trials at once on a realization stacked over the
+    T trials, vf being V^H F of its v and the slots' precoders (see
+    _precoders), plus the slots' noise when they hold it. Correlate each
     receive branch against its tx probing's pilot references, and sum
     |corr|^2 per transmit beam and receive beam (indexed by book column) and
     per receive probing, in slot order: (T, beams), (T, beams), (T, m_t).
     Each slot's matrix products keep the operand layout of a per-slot,
     per-trial product, so batching moves no bit."""
     n = channel.shape[0]
-    if n != pilots.n:
+    if n != slots.x.shape[2]:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
-    (n_trials, n_t, n_rf), (_, m_t, m_rf) = tx_idx.shape, rx_idx.shape
-    x = pilots.references([tag for t_idx in tx_idx.reshape(-1, n_rf)
-                           for tag in tag_probing(t_idx, tx_book.members)])
-    # b[t, trial]: tx probing t's (N, rx column, tx column) block of one
-    # trial; the gathers keep picks C-ordered, and each trial's combiner
-    # (M, m_t m_rf) and precoders (N_t, n_t, n_rf) are laid out as alone
-    w = np.ascontiguousarray(np.take(rx_book.matrix, rx_idx.reshape(n_trials, -1), axis=1)
-                             .transpose(1, 0, 2))
-    f = np.take_along_axis(tx_book.matrix.reshape(-1, *tx_book.matrix.shape[-2:]),
-                           tx_idx.reshape(n_trials, 1, -1), axis=-1)
-    b = channel.beamformed(w, f.reshape(n_trials, -1, n_t, n_rf).transpose(2, 0, 1, 3))
-    x = np.ascontiguousarray(x.reshape(n, n_trials, n_t, n_rf).transpose(2, 1, 0, 3))
-    y = np.einsum("atkrj,atkj->atkr", b, x)  # pilot-weighted sum per tx probing
+    (n_trials, n_t, n_rf), (_, m_t, m_rf) = slots.tx_idx.shape, slots.rx_idx.shape
+    # b[t, trial]: tx probing t's (N, rx column, tx column) block of one trial
+    b = channel.combined(slots.w, vf)
+    y = np.einsum("atkrj,atkj->atkr", b, slots.x)  # pilot-weighted sum per tx probing
     del b
     # (T, n_t, m_t, N, m_rf)
     y = y.reshape(n_t, n_trials, n, m_t, m_rf).transpose(1, 0, 3, 2, 4)
-    if noise is not None:  # noise + y, in a stacked copy of the noise
-        noisy = np.stack(noise)
-        noisy += y
-        y = noisy
+    if slots.noise is not None:  # noise + y, laid out as the stacked noise
+        y = np.add(slots.noise, y, out=np.empty_like(slots.noise))
     # (T, n_t, m_t, m_rf, n_rf)
-    s = np.abs(y.swapaxes(-1, -2) @ x.swapaxes(0, 1).conj()[:, :, None]) ** 2
+    s = np.abs(y.swapaxes(-1, -2) @ slots.x.swapaxes(0, 1).conj()[:, :, None]) ** 2
 
     def in_slot_order(idx, weights, size: int) -> np.ndarray:
         # one bincount for all trials, trial t's bins offset by t * size
@@ -391,8 +413,8 @@ def _probe_and_correlate(channel: ChannelRealization, tx_idx: np.ndarray, rx_idx
         return np.bincount(bins.ravel(), weights=weights.ravel(),
                            minlength=n_trials * size).reshape(n_trials, size)
 
-    return (in_slot_order(tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
-            in_slot_order(rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
+    return (in_slot_order(slots.tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
+            in_slot_order(slots.rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
             in_slot_order(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
 
 
@@ -435,6 +457,51 @@ def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: f
     return draws
 
 
+# estimate_multipath's probing of T trials as far as it holds across
+# realizations that share their transmit factors v (the points of a sweep
+# that changes only the receive factors u): the azimuth stage's slots and
+# their V^H F, and the elevation stage's slots, None where that stage is
+# skipped. Made by _multipath_probing.
+MultipathProbing = namedtuple("MultipathProbing", "azimuth vf elevation")
+
+
+def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
+                       codebooks: CodebookSet, draws: list | None, gamma: float | None = None,
+                       n_select: int = 1, rng: np.random.Generator | None = None
+                       ) -> MultipathProbing:
+    """The MultipathProbing of a plan stacked over T trials, (T, n_t, n_rf)
+    and (T, m_t, m_rf), on `channel`, a stacked realization or anything else
+    with its delay taps rho and transmit factors v (channel.SteeredPaths).
+    The plan must probe every azimuth and receive beam (InfeasibleCoverage
+    otherwise). `draws` holds each trial's draws (see _multipath_draws);
+    when None, they are drawn from rng at gamma, trial by trial, after that
+    check. The elevation plans get the pilots of the elevation pair table,
+    which does not depend on where the beams are steered."""
+    az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
+    _require_coverage(plan.tx_idx, az_book)
+    _require_coverage(plan.rx_idx, rx_book)
+    if draws is None:
+        rng = np.random.default_rng() if rng is None else rng
+        sigma = _sigma_from_gamma(gamma)
+        draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), channel.rho.shape[-2], sigma,
+                                  n_select, rng) for tx, rx in zip(plan.tx_idx, plan.rx_idx)]
+    az_noise = [az for az, _ in draws]
+    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book,
+                     None if az_noise[0] is None else az_noise)
+    el_draws = [d for _, trial_draws in draws for d in trial_draws]  # trial-major
+    elevation = None
+    if el_draws:
+        el_book = codebooks.books["elevation"]
+        el_pilots = assign_pilots(range(len(el_book.pairs)), pilots.n, p=pilots.p,
+                                  coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
+        el_plans, el_noise = zip(*el_draws)
+        elevation = _slots(
+            *(np.stack([getattr(p, a) for p in el_plans]) for a in ("tx_idx", "rx_idx")),
+            el_pilots, el_book, rx_book, None if el_noise[0] is None else el_noise)
+    return MultipathProbing(azimuth, _precoded(channel.v, _precoders(az_book, plan.tx_idx)),
+                            elevation)
+
+
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
                        pilots: PilotAssignment, gamma: float | None,
                        n_select: int, rng: np.random.Generator | None = None,
@@ -458,33 +525,28 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     estimates, trial-major, and its iterations the trials' total. `draws`
     holds each trial's noise and elevation plans at gamma (see
     _multipath_draws); when None, they are drawn from rng, trial by trial.
-    A one-trial realization and plan are the T = 1 case.
+    It may also be the MultipathProbing that _multipath_probing made of
+    them, for realizations with this one's v, which several calls then
+    share. A one-trial realization and plan are the T = 1 case.
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
-    tx_idx, rx_idx = probing_plan.tx_idx, probing_plan.rx_idx
-    if tx_idx.ndim == 2:  # one trial: a stack of one
+    if probing_plan.tx_idx.ndim == 2:  # one trial: a stack of one
         channel = ChannelRealization(channel.rho, channel.u[None], channel.v[None], ())
-        tx_idx, rx_idx = tx_idx[None], rx_idx[None]
+        probing_plan = ProbingPlan(probing_plan.tx_idx[None], probing_plan.rx_idx[None])
+    if not isinstance(draws, MultipathProbing):
+        draws = _multipath_probing(channel, probing_plan, pilots, codebooks, draws, gamma,
+                                   n_select, rng)
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
-    _require_coverage(tx_idx, az_book)
-    _require_coverage(rx_idx, rx_book)
-    (n_trials, n_t, n_rf), (_, m_t, m_rf) = tx_idx.shape, rx_idx.shape
-    if draws is None:
-        rng = np.random.default_rng() if rng is None else rng
-        sigma = _sigma_from_gamma(gamma)
-        draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), channel.shape[0], sigma,
-                                  n_select, rng) for tx, rx in zip(tx_idx, rx_idx)]
+    (n_trials, n_t, n_rf), (_, m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape
 
-    az_noise = [az for az, _ in draws]
-    tx_s, rx_s, totals = _probe_and_correlate(
-        channel, tx_idx, rx_idx, pilots, az_book, rx_book,
-        None if az_noise[0] is None else az_noise)
+    tx_s, rx_s, totals = _probe_and_correlate(channel, draws.azimuth, draws.vf,
+                                              az_book, rx_book)
     if (totals.sum(axis=-1) <= 0).any():
         raise NoSignal("no correlated energy in any probing")
 
     best_mt = np.argmax(totals, axis=-1)
-    rx_winner = _winner(rx_s, rx_idx[np.arange(n_trials), best_mt])
+    rx_winner = _winner(rx_s, probing_plan.rx_idx[np.arange(n_trials), best_mt])
     nu, rx_k, rx_zeta = _pair_and_invert(rx_s, rx_winner, rx_book)
     mu_y, az_k, az_zeta = _pair_and_invert(
         tx_s, np.argsort(-tx_s, kind="stable")[:, :n_select], az_book)
@@ -498,20 +560,16 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     zetas = [{"azimuth": z, "receive": r} for zs, r in zip(az_zeta.tolist(), rx_zeta.tolist())
              for z in zs]
 
-    el_draws = [d for _, trial_draws in draws for d in trial_draws]  # trial-major
-    if el_draws:
+    el = draws.elevation
+    if el is not None:
         # one elevation sweep per (trial, path) row, its beams steered at the
         # row's azimuth estimate; the pair ids, and so the pilots, stay the same
         el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
-        el_pilots = assign_pilots(range(len(el_book.pairs)), pilots.n, p=pilots.p,
-                                  coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
-        el_plans, el_noise = zip(*el_draws)
         trial = np.repeat(np.arange(n_trials), n_paths)
+        rows = ChannelRealization(channel.rho[trial] if channel.rho.ndim == 3 else channel.rho,
+                                  channel.u[trial], channel.v[trial], ())
         el_tx, _, el_totals = _probe_and_correlate(
-            ChannelRealization(channel.rho[trial] if channel.rho.ndim == 3 else channel.rho,
-                               channel.u[trial], channel.v[trial], ()),
-            *(np.stack([getattr(plan, a) for plan in el_plans]) for a in ("tx_idx", "rx_idx")),
-            el_pilots, el_book, rx_book, None if el_noise[0] is None else el_noise)
+            rows, el, _precoded(rows.v, _precoders(el_book, el.tx_idx)), el_book, rx_book)
         hit = np.flatnonzero(el_totals.sum(axis=-1) > 0)  # the others keep the center
         mu_x, el_k, el_zeta = _pair_and_invert(el_tx[hit], _winner(el_tx[hit]), el_book)
         mus.reshape(-1, 3)[hit, 0] = mu_x
@@ -522,6 +580,6 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     paths = [PathEstimate(*row, pairs=pr, zetas=z)
              for row, pr, z in zip(rows.tolist(), pairs, zetas)]
 
-    probings = n_trials * n_t + sum(len(plan.tx_idx) for plan, _ in el_draws)
+    probings = n_trials * n_t + (0 if el is None else el.tx_idx.shape[0] * el.tx_idx.shape[1])
     iters = n_rf * probings * m_rf * m_t
     return EstimationReport(paths=paths, iterations=iters, scheme="abp")

@@ -5,12 +5,13 @@ keys fall back to the evaluated defaults (half-power offsets, 120/90/180
 degree sectors, K = 13.2 dB, chi = 0.2, mismatch 20 degrees, shift spacing
 p = 6, roots 25/29/34, 3-bit differential quantizer).
 
-Each family is a setup -> draw -> compute -> reduce declaration (Family)
-run by one loop, which alone makes the per-trial RNG streams from a counter
-scheme, SeedSequence([master_seed, family_id, point_index, trial]), and
-walks the trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every
-point: a draw step per trial on its own stream, then one compute step over
-the chunk.
+Each family is a setup -> draw -> [prepare] -> compute -> reduce
+declaration (Family) run by one loop, which alone makes the per-trial RNG
+streams from a counter scheme, SeedSequence([master_seed, family_id,
+point_index, trial]), and walks the trials in chunks (see
+CHUNK_SUBCARRIERS), each chunk at every point: a draw step per trial on its
+own stream, a prepare step over the chunk, then one compute step over the
+chunk per point.
 """
 
 import csv
@@ -23,11 +24,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
-                      _realization, _rician_draws, _rician_paths)
+                      _clustered_steered, _realization, _rician_draws, _rician_paths)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, ProbingPlan,
                        build_codebooks, random_probing_plan)
-from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws, _noise_like,
-                        _sigma_from_gamma, _sweep, _sweep_normals, estimate_multipath)
+from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws,
+                        _multipath_probing, _noise_like, _sigma_from_gamma, _sweep,
+                        _sweep_normals, estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct_differential,
                        reconstruct_direct, worst_case_error)
 from .geometry import ArrayConfig, spatial_frequencies
@@ -290,14 +292,6 @@ def _reject_swept_key(cfg: ExperimentConfig, key: str, values) -> None:
                           f"{', '.join(f'{v:g}' for v in values)}; leave it unset")
 
 
-def _draw_in_spans(rng, spans) -> float:
-    i = 0
-    if len(spans) > 1:
-        widths = np.array([hi - lo for lo, hi in spans])
-        i = rng.choice(len(spans), p=widths / widths.sum())
-    return float(rng.uniform(*spans[i]))
-
-
 def _span(codebooks, axis: str) -> tuple:
     """Lowest to highest boresight of one axis, across polarizations."""
     mus = codebooks.books[axis].boresights
@@ -317,7 +311,8 @@ def _cluster_profile(cfg: ExperimentConfig, codebooks, n_clusters: int) -> Clust
 
 # ---------------------------------------------------------------------------
 # families: setup(cfg) -> draw(setup, point, rng) per trial
-# -> compute(setup, point, draws) per chunk -> reduce(setup, results)
+# -> [prepare(setup, draws) per chunk] -> compute(setup, point, prepared) per
+# chunk and point -> reduce(setup, results)
 
 _DOMAINS = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
 
@@ -329,13 +324,12 @@ def _maee_setup(cfg: ExperimentConfig):
     if cfg.n_nlos < 0:
         raise ConfigError("channel.n_nlos must be >= 0")
     cbs = _codebooks(cfg, arrays, paired=AXES)
+    # co-pol: one polarization, whose beams all pair, so each axis covers
+    # one interval
+    cov = {ax: _span(cbs, ax) for ax in AXES}
     return SimpleNamespace(
-        cfg=cfg, points=cfg.snr_db, arrays=arrays, cbs=cbs,
-        # every beam pairs, so each polarization spans an interval of its own
-        cov={ax: [tuple(cbs.books[ax].boresights[idx[[0, -1]]].tolist())
-                  for idx in cbs.books[ax].by_pol.values()] for ax in AXES},
-        nlos_ranges={"mu_x": _span(cbs, "elevation"), "mu_y": _span(cbs, "azimuth"),
-                     "nu": _span(cbs, "receive")})
+        cfg=cfg, points=cfg.snr_db, arrays=arrays, cbs=cbs, cov=cov,
+        nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]})
 
 
 def _maee_draw(s, snr: float, rng) -> tuple:
@@ -343,11 +337,11 @@ def _maee_draw(s, snr: float, rng) -> tuple:
     spatial frequencies (mu_x redrawn while (mu_x, mu_y) = (0, 0)), the
     Rician channel's draws, then the normals of the ABP and the GoB sweep
     noise (None at infinite SNR)."""
-    mu_x = _draw_in_spans(rng, s.cov["elevation"])
-    mu_y = _draw_in_spans(rng, s.cov["azimuth"])
-    nu = _draw_in_spans(rng, s.cov["receive"])
+    mu_x = rng.uniform(*s.cov["elevation"])
+    mu_y = rng.uniform(*s.cov["azimuth"])
+    nu = rng.uniform(*s.cov["receive"])
     while mu_x == 0.0 and mu_y == 0.0:
-        mu_x = _draw_in_spans(rng, s.cov["elevation"])
+        mu_x = rng.uniform(*s.cov["elevation"])
     phase, nlos = _rician_draws(rng, s.cfg.n_nlos)
     normals = _sweep_normals(1, s.cbs, 10.0 ** (snr / 10.0), rng, batch=(2,))
     return (mu_x, mu_y, nu), phase, nlos, normals
@@ -551,7 +545,11 @@ def _tdm_reduce(s, results):
 def _rate_setup(cfg: ExperimentConfig):
     """What the rate families' trials share: codebooks whose azimuth and
     receive beams all pair, pilots, the cluster profile and probing sizes.
-    An unset probing key takes its default; a set one must be >= 1."""
+    An unset probing key takes its default; a set one must be >= 1. The
+    rate at infinite SNR is unbounded, so every SNR must be finite."""
+    if not all(map(math.isfinite, cfg.snr_db)):
+        raise ConfigError(f"{cfg.experiment} needs finite snr_db values: the rate at "
+                          "infinite SNR is unbounded")
     for key in ("n_t", "m_t", "n_select"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError(f"probing.{key} must be >= 1")
@@ -613,23 +611,38 @@ def _gob_directions(paths, cbs) -> np.ndarray:
 _SCHEMES = ("perfect", "abp", "gob")
 
 
-def _rate_compute(s, profile: ClusterProfile, snr: float, draws: list) -> list:
-    """Spectral efficiency of a chunk of trials' channels steered at the
-    true dominant directions ("perfect"), at the ABP estimates and at the
-    GoB estimates, one {scheme: rate} per trial: one stacked realization,
-    one estimate_multipath pass, one beamformer build and one rate call for
-    the 3 x T beamformer sets."""
+def _rate_prepare(s, draws: list) -> SimpleNamespace:
+    """The per-chunk part of a rate compute step, everything of a chunk of
+    trials that neither the point's SNR nor the swept chi or varsigma
+    reaches: the stacked steered paths (path parameters, delay taps and
+    steering), the stacked plan, estimate_multipath's probing (coverage
+    checks, pilot tags and references, combiners, stacked noise, the
+    azimuth stage's V^H F) and the true dominant directions, (T, n_s, 3)."""
     channel, plans, estimator_draws = zip(*draws)
-    n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
-    chan = _clustered_realization(profile, [np.array(d) for d in zip(*channel)],
-                                  s.arrays, s.ofdm)
+    paths = _clustered_steered(s.profile, [np.array(d) for d in zip(*channel)],
+                               s.arrays, s.ofdm)
     plan = ProbingPlan(np.array([p.tx_idx for p in plans]), np.array([p.rx_idx for p in plans]))
-    rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
-                             draws=estimator_draws)
-    perfect = spatial_frequencies([a[:, :n_s] for a in chan.dominant_angles], s.arrays)
+    perfect = spatial_frequencies([a[:, :s.cfg.n_s] for a in paths.dominant_angles], s.arrays)
+    return SimpleNamespace(
+        paths=paths, plan=plan,
+        probing=_multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws),
+        perfect=np.stack([perfect.mu_x, perfect.mu_y, perfect.nu], axis=-1))
+
+
+def _rate_compute(s, profile: ClusterProfile, snr: float, chunk: SimpleNamespace) -> list:
+    """Spectral efficiency of a prepared chunk of trials (see _rate_prepare)
+    under the profile's chi and varsigma, steered at the true dominant
+    directions ("perfect"), at the ABP estimates and at the GoB estimates,
+    one {scheme: rate} per trial: one stacked realization, one
+    estimate_multipath pass, one beamformer build and one rate call for the
+    3 x T beamformer sets. The chunk is left as it was."""
+    n, n_s, gamma = len(chunk.perfect), s.cfg.n_s, 10.0 ** (snr / 10.0)
+    chan = chunk.paths.realization(profile)
+    rep = estimate_multipath(chan, chunk.plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
+                             draws=chunk.probing)
     abp = np.array([(p.mu_x, p.mu_y, p.nu) for p in rep.paths])
-    sets = [*np.stack([perfect.mu_x, perfect.mu_y, perfect.nu], axis=-1),
-            *abp.reshape(n, -1, 3), *_gob_directions(rep.paths, s.cbs).reshape(n, -1, 3)]
+    sets = [*chunk.perfect, *abp.reshape(n, -1, 3),
+            *_gob_directions(rep.paths, s.cbs).reshape(n, -1, 3)]
     f, w = build_rf_beamformers(sets, s.arrays, n_s)  # (scheme x trial, ., n_s)
     rates = spectral_efficiency(chan, f.reshape(3, n, *f.shape[1:]),
                                 w.reshape(3, n, *w.shape[1:]), gamma, n_s)
@@ -717,19 +730,22 @@ def _robustness_reduce(s, results):
 
 # An experiment family. setup(cfg) builds once everything the trials share,
 # plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
-# trial's draws from its stream; compute(setup, point, draws) turns a chunk
-# of trials' draws, in trial order, into one result per trial, and leaves
-# the draws as they were; reduce(setup, results), results[i] being point
-# i's trial results in trial order, builds the tables. same_streams: every
-# point shares point 0's trial streams and so its draws, made once per chunk
+# trial's draws from its stream; prepare(setup, draws) builds from a chunk
+# of trials' draws, in trial order, what the family's compute steps on
+# those draws share (by default, the draws themselves); compute(setup,
+# point, prepared) turns that into one result per trial; reduce(setup,
+# results), results[i] being point i's trial results in trial order, builds
+# the tables. Neither prepare nor compute changes what it is given: the
+# draws, or the prepared chunk. same_streams: every point shares point 0's
+# trial streams and so its draws and its prepared chunk, made once per chunk
 # and computed at every point, so the points' channels differ only in the
-# swept parameter; such a draw step must not read the swept field.
-Family = namedtuple("Family", "setup draw compute reduce same_streams",
-                    defaults=(False,))
+# swept parameter; such a draw or prepare step must not read the swept field.
+Family = namedtuple("Family", "setup draw compute reduce same_streams prepare",
+                    defaults=(False, lambda s, draws: draws))
 _ROBUSTNESS = Family(
     _robustness_setup, lambda s, profile, rng: _rate_draw(s, s.cfg.snr_db[0], rng),
-    lambda s, profile, draws: _rate_compute(s, profile, s.cfg.snr_db[0], draws),
-    _robustness_reduce, same_streams=True)
+    lambda s, profile, chunk: _rate_compute(s, profile, s.cfg.snr_db[0], chunk),
+    _robustness_reduce, same_streams=True, prepare=_rate_prepare)
 FAMILIES = {
     "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
     "maqe_bits": Family(_maqe_setup, _maqe_draw, _maqe_compute, _maqe_reduce),
@@ -737,7 +753,8 @@ FAMILIES = {
     "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
     "norm_se_vs_snr": Family(
         _norm_se_setup, _rate_draw,
-        lambda s, snr, draws: _rate_compute(s, s.profile, snr, draws), _norm_se_reduce),
+        lambda s, snr, chunk: _rate_compute(s, s.profile, snr, chunk), _norm_se_reduce,
+        prepare=_rate_prepare),
     "robustness_mismatch": _ROBUSTNESS,
     "robustness_xpd": _ROBUSTNESS,
 }
@@ -822,12 +839,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     os.makedirs(out_dir, exist_ok=True)
     chunk = _chunk_trials(s)
     results = [[] for _ in s.points]
+    # the points that share one chunk's draws, on the streams of the first
+    points = list(enumerate(s.points))
+    groups = [points] if family.same_streams else [[p] for p in points]
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
-        for pi, point in enumerate(s.points):
-            if pi == 0 or not family.same_streams:
-                draws = [family.draw(s, point, _trial_rng(cfg, pi, t)) for t in trials]
-            results[pi].extend(family.compute(s, point, draws))
+        for group in groups:
+            pi, point = group[0]
+            draws = [family.draw(s, point, _trial_rng(cfg, pi, t)) for t in trials]
+            shared = family.prepare(s, draws)
+            for pi, point in group:
+                results[pi].extend(family.compute(s, point, shared))
+            del draws, shared  # freed before the next group's are made
     tables = family.reduce(s, results)
     files = [emit_outputs(t, out_dir) for t in tables.values()]
     if cfg.plots:

@@ -13,7 +13,7 @@ import pytest
 import beampair.codebook
 import beampair.pilot
 from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
-                              PathParams, copol_frequency_response,
+                              PathParams, _precoded, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
 from beampair.codebook import (CodebookConfig, InfeasibleCoverage, ProbingPlan,
                                _axis_book, build_codebooks, random_probing_plan, rx_beam_vector,
@@ -23,8 +23,8 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
                                 _fill_angles, _multipath_draws, _noise_like,
-                                _pair_and_invert, _probe_and_correlate, _sigma_from_gamma,
-                                _slot_noise, _sweep, _winner)
+                                _pair_and_invert, _precoders, _probe_and_correlate,
+                                _sigma_from_gamma, _slot_noise, _slots, _sweep, _winner)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -905,6 +905,14 @@ class TestMultipath:
             estimate_multipath(chan, plan, pilots, None, 0, rng=rng, codebooks=cbs)
 
 
+def _probe(channel, tx_idx, rx_idx, pilots, tx_book, rx_book, noise):
+    """_probe_and_correlate of plans tx_idx and rx_idx stacked over trials,
+    their slots and V^H F made for this one call."""
+    slots = _slots(tx_idx, rx_idx, pilots, tx_book, rx_book, noise)
+    return _probe_and_correlate(channel, slots, _precoded(channel.v, _precoders(tx_book, tx_idx)),
+                                tx_book, rx_book)
+
+
 def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
     """Per-slot reference for _probe_and_correlate: per tx probing one
     beamformed call and pilot-weighted sum, per (tx, rx) slot the noise
@@ -966,9 +974,8 @@ def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
                                  for a in ("rho", "u", "v")), ())
     got_rng, want_rng = np.random.default_rng(65), np.random.default_rng(65)
     noise = [_slot_noise(p.rx_idx, n_t, rx_book, 64, sigma, got_rng) for p in plans]
-    got = _probe_and_correlate(stack, np.stack([p.tx_idx for p in plans]),
-                               np.stack([p.rx_idx for p in plans]), pilots, tx_book,
-                               rx_book, None if sigma == 0 else noise)
+    got = _probe(stack, np.stack([p.tx_idx for p in plans]), np.stack([p.rx_idx for p in plans]),
+                 pilots, tx_book, rx_book, None if sigma == 0 else noise)
     for t, (chan, plan) in enumerate(zip(chans, plans)):
         want = _probe_and_correlate_loop(chan, plan, pilots, tx_book, rx_book, sigma,
                                          want_rng)
@@ -994,7 +1001,7 @@ def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
             channel.u[t:t + 1], channel.v[t:t + 1], ())
         for p, (el_plan, el_noise) in enumerate(el_draws):
             el_book = _axis_book(codebooks.config, "elevation", float(mu_y[t, p]))
-            el_tx, _, el_totals = _probe_and_correlate(
+            el_tx, _, el_totals = _probe(
                 trial, el_plan.tx_idx[None], el_plan.rx_idx[None], el_pilots, el_book,
                 rx_book, None if el_noise is None else [el_noise])
             if el_totals.sum() <= 0:

@@ -2,20 +2,19 @@
 deterministic runs of each family, and the command-line interface."""
 
 import csv
+import dataclasses
 import math
 import os
-
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from beampair import experiments
-from beampair.channel import (_clustered_realization, clustered_channel_generate,
-                              rician_narrowband)
+from beampair import channel, estimator, experiments
+from beampair.channel import SteeredPaths, clustered_channel_generate, rician_narrowband
 from beampair.cli import main
-from beampair.codebook import (AXES, CodebookConfig, ProbingPlan, build_codebooks,
-                               random_probing_plan)
+from beampair.codebook import AXES, CodebookConfig, build_codebooks, random_probing_plan
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal, _noise_like,
                                 estimate_multipath, estimate_single_path, gob_estimate)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
@@ -301,22 +300,24 @@ class TestFamilies:
         with pytest.raises(EmptyInput, match="robustness_xpd at chi_0.2: no trial"):
             experiments._robustness_reduce(s, [good, good, dropped, good])
 
-    @pytest.mark.parametrize("family,maker,trials", [
-        ("norm_se_vs_snr", _clustered_realization, 3),
-        ("pilot_vs_tdm", _clustered_realization, 3)], ids=["norm_se_vs_snr", "pilot_vs_tdm"])
-    def test_trials_never_build_the_dense_tensor(self, family, maker, trials, tmp_path,
+    @pytest.mark.parametrize("family,owner,name,trials", [
+        ("norm_se_vs_snr", SteeredPaths, "realization", 3),
+        ("pilot_vs_tdm", experiments, "_clustered_realization", 3)],
+        ids=["norm_se_vs_snr", "pilot_vs_tdm"])
+    def test_trials_never_build_the_dense_tensor(self, family, owner, name, trials, tmp_path,
                                                  monkeypatch):
         """Estimation, rate and pilot correlation work from the path factors:
         neither the stacked realization of a rate chunk (estimate + three
         rates) nor that of a pilot_vs_tdm chunk (all 3 trials each) reads its
         dense h."""
         made = []
+        maker = getattr(owner, name)
 
         def recording(*args, **kwargs):
             made.append(maker(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(experiments, maker.__name__, recording)
+        monkeypatch.setattr(owner, name, recording)
         cfg = validate_config(f"experiment = {family}\ntrials = {trials}\n"
                               "snr_db = 10\nplots = false\n")
         run_experiment(cfg, str(tmp_path))
@@ -360,11 +361,11 @@ def _maee_trial(s, snr: float, rng) -> list:
     """The per-trial maee_vs_snr flow that the chunked draw and compute
     steps replace, kept as their reference: true, ABP-estimated and
     GoB-estimated directions in _DOMAINS order."""
-    mu_x = experiments._draw_in_spans(rng, s.cov["elevation"])
-    mu_y = experiments._draw_in_spans(rng, s.cov["azimuth"])
-    nu = experiments._draw_in_spans(rng, s.cov["receive"])
+    mu_x = rng.uniform(*s.cov["elevation"])
+    mu_y = rng.uniform(*s.cov["azimuth"])
+    nu = rng.uniform(*s.cov["receive"])
     while mu_x == 0.0 and mu_y == 0.0:
-        mu_x = experiments._draw_in_spans(rng, s.cov["elevation"])
+        mu_x = rng.uniform(*s.cov["elevation"])
     truth = AngleSet(*angles_from_spatial_frequencies(mu_x, mu_y, s.arrays),
                      aoa_from_nu(nu, s.arrays))
     chan = rician_narrowband(s.arrays, truth, s.cfg.k_factor_db, s.cfg.n_nlos,
@@ -435,11 +436,15 @@ def _rates(s, profile, snr: float, rng) -> dict:
 
 
 def _draw_bytes(draws) -> list:
-    """The arrays of a draw step's output, in order, as bytes."""
+    """The arrays of a draw step's output, or of a prepared chunk, in order,
+    as bytes: through tuples, lists, dataclasses (a ProbingPlan) and
+    namespaces (a prepared rate chunk); any other value as it is."""
     if isinstance(draws, np.ndarray):
         return [draws.tobytes()]
-    if isinstance(draws, ProbingPlan):
-        return [draws.tx_idx.tobytes(), draws.rx_idx.tobytes()]
+    if dataclasses.is_dataclass(draws):
+        return _draw_bytes([getattr(draws, f.name) for f in fields(draws)])
+    if isinstance(draws, SimpleNamespace):
+        return _draw_bytes(list(vars(draws).values()))
     if isinstance(draws, (tuple, list)):
         return [b for d in draws for b in _draw_bytes(d)]
     return [draws]
@@ -502,24 +507,82 @@ class TestChunks:
     @pytest.mark.parametrize("overrides", [
         {}, {"el_range_deg": (-90.0, 90.0)}, {"n_s": 2}, {"subpaths": 4}],
         ids=["default", "el90", "n_s2", "subpaths4"])
-    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_xpd"])
+    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_xpd",
+                                        "robustness_mismatch"])
     def test_rate_chunk_equals_per_trial_flow(self, family, overrides, snr):
         """A rate chunk's rates (T, scheme) are the per-trial flow's, byte
         for byte, and each draw step leaves its generator where the flow
-        leaves it; robustness_xpd at its last sweep point, chi = 0.4."""
+        leaves it. A robustness family's chunk is prepared once, from point
+        0's draws, and computed at every sweep point, each against the
+        per-trial flow under that point's profile."""
         cfg = ExperimentConfig(experiment=family, trials=6, snr_db=(snr,), plots=False,
                                **overrides)
+        s = experiments.setup_experiment(cfg)
+        profiles = [s.profile] if family == "norm_se_vs_snr" else s.points
 
-        def profile(s):
-            return s.points[-1] if family == "robustness_xpd" else s.profile
+        def reference(profile):
+            return lambda s, snr, rng: list(_rates(s, profile, snr, rng).values())
 
-        s, draws, want = _draws_against_reference(
-            cfg, experiments._rate_draw,
-            lambda s, snr, rng: list(_rates(s, profile(s), snr, rng).values()), snr, 6)
-        got = np.array([[r[k] for k in ("perfect", "abp", "gob")]
-                        for r in experiments._rate_compute(s, profile(s), snr, draws)])
-        assert got.shape == want.shape == (6, 3)
-        assert got.tobytes() == want.tobytes()
+        s, draws, want = _draws_against_reference(cfg, experiments._rate_draw,
+                                                  reference(profiles[0]), snr, 6)
+        chunk = experiments._rate_prepare(s, draws)
+        for i, profile in enumerate(profiles):
+            if i:
+                want = np.array([reference(profile)(s, snr, experiments._trial_rng(cfg, 0, t))
+                                 for t in range(6)])
+            got = np.array([[r[k] for k in ("perfect", "abp", "gob")]
+                            for r in experiments._rate_compute(s, profile, snr, chunk)])
+            assert got.shape == want.shape == (6, 3)
+            assert got.tobytes() == want.tobytes(), f"point {i}"
+
+    @pytest.mark.parametrize("family,overrides", [
+        ("maee_vs_snr", {}), ("maqe_bits", {}), ("pilot_vs_tdm", {}), ("norm_se_vs_snr", {}),
+        ("norm_se_vs_snr", {"el_range_deg": (-90.0, 90.0)}), ("robustness_xpd", {}),
+        ("robustness_xpd", {"el_range_deg": (-90.0, 90.0)}), ("robustness_mismatch", {})],
+        ids=["maee_vs_snr", "maqe_bits", "pilot_vs_tdm", "norm_se_vs_snr",
+             "norm_se_vs_snr-el90", "robustness_xpd", "robustness_xpd-el90",
+             "robustness_mismatch"])
+    def test_compute_leaves_the_draws_as_they_were(self, family, overrides):
+        """The Family contract: a chunk's draws, and a prepared chunk, are
+        byte for byte what they were before the compute step ran, at every
+        point of a same_streams family."""
+        cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
+        s = experiments.setup_experiment(cfg)
+        steps = experiments.FAMILIES[family]
+        draws = [steps.draw(s, s.points[0], experiments._trial_rng(cfg, 0, t)) for t in range(4)]
+        before = _draw_bytes(draws)
+        shared = steps.prepare(s, draws)
+        assert _draw_bytes(draws) == before
+        prepared = _draw_bytes(shared)
+        for point in s.points if steps.same_streams else s.points[:1]:
+            steps.compute(s, point, shared)
+        assert _draw_bytes(draws) == before
+        assert _draw_bytes(shared) == prepared
+
+    def test_sweep_invariant_work_runs_once_per_chunk(self, tmp_path, monkeypatch):
+        """An 8-trial robustness_xpd run is 2 chunks x 4 points: the path
+        parameters, delay taps and pilot tags are made per chunk (2 path and
+        tap calls, 2 x 4 trials x 2 tx probings = 16 tags), the estimate per
+        point (8 calls)."""
+        counts = {}
+
+        def counting(owner, name):
+            fn = getattr(owner, name)
+
+            def count(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, count)
+
+        for owner, name in ((channel, "_clustered_paths"), (channel, "pulse_coefficients"),
+                            (estimator, "tag_probing"), (experiments, "estimate_multipath")):
+            counting(owner, name)
+        cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False)
+        assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == 4
+        run_experiment(cfg, str(tmp_path))
+        assert counts == {"_clustered_paths": 2, "pulse_coefficients": 2, "tag_probing": 16,
+                          "estimate_multipath": 8}
 
     @pytest.mark.parametrize("overrides", [{}, {"el_range_deg": (-90.0, 90.0)}],
                              ids=["default", "el90"])
@@ -657,10 +720,15 @@ _OVERHEAD_SIZES = [
     ("norm_se_vs_snr", "overhead.n_bm = -10"), ("norm_se_vs_snr", "overhead.m_bm = 0"),
     ("norm_se_vs_snr", "overhead.n_tx_total = 0\noverhead.m_rx_total = 5"),
     ("norm_se_vs_snr", "overhead.n_tx_total = 5\noverhead.m_rx_total = -1")]
+# the rate at infinite SNR is unbounded: each of these validated, then
+# norm_se_vs_snr wrote nan rows and a robustness family raised EmptyInput
+_INFINITE_SNR = [("norm_se_vs_snr", "snr_db = 10,inf"), ("robustness_xpd", "snr_db = inf"),
+                 ("robustness_mismatch", "snr_db = inf")]
 SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
-    *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES]
+    *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES,
+    *_INFINITE_SNR]
 
 
 class TestCli:
@@ -733,7 +801,8 @@ class TestCli:
             "channel.chi = -1", "seed = -1")),
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
-        *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES])
+        *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES,
+        *_INFINITE_SNR])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -757,7 +826,7 @@ class TestCli:
         budget that cannot probe every azimuth or receive beam, cross-pol
         arrays for the co-pol Rician channel or maqe_bits' co-pol books and
         a value for the parameter a robustness family or maqe_bits sweeps
-        fail in the setup."""
+        and an infinite SNR for a rate family fail in the setup."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         with pytest.raises(ConfigError):
             experiments.setup_experiment(cfg)
@@ -806,14 +875,26 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("validate drew a channel")
 
-        # what the draw steps call first: channel draws, maee_vs_snr's
-        # direction draws, the sweep noise
-        for name in ("_clustered_draws", "_rician_draws", "_draw_in_spans", "_sweep_normals"):
+        # what the draw steps call: channel draws, the sweep noise
+        for name in ("_clustered_draws", "_rician_draws", "_sweep_normals"):
             monkeypatch.setattr(experiments, name, no_trial)
         path = tmp_path / "cfg.cfg"
         path.write_text(f"experiment = {family}\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 0
         assert capsys.readouterr().out.startswith(f"ok: experiment={family} ")
+
+    @pytest.mark.parametrize("family", ["maee_vs_snr", "pilot_vs_tdm"])
+    def test_infinite_snr_is_noiseless_outside_the_rate_families(self, family, tmp_path):
+        """snr_db = inf stays legal where it means a noiseless run: it
+        validates, runs and writes numbers. A rate family names it."""
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\ntrials = 2\nsnr_db = inf\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 0
+        assert "nan" not in (tmp_path / "out" / f"{family}.csv").read_text(encoding="utf-8")
+        cfg = validate_config("experiment = norm_se_vs_snr\nsnr_db = 10,inf\n")
+        with pytest.raises(ConfigError, match="norm_se_vs_snr needs finite snr_db values"):
+            experiments.setup_experiment(cfg)
 
     @pytest.mark.parametrize("error", [EmptyInput, NoSignal, BothZero,
                                        InsufficientNeighbors])

@@ -286,7 +286,7 @@ class TestBuildBeamformers:
         monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector, 1))
         monkeypatch.setattr(experiments, "spectral_efficiency",
                             counted(spectral_efficiency))
-        rates = experiments._rate_compute(s, s.profile, 10.0, draws)
+        rates = experiments._rate_compute(s, s.profile, 10.0, experiments._rate_prepare(s, draws))
         assert len(rates) == 3
         assert all(set(r) == {"perfect", "abp", "gob"} for r in rates)
         assert all(isinstance(v, float) for r in rates for v in r.values())

@@ -5,10 +5,9 @@ in, one directory per case, so that two trees compare with one `diff -r`:
 
 The matrix: every family at seeds 0-2 at its golden trial count;
 norm_se_vs_snr, robustness_xpd and robustness_mismatch at 5 and 40 trials
-and seeds 0-2, at default settings and under an elevation range of -90:90
-(alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both);
-and the four chunks families at their golden overrides (150 trials,
-seed 1)."""
+and seeds 0-2, at the default elevation range and under one of -90:90, each
+alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both; and
+the four chunks families at their golden overrides (150 trials, seed 1)."""
 
 import sys
 from pathlib import Path
@@ -20,8 +19,8 @@ from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment  
 from test_golden import CHUNKS, CHUNKS_FAMILIES, EL90, GOLDEN_TRIALS  # noqa: E402
 
 RATE_FAMILIES = ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
-EL90_VARIANTS = {"el90": {}, "el90-ns2": {"n_s": 2}, "el90-sub4": {"subpaths": 4},
-                 "el90-ns2-sub4": {"n_s": 2, "subpaths": 4}}
+VARIANTS = {"": {}, "-ns2": {"n_s": 2}, "-sub4": {"subpaths": 4},
+            "-ns2-sub4": {"n_s": 2, "subpaths": 4}}
 
 
 def cases():
@@ -33,9 +32,9 @@ def cases():
         for family in RATE_FAMILIES:
             for trials in (5, 40):
                 base = {"experiment": family, "seed": seed, "trials": trials}
-                yield f"{family}-s{seed}-t{trials}", base
-                for name, extra in EL90_VARIANTS.items():
-                    yield f"{family}-s{seed}-t{trials}-{name}", {**base, **EL90, **extra}
+                for name, extra in VARIANTS.items():
+                    yield f"{family}-s{seed}-t{trials}{name}", {**base, **extra}
+                    yield f"{family}-s{seed}-t{trials}-el90{name}", {**base, **EL90, **extra}
     for family in CHUNKS_FAMILIES:
         yield f"{family}-chunks", {"experiment": family, "seed": 1, **CHUNKS}
 
