@@ -46,13 +46,12 @@ class OfdmConfig:
 
     @classmethod
     def profile(cls, name: str) -> "OfdmConfig":
-        """Named bandwidth profiles: '125mhz' (N=512, D=64) and
-        '250mhz' (N=1024, D=256)."""
-        if name == "125mhz":
-            return cls(512, 64)
-        if name == "250mhz":
-            return cls(1024, 256)
-        raise ValueError(f"unknown OFDM profile {name!r}")
+        """Named bandwidth profiles: 'desk' (N=256, D=64), '125mhz' (N=512,
+        D=64) and '250mhz' (N=1024, D=256)."""
+        sizes = {"desk": (256, 64), "125mhz": (512, 64), "250mhz": (1024, 256)}
+        if name not in sizes:
+            raise ValueError(f"unknown OFDM profile {name!r}")
+        return cls(*sizes[name])
 
 
 @dataclass(frozen=True)

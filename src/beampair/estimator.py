@@ -19,7 +19,7 @@ experiments run them on a stacked realization of a chunk of trials.
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,25 +45,41 @@ class InsufficientNeighbors(RuntimeError):
 
 @dataclass
 class PathEstimate:
-    """One path's estimate. pairs[axis] is the id of the pair whose ratio
-    gave that axis's estimate (a row of the axis's AxisBook.pairs), and
-    zetas[axis] that ratio; an axis with no pair has neither."""
+    """One path's estimate, as EstimationReport.paths builds it: pairs[axis]
+    and zetas[axis] as there, an axis with no pair having neither."""
 
-    mu_x: float = math.nan
-    mu_y: float = math.nan
-    nu: float = math.nan
-    theta: float = math.nan
-    phi: float = math.nan
-    psi: float = math.nan
-    pairs: dict = field(default_factory=dict)
-    zetas: dict = field(default_factory=dict)
+    mu_x: float
+    mu_y: float
+    nu: float
+    theta: float
+    phi: float
+    psi: float
+    pairs: dict
+    zetas: dict
 
 
 @dataclass
 class EstimationReport:
-    paths: list[PathEstimate]
+    """P paths' estimates as arrays: est (P, 6), rows (mu_x, mu_y, nu, theta,
+    phi, psi); per axis of AXES, pairs[axis] (P,), the id of the pair whose
+    ratio gave that axis's estimate, -1 where the axis formed no pair, and
+    zetas[axis] (P,), that ratio, NaN where there is no pair. A report of
+    stacked trials holds their paths trial-major."""
+
+    est: np.ndarray
+    pairs: dict
+    zetas: dict
     iterations: int
     scheme: str
+
+    @property
+    def paths(self) -> list[PathEstimate]:
+        """The estimates as PathEstimate objects, built on each read."""
+        ks = {axis: k.tolist() for axis, k in self.pairs.items()}
+        zs = {axis: z.tolist() for axis, z in self.zetas.items()}
+        return [PathEstimate(*row, pairs={a: k[i] for a, k in ks.items() if k[i] >= 0},
+                             zetas={a: zs[a][i] for a, k in ks.items() if k[i] >= 0})
+                for i, row in enumerate(self.est.tolist())]
 
     @property
     def best(self) -> PathEstimate:
@@ -183,60 +199,54 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, normals=None,
     powers = np.mean(np.abs(y) ** 2, axis=-3)  # (..., n_rx, n_grid)
     *lead, n_rx, n_grid = powers.shape
     per_grid = powers.sum(axis=-2).reshape(-1, n_grid)
-    n_sweeps = len(per_grid)
-
-    def marginal(idx: np.ndarray, size: int) -> np.ndarray:
-        # one bincount for all sweeps, sweep t's bins offset by t * size
-        bins = idx + size * np.arange(n_sweeps)[:, None]
-        return np.bincount(bins.ravel(), weights=per_grid.ravel(),
-                           minlength=n_sweeps * size).reshape(*lead, size)
-
-    books = codebooks.books
-    strengths = {"receive": powers.sum(axis=-1),
-                 "elevation": marginal(codebooks.grid_el, len(books["elevation"].pols)),
-                 "azimuth": marginal(codebooks.grid_az, len(books["azimuth"].pols))}
+    strengths = {"receive": powers.sum(axis=-1)}
+    for axis, idx in (("elevation", codebooks.grid_el), ("azimuth", codebooks.grid_az)):
+        size = len(codebooks.books[axis].pols)
+        strengths[axis] = _binned(idx, per_grid, size).reshape(*lead, size)
     return strengths, n_rx * n_grid
+
+
+def _binned(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Per row of weights (rows, ...), its weights summed into `size` bins
+    by idx, which broadcasts against the row: (rows, size). One bincount
+    for all rows, row t's bins offset by t * size."""
+    row = np.arange(len(weights)).reshape(-1, *(1,) * (weights.ndim - 1))
+    bins = np.broadcast_to(idx + size * row, weights.shape)
+    return np.bincount(bins.ravel(), weights=weights.ravel(),
+                       minlength=len(weights) * size).reshape(len(weights), size)
 
 
 def _winner(s: np.ndarray, among=None) -> np.ndarray:
     """Index of the strongest beam in each row of s (..., beams), optionally
     among the given indices of each row (..., k); the lowest index wins a
     tie."""
-    if among is None:
-        idx, cand = np.arange(s.shape[-1]), s
-    else:
-        idx = np.sort(among, axis=-1)
-        cand = np.take_along_axis(s, idx, axis=-1)
+    idx = np.broadcast_to(np.arange(s.shape[-1]), s.shape) if among is None \
+        else np.sort(among, axis=-1)
+    cand = np.take_along_axis(s, idx, axis=-1)
     if (cand.max(axis=-1) <= 0).any():
         raise NoSignal("no probe produced power")
-    best = np.argmax(cand, axis=-1)
-    return idx[best] if among is None else np.take_along_axis(idx, best[..., None], -1)[..., 0]
+    return np.take_along_axis(idx, np.argmax(cand, axis=-1)[..., None], -1)[..., 0]
 
 
 def _pair_and_invert(s: np.ndarray, win, book: AxisBook):
     """Pair each winner with its stronger angular neighbour (the lower index
     on a tie) and invert the pair's ratio metric. The strengths s are
-    (beams,), for winners win of any shape, or (rows, beams), for winners
-    win (rows, ...) of each row; returns the spatial frequencies, the pair
-    ids (rows of book's pair table) and the zetas, each shaped like win. The
-    candidates are the pairs below and above the winner in the pair table:
-    an edge beam has one, a single-beam codebook none."""
-    win = np.asarray(win)
+    (rows, beams), the winners win (rows, ...) of each row; returns the
+    spatial frequencies, the pair ids (rows of book's pair table) and the
+    zetas, each shaped like win. The candidates are the pairs below and
+    above the winner in the pair table: an edge beam has one, a single-beam
+    codebook none."""
     below, above = book.members[win, 1], book.members[win, 0]
     top = np.maximum(below, above)  # -1 where the winner belongs to no pair
     if (top < 0).any():
         raise InsufficientNeighbors(f"beam {win[top < 0][0]} has no neighbor for pairing")
-    rows = () if s.ndim == 1 else (np.arange(len(s)).reshape(-1, *(1,) * (win.ndim - 1)),)
-
-    def at(i):  # the strength of beam i, in each row
-        return s[(*rows, i)]
-
+    rows = np.arange(len(s)).reshape(-1, *(1,) * (win.ndim - 1))  # s[rows, i]: beam i per row
     # negative indices wrap, so both neighbour picks are beams; they are
     # read only where the winner has both neighbours
-    up = (below < 0) | ((above >= 0) & (at(win + 1 - s.shape[-1]) > at(win - 1)))
+    up = (below < 0) | ((above >= 0) & (s[rows, win + 1 - s.shape[-1]] > s[rows, win - 1]))
     k = np.where(up, above, below)
     lo = book.pairs[k, 0]  # pair k is beams (lo, lo + 1)
-    zeta = ratio_metric(at(lo), at(lo + 1))
+    zeta = ratio_metric(s[rows, lo], s[rows, lo + 1])
     return invert_ratio(zeta, book.centers[k], book.delta), k, zeta
 
 
@@ -253,9 +263,9 @@ def _fill_angles(mus: np.ndarray, arrays) -> np.ndarray:
 
 
 def _abp_rows(strengths: dict, codebooks: CodebookSet):
-    """Single-path ABP estimates of sweeps' strengths (..., beams) per axis:
-    angle rows (..., 6) as in _fill_angles, plus each axis's pair ids and
-    zetas (...)."""
+    """Single-path ABP estimates of sweeps' strengths (sweeps, beams) per
+    axis: angle rows (sweeps, 6) as in _fill_angles, plus each axis's pair
+    ids and zetas (sweeps,)."""
     est = {axis: _pair_and_invert(s, _winner(s), codebooks.books[axis])
            for axis, s in strengths.items()}
     mus = np.stack([est[axis][0] for axis in AXES], axis=-1)
@@ -264,8 +274,9 @@ def _abp_rows(strengths: dict, codebooks: CodebookSet):
 
 
 def _gob_rows(strengths: dict, codebooks: CodebookSet) -> np.ndarray:
-    """Grid-of-beams estimates of sweeps' strengths: per axis the strongest
-    beam's boresight; angle rows (..., 6) as in _fill_angles."""
+    """Grid-of-beams estimates of sweeps' strengths (sweeps, beams) per axis:
+    per axis the strongest beam's boresight; angle rows (sweeps, 6) as in
+    _fill_angles."""
     mus = np.stack([codebooks.books[axis].boresights[_winner(strengths[axis])]
                     for axis in AXES], axis=-1)
     return _fill_angles(mus, codebooks.config.arrays)
@@ -279,10 +290,8 @@ def estimate_single_path(channel: ChannelRealization, codebooks: CodebookSet,
     ratio, and map spatial frequencies back to physical angles."""
     strengths, probes = _sweep(
         channel, codebooks, _sweep_normals(channel.shape[0], codebooks, gamma, rng), gamma)
-    row, ids, zetas = _abp_rows(strengths, codebooks)
-    est = PathEstimate(*row.tolist(), pairs={a: int(k) for a, k in ids.items()},
-                       zetas=zetas)
-    return EstimationReport(paths=[est], iterations=probes, scheme="abp")
+    return EstimationReport(*_abp_rows({a: s[None] for a, s in strengths.items()}, codebooks),
+                            iterations=probes, scheme="abp")
 
 
 def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
@@ -294,10 +303,11 @@ def gob_estimate(channel: ChannelRealization, codebooks: CodebookSet,
     exhaustive-search complexity (tx count)^n_rf * (rx count)^m_rf."""
     strengths, _ = _sweep(
         channel, codebooks, _sweep_normals(channel.shape[0], codebooks, gamma, rng), gamma)
-    est = PathEstimate(*_gob_rows(strengths, codebooks).tolist())
     iters = (codebooks.grid.shape[1] ** n_rf) \
         * (len(codebooks.books["receive"].pols) ** m_rf)
-    return EstimationReport(paths=[est], iterations=iters, scheme="gob")
+    return EstimationReport(_gob_rows({a: s[None] for a, s in strengths.items()}, codebooks),
+                            {axis: np.full(1, -1) for axis in AXES},
+                            {axis: np.full(1, math.nan) for axis in AXES}, iters, "gob")
 
 
 def tag_probing(idx, members: np.ndarray) -> list[tuple[int, int]]:
@@ -405,17 +415,9 @@ def _probe_and_correlate(channel: ChannelRealization, slots: _Slots, vf: np.ndar
         y = np.add(slots.noise, y, out=np.empty_like(slots.noise))
     # (T, n_t, m_t, m_rf, n_rf)
     s = np.abs(y.swapaxes(-1, -2) @ slots.x.swapaxes(0, 1).conj()[:, :, None]) ** 2
-
-    def in_slot_order(idx, weights, size: int) -> np.ndarray:
-        # one bincount for all trials, trial t's bins offset by t * size
-        trial = np.arange(n_trials).reshape(-1, *(1,) * (weights.ndim - 1))
-        bins = np.broadcast_to(idx + size * trial, weights.shape)
-        return np.bincount(bins.ravel(), weights=weights.ravel(),
-                           minlength=n_trials * size).reshape(n_trials, size)
-
-    return (in_slot_order(slots.tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
-            in_slot_order(slots.rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
-            in_slot_order(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
+    return (_binned(slots.tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
+            _binned(slots.rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
+            _binned(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
 
 
 def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
@@ -521,8 +523,8 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
 
     A realization stacked over T trials, with a plan whose index arrays
     carry the same leading trial axis, (T, n_t, n_rf) and (T, m_t, m_rf),
-    is estimated in one pass: the report's paths are the T x n_select
-    estimates, trial-major, and its iterations the trials' total. `draws`
+    is estimated in one pass: the report holds the T x n_select estimates,
+    trial-major, and its iterations the trials' total. `draws`
     holds each trial's noise and elevation plans at gamma (see
     _multipath_draws); when None, they are drawn from rng, trial by trial.
     It may also be the MultipathProbing that _multipath_probing made of
@@ -555,10 +557,10 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     # mu_x is the elevation range center unless a path's elevation stage pairs
     mus[..., 0] = 0.5 * sum(codebooks.config.el_range)
     mus[..., 1], mus[..., 2] = mu_y, nu[:, None]
-    pairs = [{"azimuth": k, "receive": r} for ks, r in zip(az_k.tolist(), rx_k.tolist())
-             for k in ks]
-    zetas = [{"azimuth": z, "receive": r} for zs, r in zip(az_zeta.tolist(), rx_zeta.tolist())
-             for z in zs]
+    pairs = {"azimuth": az_k.ravel(), "receive": np.repeat(rx_k, n_paths),
+             "elevation": np.full(n_trials * n_paths, -1)}
+    zetas = {"azimuth": az_zeta.ravel(), "receive": np.repeat(rx_zeta, n_paths),
+             "elevation": np.full(n_trials * n_paths, math.nan)}
 
     el = draws.elevation
     if el is not None:
@@ -573,13 +575,9 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         hit = np.flatnonzero(el_totals.sum(axis=-1) > 0)  # the others keep the center
         mu_x, el_k, el_zeta = _pair_and_invert(el_tx[hit], _winner(el_tx[hit]), el_book)
         mus.reshape(-1, 3)[hit, 0] = mu_x
-        for i, k, z in zip(hit.tolist(), el_k.tolist(), el_zeta.tolist()):
-            pairs[i]["elevation"], zetas[i]["elevation"] = k, z
-
-    rows = _fill_angles(mus, codebooks.config.arrays).reshape(-1, 6)
-    paths = [PathEstimate(*row, pairs=pr, zetas=z)
-             for row, pr, z in zip(rows.tolist(), pairs, zetas)]
+        pairs["elevation"][hit], zetas["elevation"][hit] = el_k, el_zeta
 
     probings = n_trials * n_t + (0 if el is None else el.tx_idx.shape[0] * el.tx_idx.shape[1])
     iters = n_rf * probings * m_rf * m_t
-    return EstimationReport(paths=paths, iterations=iters, scheme="abp")
+    return EstimationReport(_fill_angles(mus, codebooks.config.arrays).reshape(-1, 6),
+                            pairs, zetas, iters, "abp")

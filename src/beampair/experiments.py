@@ -64,6 +64,10 @@ STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 TRIAL_CHUNK = 64
 CHUNK_SUBCARRIERS = 4096
 
+# The largest quantizer.bits: maqe_bits' worst-case sweep holds 2^bits x 512
+# + 1 points, some 130 MB at 12 bits and 4 times that per 2 bits more.
+MAX_BITS = 12
+
 
 class ConfigError(ValueError):
     pass
@@ -132,7 +136,7 @@ class ExperimentConfig:
     polarization: str | None = _key("arrays", str)  # family default when unset
     k_factor_db: float = _key("channel", float, 13.2)
     n_nlos: int = _key("channel", int, 5)
-    bandwidth: str = _key("channel", str, "125mhz")
+    bandwidth: str | None = _key("channel", str)  # family default when unset
     n_clusters: int = _key("channel", int, 3)
     subpaths: int = _key("channel", int, 1)
     chi: float = _key("channel", float, 0.2)
@@ -178,10 +182,12 @@ class ExperimentConfig:
             raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
         if self.n_s < 1:
             raise ConfigError("overhead.n_s must be >= 1")
-        if self.bits < 1:
-            raise ConfigError("quantizer.bits must be >= 1")
-        try:  # the array, codebook and overhead settings validate themselves
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ConfigError(f"quantizer.bits must lie in 1..{MAX_BITS}")
+        try:  # the array, codebook, bandwidth and overhead settings validate themselves
             _codebook_config(self, _arrays(self, "co"))
+            if self.bandwidth is not None:
+                OfdmConfig.profile(self.bandwidth)
             OverheadModel(epsilon_t=self.epsilon_t, t_tot=self.t_tot)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -472,7 +478,7 @@ def _tdm_setup(cfg: ExperimentConfig):
     arrays = _arrays(cfg, "cross")
     if arrays.polarization_mode != "cross":
         raise ConfigError("pilot_vs_tdm needs cross-polarized arrays")
-    ofdm = OfdmConfig.profile(cfg.bandwidth)
+    ofdm = OfdmConfig.profile(cfg.bandwidth or "125mhz")
     cbs = _codebooks(cfg, arrays)
     az, rx = cbs.books["azimuth"], cbs.books["receive"]
     beams, tags = fig_pilot_tags(az)
@@ -554,13 +560,10 @@ def _rate_setup(cfg: ExperimentConfig):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError(f"probing.{key} must be >= 1")
     arrays = _arrays(cfg, "cross")
-    # rate families run at desk scale (N=256) in place of the 125mhz default
-    ofdm = OfdmConfig(256, 64) if cfg.bandwidth in ("desk", "125mhz") else \
-        OfdmConfig.profile(cfg.bandwidth)
+    ofdm = OfdmConfig.profile(cfg.bandwidth or "desk")
     cbs = _codebooks(cfg, arrays, paired=("azimuth", "receive"))
     pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)),
-                           ofdm.n_subcarriers, root_pool=cfg.roots,
-                           p=None if cfg.p >= ofdm.n_subcarriers // 2 else cfg.p,
+                           ofdm.n_subcarriers, root_pool=cfg.roots, p=cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
     merged_az = len(cbs.books["azimuth"].pols)
     merged_rx = len(cbs.books["receive"].pols)
@@ -581,11 +584,13 @@ def _rate_setup(cfg: ExperimentConfig):
         trial_subcarriers=n_t * m_t * ofdm.n_subcarriers)
 
 
-def _rate_draw(s, snr: float, rng) -> tuple:
-    """One rate trial's draws, in the order of the per-trial flow: the
-    clustered channel's, the probing plan's seed and its plan, then
-    estimate_multipath's (see estimator._multipath_draws). They read the
-    shared cluster profile's draw sizes, never a swept field."""
+def _rate_draw(s, point: tuple, rng) -> tuple:
+    """One rate trial's draws at point (profile, snr), in the order of the
+    per-trial flow: the clustered channel's, the probing plan's seed and
+    its plan, then estimate_multipath's (see estimator._multipath_draws).
+    They read the shared cluster profile's draw sizes and the point's SNR,
+    never a swept field."""
+    _, snr = point
     channel = _clustered_draws(s.profile, rng)
     plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
                                int(rng.integers(2 ** 31)), layout="free")
@@ -594,17 +599,16 @@ def _rate_draw(s, snr: float, rng) -> tuple:
                                            s.n_select, rng)
 
 
-def _gob_directions(paths, cbs) -> np.ndarray:
-    """Boresight-only estimates from the same measurements, (paths, 3): per
-    domain the stronger member of the path's pair, or the elevation range
-    center where a path formed no elevation pair."""
-    mus = np.full((len(paths), 3), 0.5 * sum(cbs.config.el_range))
+def _gob_directions(rep, cbs) -> np.ndarray:
+    """Boresight-only estimates from the measurements of an ABP report,
+    (paths, 3): per domain the stronger member of the path's pair, or the
+    elevation range center where a path formed no elevation pair."""
+    mus = np.full((len(rep.est), 3), 0.5 * sum(cbs.config.el_range))
     for i, axis in enumerate(AXES):
-        book = cbs.books[axis]
-        k = np.array([p.pairs.get(axis, -1) for p in paths])
-        stronger = np.array([p.zetas.get(axis, 0.0) >= 0 for p in paths], dtype=bool)
+        book, k = cbs.books[axis], rep.pairs[axis]
         has = k >= 0
-        mus[has, i] = book.boresights[book.pairs[k[has], np.where(stronger[has], 0, 1)]]
+        stronger = np.where(rep.zetas[axis][has] >= 0, 0, 1)  # pair member
+        mus[has, i] = book.boresights[book.pairs[k[has], stronger]]
     return mus
 
 
@@ -629,20 +633,21 @@ def _rate_prepare(s, draws: list) -> SimpleNamespace:
         perfect=np.stack([perfect.mu_x, perfect.mu_y, perfect.nu], axis=-1))
 
 
-def _rate_compute(s, profile: ClusterProfile, snr: float, chunk: SimpleNamespace) -> list:
+def _rate_compute(s, point: tuple, chunk: SimpleNamespace) -> list:
     """Spectral efficiency of a prepared chunk of trials (see _rate_prepare)
-    under the profile's chi and varsigma, steered at the true dominant
-    directions ("perfect"), at the ABP estimates and at the GoB estimates,
-    one {scheme: rate} per trial: one stacked realization, one
-    estimate_multipath pass, one beamformer build and one rate call for the
-    3 x T beamformer sets. The chunk is left as it was."""
-    n, n_s, gamma = len(chunk.perfect), s.cfg.n_s, 10.0 ** (snr / 10.0)
+    at point (profile, snr), under the profile's chi and varsigma, steered
+    at the true dominant directions ("perfect"), at the ABP estimates and at
+    the GoB estimates, one {scheme: rate} per trial: one stacked
+    realization, one estimate_multipath pass over the report's arrays, one
+    beamformer build and one rate call for the 3 x T beamformer sets. The
+    chunk is left as it was."""
+    (profile, snr), n, n_s = point, len(chunk.perfect), s.cfg.n_s
+    gamma = 10.0 ** (snr / 10.0)
     chan = chunk.paths.realization(profile)
     rep = estimate_multipath(chan, chunk.plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
                              draws=chunk.probing)
-    abp = np.array([(p.mu_x, p.mu_y, p.nu) for p in rep.paths])
-    sets = [*chunk.perfect, *abp.reshape(n, -1, 3),
-            *_gob_directions(rep.paths, s.cbs).reshape(n, -1, 3)]
+    sets = [*chunk.perfect, *rep.est[:, :3].reshape(n, -1, 3),
+            *_gob_directions(rep, s.cbs).reshape(n, -1, 3)]
     f, w = build_rf_beamformers(sets, s.arrays, n_s)  # (scheme x trial, ., n_s)
     rates = spectral_efficiency(chan, f.reshape(3, n, *f.shape[1:]),
                                 w.reshape(3, n, *w.shape[1:]), gamma, n_s)
@@ -671,7 +676,7 @@ def _norm_se_setup(cfg: ExperimentConfig):
     s.iters = {"perfect": 0,
                "abp": OverheadModel.abp_complexity(cfg.n_s, n_tx, cfg.n_s, m_rx),
                "gob": OverheadModel.gob_complexity(cfg.n_bm, cfg.m_bm, cfg.n_s, cfg.n_s)}
-    s.points = cfg.snr_db
+    s.points = [(s.profile, snr) for snr in cfg.snr_db]
     s.overhead = OverheadModel(epsilon_t=cfg.epsilon_t, t_tot=cfg.t_tot)
     return s
 
@@ -679,7 +684,7 @@ def _norm_se_setup(cfg: ExperimentConfig):
 def _norm_se_reduce(s, results):
     name = s.cfg.experiment
     table = ResultTable("norm_se_vs_snr", _RATE_COLUMNS)
-    for snr, trials in zip(s.points, results):
+    for (_, snr), trials in zip(s.points, results):
         for sch, iters in s.iters.items():
             vals = np.array([rates[sch] for rates in trials])
             norm = np.array([normalized_spectral_efficiency(v, iters, s.overhead)
@@ -702,22 +707,22 @@ _SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.rad
 
 
 def _robustness_setup(cfg: ExperimentConfig):
-    """One point per sweep value: the cluster profile with that value. The
-    swept parameters reach nothing else, so codebooks and pilots are shared.
-    The sweep sets the swept field, so a config that sets it too is
-    rejected."""
+    """One point per sweep value: the cluster profile with that value, at
+    the first SNR of the grid. The swept parameters reach nothing else, so
+    codebooks and pilots are shared. The sweep sets the swept field, so a
+    config that sets it too is rejected."""
     param, values, to_profile, key = _SWEEPS[cfg.experiment]
     _reject_swept_key(cfg, key, values)
     s = _rate_setup(cfg)
-    s.points = [replace(s.profile, **{param: to_profile(v)}) for v in values]
+    s.points = [(replace(s.profile, **{param: to_profile(v)}), cfg.snr_db[0]) for v in values]
     return s
 
 
 def _robustness_reduce(s, results):
-    name, snr = s.cfg.experiment, s.cfg.snr_db[0]
+    name = s.cfg.experiment
     param, values, *_ = _SWEEPS[name]
     table = ResultTable(name, _RATE_COLUMNS)
-    for value, trials in zip(values, results):
+    for value, (_, snr), trials in zip(values, s.points, results):
         gaps = [(r["perfect"] - r["abp"]) / r["perfect"]
                 for r in trials if r["perfect"] > 0]
         if not gaps:
@@ -742,19 +747,15 @@ def _robustness_reduce(s, results):
 # swept parameter; such a draw or prepare step must not read the swept field.
 Family = namedtuple("Family", "setup draw compute reduce same_streams prepare",
                     defaults=(False, lambda s, draws: draws))
-_ROBUSTNESS = Family(
-    _robustness_setup, lambda s, profile, rng: _rate_draw(s, s.cfg.snr_db[0], rng),
-    lambda s, profile, chunk: _rate_compute(s, profile, s.cfg.snr_db[0], chunk),
-    _robustness_reduce, same_streams=True, prepare=_rate_prepare)
+_ROBUSTNESS = Family(_robustness_setup, _rate_draw, _rate_compute, _robustness_reduce,
+                     same_streams=True, prepare=_rate_prepare)
 FAMILIES = {
     "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
     "maqe_bits": Family(_maqe_setup, _maqe_draw, _maqe_compute, _maqe_reduce),
     "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
     "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
-    "norm_se_vs_snr": Family(
-        _norm_se_setup, _rate_draw,
-        lambda s, snr, chunk: _rate_compute(s, s.profile, snr, chunk), _norm_se_reduce,
-        prepare=_rate_prepare),
+    "norm_se_vs_snr": Family(_norm_se_setup, _rate_draw, _rate_compute, _norm_se_reduce,
+                             prepare=_rate_prepare),
     "robustness_mismatch": _ROBUSTNESS,
     "robustness_xpd": _ROBUSTNESS,
 }

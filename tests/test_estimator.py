@@ -15,7 +15,7 @@ import beampair.pilot
 from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
                               PathParams, _precoded, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
-from beampair.codebook import (CodebookConfig, InfeasibleCoverage, ProbingPlan,
+from beampair.codebook import (AXES, CodebookConfig, InfeasibleCoverage, ProbingPlan,
                                _axis_book, build_codebooks, random_probing_plan, rx_beam_vector,
                                tx_beam_vector)
 from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
@@ -477,6 +477,12 @@ class TestAngleFill:
         assert rows[:, 5].tolist() == [aoa_from_nu(nu, CO) for nu in mus[:, 2]]
 
 
+def _pair_one(s: np.ndarray, win: int, book):
+    """_pair_and_invert of one row of strengths s (beams,) and its winner:
+    (mu, pair id, zeta) as scalars."""
+    return tuple(a[0] for a in _pair_and_invert(s[None], np.array([win]), book))
+
+
 class TestPairing:
     """_pair_and_invert on a codebook's pair table."""
 
@@ -484,11 +490,11 @@ class TestPairing:
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         book = cbs.books["azimuth"]
         s = np.array([1.0, 2.0, 5.0, 2.0, 1.0, 0.5])
-        _, k, _ = _pair_and_invert(s, 2, book)
+        _, k, _ = _pair_one(s, 2, book)
         assert k == 1  # tie between beams 1 and 3: the lower wins
         assert book.pairs[1].tolist() == [1, 2]
         s[3] = np.nextafter(2.0, 3.0)
-        mu, k, zeta = _pair_and_invert(s, 2, book)
+        mu, k, zeta = _pair_one(s, 2, book)
         assert k == 2
         assert zeta == ratio_metric(s[2], s[3])
         assert mu == invert_ratio(zeta, book.centers[2], book.delta)
@@ -502,13 +508,13 @@ class TestPairing:
         book = cbs.books["azimuth"]
         s = np.array([1.0, 1.0, 2.0, 5.0, 9.0, 3.0, 1.0, 1.0])
         for win, want in ((0, 0), (3, 2), (4, 3), (7, 5)):
-            assert _pair_and_invert(s, win, book)[1] == want
+            assert _pair_one(s, win, book)[1] == want
         assert book.pairs[[0, 2, 3, 5]].tolist() == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
     def test_single_beam_axis_raises(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO, az_range=(-0.1, 0.1)))
         with pytest.raises(InsufficientNeighbors):
-            _pair_and_invert(np.ones(1), 0, cbs.books["azimuth"])
+            _pair_one(np.ones(1), 0, cbs.books["azimuth"])
 
     def test_zero_rows(self):
         """Rows of strengths (0, beams) with winners (0,) pair nothing and
@@ -639,6 +645,68 @@ TOY_CFG = CodebookConfig(arrays=CO, el_range=(-3 * np.pi / 4, 3 * np.pi / 4),
                          az_range=(-3 * np.pi / 4, 3 * np.pi / 4),
                          rx_range=(-3 * np.pi / 4, 3 * np.pi / 4),
                          delta_mode="commensurate", ell=1)
+
+
+def _three_cross_trials(el_range):
+    """Codebooks of cross-pol arrays (under el_range when given), pilots,
+    and three trials' three-path channels (N = 64) and free plans."""
+    cfg = CodebookConfig(arrays=CROSS) if el_range is None else \
+        CodebookConfig(arrays=CROSS, el_range=el_range)
+    cbs = build_codebooks(cfg)
+    pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
+    rng = np.random.default_rng(66)
+    chans, plans = [], []
+    for seed in range(3):
+        paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                            angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
+                 for tau in (0.0, 2e-9, 5e-9)]
+        chans.append(crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
+                                                 CrossPolConfig(0.3, 0.2)))
+        plans.append(random_probing_plan(cbs, 6, 4, 2, 2, seed=seed, layout="free"))
+    return cbs, pilots, chans, plans
+
+
+def _assert_report_arrays(rep, cbs, n_paths: int, paired: set) -> None:
+    """The report's array contract: est (P, 6); per axis, int pair ids (P,)
+    that name a pair of the axis's table where the axis in `paired` formed
+    one and are -1 elsewhere, and float zetas (P,), NaN exactly where the
+    id is -1; and the paths built from the arrays equal to them."""
+    assert rep.est.shape == (n_paths, 6) and not np.isnan(rep.est).any()
+    assert set(rep.pairs) == set(rep.zetas) == set(AXES)
+    for axis in AXES:
+        k, z = rep.pairs[axis], rep.zetas[axis]
+        assert k.shape == z.shape == (n_paths,), axis
+        assert k.dtype.kind == "i" and z.dtype.kind == "f", axis
+        assert ((k >= 0) == (axis in paired)).all() and (k < len(cbs.books[axis].pairs)).all()
+        assert (np.isnan(z) == (k < 0)).all() and (np.abs(z[k >= 0]) <= 1).all(), axis
+    paths = rep.paths
+    assert len(paths) == n_paths and rep.best == paths[0]
+    for i, path in enumerate(paths):
+        assert dataclasses.astuple(path)[:6] == tuple(rep.est[i].tolist())
+        assert path.pairs == {axis: rep.pairs[axis][i] for axis in paired}
+        assert path.zetas == {axis: rep.zetas[axis][i] for axis in paired}
+
+
+class TestReportArrays:
+    """Every estimator's report holds its estimates as arrays, one row and
+    one pair id and zeta per axis for each path."""
+
+    def test_single_path_and_gob(self):
+        cbs = build_codebooks(CodebookConfig(arrays=CO))
+        chan = los_channel(0.1, 0.2, 0.3, np.random.default_rng(70))
+        _assert_report_arrays(estimate_single_path(chan, cbs), cbs, 1, set(AXES))
+        _assert_report_arrays(gob_estimate(chan, cbs), cbs, 1, set())
+
+    @pytest.mark.parametrize("el_range", [None, (-np.pi / 2, np.pi / 2)],
+                             ids=["azimuth", "elevation"])
+    def test_multipath(self, el_range):
+        """Without the elevation stage no path has an elevation pair; with
+        it, in these trials, every path has one."""
+        cbs, pilots, chans, plans = _three_cross_trials(el_range)
+        rep = estimate_multipath(chans[0], plans[0], pilots, 10.0, 2,
+                                 np.random.default_rng(71), codebooks=cbs)
+        paired = set(AXES) if el_range else {"azimuth", "receive"}
+        _assert_report_arrays(rep, cbs, 2, paired)
 
 
 class TestMultipath:
@@ -834,23 +902,12 @@ class TestMultipath:
                              ids=["azimuth", "elevation"])
     def test_stack_equals_one_trial_calls(self, el_range):
         """Three trials' channels and plans, stacked, give each trial the
-        one-trial call's pairs, zetas and angles bit for bit, with and
-        without the elevation stage, and the one-trial calls' total
-        iterations; drawing each trial's noise in turn from one generator
-        leaves it where the one-trial calls leave it."""
-        cfg = CodebookConfig(arrays=CROSS) if el_range is None else \
-            CodebookConfig(arrays=CROSS, el_range=el_range)
-        cbs = build_codebooks(cfg)
-        pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
-        rng = np.random.default_rng(66)
-        chans, plans = [], []
-        for seed in range(3):
-            paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
-                                angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
-                     for tau in (0.0, 2e-9, 5e-9)]
-            chans.append(crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
-                                                     CrossPolConfig(0.3, 0.2)))
-            plans.append(random_probing_plan(cbs, 6, 4, 2, 2, seed=seed, layout="free"))
+        one-trial call's pairs, zetas and angles bit for bit, in the report's
+        arrays and in the paths built from them, with and without the
+        elevation stage, and the one-trial calls' total iterations; drawing
+        each trial's noise in turn from one generator leaves it where the
+        one-trial calls leave it."""
+        cbs, pilots, chans, plans = _three_cross_trials(el_range)
         stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
                                      for a in ("rho", "u", "v")), ())
         plan = ProbingPlan(*(np.stack([getattr(p, a) for p in plans])
@@ -860,6 +917,11 @@ class TestMultipath:
         want = [estimate_multipath(c, p, pilots, 10.0, 2, want_rng, codebooks=cbs)
                 for c, p in zip(chans, plans)]
         assert got.iterations == sum(w.iterations for w in want)
+        assert got.est.tobytes() == np.concatenate([w.est for w in want]).tobytes()
+        for axis in AXES:
+            for field in ("pairs", "zetas"):
+                assert getattr(got, field)[axis].tobytes() == np.concatenate(
+                    [getattr(w, field)[axis] for w in want]).tobytes(), (field, axis)
         want_paths = [path for w in want for path in w.paths]
         assert len(got.paths) == len(want_paths) == 6
         for g, w in zip(got.paths, want_paths):
@@ -1007,7 +1069,7 @@ def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
             if el_totals.sum() <= 0:
                 out.append(None)
                 continue
-            mu_x, k, zeta = _pair_and_invert(el_tx[0], _winner(el_tx[0]), el_book)
+            mu_x, k, zeta = _pair_one(el_tx[0], _winner(el_tx[0]), el_book)
             out.append((float(mu_x), int(k), float(zeta)))
     return out
 

@@ -450,7 +450,7 @@ def _draw_bytes(draws) -> list:
     return [draws]
 
 
-def _draws_against_reference(cfg: ExperimentConfig, draw, trial, snr: float, trials: int):
+def _draws_against_reference(cfg: ExperimentConfig, draw, trial, point, trials: int):
     """`trials` draw steps at point 0 and the reference per-trial flow on
     the same streams; asserts that each draw step leaves its generator where
     the reference leaves it and returns (setup, draws, reference results)."""
@@ -458,8 +458,8 @@ def _draws_against_reference(cfg: ExperimentConfig, draw, trial, snr: float, tri
     draws, want = [], []
     for t in range(trials):
         rng, ref_rng = (experiments._trial_rng(cfg, 0, t) for _ in range(2))
-        draws.append(draw(s, snr, rng))
-        want.append(trial(s, snr, ref_rng))
+        draws.append(draw(s, point, rng))
+        want.append(trial(s, point, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
     return s, draws, np.array(want, dtype=float)
 
@@ -517,21 +517,21 @@ class TestChunks:
         per-trial flow under that point's profile."""
         cfg = ExperimentConfig(experiment=family, trials=6, snr_db=(snr,), plots=False,
                                **overrides)
+
+        def reference(s, point, rng):
+            return list(_rates(s, *point, rng).values())
+
         s = experiments.setup_experiment(cfg)
-        profiles = [s.profile] if family == "norm_se_vs_snr" else s.points
-
-        def reference(profile):
-            return lambda s, snr, rng: list(_rates(s, profile, snr, rng).values())
-
-        s, draws, want = _draws_against_reference(cfg, experiments._rate_draw,
-                                                  reference(profiles[0]), snr, 6)
+        assert all(point[1] == snr for point in s.points)
+        s, draws, want = _draws_against_reference(cfg, experiments._rate_draw, reference,
+                                                  s.points[0], 6)
         chunk = experiments._rate_prepare(s, draws)
-        for i, profile in enumerate(profiles):
+        for i, point in enumerate(s.points):
             if i:
-                want = np.array([reference(profile)(s, snr, experiments._trial_rng(cfg, 0, t))
+                want = np.array([reference(s, point, experiments._trial_rng(cfg, 0, t))
                                  for t in range(6)])
             got = np.array([[r[k] for k in ("perfect", "abp", "gob")]
-                            for r in experiments._rate_compute(s, profile, snr, chunk)])
+                            for r in experiments._rate_compute(s, point, chunk)])
             assert got.shape == want.shape == (6, 3)
             assert got.tobytes() == want.tobytes(), f"point {i}"
 
@@ -583,6 +583,28 @@ class TestChunks:
         run_experiment(cfg, str(tmp_path))
         assert counts == {"_clustered_paths": 2, "pulse_coefficients": 2, "tag_probing": 16,
                           "estimate_multipath": 8}
+
+    def test_rate_steps_build_no_path_objects(self, tmp_path, monkeypatch):
+        """An 8-trial robustness_xpd run reads its estimates as arrays from
+        the estimator to the rate step: it constructs no PathEstimate (per
+        path objects numbered 8 trials x 4 points x 3 paths = 96). Reading a
+        report's paths still builds one per path."""
+        built = []
+        init = estimator.PathEstimate.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(estimator.PathEstimate, "__init__", counted)
+        run_experiment(ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False),
+                       str(tmp_path))
+        assert built == []
+        unpaired = {axis: np.full(2, -1) for axis in AXES}
+        report = estimator.EstimationReport(np.zeros((2, 6)), unpaired,
+                                            {axis: np.full(2, math.nan) for axis in AXES},
+                                            0, "abp")
+        assert len(report.paths) == len(built) == 2
 
     @pytest.mark.parametrize("overrides", [{}, {"el_range_deg": (-90.0, 90.0)}],
                              ids=["default", "el90"])
@@ -724,11 +746,15 @@ _OVERHEAD_SIZES = [
 # norm_se_vs_snr wrote nan rows and a robustness family raised EmptyInput
 _INFINITE_SNR = [("norm_se_vs_snr", "snr_db = 10,inf"), ("robustness_xpd", "snr_db = inf"),
                  ("robustness_mismatch", "snr_db = inf")]
+# a shift spacing of half the subcarriers or more: the rate families put an
+# automatically chosen spacing in its place, where pilot_vs_tdm rejects it
+_WIDE_SHIFT = [(family, "pilot.p = 200")
+               for family in ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")]
 SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
     *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES,
-    *_INFINITE_SNR]
+    *_INFINITE_SNR, *_WIDE_SHIFT]
 
 
 class TestCli:
@@ -765,10 +791,13 @@ class TestCli:
         "overhead.epsilon_t = 0", "quantizer.bits = -1", "quantizer.bits = 0",
         "snr_db = -inf", "snr_db = nan", "seed = -1", "channel.k_factor_db = nan",
         "channel.k_factor_db = inf", "channel.chi = nan", "channel.chi = inf",
-        "channel.varsigma_deg = nan", "channel.varsigma_deg = -inf"])
+        "channel.varsigma_deg = nan", "channel.varsigma_deg = -inf", "quantizer.bits = 13",
+        "quantizer.bits = 40", "channel.bandwidth = bogus"])
     def test_bad_values_are_invalid_config(self, line, tmp_path, capsys):
         """Values the array, codebook, pilot and overhead settings reject
-        fail validation, so run stops before any trial."""
+        fail validation, so run stops before any trial: among them a
+        quantizer above MAX_BITS, whose worst-case sweep of maqe_bits would
+        not fit in memory, and a bandwidth name with no OFDM profile."""
         path = tmp_path / "bad.cfg"
         path.write_text(f"experiment = robustness_xpd\ntrials = 1\n{line}\n",
                         encoding="utf-8")
@@ -802,7 +831,7 @@ class TestCli:
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
         *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES,
-        *_INFINITE_SNR])
+        *_INFINITE_SNR, *_WIDE_SHIFT])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -860,6 +889,23 @@ class TestCli:
                               "probing.m_t = 6\nprobing.n_select = 1\n")
         s = experiments.setup_experiment(cfg)
         assert (s.n_t, s.m_t, s.n_select) == (5, 6, 1)
+
+    @pytest.mark.parametrize("family,line,n", [
+        ("norm_se_vs_snr", "", 256), ("robustness_xpd", "", 256), ("pilot_vs_tdm", "", 512),
+        ("norm_se_vs_snr", "channel.bandwidth = 125mhz", 512),
+        ("robustness_mismatch", "channel.bandwidth = 250mhz", 1024),
+        ("pilot_vs_tdm", "channel.bandwidth = desk", 256)])
+    def test_bandwidth_unset_is_the_family_default(self, family, line, n):
+        """One bandwidth table for every family: an unset bandwidth is desk
+        scale (N = 256) for the rate families and 125mhz (N = 512) for
+        pilot_vs_tdm, and a set one is its profile in every family."""
+        cfg = validate_config(f"experiment = {family}\n{line}\n")
+        assert experiments.setup_experiment(cfg).ofdm.n_subcarriers == n
+
+    def test_quantizer_bits_up_to_the_ceiling(self):
+        assert validate_config(f"quantizer.bits = {experiments.MAX_BITS}").bits == 12
+        with pytest.raises(ConfigError, match="quantizer.bits must lie in 1..12"):
+            validate_config(f"quantizer.bits = {experiments.MAX_BITS + 1}")
 
     @pytest.mark.parametrize("family", ["norm_se_vs_snr", "pilot_vs_tdm"])
     def test_swept_keys_set_the_profile_elsewhere(self, family):

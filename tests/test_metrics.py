@@ -272,7 +272,7 @@ class TestBuildBeamformers:
         cfg = experiments.ExperimentConfig(experiment="norm_se_vs_snr", trials=3,
                                            plots=False)
         s = experiments.setup_experiment(cfg)
-        draws = [experiments._rate_draw(s, 10.0, np.random.default_rng(88 + t))
+        draws = [experiments._rate_draw(s, (s.profile, 10.0), np.random.default_rng(88 + t))
                  for t in range(3)]
         calls = []
 
@@ -286,7 +286,8 @@ class TestBuildBeamformers:
         monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector, 1))
         monkeypatch.setattr(experiments, "spectral_efficiency",
                             counted(spectral_efficiency))
-        rates = experiments._rate_compute(s, s.profile, 10.0, experiments._rate_prepare(s, draws))
+        rates = experiments._rate_compute(s, (s.profile, 10.0),
+                                          experiments._rate_prepare(s, draws))
         assert len(rates) == 3
         assert all(set(r) == {"perfect", "abp", "gob"} for r in rates)
         assert all(isinstance(v, float) for r in rates for v in r.values())
