@@ -7,7 +7,7 @@ from dataclasses import replace
 from .estimator import BothZero, InsufficientNeighbors, NoSignal
 from .experiments import (EXPERIMENTS, ConfigError, IoError, ParseError,
                           load_config, run_experiment, setup_experiment,
-                          validate_config)
+                          snr_grid, validate_config)
 from .metrics import EmptyInput
 
 # typed failures of a run whose config was valid: I/O, an empty reduction,
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         return 1
     if args.command == "validate":
         print(f"ok: experiment={cfg.experiment} trials={cfg.trials} "
-              f"seed={cfg.seed} snr_db={list(cfg.snr_db)}")
+              f"seed={cfg.seed} snr_db={list(snr_grid(cfg))}")
         return 0
     try:
         result = run_experiment(cfg, out_dir=args.out_dir)

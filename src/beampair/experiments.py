@@ -5,13 +5,14 @@ keys fall back to the evaluated defaults (half-power offsets, 120/90/180
 degree sectors, K = 13.2 dB, chi = 0.2, mismatch 20 degrees, shift spacing
 p = 6, roots 25/29/34, 3-bit differential quantizer).
 
-Each family is a setup -> draw -> [prepare] -> compute -> reduce
-declaration (Family) run by one loop, which alone makes the per-trial RNG
-streams from a counter scheme, SeedSequence([master_seed, family_id,
-point_index, trial]), and walks the trials in chunks (see
-CHUNK_SUBCARRIERS), each chunk at every point: a draw step per trial on its
-own stream, a prepare step over the chunk, then one compute step over the
-chunk per point.
+Each family is a setup -> draw -> compute -> reduce declaration (Family)
+run by one loop, which alone makes the per-trial RNG streams from a counter
+scheme, SeedSequence([master_seed, family_id, point_index, trial]), and
+walks the trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every
+point: a draw step per trial on its own stream, then one compute step over
+the chunk. A robustness family's chi or varsigma sweep is no point of the
+loop: its one compute step per chunk evaluates every swept profile on the
+chunk's draws.
 """
 
 import csv
@@ -46,6 +47,8 @@ EXPERIMENTS = ("maee_vs_snr", "maqe_bits", "pilot_correlation", "pilot_vs_tdm",
 FAMILY_IDS = {"maee_vs_snr": 0, "maqe_bits": 1, "pilot_correlation": 2,
               "pilot_vs_tdm": 3, "norm_se_vs_snr": 4, "robustness_mismatch": 5,
               "robustness_xpd": 6}
+
+ONE_SNR_FAMILIES = ("pilot_vs_tdm", "robustness_mismatch", "robustness_xpd")
 
 # positional pairing of stream count with the probing totals used in the
 # complexity accounting
@@ -129,7 +132,7 @@ class ExperimentConfig:
     experiment: str = _key(None, str, "maee_vs_snr")
     trials: int = _key(None, int, 500)
     seed: int = _key(None, int, 1)
-    snr_db: tuple = _key(None, parse_snr_grid, (10.0, 15.0, 20.0))
+    snr_db: tuple | None = _key(None, parse_snr_grid)  # family default when unset
     n_x: int = _key("arrays", int, 4)
     n_y: int = _key("arrays", int, 8)
     m_tot: int = _key("arrays", int, 4)
@@ -171,9 +174,9 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if not self.snr_db:
+        if self.snr_db == ():
             raise ConfigError("snr grid is empty")
-        if any(math.isnan(x) or x == -math.inf for x in self.snr_db):
+        if any(math.isnan(x) or x == -math.inf for x in self.snr_db or ()):
             raise ConfigError("snr_db values must be numbers above -inf dB")
         for key in ("k_factor_db", "chi", "varsigma_deg"):
             if not math.isfinite(getattr(self, key)):
@@ -182,6 +185,8 @@ class ExperimentConfig:
             raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
         if self.n_s < 1:
             raise ConfigError("overhead.n_s must be >= 1")
+        if self.n_clusters < 1:
+            raise ConfigError("channel.n_clusters must be >= 1")
         if not 1 <= self.bits <= MAX_BITS:
             raise ConfigError(f"quantizer.bits must lie in 1..{MAX_BITS}")
         try:  # the array, codebook, bandwidth and overhead settings validate themselves
@@ -289,6 +294,18 @@ def _codebooks(cfg: ExperimentConfig, arrays: ArrayConfig,
     return cbs
 
 
+def snr_grid(cfg: ExperimentConfig) -> tuple:
+    """The SNR points of the family: snr_db as set or, unset, the family's
+    default, 10, 15 and 20 dB. A family in ONE_SNR_FAMILIES runs at 10 dB
+    unset and rejects a grid of more than one value."""
+    if cfg.experiment not in ONE_SNR_FAMILIES:
+        return cfg.snr_db or (10.0, 15.0, 20.0)
+    if cfg.snr_db is not None and len(cfg.snr_db) > 1:
+        raise ConfigError(f"{cfg.experiment} runs at one SNR; snr_db holds "
+                          f"{len(cfg.snr_db)} values")
+    return cfg.snr_db or (10.0,)
+
+
 def _reject_swept_key(cfg: ExperimentConfig, key: str, values) -> None:
     """A family that sweeps the config field `key` over `values` itself
     rejects a config that sets it to anything but its default."""
@@ -304,11 +321,11 @@ def _span(codebooks, axis: str) -> tuple:
     return (float(mus.min()), float(mus.max()))
 
 
-def _cluster_profile(cfg: ExperimentConfig, codebooks, n_clusters: int) -> ClusterProfile:
+def _cluster_profile(cfg: ExperimentConfig, codebooks) -> ClusterProfile:
     """Clustered-channel profile whose path directions span the codebooks'
     coverage."""
     return ClusterProfile(
-        n_clusters=n_clusters, subpaths_per_cluster=cfg.subpaths,
+        n_clusters=cfg.n_clusters, subpaths_per_cluster=cfg.subpaths,
         mu_y_range=_span(codebooks, "azimuth"),
         mu_x_range=_span(codebooks, "elevation"),
         nu_range=_span(codebooks, "receive"),
@@ -317,8 +334,7 @@ def _cluster_profile(cfg: ExperimentConfig, codebooks, n_clusters: int) -> Clust
 
 # ---------------------------------------------------------------------------
 # families: setup(cfg) -> draw(setup, point, rng) per trial
-# -> [prepare(setup, draws) per chunk] -> compute(setup, point, prepared) per
-# chunk and point -> reduce(setup, results)
+# -> compute(setup, point, draws) per chunk and point -> reduce(setup, results)
 
 _DOMAINS = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
 
@@ -334,7 +350,7 @@ def _maee_setup(cfg: ExperimentConfig):
     # one interval
     cov = {ax: _span(cbs, ax) for ax in AXES}
     return SimpleNamespace(
-        cfg=cfg, points=cfg.snr_db, arrays=arrays, cbs=cbs, cov=cov,
+        cfg=cfg, points=snr_grid(cfg), arrays=arrays, cbs=cbs, cov=cov,
         nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]})
 
 
@@ -375,7 +391,7 @@ def _maee_reduce(s, results):
     table = ResultTable("maee_vs_snr",
                         ["snr_db", "scheme", "domain", "maee_deg", "ci95"])
     for snr, trials in zip(s.points, results):
-        deg = np.degrees(np.array(trials))  # (trial, truth/abp/gob, domain)
+        deg = np.degrees(trials)  # (trial, truth/abp/gob, domain)
         for i, sch in enumerate(("abp", "gob"), start=1):
             for d, dom in enumerate(_DOMAINS):
                 t_arr, e_arr = deg[:, 0, d], deg[:, i, d]
@@ -429,7 +445,7 @@ def _maqe_reduce(s, results):
     table = ResultTable("maqe_bits",
                         ["n_y", "scheme", "bits_total", "metric", "value_deg"])
     for n_y, book, trials in zip(_MAQE_N_Y, s.points, results):
-        diff_errs, direct_errs = np.array(trials).T
+        diff_errs, direct_errs = trials.T
         table.add(n_y, "differential", bits + 1, "maqe_deg",
                   _fmt(float(deg(np.mean(diff_errs)))))
         table.add(n_y, "direct", bits + 1, "maqe_deg",
@@ -489,12 +505,12 @@ def _tdm_setup(cfg: ExperimentConfig):
     # horizontally polarized probing beams are not leakage-suppressed
     mid_v, mid_h = (rx.matrix[:, idx[len(idx) // 2]] for idx in rx.by_pol.values())
     return SimpleNamespace(
-        cfg=cfg, points=[cfg.snr_db[0]], arrays=arrays, ofdm=ofdm, tags=tags,
+        cfg=cfg, points=snr_grid(cfg), arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
         x=pilots.references(tags),  # (N, beam)
         f=az.matrix[:, beams],
         w=(mid_v + mid_h) / np.sqrt(2),
-        profile=_cluster_profile(cfg, cbs, cfg.n_clusters),
+        profile=_cluster_profile(cfg, cbs),
         trial_subcarriers=ofdm.n_subcarriers)
 
 
@@ -549,13 +565,18 @@ def _tdm_reduce(s, results):
 
 
 def _rate_setup(cfg: ExperimentConfig):
-    """What the rate families' trials share: codebooks whose azimuth and
-    receive beams all pair, pilots, the cluster profile and probing sizes.
-    An unset probing key takes its default; a set one must be >= 1. The
-    rate at infinite SNR is unbounded, so every SNR must be finite."""
-    if not all(map(math.isfinite, cfg.snr_db)):
+    """What the rate families' trials share: one point per SNR, codebooks
+    whose azimuth and receive beams all pair, pilots, the cluster profile,
+    the `profiles` each chunk is rated under (here that one) and probing
+    sizes. An unset probing key takes its default; a set one must be >= 1.
+    The rate at infinite SNR is unbounded, so every SNR must be finite."""
+    points = snr_grid(cfg)
+    if not all(map(math.isfinite, points)):
         raise ConfigError(f"{cfg.experiment} needs finite snr_db values: the rate at "
                           "infinite SNR is unbounded")
+    if cfg.n_clusters < cfg.n_s:
+        raise ConfigError(f"channel.n_clusters = {cfg.n_clusters} is below overhead.n_s = "
+                          f"{cfg.n_s}: each stream steers at its own cluster")
     for key in ("n_t", "m_t", "n_select"):
         if getattr(cfg, key) is not None and getattr(cfg, key) < 1:
             raise ConfigError(f"probing.{key} must be >= 1")
@@ -574,23 +595,22 @@ def _rate_setup(cfg: ExperimentConfig):
     for side, slots, beams in (("n_t", n_t * n_rf, merged_az), ("m_t", m_t * m_rf, merged_rx)):
         if slots < beams:
             raise ConfigError(f"probing.{side} gives {slots} slots for {beams} beams")
+    profile = _cluster_profile(cfg, cbs)
     return SimpleNamespace(
-        cfg=cfg, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
-        profile=_cluster_profile(cfg, cbs, max(cfg.n_clusters, cfg.n_s)),
-        n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
+        cfg=cfg, points=points, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
+        profile=profile, profiles=[profile], n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
         n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
         # the azimuth stage's slot noise and probe outputs hold one (N, m_rf)
         # block per (tx probing, rx probing) slot
         trial_subcarriers=n_t * m_t * ofdm.n_subcarriers)
 
 
-def _rate_draw(s, point: tuple, rng) -> tuple:
-    """One rate trial's draws at point (profile, snr), in the order of the
-    per-trial flow: the clustered channel's, the probing plan's seed and
-    its plan, then estimate_multipath's (see estimator._multipath_draws).
-    They read the shared cluster profile's draw sizes and the point's SNR,
-    never a swept field."""
-    _, snr = point
+def _rate_draw(s, snr: float, rng) -> tuple:
+    """One rate trial's draws at an SNR, in the order of the per-trial
+    flow: the clustered channel's, the probing plan's seed and its plan,
+    then estimate_multipath's (see estimator._multipath_draws). They read
+    the cluster profile's draw sizes and the SNR, never chi or varsigma, so
+    they serve every profile of s.profiles."""
     channel = _clustered_draws(s.profile, rng)
     plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
                                int(rng.integers(2 ** 31)), layout="free")
@@ -615,43 +635,36 @@ def _gob_directions(rep, cbs) -> np.ndarray:
 _SCHEMES = ("perfect", "abp", "gob")
 
 
-def _rate_prepare(s, draws: list) -> SimpleNamespace:
-    """The per-chunk part of a rate compute step, everything of a chunk of
-    trials that neither the point's SNR nor the swept chi or varsigma
-    reaches: the stacked steered paths (path parameters, delay taps and
-    steering), the stacked plan, estimate_multipath's probing (coverage
-    checks, pilot tags and references, combiners, stacked noise, the
-    azimuth stage's V^H F) and the true dominant directions, (T, n_s, 3)."""
+def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
+    """Spectral efficiency of a chunk of trials at an SNR under each profile
+    of s.profiles (its chi and varsigma), steered at the true dominant
+    directions, at the ABP estimates and at the GoB estimates, (T, profile,
+    scheme) in _SCHEMES order. What no profile reaches is built once: the
+    stacked steered paths (path parameters, delay taps and steering), the
+    stacked plan, estimate_multipath's probing (coverage checks, pilot tags
+    and references, combiners, stacked noise, the azimuth stage's V^H F)
+    and the true directions. Per profile: one stacked realization, one
+    estimate_multipath pass, one beamformer build and one rate call for the
+    3 x T beamformer sets."""
     channel, plans, estimator_draws = zip(*draws)
+    n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
     paths = _clustered_steered(s.profile, [np.array(d) for d in zip(*channel)],
                                s.arrays, s.ofdm)
     plan = ProbingPlan(np.array([p.tx_idx for p in plans]), np.array([p.rx_idx for p in plans]))
-    perfect = spatial_frequencies([a[:, :s.cfg.n_s] for a in paths.dominant_angles], s.arrays)
-    return SimpleNamespace(
-        paths=paths, plan=plan,
-        probing=_multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws),
-        perfect=np.stack([perfect.mu_x, perfect.mu_y, perfect.nu], axis=-1))
-
-
-def _rate_compute(s, point: tuple, chunk: SimpleNamespace) -> list:
-    """Spectral efficiency of a prepared chunk of trials (see _rate_prepare)
-    at point (profile, snr), under the profile's chi and varsigma, steered
-    at the true dominant directions ("perfect"), at the ABP estimates and at
-    the GoB estimates, one {scheme: rate} per trial: one stacked
-    realization, one estimate_multipath pass over the report's arrays, one
-    beamformer build and one rate call for the 3 x T beamformer sets. The
-    chunk is left as it was."""
-    (profile, snr), n, n_s = point, len(chunk.perfect), s.cfg.n_s
-    gamma = 10.0 ** (snr / 10.0)
-    chan = chunk.paths.realization(profile)
-    rep = estimate_multipath(chan, chunk.plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
-                             draws=chunk.probing)
-    sets = [*chunk.perfect, *rep.est[:, :3].reshape(n, -1, 3),
-            *_gob_directions(rep, s.cbs).reshape(n, -1, 3)]
-    f, w = build_rf_beamformers(sets, s.arrays, n_s)  # (scheme x trial, ., n_s)
-    rates = spectral_efficiency(chan, f.reshape(3, n, *f.shape[1:]),
-                                w.reshape(3, n, *w.shape[1:]), gamma, n_s)
-    return [dict(zip(_SCHEMES, r)) for r in rates.T.tolist()]
+    probing = _multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws)
+    truth = spatial_frequencies([a[:, :n_s] for a in paths.dominant_angles], s.arrays)
+    perfect = np.stack([truth.mu_x, truth.mu_y, truth.nu], axis=-1)  # (T, n_s, 3)
+    rates = []
+    for profile in s.profiles:
+        chan = paths.realization(profile)
+        rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
+                                 draws=probing)
+        sets = [*perfect, *rep.est[:, :3].reshape(n, -1, 3),
+                *_gob_directions(rep, s.cbs).reshape(n, -1, 3)]
+        f, w = build_rf_beamformers(sets, s.arrays, n_s)  # (scheme x trial, ., n_s)
+        rates.append(spectral_efficiency(chan, f.reshape(3, n, *f.shape[1:]),
+                                         w.reshape(3, n, *w.shape[1:]), gamma, n_s))
+    return np.moveaxis(np.array(rates), -1, 0)
 
 
 _RATE_COLUMNS = ["experiment", "snr_db", "scheme", "metric", "value", "ci95"]
@@ -676,7 +689,6 @@ def _norm_se_setup(cfg: ExperimentConfig):
     s.iters = {"perfect": 0,
                "abp": OverheadModel.abp_complexity(cfg.n_s, n_tx, cfg.n_s, m_rx),
                "gob": OverheadModel.gob_complexity(cfg.n_bm, cfg.m_bm, cfg.n_s, cfg.n_s)}
-    s.points = [(s.profile, snr) for snr in cfg.snr_db]
     s.overhead = OverheadModel(epsilon_t=cfg.epsilon_t, t_tot=cfg.t_tot)
     return s
 
@@ -684,11 +696,10 @@ def _norm_se_setup(cfg: ExperimentConfig):
 def _norm_se_reduce(s, results):
     name = s.cfg.experiment
     table = ResultTable("norm_se_vs_snr", _RATE_COLUMNS)
-    for (_, snr), trials in zip(s.points, results):
-        for sch, iters in s.iters.items():
-            vals = np.array([rates[sch] for rates in trials])
-            norm = np.array([normalized_spectral_efficiency(v, iters, s.overhead)
-                             for v in vals])
+    for snr, trials in zip(s.points, results):
+        for k, sch in enumerate(_SCHEMES):
+            vals = trials[:, 0, k]
+            norm = normalized_spectral_efficiency(vals, s.iters[sch], s.overhead)
             table.add(name, _fmt(snr), sch, "se", _fmt(float(vals.mean())),
                       _fmt(ci95(vals)))
             table.add(name, _fmt(snr), sch, "norm_se",
@@ -707,14 +718,14 @@ _SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.rad
 
 
 def _robustness_setup(cfg: ExperimentConfig):
-    """One point per sweep value: the cluster profile with that value, at
-    the first SNR of the grid. The swept parameters reach nothing else, so
-    codebooks and pilots are shared. The sweep sets the swept field, so a
-    config that sets it too is rejected."""
+    """One profile per sweep value, the cluster profile with that value, at
+    the one SNR point. The swept parameters reach nothing else, so each
+    chunk's draws, codebooks and pilots serve every profile. The sweep sets
+    the swept field, so a config that sets it too is rejected."""
     param, values, to_profile, key = _SWEEPS[cfg.experiment]
     _reject_swept_key(cfg, key, values)
     s = _rate_setup(cfg)
-    s.points = [(replace(s.profile, **{param: to_profile(v)}), cfg.snr_db[0]) for v in values]
+    s.profiles = [replace(s.profile, **{param: to_profile(v)}) for v in values]
     return s
 
 
@@ -722,10 +733,11 @@ def _robustness_reduce(s, results):
     name = s.cfg.experiment
     param, values, *_ = _SWEEPS[name]
     table = ResultTable(name, _RATE_COLUMNS)
-    for value, (_, snr), trials in zip(values, s.points, results):
-        gaps = [(r["perfect"] - r["abp"]) / r["perfect"]
-                for r in trials if r["perfect"] > 0]
-        if not gaps:
+    [snr], [trials] = s.points, results
+    for value, (perfect, abp, _) in zip(values, trials.transpose(1, 2, 0)):
+        kept = perfect > 0
+        gaps = (perfect[kept] - abp[kept]) / perfect[kept]
+        if not gaps.size:
             raise EmptyInput(f"{name} at {param}_{value:g}: no trial has a "
                              "positive perfect rate")
         table.add(name, _fmt(snr), f"{param}_{value:g}", "se_gap_frac",
@@ -735,29 +747,20 @@ def _robustness_reduce(s, results):
 
 # An experiment family. setup(cfg) builds once everything the trials share,
 # plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
-# trial's draws from its stream; prepare(setup, draws) builds from a chunk
-# of trials' draws, in trial order, what the family's compute steps on
-# those draws share (by default, the draws themselves); compute(setup,
-# point, prepared) turns that into one result per trial; reduce(setup,
-# results), results[i] being point i's trial results in trial order, builds
-# the tables. Neither prepare nor compute changes what it is given: the
-# draws, or the prepared chunk. same_streams: every point shares point 0's
-# trial streams and so its draws and its prepared chunk, made once per chunk
-# and computed at every point, so the points' channels differ only in the
-# swept parameter; such a draw or prepare step must not read the swept field.
-Family = namedtuple("Family", "setup draw compute reduce same_streams prepare",
-                    defaults=(False, lambda s, draws: draws))
-_ROBUSTNESS = Family(_robustness_setup, _rate_draw, _rate_compute, _robustness_reduce,
-                     same_streams=True, prepare=_rate_prepare)
+# trial's draws from its stream; compute(setup, point, draws) turns a chunk
+# of trials' draws, in trial order, into an array with one leading row per
+# trial, and leaves the draws as they were; reduce(setup, results),
+# results[i] being point i's rows in trial order, builds the tables.
+Family = namedtuple("Family", "setup draw compute reduce")
 FAMILIES = {
     "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
     "maqe_bits": Family(_maqe_setup, _maqe_draw, _maqe_compute, _maqe_reduce),
     "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
     "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
-    "norm_se_vs_snr": Family(_norm_se_setup, _rate_draw, _rate_compute, _norm_se_reduce,
-                             prepare=_rate_prepare),
-    "robustness_mismatch": _ROBUSTNESS,
-    "robustness_xpd": _ROBUSTNESS,
+    "norm_se_vs_snr": Family(_norm_se_setup, _rate_draw, _rate_compute, _norm_se_reduce),
+    "robustness_mismatch": Family(_robustness_setup, _rate_draw, _rate_compute,
+                                  _robustness_reduce),
+    "robustness_xpd": Family(_robustness_setup, _rate_draw, _rate_compute, _robustness_reduce),
 }
 
 
@@ -840,19 +843,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     os.makedirs(out_dir, exist_ok=True)
     chunk = _chunk_trials(s)
     results = [[] for _ in s.points]
-    # the points that share one chunk's draws, on the streams of the first
-    points = list(enumerate(s.points))
-    groups = [points] if family.same_streams else [[p] for p in points]
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
-        for group in groups:
-            pi, point = group[0]
+        for pi, point in enumerate(s.points):
             draws = [family.draw(s, point, _trial_rng(cfg, pi, t)) for t in trials]
-            shared = family.prepare(s, draws)
-            for pi, point in group:
-                results[pi].extend(family.compute(s, point, shared))
-            del draws, shared  # freed before the next group's are made
-    tables = family.reduce(s, results)
+            results[pi].append(family.compute(s, point, draws))
+            del draws  # freed before the next point's are made
+    tables = family.reduce(s, [np.concatenate(rows) for rows in results])
     files = [emit_outputs(t, out_dir) for t in tables.values()]
     if cfg.plots:
         files += _plot_tables(tables, out_dir)

@@ -96,10 +96,10 @@ def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
     return rate if batch else float(rate)
 
 
-def normalized_spectral_efficiency(r: float, estimator_iterations: int,
-                                   overhead: OverheadModel) -> float:
-    """Scales the rate by the fraction of coherence slots left after
-    estimation; clamped at zero when overhead exhausts the budget."""
+def normalized_spectral_efficiency(r, estimator_iterations: int, overhead: OverheadModel):
+    """Scales the rate, or each of an array of rates, by the fraction of
+    coherence slots left after estimation; clamped at zero when overhead
+    exhausts the budget."""
     if estimator_iterations < 0:
         raise ValueError("iteration count must be >= 0")
     t_est = overhead.t_est(estimator_iterations)

@@ -81,7 +81,7 @@ class TestValidateConfig:
         assert cfg.experiment == "maee_vs_snr"
         assert cfg.trials == 500 and cfg.seed == 1
         assert cfg.bits == 3 and cfg.p == 6
-        assert cfg.snr_db == (10.0, 15.0, 20.0)
+        assert cfg.snr_db is None and experiments.snr_grid(cfg) == (10.0, 15.0, 20.0)
 
     def test_full_parse(self):
         cfg = validate_config(GOOD_CONFIG)
@@ -293,12 +293,13 @@ class TestFamilies:
         raises EmptyInput naming the point, instead of writing a nan."""
         s = experiments.setup_experiment(ExperimentConfig(
             experiment="robustness_xpd", trials=2, plots=False))
-        good = [{"perfect": 2.0, "abp": 1.5, "gob": 1.0}] * 2
-        dropped = [{"perfect": 0.0, "abp": 0.0, "gob": 0.0}] * 2
-        table = experiments._robustness_reduce(s, [good] * 4)["robustness_xpd"]
+        good = np.tile([2.0, 1.5, 1.0], (2, 4, 1))  # (trial, profile, scheme)
+        table = experiments._robustness_reduce(s, [good])["robustness_xpd"]
         assert [float(r[4]) for r in table.rows] == [0.25] * 4
+        dropped = good.copy()
+        dropped[:, 2] = 0.0
         with pytest.raises(EmptyInput, match="robustness_xpd at chi_0.2: no trial"):
-            experiments._robustness_reduce(s, [good, good, dropped, good])
+            experiments._robustness_reduce(s, [dropped])
 
     @pytest.mark.parametrize("family,owner,name,trials", [
         ("norm_se_vs_snr", SteeredPaths, "realization", 3),
@@ -436,15 +437,13 @@ def _rates(s, profile, snr: float, rng) -> dict:
 
 
 def _draw_bytes(draws) -> list:
-    """The arrays of a draw step's output, or of a prepared chunk, in order,
-    as bytes: through tuples, lists, dataclasses (a ProbingPlan) and
-    namespaces (a prepared rate chunk); any other value as it is."""
+    """The arrays of a draw step's output, in order, as bytes: through
+    tuples, lists and dataclasses (a ProbingPlan); any other value as it
+    is."""
     if isinstance(draws, np.ndarray):
         return [draws.tobytes()]
     if dataclasses.is_dataclass(draws):
         return _draw_bytes([getattr(draws, f.name) for f in fields(draws)])
-    if isinstance(draws, SimpleNamespace):
-        return _draw_bytes(list(vars(draws).values()))
     if isinstance(draws, (tuple, list)):
         return [b for d in draws for b in _draw_bytes(d)]
     return [draws]
@@ -510,30 +509,47 @@ class TestChunks:
     @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_xpd",
                                         "robustness_mismatch"])
     def test_rate_chunk_equals_per_trial_flow(self, family, overrides, snr):
-        """A rate chunk's rates (T, scheme) are the per-trial flow's, byte
-        for byte, and each draw step leaves its generator where the flow
-        leaves it. A robustness family's chunk is prepared once, from point
-        0's draws, and computed at every sweep point, each against the
-        per-trial flow under that point's profile."""
+        """A rate chunk's rates (T, profile, scheme) are the per-trial
+        flow's, byte for byte, and each draw step leaves its generator where
+        the flow leaves it. A robustness family's chunk is drawn once, at
+        its one SNR point, and each profile's column is checked against the
+        per-trial flow under that profile."""
         cfg = ExperimentConfig(experiment=family, trials=6, snr_db=(snr,), plots=False,
                                **overrides)
 
-        def reference(s, point, rng):
-            return list(_rates(s, *point, rng).values())
+        def reference(s, snr, rng, profile=0):
+            return list(_rates(s, s.profiles[profile], snr, rng).values())
 
-        s = experiments.setup_experiment(cfg)
-        assert all(point[1] == snr for point in s.points)
         s, draws, want = _draws_against_reference(cfg, experiments._rate_draw, reference,
-                                                  s.points[0], 6)
-        chunk = experiments._rate_prepare(s, draws)
-        for i, point in enumerate(s.points):
+                                                  snr, 6)
+        assert s.points == (snr,)
+        assert len(s.profiles) == (1 if family == "norm_se_vs_snr" else 4)
+        got = experiments._rate_compute(s, snr, draws)
+        assert got.shape == (6, len(s.profiles), 3)
+        for i in range(len(s.profiles)):
             if i:
-                want = np.array([reference(s, point, experiments._trial_rng(cfg, 0, t))
+                want = np.array([reference(s, snr, experiments._trial_rng(cfg, 0, t), i)
                                  for t in range(6)])
-            got = np.array([[r[k] for k in ("perfect", "abp", "gob")]
-                            for r in experiments._rate_compute(s, point, chunk)])
-            assert got.shape == want.shape == (6, 3)
-            assert got.tobytes() == want.tobytes(), f"point {i}"
+            assert want.shape == (6, 3)
+            assert got[:, i].tobytes() == want.tobytes(), f"profile {i}"
+
+    @pytest.mark.parametrize("overrides", [{}, {"el_range_deg": (-90.0, 90.0)}],
+                             ids=["default", "el90"])
+    @pytest.mark.parametrize("family", ["robustness_xpd", "robustness_mismatch"])
+    def test_each_profile_column_is_a_compute_over_that_profile(self, family, overrides):
+        """The profiles of one rate compute step share the chunk's paths,
+        plan, probing and true directions, and none changes them for the
+        next: each profile's column equals, byte for byte, a compute step
+        over that profile alone."""
+        cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
+        s = experiments.setup_experiment(cfg)
+        draws = [experiments._rate_draw(s, 10.0, experiments._trial_rng(cfg, 0, t))
+                 for t in range(4)]
+        got = experiments._rate_compute(s, 10.0, draws)
+        for i, profile in enumerate(s.profiles):
+            alone = SimpleNamespace(**{**vars(s), "profiles": [profile]})
+            assert got[:, i].tobytes() == \
+                experiments._rate_compute(alone, 10.0, draws)[:, 0].tobytes(), f"profile {i}"
 
     @pytest.mark.parametrize("family,overrides", [
         ("maee_vs_snr", {}), ("maqe_bits", {}), ("pilot_vs_tdm", {}), ("norm_se_vs_snr", {}),
@@ -543,21 +559,16 @@ class TestChunks:
              "norm_se_vs_snr-el90", "robustness_xpd", "robustness_xpd-el90",
              "robustness_mismatch"])
     def test_compute_leaves_the_draws_as_they_were(self, family, overrides):
-        """The Family contract: a chunk's draws, and a prepared chunk, are
-        byte for byte what they were before the compute step ran, at every
-        point of a same_streams family."""
+        """The Family contract: a chunk's draws are byte for byte what they
+        were before the compute step ran, which for a robustness family
+        evaluates them under all four profiles."""
         cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         steps = experiments.FAMILIES[family]
         draws = [steps.draw(s, s.points[0], experiments._trial_rng(cfg, 0, t)) for t in range(4)]
         before = _draw_bytes(draws)
-        shared = steps.prepare(s, draws)
+        steps.compute(s, s.points[0], draws)
         assert _draw_bytes(draws) == before
-        prepared = _draw_bytes(shared)
-        for point in s.points if steps.same_streams else s.points[:1]:
-            steps.compute(s, point, shared)
-        assert _draw_bytes(draws) == before
-        assert _draw_bytes(shared) == prepared
 
     def test_sweep_invariant_work_runs_once_per_chunk(self, tmp_path, monkeypatch):
         """An 8-trial robustness_xpd run is 2 chunks x 4 points: the path
@@ -609,19 +620,20 @@ class TestChunks:
     @pytest.mark.parametrize("overrides", [{}, {"el_range_deg": (-90.0, 90.0)}],
                              ids=["default", "el90"])
     @pytest.mark.parametrize("family", ["robustness_xpd", "robustness_mismatch"])
-    def test_sweep_points_share_point_0_draws(self, family, overrides, tmp_path, monkeypatch):
-        """A same_streams family's draw step on point 0's stream gives, with
-        any sweep point, point 0's draws byte for byte and leaves the
-        generator in the same state: no draw reads the swept field. A run
-        makes each trial's draws once, at point 0, for every point."""
+    def test_sweep_profiles_share_the_draws(self, family, overrides, tmp_path, monkeypatch):
+        """A robustness family's draw step under any swept profile gives the
+        cluster profile's draws byte for byte and leaves the generator in
+        the same state: no draw reads the swept field. A run makes each
+        trial's draws once, at its one SNR point, for every profile."""
         cfg = ExperimentConfig(experiment=family, trials=6, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         steps = experiments.FAMILIES[family]
-        assert steps.same_streams and len(s.points) == 4
+        assert s.points == (10.0,) and len(s.profiles) == 4
+        swept = [SimpleNamespace(**{**vars(s), "profile": p}) for p in s.profiles]
         for t in range(3):
-            rngs = [experiments._trial_rng(cfg, 0, t) for _ in s.points]
-            draws = [_draw_bytes(steps.draw(s, point, rng))
-                     for point, rng in zip(s.points, rngs)]
+            rngs = [experiments._trial_rng(cfg, 0, t) for _ in range(5)]
+            draws = [_draw_bytes(steps.draw(setup, 10.0, rng))
+                     for setup, rng in zip([s, *swept], rngs)]
             assert all(d == draws[0] for d in draws[1:])
             assert all(r.bit_generator.state == rngs[0].bit_generator.state for r in rngs[1:])
         drawn = []
@@ -632,7 +644,7 @@ class TestChunks:
 
         monkeypatch.setitem(experiments.FAMILIES, family, steps._replace(draw=draw))
         run_experiment(cfg, str(tmp_path))
-        assert drawn == [s.points[0]] * 6
+        assert drawn == [10.0] * 6
 
     @pytest.mark.parametrize("family,trials", [
         ("maee_vs_snr", 20), ("maqe_bits", 20), ("pilot_vs_tdm", 20), ("norm_se_vs_snr", 3),
@@ -640,8 +652,8 @@ class TestChunks:
     def test_chunk_size_moves_no_byte(self, family, trials, tmp_path, monkeypatch):
         """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes (the
         subcarrier bound lifted, so TRIAL_CHUNK alone sets the chunk)."""
-        cfg = ExperimentConfig(experiment=family, trials=trials, snr_db=(0.0, 10.0),
-                               plots=False)
+        grid = (0.0,) if family in experiments.ONE_SNR_FAMILIES else (0.0, 10.0)
+        cfg = ExperimentConfig(experiment=family, trials=trials, snr_db=grid, plots=False)
         monkeypatch.setattr(experiments, "CHUNK_SUBCARRIERS", trials * 1024)
         texts = []
         for chunk in (1, 7, trials):
@@ -703,11 +715,11 @@ class TestChunks:
         writing inf."""
         s = experiments.setup_experiment(ExperimentConfig(experiment="pilot_vs_tdm"))
         amps = np.array([[[0.1, 0.2, 0.3, 0.4], [0.1, 0.25, 0.3, 0.5]]] * 3)
-        table = experiments._tdm_reduce(s, [list(amps)])["pilot_vs_tdm"]
+        table = experiments._tdm_reduce(s, [amps])["pilot_vs_tdm"]
         assert [float(r[5]) for r in table.rows[2:4]] == [0.2] * 2
         amps[:, 1, 1] = 0.0
         with pytest.raises(EmptyInput, match="pilot_vs_tdm beam 2: mean TDM amplitude is 0"):
-            experiments._tdm_reduce(s, [list(amps)])
+            experiments._tdm_reduce(s, [amps])
 
 
 # ---------------------------------------------------------------------------
@@ -901,6 +913,55 @@ class TestCli:
         pilot_vs_tdm, and a set one is its profile in every family."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         assert experiments.setup_experiment(cfg).ofdm.n_subcarriers == n
+
+    @pytest.mark.parametrize("family,grid", [
+        ("maee_vs_snr", (10.0, 15.0, 20.0)), ("norm_se_vs_snr", (10.0, 15.0, 20.0)),
+        ("pilot_vs_tdm", (10.0,)), ("robustness_xpd", (10.0,)),
+        ("robustness_mismatch", (10.0,))])
+    def test_snr_unset_is_the_family_default(self, family, grid):
+        """An unset snr_db is 10, 15 and 20 dB where a family sweeps the
+        SNR, and 10 dB where it runs at one; the setup's points are that
+        grid."""
+        cfg = validate_config(f"experiment = {family}\n")
+        assert experiments.setup_experiment(cfg).points == grid
+
+    @pytest.mark.parametrize("family", experiments.ONE_SNR_FAMILIES)
+    def test_one_snr_families_reject_a_grid(self, family, tmp_path, capsys):
+        """pilot_vs_tdm and the robustness families run at one SNR: a grid
+        of two values fails validate and run as an invalid config, where it
+        ran at its first value alone. One set value is run."""
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\ntrials = 1\nsnr_db = 10,20\n",
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"invalid config: {family} runs at one SNR; snr_db holds 2 values") == 2
+        assert not (tmp_path / "out").exists()
+        cfg = validate_config(f"experiment = {family}\nsnr_db = -10\n")
+        assert experiments.setup_experiment(cfg).points == (-10.0,)
+
+    @pytest.mark.parametrize("family", EXPERIMENTS)
+    def test_clusters_below_one_are_invalid(self, family):
+        """channel.n_clusters < 1 is a config error in every family; the
+        rate families ran it with n_s clusters."""
+        with pytest.raises(ConfigError, match="channel.n_clusters must be >= 1"):
+            validate_config(f"experiment = {family}\nchannel.n_clusters = 0\n")
+
+    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_xpd",
+                                        "robustness_mismatch"])
+    def test_rate_families_need_a_cluster_per_stream(self, family):
+        """A rate family rejects fewer clusters than streams, naming both
+        keys, where it ran with n_s clusters; from n_s clusters up, its
+        profiles have the clusters as set."""
+        cfg = validate_config(f"experiment = {family}\noverhead.n_s = 2\nchannel.n_clusters = 1\n")
+        with pytest.raises(ConfigError,
+                           match="channel.n_clusters = 1 is below overhead.n_s = 2"):
+            experiments.setup_experiment(cfg)
+        for n in (2, 4):
+            cfg = validate_config(f"experiment = {family}\noverhead.n_s = 2\n"
+                                  f"channel.n_clusters = {n}\n")
+            assert {p.n_clusters for p in experiments.setup_experiment(cfg).profiles} == {n}
 
     def test_quantizer_bits_up_to_the_ceiling(self):
         assert validate_config(f"quantizer.bits = {experiments.MAX_BITS}").bits == 12

@@ -82,6 +82,10 @@ class TestOverhead:
             == pytest.approx(10.0 * (1 - 64 / 200))
         # estimation longer than the coherence budget clamps to zero
         assert normalized_spectral_efficiency(10.0, 300000, model) == 0.0
+        # an array of rates: each scaled as alone, bit for bit
+        rates = np.array([0.1, 2.0 / 3.0, 7.25])
+        assert normalized_spectral_efficiency(rates, 64000, model).tobytes() == np.array(
+            [normalized_spectral_efficiency(float(r), 64000, model) for r in rates]).tobytes()
         with pytest.raises(ValueError, match="iteration count"):
             normalized_spectral_efficiency(1.0, -1, model)
 
@@ -272,7 +276,7 @@ class TestBuildBeamformers:
         cfg = experiments.ExperimentConfig(experiment="norm_se_vs_snr", trials=3,
                                            plots=False)
         s = experiments.setup_experiment(cfg)
-        draws = [experiments._rate_draw(s, (s.profile, 10.0), np.random.default_rng(88 + t))
+        draws = [experiments._rate_draw(s, 10.0, np.random.default_rng(88 + t))
                  for t in range(3)]
         calls = []
 
@@ -286,11 +290,8 @@ class TestBuildBeamformers:
         monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector, 1))
         monkeypatch.setattr(experiments, "spectral_efficiency",
                             counted(spectral_efficiency))
-        rates = experiments._rate_compute(s, (s.profile, 10.0),
-                                          experiments._rate_prepare(s, draws))
-        assert len(rates) == 3
-        assert all(set(r) == {"perfect", "abp", "gob"} for r in rates)
-        assert all(isinstance(v, float) for r in rates for v in r.values())
+        rates = experiments._rate_compute(s, 10.0, draws)
+        assert rates.shape == (3, 1, 3) and rates.dtype == np.float64  # (trial, profile, scheme)
         assert sorted(calls) == [("rx_beam_vector", "h"), ("rx_beam_vector", "v"),
                                  ("spectral_efficiency",),
                                  ("tx_beam_vector", "h"), ("tx_beam_vector", "v")]

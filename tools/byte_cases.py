@@ -8,8 +8,10 @@ norm_se_vs_snr, robustness_xpd and robustness_mismatch at 5 and 40 trials
 and seeds 0-2, at the default elevation range and under one of -90:90, each
 alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
-reach the (0, 0) transmit direction that _fill_angles fills; and the four
-chunks families at their golden overrides (150 trials, seed 1)."""
+reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
+the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
+counts; and the four chunks families at their golden overrides (150 trials,
+seed 1)."""
 
 import sys
 from pathlib import Path
@@ -34,6 +36,10 @@ def cases():
         yield f"maee_vs_snr-s{seed}-nx6-ny7", {"experiment": "maee_vs_snr", "seed": seed,
                                              "trials": GOLDEN_TRIALS["maee_vs_snr"],
                                              "n_x": 6, "n_y": 7}
+        for family in ("pilot_vs_tdm", *RATE_FAMILIES):
+            yield f"{family}-s{seed}-snr-10", {"experiment": family, "seed": seed,
+                                               "trials": GOLDEN_TRIALS[family],
+                                               "snr_db": (-10.0,)}
         for family in RATE_FAMILIES:
             for trials in (5, 40):
                 base = {"experiment": family, "seed": seed, "trials": trials}
