@@ -5,7 +5,7 @@ import sys
 from dataclasses import replace
 
 from .estimator import BothZero, InsufficientNeighbors, NoSignal
-from .experiments import (EXPERIMENTS, ConfigError, IoError, ParseError,
+from .experiments import (EXPERIMENTS, FAMILIES, ConfigError, IoError, ParseError,
                           load_config, run_experiment, setup_experiment,
                           snr_grid, validate_config)
 from .metrics import EmptyInput
@@ -67,8 +67,9 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     if args.command == "validate":
-        print(f"ok: experiment={cfg.experiment} trials={cfg.trials} "
-              f"seed={cfg.seed} snr_db={list(snr_grid(cfg))}")
+        snr = (f" snr_db={list(snr_grid(cfg))}"
+               if "snr_db" in FAMILIES[cfg.experiment].reads else "")
+        print(f"ok: experiment={cfg.experiment} trials={cfg.trials} seed={cfg.seed}{snr}")
         return 0
     try:
         result = run_experiment(cfg, out_dir=args.out_dir)

@@ -524,20 +524,19 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     A realization stacked over T trials, with a plan whose index arrays
     carry the same leading trial axis, (T, n_t, n_rf) and (T, m_t, m_rf),
     is estimated in one pass: the report holds the T x n_select estimates,
-    trial-major, and its iterations the trials' total. `draws`
-    holds each trial's noise and elevation plans at gamma (see
-    _multipath_draws); when None, they are drawn from rng, trial by trial.
-    It may also be the MultipathProbing that _multipath_probing made of
-    them, for realizations with this one's v, which several calls then
-    share. A one-trial realization and plan are the T = 1 case.
+    trial-major, and its iterations the trials' total. `draws` is None, for
+    noise and elevation plans drawn from rng at gamma trial by trial (see
+    _multipath_draws), or the MultipathProbing that _multipath_probing made
+    of pre-drawn ones, for realizations with this one's v, which several
+    calls then share. A one-trial realization and plan are the T = 1 case.
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
     if probing_plan.tx_idx.ndim == 2:  # one trial: a stack of one
         channel = ChannelRealization(channel.rho, channel.u[None], channel.v[None], ())
         probing_plan = ProbingPlan(probing_plan.tx_idx[None], probing_plan.rx_idx[None])
-    if not isinstance(draws, MultipathProbing):
-        draws = _multipath_probing(channel, probing_plan, pilots, codebooks, draws, gamma,
+    if draws is None:
+        draws = _multipath_probing(channel, probing_plan, pilots, codebooks, None, gamma,
                                    n_select, rng)
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
     (n_trials, n_t, n_rf), (_, m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape

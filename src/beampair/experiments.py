@@ -12,7 +12,8 @@ walks the trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every
 point: a draw step per trial on its own stream, then one compute step over
 the chunk. A robustness family's chi or varsigma sweep is no point of the
 loop: its one compute step per chunk evaluates every swept profile on the
-chunk's draws.
+chunk's draws. Each family declares the config fields it reads (Family.reads),
+and setup_experiment rejects any other field set away from its default.
 """
 
 import csv
@@ -26,8 +27,8 @@ import numpy as np
 
 from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
                       _clustered_steered, _realization, _rician_draws, _rician_paths)
-from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, ProbingPlan,
-                       build_codebooks, random_probing_plan)
+from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
+                       ProbingPlan, build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws,
                         _multipath_probing, _noise_like, _sigma_from_gamma, _sweep,
                         _sweep_normals, estimate_multipath)
@@ -198,11 +199,15 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _dotted(f) -> str:
+    """A config field's key as written: '<section>.<field name>'."""
+    return ".".join(filter(None, (f.metadata["section"], f.name)))
+
+
 def validate_config(raw: str) -> ExperimentConfig:
     """Parse the flat key=value text format; empty input yields the default
     configuration. A U+2212 minus reads as '-' in every value."""
-    by_key = {".".join(filter(None, (f.metadata["section"], f.name))): f
-              for f in fields(ExperimentConfig)}
+    by_key = {_dotted(f): f for f in fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.strip()
@@ -306,15 +311,6 @@ def snr_grid(cfg: ExperimentConfig) -> tuple:
     return cfg.snr_db or (10.0,)
 
 
-def _reject_swept_key(cfg: ExperimentConfig, key: str, values) -> None:
-    """A family that sweeps the config field `key` over `values` itself
-    rejects a config that sets it to anything but its default."""
-    f = next(f for f in fields(ExperimentConfig) if f.name == key)
-    if getattr(cfg, key) != f.default:
-        raise ConfigError(f"{cfg.experiment} sweeps {f.metadata['section']}.{key} over "
-                          f"{', '.join(f'{v:g}' for v in values)}; leave it unset")
-
-
 def _span(codebooks, axis: str) -> tuple:
     """Lowest to highest boresight of one axis, across polarizations."""
     mus = codebooks.books[axis].boresights
@@ -340,9 +336,7 @@ _DOMAINS = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
 
 
 def _maee_setup(cfg: ExperimentConfig):
-    arrays = _arrays(cfg, "co")
-    if arrays.polarization_mode != "co":  # the Rician channel is co-polarized
-        raise ConfigError("maee_vs_snr needs co-polarized arrays")
+    arrays = _arrays(cfg, "co")  # the Rician channel is co-polarized
     if cfg.n_nlos < 0:
         raise ConfigError("channel.n_nlos must be >= 0")
     cbs = _codebooks(cfg, arrays, paired=AXES)
@@ -404,13 +398,8 @@ _MAQE_N_Y = (8, 16)
 
 
 def _maqe_setup(cfg: ExperimentConfig):
-    """One point per transmit array width: its azimuth book. The family
-    sweeps arrays.n_y itself and quantizes co-polarized books, so a config
-    that sets the width or cross-polarized arrays is rejected."""
-    _reject_swept_key(cfg, "n_y", _MAQE_N_Y)
+    """One point per transmit array width: its co-polarized azimuth book."""
     arrays = _arrays(cfg, "co")
-    if arrays.polarization_mode != "co":
-        raise ConfigError("maqe_bits needs co-polarized arrays")
     books = [_codebooks(cfg, replace(arrays, n_y=n_y), paired=("azimuth",)).books["azimuth"]
              for n_y in _MAQE_N_Y]
     return SimpleNamespace(
@@ -492,8 +481,6 @@ def _correlation_setup(cfg: ExperimentConfig):
 
 def _tdm_setup(cfg: ExperimentConfig):
     arrays = _arrays(cfg, "cross")
-    if arrays.polarization_mode != "cross":
-        raise ConfigError("pilot_vs_tdm needs cross-polarized arrays")
     ofdm = OfdmConfig.profile(cfg.bandwidth or "125mhz")
     cbs = _codebooks(cfg, arrays)
     az, rx = cbs.books["azimuth"], cbs.books["receive"]
@@ -595,6 +582,11 @@ def _rate_setup(cfg: ExperimentConfig):
     for side, slots, beams in (("n_t", n_t * n_rf, merged_az), ("m_t", m_t * m_rf, merged_rx)):
         if slots < beams:
             raise ConfigError(f"probing.{side} gives {slots} slots for {beams} beams")
+    try:  # and each path's elevation plan every elevation beam, as a noiseless trial shows
+        plan = random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, 0, layout="free")
+        _multipath_draws(cbs, plan, 1, 0.0, 1, np.random.default_rng(0))
+    except InfeasibleCoverage as exc:
+        raise ConfigError(f"elevation stage at overhead.n_s = {cfg.n_s}: {exc}") from exc
     profile = _cluster_profile(cfg, cbs)
     return SimpleNamespace(
         cfg=cfg, points=points, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
@@ -710,20 +702,16 @@ def _norm_se_reduce(s, results):
 
 
 # robustness sweeps: the swept cluster-profile field, its values as written in
-# the row tags, their conversion to the profile's units, and the config field
-# that the sweep replaces
-_SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.radians,
-                                   "varsigma_deg"),
-           "robustness_xpd": ("chi", (0.0, 0.1, 0.2, 0.4), float, "chi")}
+# the row tags, and their conversion to the profile's units
+_SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.radians),
+           "robustness_xpd": ("chi", (0.0, 0.1, 0.2, 0.4), float)}
 
 
 def _robustness_setup(cfg: ExperimentConfig):
     """One profile per sweep value, the cluster profile with that value, at
     the one SNR point. The swept parameters reach nothing else, so each
-    chunk's draws, codebooks and pilots serve every profile. The sweep sets
-    the swept field, so a config that sets it too is rejected."""
-    param, values, to_profile, key = _SWEEPS[cfg.experiment]
-    _reject_swept_key(cfg, key, values)
+    chunk's draws, codebooks and pilots serve every profile."""
+    param, values, to_profile = _SWEEPS[cfg.experiment]
     s = _rate_setup(cfg)
     s.profiles = [replace(s.profile, **{param: to_profile(v)}) for v in values]
     return s
@@ -745,28 +733,50 @@ def _robustness_reduce(s, results):
     return {name: table}
 
 
+# the config fields of each layer, and the run-level ones every family takes
+_CODEBOOK = {"n_x", "n_y", "m_tot", "az_range_deg", "el_range_deg", "rx_range_deg",
+             "delta_mode", "ell"}
+_CLUSTER = {"bandwidth", "n_clusters", "subpaths", "chi", "varsigma_deg"}
+_PILOT = {"p", "roots", "coprime_with", "dc_zero"}
+_RATE = {"snr_db", "polarization", "n_s", "n_t", "m_t", "n_select", *_CODEBOOK, *_CLUSTER, *_PILOT}
+_RUN = {"experiment", "trials", "seed", "plots"}
+
 # An experiment family. setup(cfg) builds once everything the trials share,
 # plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
 # trial's draws from its stream; compute(setup, point, draws) turns a chunk
 # of trials' draws, in trial order, into an array with one leading row per
 # trial, and leaves the draws as they were; reduce(setup, results),
 # results[i] being point i's rows in trial order, builds the tables.
-Family = namedtuple("Family", "setup draw compute reduce")
+# `reads` holds the config fields the family reads besides _RUN.
+Family = namedtuple("Family", "setup draw compute reduce reads")
 FAMILIES = {
-    "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce),
-    "maqe_bits": Family(_maqe_setup, _maqe_draw, _maqe_compute, _maqe_reduce),
-    "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables),
-    "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce),
-    "norm_se_vs_snr": Family(_norm_se_setup, _rate_draw, _rate_compute, _norm_se_reduce),
+    "maee_vs_snr": Family(_maee_setup, _maee_draw, _maee_compute, _maee_reduce,
+                          {"snr_db", "k_factor_db", "n_nlos", *_CODEBOOK}),
+    "maqe_bits": Family(_maqe_setup, _maqe_draw, _maqe_compute, _maqe_reduce,
+                        {"az_range_deg", "delta_mode", "ell", "bits"}),
+    "pilot_correlation": Family(_correlation_setup, None, None, lambda s, _: s.tables, {"p"}),
+    "pilot_vs_tdm": Family(_tdm_setup, _tdm_draw, _tdm_compute, _tdm_reduce,
+                           {"snr_db", *_CODEBOOK, *_CLUSTER, *_PILOT}),
+    "norm_se_vs_snr": Family(_norm_se_setup, _rate_draw, _rate_compute, _norm_se_reduce,
+                             {"epsilon_t", "t_tot", "n_bm", "m_bm", "n_tx_total",
+                              "m_rx_total", *_RATE}),
     "robustness_mismatch": Family(_robustness_setup, _rate_draw, _rate_compute,
-                                  _robustness_reduce),
-    "robustness_xpd": Family(_robustness_setup, _rate_draw, _rate_compute, _robustness_reduce),
+                                  _robustness_reduce, _RATE - {"varsigma_deg"}),
+    "robustness_xpd": Family(_robustness_setup, _rate_draw, _rate_compute, _robustness_reduce,
+                             _RATE - {"chi"}),
 }
 
 
 def setup_experiment(cfg: ExperimentConfig) -> SimpleNamespace:
-    """Run the family's setup and no trial; a value that its constructors or
-    its pair check reject raises ConfigError."""
+    """Run the family's setup and no trial. A field set away from its
+    default that the family does not read, or a value that its constructors
+    or its pair check reject, raises ConfigError."""
+    reads = FAMILIES[cfg.experiment].reads | _RUN
+    if cfg.delta_mode != "commensurate":  # ell scales the commensurate pair offset alone
+        reads = reads - {"ell"}
+    for f in fields(ExperimentConfig):
+        if f.name not in reads and getattr(cfg, f.name) != f.default:
+            raise ConfigError(f"{cfg.experiment} does not read {_dotted(f)} here; leave it unset")
     try:
         return FAMILIES[cfg.experiment].setup(cfg)
     except ConfigError:

@@ -3,8 +3,10 @@ deterministic runs of each family, and the command-line interface."""
 
 import csv
 import dataclasses
+import functools
 import math
 import os
+import tempfile
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -651,9 +653,12 @@ class TestChunks:
         ("robustness_xpd", 9), ("robustness_mismatch", 9)])
     def test_chunk_size_moves_no_byte(self, family, trials, tmp_path, monkeypatch):
         """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes (the
-        subcarrier bound lifted, so TRIAL_CHUNK alone sets the chunk)."""
+        subcarrier bound lifted, so TRIAL_CHUNK alone sets the chunk), at an
+        SNR grid of 0 dB (and 10 dB where a family sweeps the SNR) in the
+        families that read one."""
         grid = (0.0,) if family in experiments.ONE_SNR_FAMILIES else (0.0, 10.0)
-        cfg = ExperimentConfig(experiment=family, trials=trials, snr_db=grid, plots=False)
+        snr = {"snr_db": grid} if "snr_db" in experiments.FAMILIES[family].reads else {}
+        cfg = ExperimentConfig(experiment=family, trials=trials, plots=False, **snr)
         monkeypatch.setattr(experiments, "CHUNK_SUBCARRIERS", trials * 1024)
         texts = []
         for chunk in (1, 7, trials):
@@ -733,8 +738,9 @@ _SLOTS_AND_POLARIZATION = [
     ("maee_vs_snr", "arrays.polarization = cross\ncodebook.el_range_deg = -90:90"),
     ("maee_vs_snr", "channel.n_nlos = -1")]
 # a robustness family sets its swept parameter itself, maqe_bits its array
-# width, and maqe_bits quantizes co-polarized books; before their setup
-# checks, such a value set in the config was ignored without a word
+# width, and maqe_bits quantizes co-polarized books, so none of them reads
+# that key; before their setup checks, such a value set in the config was
+# ignored without a word
 _IGNORED_SETTINGS = [("robustness_xpd", "channel.chi = 0.7"),
                      ("robustness_mismatch", "channel.varsigma_deg = 40"),
                      ("maqe_bits", "arrays.n_y = 4"),
@@ -758,6 +764,15 @@ _OVERHEAD_SIZES = [
 # norm_se_vs_snr wrote nan rows and a robustness family raised EmptyInput
 _INFINITE_SNR = [("norm_se_vs_snr", "snr_db = 10,inf"), ("robustness_xpd", "snr_db = inf"),
                  ("robustness_mismatch", "snr_db = inf")]
+# the elevation stage's plan must fit the elevation book at n_s RF chains: a
+# co-polarized rate family at the default n_s = 3 asks 3 distinct beams of 2,
+# and a cross-polarized one at n_s = 1 over the full elevation range gives
+# 2 slots for 4 beams; each validated, then its first trial ended the run in
+# a traceback
+_ELEVATION_PLAN = [
+    *((family, "arrays.polarization = co")
+      for family in ("norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
+    ("robustness_xpd", "overhead.n_s = 1\ncodebook.el_range_deg = -90:90")]
 # a shift spacing of half the subcarriers or more: the rate families put an
 # automatically chosen spacing in its place, where pilot_vs_tdm rejects it
 _WIDE_SHIFT = [(family, "pilot.p = 200")
@@ -766,7 +781,84 @@ SETUP_REJECTS = [
     *((family, "channel.chi = -1") for family in (
         "pilot_vs_tdm", "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")),
     *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES,
-    *_INFINITE_SNR, *_WIDE_SHIFT]
+    *_INFINITE_SNR, *_ELEVATION_PLAN, *_WIDE_SHIFT]
+
+
+# A value of every family key and the lines it needs besides, at which the
+# key moves at least one CSV byte of every family that reads it: range keys
+# snap to whole beams, so each range moves a beam, and a key in CONDITIONAL,
+# read only under a condition, gets the condition first, then books wide
+# enough that its beams still pair. A family leaves out the lines of keys it
+# does not read, as those reach nothing of it.
+KEY_VALUES = {
+    "snr_db": ("0", ""), "n_x": ("8", ""), "n_y": ("16", ""), "m_tot": ("8", ""),
+    "polarization": ("co", "overhead.n_s = 2"), "k_factor_db": ("3", ""), "n_nlos": ("2", ""),
+    "bandwidth": ("250mhz", ""), "n_clusters": ("4", ""), "subpaths": ("2", ""),
+    "chi": ("0.4", ""), "varsigma_deg": ("40", ""), "az_range_deg": ("-90:90", ""),
+    "el_range_deg": ("-90:90", ""), "rx_range_deg": ("-60:60", ""),
+    "delta_mode": ("commensurate",
+                   "codebook.el_range_deg = -90:90\narrays.n_y = 16\narrays.m_tot = 8"),
+    "ell": ("2", "codebook.delta_mode = commensurate\ncodebook.el_range_deg = -90:90\n"
+                 "arrays.n_x = 8\narrays.n_y = 32\narrays.m_tot = 16"),
+    "p": ("2", ""), "roots": ("23,29,31,37", ""), "coprime_with": ("n_minus_1", ""),
+    "dc_zero": ("yes", ""), "bits": ("2", ""), "epsilon_t": ("2000", ""),
+    "t_tot": ("400", ""), "n_bm": ("20", ""), "m_bm": ("8", ""), "n_s": ("2", ""),
+    # the totals are set together; 30 and 25 are the STREAMS_TO_PROBINGS entry of n_s = 3
+    "n_tx_total": ("40", "overhead.n_tx_total = 30\noverhead.m_rx_total = 25"),
+    "m_rx_total": ("30", "overhead.n_tx_total = 30\noverhead.m_rx_total = 25"),
+    "n_t": ("3", ""), "m_t": ("3", ""), "n_select": ("2", ""),
+}
+CONDITIONAL = {"ell"}  # read under codebook.delta_mode = commensurate alone
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def _key_line(name: str, value: str) -> str:
+    return f"{experiments._dotted(_FIELDS[name])} = {value}"
+
+
+@functools.lru_cache(maxsize=None)
+def _csv_bytes(family: str, lines: str) -> bytes:
+    """The CSV of a one- or two-trial run of `family` under `lines`."""
+    trials = 2 if family in ("maee_vs_snr", "maqe_bits") else 1
+    cfg = validate_config(f"experiment = {family}\ntrials = {trials}\nplots = false\n{lines}\n")
+    with tempfile.TemporaryDirectory() as out:
+        [path] = run_experiment(cfg, out)["files"]
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+class TestKeyRule:
+    def test_every_family_key_has_a_value(self):
+        assert set(KEY_VALUES) == set(_FIELDS) - experiments._RUN
+        assert all(experiments.FAMILIES[f].reads <= set(KEY_VALUES) for f in EXPERIMENTS)
+
+    @pytest.mark.parametrize("family,key", [(f, k) for f in EXPERIMENTS for k in KEY_VALUES],
+                             ids=[f"{f}-{k}" for f in EXPERIMENTS for k in KEY_VALUES])
+    def test_a_family_reads_a_key_or_rejects_it(self, family, key, tmp_path, capsys):
+        """A key outside the family's reads, set alone, is an invalid config
+        naming the family and the key in both validate and run, with no
+        traceback and no output directory; so is a CONDITIONAL key without
+        its condition. A key inside the reads moves a CSV byte at its
+        KEY_VALUES value."""
+        value, context = KEY_VALUES[key]
+        reads = experiments.FAMILIES[family].reads
+        if key not in reads or key in CONDITIONAL:
+            path = tmp_path / "cfg.cfg"
+            path.write_text(f"experiment = {family}\ntrials = 1\n{_key_line(key, value)}\n",
+                            encoding="utf-8")
+            assert main(["validate", str(path)]) == 1
+            assert main(["run", str(path), "--out-dir", str(tmp_path / "out"),
+                         "--no-plots"]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and not (tmp_path / "out").exists()
+            assert err.count(f"invalid config: {family} does not read "
+                             f"{experiments._dotted(_FIELDS[key])} here; leave it unset") == 2
+        if key not in reads:
+            return
+        context = "\n".join(line for line in context.splitlines()
+                            if line.split(" =")[0].rpartition(".")[2] in reads)
+        assert _csv_bytes(family, context) != _csv_bytes(family,
+                                                         f"{context}\n{_key_line(key, value)}")
 
 
 class TestCli:
@@ -780,6 +872,15 @@ class TestCli:
         path.write_text("trials = 4\n", encoding="utf-8")
         assert main(["validate", str(path)]) == 0
         assert "ok: experiment=maee_vs_snr trials=4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("family", ["maqe_bits", "pilot_correlation"])
+    def test_validate_prints_no_snr_grid_where_none_is_read(self, family, tmp_path, capsys):
+        """validate prints the SNR grid only for a family that reads one;
+        it printed the unread 10, 15 and 20 dB here."""
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"experiment = {family}\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out == f"ok: experiment={family} trials=500 seed=1\n"
 
     def test_validate_bad(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -843,7 +944,7 @@ class TestCli:
         ("pilot_vs_tdm", "arrays.polarization = co"),
         ("norm_se_vs_snr", "overhead.n_s = 4"),
         *_SLOTS_AND_POLARIZATION, *_IGNORED_SETTINGS, *_PROBING_KEYS, *_OVERHEAD_SIZES,
-        *_INFINITE_SNR, *_WIDE_SHIFT])
+        *_INFINITE_SNR, *_ELEVATION_PLAN, *_WIDE_SHIFT])
     def test_validate_rejects_what_run_rejects(self, family, line, tmp_path,
                                                capsys):
         """validate runs the family's setup, so it exits 1 exactly when run
@@ -864,21 +965,39 @@ class TestCli:
     @pytest.mark.parametrize("family,line", SETUP_REJECTS)
     def test_setup_rejects_what_a_trial_would_fail_on(self, family, line):
         """A negative chi (on every family with a cluster profile), a slot
-        budget that cannot probe every azimuth or receive beam, cross-pol
-        arrays for the co-pol Rician channel or maqe_bits' co-pol books and
-        a value for the parameter a robustness family or maqe_bits sweeps
-        and an infinite SNR for a rate family fail in the setup."""
+        budget that cannot probe every azimuth or receive beam, a set key
+        the family does not read (the polarization of the co-pol Rician
+        channel or maqe_bits' co-pol books, the parameter a robustness
+        family or maqe_bits sweeps), an infinite SNR for a rate family and
+        an elevation plan that does not fit the elevation book fail in the
+        setup."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         with pytest.raises(ConfigError):
             experiments.setup_experiment(cfg)
 
     @pytest.mark.parametrize("line,message", [
-        ("arrays.n_y = 4", "maqe_bits sweeps arrays.n_y over 8, 16; leave it unset"),
-        ("arrays.polarization = cross", "maqe_bits needs co-polarized arrays")])
+        ("arrays.n_y = 4", "maqe_bits does not read arrays.n_y here; leave it unset"),
+        ("arrays.polarization = cross",
+         "maqe_bits does not read arrays.polarization here; leave it unset")])
     def test_maqe_bits_setup_names_what_it_ignores(self, line, message):
+        """maqe_bits sweeps the array width itself and quantizes co-polarized
+        books, so it reads neither key: the setup names the key and the
+        family."""
         cfg = validate_config(f"experiment = maqe_bits\n{line}\n")
         with pytest.raises(ConfigError, match=message):
             experiments.setup_experiment(cfg)
+
+    @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_mismatch",
+                                        "robustness_xpd"])
+    def test_co_pol_rate_setup_names_the_elevation_plan(self, family):
+        """Co-polarized arrays leave 2 elevation beams: at the default n_s = 3
+        the setup names overhead.n_s and the beam count, where the first
+        trial raised InfeasibleCoverage; at n_s = 2 the plan fits."""
+        cfg = validate_config(f"experiment = {family}\narrays.polarization = co\n")
+        with pytest.raises(ConfigError, match="elevation stage at overhead.n_s = 3: 3 distinct "
+                                              "columns requested from a 2-beam codebook"):
+            experiments.setup_experiment(cfg)
+        experiments.setup_experiment(dataclasses.replace(cfg, n_s=2))
 
     @pytest.mark.parametrize("line,missing", [("overhead.n_tx_total = 7", "m_rx_total"),
                                               ("overhead.m_rx_total = 7", "n_tx_total")])

@@ -16,12 +16,13 @@ chunk for maee_vs_snr, 8 for pilot_vs_tdm at N = 512, 4 for the rate
 families), the last one partial."""
 
 import csv
+import importlib.util
 import math
 from pathlib import Path
 
 import pytest
 
-from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment
+from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment, setup_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_DIRS = {0: GOLDEN_DIR, 1: GOLDEN_DIR / "seed1"}
@@ -86,3 +87,18 @@ def test_family_matches_golden(family, seed, overrides, golden, tmp_path):
         assert len(g_row) == len(w_row), f"line {lineno}: width changed"
         bad = [(g, w) for g, w in zip(g_row, w_row) if not _cells_match(g, w)]
         assert not bad, f"{family}.csv line {lineno}: got/want {bad}"
+
+
+def test_byte_cases_and_golden_cases_pass_setup():
+    """Every case of tools/byte_cases.py and every golden case sets only keys
+    its family reads, so the byte-identity matrix and the goldens hold no
+    config that setup_experiment rejects."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "byte_cases.py"
+    spec = importlib.util.spec_from_file_location("byte_cases", path)
+    byte_cases = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(byte_cases)
+    for _, kwargs in byte_cases.cases():
+        setup_experiment(ExperimentConfig(plots=False, **kwargs))
+    for family, seed, overrides, _ in CASES:
+        setup_experiment(ExperimentConfig(**{"experiment": family, "seed": seed,
+                                             "trials": GOLDEN_TRIALS[family], **overrides}))
