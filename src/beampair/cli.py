@@ -6,13 +6,15 @@ from dataclasses import replace
 
 from .estimator import BothZero, InsufficientNeighbors, NoSignal
 from .experiments import (EXPERIMENTS, FAMILIES, ConfigError, IoError, ParseError,
-                          load_config, run_experiment, setup_experiment,
+                          StreamMismatch, load_config, run_experiment, setup_experiment,
                           snr_grid, validate_config)
 from .metrics import EmptyInput
 
 # typed failures of a run whose config was valid: I/O, an empty reduction,
-# and the estimator's no-signal and pairing errors
-RUN_FAILURES = (IoError, EmptyInput, NoSignal, BothZero, InsufficientNeighbors)
+# the estimator's no-signal and pairing errors, and a numpy whose seeding
+# the trial streams no longer reproduce
+RUN_FAILURES = (IoError, EmptyInput, NoSignal, BothZero, InsufficientNeighbors,
+                StreamMismatch)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,24 +6,28 @@ degree sectors, K = 13.2 dB, chi = 0.2, mismatch 20 degrees, shift spacing
 p = 6, roots 25/29/34, 3-bit differential quantizer).
 
 Each family is a setup -> draw -> compute -> reduce declaration (Family)
-run by one loop, which alone makes the per-trial RNG streams from a counter
-scheme, SeedSequence([master_seed, family_id, point_index, trial]), and
-walks the trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every
-point: a draw step per trial on its own stream, then one compute step over
-the chunk. A robustness family's chi or varsigma sweep is no point of the
-loop: its one compute step per chunk evaluates every swept profile on the
-chunk's draws. Each family declares the config fields it reads (Family.reads),
-and setup_experiment rejects any other field set away from its default.
+run by one loop, which alone makes the per-trial RNG streams and walks the
+trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every point: a draw
+step per trial on its own stream, then one compute step over the chunk.
+Trial t of point i draws from the stream of
+SeedSequence([master_seed, family_id, i, t]), state for state; the loop
+seeds a chunk's streams in one array pass (see _trial_rngs). A robustness
+family's chi or varsigma sweep is no point of the loop: its one compute
+step per chunk evaluates every swept profile on the chunk's draws. Each
+family declares the config fields it reads (Family.reads), and
+setup_experiment rejects any other field that a config text wrote or that
+differs from its default.
 """
 
 import csv
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
                       _clustered_steered, _realization, _rician_draws, _rician_paths)
@@ -83,6 +87,10 @@ class ParseError(ValueError):
 
 class IoError(OSError):
     pass
+
+
+class StreamMismatch(RuntimeError):
+    """The chunk seeding no longer reproduces numpy's SeedSequence streams."""
 
 
 def parse_snr_grid(text: str) -> tuple:
@@ -167,12 +175,15 @@ class ExperimentConfig:
     m_t: int | None = _key("probing", int)
     n_select: int | None = _key("probing", int)
     plots: bool = _key(None, _parse_bool, True)
+    # the fields a config text wrote, each set whatever its value (no key)
+    written: InitVar[frozenset] = frozenset()
 
-    def __post_init__(self):
+    def __post_init__(self, written):
+        self.written = frozenset(written)
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        if not 1 <= self.trials < 2 ** 32:  # a trial is one word of its stream's entropy
+            raise ConfigError("trials must lie in 1..2**32 - 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         if self.snr_db == ():
@@ -206,7 +217,8 @@ def _dotted(f) -> str:
 
 def validate_config(raw: str) -> ExperimentConfig:
     """Parse the flat key=value text format; empty input yields the default
-    configuration. A U+2212 minus reads as '-' in every value."""
+    configuration. A U+2212 minus reads as '-' in every value. The config
+    records the fields the text wrote (ExperimentConfig.written)."""
     by_key = {_dotted(f): f for f in fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -226,7 +238,7 @@ def validate_config(raw: str) -> ExperimentConfig:
             raise
         except (TypeError, ValueError) as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return ExperimentConfig(**values)
+    return ExperimentConfig(**values, written=values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -267,9 +279,97 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _trial_rng(cfg: ExperimentConfig, point: int, trial: int) -> np.random.Generator:
-    fam = FAMILY_IDS[cfg.experiment]
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, fam, point, trial]))
+# numpy.random.SeedSequence's hash-mix constants and pool size (4 uint32 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL = 4
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The calls + 1 hash constants of `calls` successive hashmix calls: call
+    k xors by constant k and multiplies by constant k + 1."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of words (trials,), or of rows (calls,
+    trials), once per call with that call's constants, (calls, trials)."""
+    out = words ^ consts[:-1, None]
+    out *= consts[1:, None]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def _stream_states(cfg: ExperimentConfig, point: int, trials) -> np.ndarray:
+    """SeedSequence([cfg.seed, family, point, t]).generate_state(4, np.uint64)
+    of every trial t, (trials, 4): numpy's steps run once over the trial
+    axis in wrapping uint32 arithmetic. Each key is its little-endian
+    32-bit words, so a seed may span several; a trial is one word
+    (ExperimentConfig keeps trials below 2**32). The entropy's first words
+    fill the pool through hashmix (INIT_A / MULT_A), every pool word is then
+    mixed into every other, any further word into each, and the state is
+    the pool hashed out twice over (INIT_B / MULT_B)."""
+    t = np.asarray(trials, dtype=np.uint32)
+    n_seed = max(1, (cfg.seed.bit_length() + 31) // 32)
+    seed = [cfg.seed >> 32 * i & _MASK32 for i in range(n_seed)]
+    entropy = np.empty((len(seed) + 3, t.size), np.uint32)
+    entropy[:-1] = np.array([*seed, FAMILY_IDS[cfg.experiment], point], np.uint32)[:, None]
+    entropy[-1] = t
+    a = _hash_consts(_INIT_A, _MULT_A, _POOL * len(entropy))  # 4 + 12 + 4 per extra word
+    pool = _hashmix(entropy[:_POOL], a[:_POOL + 1])
+    k = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[k:k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, a[k:k + _POOL + 1]))
+        k += _POOL
+    state = _hashmix(np.concatenate([pool, pool]), _hash_consts(_INIT_B, _MULT_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _State(ISeedSequence):
+    """A seed sequence whose generate_state is one precomputed state row."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _check_stream(cfg: ExperimentConfig, point: int, trial: int, rng) -> None:
+    """Raise StreamMismatch unless rng is in the state of
+    default_rng(SeedSequence([cfg.seed, family, point, trial]))."""
+    key = [cfg.seed, FAMILY_IDS[cfg.experiment], point, trial]
+    if rng.bit_generator.state != np.random.default_rng(np.random.SeedSequence(key)).bit_generator.state:
+        raise StreamMismatch(f"stream {key}: the chunk seeding differs from numpy "
+                             f"{np.__version__}'s SeedSequence")
+
+
+def _trial_rngs(cfg: ExperimentConfig, point: int, trials) -> list:
+    """The generators of a chunk of trials at a point, each equal state for
+    state to default_rng(SeedSequence([cfg.seed, family, point, trial])):
+    _stream_states seeds the chunk in one pass, and PCG64 seeds itself
+    from each state row. A chunk that starts its point checks its first
+    generator against SeedSequence itself (see _check_stream)."""
+    rngs = [np.random.Generator(np.random.PCG64(_State(row)))
+            for row in _stream_states(cfg, point, trials)]
+    if trials[0] == 0:
+        _check_stream(cfg, point, 0, rngs[0])
+    return rngs
 
 
 def _arrays(cfg: ExperimentConfig, default_pol: str) -> ArrayConfig:
@@ -343,8 +443,9 @@ def _maee_setup(cfg: ExperimentConfig):
     # co-pol: one polarization, whose beams all pair, so each axis covers
     # one interval
     cov = {ax: _span(cbs, ax) for ax in AXES}
+    lo, hi = np.array([cov[ax] for ax in AXES]).T
     return SimpleNamespace(
-        cfg=cfg, points=snr_grid(cfg), arrays=arrays, cbs=cbs, cov=cov,
+        cfg=cfg, points=snr_grid(cfg), arrays=arrays, cbs=cbs, cov=cov, lo=lo, width=hi - lo,
         nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]})
 
 
@@ -352,10 +453,9 @@ def _maee_draw(s, snr: float, rng) -> tuple:
     """One trial's draws, in the order of the per-trial flow: the true
     spatial frequencies (mu_x redrawn while (mu_x, mu_y) = (0, 0)), the
     Rician channel's draws, then the normals of the ABP and the GoB sweep
-    noise (None at infinite SNR)."""
-    mu_x = rng.uniform(*s.cov["elevation"])
-    mu_y = rng.uniform(*s.cov["azimuth"])
-    nu = rng.uniform(*s.cov["receive"])
+    noise (None at infinite SNR). The three uniforms are one random(3)
+    scaled as rng.uniform(lo, hi) scales its one: lo + (hi - lo) * r."""
+    mu_x, mu_y, nu = s.lo + s.width * rng.random(3)
     while mu_x == 0.0 and mu_y == 0.0:
         mu_x = rng.uniform(*s.cov["elevation"])
     phase, nlos = _rician_draws(rng, s.cfg.n_nlos)
@@ -768,14 +868,16 @@ FAMILIES = {
 
 
 def setup_experiment(cfg: ExperimentConfig) -> SimpleNamespace:
-    """Run the family's setup and no trial. A field set away from its
-    default that the family does not read, or a value that its constructors
-    or its pair check reject, raises ConfigError."""
+    """Run the family's setup and no trial. A field that the family does
+    not read and that is set, written by the config text or away from its
+    default, or a value that its constructors or its pair check reject,
+    raises ConfigError."""
     reads = FAMILIES[cfg.experiment].reads | _RUN
     if cfg.delta_mode != "commensurate":  # ell scales the commensurate pair offset alone
         reads = reads - {"ell"}
     for f in fields(ExperimentConfig):
-        if f.name not in reads and getattr(cfg, f.name) != f.default:
+        is_set = f.name in cfg.written or getattr(cfg, f.name) != f.default
+        if is_set and f.name not in reads:
             raise ConfigError(f"{cfg.experiment} does not read {_dotted(f)} here; leave it unset")
     try:
         return FAMILIES[cfg.experiment].setup(cfg)
@@ -856,7 +958,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     for start in range(0, cfg.trials, chunk):
         trials = range(start, min(start + chunk, cfg.trials))
         for pi, point in enumerate(s.points):
-            draws = [family.draw(s, point, _trial_rng(cfg, pi, t)) for t in trials]
+            draws = [family.draw(s, point, rng) for rng in _trial_rngs(cfg, pi, trials)]
             results[pi].append(family.compute(s, point, draws))
             del draws  # freed before the next point's are made
     tables = family.reduce(s, [np.concatenate(rows) for rows in results])

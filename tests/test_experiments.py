@@ -457,8 +457,8 @@ def _draws_against_reference(cfg: ExperimentConfig, draw, trial, point, trials: 
     the reference leaves it and returns (setup, draws, reference results)."""
     s = experiments.setup_experiment(cfg)
     draws, want = [], []
-    for t in range(trials):
-        rng, ref_rng = (experiments._trial_rng(cfg, 0, t) for _ in range(2))
+    rngs, ref_rngs = (experiments._trial_rngs(cfg, 0, range(trials)) for _ in range(2))
+    for t, rng, ref_rng in zip(range(trials), rngs, ref_rngs):
         draws.append(draw(s, point, rng))
         want.append(trial(s, point, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
@@ -530,8 +530,8 @@ class TestChunks:
         assert got.shape == (6, len(s.profiles), 3)
         for i in range(len(s.profiles)):
             if i:
-                want = np.array([reference(s, snr, experiments._trial_rng(cfg, 0, t), i)
-                                 for t in range(6)])
+                want = np.array([reference(s, snr, rng, i)
+                                 for rng in experiments._trial_rngs(cfg, 0, range(6))])
             assert want.shape == (6, 3)
             assert got[:, i].tobytes() == want.tobytes(), f"profile {i}"
 
@@ -545,8 +545,8 @@ class TestChunks:
         over that profile alone."""
         cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
-        draws = [experiments._rate_draw(s, 10.0, experiments._trial_rng(cfg, 0, t))
-                 for t in range(4)]
+        draws = [experiments._rate_draw(s, 10.0, rng)
+                 for rng in experiments._trial_rngs(cfg, 0, range(4))]
         got = experiments._rate_compute(s, 10.0, draws)
         for i, profile in enumerate(s.profiles):
             alone = SimpleNamespace(**{**vars(s), "profiles": [profile]})
@@ -567,7 +567,8 @@ class TestChunks:
         cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         steps = experiments.FAMILIES[family]
-        draws = [steps.draw(s, s.points[0], experiments._trial_rng(cfg, 0, t)) for t in range(4)]
+        draws = [steps.draw(s, s.points[0], rng)
+                 for rng in experiments._trial_rngs(cfg, 0, range(4))]
         before = _draw_bytes(draws)
         steps.compute(s, s.points[0], draws)
         assert _draw_bytes(draws) == before
@@ -633,7 +634,7 @@ class TestChunks:
         assert s.points == (10.0,) and len(s.profiles) == 4
         swept = [SimpleNamespace(**{**vars(s), "profile": p}) for p in s.profiles]
         for t in range(3):
-            rngs = [experiments._trial_rng(cfg, 0, t) for _ in range(5)]
+            rngs = [experiments._trial_rngs(cfg, 0, [t])[0] for _ in range(5)]
             draws = [_draw_bytes(steps.draw(setup, 10.0, rng))
                      for setup, rng in zip([s, *swept], rngs)]
             assert all(d == draws[0] for d in draws[1:])
@@ -728,6 +729,74 @@ class TestChunks:
 
 
 # ---------------------------------------------------------------------------
+# per-trial streams
+
+def _seed_sequence_rng(cfg: ExperimentConfig, point: int, trial: int) -> np.random.Generator:
+    """The stream of one trial as the counter scheme defines it."""
+    key = [cfg.seed, experiments.FAMILY_IDS[cfg.experiment], point, trial]
+    return np.random.default_rng(np.random.SeedSequence(key))
+
+
+class TestStreams:
+    TRIALS = [0, 1, 63, 64, 2 ** 32 - 1]
+
+    @pytest.mark.parametrize("family", EXPERIMENTS)
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32 + 1, 2 ** 63],
+                             ids=["0", "1", "2^32-1", "2^32+1", "2^63"])
+    def test_chunk_seeding_is_seed_sequence(self, seed, family):
+        """Every generator of a chunk is default_rng(SeedSequence([seed,
+        family, point, trial])) state for state, the first trial, a chunk
+        edge and the largest trial included, for a seed of one word and of
+        two; and it draws the same numbers."""
+        cfg = ExperimentConfig(experiment=family, seed=seed)
+        for point in range(4):
+            rngs = experiments._trial_rngs(cfg, point, self.TRIALS)
+            for trial, rng in zip(self.TRIALS, rngs, strict=True):
+                want = _seed_sequence_rng(cfg, point, trial)
+                assert rng.bit_generator.state == want.bit_generator.state, (point, trial)
+            assert rngs[-1].random(4).tobytes() == want.random(4).tobytes()
+
+    @pytest.mark.parametrize("wrong", ["other trial", "advanced"])
+    def test_guard_raises_on_a_wrong_state(self, wrong):
+        """_check_stream passes the right generator and raises
+        StreamMismatch for one in any other state."""
+        cfg = ExperimentConfig(seed=3)
+        experiments._check_stream(cfg, 1, 5, _seed_sequence_rng(cfg, 1, 5))
+        rng = _seed_sequence_rng(cfg, 1, 6 if wrong == "other trial" else 5)
+        if wrong == "advanced":
+            rng.random()
+        with pytest.raises(experiments.StreamMismatch, match=r"stream \[3, 0, 1, 5\]"):
+            experiments._check_stream(cfg, 1, 5, rng)
+
+    def test_a_run_with_wrong_seeding_fails(self, tmp_path, monkeypatch, capsys):
+        """Seeding that strays from SeedSequence stops the run at the first
+        chunk of a point, as a typed run failure, with no fallback."""
+        states = experiments._stream_states
+
+        def shifted(cfg, point, trials):
+            return states(cfg, point, [t + 1 for t in trials])
+
+        monkeypatch.setattr(experiments, "_stream_states", shifted)
+        cfg = ExperimentConfig(trials=2, plots=False)
+        with pytest.raises(experiments.StreamMismatch):
+            experiments._trial_rngs(cfg, 0, range(2))
+        experiments._trial_rngs(cfg, 0, range(64, 66))  # checked only at trial 0
+        with pytest.raises(experiments.StreamMismatch):
+            run_experiment(cfg, str(tmp_path / "api"))
+        assert main(["run", "--trials", "2", "--no-plots", "--out-dir",
+                     str(tmp_path / "cli")]) == 1
+        err = capsys.readouterr().err
+        assert "run failed: stream [1, 0, 0, 0]" in err and "Traceback" not in err
+
+    def test_trials_fit_one_stream_word(self):
+        """A trial is one 32-bit word of its stream's entropy, so 2**32
+        trials are a config error."""
+        assert ExperimentConfig(trials=2 ** 32 - 1).trials == 2 ** 32 - 1
+        with pytest.raises(ConfigError, match="trials must lie in"):
+            ExperimentConfig(trials=2 ** 32)
+
+
+# ---------------------------------------------------------------------------
 # command line
 
 # configs whose setup must fail: before these checks, each passed validation
@@ -810,6 +879,7 @@ KEY_VALUES = {
 }
 CONDITIONAL = {"ell"}  # read under codebook.delta_mode = commensurate alone
 _FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_FIELDS_BY_KEY = {experiments._dotted(f): f.name for f in _FIELDS.values()}
 
 
 def _key_line(name: str, value: str) -> str:
@@ -859,6 +929,26 @@ class TestKeyRule:
                             if line.split(" =")[0].rpartition(".")[2] in reads)
         assert _csv_bytes(family, context) != _csv_bytes(family,
                                                          f"{context}\n{_key_line(key, value)}")
+
+    @pytest.mark.parametrize("family,line", [("robustness_xpd", "channel.chi = 0.2"),
+                                             ("maqe_bits", "arrays.n_y = 8")])
+    def test_a_key_written_at_its_default_is_set(self, family, line, tmp_path, capsys):
+        """A key the family does not read is rejected when the config text
+        writes it, even at its default value; both of these validated
+        before. The written keys survive the command line's overrides."""
+        key = line.split(" =")[0]
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\ntrials = 1\n{line}\n", encoding="utf-8")
+        assert validate_config(path.read_text(encoding="utf-8")).written == \
+            {"experiment", "trials", _FIELDS_BY_KEY[key]}
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--seed", "2", "--out-dir", str(tmp_path / "out"),
+                     "--no-plots"]) == 1
+        err = capsys.readouterr().err
+        assert err.count(f"invalid config: {family} does not read {key} here; "
+                         "leave it unset") == 2
+        assert not (tmp_path / "out").exists()
+        experiments.setup_experiment(validate_config(f"experiment = {family}\n"))
 
 
 class TestCli:

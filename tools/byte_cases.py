@@ -10,8 +10,9 @@ alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
 reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
-counts; and the four chunks families at their golden overrides (150 trials,
-seed 1)."""
+counts; every family at seed 2**32 + 1, whose stream entropy spans two
+words, at its golden trial count; and the four chunks families at their
+golden overrides (150 trials, seed 1)."""
 
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from test_golden import CHUNKS, CHUNKS_FAMILIES, EL90, GOLDEN_TRIALS  # noqa: E4
 RATE_FAMILIES = ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
 VARIANTS = {"": {}, "-ns2": {"n_s": 2}, "-sub4": {"subpaths": 4},
             "-ns2-sub4": {"n_s": 2, "subpaths": 4}}
+BIG_SEED = 2 ** 32 + 1
 
 
 def cases():
@@ -46,6 +48,9 @@ def cases():
                 for name, extra in VARIANTS.items():
                     yield f"{family}-s{seed}-t{trials}{name}", {**base, **extra}
                     yield f"{family}-s{seed}-t{trials}-el90{name}", {**base, **EL90, **extra}
+    for family in EXPERIMENTS:
+        yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
+                                        "trials": GOLDEN_TRIALS[family]}
     for family in CHUNKS_FAMILIES:
         yield f"{family}-chunks", {"experiment": family, "seed": 1, **CHUNKS}
 
