@@ -162,8 +162,12 @@ def _complex_noise(re: np.ndarray, im: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _sigma_from_gamma(gamma: float | None) -> float:
+    """The noise amplitude at linear SNR gamma: 0 at None or infinity, the
+    noiseless case; a NaN or nonpositive gamma raises ValueError."""
     if gamma is None or gamma == math.inf:
         return 0.0
+    if math.isnan(gamma):
+        raise ValueError("SNR is NaN")
     if gamma <= 0:
         raise ValueError("SNR must be positive (linear scale)")
     return float(np.sqrt(1.0 / gamma))
@@ -360,7 +364,8 @@ def _slot_noise(rx_idx: np.ndarray, n_t: int, rx_book: AxisBook, n: int, sigma: 
 # the channel nor the steering of the transmit beams reaches them: plans
 # tx_idx (T, n_t, n_rf) and rx_idx (T, m_t, m_rf), each tx probing's pilot
 # references x (n_t, T, N, n_rf), the gathered combiners w (T, M, m_t m_rf)
-# and the slots' projected noise stacked (T, n_t, m_t, N, m_rf), or None.
+# and a sequence of each trial's projected slot noise (n_t, m_t, N, m_rf),
+# or None.
 _Slots = namedtuple("_Slots", "tx_idx rx_idx x w noise")
 
 
@@ -378,7 +383,21 @@ def _slots(tx_idx: np.ndarray, rx_idx: np.ndarray, pilots: PilotAssignment,
         np.ascontiguousarray(x.reshape(pilots.n, n_trials, n_t, n_rf).transpose(2, 1, 0, 3)),
         np.ascontiguousarray(np.take(rx_book.matrix, rx_idx.reshape(n_trials, -1), axis=1)
                              .transpose(1, 0, 2)),
-        None if noise is None else np.stack(noise))
+        noise)
+
+
+def _slot_rows(slots: _Slots, rows: slice) -> _Slots:
+    """The slots of trials `rows` alone, as views of `slots`' arrays."""
+    return _Slots(slots.tx_idx[rows], slots.rx_idx[rows], slots.x[:, rows], slots.w[rows],
+                  None if slots.noise is None else slots.noise[rows])
+
+
+def _realization_rows(channel: ChannelRealization, trials: np.ndarray) -> ChannelRealization:
+    """Trials `trials` (indices, repeats allowed) of a realization stacked
+    over trials; a realization whose delay taps all trials share keeps
+    them."""
+    return ChannelRealization(channel.rho[trials] if channel.rho.ndim == 3 else channel.rho,
+                              channel.u[trials], channel.v[trials], ())
 
 
 def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
@@ -393,28 +412,29 @@ def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
 
 def _probe_and_correlate(channel: ChannelRealization, slots: _Slots, vf: np.ndarray,
                          tx_book: AxisBook, rx_book: AxisBook):
-    """Run every slot of T trials at once on a realization stacked over the
-    T trials, vf being V^H F of its v and the slots' precoders (see
+    """Run every slot of T trials on a realization stacked over the T
+    trials, vf being V^H F of its v and the slots' precoders (see
     _precoders), plus the slots' noise when they hold it. Correlate each
     receive branch against its tx probing's pilot references, and sum
     |corr|^2 per transmit beam and receive beam (indexed by book column) and
     per receive probing, in slot order: (T, beams), (T, beams), (T, m_t).
-    Each slot's matrix products keep the operand layout of a per-slot,
-    per-trial product, so batching moves no bit."""
+    One tx probing is run and correlated at a time, so that only one
+    probing's beam outputs (N, rx column, tx column) and received blocks
+    are held. Each slot's matrix products keep the operand layout of a
+    per-slot, per-trial product, so batching moves no bit."""
     n = channel.shape[0]
     if n != slots.x.shape[2]:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
     (n_trials, n_t, n_rf), (_, m_t, m_rf) = slots.tx_idx.shape, slots.rx_idx.shape
-    # b[t, trial]: tx probing t's (N, rx column, tx column) block of one trial
-    b = channel.combined(slots.w, vf)
-    y = np.einsum("atkrj,atkj->atkr", b, slots.x)  # pilot-weighted sum per tx probing
-    del b
-    # (T, n_t, m_t, N, m_rf)
-    y = y.reshape(n_t, n_trials, n, m_t, m_rf).transpose(1, 0, 3, 2, 4)
-    if slots.noise is not None:  # noise + y, laid out as the stacked noise
-        y = np.add(slots.noise, y, out=np.empty_like(slots.noise))
-    # (T, n_t, m_t, m_rf, n_rf)
-    s = np.abs(y.swapaxes(-1, -2) @ slots.x.swapaxes(0, 1).conj()[:, :, None]) ** 2
+    s = np.empty((n_trials, n_t, m_t, m_rf, n_rf))
+    for t in range(n_t):
+        # the pilot-weighted sum of the probing's beam outputs, (T, N, rx column)
+        y = np.einsum("tkrj,tkj->tkr", channel.combined(slots.w, vf[t]), slots.x[t])
+        y = y.reshape(n_trials, n, m_t, m_rf).swapaxes(1, 2)  # (T, m_t, N, m_rf)
+        if slots.noise is not None:  # noise + y, laid out as the stacked noise
+            noise = np.stack([z[t] for z in slots.noise])
+            y = np.add(noise, y, out=noise)
+        s[:, t] = np.abs(y.swapaxes(-1, -2) @ slots.x[t].conj()[:, None]) ** 2
     return (_binned(slots.tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
             _binned(slots.rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
             _binned(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
@@ -567,10 +587,13 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         # row's azimuth estimate; the pair ids, and so the pilots, stay the same
         el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
         trial = np.repeat(np.arange(n_trials), n_paths)
-        rows = ChannelRealization(channel.rho[trial] if channel.rho.ndim == 3 else channel.rho,
-                                  channel.u[trial], channel.v[trial], ())
-        el_tx, _, el_totals = _probe_and_correlate(
-            rows, el, _precoded(rows.v, _precoders(el_book, el.tx_idx)), el_book, rx_book)
+        vf = _precoded(channel.v[trial], _precoders(el_book, el.tx_idx))
+        # n_trials rows at a time, so that the stage holds as many rows as
+        # the azimuth stage
+        blocks = [slice(i, i + n_trials) for i in range(0, trial.size, n_trials)]
+        el_tx, _, el_totals = map(np.concatenate, zip(*(
+            _probe_and_correlate(_realization_rows(channel, trial[r]), _slot_rows(el, r),
+                                 vf[:, r], el_book, rx_book) for r in blocks)))
         hit = np.flatnonzero(el_totals.sum(axis=-1) > 0)  # the others keep the center
         mu_x, el_k, el_zeta = _pair_and_invert(el_tx[hit], _winner(el_tx[hit]), el_book)
         mus.reshape(-1, 3)[hit, 0] = mu_x

@@ -60,15 +60,17 @@ ONE_SNR_FAMILIES = ("pilot_vs_tdm", "robustness_mismatch", "robustness_xpd")
 STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 
 # Trials per compute step: at most TRIAL_CHUNK, and at most CHUNK_SUBCARRIERS
-# trial-subcarrier rows (trials x the subcarrier rows of a trial's arrays,
-# see _chunk_trials). Larger chunks amortize more of the per-trial numpy
-# dispatch, but a chunk's per-subcarrier arrays (noise, delay taps, beam
-# outputs) grow with trials x rows, so the second bound holds them near one
-# size at any bandwidth: a pilot_vs_tdm trial holds N rows, so 4,096 / 512 =
-# 8 trials at N = 512 and 4,096 / 1,024 = 4 at N = 1,024; a rate trial holds
-# an N-row block per probing slot, so 4,096 / (2 x 2 x 256) = 4 at the
-# default probing; a narrowband family (one row) keeps TRIAL_CHUNK = 64. See
-# README for the throughput and peak-memory trade-offs that set both values.
+# trial-subcarrier rows (trials x the subcarrier rows that a trial's arrays
+# hold at once, see _chunk_trials). Larger chunks amortize more of the
+# per-trial numpy dispatch, but a chunk's per-subcarrier arrays (noise, delay
+# taps, beam outputs) grow with trials x rows, so the second bound holds them
+# near one size at any bandwidth: a pilot_vs_tdm trial holds N rows, so
+# 4,096 / 512 = 8 trials at N = 512 and 4,096 / 1,024 = 4 at N = 1,024; a rate
+# trial's probing holds one tx probing's N-row block per rx probing at a time
+# (its elevation stage runs a chunk's worth of (trial, path) rows at a time),
+# so 4,096 / (2 x 256) = 8 at the default probing; a narrowband family (one
+# row) keeps TRIAL_CHUNK = 64. See README for the throughput and peak-memory
+# trade-offs that set both values.
 TRIAL_CHUNK = 64
 CHUNK_SUBCARRIERS = 4096
 
@@ -692,9 +694,9 @@ def _rate_setup(cfg: ExperimentConfig):
         cfg=cfg, points=points, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
         profile=profile, profiles=[profile], n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
         n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
-        # the azimuth stage's slot noise and probe outputs hold one (N, m_rf)
-        # block per (tx probing, rx probing) slot
-        trial_subcarriers=n_t * m_t * ofdm.n_subcarriers)
+        # the probing makes one tx probing's beam outputs at a time: one
+        # (N, m_rf, n_rf) block per rx probing
+        trial_subcarriers=m_t * ofdm.n_subcarriers)
 
 
 def _rate_draw(s, snr: float, rng) -> tuple:
@@ -734,7 +736,7 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
     scheme) in _SCHEMES order. What no profile reaches is built once: the
     stacked steered paths (path parameters, delay taps and steering), the
     stacked plan, estimate_multipath's probing (coverage checks, pilot tags
-    and references, combiners, stacked noise, the azimuth stage's V^H F)
+    and references, combiners, slot noise, the azimuth stage's V^H F)
     and the true directions. Per profile: one stacked realization, one
     estimate_multipath pass, one beamformer build and one rate call for the
     3 x T beamformer sets."""

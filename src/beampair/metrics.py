@@ -54,13 +54,26 @@ class OverheadModel:
         return n_rf * n_tx * m_rf * m_rx
 
 
+# Lanes per slice of spectral_efficiency's Gram and log-det: 768 lanes of a
+# 3-stream H_TR hold some 110 KB per copy.
+SE_LANES = 768
+
+
 def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
                         gamma: float, n_s: int) -> float | np.ndarray:
     """Per-subcarrier average of log2 det(I + (gamma/n_s) H_TR H_TR*) with
     H_TR[k] = W* H[k] F. channel is a ChannelRealization (beamformed from
     its path factors) or a dense (N, M, N_t) or (M, N_t) array. Leading
     batch axes of f_rf (..., N_t, j) and w_rf (..., M, i) give one rate per
-    batch entry, as an array; 2-D beamformers give a float."""
+    batch entry, as an array; 2-D beamformers give a float. A NaN or
+    infinite gamma raises ValueError: the rate has no finite value there.
+
+    Every (batch entry, subcarrier) pair is one lane of the Gram and log-det
+    arithmetic, which runs over slices of SE_LANES lanes, so that a wide
+    batch holds one slice's copies, not copies of all of H_TR; a lane's
+    arithmetic does not depend on the slice it falls in."""
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, not {gamma}")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     if isinstance(channel, ChannelRealization):
@@ -73,17 +86,27 @@ def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
             raise DimensionMismatch("beamformer shapes do not match the channel")
         htr = np.swapaxes(w_rf.conj(), -1, -2)[..., None, :, :] @ h @ f_rf[..., None, :, :]
     *batch, n_sub, n_r, n_c = htr.shape
-    # streams first: g[c, r] holds entry (r, c) of every H_TR[k] as one lane
-    g = np.ascontiguousarray(htr.reshape(-1, n_r, n_c).transpose(2, 1, 0))
-    del htr
+    lanes = htr.reshape(-1, n_r, n_c)
+    logdet = np.concatenate([_logdet(lanes[i:i + SE_LANES], gamma / n_s)
+                             for i in range(0, len(lanes), SE_LANES)])
+    rate = np.mean((logdet / np.log(2.0)).reshape(*batch, n_sub), axis=-1)
+    return rate if batch else float(rate)
+
+
+def _logdet(htr: np.ndarray, scale: float) -> np.ndarray:
+    """ln det(I + scale H H*) of every lane of htr (lanes, r, c), each lane
+    on its own."""
+    n_r = htr.shape[1]
+    # streams first: g[c, r] holds entry (r, c) of every lane's H
+    g = np.ascontiguousarray(htr.transpose(2, 1, 0))
     a = np.zeros((n_r, n_r, g.shape[-1]), dtype=complex)
     conj, row = np.empty_like(a[0]), np.empty_like(a[0])
-    for col in g:  # H_TR H_TR*, one stream column's outer product at a time,
+    for col in g:  # H H*, one stream column's outer product at a time,
         np.conjugate(col, out=conj)  # a row at a time, through reused buffers
         for r in range(n_r):
             a[r] += np.multiply(col[r], conj, out=row)
     del g, conj, row
-    a *= gamma / n_s
+    a *= scale
     a[np.arange(n_r), np.arange(n_r)] += 1.0
     # I plus a PSD matrix is Hermitian positive definite: elimination without
     # pivoting meets real pivots >= 1, whose product is the determinant
@@ -92,8 +115,7 @@ def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
         pivot = a[p, p].real
         logdet += np.log(pivot)
         a[p + 1:, p + 1:] -= a[p + 1:, p, None] * (a[p, None, p + 1:] / pivot)
-    rate = np.mean((logdet / np.log(2.0)).reshape(*batch, n_sub), axis=-1)
-    return rate if batch else float(rate)
+    return logdet
 
 
 def normalized_spectral_efficiency(r, estimator_iterations: int, overhead: OverheadModel):

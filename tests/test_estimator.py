@@ -263,6 +263,15 @@ class TestScalarClamps:
                 assert _bits(aoa_from_nu(x * scale, arrays)) == _bits(want)
 
 
+def test_noise_amplitude_of_non_finite_snr():
+    """An infinite SNR is the noiseless case; a NaN one has no noise
+    amplitude and raises instead of making every noise draw NaN."""
+    assert _sigma_from_gamma(math.inf) == _sigma_from_gamma(None) == 0.0
+    assert _sigma_from_gamma(4.0) == 0.5
+    with pytest.raises(ValueError, match="NaN"):
+        _sigma_from_gamma(math.nan)
+
+
 def test_batched_noise_matches_separate_draws():
     """One batched draw gives each entry's noise as separate calls would,
     and leaves the generator where they leave it."""
@@ -1006,6 +1015,8 @@ def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rn
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
 @pytest.mark.parametrize("layout,tx_axis,n_t,m_t,n_rf,m_rf", [
+    ("free", "azimuth", 1, 2, 6, 2),
+    ("free", "elevation", 1, 4, 4, 1),
     ("free", "azimuth", 3, 3, 3, 3),
     ("free", "azimuth", 4, 5, 2, 1),
     ("split-half", "azimuth", 4, 3, 2, 2),
@@ -1018,7 +1029,8 @@ def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
     gives each trial the per-slot loop's strengths and probing totals bit
     for bit, and drawing the trials' slot noise in turn leaves the
     generator where the loops leave it, on free and split-half plans,
-    azimuth and elevation books, m_rf = 1."""
+    azimuth and elevation books, m_rf = 1, and one tx probing (n_t = 1) as
+    well as several, which the batched probing makes one at a time."""
     cbs = build_codebooks(CodebookConfig(arrays=CROSS, el_range=(-np.pi / 2, np.pi / 2)))
     tx_book, rx_book = cbs.books[tx_axis], cbs.books["receive"]
     pilots = assign_pilots(range(len(tx_book.pairs)), 64, p=1)

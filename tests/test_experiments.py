@@ -7,6 +7,7 @@ import functools
 import math
 import os
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -574,10 +575,10 @@ class TestChunks:
         assert _draw_bytes(draws) == before
 
     def test_sweep_invariant_work_runs_once_per_chunk(self, tmp_path, monkeypatch):
-        """An 8-trial robustness_xpd run is 2 chunks x 4 points: the path
-        parameters, delay taps and pilot tags are made per chunk (2 path and
-        tap calls, 2 x 4 trials x 2 tx probings = 16 tags), the estimate per
-        point (8 calls)."""
+        """An 8-trial robustness_xpd run is 1 chunk x 4 points: the path
+        parameters, delay taps and pilot tags are made per chunk (1 path and
+        tap call, 8 trials x 2 tx probings = 16 tags), the estimate per
+        point (4 calls)."""
         counts = {}
 
         def counting(owner, name):
@@ -593,10 +594,10 @@ class TestChunks:
                             (estimator, "tag_probing"), (experiments, "estimate_multipath")):
             counting(owner, name)
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False)
-        assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == 4
+        assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == 8
         run_experiment(cfg, str(tmp_path))
-        assert counts == {"_clustered_paths": 2, "pulse_coefficients": 2, "tag_probing": 16,
-                          "estimate_multipath": 8}
+        assert counts == {"_clustered_paths": 1, "pulse_coefficients": 1, "tag_probing": 16,
+                          "estimate_multipath": 4}
 
     def test_rate_steps_build_no_path_objects(self, tmp_path, monkeypatch):
         """An 8-trial robustness_xpd run reads its estimates as arrays from
@@ -688,17 +689,17 @@ class TestChunks:
 
     @pytest.mark.parametrize("family,line,size", [
         ("pilot_vs_tdm", "", 8), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 4),
-        ("norm_se_vs_snr", "", 4), ("robustness_xpd", "", 4),
-        ("norm_se_vs_snr", "overhead.n_s = 2", 2), ("maee_vs_snr", "", 64),
+        ("norm_se_vs_snr", "", 8), ("robustness_xpd", "", 8),
+        ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 64),
         ("maqe_bits", "", 64)])
     def test_chunk_holds_at_most_chunk_subcarriers(self, family, line, size, tmp_path,
                                                    monkeypatch):
         """A chunk holds TRIAL_CHUNK trials, or CHUNK_SUBCARRIERS // the
         subcarrier rows of a trial when that is fewer: a pilot_vs_tdm trial
         holds N rows (8 trials at N = 512, 4 at N = 1,024), a rate trial one
-        N-row block per probing slot (2 x 2 slots at N = 256 give 4 trials,
-        3 x 2 at n_s = 2 give 2); the narrowband families keep
-        TRIAL_CHUNK."""
+        N-row block per rx probing (2 at N = 256 give 8 trials, also at
+        n_s = 2, whose 3 tx probings are made one at a time); the
+        narrowband families keep TRIAL_CHUNK."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == size
         if family != "pilot_vs_tdm":
@@ -714,6 +715,36 @@ class TestChunks:
         run_experiment(validate_config(f"experiment = {family}\ntrials = 10\n{line}\n"
                                        "plots = false\n"), str(tmp_path))
         assert chunks == [size] * (10 // size) + [10 % size]
+
+    @pytest.mark.parametrize("overrides,budget", [({}, 2.0e6),
+                                                  ({"el_range_deg": (-90.0, 90.0)}, 2.7e6)],
+                             ids=["default", "el90"])
+    def test_rate_chunk_peak_memory(self, overrides, budget):
+        """One robustness_xpd compute step at the chunk size that
+        _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
+        (tracemalloc; 1.80 MB measured), and at most 2.7 MB where the
+        elevation stage runs (2.41 MB), so that a larger chunk cannot undo
+        the lean kernels: the probing makes one tx probing's beam outputs
+        at a time (all at once peaks at 2.04 and 2.93 MB), the rate copies
+        one slice of H_TR at a time (all of it: 2.88 and 3.49 MB), and the
+        elevation stage runs T (trial, path) rows at a time (all at once:
+        4.62 MB)."""
+        cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False, **overrides)
+        s = experiments.setup_experiment(cfg)
+        chunk = experiments._chunk_trials(s)
+        assert chunk == 8
+        draws = [experiments._rate_draw(s, s.points[0], rng)
+                 for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
+        experiments._rate_compute(s, s.points[0], draws)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            experiments._rate_compute(s, s.points[0], draws)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     def test_tdm_reduce_names_a_beam_without_tdm_amplitude(self):
         """A beam whose mean TDM amplitude is 0 has no relative difference:

@@ -178,6 +178,48 @@ class TestSpectralEfficiency:
         with pytest.raises(ValueError, match="nonnegative"):
             spectral_efficiency(h, np.ones((8, 1)), np.ones((4, 1)), -1.0, 1)
 
+    def test_non_finite_gamma_raises(self):
+        """A NaN or infinite SNR has no finite rate: ValueError, not NaN."""
+        h = np.ones((4, 2, 2), dtype=complex)
+        for gamma in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                spectral_efficiency(h, np.eye(2), np.eye(2), gamma, 2)
+
+    def test_lane_slices_move_no_bit(self):
+        """Batches wider than one slice of SE_LANES lanes, and no multiple of
+        it, give each entry the bytes of its own call: 3 beamformer sets x
+        4 stacked trials x 200 subcarriers on a realization (2,400 lanes),
+        and 5 sets x 200 subcarriers on a dense channel (1,000 lanes)."""
+        n, n_s = 200, 3
+        for lanes in (3 * 4 * n, 5 * n):
+            assert lanes > metrics.SE_LANES and lanes % metrics.SE_LANES
+        arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
+        rng = np.random.default_rng(89)
+        chans = []
+        for _ in range(4):
+            paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                                AngleSet(*rng.uniform(0.1, 1.0, size=3)))
+                     for tau in (0.0, 3e-9, 7e-9)]
+            chans.append(crosspol_frequency_response(paths, arrays, OfdmConfig(n, 8),
+                                                     CrossPolConfig(0.3, 0.1)))
+        stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
+                                     for a in ("rho", "u", "v")), ())
+        f = rng.normal(size=(3, 4, 16, n_s)) + 1j * rng.normal(size=(3, 4, 16, n_s))
+        w = rng.normal(size=(3, 4, 6, n_s)) + 1j * rng.normal(size=(3, 4, 6, n_s))
+        rates = spectral_efficiency(stack, f, w, 10.0, n_s)
+        assert rates.shape == (3, 4)
+        for i in range(3):
+            for t, chan in enumerate(chans):
+                want = spectral_efficiency(chan, f[i, t], w[i, t], 10.0, n_s)
+                assert rates[i, t].tobytes() == np.float64(want).tobytes()
+        h = chans[0].h
+        f, w = f.reshape(-1, 16, n_s)[:5], w.reshape(-1, 6, n_s)[:5]
+        rates = spectral_efficiency(h, f, w, 10.0, n_s)
+        assert rates.shape == (5,)
+        for i in range(5):
+            want = spectral_efficiency(h, f[i], w[i], 10.0, n_s)
+            assert rates[i].tobytes() == np.float64(want).tobytes()
+
     def test_channel_realization_input(self):
         arrays = ArrayConfig(2, 4, 2)
         theta, phi = angles_from_spatial_frequencies(0.2, -0.4, arrays)

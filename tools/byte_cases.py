@@ -6,7 +6,9 @@ in, one directory per case, so that two trees compare with one `diff -r`:
 The matrix: every family at seeds 0-2 at its golden trial count;
 norm_se_vs_snr, robustness_xpd and robustness_mismatch at 5 and 40 trials
 and seeds 0-2, at the default elevation range and under one of -90:90, each
-alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both;
+alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both; the
+same three at 9 trials (one 8-trial chunk and a remainder of 1) and seeds
+0-2, at the default elevation range and under -90:90;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
 reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
@@ -48,6 +50,9 @@ def cases():
                 for name, extra in VARIANTS.items():
                     yield f"{family}-s{seed}-t{trials}{name}", {**base, **extra}
                     yield f"{family}-s{seed}-t{trials}-el90{name}", {**base, **EL90, **extra}
+            base = {"experiment": family, "seed": seed, "trials": 9}
+            yield f"{family}-s{seed}-t9", base
+            yield f"{family}-s{seed}-t9-el90", {**base, **EL90}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": GOLDEN_TRIALS[family]}
