@@ -360,84 +360,100 @@ def _slot_noise(rx_idx: np.ndarray, n_t: int, rx_book: AxisBook, n: int, sigma: 
     return _noise_like((n, len(rx_book.matrix)), sigma, rng, batch=(n_t, len(rx_idx))) @ w_conj
 
 
-# One stage's (tx probing, rx probing) slots of T trials, as far as neither
-# the channel nor the steering of the transmit beams reaches them: plans
-# tx_idx (T, n_t, n_rf) and rx_idx (T, m_t, m_rf), each tx probing's pilot
-# references x (n_t, T, N, n_rf), the gathered combiners w (T, M, m_t m_rf)
-# and a sequence of each trial's projected slot noise (n_t, m_t, N, m_rf),
-# or None.
-_Slots = namedtuple("_Slots", "tx_idx rx_idx x w noise")
+# One stage's (tx probing, rx probing) slots of R rows (trials, or the
+# elevation stage's (trial, path) rows), as far as neither the receive
+# factors u nor the steering of the transmit beams reaches them: plans tx_idx
+# (R, n_t, n_rf) and rx_idx (R, m_t, m_rf), the gathered combiners'
+# conjugate transposes wh (R, m_t m_rf, M), each tx probing's tap-weighted
+# pilot Grams gram (R, n_t, L, n_rf, n_rf), Q_l[j, j'] = sum_k rho[k, l]
+# x[k, j] x*[k, j'] over the probing's references x, and the correlations of
+# the projected slot noise n with them, sum_k n[k, r] x*[k, j'], as noise
+# (R, n_t, m_t, m_rf, n_rf), or None.
+_Slots = namedtuple("_Slots", "tx_idx rx_idx wh gram noise")
 
 
 def _slots(tx_idx: np.ndarray, rx_idx: np.ndarray, pilots: PilotAssignment,
-           tx_book: AxisBook, rx_book: AxisBook, noise: list | None) -> _Slots:
+           tx_book: AxisBook, rx_book: AxisBook, rho: np.ndarray,
+           noise: list | None) -> _Slots:
     """The _Slots of plans tx_idx and rx_idx, tagged from tx_book's pair
-    membership table, with one (n_t, m_t, N, m_rf) noise array per trial
-    (see _slot_noise) when given. The gathers keep picks C-ordered, so each
-    trial's combiner (M, m_t m_rf) is laid out as alone."""
-    n_trials, n_t, n_rf = tx_idx.shape
+    membership table, under delay taps rho (N, L), or per trial (T, N, L)
+    with R a multiple of T (the rows trial-major), and with one (n_t, m_t,
+    N, m_rf) noise array per row (see _slot_noise) when given. The gathers
+    keep picks C-ordered, so each row's combiner is laid out as alone."""
+    n_rows, n_t, n_rf = tx_idx.shape
+    if rho.shape[-2] != pilots.n:
+        raise DimensionMismatch("pilot length must equal the subcarrier count")
     x = pilots.references([tag for t_idx in tx_idx.reshape(-1, n_rf)
                            for tag in tag_probing(t_idx, tx_book.members)])
-    return _Slots(
-        tx_idx, rx_idx,
-        np.ascontiguousarray(x.reshape(pilots.n, n_trials, n_t, n_rf).transpose(2, 1, 0, 3)),
-        np.ascontiguousarray(np.take(rx_book.matrix, rx_idx.reshape(n_trials, -1), axis=1)
-                             .transpose(1, 0, 2)),
-        noise)
+    w = np.take(rx_book.matrix, rx_idx.reshape(n_rows, -1), axis=1).transpose(1, 2, 0)
+    return _Slots(tx_idx, rx_idx, np.ascontiguousarray(w).conj(),
+                  *_grams(rho, x.reshape(pilots.n, n_rows, n_t, n_rf), noise))
 
 
-def _slot_rows(slots: _Slots, rows: slice) -> _Slots:
-    """The slots of trials `rows` alone, as views of `slots`' arrays."""
-    return _Slots(slots.tx_idx[rows], slots.rx_idx[rows], slots.x[:, rows], slots.w[rows],
-                  None if slots.noise is None else slots.noise[rows])
-
-
-def _realization_rows(channel: ChannelRealization, trials: np.ndarray) -> ChannelRealization:
-    """Trials `trials` (indices, repeats allowed) of a realization stacked
-    over trials; a realization whose delay taps all trials share keeps
-    them."""
-    return ChannelRealization(channel.rho[trials] if channel.rho.ndim == 3 else channel.rho,
-                              channel.u[trials], channel.v[trials], ())
+def _grams(rho: np.ndarray, x: np.ndarray, noise: list | None) -> tuple:
+    """The pilot Grams and noise correlations of _Slots from the taps rho,
+    the references x (N, R, n_t, n_rf) of every row's tx probings and the
+    rows' noise, or None. Made one tx probing of every row at a time, so
+    that only its (N, n_rf^2) pilot products and m_t N-row noise blocks per
+    row are held; each product keeps the operand layout of a one-row,
+    one-probing product, so batching moves no bit."""
+    n, n_rows, n_t, n_rf = x.shape
+    n_taps = len(rho) if rho.ndim == 3 else 1
+    per = n_rows // n_taps  # consecutive rows that share a tap set
+    # (tap set, probing of its rows, n_rf, N): each probing's references as
+    # rows, so that the pilot products run along N
+    x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(n_taps, per * n_t, n_rf, n)
+    gram = np.empty((n_taps, per * n_t, rho.shape[-1], n_rf * n_rf), dtype=complex)
+    corr = None if noise is None else \
+        np.empty((n_taps, per * n_t, len(noise[0][0]), noise[0].shape[-1], n_rf), dtype=complex)
+    for p in range(per * n_t):
+        xc = x[:, p].conj()
+        gram[:, p] = (  # sum_k x[k, j] x*[k, j'] rho[k, l], as (tap set, l, j j')
+            (x[:, p, :, None] * xc[:, None]).reshape(n_taps, -1, n) @ rho).swapaxes(-1, -2)
+        if noise is not None:  # probing t of row `row` of every tap set
+            row, t = divmod(p, n_t)
+            z = np.stack([noise[g * per + row][t] for g in range(n_taps)])
+            corr[:, p] = z.swapaxes(-1, -2) @ xc[:, None].swapaxes(-1, -2)
+    return (gram.reshape(n_rows, n_t, -1, n_rf, n_rf),
+            None if corr is None else corr.reshape(n_rows, n_t, *corr.shape[2:]))
 
 
 def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
-    """The transmit beams of plans tx_idx (T, n_t, n_rf), (n_t, T, N_t, n_rf),
-    from a book of one matrix or one per trial (see AxisBook); each trial's
+    """The transmit beams of plans tx_idx (R, n_t, n_rf), (R, n_t, N_t, n_rf),
+    from a book of one matrix or one per row (see AxisBook); each row's
     precoders (N_t, n_t, n_rf) are laid out as alone."""
-    n_trials, n_t, n_rf = tx_idx.shape
+    n_rows, n_t, n_rf = tx_idx.shape
     f = np.take_along_axis(tx_book.matrix.reshape(-1, *tx_book.matrix.shape[-2:]),
-                           tx_idx.reshape(n_trials, 1, -1), axis=-1)
-    return f.reshape(n_trials, -1, n_t, n_rf).transpose(2, 0, 1, 3)
+                           tx_idx.reshape(n_rows, 1, -1), axis=-1)
+    return f.reshape(n_rows, -1, n_t, n_rf).transpose(0, 2, 1, 3)
 
 
-def _probe_and_correlate(channel: ChannelRealization, slots: _Slots, vf: np.ndarray,
-                         tx_book: AxisBook, rx_book: AxisBook):
-    """Run every slot of T trials on a realization stacked over the T
-    trials, vf being V^H F of its v and the slots' precoders (see
-    _precoders), plus the slots' noise when they hold it. Correlate each
-    receive branch against its tx probing's pilot references, and sum
-    |corr|^2 per transmit beam and receive beam (indexed by book column) and
-    per receive probing, in slot order: (T, beams), (T, beams), (T, m_t).
-    One tx probing is run and correlated at a time, so that only one
-    probing's beam outputs (N, rx column, tx column) and received blocks
-    are held. Each slot's matrix products keep the operand layout of a
-    per-slot, per-trial product, so batching moves no bit."""
-    n = channel.shape[0]
-    if n != slots.x.shape[2]:
-        raise DimensionMismatch("pilot length must equal the subcarrier count")
-    (n_trials, n_t, n_rf), (_, m_t, m_rf) = slots.tx_idx.shape, slots.rx_idx.shape
-    s = np.empty((n_trials, n_t, m_t, m_rf, n_rf))
-    for t in range(n_t):
-        # the pilot-weighted sum of the probing's beam outputs, (T, N, rx column)
-        y = np.einsum("tkrj,tkj->tkr", channel.combined(slots.w, vf[t]), slots.x[t])
-        y = y.reshape(n_trials, n, m_t, m_rf).swapaxes(1, 2)  # (T, m_t, N, m_rf)
-        if slots.noise is not None:  # noise + y, laid out as the stacked noise
-            noise = np.stack([z[t] for z in slots.noise])
-            y = np.add(noise, y, out=noise)
-        s[:, t] = np.abs(y.swapaxes(-1, -2) @ slots.x[t].conj()[:, None]) ** 2
+def _vfq(v: np.ndarray, f: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """V_l^H F Q_l per row, tx probing and path, (R, n_t, L q, n_rf) with
+    the paths' q rows path-major, of transmit factors v (R, L, N_t, q),
+    precoders f (R, n_t, N_t, n_rf) (see _precoders) and pilot Grams gram
+    (see _Slots)."""
+    vfq = _precoded(v[:, None], f) @ gram
+    return vfq.reshape(*vfq.shape[:2], -1, vfq.shape[-1])
+
+
+def _probe(ul: np.ndarray, slots: _Slots, vfq: np.ndarray, tx_book: AxisBook,
+           rx_book: AxisBook):
+    """Run every slot of R rows in the path domain: receive branch r's
+    correlation with reference j' is sum_l (W^H u_l)(V_l^H F Q_l)[r, j']
+    plus the slots' noise correlation, from the rows' receive factors ul
+    (R, M, L q) (u's paths side by side, path-major) and vfq (see _vfq).
+    Sums |corr|^2 per transmit beam and receive beam (indexed by book
+    column) and per receive probing, in slot order: (R, beams), (R, beams),
+    (R, m_t). Nothing per subcarrier is built."""
+    (n_rows, n_t, n_rf), (_, m_t, m_rf) = slots.tx_idx.shape, slots.rx_idx.shape
+    corr = ((slots.wh @ ul)[:, None] @ vfq).reshape(n_rows, n_t, m_t, m_rf, n_rf)
+    if slots.noise is not None:
+        corr += slots.noise
+    s = np.abs(corr) ** 2
     return (_binned(slots.tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
             _binned(slots.rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
-            _binned(np.arange(m_t), s.reshape(n_trials, n_t, m_t, -1).sum(axis=3), m_t))
+            _binned(np.arange(m_t), s.reshape(n_rows, n_t, m_t, -1).sum(axis=3), m_t))
 
 
 def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
@@ -480,11 +496,13 @@ def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: f
 
 
 # estimate_multipath's probing of T trials as far as it holds across
-# realizations that share their transmit factors v (the points of a sweep
-# that changes only the receive factors u): the azimuth stage's slots and
-# their V^H F, and the elevation stage's slots, None where that stage is
-# skipped. Made by _multipath_probing.
-MultipathProbing = namedtuple("MultipathProbing", "azimuth vf elevation")
+# realizations that share their delay taps rho and transmit factors v (the
+# points of a sweep that changes only the receive factors u): the azimuth
+# stage's slots and their V^H F Q (see _vfq), and the elevation stage's
+# slots, None where that stage is skipped; its beams are steered at each
+# profile's azimuth estimates, so only their V^H F is left per profile.
+# Made by _multipath_probing.
+MultipathProbing = namedtuple("MultipathProbing", "azimuth vfq elevation")
 
 
 def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
@@ -508,7 +526,7 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
         draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), channel.rho.shape[-2], sigma,
                                   n_select, rng) for tx, rx in zip(plan.tx_idx, plan.rx_idx)]
     az_noise = [az for az, _ in draws]
-    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book,
+    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, channel.rho,
                      None if az_noise[0] is None else az_noise)
     el_draws = [d for _, trial_draws in draws for d in trial_draws]  # trial-major
     elevation = None
@@ -519,9 +537,9 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
         el_plans, el_noise = zip(*el_draws)
         elevation = _slots(
             *(np.stack([getattr(p, a) for p in el_plans]) for a in ("tx_idx", "rx_idx")),
-            el_pilots, el_book, rx_book, None if el_noise[0] is None else el_noise)
-    return MultipathProbing(azimuth, _precoded(channel.v, _precoders(az_book, plan.tx_idx)),
-                            elevation)
+            el_pilots, el_book, rx_book, channel.rho, None if el_noise[0] is None else el_noise)
+    return MultipathProbing(
+        azimuth, _vfq(channel.v, _precoders(az_book, plan.tx_idx), azimuth.gram), elevation)
 
 
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
@@ -547,8 +565,9 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     trial-major, and its iterations the trials' total. `draws` is None, for
     noise and elevation plans drawn from rng at gamma trial by trial (see
     _multipath_draws), or the MultipathProbing that _multipath_probing made
-    of pre-drawn ones, for realizations with this one's v, which several
-    calls then share. A one-trial realization and plan are the T = 1 case.
+    of pre-drawn ones, for realizations with this one's rho and v, which
+    several calls then share. A one-trial realization and plan are the
+    T = 1 case.
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
@@ -561,8 +580,9 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
     (n_trials, n_t, n_rf), (_, m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape
 
-    tx_s, rx_s, totals = _probe_and_correlate(channel, draws.azimuth, draws.vf,
-                                              az_book, rx_book)
+    # u's paths side by side, (T, M, L q), for every slot's W^H u
+    ul = channel.u.swapaxes(-3, -2).reshape(n_trials, channel.u.shape[-2], -1)
+    tx_s, rx_s, totals = _probe(ul, draws.azimuth, draws.vfq, az_book, rx_book)
     if (totals.sum(axis=-1) <= 0).any():
         raise NoSignal("no correlated energy in any probing")
 
@@ -587,13 +607,9 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         # row's azimuth estimate; the pair ids, and so the pilots, stay the same
         el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
         trial = np.repeat(np.arange(n_trials), n_paths)
-        vf = _precoded(channel.v[trial], _precoders(el_book, el.tx_idx))
-        # n_trials rows at a time, so that the stage holds as many rows as
-        # the azimuth stage
-        blocks = [slice(i, i + n_trials) for i in range(0, trial.size, n_trials)]
-        el_tx, _, el_totals = map(np.concatenate, zip(*(
-            _probe_and_correlate(_realization_rows(channel, trial[r]), _slot_rows(el, r),
-                                 vf[:, r], el_book, rx_book) for r in blocks)))
+        el_tx, _, el_totals = _probe(
+            ul[trial], el, _vfq(channel.v[trial], _precoders(el_book, el.tx_idx), el.gram),
+            el_book, rx_book)
         hit = np.flatnonzero(el_totals.sum(axis=-1) > 0)  # the others keep the center
         mu_x, el_k, el_zeta = _pair_and_invert(el_tx[hit], _winner(el_tx[hit]), el_book)
         mus.reshape(-1, 3)[hit, 0] = mu_x

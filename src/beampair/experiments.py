@@ -22,6 +22,7 @@ differs from its default.
 import csv
 import math
 import os
+import sys
 from collections import namedtuple
 from dataclasses import InitVar, dataclass, field, fields, replace
 from types import SimpleNamespace
@@ -63,14 +64,15 @@ STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 # trial-subcarrier rows (trials x the subcarrier rows that a trial's arrays
 # hold at once, see _chunk_trials). Larger chunks amortize more of the
 # per-trial numpy dispatch, but a chunk's per-subcarrier arrays (noise, delay
-# taps, beam outputs) grow with trials x rows, so the second bound holds them
+# taps, pilot products) grow with trials x rows, so the second bound holds them
 # near one size at any bandwidth: a pilot_vs_tdm trial holds N rows, so
 # 4,096 / 512 = 8 trials at N = 512 and 4,096 / 1,024 = 4 at N = 1,024; a rate
-# trial's probing holds one tx probing's N-row block per rx probing at a time
-# (its elevation stage runs a chunk's worth of (trial, path) rows at a time),
-# so 4,096 / (2 x 256) = 8 at the default probing; a narrowband family (one
-# row) keeps TRIAL_CHUNK = 64. See README for the throughput and peak-memory
-# trade-offs that set both values.
+# trial's probing, built once per chunk, stacks one tx probing's slot noise
+# at a time, one N-row block per rx probing, to correlate it with the pilots
+# (per profile it builds nothing per subcarrier), so 4,096 / (2 x 256) = 8 at
+# the default probing; a narrowband family (one row) keeps TRIAL_CHUNK = 64.
+# See README for the throughput and peak-memory trade-offs that set both
+# values.
 TRIAL_CHUNK = 64
 CHUNK_SUBCARRIERS = 4096
 
@@ -694,8 +696,8 @@ def _rate_setup(cfg: ExperimentConfig):
         cfg=cfg, points=points, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
         profile=profile, profiles=[profile], n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
         n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
-        # the probing makes one tx probing's beam outputs at a time: one
-        # (N, m_rf, n_rf) block per rx probing
+        # the probing correlates one tx probing's slot noise at a time: one
+        # (N, m_rf) block per rx probing
         trial_subcarriers=m_t * ofdm.n_subcarriers)
 
 
@@ -735,11 +737,11 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
     directions, at the ABP estimates and at the GoB estimates, (T, profile,
     scheme) in _SCHEMES order. What no profile reaches is built once: the
     stacked steered paths (path parameters, delay taps and steering), the
-    stacked plan, estimate_multipath's probing (coverage checks, pilot tags
-    and references, combiners, slot noise, the azimuth stage's V^H F)
-    and the true directions. Per profile: one stacked realization, one
-    estimate_multipath pass, one beamformer build and one rate call for the
-    3 x T beamformer sets."""
+    stacked plan, estimate_multipath's probing (coverage checks, pilot tags,
+    combiners, each stage's tap-weighted pilot Grams and noise
+    correlations, the azimuth stage's V^H F Q) and the true directions.
+    Per profile: one stacked realization, one estimate_multipath pass, one
+    beamformer build and one rate call for the 3 x T beamformer sets."""
     channel, plans, estimator_draws = zip(*draws)
     n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
     paths = _clustered_steered(s.profile, [np.array(d) for d in zip(*channel)],
@@ -890,11 +892,14 @@ def setup_experiment(cfg: ExperimentConfig) -> SimpleNamespace:
 
 
 def _plot_tables(tables: dict, out_dir: str) -> list:
+    """One PNG per table; without matplotlib none, said in one stderr line
+    (a print, not a warning: the plots are optional, the run is fine)."""
     try:
         import matplotlib
         matplotlib.use("Agg")
         import matplotlib.pyplot as plt
     except ImportError:
+        print("plots not written: matplotlib is not installed", file=sys.stderr)
         return []
     paths = []
     for name, table in tables.items():

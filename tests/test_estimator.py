@@ -13,7 +13,7 @@ import pytest
 import beampair.codebook
 import beampair.pilot
 from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
-                              PathParams, _precoded, copol_frequency_response,
+                              PathParams, copol_frequency_response,
                               crosspol_frequency_response, rician_narrowband)
 from beampair.codebook import (AXES, CodebookConfig, InfeasibleCoverage, ProbingPlan,
                                _axis_book, build_codebooks, random_probing_plan, rx_beam_vector,
@@ -23,8 +23,8 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
                                 _fill_angles, _multipath_draws, _noise_like,
-                                _pair_and_invert, _precoders, _probe_and_correlate,
-                                _sigma_from_gamma, _slot_noise, _slots, _sweep, _winner)
+                                _pair_and_invert, _precoders, _probe, _sigma_from_gamma,
+                                _slot_noise, _slots, _sweep, _vfq, _winner)
 from beampair.channel import DimensionMismatch
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, upa_steering)
@@ -976,29 +976,79 @@ class TestMultipath:
             estimate_multipath(chan, plan, pilots, None, 0, rng=rng, codebooks=cbs)
 
 
-def _probe(channel, tx_idx, rx_idx, pilots, tx_book, rx_book, noise):
-    """_probe_and_correlate of plans tx_idx and rx_idx stacked over trials,
-    their slots and V^H F made for this one call."""
-    slots = _slots(tx_idx, rx_idx, pilots, tx_book, rx_book, noise)
-    return _probe_and_correlate(channel, slots, _precoded(channel.v, _precoders(tx_book, tx_idx)),
-                                tx_book, rx_book)
+def _batched(channel, tx_idx, rx_idx, pilots, tx_book, rx_book, noise):
+    """The probe kernel on plans tx_idx and rx_idx stacked over the rows of
+    a stacked realization, their slots and V^H F Q made for this one call."""
+    slots = _slots(tx_idx, rx_idx, pilots, tx_book, rx_book, channel.rho, noise)
+    ul = channel.u.swapaxes(-3, -2).reshape(len(channel.u), channel.u.shape[-2], -1)
+    return _probe(ul, slots, _vfq(channel.v, _precoders(tx_book, tx_idx), slots.gram),
+                  tx_book, rx_book)
+
+
+def _slot_normals(plan, n: int, m: int, sigma: float, rng):
+    """Every slot's element noise of one trial's plan (n_t, m_t, N, M) in
+    one draw, in loop order, as _slot_noise draws it; None when sigma is 0."""
+    if sigma == 0:
+        return None
+    n_t, m_t = len(plan.tx_idx), len(plan.rx_idx)
+    z = rng.standard_normal((n_t * m_t, 2, n, m))
+    return (sigma * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)).reshape(n_t, m_t, n, m)
+
+
+def _sums(tx_book, rx_book, m_t: int) -> tuple:
+    """Zeroed (tx strengths, rx strengths, probing totals) of one trial."""
+    return np.zeros(len(tx_book.pols)), np.zeros(len(rx_book.pols)), np.zeros(m_t)
+
+
+def _accumulate(sums, s, mt: int, t_idx, r_idx) -> None:
+    """Add the |corr|^2 s (m_rf, n_rf) of the slot of tx beams t_idx and
+    rx probing mt over rx beams r_idx to sums (see _sums)."""
+    tx_strength, rx_strength, totals = sums
+    totals[mt] += float(s.sum())
+    np.add.at(tx_strength, t_idx, s.sum(axis=0))
+    np.add.at(rx_strength, r_idx, s.sum(axis=1))
+
+
+def _probe_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
+    """Per-slot reference for the probe kernel on one trial, in the path
+    domain: per tx probing the pilot Grams Q_l = sum_k rho[k, l] x_k x_k^H
+    and V_l^H F Q_l, per (tx, rx) slot the correlation sum_l (W^H u_l)
+    V_l^H F Q_l plus the slot's projected noise correlated with the pilots,
+    |.|^2 and np.add.at accumulation."""
+    n, m, _ = channel.shape
+    rho, u, v = channel.rho, channel.u, channel.v
+    tx_idx, rx_idx = plan.tx_idx.tolist(), plan.rx_idx.tolist()
+    sums = _sums(tx_book, rx_book, len(rx_idx))
+    w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
+    wu = np.ascontiguousarray(w_all.T).conj() @ u.swapaxes(0, 1).reshape(m, -1)  # (i, L q)
+    splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
+    noise = _slot_normals(plan, n, m, sigma, rng)
+    for nt, t_idx in enumerate(tx_idx):
+        x = np.ascontiguousarray(pilots.references(tag_probing(t_idx, tx_book.members)).T)
+        xc = x.conj()  # (n_rf, N), as the references' conjugates
+        gram = ((x[:, None] * xc[None]).reshape(-1, n) @ rho).T.reshape(
+            -1, len(t_idx), len(t_idx))
+        vf = v.conj().swapaxes(-1, -2) @ np.take(tx_book.matrix, t_idx, axis=1)
+        corr_all = wu @ (vf @ gram).reshape(-1, len(t_idx))
+        for mt, (r_idx, corr) in enumerate(zip(rx_idx, np.split(corr_all, splits))):
+            if sigma > 0:
+                z = noise[nt, mt] @ np.take(rx_book.matrix, r_idx, axis=1).conj()
+                corr = corr + z.T @ xc.T
+            _accumulate(sums, np.abs(corr) ** 2, mt, t_idx, r_idx)
+    return sums
 
 
 def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
-    """Per-slot reference for _probe_and_correlate: per tx probing one
-    beamformed call and pilot-weighted sum, per (tx, rx) slot the noise
-    projection, a zero-lag correlation and np.add.at accumulation."""
+    """Per-subcarrier oracle of the probe kernel on one trial: per tx
+    probing one beamformed call over every subcarrier and pilot-weighted
+    sum, per (tx, rx) slot the noise projection, a zero-lag correlation
+    over the N subcarriers and np.add.at accumulation."""
     n, m, _ = channel.shape
     tx_idx, rx_idx = plan.tx_idx.tolist(), plan.rx_idx.tolist()
-    tx_strength = np.zeros(len(tx_book.pols))
-    rx_strength = np.zeros(len(rx_book.pols))
-    totals = np.zeros(len(rx_idx))
+    sums = _sums(tx_book, rx_book, len(rx_idx))
     w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
     splits = np.cumsum([len(r_idx) for r_idx in rx_idx])[:-1]
-    if sigma > 0:  # every slot's element noise in one draw, in loop order
-        z = rng.standard_normal((len(tx_idx) * len(rx_idx), 2, n, m))
-        noise = (sigma * (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2)).reshape(
-            len(tx_idx), len(rx_idx), n, m)
+    noise = _slot_normals(plan, n, m, sigma, rng)
     for nt, t_idx in enumerate(tx_idx):
         f_mat = np.take(tx_book.matrix, t_idx, axis=1)
         x = pilots.references(tag_probing(t_idx, tx_book.members))
@@ -1006,11 +1056,45 @@ def _probe_and_correlate_loop(channel, plan, pilots, tx_book, rx_book, sigma, rn
         for mt, (r_idx, y) in enumerate(zip(rx_idx, np.split(y_all, splits, axis=1))):
             if sigma > 0:
                 y = y + noise[nt, mt] @ np.take(rx_book.matrix, r_idx, axis=1).conj()
-            s = np.abs(correlate_zero_lag(y, x)) ** 2
-            totals[mt] += float(s.sum())
-            np.add.at(tx_strength, t_idx, s.sum(axis=0))
-            np.add.at(rx_strength, r_idx, s.sum(axis=1))
-    return tx_strength, rx_strength, totals
+            _accumulate(sums, np.abs(correlate_zero_lag(y, x)) ** 2, mt, t_idx, r_idx)
+    return sums
+
+
+def _two_trials(arrays, tx_axis: str, plan_args: tuple, layout: str):
+    """Codebooks of `arrays` under a full elevation range, the pilots of
+    the tx_axis book, two trials' three-path channels (N = 64) and plans
+    random_probing_plan(n_t, m_t, n_rf, m_rf) on that axis, and their
+    stack."""
+    cbs = build_codebooks(CodebookConfig(arrays=arrays, el_range=(-np.pi / 2, np.pi / 2)))
+    pilots = assign_pilots(range(len(cbs.books[tx_axis].pairs)), 64, p=1)
+    rng = np.random.default_rng(64)
+    ofdm = OfdmConfig(64, 16)
+    chans, plans = [], []
+    for seed in (5, 6):
+        paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
+                            angles_for(*rng.uniform(-0.8, 0.8, size=3), arrays))
+                 for tau in (0.0, 2e-9, 5e-9)]
+        if arrays is CO:
+            chans.append(copol_frequency_response(
+                [PathParams.single_pol(p.g_vv, p.tau, p.angles) for p in paths], arrays, ofdm))
+        else:
+            chans.append(crosspol_frequency_response(paths, arrays, ofdm,
+                                                     CrossPolConfig(0.3, 0.2)))
+        plans.append(random_probing_plan(cbs, *plan_args, seed=seed, layout=layout,
+                                         tx_axis=tx_axis))
+    stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
+                                 for a in ("rho", "u", "v")), ())
+    return cbs, pilots, chans, plans, stack
+
+
+def _batched_on(cbs, pilots, plans, stack, tx_axis: str, sigma: float, rng):
+    """The probe kernel on the stacked plans, the trials' slot noise drawn
+    from rng in turn."""
+    tx_book, rx_book = cbs.books[tx_axis], cbs.books["receive"]
+    noise = [_slot_noise(p.rx_idx, len(p.tx_idx), rx_book, 64, sigma, rng) for p in plans]
+    return _batched(stack, np.stack([p.tx_idx for p in plans]),
+                    np.stack([p.rx_idx for p in plans]), pilots, tx_book, rx_book,
+                    None if sigma == 0 else noise)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
@@ -1027,35 +1111,57 @@ def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
                                            n_rf, m_rf):
     """The batched probing of two trials, each with its own channel and plan,
     gives each trial the per-slot loop's strengths and probing totals bit
-    for bit, and drawing the trials' slot noise in turn leaves the
-    generator where the loops leave it, on free and split-half plans,
-    azimuth and elevation books, m_rf = 1, and one tx probing (n_t = 1) as
-    well as several, which the batched probing makes one at a time."""
-    cbs = build_codebooks(CodebookConfig(arrays=CROSS, el_range=(-np.pi / 2, np.pi / 2)))
-    tx_book, rx_book = cbs.books[tx_axis], cbs.books["receive"]
-    pilots = assign_pilots(range(len(tx_book.pairs)), 64, p=1)
-    rng = np.random.default_rng(64)
-    chans, plans = [], []
-    for seed in (5, 6):
-        paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
-                            angles_for(*rng.uniform(-0.8, 0.8, size=3), CROSS))
-                 for tau in (0.0, 2e-9, 5e-9)]
-        chans.append(crosspol_frequency_response(paths, CROSS, OfdmConfig(64, 16),
-                                                 CrossPolConfig(0.3, 0.2)))
-        plans.append(random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, seed=seed,
-                                         layout=layout, tx_axis=tx_axis))
-    stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
-                                 for a in ("rho", "u", "v")), ())
+    for bit, both in the path domain, and drawing the trials' slot noise in
+    turn leaves the generator where the loops leave it, on free and
+    split-half plans, azimuth and elevation books, m_rf = 1, and one tx
+    probing (n_t = 1) as well as several, whose Grams and noise
+    correlations the batched probing makes one at a time."""
+    cbs, pilots, chans, plans, stack = _two_trials(CROSS, tx_axis, (n_t, m_t, n_rf, m_rf), layout)
     got_rng, want_rng = np.random.default_rng(65), np.random.default_rng(65)
-    noise = [_slot_noise(p.rx_idx, n_t, rx_book, 64, sigma, got_rng) for p in plans]
-    got = _probe(stack, np.stack([p.tx_idx for p in plans]), np.stack([p.rx_idx for p in plans]),
-                 pilots, tx_book, rx_book, None if sigma == 0 else noise)
+    got = _batched_on(cbs, pilots, plans, stack, tx_axis, sigma, got_rng)
     for t, (chan, plan) in enumerate(zip(chans, plans)):
-        want = _probe_and_correlate_loop(chan, plan, pilots, tx_book, rx_book, sigma,
-                                         want_rng)
+        want = _probe_loop(chan, plan, pilots, cbs.books[tx_axis], cbs.books["receive"], sigma,
+                           want_rng)
         for g, w in zip(got, want):
             assert g[t].shape == w.shape and g[t].tobytes() == w.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3], ids=["noiseless", "noisy"])
+@pytest.mark.parametrize("arrays,layout,tx_axis,n_t,m_t,n_rf,m_rf", [
+    (CO, "free", "azimuth", 1, 2, 6, 2),
+    (CO, "free", "azimuth", 3, 2, 2, 2),
+    (CO, "free", "elevation", 2, 2, 2, 2),
+    (CROSS, "free", "azimuth", 1, 2, 6, 2),
+    (CROSS, "free", "azimuth", 3, 3, 3, 3),
+    (CROSS, "split-half", "azimuth", 4, 3, 2, 2),
+    (CROSS, "split-half", "elevation", 4, 3, 2, 2),
+    (CROSS, "free", "elevation", 1, 4, 4, 1),
+], ids=["co-az-nt1", "co-az", "co-el", "cross-az-nt1", "cross-az", "cross-split-az",
+        "cross-split-el", "cross-el-nt1"])
+def test_probing_matches_the_per_subcarrier_oracle(arrays, layout, tx_axis, n_t, m_t, n_rf,
+                                                   m_rf, sigma):
+    """The path-domain probing reorders the sums of the per-subcarrier
+    math it replaced (beam outputs on every subcarrier, pilot-weighted,
+    noised and correlated over N), so it is held to that math's decisions,
+    not its bits: per trial, the same strongest beam on each axis, the same
+    pair ids and stable strength order as the estimator reads them, and
+    every strength and probing total within 1e-12 of its row's largest."""
+    cbs, pilots, chans, plans, stack = _two_trials(arrays, tx_axis, (n_t, m_t, n_rf, m_rf), layout)
+    tx_book, rx_book = cbs.books[tx_axis], cbs.books["receive"]
+    got_rng, want_rng = np.random.default_rng(65), np.random.default_rng(65)
+    got = _batched_on(cbs, pilots, plans, stack, tx_axis, sigma, got_rng)
+    want = [_probe_and_correlate_loop(c, p, pilots, tx_book, rx_book, sigma, want_rng)
+            for c, p in zip(chans, plans)]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for g, w, book in zip(got, map(np.array, zip(*want)), (tx_book, rx_book, None)):
+        assert np.all(np.abs(g - w) <= 1e-12 * w.max(axis=1, keepdims=True))
+        assert np.array_equal(np.argsort(-g, kind="stable"), np.argsort(-w, kind="stable"))
+        if book is not None:
+            win = _winner(w)
+            assert np.array_equal(_winner(g), win)
+            assert np.array_equal(_pair_and_invert(g, win, book)[1],
+                                  _pair_and_invert(w, win, book)[1])
 
 
 def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
@@ -1075,7 +1181,7 @@ def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
             channel.u[t:t + 1], channel.v[t:t + 1], ())
         for p, (el_plan, el_noise) in enumerate(el_draws):
             el_book = _axis_book(codebooks.config, "elevation", float(mu_y[t, p]))
-            el_tx, _, el_totals = _probe(
+            el_tx, _, el_totals = _batched(
                 trial, el_plan.tx_idx[None], el_plan.rx_idx[None], el_pilots, el_book,
                 rx_book, None if el_noise is None else [el_noise])
             if el_totals.sum() <= 0:

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import fields
@@ -337,6 +338,18 @@ class TestFamilies:
         assert len(pngs) == 1
         assert os.path.getsize(pngs[0]) > 0
 
+    @pytest.mark.parametrize("plots", [True, False], ids=["plots", "no-plots"])
+    def test_missing_matplotlib_is_said(self, plots, tmp_path, monkeypatch, capsys):
+        """With matplotlib not importable, a run with plots on writes its
+        CSVs, no PNG, and says so in one stderr line; with plots off it
+        says nothing."""
+        monkeypatch.setitem(sys.modules, "matplotlib", None)  # import raises ImportError
+        cfg = ExperimentConfig(experiment="maqe_bits", trials=2, plots=plots)
+        files = run_experiment(cfg, str(tmp_path))["files"]
+        assert [os.path.splitext(f)[1] for f in files] == [".csv"]
+        err = capsys.readouterr().err
+        assert err == ("plots not written: matplotlib is not installed\n" if plots else "")
+
     @pytest.mark.parametrize("family", EXPERIMENTS)
     def test_plot_reads_every_golden_table(self, family):
         """_plot_one draws each family's pinned table without raising, on a
@@ -576,8 +589,9 @@ class TestChunks:
 
     def test_sweep_invariant_work_runs_once_per_chunk(self, tmp_path, monkeypatch):
         """An 8-trial robustness_xpd run is 1 chunk x 4 points: the path
-        parameters, delay taps and pilot tags are made per chunk (1 path and
-        tap call, 8 trials x 2 tx probings = 16 tags), the estimate per
+        parameters, delay taps, pilot tags, and the azimuth stage's pilot
+        Grams and noise correlations are made per chunk (1 path, tap and
+        Gram call, 8 trials x 2 tx probings = 16 tags), the estimate per
         point (4 calls)."""
         counts = {}
 
@@ -591,13 +605,14 @@ class TestChunks:
             monkeypatch.setattr(owner, name, count)
 
         for owner, name in ((channel, "_clustered_paths"), (channel, "pulse_coefficients"),
-                            (estimator, "tag_probing"), (experiments, "estimate_multipath")):
+                            (estimator, "tag_probing"), (estimator, "_grams"),
+                            (experiments, "estimate_multipath")):
             counting(owner, name)
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False)
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == 8
         run_experiment(cfg, str(tmp_path))
         assert counts == {"_clustered_paths": 1, "pulse_coefficients": 1, "tag_probing": 16,
-                          "estimate_multipath": 4}
+                          "_grams": 1, "estimate_multipath": 4}
 
     def test_rate_steps_build_no_path_objects(self, tmp_path, monkeypatch):
         """An 8-trial robustness_xpd run reads its estimates as arrays from
@@ -698,7 +713,7 @@ class TestChunks:
         subcarrier rows of a trial when that is fewer: a pilot_vs_tdm trial
         holds N rows (8 trials at N = 512, 4 at N = 1,024), a rate trial one
         N-row block per rx probing (2 at N = 256 give 8 trials, also at
-        n_s = 2, whose 3 tx probings are made one at a time); the
+        n_s = 2, whose 3 tx probings are correlated one at a time); the
         narrowband families keep TRIAL_CHUNK."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == size
@@ -722,13 +737,13 @@ class TestChunks:
     def test_rate_chunk_peak_memory(self, overrides, budget):
         """One robustness_xpd compute step at the chunk size that
         _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
-        (tracemalloc; 1.80 MB measured), and at most 2.7 MB where the
-        elevation stage runs (2.41 MB), so that a larger chunk cannot undo
-        the lean kernels: the probing makes one tx probing's beam outputs
-        at a time (all at once peaks at 2.04 and 2.93 MB), the rate copies
-        one slice of H_TR at a time (all of it: 2.88 and 3.49 MB), and the
-        elevation stage runs T (trial, path) rows at a time (all at once:
-        4.62 MB)."""
+        (tracemalloc; 1.61 MB measured), and at most 2.7 MB where the
+        elevation stage runs (2.26 MB), so that a larger chunk cannot undo
+        the lean kernels: the probing builds its pilot Grams and noise
+        correlations one tx probing at a time (every elevation probing at
+        once peaks at 4.07 MB) and per profile builds nothing per
+        subcarrier, and the rate copies one slice of H_TR at a time (all of
+        it: 3.58 and 3.63 MB)."""
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)

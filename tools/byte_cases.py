@@ -8,7 +8,11 @@ norm_se_vs_snr, robustness_xpd and robustness_mismatch at 5 and 40 trials
 and seeds 0-2, at the default elevation range and under one of -90:90, each
 alone, with overhead.n_s = 2, with channel.subpaths = 4 and with both; the
 same three at 9 trials (one 8-trial chunk and a remainder of 1) and seeds
-0-2, at the default elevation range and under -90:90;
+0-2, at the default elevation range and under -90:90; the same three on
+co-polarized arrays (arrays.polarization = co, which needs
+codebook.el_range_deg = -90:90: the default range fails setup with
+ConfigError) at 9 trials and seeds 0-2, which put the q = 1 path layout
+into the matrix;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
 reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
@@ -53,6 +57,7 @@ def cases():
             base = {"experiment": family, "seed": seed, "trials": 9}
             yield f"{family}-s{seed}-t9", base
             yield f"{family}-s{seed}-t9-el90", {**base, **EL90}
+            yield f"{family}-s{seed}-t9-co-el90", {**base, **EL90, "polarization": "co"}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": GOLDEN_TRIALS[family]}
