@@ -168,12 +168,7 @@ class ChannelRealization:
         if (w.shape[-2], f.shape[-2]) != self.shape[1:]:
             raise DimensionMismatch(
                 f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
-        return self.combined(w, _precoded(self.v, f))
-
-    def combined(self, w: np.ndarray, vf: np.ndarray) -> np.ndarray:
-        """beamformed(w, f) from vf = _precoded(v, f), its transmit half, so
-        that realizations which share v and f (the points of a sweep that
-        changes only u) compute V^H F once."""
+        vf = _precoded(self.v, f)
         wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u
         per_path = wu @ vf
         *batch, n_paths, i, j = per_path.shape

@@ -11,10 +11,10 @@ from .experiments import (EXPERIMENTS, FAMILIES, ConfigError, IoError, ParseErro
 from .metrics import EmptyInput
 
 # typed failures of a run whose config was valid: I/O, an empty reduction,
-# the estimator's no-signal and pairing errors, and a numpy whose seeding
-# the trial streams no longer reproduce
+# the estimator's no-signal and pairing errors, a non-finite trial result,
+# and a numpy whose seeding the trial streams no longer reproduce
 RUN_FAILURES = (IoError, EmptyInput, NoSignal, BothZero, InsufficientNeighbors,
-                StreamMismatch)
+                FloatingPointError, StreamMismatch)
 
 
 def _build_parser() -> argparse.ArgumentParser:

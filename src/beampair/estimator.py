@@ -555,9 +555,9 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     more than one elevation beam, each selected path then gets an elevation
     sweep steered at its azimuth estimate, all (trial, path) rows in one
     pass. A path keeps the elevation range center, and no elevation pair,
-    when the stage is skipped or its sweep collects no energy. The plan
-    must probe every azimuth and receive beam of `codebooks`
-    (InfeasibleCoverage otherwise).
+    when the stage is skipped; a sweep that collects no energy raises
+    NoSignal, as in the azimuth stage. The plan must probe every azimuth
+    and receive beam of `codebooks` (InfeasibleCoverage otherwise).
 
     A realization stacked over T trials, with a plan whose index arrays
     carry the same leading trial axis, (T, n_t, n_rf) and (T, m_t, m_rf),
@@ -593,7 +593,7 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         tx_s, np.argsort(-tx_s, kind="stable")[:, :n_select], az_book)
     n_paths = mu_y.shape[1]
     mus = np.empty((n_trials, n_paths, 3))  # (mu_x, mu_y, nu) per path
-    # mu_x is the elevation range center unless a path's elevation stage pairs
+    # mu_x is the elevation range center unless the elevation stage runs
     mus[..., 0] = 0.5 * sum(codebooks.config.el_range)
     mus[..., 1], mus[..., 2] = mu_y, nu[:, None]
     pairs = {"azimuth": az_k.ravel(), "receive": np.repeat(rx_k, n_paths),
@@ -607,13 +607,12 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         # row's azimuth estimate; the pair ids, and so the pilots, stay the same
         el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
         trial = np.repeat(np.arange(n_trials), n_paths)
-        el_tx, _, el_totals = _probe(
+        el_tx = _probe(
             ul[trial], el, _vfq(channel.v[trial], _precoders(el_book, el.tx_idx), el.gram),
-            el_book, rx_book)
-        hit = np.flatnonzero(el_totals.sum(axis=-1) > 0)  # the others keep the center
-        mu_x, el_k, el_zeta = _pair_and_invert(el_tx[hit], _winner(el_tx[hit]), el_book)
-        mus.reshape(-1, 3)[hit, 0] = mu_x
-        pairs["elevation"][hit], zetas["elevation"][hit] = el_k, el_zeta
+            el_book, rx_book)[0]
+        # a row whose sweep collects no energy has no winner: NoSignal
+        mus.reshape(-1, 3)[:, 0], pairs["elevation"], zetas["elevation"] = _pair_and_invert(
+            el_tx, _winner(el_tx), el_book)
 
     probings = n_trials * n_t + (0 if el is None else el.tx_idx.shape[0] * el.tx_idx.shape[1])
     iters = n_rf * probings * m_rf * m_t

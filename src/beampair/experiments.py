@@ -192,8 +192,14 @@ class ExperimentConfig:
             raise ConfigError("seed must be >= 0")
         if self.snr_db == ():
             raise ConfigError("snr grid is empty")
-        if any(math.isnan(x) or x == -math.inf for x in self.snr_db or ()):
-            raise ConfigError("snr_db values must be numbers above -inf dB")
+        for x in self.snr_db or ():
+            try:  # inf (noiseless), or a finite positive linear SNR and sqrt(1 / SNR)
+                ok = x == math.inf or 0 < 1.0 / 10.0 ** (x / 10.0) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"snr_db = {x:g} dB is outside the float range: use inf "
+                                  "or a number within about +-3,082 dB")
         for key in ("k_factor_db", "chi", "varsigma_deg"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"channel.{key} must be finite")
@@ -608,7 +614,7 @@ def _tdm_setup(cfg: ExperimentConfig):
 def _tdm_draw(s, snr: float, rng) -> tuple:
     """One trial's draws, in the order of the per-trial flow: the clustered
     channel's, then the noise rows (N,) of the pilot and of each TDM slot."""
-    sigma = math.sqrt(1.0 / 10.0 ** (snr / 10.0))
+    sigma = _sigma_from_gamma(10.0 ** (snr / 10.0))
     return (_clustered_draws(s.profile, rng),
             _noise_like(s.ofdm.n_subcarriers, sigma, rng, batch=(1 + len(s.tags),)))
 
@@ -718,8 +724,8 @@ def _rate_draw(s, snr: float, rng) -> tuple:
 def _gob_directions(rep, cbs) -> np.ndarray:
     """Boresight-only estimates from the measurements of an ABP report,
     (paths, 3): per domain the stronger member of the path's pair, or the
-    elevation range center where a path formed no elevation pair."""
-    mus = np.full((len(rep.est), 3), 0.5 * sum(cbs.config.el_range))
+    report's estimate (the elevation range center) where it formed none."""
+    mus = rep.est[:, :3].copy()
     for i, axis in enumerate(AXES):
         book, k = cbs.books[axis], rep.pairs[axis]
         has = k >= 0
@@ -740,8 +746,9 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
     stacked plan, estimate_multipath's probing (coverage checks, pilot tags,
     combiners, each stage's tap-weighted pilot Grams and noise
     correlations, the azimuth stage's V^H F Q) and the true directions.
-    Per profile: one stacked realization, one estimate_multipath pass, one
-    beamformer build and one rate call for the 3 x T beamformer sets."""
+    Per profile: one stacked realization, one estimate_multipath pass and
+    one (scheme, trial, stream) direction array, stream j of ABP and GoB at
+    estimated path j mod P, beamformed and rated in one call each."""
     channel, plans, estimator_draws = zip(*draws)
     n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
     paths = _clustered_steered(s.profile, [np.array(d) for d in zip(*channel)],
@@ -755,11 +762,10 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
         chan = paths.realization(profile)
         rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
                                  draws=probing)
-        sets = [*perfect, *rep.est[:, :3].reshape(n, -1, 3),
-                *_gob_directions(rep, s.cbs).reshape(n, -1, 3)]
-        f, w = build_rf_beamformers(sets, s.arrays, n_s)  # (scheme x trial, ., n_s)
-        rates.append(spectral_efficiency(chan, f.reshape(3, n, *f.shape[1:]),
-                                         w.reshape(3, n, *w.shape[1:]), gamma, n_s))
+        est = np.stack([rep.est[:, :3], _gob_directions(rep, s.cbs)]).reshape(2, n, -1, 3)
+        dirs = np.concatenate([perfect[None], est[:, :, np.arange(n_s) % est.shape[2]]])
+        f, w = build_rf_beamformers(dirs, s.arrays)  # (scheme, trial, ., n_s)
+        rates.append(spectral_efficiency(chan, f, w, gamma, n_s))
     return np.moveaxis(np.array(rates), -1, 0)
 
 
@@ -827,11 +833,10 @@ def _robustness_reduce(s, results):
     table = ResultTable(name, _RATE_COLUMNS)
     [snr], [trials] = s.points, results
     for value, (perfect, abp, _) in zip(values, trials.transpose(1, 2, 0)):
-        kept = perfect > 0
-        gaps = (perfect[kept] - abp[kept]) / perfect[kept]
-        if not gaps.size:
-            raise EmptyInput(f"{name} at {param}_{value:g}: no trial has a "
-                             "positive perfect rate")
+        if not (perfect > 0).all():
+            raise EmptyInput(f"{name} at {param}_{value:g}: {np.sum(~(perfect > 0))} of "
+                             f"{len(perfect)} trials have no positive perfect rate")
+        gaps = (perfect - abp) / perfect
         table.add(name, _fmt(snr), f"{param}_{value:g}", "se_gap_frac",
                   _fmt(float(np.mean(gaps))), _fmt(ci95(gaps)))
     return {name: table}
@@ -956,7 +961,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
     """Run one experiment family: its setup (ConfigError before any output
     directory is made), every trial, then its tables; writes one CSV per
     result table (plus plots when cfg.plots) and returns
-    {'tables': ..., 'files': ...}."""
+    {'tables': ..., 'files': ...}. A point whose trials computed a NaN or
+    infinite value raises FloatingPointError, and no CSV is written."""
     family = FAMILIES[cfg.experiment]
     s = setup_experiment(cfg)
     os.makedirs(out_dir, exist_ok=True)
@@ -968,7 +974,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
             draws = [family.draw(s, point, rng) for rng in _trial_rngs(cfg, pi, trials)]
             results[pi].append(family.compute(s, point, draws))
             del draws  # freed before the next point's are made
-    tables = family.reduce(s, [np.concatenate(rows) for rows in results])
+    results = [np.concatenate(rows) for rows in results]
+    for pi, (point, rows) in enumerate(zip(s.points, results)):
+        if not np.isfinite(rows).all():
+            where = f"snr_db = {point:g}" if "snr_db" in family.reads else f"point {pi}"
+            raise FloatingPointError(f"{cfg.experiment} at {where}: a trial's result is "
+                                     "not finite")
+    tables = family.reduce(s, results)
     files = [emit_outputs(t, out_dir) for t in tables.values()]
     if cfg.plots:
         files += _plot_tables(tables, out_dir)

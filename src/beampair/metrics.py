@@ -128,29 +128,19 @@ def normalized_spectral_efficiency(r, estimator_iterations: int, overhead: Overh
     return max(0.0, 1.0 - t_est / overhead.t_tot) * r
 
 
-def build_rf_beamformers(paths, arrays: ArrayConfig, n_s: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Analog beamformers from per-path direction triples (mu_x, mu_y, nu):
-    one steering column per stream, cycling over paths when n_s exceeds the
-    path count and alternating polarization halves in cross mode. `paths`
-    may also hold S such lists, one per beamformer set, each of its own
-    length: then f is (S, N_t, n_s) and w (S, M, n_s), from the same one
-    steering call per polarization and side."""
-    if n_s < 1:
-        raise ValueError("n_s must be >= 1")
-    paths = list(paths)
-    stacked = any(np.ndim(p) > 1 for p in paths)
-    sets = [np.array(p, dtype=float).reshape(-1, 3) for p in (paths if stacked else [paths])]
-    if not all(map(len, sets)):
-        raise EmptyInput("no path directions")
-    dirs = np.stack([d[np.arange(n_s) % len(d)] for d in sets])  # (S, n_s, 3)
+def build_rf_beamformers(dirs: np.ndarray, arrays: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Analog beamformers f (..., N_t, n_s) and w (..., M, n_s) from direction
+    rows (mu_x, mu_y, nu), dirs (..., n_s, 3), row j steering stream j, in
+    polarization j mod 2 in cross mode: one steering call per polarization
+    and side."""
+    *batch, n_s, _ = dirs.shape
+    if not n_s:
+        raise EmptyInput("no stream directions")
     pols = arrays.pols
-    f = np.empty((arrays.n_tot, len(sets), n_s), dtype=complex)
-    w = np.empty((arrays.m_full, len(sets), n_s), dtype=complex)
-    # one steering call per polarization and side: streams j, j + len(pols), ...
-    for j, pol in enumerate(pols[:n_s]):
-        mu_x, mu_y, nu = np.moveaxis(dirs[:, j::len(pols)], -1, 0)  # (S, k) each
-        f[:, :, j::len(pols)] = tx_beam_vector(arrays, pol, mu_x, mu_y)
-        w[:, :, j::len(pols)] = rx_beam_vector(arrays, pol, nu)
-    f, w = f.transpose(1, 0, 2), w.transpose(1, 0, 2)
-    return (f, w) if stacked else (f[0], w[0])
+    f = np.empty((arrays.n_tot, *batch, n_s), dtype=complex)
+    w = np.empty((arrays.m_full, *batch, n_s), dtype=complex)
+    for j, pol in enumerate(pols[:n_s]):  # streams j, j + len(pols), ...
+        mu_x, mu_y, nu = np.moveaxis(dirs[..., j::len(pols), :], -1, 0)
+        f[..., j::len(pols)] = tx_beam_vector(arrays, pol, mu_x, mu_y)
+        w[..., j::len(pols)] = rx_beam_vector(arrays, pol, nu)
+    return np.moveaxis(f, 0, -2), np.moveaxis(w, 0, -2)

@@ -719,6 +719,26 @@ class TestReportArrays:
 
 
 class TestMultipath:
+    def test_elevation_sweep_without_energy_raises(self, monkeypatch):
+        """A (trial, path) row whose elevation sweep collects no energy
+        raises NoSignal, as the azimuth stage does; it kept the elevation
+        range center and no elevation pair without a word. Row 1's
+        elevation beams are made to see nothing, noiselessly."""
+        cbs, pilots, chans, plans = _three_cross_trials((-np.pi / 2, np.pi / 2))
+        made = []
+
+        def dark_row(*args):
+            out = _vfq(*args)
+            made.append(out)
+            if len(made) == 2:  # the elevation stage's, one per (trial, path) row
+                out[1] = 0
+            return out
+
+        monkeypatch.setattr("beampair.estimator._vfq", dark_row)
+        with pytest.raises(NoSignal):
+            estimate_multipath(chans[0], plans[0], pilots, None, 2, codebooks=cbs)
+        assert len(made) == 2 and made[1].shape[0] == 2
+
     def test_reduces_to_single_path(self):
         """One path, one RF chain per side: the pilot-probing flow and the
         sequential sweep give the same numbers."""

@@ -118,6 +118,16 @@ class TestValidateConfig:
         # infinite SNR (noise sigma 0) stays valid
         assert validate_config("snr_db = inf").snr_db == (math.inf,)
 
+    def test_snr_outside_the_float_range(self):
+        """A finite SNR whose linear value 10^(snr/10) or noise amplitude
+        sqrt(1/SNR) is no finite positive float is a config error; it ended
+        in an OverflowError or a ZeroDivisionError traceback."""
+        for grid in ("3083", "-3083", "-4000", "10,3083", "-1e9"):
+            with pytest.raises(ConfigError, match="snr_db = .* dB is outside the float range"):
+                validate_config(f"snr_db = {grid}")
+        for snr in (3082.0, -3082.0):
+            assert validate_config(f"snr_db = {snr:g}").snr_db == (snr,)
+
     @pytest.mark.parametrize("family,line", [
         ("maee_vs_snr", "channel.k_factor_db = nan"), ("maee_vs_snr", "channel.k_factor_db = inf"),
         ("norm_se_vs_snr", "channel.chi = nan"), ("pilot_vs_tdm", "channel.chi = inf"),
@@ -302,8 +312,20 @@ class TestFamilies:
         assert [float(r[4]) for r in table.rows] == [0.25] * 4
         dropped = good.copy()
         dropped[:, 2] = 0.0
-        with pytest.raises(EmptyInput, match="robustness_xpd at chi_0.2: no trial"):
+        with pytest.raises(EmptyInput, match="robustness_xpd at chi_0.2: 2 of 2 trials"):
             experiments._robustness_reduce(s, [dropped])
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan])
+    def test_robustness_trial_without_a_positive_rate_is_an_error(self, rate):
+        """One trial whose perfect rate is not positive fails the point with
+        EmptyInput; it was dropped from the mean without a word."""
+        s = experiments.setup_experiment(ExperimentConfig(
+            experiment="robustness_mismatch", trials=3, plots=False))
+        trials = np.tile([2.0, 1.5, 1.0], (3, 4, 1))  # (trial, profile, scheme)
+        trials[1, 3, 0] = rate
+        with pytest.raises(EmptyInput, match="robustness_mismatch at varsigma_30: 1 of 3 "
+                                             "trials have no positive perfect rate"):
+            experiments._robustness_reduce(s, [trials])
 
     @pytest.mark.parametrize("family,owner,name,trials", [
         ("norm_se_vs_snr", SteeredPaths, "realization", 3),
@@ -445,11 +467,13 @@ def _rates(s, profile, snr: float, rng) -> dict:
     rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, rng,
                              codebooks=s.cbs)
     perfect = spatial_frequencies([a[: cfg.n_s] for a in chan.dominant_angles], s.arrays)
-    triples = {"perfect": np.column_stack([perfect.mu_x, perfect.mu_y, perfect.nu]),
-               "abp": [(p.mu_x, p.mu_y, p.nu) for p in rep.paths],
-               "gob": _gob_triples(rep, s.cbs)}
-    f, w = build_rf_beamformers(list(triples.values()), s.arrays, cfg.n_s)
-    return dict(zip(triples, spectral_efficiency(chan, f, w, gamma, cfg.n_s).tolist()))
+    estimates = {"abp": [(p.mu_x, p.mu_y, p.nu) for p in rep.paths],
+                 "gob": _gob_triples(rep, s.cbs)}
+    # stream j steers at path j mod P, for P below, at and above n_s
+    dirs = {"perfect": np.column_stack([perfect.mu_x, perfect.mu_y, perfect.nu]),
+            **{k: [rows[j % len(rows)] for j in range(cfg.n_s)] for k, rows in estimates.items()}}
+    f, w = build_rf_beamformers(np.array(list(dirs.values())), s.arrays)
+    return dict(zip(dirs, spectral_efficiency(chan, f, w, gamma, cfg.n_s).tolist()))
 
 
 def _draw_bytes(draws) -> list:
@@ -520,8 +544,9 @@ class TestChunks:
 
     @pytest.mark.parametrize("snr", [10.0, -10.0])
     @pytest.mark.parametrize("overrides", [
-        {}, {"el_range_deg": (-90.0, 90.0)}, {"n_s": 2}, {"subpaths": 4}],
-        ids=["default", "el90", "n_s2", "subpaths4"])
+        {}, {"el_range_deg": (-90.0, 90.0)}, {"n_s": 2}, {"subpaths": 4}, {"n_select": 1},
+        {"n_select": 5}],
+        ids=["default", "el90", "n_s2", "subpaths4", "n_select1", "n_select5"])
     @pytest.mark.parametrize("family", ["norm_se_vs_snr", "robustness_xpd",
                                         "robustness_mismatch"])
     def test_rate_chunk_equals_per_trial_flow(self, family, overrides, snr):
@@ -529,7 +554,9 @@ class TestChunks:
         flow's, byte for byte, and each draw step leaves its generator where
         the flow leaves it. A robustness family's chunk is drawn once, at
         its one SNR point, and each profile's column is checked against the
-        per-trial flow under that profile."""
+        per-trial flow under that profile. With probing.n_select at 1 and 5
+        the estimating schemes have fewer and more paths P than the n_s = 3
+        streams, which the flow steers stream by stream at path j mod P."""
         cfg = ExperimentConfig(experiment=family, trials=6, snr_db=(snr,), plots=False,
                                **overrides)
 
@@ -1259,7 +1286,7 @@ class TestCli:
             experiments.setup_experiment(cfg)
 
     @pytest.mark.parametrize("error", [EmptyInput, NoSignal, BothZero,
-                                       InsufficientNeighbors])
+                                       InsufficientNeighbors, FloatingPointError])
     def test_typed_run_failure(self, error, tmp_path, capsys, monkeypatch):
         """A typed error raised while a valid config runs ends the run with
         'run failed' on stderr, exit status 1 and no traceback."""
@@ -1276,6 +1303,39 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == "run failed: no usable trial\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("family", [f for f in EXPERIMENTS
+                                        if "snr_db" in experiments.FAMILIES[f].reads])
+    def test_snr_outside_the_float_range_is_an_invalid_config(self, family, tmp_path,
+                                                               capsys):
+        """validate and run at 3,083 dB report an invalid config in every
+        family that reads snr_db, with no traceback and no output."""
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\ntrials = 2\nsnr_db = 3083\n",
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("invalid config: snr_db = 3083 dB is outside the float range") == 2
+        assert not (tmp_path / "out").exists()
+
+    # numpy warns of the overflow these runs provoke; the run's failure is
+    # what is checked
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("family,snr,trials", [
+        ("maee_vs_snr", "-3080", 2), ("robustness_xpd", "200", 16)])
+    def test_non_finite_result_is_a_run_failure(self, family, snr, trials, tmp_path, capsys):
+        """A point whose trials compute a NaN or infinite value ends the
+        run with 'run failed' naming the family and the SNR point, and no
+        CSV is written; these runs wrote nan cells."""
+        path = tmp_path / "cfg.cfg"
+        path.write_text(f"experiment = {family}\ntrials = {trials}\nseed = 1\n"
+                        f"snr_db = {snr}\n", encoding="utf-8")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"run failed: {family} at snr_db = {snr}: a trial's result "
+                                "is not finite\n")
+        assert captured.out == "" and list((tmp_path / "out").iterdir()) == []
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

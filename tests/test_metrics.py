@@ -226,9 +226,9 @@ class TestSpectralEfficiency:
         ang = AngleSet(theta, phi, aoa_from_nu(0.3, arrays))
         chan = copol_frequency_response(
             [PathParams.single_pol(1.0, 0.0, ang)], arrays, OfdmConfig(16, 4))
-        f, w = build_rf_beamformers([(0.2, -0.4, 0.3)], arrays, 1)
+        f, w = build_rf_beamformers(np.array([[0.2, -0.4, 0.3]]), arrays)
         aligned = spectral_efficiency(chan, f, w, 10.0, 1)
-        f2, w2 = build_rf_beamformers([(0.2, 2.0, 0.3)], arrays, 1)
+        f2, w2 = build_rf_beamformers(np.array([[0.2, 2.0, 0.3]]), arrays)
         assert aligned > spectral_efficiency(chan, f2, w2, 10.0, 1)
 
 
@@ -238,20 +238,14 @@ class TestSpectralEfficiency:
 class TestBuildBeamformers:
     def test_shapes_and_norms(self):
         arrays = ArrayConfig(2, 4, 3)
-        f, w = build_rf_beamformers([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)], arrays, 2)
+        f, w = build_rf_beamformers(np.array([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)]), arrays)
         assert f.shape == (8, 2) and w.shape == (3, 2)
         assert np.allclose(np.linalg.norm(f, axis=0), 1.0)
         assert np.allclose(np.linalg.norm(w, axis=0), 1.0)
 
-    def test_cycles_paths(self):
-        arrays = ArrayConfig(2, 4, 3)
-        f, w = build_rf_beamformers([(0.1, 0.2, 0.3)], arrays, 3)
-        assert np.allclose(f[:, 0], f[:, 1]) and np.allclose(f[:, 1], f[:, 2])
-        assert np.allclose(w[:, 0], w[:, 2])
-
     def test_cross_mode_alternates_halves(self):
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
-        f, w = build_rf_beamformers([(0.1, 0.2, 0.3)], arrays, 2)
+        f, w = build_rf_beamformers(np.array([(0.1, 0.2, 0.3)] * 2), arrays)
         n = 8
         assert np.all(f[n:, 0] == 0) and np.all(f[:n, 1] == 0)
         assert np.all(w[3:, 0] == 0) and np.all(w[:3, 1] == 0)
@@ -260,15 +254,16 @@ class TestBuildBeamformers:
     @pytest.mark.parametrize("n_s", [1, 2, 3, 5])
     def test_one_steering_call_per_polarization(self, mode, n_s, monkeypatch):
         """Columns equal, bit for bit, the per-stream scalar steering calls
-        (stream i: path i mod L, polarization i mod 2 in cross mode), with
-        n_s below, at and above the path count, from at most one
-        tx_beam_vector and one rx_beam_vector call per polarization."""
+        (stream i: row i, polarization i mod 2 in cross mode), for one to
+        five streams, from at most one tx_beam_vector and one rx_beam_vector
+        call per polarization."""
         arrays = ArrayConfig(2, 4, 3, polarization_mode=mode)
-        paths = [(0.1, 0.2, 0.3), (-0.4, 0.5, -0.6), (0.7, -0.8, 0.9)]
+        rows = [(0.1, 0.2, 0.3), (-0.4, 0.5, -0.6), (0.7, -0.8, 0.9), (0.3, 0.1, -0.2),
+                (-0.6, -0.7, 0.4)][:n_s]
         pols = ("v", "h") if mode == "cross" else ("v",)
-        want_f = [tx_beam_vector(arrays, pols[i % len(pols)], *paths[i % 3][:2])
+        want_f = [tx_beam_vector(arrays, pols[i % len(pols)], *rows[i][:2])
                   for i in range(n_s)]
-        want_w = [rx_beam_vector(arrays, pols[i % len(pols)], paths[i % 3][2])
+        want_w = [rx_beam_vector(arrays, pols[i % len(pols)], rows[i][2])
                   for i in range(n_s)]
         calls = []
 
@@ -280,32 +275,31 @@ class TestBuildBeamformers:
 
         monkeypatch.setattr(metrics, "tx_beam_vector", counted(tx_beam_vector))
         monkeypatch.setattr(metrics, "rx_beam_vector", counted(rx_beam_vector))
-        f, w = build_rf_beamformers(paths, arrays, n_s)
+        f, w = build_rf_beamformers(np.array(rows), arrays)
         assert f.shape[1] == w.shape[1] == n_s
         for i in range(n_s):
             assert f[:, i].tobytes() == want_f[i].tobytes()
             assert w[:, i].tobytes() == want_w[i].tobytes()
         assert len(calls) == len(set(calls)) == 2 * min(n_s, len(pols))
 
-    def test_stacked_sets_equal_separate_calls(self):
-        """Three sets of different path counts in one call: each stacked
-        beamformer, its beamformed block and its rate equal the separate
-        per-set call bit for bit."""
+    def test_batch_axes_equal_separate_calls(self):
+        """Direction rows with two batch axes, (2, 3, n_s, 3), in one call:
+        each beamformer pair, its beamformed block and its rate equal the
+        separate call on its own (n_s, 3) rows bit for bit."""
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
         rng = np.random.default_rng(87)
-        sets = [[tuple(rng.uniform(-0.9, 0.9, size=3)) for _ in range(count)]
-                for count in (3, 1, 2)]
+        dirs = rng.uniform(-0.9, 0.9, size=(2, 3, 3, 3))
         paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
                             AngleSet(*rng.uniform(0.1, 1.0, size=3)))
                  for tau in (0.0, 3e-9, 7e-9)]
         chan = crosspol_frequency_response(paths, arrays, OfdmConfig(32, 8),
                                            CrossPolConfig(0.3, 0.1))
-        f, w = build_rf_beamformers(sets, arrays, 3)
-        assert f.shape == (3, 16, 3) and w.shape == (3, 6, 3)
+        f, w = build_rf_beamformers(dirs, arrays)
+        assert f.shape == (2, 3, 16, 3) and w.shape == (2, 3, 6, 3)
         rates = spectral_efficiency(chan, f, w, 10.0, 3)
         blocks = chan.beamformed(w, f)
-        for i, dirs in enumerate(sets):
-            f_i, w_i = build_rf_beamformers(dirs, arrays, 3)
+        for i in np.ndindex(2, 3):
+            f_i, w_i = build_rf_beamformers(dirs[i], arrays)
             assert f[i].tobytes() == f_i.tobytes() and w[i].tobytes() == w_i.tobytes()
             assert blocks[i].tobytes() == chan.beamformed(w_i, f_i).tobytes()
             rate = spectral_efficiency(chan, f_i, w_i, 10.0, 3)
@@ -340,8 +334,6 @@ class TestBuildBeamformers:
 
     def test_guards(self):
         arrays = ArrayConfig(2, 4, 3)
-        for paths in ([], [[(0.1, 0.2, 0.3)], []], [[], [(0.1, 0.2, 0.3)]]):
-            with pytest.raises(EmptyInput, match="no path directions"):
-                build_rf_beamformers(paths, arrays, 1)
-        with pytest.raises(ValueError, match="n_s"):
-            build_rf_beamformers([(0.1, 0.2, 0.3)], arrays, 0)
+        for dirs in (np.empty((0, 3)), np.empty((2, 0, 3))):
+            with pytest.raises(EmptyInput, match="no stream directions"):
+                build_rf_beamformers(dirs, arrays)

@@ -12,7 +12,10 @@ same three at 9 trials (one 8-trial chunk and a remainder of 1) and seeds
 co-polarized arrays (arrays.polarization = co, which needs
 codebook.el_range_deg = -90:90: the default range fails setup with
 ConfigError) at 9 trials and seeds 0-2, which put the q = 1 path layout
-into the matrix;
+into the matrix; the same three with probing.n_select = 1 and = 5 (fewer
+and more estimated paths than the 3 streams, which steer at path j mod P)
+at 9 trials and seeds 0-2, at the default elevation range and under
+-90:90;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
 reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
@@ -58,6 +61,10 @@ def cases():
             yield f"{family}-s{seed}-t9", base
             yield f"{family}-s{seed}-t9-el90", {**base, **EL90}
             yield f"{family}-s{seed}-t9-co-el90", {**base, **EL90, "polarization": "co"}
+            for n_select in (1, 5):
+                sel = {**base, "n_select": n_select}
+                yield f"{family}-s{seed}-t9-sel{n_select}", sel
+                yield f"{family}-s{seed}-t9-el90-sel{n_select}", {**sel, **EL90}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": GOLDEN_TRIALS[family]}
