@@ -7,7 +7,7 @@ p = 6, roots 25/29/34, 3-bit differential quantizer).
 
 Each family is a setup -> draw -> compute -> reduce declaration (Family)
 run by one loop, which alone makes the per-trial RNG streams and walks the
-trials in chunks (see CHUNK_SUBCARRIERS), each chunk at every point: a draw
+trials in chunks (see CHUNK_ROWS), each chunk at every point: a draw
 step per trial on its own stream, then one compute step over the chunk.
 Trial t of point i draws from the stream of
 SeedSequence([master_seed, family_id, i, t]), state for state; the loop
@@ -36,7 +36,7 @@ from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCo
                        ProbingPlan, build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws,
                         _multipath_probing, _noise_like, _sigma_from_gamma, _sweep,
-                        _sweep_normals, estimate_multipath)
+                        estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct_differential,
                        reconstruct_direct, worst_case_error)
 from .geometry import ArrayConfig, spatial_frequencies
@@ -60,21 +60,20 @@ ONE_SNR_FAMILIES = ("pilot_vs_tdm", "robustness_mismatch", "robustness_xpd")
 # complexity accounting
 STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 
-# Trials per compute step: at most TRIAL_CHUNK, and at most CHUNK_SUBCARRIERS
-# trial-subcarrier rows (trials x the subcarrier rows that a trial's arrays
-# hold at once, see _chunk_trials). Larger chunks amortize more of the
-# per-trial numpy dispatch, but a chunk's per-subcarrier arrays (noise, delay
-# taps, pilot products) grow with trials x rows, so the second bound holds them
-# near one size at any bandwidth: a pilot_vs_tdm trial holds N rows, so
-# 4,096 / 512 = 8 trials at N = 512 and 4,096 / 1,024 = 4 at N = 1,024; a rate
-# trial's probing, built once per chunk, stacks one tx probing's slot noise
-# at a time, one N-row block per rx probing, to correlate it with the pilots
-# (per profile it builds nothing per subcarrier), so 4,096 / (2 x 256) = 8 at
-# the default probing; a narrowband family (one row) keeps TRIAL_CHUNK = 64.
-# See README for the throughput and peak-memory trade-offs that set both
-# values.
-TRIAL_CHUNK = 64
-CHUNK_SUBCARRIERS = 4096
+# Trials per compute step: as many as hold CHUNK_ROWS rows, where each
+# family's setup states the rows that one trial's arrays hold at once
+# (trial_rows, see _chunk_trials), and at least one. Larger chunks amortize
+# more of the per-trial numpy dispatch, but a chunk's arrays grow with trials
+# x rows, so the one bound holds a compute step near one size in every
+# family: a pilot_vs_tdm trial holds N subcarrier rows, so 4,096 / 512 = 8
+# trials at N = 512 and 4 at N = 1,024; a rate trial's probing, built once
+# per chunk, stacks one tx probing's slot noise at a time, one N-row block
+# per rx probing, to correlate it with the pilots (per profile it builds
+# nothing per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing; a
+# maee_vs_snr trial sweeps one receive-beam block per path, (1 + 5) x 4 = 24
+# rows at the defaults, so 170 trials; a maqe_bits trial is one row. See
+# README for the throughput and peak-memory trade-offs that set the value.
+CHUNK_ROWS = 4096
 
 # The largest quantizer.bits: maqe_bits' worst-case sweep holds 2^bits x 512
 # + 1 points, some 130 MB at 12 bits and 4 times that per 2 bits more.
@@ -454,22 +453,29 @@ def _maee_setup(cfg: ExperimentConfig):
     # one interval
     cov = {ax: _span(cbs, ax) for ax in AXES}
     lo, hi = np.array([cov[ax] for ax in AXES]).T
+    n_rx = len(cbs.books["receive"].pols)
     return SimpleNamespace(
-        cfg=cfg, points=snr_grid(cfg), arrays=arrays, cbs=cbs, cov=cov, lo=lo, width=hi - lo,
-        nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]})
+        cfg=cfg, points=snr_grid(cfg), arrays=arrays, cbs=cbs, cov=cov,
+        lo=lo.tolist(), width=(hi - lo).tolist(),
+        nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]},
+        # the sweep normals of a trial's two schemes, as _sweep_normals draws them
+        normals=(2, 2, 1, n_rx, cbs.grid.shape[1]),
+        # the sweep beamforms each path on every receive beam
+        trial_rows=(1 + cfg.n_nlos) * n_rx)
 
 
 def _maee_draw(s, snr: float, rng) -> tuple:
     """One trial's draws, in the order of the per-trial flow: the true
     spatial frequencies (mu_x redrawn while (mu_x, mu_y) = (0, 0)), the
     Rician channel's draws, then the normals of the ABP and the GoB sweep
-    noise (None at infinite SNR). The three uniforms are one random(3)
-    scaled as rng.uniform(lo, hi) scales its one: lo + (hi - lo) * r."""
-    mu_x, mu_y, nu = s.lo + s.width * rng.random(3)
+    noise (None at infinite SNR, the only SNR without noise). The three
+    uniforms are one random(3) scaled as rng.uniform(lo, hi) scales its
+    one: lo + (hi - lo) * r."""
+    mu_x, mu_y, nu = (lo + w * r for lo, w, r in zip(s.lo, s.width, rng.random(3).tolist()))
     while mu_x == 0.0 and mu_y == 0.0:
         mu_x = rng.uniform(*s.cov["elevation"])
     phase, nlos = _rician_draws(rng, s.cfg.n_nlos)
-    normals = _sweep_normals(1, s.cbs, 10.0 ** (snr / 10.0), rng, batch=(2,))
+    normals = None if snr == math.inf else rng.standard_normal(s.normals)
     return (mu_x, mu_y, nu), phase, nlos, normals
 
 
@@ -495,12 +501,14 @@ def _maee_reduce(s, results):
     table = ResultTable("maee_vs_snr",
                         ["snr_db", "scheme", "domain", "maee_deg", "ci95"])
     for snr, trials in zip(s.points, results):
-        deg = np.degrees(trials)  # (trial, truth/abp/gob, domain)
-        for i, sch in enumerate(("abp", "gob"), start=1):
+        # (truth/abp/gob, domain, trial), the trial axis contiguous
+        deg = np.degrees(np.ascontiguousarray(trials.transpose(1, 2, 0)))
+        truth, est = np.broadcast_to(deg[0], deg[1:].shape), deg[1:]
+        errs = maee(truth, est, axis=-1).tolist()
+        cis = ci95(np.abs(est - truth), axis=-1).tolist()
+        for i, sch in enumerate(("abp", "gob")):
             for d, dom in enumerate(_DOMAINS):
-                t_arr, e_arr = deg[:, 0, d], deg[:, i, d]
-                table.add(_fmt(snr), sch, dom, _fmt(maee(t_arr, e_arr)),
-                          _fmt(ci95(np.abs(e_arr - t_arr))))
+                table.add(_fmt(snr), sch, dom, _fmt(errs[i][d]), _fmt(cis[i][d]))
     return {"maee_vs_snr": table}
 
 
@@ -514,7 +522,8 @@ def _maqe_setup(cfg: ExperimentConfig):
              for n_y in _MAQE_N_Y]
     return SimpleNamespace(
         cfg=cfg, points=books,
-        sector=(math.radians(cfg.az_range_deg[0]), math.radians(cfg.az_range_deg[1])))
+        sector=(math.radians(cfg.az_range_deg[0]), math.radians(cfg.az_range_deg[1])),
+        trial_rows=1)
 
 
 def _maqe_draw(s, book, rng) -> tuple:
@@ -608,7 +617,7 @@ def _tdm_setup(cfg: ExperimentConfig):
         f=az.matrix[:, beams],
         w=(mid_v + mid_h) / np.sqrt(2),
         profile=_cluster_profile(cfg, cbs),
-        trial_subcarriers=ofdm.n_subcarriers)
+        trial_rows=ofdm.n_subcarriers)
 
 
 def _tdm_draw(s, snr: float, rng) -> tuple:
@@ -704,7 +713,7 @@ def _rate_setup(cfg: ExperimentConfig):
         n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
         # the probing correlates one tx probing's slot noise at a time: one
         # (N, m_rf) block per rx probing
-        trial_subcarriers=m_t * ofdm.n_subcarriers)
+        trial_rows=m_t * ofdm.n_subcarriers)
 
 
 def _rate_draw(s, snr: float, rng) -> tuple:
@@ -950,37 +959,44 @@ def _plot_one(ax, name: str, table: ResultTable) -> None:
 
 
 def _chunk_trials(s) -> int:
-    """Trials per compute step for a family's setup (see CHUNK_SUBCARRIERS).
-    A setup with per-subcarrier arrays states how many subcarrier rows one
-    trial's hold as `trial_subcarriers`; one without is narrowband: one row
-    per trial."""
-    return max(1, min(TRIAL_CHUNK, CHUNK_SUBCARRIERS // getattr(s, "trial_subcarriers", 1)))
+    """Trials per compute step for a family's setup (see CHUNK_ROWS): as
+    many as hold CHUNK_ROWS rows at the `trial_rows` rows that one trial
+    holds, and at least one."""
+    return max(1, CHUNK_ROWS // s.trial_rows)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
-    """Run one experiment family: its setup (ConfigError before any output
-    directory is made), every trial, then its tables; writes one CSV per
-    result table (plus plots when cfg.plots) and returns
-    {'tables': ..., 'files': ...}. A point whose trials computed a NaN or
-    infinite value raises FloatingPointError, and no CSV is written."""
+    """Run one experiment family: its setup, every trial, then its tables;
+    makes out_dir, writes one CSV per result table (plus plots when
+    cfg.plots) and returns {'tables': ..., 'files': ...}. The trials run
+    with numpy's overflow, divide-by-zero and invalid-value errors raised:
+    a point whose trials meet one, or compute a NaN or infinite value,
+    raises FloatingPointError naming the point. A run that fails makes no
+    output directory and writes no CSV."""
     family = FAMILIES[cfg.experiment]
     s = setup_experiment(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    chunk = _chunk_trials(s)
+    chunk = _chunk_trials(s) if s.points else cfg.trials  # no points, no trial rows
     results = [[] for _ in s.points]
-    for start in range(0, cfg.trials, chunk):
-        trials = range(start, min(start + chunk, cfg.trials))
-        for pi, point in enumerate(s.points):
-            draws = [family.draw(s, point, rng) for rng in _trial_rngs(cfg, pi, trials)]
-            results[pi].append(family.compute(s, point, draws))
-            del draws  # freed before the next point's are made
-    results = [np.concatenate(rows) for rows in results]
-    for pi, (point, rows) in enumerate(zip(s.points, results)):
-        if not np.isfinite(rows).all():
-            where = f"snr_db = {point:g}" if "snr_db" in family.reads else f"point {pi}"
-            raise FloatingPointError(f"{cfg.experiment} at {where}: a trial's result is "
-                                     "not finite")
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for start in range(0, cfg.trials, chunk):
+            trials = range(start, min(start + chunk, cfg.trials))
+            for pi, point in enumerate(s.points):
+                try:
+                    draws = [family.draw(s, point, rng) for rng in _trial_rngs(cfg, pi, trials)]
+                    rows = family.compute(s, point, draws)
+                    if not np.isfinite(rows).all():
+                        raise FloatingPointError("a trial's result is not finite")
+                except FloatingPointError as exc:
+                    where = f"snr_db = {point:g}" if "snr_db" in family.reads else f"point {pi}"
+                    raise FloatingPointError(f"{cfg.experiment} at {where}: {exc}") from exc
+                results[pi].append(rows)
+                del draws  # freed before the next point's are made
+    results = [np.concatenate(chunks) for chunks in results]
     tables = family.reduce(s, results)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     files = [emit_outputs(t, out_dir) for t in tables.values()]
     if cfg.plots:
         files += _plot_tables(tables, out_dir)

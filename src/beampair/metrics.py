@@ -14,23 +14,28 @@ class EmptyInput(ValueError):
     pass
 
 
-def maee(true_angles, estimates) -> float:
-    """Mean absolute estimation error; inputs and output in degrees."""
+def maee(true_angles, estimates, axis=None):
+    """Mean absolute estimation error; inputs and output in degrees. A
+    float over all pairs, or an array of means along `axis`."""
     t = np.asarray(true_angles, dtype=float)
     e = np.asarray(estimates, dtype=float)
     if t.size == 0:
         raise EmptyInput("no angle pairs")
     if t.shape != e.shape:
         raise ValueError("paired inputs must have equal length")
-    return float(np.mean(np.abs(t - e)))
+    mean = np.mean(np.abs(t - e), axis=axis)
+    return float(mean) if axis is None else mean
 
 
-def ci95(values) -> float:
-    """95% confidence half-width of the mean."""
+def ci95(values, axis=None):
+    """95% confidence half-width of the mean: a float over all values, or an
+    array of half-widths along `axis`; 0 below two values."""
     v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        return 0.0
-    return float(1.96 * v.std(ddof=1) / np.sqrt(v.size))
+    n = v.size if axis is None else v.shape[axis]
+    if n < 2:
+        return 0.0 if axis is None else np.zeros(np.delete(v.shape, axis))
+    half = 1.96 * v.std(axis=axis, ddof=1) / np.sqrt(n)
+    return float(half) if axis is None else half
 
 
 @dataclass(frozen=True)

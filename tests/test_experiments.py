@@ -416,6 +416,21 @@ def _maee_trial(s, snr: float, rng) -> list:
     return out
 
 
+def _compute_peak(compute, s, draws) -> int:
+    """The tracemalloc peak, in bytes, of one compute step over draws at the
+    setup's first point, after a first call has made numpy's first-call
+    allocations."""
+    compute(s, s.points[0], draws)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        compute(s, s.points[0], draws)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def _chunk_against_reference(cfg: ExperimentConfig, snr: float, trials: int):
     """One chunk of `trials` maee_vs_snr trials at point 0, drawn and
     computed, and the reference per-trial flow on the same streams (see
@@ -696,25 +711,25 @@ class TestChunks:
         ("maee_vs_snr", 20), ("maqe_bits", 20), ("pilot_vs_tdm", 20), ("norm_se_vs_snr", 3),
         ("robustness_xpd", 9), ("robustness_mismatch", 9)])
     def test_chunk_size_moves_no_byte(self, family, trials, tmp_path, monkeypatch):
-        """TRIAL_CHUNK 1, 7 and the trial count give the same CSV bytes (the
-        subcarrier bound lifted, so TRIAL_CHUNK alone sets the chunk), at an
-        SNR grid of 0 dB (and 10 dB where a family sweeps the SNR) in the
-        families that read one."""
+        """Chunks of 1, 7 and all trials (CHUNK_ROWS set to that many trials'
+        rows) give the same CSV bytes, at an SNR grid of 0 dB (and 10 dB
+        where a family sweeps the SNR) in the families that read one."""
         grid = (0.0,) if family in experiments.ONE_SNR_FAMILIES else (0.0, 10.0)
         snr = {"snr_db": grid} if "snr_db" in experiments.FAMILIES[family].reads else {}
         cfg = ExperimentConfig(experiment=family, trials=trials, plots=False, **snr)
-        monkeypatch.setattr(experiments, "CHUNK_SUBCARRIERS", trials * 1024)
+        rows = experiments.setup_experiment(cfg).trial_rows
         texts = []
         for chunk in (1, 7, trials):
-            monkeypatch.setattr(experiments, "TRIAL_CHUNK", chunk)
+            monkeypatch.setattr(experiments, "CHUNK_ROWS", chunk * rows)
             [path] = run_experiment(cfg, str(tmp_path / str(chunk)))["files"]
             with open(path, "rb") as fh:
                 texts.append(fh.read())
         assert texts[0] == texts[1] == texts[2]
 
     def test_run_walks_trials_in_chunks(self, tmp_path, monkeypatch):
-        """The trials reach the compute step in chunks of TRIAL_CHUNK, the
-        last one partial: chunks in the outer loop, each at every point."""
+        """The trials reach the compute step in chunks of CHUNK_ROWS // the
+        rows of a trial (one in maqe_bits), the last one partial: chunks in
+        the outer loop, each at every point."""
         chunks = []
 
         def compute(s, point, draws):
@@ -722,7 +737,7 @@ class TestChunks:
             return draws
 
         family = experiments.FAMILIES["maqe_bits"]
-        monkeypatch.setattr(experiments, "TRIAL_CHUNK", 4)
+        monkeypatch.setattr(experiments, "CHUNK_ROWS", 4)
         monkeypatch.setitem(experiments.FAMILIES, "maqe_bits",
                             family._replace(compute=compute))
         run_experiment(ExperimentConfig(experiment="maqe_bits", trials=10,
@@ -732,16 +747,16 @@ class TestChunks:
     @pytest.mark.parametrize("family,line,size", [
         ("pilot_vs_tdm", "", 8), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 4),
         ("norm_se_vs_snr", "", 8), ("robustness_xpd", "", 8),
-        ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 64),
-        ("maqe_bits", "", 64)])
-    def test_chunk_holds_at_most_chunk_subcarriers(self, family, line, size, tmp_path,
-                                                   monkeypatch):
-        """A chunk holds TRIAL_CHUNK trials, or CHUNK_SUBCARRIERS // the
-        subcarrier rows of a trial when that is fewer: a pilot_vs_tdm trial
-        holds N rows (8 trials at N = 512, 4 at N = 1,024), a rate trial one
-        N-row block per rx probing (2 at N = 256 give 8 trials, also at
-        n_s = 2, whose 3 tx probings are correlated one at a time); the
-        narrowband families keep TRIAL_CHUNK."""
+        ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 170),
+        ("maee_vs_snr", "channel.n_nlos = 0", 1024), ("maqe_bits", "", 4096)])
+    def test_chunk_holds_at_most_chunk_rows(self, family, line, size, tmp_path, monkeypatch):
+        """A chunk holds CHUNK_ROWS // the rows of a trial: a pilot_vs_tdm
+        trial holds N rows (8 trials at N = 512, 4 at N = 1,024), a rate
+        trial one N-row block per rx probing (2 at N = 256 give 8 trials,
+        also at n_s = 2, whose 3 tx probings are correlated one at a time),
+        a maee_vs_snr trial one block of 4 receive beams per path (6 paths
+        give 170 trials, the LOS path alone 1,024), a maqe_bits trial one
+        row."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == size
         if family != "pilot_vs_tdm":
@@ -757,6 +772,26 @@ class TestChunks:
         run_experiment(validate_config(f"experiment = {family}\ntrials = 10\n{line}\n"
                                        "plots = false\n"), str(tmp_path))
         assert chunks == [size] * (10 // size) + [10 % size]
+
+    def test_maee_benchmark_point_is_one_compute_step(self, tmp_path, monkeypatch):
+        """The benchmark's maee_vs_snr run, 150 trials at 3 SNR points, is
+        one chunk: 3 compute steps of 150 trials, one sweep pass each."""
+        calls, sweep = [], experiments._sweep
+        steps = experiments.FAMILIES["maee_vs_snr"]
+
+        def compute(s, point, draws):
+            calls.append(len(draws))
+            return steps.compute(s, point, draws)
+
+        def counted_sweep(*args, **kwargs):
+            calls.append("sweep")
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_sweep", counted_sweep)
+        monkeypatch.setitem(experiments.FAMILIES, "maee_vs_snr", steps._replace(compute=compute))
+        run_experiment(ExperimentConfig(experiment="maee_vs_snr", trials=150, plots=False),
+                       str(tmp_path))
+        assert calls == [150, "sweep"] * 3
 
     @pytest.mark.parametrize("overrides,budget", [({}, 2.0e6),
                                                   ({"el_range_deg": (-90.0, 90.0)}, 2.7e6)],
@@ -777,16 +812,21 @@ class TestChunks:
         assert chunk == 8
         draws = [experiments._rate_draw(s, s.points[0], rng)
                  for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
-        experiments._rate_compute(s, s.points[0], draws)  # numpy's first-call allocations
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            experiments._rate_compute(s, s.points[0], draws)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget
+        assert _compute_peak(experiments._rate_compute, s, draws) <= budget
+
+    def test_maee_chunk_peak_memory(self):
+        """One maee_vs_snr compute step at the chunk size that _chunk_trials
+        picks (170 trials) allocates at most 2.4 MB at its peak
+        (tracemalloc; 2.08 MB measured), so that the row budget keeps the
+        narrowband chunk bounded: all 500 default trials in one step peak
+        at 6.12 MB."""
+        cfg = ExperimentConfig(experiment="maee_vs_snr", plots=False)
+        s = experiments.setup_experiment(cfg)
+        chunk = experiments._chunk_trials(s)
+        assert chunk == 170
+        draws = [experiments._maee_draw(s, s.points[0], rng)
+                 for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
+        assert _compute_peak(experiments._maee_compute, s, draws) <= 2.4e6
 
     def test_tdm_reduce_names_a_beam_without_tdm_amplitude(self):
         """A beam whose mean TDM amplitude is 0 has no relative difference:
@@ -1264,8 +1304,8 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("validate drew a channel")
 
-        # what the draw steps call: channel draws, the sweep noise
-        for name in ("_clustered_draws", "_rician_draws", "_sweep_normals"):
+        # what the draw steps call: the channel draws (maqe_bits draws none)
+        for name in ("_clustered_draws", "_rician_draws"):
             monkeypatch.setattr(experiments, name, no_trial)
         path = tmp_path / "cfg.cfg"
         path.write_text(f"experiment = {family}\n", encoding="utf-8")
@@ -1301,7 +1341,10 @@ class TestCli:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out"),
                      "--no-plots"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == "run failed: no usable trial\n"
+        if error is FloatingPointError:  # a trial's numpy error: the run names the point
+            assert captured.err == "run failed: maqe_bits at point 0: no usable trial\n"
+        else:
+            assert captured.err == "run failed: no usable trial\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("family", [f for f in EXPERIMENTS
@@ -1319,23 +1362,52 @@ class TestCli:
         assert err.count("invalid config: snr_db = 3083 dB is outside the float range") == 2
         assert not (tmp_path / "out").exists()
 
-    # numpy warns of the overflow these runs provoke; the run's failure is
-    # what is checked
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("family,snr,trials", [
-        ("maee_vs_snr", "-3080", 2), ("robustness_xpd", "200", 16)])
-    def test_non_finite_result_is_a_run_failure(self, family, snr, trials, tmp_path, capsys):
-        """A point whose trials compute a NaN or infinite value ends the
-        run with 'run failed' naming the family and the SNR point, and no
-        CSV is written; these runs wrote nan cells."""
+    @pytest.mark.parametrize("family,snr,trials,why", [
+        ("maee_vs_snr", "-3080", 2, "overflow encountered in square"),
+        ("maee_vs_snr", "-3080", 4, "overflow encountered in square"),
+        ("robustness_xpd", "200", 2, "divide by zero encountered in log"),
+        ("robustness_xpd", "200", 16, "divide by zero encountered in log")])
+    def test_non_finite_result_is_a_run_failure(self, family, snr, trials, why, tmp_path,
+                                                capsys):
+        """A point whose trials overflow, divide by zero or compute an
+        invalid value ends the run with one stderr line, 'run failed'
+        naming the family, the SNR point and numpy's error, and makes no
+        output directory; these runs wrote nan cells, then printed numpy's
+        RuntimeWarnings ahead of the failure and left an empty directory."""
         path = tmp_path / "cfg.cfg"
         path.write_text(f"experiment = {family}\ntrials = {trials}\nseed = 1\n"
                         f"snr_db = {snr}\n", encoding="utf-8")
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == (f"run failed: {family} at snr_db = {snr}: a trial's result "
-                                "is not finite\n")
-        assert captured.out == "" and list((tmp_path / "out").iterdir()) == []
+        assert captured.err == f"run failed: {family} at snr_db = {snr}: {why}\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
+    def test_failed_run_makes_no_output_directory(self, tmp_path, monkeypatch):
+        """A point whose compute step returns a NaN with no numpy error
+        raises FloatingPointError naming the point, before the run makes
+        its output directory (nested here, so no parent of it is made
+        either)."""
+        steps = experiments.FAMILIES["maee_vs_snr"]
+
+        def compute(s, point, draws):
+            rows = steps.compute(s, point, draws)
+            rows[-1, 1, 0] = math.nan
+            return rows
+
+        monkeypatch.setitem(experiments.FAMILIES, "maee_vs_snr", steps._replace(compute=compute))
+        cfg = ExperimentConfig(experiment="maee_vs_snr", trials=3, snr_db=(5.0,), plots=False)
+        with pytest.raises(FloatingPointError,
+                           match="^maee_vs_snr at snr_db = 5: a trial's result is not finite$"):
+            run_experiment(cfg, str(tmp_path / "run" / "out"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_that_cannot_be_made_is_an_io_error(self, tmp_path, capsys):
+        """An --out-dir that names a file ends the run with 'run failed', not
+        a traceback."""
+        (tmp_path / "out").write_text("", encoding="utf-8")
+        assert main(["run", "--experiment", "pilot_correlation", "--out-dir",
+                     str(tmp_path / "out"), "--no-plots"]) == 1
+        assert capsys.readouterr().err.startswith("run failed: [Errno 17] File exists")
 
     def test_run_missing_config(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 1

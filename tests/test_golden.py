@@ -11,9 +11,10 @@ seed=s, plots=False), GOLDEN_DIRS[s]), and the el90 and chunks cases with
 their overrides below.
 
 tests/golden/chunks/ pins maee_vs_snr, pilot_vs_tdm, norm_se_vs_snr and
-robustness_xpd at seed 1 and 150 trials: several chunks each (64 trials a
-chunk for maee_vs_snr, 8 for pilot_vs_tdm at N = 512, 4 for the rate
-families), the last one partial."""
+robustness_xpd at seed 1 and 150 trials. pilot_vs_tdm (N = 512) and the rate
+families run 8 trials a chunk, so several chunks each, the last one partial;
+maee_vs_snr runs up to 170 trials a chunk, so one (tools/byte_cases.py
+crosses its chunk boundary at 171 trials)."""
 
 import csv
 import importlib.util
@@ -29,7 +30,7 @@ GOLDEN_DIRS = {0: GOLDEN_DIR, 1: GOLDEN_DIR / "seed1"}
 # seed-0 tables with the elevation stage running: directory, config overrides
 EL90_DIR, EL90 = GOLDEN_DIR / "el90", {"el_range_deg": (-90.0, 90.0)}
 EL90_FAMILIES = ("norm_se_vs_snr", "robustness_xpd")
-# seed-1 tables run over several trial chunks: directory, config overrides
+# seed-1 tables at 150 trials, several chunks in most families: directory, overrides
 CHUNKS_DIR, CHUNKS = GOLDEN_DIR / "chunks", {"trials": 150}
 CHUNKS_FAMILIES = ("maee_vs_snr", "pilot_vs_tdm", "norm_se_vs_snr", "robustness_xpd")
 GOLDEN_TRIALS = {

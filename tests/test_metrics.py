@@ -33,6 +33,16 @@ class TestMaee:
             acc += abs(a - b)
         assert maee(t, e) == pytest.approx(acc / t.size, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 9, 170, 8193])
+    def test_axis_equals_one_call_per_row(self, n):
+        """Along the trailing contiguous axis each mean is the one call's
+        on that row, bit for bit: numpy sums each row in the same order."""
+        rng = np.random.default_rng(82)
+        t, e = rng.uniform(-90, 90, size=(2, 2, 3, n))
+        got = maee(t, e, axis=-1)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[maee(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(t, e)]
+
     def test_guards(self):
         with pytest.raises(EmptyInput, match="no angle pairs"):
             maee([], [])
@@ -49,6 +59,19 @@ class TestCi95:
         vals = [1.0, 2.0, 3.0, 4.0]
         want = 1.96 * np.std(vals, ddof=1) / 2.0
         assert ci95(vals) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 9, 170, 8193])
+    def test_axis_equals_one_call_per_row(self, n):
+        """Along the trailing contiguous axis each half-width is the one
+        call's on that row, bit for bit."""
+        v = np.random.default_rng(83).normal(size=(2, 3, n))
+        got = ci95(v, axis=-1)
+        assert got.shape == (2, 3)
+        assert got.tolist() == [[ci95(row) for row in rows] for rows in v]
+
+    def test_axis_short_inputs(self):
+        assert ci95(np.ones((2, 3, 1)), axis=-1).tolist() == [[0.0] * 3] * 2
+        assert ci95(np.ones((0, 4)), axis=0).tolist() == [0.0] * 4
 
     def test_shrinks_with_sample_size(self):
         rng = np.random.default_rng(81)

@@ -20,8 +20,10 @@ maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
 reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
 counts; every family at seed 2**32 + 1, whose stream entropy spans two
-words, at its golden trial count; and the four chunks families at their
-golden overrides (150 trials, seed 1)."""
+words, at its golden trial count; the four chunks families at their
+golden overrides (150 trials, seed 1: one chunk per point for maee_vs_snr,
+several for the others); and maee_vs_snr at 171 trials and seeds 0-2, one
+170-trial chunk and a remainder of 1."""
 
 import sys
 from pathlib import Path
@@ -65,6 +67,8 @@ def cases():
                 sel = {**base, "n_select": n_select}
                 yield f"{family}-s{seed}-t9-sel{n_select}", sel
                 yield f"{family}-s{seed}-t9-el90-sel{n_select}", {**sel, **EL90}
+        yield f"maee_vs_snr-s{seed}-t171", {"experiment": "maee_vs_snr", "seed": seed,
+                                            "trials": 171}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": GOLDEN_TRIALS[family]}
