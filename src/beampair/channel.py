@@ -126,20 +126,24 @@ def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
 class ChannelRealization:
     """Path-domain channel: H[k] = sum_l rho[k, l] u_l v_l^H.
 
-    rho (N, L) holds the per-path delay-tap coefficients and u (L, M, q),
-    v (L, N_t, q) the receive and transmit factors, M and N_t the full
-    (cross-pol stacked) dimensions. Co-pol and narrowband paths have q = 1
-    (u_l = g a_r, v_l = a_t); cross-pol paths have q = 2 (u_l = G_eff kron
-    a_r, v_l = I_2 kron a_t), which places the vv/vh/hv/hh blocks in the
+    The L paths fall in C clusters of L / C consecutive paths, and the paths
+    of a cluster share one delay-tap column: taps (N, C) holds the columns,
+    rho[k, l] = taps[k, l // (L / C)] (a realization without clusters has one
+    column per path, C = L). u (L, M, q) and v (L, N_t, q) hold the receive
+    and transmit factors, M and N_t the full (cross-pol stacked) dimensions.
+    Co-pol and narrowband paths have q = 1 (u_l = g a_r, v_l = a_t);
+    cross-pol paths have q = 2 (u_l = G_eff kron a_r, v_l = I_2 kron a_t),
+    which places the vv/vh/hv/hh blocks in the
     top-left/top-right/bottom-left/bottom-right. dominant_angles holds the
     (theta, phi, psi) arrays (K,) of the paths that are the realization's
     ground truth, strongest first (empty for explicit paths). A stacked
     realization holds T trials' factors u (T, L, M, q) and v (T, L, N_t, q),
-    over one rho (N, L) or per-trial taps rho (T, N, L), and any dominant
-    angles as (T, K) arrays.
+    over one taps (N, C) or per-trial taps (T, N, C), and any dominant
+    angles as (T, K) arrays; axes of u before the trial axis are batch axes
+    (the rate step stacks the profiles of a sweep on one).
     """
 
-    rho: np.ndarray
+    taps: np.ndarray
     u: np.ndarray
     v: np.ndarray
     dominant_angles: tuple
@@ -147,10 +151,15 @@ class ChannelRealization:
     blocks = None
 
     @property
+    def rho(self) -> np.ndarray:
+        """Per-path delay taps (N, L), or (T, N, L) stacked."""
+        return _per_path(self.taps, self.u.shape[-3])
+
+    @property
     def shape(self) -> tuple[int, int, int]:
         """(N, M, N_t) of the dense tensor (per trial when stacked), without
         building it."""
-        return self.rho.shape[-2], self.u.shape[-2], self.v.shape[-2]
+        return self.taps.shape[-2], self.u.shape[-2], self.v.shape[-2]
 
     @cached_property
     def h(self) -> np.ndarray:
@@ -161,18 +170,37 @@ class ChannelRealization:
         return (self.rho @ per_path.reshape(*batch, n_paths, m * n_t)).reshape(*batch, -1, m, n_t)
 
     def beamformed(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """W^H H[k] F for every subcarrier, (..., N, i, j), from per-path
-        products: cost O(N L i j), not O(N M N_t j) on the dense tensor. Batch
-        axes of w (..., M, i) and f (..., N_t, j), and a stacked realization's
-        trial axis, broadcast as in matmul, bit for bit."""
+        """W^H H[k] F = sum_c taps[k, c] P_c for every subcarrier, (..., N, i,
+        j), from the cluster products P_c (see clustered): cost O(N C i j),
+        not O(N M N_t j) on the dense tensor. Batch axes broadcast as in
+        clustered, bit for bit."""
+        p = self.clustered(w, f)
+        *batch, n_c, i, j = p.shape
+        return (self.taps @ p.reshape(*batch, n_c, i * j)).reshape(*batch, -1, i, j)
+
+    def clustered(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """P_c = W^H (sum_{l in c} u_l v_l^H) F of every cluster c, (..., C,
+        i, j): each cluster's subpaths and polarizations summed in one
+        matmul. Batch axes of w (..., M, i) and f (..., N_t, j), and a
+        stacked realization's trial axis, broadcast as in matmul, bit for
+        bit."""
         if (w.shape[-2], f.shape[-2]) != self.shape[1:]:
             raise DimensionMismatch(
                 f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
-        vf = _precoded(self.v, f)
-        wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u
-        per_path = wu @ vf
-        *batch, n_paths, i, j = per_path.shape
-        return (self.rho @ per_path.reshape(*batch, n_paths, i * j)).reshape(*batch, -1, i, j)
+        vf = _precoded(self.v, f)  # (..., L, q, j)
+        wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u  # (..., L, i, q)
+        n_c = self.taps.shape[-1]
+        *batch, n_paths, i, q = wu.shape
+        # a cluster's subpaths side by side: (..., C, i, S q) and (..., C, S q, j)
+        wu = wu.reshape(*batch, n_c, n_paths // n_c, i, q).swapaxes(-3, -2)
+        return wu.reshape(*batch, n_c, i, -1) @ vf.reshape(*vf.shape[:-3], n_c, -1, vf.shape[-1])
+
+
+def _per_path(taps: np.ndarray, n_paths: int) -> np.ndarray:
+    """Delay taps (..., N, L) of L paths in clusters of consecutive paths
+    from the clusters' columns taps (..., N, C): taps itself when C = L."""
+    n_c = taps.shape[-1]
+    return taps if n_c == n_paths else np.repeat(taps, n_paths // n_c, axis=-1)
 
 
 def _precoded(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -183,14 +211,14 @@ def _precoded(v: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SteeredPaths:
-    """A realization less its receive factors u: the delay taps rho, the
-    raw gains g ((..., L) co-pol, (..., L, 2, 2) cross-pol), the receive
+    """A realization less its receive factors u: the clusters' delay taps,
+    the raw gains g ((..., L) co-pol, (..., L, 2, 2) cross-pol), the receive
     steering a_r (..., L, M), the transmit factors v and the dominant angles,
     as in ChannelRealization. None of them reads chi or varsigma, so the
     points of a sweep over those share one SteeredPaths and differ only in
     realization(xp)."""
 
-    rho: np.ndarray
+    taps: np.ndarray
     g: np.ndarray
     a_r: np.ndarray
     v: np.ndarray
@@ -205,19 +233,19 @@ class SteeredPaths:
         else:
             e = _effective(self.g, xp)
             u = (e[..., None, :] * self.a_r[..., None, :, None]).reshape(*self.g.shape[:-2], -1, 2)
-        return ChannelRealization(self.rho, u, self.v, self.dominant_angles)
+        return ChannelRealization(self.taps, u, self.v, self.dominant_angles)
 
 
-def _steered(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross: bool,
+def _steered(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross: bool,
              dominant=slice(0)) -> SteeredPaths:
-    """Steered paths of L paths from their delay-tap columns rho (N, L), their
-    angles ((L,) arrays theta, phi, psi) and raw gains g, with one steering
-    call per side for all paths: co-pol transmit factors, or cross-pol ones
-    (I_2 kron a_t) when `cross`. `dominant` indexes the paths whose angles
-    are the ground truth (none by default). Angles and gains with leading
-    axes (T, L) give the paths of T stacked trials, and so do per-trial
-    delay taps rho (T, N, L); `dominant` then indexes the flattened,
-    trial-major paths."""
+    """Steered paths of L paths from their clusters' delay-tap columns taps
+    (N, C) (see ChannelRealization), their angles ((L,) arrays theta, phi,
+    psi) and raw gains g, with one steering call per side for all paths:
+    co-pol transmit factors, or cross-pol ones (I_2 kron a_t) when `cross`.
+    `dominant` indexes the paths whose angles are the ground truth (none by
+    default). Angles and gains with leading axes (T, L) give the paths of T
+    stacked trials, and so do per-trial delay taps (T, N, C); `dominant`
+    then indexes the flattened, trial-major paths."""
     sf = spatial_frequencies(angles, arrays)
     lead = np.shape(sf.nu)  # (L,), or (T, L) stacked
     a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
@@ -227,21 +255,21 @@ def _steered(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross:
         v = (np.eye(2)[:, None, :] * a_t[..., None, :, None]).reshape(*lead, -1, 2)
     else:
         v = a_t[..., None]
-    return SteeredPaths(rho, g, a_r, v, tuple(np.ravel(a)[dominant] for a in angles))
+    return SteeredPaths(taps, g, a_r, v, tuple(np.ravel(a)[dominant] for a in angles))
 
 
-def _realization(rho: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
+def _realization(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
                  xp: CrossPolConfig | None = None, dominant=slice(0)) -> ChannelRealization:
     """Realization of paths as in _steered: co-pol when xp is None (g holds
     the (L,) vv gains), cross-pol with the effective gains of the raw
     (L, 2, 2) g otherwise."""
-    return _steered(rho, angles, g, arrays, xp is not None, dominant).realization(xp)
+    return _steered(taps, angles, g, arrays, xp is not None, dominant).realization(xp)
 
 
 def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
                 xp: CrossPolConfig | None = None) -> ChannelRealization:
-    """Realization of explicit paths: one delay-tap column per distinct
-    delay, shared by the paths at that delay."""
+    """Realization of explicit paths: one delay-tap column per path, the
+    columns of paths at one delay computed once."""
     paths = list(paths)
     angles = np.array([tuple(p.angles) for p in paths]).T
     if xp is None:
@@ -432,19 +460,17 @@ def _clustered_paths(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: 
 def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
                        ofdm: OfdmConfig) -> SteeredPaths:
     """Steered paths of clustered draws (see _clustered_draws): one trial's,
-    or T trials' stacked on a leading axis, with per-trial delay taps rho
-    (T, N, L). All delays share one pulse_coefficients call, and each side
-    one steering call. The profile's chi and varsigma are not read."""
+    or T trials' stacked on a leading axis, with per-trial delay taps
+    (T, N, n_clusters). All delays share one pulse_coefficients call, and
+    each side one steering call. The profile's chi and varsigma are not
+    read."""
     g, delays, angles, best = _clustered_paths(profile, draws, arrays, ofdm)
     # one delay-tap column per cluster, shared by its subpaths; the taps
-    # (N, T, nc) of stacked trials are read as (T, N, nc), and with one
-    # subpath per cluster they are rho as they are, without a copy
+    # (N, T, nc) of stacked trials are read as (T, N, nc), without a copy
     taps = pulse_coefficients(delays, ofdm).swapaxes(0, -2)
-    ns = profile.subpaths_per_cluster
-    rho = taps if ns == 1 else np.repeat(taps, ns, axis=-1)
     cross = arrays.polarization_mode == "cross"
     g = g.reshape(*g.shape[:-1], 2, 2) if cross else g[..., 0]
-    return _steered(rho, angles, g, arrays, cross, dominant=best)
+    return _steered(taps, angles, g, arrays, cross, dominant=best)
 
 
 def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,

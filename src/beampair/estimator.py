@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, DimensionMismatch, _precoded
+from .channel import ChannelRealization, DimensionMismatch, _per_path, _precoded
 from .codebook import (AXES, AxisBook, CodebookSet, InfeasibleCoverage, ProbingPlan,
                        _axis_book, random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
@@ -496,7 +496,7 @@ def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: f
 
 
 # estimate_multipath's probing of T trials as far as it holds across
-# realizations that share their delay taps rho and transmit factors v (the
+# realizations that share their delay taps and transmit factors v (the
 # points of a sweep that changes only the receive factors u): the azimuth
 # stage's slots and their V^H F Q (see _vfq), and the elevation stage's
 # slots, None where that stage is skipped; its beams are steered at each
@@ -511,22 +511,24 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
                        ) -> MultipathProbing:
     """The MultipathProbing of a plan stacked over T trials, (T, n_t, n_rf)
     and (T, m_t, m_rf), on `channel`, a stacked realization or anything else
-    with its delay taps rho and transmit factors v (channel.SteeredPaths).
-    The plan must probe every azimuth and receive beam (InfeasibleCoverage
-    otherwise). `draws` holds each trial's draws (see _multipath_draws);
-    when None, they are drawn from rng at gamma, trial by trial, after that
-    check. The elevation plans get the pilots of the elevation pair table,
-    which does not depend on where the beams are steered."""
+    with its clusters' delay taps and transmit factors v
+    (channel.SteeredPaths). The plan must probe every azimuth and receive
+    beam (InfeasibleCoverage otherwise). `draws` holds each trial's draws
+    (see _multipath_draws); when None, they are drawn from rng at gamma,
+    trial by trial, after that check. The elevation plans get the pilots of
+    the elevation pair table, which does not depend on where the beams are
+    steered."""
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
     _require_coverage(plan.tx_idx, az_book)
     _require_coverage(plan.rx_idx, rx_book)
+    rho = _per_path(channel.taps, channel.v.shape[-3])
     if draws is None:
         rng = np.random.default_rng() if rng is None else rng
         sigma = _sigma_from_gamma(gamma)
-        draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), channel.rho.shape[-2], sigma,
+        draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), rho.shape[-2], sigma,
                                   n_select, rng) for tx, rx in zip(plan.tx_idx, plan.rx_idx)]
     az_noise = [az for az, _ in draws]
-    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, channel.rho,
+    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, rho,
                      None if az_noise[0] is None else az_noise)
     el_draws = [d for _, trial_draws in draws for d in trial_draws]  # trial-major
     elevation = None
@@ -537,7 +539,7 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
         el_plans, el_noise = zip(*el_draws)
         elevation = _slots(
             *(np.stack([getattr(p, a) for p in el_plans]) for a in ("tx_idx", "rx_idx")),
-            el_pilots, el_book, rx_book, channel.rho, None if el_noise[0] is None else el_noise)
+            el_pilots, el_book, rx_book, rho, None if el_noise[0] is None else el_noise)
     return MultipathProbing(
         azimuth, _vfq(channel.v, _precoders(az_book, plan.tx_idx), azimuth.gram), elevation)
 
@@ -565,14 +567,14 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     trial-major, and its iterations the trials' total. `draws` is None, for
     noise and elevation plans drawn from rng at gamma trial by trial (see
     _multipath_draws), or the MultipathProbing that _multipath_probing made
-    of pre-drawn ones, for realizations with this one's rho and v, which
+    of pre-drawn ones, for realizations with this one's taps and v, which
     several calls then share. A one-trial realization and plan are the
     T = 1 case.
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
     if probing_plan.tx_idx.ndim == 2:  # one trial: a stack of one
-        channel = ChannelRealization(channel.rho, channel.u[None], channel.v[None], ())
+        channel = ChannelRealization(channel.taps, channel.u[None], channel.v[None], ())
         probing_plan = ProbingPlan(probing_plan.tx_idx[None], probing_plan.rx_idx[None])
     if draws is None:
         draws = _multipath_probing(channel, probing_plan, pilots, codebooks, None, gamma,

@@ -30,8 +30,9 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .channel import (ClusterProfile, OfdmConfig, _clustered_draws, _clustered_realization,
-                      _clustered_steered, _realization, _rician_draws, _rician_paths)
+from .channel import (ChannelRealization, ClusterProfile, OfdmConfig, _clustered_draws,
+                      _clustered_realization, _clustered_steered, _realization,
+                      _rician_draws, _rician_paths)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
                        ProbingPlan, build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws,
@@ -202,6 +203,11 @@ class ExperimentConfig:
         for key in ("k_factor_db", "chi", "varsigma_deg"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"channel.{key} must be finite")
+        try:  # the Rician weights read the linear K-factor 10^(K/10)
+            10.0 ** (self.k_factor_db / 10.0)
+        except OverflowError:
+            raise ConfigError(f"channel.k_factor_db = {self.k_factor_db:g} dB is outside the "
+                              "float range: use a number up to about 3,082 dB") from None
         if self.coprime_with not in COPRIME_WITH:
             raise ConfigError(f"pilot.coprime_with must be one of {COPRIME_WITH}")
         if self.n_s < 1:
@@ -757,7 +763,9 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
     correlations, the azimuth stage's V^H F Q) and the true directions.
     Per profile: one stacked realization, one estimate_multipath pass and
     one (scheme, trial, stream) direction array, stream j of ABP and GoB at
-    estimated path j mod P, beamformed and rated in one call each."""
+    estimated path j mod P. Then every profile's directions are beamformed
+    in one call and rated in one call, on the realizations' receive factors
+    stacked over profiles, so that the tap planes serve every profile."""
     channel, plans, estimator_draws = zip(*draws)
     n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
     paths = _clustered_steered(s.profile, [np.array(d) for d in zip(*channel)],
@@ -766,16 +774,17 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
     probing = _multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws)
     truth = spatial_frequencies([a[:, :n_s] for a in paths.dominant_angles], s.arrays)
     perfect = np.stack([truth.mu_x, truth.mu_y, truth.nu], axis=-1)  # (T, n_s, 3)
-    rates = []
+    dirs, u = [], []
     for profile in s.profiles:
         chan = paths.realization(profile)
         rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
                                  draws=probing)
         est = np.stack([rep.est[:, :3], _gob_directions(rep, s.cbs)]).reshape(2, n, -1, 3)
-        dirs = np.concatenate([perfect[None], est[:, :, np.arange(n_s) % est.shape[2]]])
-        f, w = build_rf_beamformers(dirs, s.arrays)  # (scheme, trial, ., n_s)
-        rates.append(spectral_efficiency(chan, f, w, gamma, n_s))
-    return np.moveaxis(np.array(rates), -1, 0)
+        dirs.append(np.concatenate([perfect[None], est[:, :, np.arange(n_s) % est.shape[2]]]))
+        u.append(chan.u[None])  # (1 scheme, T, L, M, q)
+    f, w = build_rf_beamformers(np.array(dirs), s.arrays)  # (profile, scheme, trial, ., n_s)
+    chans = ChannelRealization(paths.taps, np.array(u), paths.v, ())
+    return np.moveaxis(spectral_efficiency(chans, f, w, gamma, n_s), -1, 0)
 
 
 _RATE_COLUMNS = ["experiment", "snr_db", "scheme", "metric", "value", "ci95"]

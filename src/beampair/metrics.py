@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, DimensionMismatch
+from .channel import ChannelRealization
 from .codebook import rx_beam_vector, tx_beam_vector
 from .geometry import ArrayConfig
 
@@ -59,67 +59,129 @@ class OverheadModel:
         return n_rf * n_tx * m_rf * m_rx
 
 
-# Lanes per slice of spectral_efficiency's Gram and log-det: 768 lanes of a
-# 3-stream H_TR hold some 110 KB per copy.
-SE_LANES = 768
+# Values per slice of spectral_efficiency: a slice covers whole trials (the
+# last batch axis), as many as hold SE_VALUES float64 values (0.5 MB) of tap
+# planes, Gram entries and coefficient row products, and at least one, so
+# that the planes and coefficients of many clusters are never all held at
+# once. A robustness rate chunk (4 profiles x 3 schemes per trial) at 3
+# clusters and 3 streams holds some 33,000 values per trial, so it runs
+# trial by trial; norm_se_vs_snr (3 schemes) takes 6 trials a slice.
+SE_VALUES = 2 ** 16
 
 
-def spectral_efficiency(channel, f_rf: np.ndarray, w_rf: np.ndarray,
+def spectral_efficiency(channel: ChannelRealization, f_rf: np.ndarray, w_rf: np.ndarray,
                         gamma: float, n_s: int) -> float | np.ndarray:
     """Per-subcarrier average of log2 det(I + (gamma/n_s) H_TR H_TR*) with
-    H_TR[k] = W* H[k] F. channel is a ChannelRealization (beamformed from
-    its path factors) or a dense (N, M, N_t) or (M, N_t) array. Leading
-    batch axes of f_rf (..., N_t, j) and w_rf (..., M, i) give one rate per
-    batch entry, as an array; 2-D beamformers give a float. A NaN or
-    infinite gamma raises ValueError: the rate has no finite value there.
+    H_TR[k] = W* H[k] F = sum_c taps[k, c] P_c over the realization's C
+    delay-tap columns (see ChannelRealization.clustered). Leading batch axes
+    of f_rf (..., N_t, j) and w_rf (..., M, i) give one rate per batch
+    entry, as an array; 2-D beamformers on a realization of one trial give a
+    float. A NaN or infinite gamma raises ValueError: the rate has no finite
+    value there.
 
-    Every (batch entry, subcarrier) pair is one lane of the Gram and log-det
-    arithmetic, which runs over slices of SE_LANES lanes, so that a wide
-    batch holds one slice's copies, not copies of all of H_TR; a lane's
-    arithmetic does not depend on the slice it falls in."""
+    Every lane's Gram is a fixed mix of per-entry matrices: with Q_cc' =
+    P_c P_c'*, H_TR H_TR* = sum_c |taps_c|^2 Q_cc + sum_{c<c'} Re(z) (Q_cc' +
+    Q_cc'*) + Im(z) i (Q_cc' - Q_cc'*), z = taps_c conj(taps_c'). So the i^2
+    real components of the upper triangle of each lane's I + (gamma/n_s) G
+    come from one real matmul of per-entry coefficients (i^2, C^2) with the
+    (C^2, N) tap planes, which do not depend on the beamformers. Each
+    entry's arithmetic does not depend on its batch or slice."""
     if not math.isfinite(gamma):
         raise ValueError(f"gamma must be finite, not {gamma}")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    if isinstance(channel, ChannelRealization):
-        htr = channel.beamformed(w_rf, f_rf)
-    else:
-        h = np.asarray(channel)
-        if h.ndim == 2:
-            h = h[None, :, :]
-        if w_rf.shape[-2] != h.shape[1] or f_rf.shape[-2] != h.shape[2]:
-            raise DimensionMismatch("beamformer shapes do not match the channel")
-        htr = np.swapaxes(w_rf.conj(), -1, -2)[..., None, :, :] @ h @ f_rf[..., None, :, :]
-    *batch, n_sub, n_r, n_c = htr.shape
-    lanes = htr.reshape(-1, n_r, n_c)
-    logdet = np.concatenate([_logdet(lanes[i:i + SE_LANES], gamma / n_s)
-                             for i in range(0, len(lanes), SE_LANES)])
-    rate = np.mean((logdet / np.log(2.0)).reshape(*batch, n_sub), axis=-1)
-    return rate if batch else float(rate)
+    p = channel.clustered(w_rf, f_rf)  # (..., C, i, j)
+    batch, (n_c, n_r, n_j) = p.shape[:-3], p.shape[-3:]
+    p = p if batch else p[None]  # (..., T, C, i, j)
+    taps = np.swapaxes(channel.taps, -1, -2)  # (C, N), or (T, C, N) stacked
+    if taps.ndim == 2:
+        taps = taps[None]  # one tap set for every entry
+    n_sub, per = taps.shape[-1], math.prod(p.shape[:-4])  # entries per trial
+    # a trial's tap planes, and per entry its Gram entries and the row
+    # products of its coefficients
+    step = max(1, SE_VALUES // (n_c * n_c * n_sub
+                                + per * n_r * n_r * (n_sub + n_c * n_c * n_j)))
+    logdet = np.empty((*p.shape[:-3], n_sub))
+    for t in range(0, p.shape[-4], step):
+        coef = _coefficients(p[..., t:t + step, :, :, :])
+        coef *= gamma / n_s
+        planes = _tap_planes(taps[t:t + step] if len(taps) > 1 else taps)
+        logdet[..., t:t + step, :] = _logdet(coef @ planes, n_r)
+    rate = np.mean(logdet / np.log(2.0), axis=-1)
+    return rate if batch else float(rate[0])
 
 
-def _logdet(htr: np.ndarray, scale: float) -> np.ndarray:
-    """ln det(I + scale H H*) of every lane of htr (lanes, r, c), each lane
-    on its own."""
-    n_r = htr.shape[1]
-    # streams first: g[c, r] holds entry (r, c) of every lane's H
-    g = np.ascontiguousarray(htr.transpose(2, 1, 0))
-    a = np.zeros((n_r, n_r, g.shape[-1]), dtype=complex)
-    conj, row = np.empty_like(a[0]), np.empty_like(a[0])
-    for col in g:  # H H*, one stream column's outer product at a time,
-        np.conjugate(col, out=conj)  # a row at a time, through reused buffers
-        for r in range(n_r):
-            a[r] += np.multiply(col[r], conj, out=row)
-    del g, conj, row
-    a *= scale
-    a[np.arange(n_r), np.arange(n_r)] += 1.0
+def _coefficients(p: np.ndarray) -> np.ndarray:
+    """The coefficients (..., i^2, C^2) of every entry's Gram over the tap
+    planes (see _tap_planes), from its cluster products p (..., C, i, j):
+    rows the diagonal of the (i, i) Gram, then the real parts of its upper
+    triangle, then their imaginary parts (see _upper); columns Q_cc, then
+    Q_cc' + Q_c'c and i (Q_cc' - Q_c'c) for c < c' (Q_c'c = Q_cc'*). Each
+    entry Q_cc'[r, r'] is one product and sum over j of rows of P_c and P_c',
+    with no matmul, so that equal rows (two streams steered alike) give
+    equal entries, and so an exactly singular Gram stays singular."""
+    n_c, n_r = p.shape[-3:-1]
+    rows = p.reshape(*p.shape[:-3], n_c * n_r, -1)  # row c i + r: row r of P_c
+    pairs = _upper(n_c)
+    blocks = pairs + [(c2, c) for c, c2 in pairs[n_c:]]  # (c, c'): diagonal, upper, lower
+    left, right = zip(*[(c * n_r + r, c2 * n_r + r2) for r, r2 in _upper(n_r)
+                        for c, c2 in blocks])
+    # contiguous operands, so that each product takes numpy's one loop for them
+    q = (np.take(rows, left, axis=-2) * np.take(rows, right, axis=-2).conj()).sum(axis=-1)
+    q = q.reshape(*q.shape[:-1], -1, len(blocks))  # (..., entries, blocks)
+    x, y = q[..., n_c:len(pairs)], q[..., len(pairs):]
+    z = np.concatenate([q[..., :n_c], x + y, (x - y) * 1j], axis=-1)
+    return np.concatenate([z.real, z[..., n_r:, :].imag], axis=-2)
+
+
+def _upper(n: int) -> list:
+    """The (row, column) pairs of an (n, n) upper triangle: the diagonal,
+    then the rest row by row."""
+    return [(r, r) for r in range(n)] + [(r, r2) for r in range(n) for r2 in range(r + 1, n)]
+
+
+def _tap_planes(taps: np.ndarray) -> np.ndarray:
+    """The real tap planes (T, C^2, N) of delay-tap rows taps (T, C, N):
+    |taps_c|^2, then Re and Im of taps_c conj(taps_c') for c < c', in
+    _upper order, one row c at a time."""
+    taps = np.ascontiguousarray(taps)
+    n_t, n_c, n = taps.shape
+    n_pairs = n_c * (n_c - 1) // 2
+    out = np.empty((n_t, n_c * n_c, n))
+    np.add(np.square(taps.real), np.square(taps.imag), out=out[:, :n_c])
+    k = n_c
+    for c in range(n_c - 1):
+        z = taps[:, c, None] * taps[:, c + 1:].conj()  # row c's pairs (c, c' > c)
+        out[:, k:k + z.shape[1]], out[:, n_pairs + k:n_pairs + k + z.shape[1]] = z.real, z.imag
+        k += z.shape[1]
+    return out
+
+
+def _logdet(a: np.ndarray, n_r: int) -> np.ndarray:
+    """ln det(I + A) of every lane (..., lanes) of positive semidefinite
+    matrices A given as the real components a (..., n_r^2, lanes) of their
+    upper triangles (see _coefficients), each lane on its own."""
+    a = np.moveaxis(a, -2, 0).copy()  # component by component, each contiguous
+    n_off = n_r * (n_r - 1) // 2
+    d, re, im = a[:n_r], a[n_r:n_r + n_off], a[n_r + n_off:]
+    d += 1.0
     # I plus a PSD matrix is Hermitian positive definite: elimination without
-    # pivoting meets real pivots >= 1, whose product is the determinant
-    logdet = np.zeros(a.shape[-1])
+    # pivoting meets real pivots >= 1, whose product is the determinant;
+    # a[r, r'] -= conj(a[p, r]) a[p, r'] / a[p, p] on the upper triangle,
+    # whose row p holds the off-diagonal entries start[p]:start[p + 1]
+    start = np.cumsum([0, *range(n_r - 1, -1, -1)])
+    logdet = np.zeros(a.shape[1:])
     for p in range(n_r):
-        pivot = a[p, p].real
+        pivot = d[p]
         logdet += np.log(pivot)
-        a[p + 1:, p + 1:] -= a[p + 1:, p, None] * (a[p, None, p + 1:] / pivot)
+        xr, xi = re[start[p]:start[p + 1]], im[start[p]:start[p + 1]]
+        yr, yi = xr / pivot, xi / pivot
+        d[p + 1:] -= xr * yr + xi * yi
+        for u in range(len(xr)):
+            for v in range(u + 1, len(xr)):
+                k = start[p + 1 + u] + v - u - 1
+                re[k] -= xr[u] * yr[v] + xi[u] * yi[v]
+                im[k] -= xr[u] * yi[v] - xi[u] * yr[v]
     return logdet
 
 

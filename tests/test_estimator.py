@@ -419,7 +419,7 @@ class TestSinglePath:
 
     def test_no_signal(self):
         cbs = build_codebooks(CodebookConfig(arrays=CO))
-        dead = ChannelRealization(rho=np.ones((1, 1)),
+        dead = ChannelRealization(taps=np.ones((1, 1)),
                                   u=np.zeros((1, 4, 1), dtype=complex),
                                   v=np.ones((1, 32, 1), dtype=complex),
                                   dominant_angles=())

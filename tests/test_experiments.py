@@ -128,6 +128,17 @@ class TestValidateConfig:
         for snr in (3082.0, -3082.0):
             assert validate_config(f"snr_db = {snr:g}").snr_db == (snr,)
 
+    def test_k_factor_outside_the_float_range(self):
+        """A finite K-factor whose linear value 10^(K/10) is no finite float
+        is a config error; maee_vs_snr ended in an OverflowError traceback
+        in the Rician weights."""
+        for k in ("4000", "3083", "1e9"):
+            with pytest.raises(ConfigError, match="channel.k_factor_db = .* dB is outside "
+                                                  "the float range"):
+                validate_config(f"channel.k_factor_db = {k}")
+        for k in (3082.0, -4000.0):  # 10^(-400) underflows to 0: a pure NLOS channel
+            assert validate_config(f"channel.k_factor_db = {k:g}").k_factor_db == k
+
     @pytest.mark.parametrize("family,line", [
         ("maee_vs_snr", "channel.k_factor_db = nan"), ("maee_vs_snr", "channel.k_factor_db = inf"),
         ("norm_se_vs_snr", "channel.chi = nan"), ("pilot_vs_tdm", "channel.chi = inf"),
@@ -799,13 +810,13 @@ class TestChunks:
     def test_rate_chunk_peak_memory(self, overrides, budget):
         """One robustness_xpd compute step at the chunk size that
         _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
-        (tracemalloc; 1.61 MB measured), and at most 2.7 MB where the
+        (tracemalloc; 1.39 MB measured), and at most 2.7 MB where the
         elevation stage runs (2.26 MB), so that a larger chunk cannot undo
         the lean kernels: the probing builds its pilot Grams and noise
         correlations one tx probing at a time (every elevation probing at
         once peaks at 4.07 MB) and per profile builds nothing per
-        subcarrier, and the rate copies one slice of H_TR at a time (all of
-        it: 3.58 and 3.63 MB)."""
+        subcarrier, and the rate holds one slice of tap planes and Gram
+        entries at a time (no H_TR at all)."""
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
@@ -813,6 +824,33 @@ class TestChunks:
         draws = [experiments._rate_draw(s, s.points[0], rng)
                  for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
         assert _compute_peak(experiments._rate_compute, s, draws) <= budget
+
+    @pytest.mark.parametrize("snr,bound", [(10.0, 1e-13), (30.0, 1e-13), (100.0, 1e-9)])
+    def test_rate_step_matches_svd_oracle(self, snr, bound, monkeypatch):
+        """One 8-trial robustness_xpd compute step's rates, every profile
+        and scheme, against an SVD oracle of the same beamformers: the
+        per-subcarrier mean of sum log2(1 + (gamma/n_s) sigma^2) over the
+        singular values of chan.beamformed's lanes. At 100 dB the Gram
+        loses digits that the SVD keeps, so the bound is wider there."""
+        cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, snr_db=(snr,),
+                               plots=False)
+        s = experiments.setup_experiment(cfg)
+        draws = [experiments._rate_draw(s, snr, rng)
+                 for rng in experiments._trial_rngs(cfg, 0, range(8))]
+        calls = []
+
+        def recording(chan, f, w, gamma, n_s):
+            calls.append((chan, f, w, gamma, n_s, spectral_efficiency(chan, f, w, gamma, n_s)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(experiments, "spectral_efficiency", recording)
+        rates = experiments._rate_compute(s, snr, draws)
+        [(chan, f, w, gamma, n_s, got)] = calls
+        assert rates.shape == (8, 4, 3) and got.shape == (4, 3, 8)  # (profile, scheme, trial)
+        sigma = np.linalg.svd(chan.beamformed(w, f), compute_uv=False)
+        want = np.mean(np.sum(np.log1p((gamma / n_s) * sigma ** 2), axis=-1),
+                       axis=-1) / np.log(2.0)
+        assert np.max(np.abs(got - want) / want) <= bound
 
     def test_maee_chunk_peak_memory(self):
         """One maee_vs_snr compute step at the chunk size that _chunk_trials
@@ -1360,6 +1398,21 @@ class TestCli:
         assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 1
         err = capsys.readouterr().err
         assert err.count("invalid config: snr_db = 3083 dB is outside the float range") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_k_factor_outside_the_float_range_is_an_invalid_config(self, tmp_path, capsys):
+        """validate and run of maee_vs_snr at channel.k_factor_db = 4000
+        report an invalid config, with no traceback and no output; run
+        ended in a raw OverflowError."""
+        path = tmp_path / "cfg.cfg"
+        path.write_text("experiment = maee_vs_snr\ntrials = 2\nchannel.k_factor_db = 4000\n",
+                        encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("invalid config: channel.k_factor_db = 4000 dB is outside "
+                                  "the float range") == 2
+        assert "Traceback" not in captured.err and captured.out == ""
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("family,snr,trials,why", [

@@ -1,13 +1,14 @@
 """Metric tests: error statistics, overhead accounting, and the rate model
-with an eigenvalue oracle."""
+with an eigenvalue oracle and the per-subcarrier dense oracle."""
 
 import numpy as np
 import pytest
 
 from beampair import metrics
 from beampair import experiments
-from beampair.channel import (ChannelRealization, CrossPolConfig,
-                              DimensionMismatch, OfdmConfig, PathParams,
+from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig,
+                              DimensionMismatch, OfdmConfig, PathParams, _clustered_draws,
+                              _clustered_realization, clustered_channel_generate,
                               copol_frequency_response, crosspol_frequency_response)
 from beampair.codebook import rx_beam_vector, tx_beam_vector
 from beampair.geometry import (AngleSet, ArrayConfig,
@@ -116,6 +117,51 @@ class TestOverhead:
 # ---------------------------------------------------------------------------
 # spectral efficiency
 
+def _as_realization(h) -> ChannelRealization:
+    """A realization whose dense tensor is h (K, M, N_t) or (M, N_t): one
+    cluster per subcarrier (taps I_K), whose paths are the columns of h[k],
+    each steered at a unit transmit vector."""
+    h = np.asarray(h, dtype=complex)
+    h = h[None] if h.ndim == 2 else h
+    k, m, n_t = h.shape
+    u = h.transpose(0, 2, 1).reshape(k * n_t, m, 1)
+    v = np.tile(np.eye(n_t, dtype=complex)[:, :, None], (k, 1, 1))
+    return ChannelRealization(np.eye(k, dtype=complex), u, v, ())
+
+
+def _dense_rate(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, gamma: float,
+                n_s: int) -> float | np.ndarray:
+    """The rate of a dense channel h (N, M, N_t) or (M, N_t) the way the
+    kernel computed it before it moved to the tap domain, kept as its
+    oracle: per-subcarrier H_TR = W* H[k] F, each lane's Gram H_TR H_TR*
+    and an elimination without pivoting. Batch axes as in
+    spectral_efficiency."""
+    h = h[None] if h.ndim == 2 else h
+    htr = np.swapaxes(w_rf.conj(), -1, -2)[..., None, :, :] @ h @ f_rf[..., None, :, :]
+    *batch, n_sub, n_r, _ = htr.shape
+    lanes = htr.reshape(-1, *htr.shape[-2:])
+    a = (lanes @ np.swapaxes(lanes.conj(), -1, -2)).transpose(1, 2, 0) * (gamma / n_s)
+    a[np.arange(n_r), np.arange(n_r)] += 1.0
+    logdet = np.zeros(a.shape[-1])
+    for p in range(n_r):
+        pivot = a[p, p].real
+        logdet += np.log(pivot)
+        a[p + 1:, p + 1:] -= a[p + 1:, p, None] * (a[p, None, p + 1:] / pivot)
+    rate = np.mean((logdet / np.log(2.0)).reshape(*batch, n_sub), axis=-1)
+    return rate if batch else float(rate)
+
+
+def _eigen_rate(h: np.ndarray, f_rf: np.ndarray, w_rf: np.ndarray, gamma: float,
+                n_s: int) -> np.ndarray:
+    """Per-subcarrier average of sum log2(1 + (gamma/n_s) lambda) over the
+    eigenvalues of each H_TR H_TR*, H_TR = W* h[k] F; batch axes broadcast
+    as in matmul."""
+    htr = np.swapaxes(w_rf.conj(), -1, -2)[..., None, :, :] @ h @ f_rf[..., None, :, :]
+    lam = np.linalg.eigvalsh(htr @ np.swapaxes(htr.conj(), -1, -2))
+    return np.mean(np.sum(np.log2(1 + (gamma / n_s) * np.maximum(lam, 0.0)), axis=-1),
+                   axis=-1)
+
+
 class TestSpectralEfficiency:
     def test_scalar_channel(self):
         """1x1 link reduces to log2(1 + gamma |h|^2)."""
@@ -123,7 +169,7 @@ class TestSpectralEfficiency:
         for _ in range(100):
             h = complex(rng.normal(), rng.normal())
             gamma = rng.uniform(0.1, 30.0)
-            got = spectral_efficiency(np.array([[h]]), np.ones((1, 1)),
+            got = spectral_efficiency(_as_realization([[h]]), np.ones((1, 1)),
                                       np.ones((1, 1)), gamma, 1)
             assert got == pytest.approx(np.log2(1 + gamma * abs(h) ** 2), rel=1e-12)
 
@@ -143,29 +189,24 @@ class TestSpectralEfficiency:
                 lam = np.linalg.eigvalsh(htr @ htr.conj().T)
                 want += np.sum(np.log2(1 + (gamma / n_s) * np.maximum(lam, 0.0)))
             want /= k
-            got = spectral_efficiency(h, f, w, gamma, n_s)
+            got = spectral_efficiency(_as_realization(h), f, w, gamma, n_s)
             assert abs(got - want) < 1e-10
 
     @pytest.mark.parametrize("n_s", [1, 2, 3, 4, 5])
     def test_kernel_matches_eigenvalue_oracle(self, n_s):
-        """The elimination kernel against sum log2(1 + c lambda_i) over the
-        Gram eigenvalues, on dense channels (receive streams n_s, transmit
-        streams n_s + 1) and on a path-domain realization, whose H_TR has
-        rank at most its path count."""
+        """The kernel against sum log2(1 + c lambda_i) over the Gram
+        eigenvalues and against the per-subcarrier oracle, on dense channels
+        (receive streams n_s, transmit streams n_s + 1) and on a path-domain
+        realization, whose H_TR has rank at most its path count."""
         rng = np.random.default_rng(85)
-
-        def oracle(htr, gamma):
-            lam = np.linalg.eigvalsh(htr @ np.swapaxes(htr.conj(), -1, -2))
-            return np.mean(np.sum(np.log2(1 + (gamma / n_s) * np.maximum(lam, 0.0)),
-                                  axis=-1))
-
         for _ in range(20):
             h = rng.normal(size=(4, 5, 6)) + 1j * rng.normal(size=(4, 5, 6))
             f = rng.normal(size=(6, n_s + 1)) + 1j * rng.normal(size=(6, n_s + 1))
             w = rng.normal(size=(5, n_s)) + 1j * rng.normal(size=(5, n_s))
             gamma = rng.uniform(0.5, 50.0)
-            want = oracle(w.conj().T @ h @ f, gamma)
-            assert spectral_efficiency(h, f, w, gamma, n_s) == pytest.approx(want, rel=1e-12)
+            got = spectral_efficiency(_as_realization(h), f, w, gamma, n_s)
+            assert got == pytest.approx(_eigen_rate(h, f, w, gamma, n_s), rel=1e-12)
+            assert got == pytest.approx(_dense_rate(h, f, w, gamma, n_s), rel=1e-12)
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
         paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
                             AngleSet(*rng.uniform(0.1, 1.0, size=3)))
@@ -174,12 +215,41 @@ class TestSpectralEfficiency:
                                            CrossPolConfig(0.3, 0.1))
         f = rng.normal(size=(16, n_s)) + 1j * rng.normal(size=(16, n_s))
         w = rng.normal(size=(6, n_s)) + 1j * rng.normal(size=(6, n_s))
-        want = oracle(w.conj().T @ chan.h @ f, 10.0)
+        want = _eigen_rate(chan.h, f, w, 10.0, n_s)
         assert spectral_efficiency(chan, f, w, 10.0, n_s) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("subpaths", [1, 4])
+    @pytest.mark.parametrize("mode", ["co", "cross"])
+    @pytest.mark.parametrize("n_s", [1, 2, 3, 4, 5])
+    def test_tap_domain_matches_dense_oracle(self, n_s, mode, subpaths):
+        """The tap-domain kernel on stacked clustered realizations (3
+        clusters of `subpaths` paths, 4 trials, 2 beamformer sets; receive
+        width n_s, transmit width n_s + 1) against the per-subcarrier
+        oracles on their dense tensor chan.h: the eigenvalues of each
+        W* H[k] F Gram and the H-domain elimination. The same paths
+        ungrouped, one tap column per path (C = L), agree to 1e-12."""
+        prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
+        arrays = ArrayConfig(2, 4, 3, polarization_mode=mode)
+        draws = [_clustered_draws(prof, np.random.default_rng(90 + t)) for t in range(4)]
+        chan = _clustered_realization(prof, [np.array(d) for d in zip(*draws)], arrays,
+                                      OfdmConfig(32, 8))
+        assert chan.taps.shape == (4, 32, 3) and chan.u.shape[1] == 3 * subpaths
+        rng = np.random.default_rng(91)
+        m, n_t = chan.shape[1:]
+        f = rng.normal(size=(2, 4, n_t, n_s + 1)) + 1j * rng.normal(size=(2, 4, n_t, n_s + 1))
+        w = rng.normal(size=(2, 4, m, n_s)) + 1j * rng.normal(size=(2, 4, m, n_s))
+        got = spectral_efficiency(chan, f, w, 30.0, n_s)
+        ungrouped = ChannelRealization(chan.rho, chan.u, chan.v, ())
+        assert got.shape == (2, 4)
+        assert got == pytest.approx(_eigen_rate(chan.h, f, w, 30.0, n_s), rel=1e-12)
+        assert got == pytest.approx(spectral_efficiency(ungrouped, f, w, 30.0, n_s), rel=1e-12)
+        for t in range(4):
+            assert got[:, t] == pytest.approx(
+                _dense_rate(chan.h[t], f[:, t], w[:, t], 30.0, n_s), rel=1e-12)
 
     def test_zero_snr_is_exactly_zero(self):
         rng = np.random.default_rng(86)
-        h = rng.normal(size=(3, 4, 8)) + 1j * rng.normal(size=(3, 4, 8))
+        h = _as_realization(rng.normal(size=(3, 4, 8)) + 1j * rng.normal(size=(3, 4, 8)))
         f = rng.normal(size=(2, 8, 3)) + 1j * rng.normal(size=(2, 8, 3))
         w = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
         assert spectral_efficiency(h, f[0], w[0], 0.0, 3) == 0.0
@@ -187,7 +257,7 @@ class TestSpectralEfficiency:
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(84)
-        h = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))
+        h = _as_realization(rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8)))
         f = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
         w = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
         rates = [spectral_efficiency(h, f, w, g, 2) for g in (0.0, 1.0, 10.0)]
@@ -195,7 +265,7 @@ class TestSpectralEfficiency:
         assert rates[0] < rates[1] < rates[2]
 
     def test_guards(self):
-        h = np.zeros((1, 4, 8), dtype=complex)
+        h = _as_realization(np.zeros((1, 4, 8), dtype=complex))
         with pytest.raises(DimensionMismatch):
             spectral_efficiency(h, np.ones((7, 1)), np.ones((4, 1)), 1.0, 1)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -203,44 +273,45 @@ class TestSpectralEfficiency:
 
     def test_non_finite_gamma_raises(self):
         """A NaN or infinite SNR has no finite rate: ValueError, not NaN."""
-        h = np.ones((4, 2, 2), dtype=complex)
+        h = _as_realization(np.ones((4, 2, 2), dtype=complex))
         for gamma in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 spectral_efficiency(h, np.eye(2), np.eye(2), gamma, 2)
 
     def test_lane_slices_move_no_bit(self):
-        """Batches wider than one slice of SE_LANES lanes, and no multiple of
-        it, give each entry the bytes of its own call: 3 beamformer sets x
-        4 stacked trials x 200 subcarriers on a realization (2,400 lanes),
-        and 5 sets x 200 subcarriers on a dense channel (1,000 lanes)."""
-        n, n_s = 200, 3
-        for lanes in (3 * 4 * n, 5 * n):
-            assert lanes > metrics.SE_LANES and lanes % metrics.SE_LANES
+        """Batches wider than one slice of SE_VALUES values, and no multiple
+        of it, give each entry the bytes of its own call: 3 beamformer sets
+        x 7 stacked trials of 4 clusters at 200 subcarriers (slices of 6
+        trials), and 15 sets on one of those trials (slices of 12 sets)."""
+        n, n_s, n_c = 200, 3, 4
+
+        def step(per):  # trials a slice, as spectral_efficiency counts values
+            return metrics.SE_VALUES // (n_c * n_c * n
+                                         + per * n_s * n_s * (n + n_c * n_c * n_s))
+
+        for per, entries in ((3, 7), (1, 15)):
+            assert 1 < step(per) < entries and entries % step(per)
+        prof = ClusterProfile(n_clusters=n_c, subpaths_per_cluster=2)
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
+        ofdm = OfdmConfig(n, 8)
+        draws = [_clustered_draws(prof, np.random.default_rng(t)) for t in range(7)]
+        stack = _clustered_realization(prof, [np.array(d) for d in zip(*draws)], arrays, ofdm)
         rng = np.random.default_rng(89)
-        chans = []
-        for _ in range(4):
-            paths = [PathParams(*(rng.normal(size=4) + 1j * rng.normal(size=4)), tau,
-                                AngleSet(*rng.uniform(0.1, 1.0, size=3)))
-                     for tau in (0.0, 3e-9, 7e-9)]
-            chans.append(crosspol_frequency_response(paths, arrays, OfdmConfig(n, 8),
-                                                     CrossPolConfig(0.3, 0.1)))
-        stack = ChannelRealization(*(np.stack([getattr(c, a) for c in chans])
-                                     for a in ("rho", "u", "v")), ())
-        f = rng.normal(size=(3, 4, 16, n_s)) + 1j * rng.normal(size=(3, 4, 16, n_s))
-        w = rng.normal(size=(3, 4, 6, n_s)) + 1j * rng.normal(size=(3, 4, 6, n_s))
+        f = rng.normal(size=(3, 7, 16, n_s)) + 1j * rng.normal(size=(3, 7, 16, n_s))
+        w = rng.normal(size=(3, 7, 6, n_s)) + 1j * rng.normal(size=(3, 7, 6, n_s))
         rates = spectral_efficiency(stack, f, w, 10.0, n_s)
-        assert rates.shape == (3, 4)
+        assert rates.shape == (3, 7)
+        chans = [clustered_channel_generate(prof, np.random.default_rng(t), arrays, ofdm)
+                 for t in range(7)]
         for i in range(3):
             for t, chan in enumerate(chans):
                 want = spectral_efficiency(chan, f[i, t], w[i, t], 10.0, n_s)
                 assert rates[i, t].tobytes() == np.float64(want).tobytes()
-        h = chans[0].h
-        f, w = f.reshape(-1, 16, n_s)[:5], w.reshape(-1, 6, n_s)[:5]
-        rates = spectral_efficiency(h, f, w, 10.0, n_s)
-        assert rates.shape == (5,)
-        for i in range(5):
-            want = spectral_efficiency(h, f[i], w[i], 10.0, n_s)
+        f, w = f.reshape(-1, 16, n_s)[:15], w.reshape(-1, 6, n_s)[:15]
+        rates = spectral_efficiency(chans[0], f, w, 10.0, n_s)
+        assert rates.shape == (15,)
+        for i in range(15):
+            want = spectral_efficiency(chans[0], f[i], w[i], 10.0, n_s)
             assert rates[i].tobytes() == np.float64(want).tobytes()
 
     def test_channel_realization_input(self):

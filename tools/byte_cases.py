@@ -15,7 +15,8 @@ ConfigError) at 9 trials and seeds 0-2, which put the q = 1 path layout
 into the matrix; the same three with probing.n_select = 1 and = 5 (fewer
 and more estimated paths than the 3 streams, which steer at path j mod P)
 at 9 trials and seeds 0-2, at the default elevation range and under
--90:90;
+-90:90; the same three at channel.n_clusters = 4 and = 6 (the rate's tap
+planes grow with the square of the cluster count) at 9 trials and seeds 0-2;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
 reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
@@ -67,6 +68,8 @@ def cases():
                 sel = {**base, "n_select": n_select}
                 yield f"{family}-s{seed}-t9-sel{n_select}", sel
                 yield f"{family}-s{seed}-t9-el90-sel{n_select}", {**sel, **EL90}
+            for n_clusters in (4, 6):
+                yield f"{family}-s{seed}-t9-nc{n_clusters}", {**base, "n_clusters": n_clusters}
         yield f"maee_vs_snr-s{seed}-t171", {"experiment": "maee_vs_snr", "seed": seed,
                                             "trials": 171}
     for family in EXPERIMENTS:
