@@ -457,20 +457,31 @@ def _clustered_paths(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: 
     return g, delays, angles, best.reshape(delays.shape)
 
 
-def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
-                       ofdm: OfdmConfig) -> SteeredPaths:
+def _clustered_columns(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: OfdmConfig,
+                       columns) -> SteeredPaths:
     """Steered paths of clustered draws (see _clustered_draws): one trial's,
-    or T trials' stacked on a leading axis, with per-trial delay taps
-    (T, N, n_clusters). All delays share one pulse_coefficients call, and
-    each side one steering call. The profile's chi and varsigma are not
-    read."""
+    or T trials' stacked on a leading axis, whose `taps` hold per trial
+    columns(delays, ofdm) of the cluster delays, (T, rows, n_clusters). All
+    delays share one `columns` call, and each side one steering call. The
+    profile's chi and varsigma are not read. With pulse_samples the taps
+    are each cluster's D pulse samples, the delay domain, whose length-N
+    DFT are the subcarrier taps (see _clustered_steered): the cluster
+    products (clustered) are the same, but rho, h and beamformed would read
+    the D samples as subcarriers."""
     g, delays, angles, best = _clustered_paths(profile, draws, arrays, ofdm)
     # one delay-tap column per cluster, shared by its subpaths; the taps
-    # (N, T, nc) of stacked trials are read as (T, N, nc), without a copy
-    taps = pulse_coefficients(delays, ofdm).swapaxes(0, -2)
+    # (rows, T, nc) of stacked trials are read as (T, rows, nc), without a copy
+    taps = columns(delays, ofdm).swapaxes(0, -2)
     cross = arrays.polarization_mode == "cross"
     g = g.reshape(*g.shape[:-1], 2, 2) if cross else g[..., 0]
     return _steered(taps, angles, g, arrays, cross, dominant=best)
+
+
+def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
+                       ofdm: OfdmConfig) -> SteeredPaths:
+    """Clustered steered paths (see _clustered_columns) with their delay
+    taps, (T, N, n_clusters)."""
+    return _clustered_columns(profile, draws, arrays, ofdm, pulse_coefficients)
 
 
 def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,

@@ -31,8 +31,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channel import (ChannelRealization, ClusterProfile, OfdmConfig, _clustered_draws,
-                      _clustered_realization, _clustered_steered, _realization,
-                      _rician_draws, _rician_paths)
+                      _clustered_columns, _clustered_steered, _realization, _rician_draws,
+                      _rician_paths, pulse_samples)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
                        ProbingPlan, build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws,
@@ -43,8 +43,7 @@ from .feedback import (quantize_differential, quantize_direct, reconstruct_diffe
 from .geometry import ArrayConfig, spatial_frequencies
 from .metrics import (EmptyInput, OverheadModel, build_rf_beamformers, ci95,
                       maee, normalized_spectral_efficiency, spectral_efficiency)
-from .pilot import (COPRIME_WITH, assign_pilots, correlate_zero_lag,
-                    zc_sequence)
+from .pilot import COPRIME_WITH, assign_pilots, zc_sequence
 
 EXPERIMENTS = ("maee_vs_snr", "maqe_bits", "pilot_correlation", "pilot_vs_tdm",
                "norm_se_vs_snr", "robustness_mismatch", "robustness_xpd")
@@ -605,6 +604,16 @@ def _correlation_setup(cfg: ExperimentConfig):
 
 
 def _tdm_setup(cfg: ExperimentConfig):
+    """What the pilot_vs_tdm trials share, the lag table among it: the
+    channel seen through combiner w and beam b's precoder is, at subcarrier
+    k, sum_c taps[k, c] P_c[b] with taps[k, c] = sum_{d<D} p_d(tau_c)
+    e^{-2 pi i k d / N}, so a trial's correlation of beam j's slot with
+    reference b is sum_c P_c[j] sum_d p_d(tau_c) R[d, j, b], where
+    R[d, j, b] = sum_k e^{-2 pi i k d / N} x[k, j] x*[k, b] is the length-N
+    DFT of the reference products at the D delays of the cyclic prefix.
+    `lags` holds R (D, beam^2) as real and imaginary columns, so a chunk's
+    Grams are one real matmul over the D pulse samples; a trial holds no
+    N-row array, only those D samples per cluster (`trial_rows`)."""
     arrays = _arrays(cfg, "cross")
     ofdm = OfdmConfig.profile(cfg.bandwidth or "125mhz")
     cbs = _codebooks(cfg, arrays)
@@ -613,49 +622,56 @@ def _tdm_setup(cfg: ExperimentConfig):
     pilots = assign_pilots(sorted({a for a, _ in tags}), ofdm.n_subcarriers,
                            root_pool=cfg.roots, p=cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
+    x = pilots.references(tags)  # (N, beam)
+    n = ofdm.n_subcarriers
+    lags = np.fft.fft((x[:, :, None] * x.conj()[:, None, :]).reshape(n, -1), axis=0)
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
     mid_v, mid_h = (rx.matrix[:, idx[len(idx) // 2]] for idx in rx.by_pol.values())
     return SimpleNamespace(
         cfg=cfg, points=snr_grid(cfg), arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
-        x=pilots.references(tags),  # (N, beam)
+        x=x,
+        lags=lags[: ofdm.cp_length].view(float),  # (D, 2 beam^2)
+        # each reference's count of nonzero entries: N, less the DC
+        # subcarrier where dc_zero nulled it
+        counts=n - (x[n // 2] == 0),
         f=az.matrix[:, beams],
         w=(mid_v + mid_h) / np.sqrt(2),
         profile=_cluster_profile(cfg, cbs),
-        trial_rows=ofdm.n_subcarriers)
+        trial_rows=ofdm.cp_length)
 
 
 def _tdm_draw(s, snr: float, rng) -> tuple:
     """One trial's draws, in the order of the per-trial flow: the clustered
-    channel's, then the noise rows (N,) of the pilot and of each TDM slot."""
+    channel's, then the noise rows (N,) of the pilot and of each TDM slot,
+    returned already correlated with the references, z = (1 + beam, beam)."""
     sigma = _sigma_from_gamma(10.0 ** (snr / 10.0))
-    return (_clustered_draws(s.profile, rng),
-            _noise_like(s.ofdm.n_subcarriers, sigma, rng, batch=(1 + len(s.tags),)))
+    channel = _clustered_draws(s.profile, rng)
+    noise = _noise_like(s.ofdm.n_subcarriers, sigma, rng, batch=(1 + len(s.tags),))
+    return channel, noise @ s.x.conj()
 
 
 def _tdm_compute(s, snr: float, draws: list) -> np.ndarray:
     """Per-beam correlation amplitudes of the pilot and the TDM scheme for a
-    chunk of trials, (T, scheme, beam): one stacked realization, one
-    beamformed pass and one batched correlation per scheme. Each trial's
-    correlation operands keep the per-trial layout, (1, N) @ (N, beam) for
-    the pilot and (beam, N) @ (N, beam) for TDM, so its amplitudes are the
-    per-trial flow's bit for bit."""
-    channel, noise = zip(*draws)
-    chan = _clustered_realization(s.profile, [np.array(d) for d in zip(*channel)],
-                                  s.arrays, s.ofdm)
-    # w* H[k] f x[k] per beam: the noiseless TDM slots, summed for the pilot;
-    # then each slot takes its own noise row in place, trial by trial, as a
-    # stacked copy of all noise rows (320 KB at 8 trials, N = 512) would be
-    # paged in afresh by every chunk
-    y = chan.beamformed(s.w[:, None], s.f)[..., 0, :]  # (T, N, beam)
-    y *= s.x
-    y_pilot = y.sum(axis=-1) + np.array([rows[0] for rows in noise])
-    for y_t, rows in zip(y, noise):
-        y_t += rows[1:].T
-    pilot = correlate_zero_lag(y_pilot[..., None], s.x, normalized=True)[:, 0]
-    tdm = np.diagonal(correlate_zero_lag(y, s.x, normalized=True), axis1=-2, axis2=-1)
-    return np.abs(np.stack([pilot, tdm], axis=1))
+    chunk of trials, (T, scheme, beam), in the delay domain (see
+    _tdm_setup): each cluster's Gram G_c = sum_d p_d(tau_c) R[d] from one
+    (T C, D) @ (D, beam^2) matmul, then the pilot's
+    |sum_c sum_j P_c[j] G_c[j, b] + z_0[b]| / n_b and the TDM slots'
+    |sum_c P_c[b] G_c[b, b] + z_{1+b}[b]| / n_b. Each trial's amplitudes
+    are those of a one-trial chunk bit for bit."""
+    channel, z = zip(*draws)
+    chan = _clustered_columns(s.profile, [np.array(d) for d in zip(*channel)],
+                              s.arrays, s.ofdm, pulse_samples).realization(s.profile)
+    p = chan.clustered(s.w[:, None], s.f)[..., 0, :]  # (T, C, beam)
+    n_t, n_c, n_b = p.shape
+    pulses = chan.taps.swapaxes(-1, -2).reshape(n_t * n_c, -1)  # (T C, D)
+    grams = (pulses @ s.lags).view(complex).reshape(n_t, n_c, n_b, n_b)
+    z = np.array(z)
+    pilot = (p.reshape(n_t, 1, -1) @ grams.reshape(n_t, -1, n_b))[:, 0] + z[:, 0]
+    tdm = (p * np.diagonal(grams, axis1=-2, axis2=-1)).sum(axis=1) \
+        + np.diagonal(z[:, 1:], axis1=-2, axis2=-1)
+    return np.abs(np.stack([pilot, tdm], axis=1)) / s.counts
 
 
 def _tdm_reduce(s, results):

@@ -340,14 +340,14 @@ class TestFamilies:
 
     @pytest.mark.parametrize("family,owner,name,trials", [
         ("norm_se_vs_snr", SteeredPaths, "realization", 3),
-        ("pilot_vs_tdm", experiments, "_clustered_realization", 3)],
+        ("pilot_vs_tdm", SteeredPaths, "realization", 3)],
         ids=["norm_se_vs_snr", "pilot_vs_tdm"])
     def test_trials_never_build_the_dense_tensor(self, family, owner, name, trials, tmp_path,
                                                  monkeypatch):
         """Estimation, rate and pilot correlation work from the path factors:
         neither the stacked realization of a rate chunk (estimate + three
-        rates) nor that of a pilot_vs_tdm chunk (all 3 trials each) reads its
-        dense h."""
+        rates) nor that of a pilot_vs_tdm chunk (all 3 trials each, over
+        their pulse samples) reads its dense h."""
         made = []
         maker = getattr(owner, name)
 
@@ -558,15 +558,51 @@ class TestChunks:
     @pytest.mark.parametrize("overrides", [
         {}, {"dc_zero": True}, {"bandwidth": "250mhz"}, {"subpaths": 4}])
     def test_tdm_chunk_equals_per_trial_flow(self, snr, overrides):
-        """A pilot_vs_tdm chunk's amplitudes (T, scheme, beam) are the
-        per-trial flow's, byte for byte, and each draw step leaves its
-        generator where the flow leaves it."""
+        """A pilot_vs_tdm chunk's amplitudes (T, scheme, beam) are those of
+        one-trial compute steps, byte for byte, and each draw step leaves
+        its generator where the per-trial flow leaves it."""
+        cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=9, plots=False, **overrides)
+        s, draws, _ = _draws_against_reference(cfg, experiments._tdm_draw, _tdm_trial, snr, 9)
+        got = experiments._tdm_compute(s, snr, draws)
+        want = np.array([experiments._tdm_compute(s, snr, [d])[0] for d in draws])
+        assert got.shape == want.shape == (9, 2, 4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("snr", [10.0, -10.0, 40.0, math.inf])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dc_zero": True}, {"bandwidth": "250mhz"}, {"bandwidth": "desk"},
+        {"subpaths": 4}, {"n_clusters": 6}],
+        ids=["default", "dc_zero", "250mhz", "desk", "subpaths4", "n_clusters6"])
+    def test_tdm_delay_domain_matches_subcarrier_oracle(self, snr, overrides):
+        """The delay-domain amplitudes of a 9-trial chunk agree with the
+        per-subcarrier flow (_tdm_trial) on the same streams to 1e-12
+        relative: the same sums in another order (1.3e-14 measured at
+        worst)."""
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=9, plots=False, **overrides)
         s, draws, want = _draws_against_reference(cfg, experiments._tdm_draw, _tdm_trial,
                                                   snr, 9)
         got = experiments._tdm_compute(s, snr, draws)
         assert got.shape == want.shape == (9, 2, 4)
-        assert got.tobytes() == want.tobytes()
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    def test_tdm_run_never_builds_subcarrier_taps(self, tmp_path, monkeypatch):
+        """A pilot_vs_tdm run reads each cluster's D pulse samples only: it
+        never calls pulse_coefficients, whose N subcarrier taps the rate
+        families read."""
+        calls = []
+        coefficients = channel.pulse_coefficients
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "pulse_coefficients", counted)
+        cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=3, plots=False)
+        run_experiment(cfg, str(tmp_path))
+        assert calls == []
+        s = experiments.setup_experiment(cfg)  # the subcarrier channel does call it
+        clustered_channel_generate(s.profile, np.random.default_rng(0), s.arrays, s.ofdm)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("snr", [10.0, -10.0])
     @pytest.mark.parametrize("overrides", [
@@ -756,13 +792,14 @@ class TestChunks:
         assert chunks == [4, 4, 4, 4, 2, 2]  # two points (array widths) per chunk
 
     @pytest.mark.parametrize("family,line,size", [
-        ("pilot_vs_tdm", "", 8), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 4),
+        ("pilot_vs_tdm", "", 64), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 16),
         ("norm_se_vs_snr", "", 8), ("robustness_xpd", "", 8),
         ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 170),
         ("maee_vs_snr", "channel.n_nlos = 0", 1024), ("maqe_bits", "", 4096)])
     def test_chunk_holds_at_most_chunk_rows(self, family, line, size, tmp_path, monkeypatch):
         """A chunk holds CHUNK_ROWS // the rows of a trial: a pilot_vs_tdm
-        trial holds N rows (8 trials at N = 512, 4 at N = 1,024), a rate
+        trial holds D pulse-sample rows (64 trials at D = 64, 16 at the
+        250mhz profile's D = 256), a rate
         trial one N-row block per rx probing (2 at N = 256 give 8 trials,
         also at n_s = 2, whose 3 tx probings are correlated one at a time),
         a maee_vs_snr trial one block of 4 receive beams per path (6 paths
@@ -780,9 +817,9 @@ class TestChunks:
             return family_steps.compute(s, point, draws)
 
         monkeypatch.setitem(experiments.FAMILIES, family, family_steps._replace(compute=compute))
-        run_experiment(validate_config(f"experiment = {family}\ntrials = 10\n{line}\n"
+        run_experiment(validate_config(f"experiment = {family}\ntrials = 70\n{line}\n"
                                        "plots = false\n"), str(tmp_path))
-        assert chunks == [size] * (10 // size) + [10 % size]
+        assert chunks == [size] * (70 // size) + [70 % size]
 
     def test_maee_benchmark_point_is_one_compute_step(self, tmp_path, monkeypatch):
         """The benchmark's maee_vs_snr run, 150 trials at 3 SNR points, is
@@ -824,6 +861,29 @@ class TestChunks:
         draws = [experiments._rate_draw(s, s.points[0], rng)
                  for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
         assert _compute_peak(experiments._rate_compute, s, draws) <= budget
+
+    @pytest.mark.parametrize("overrides,trials,budget", [({}, 64, 1.4e6),
+                                                         ({"bandwidth": "250mhz"}, 16, 0.8e6)],
+                             ids=["125mhz", "250mhz"])
+    def test_tdm_chunk_peak_memory(self, overrides, trials, budget):
+        """One pilot_vs_tdm chunk at the size that _chunk_trials picks, its
+        draw steps and its compute step, allocates at most 1.4 MB at its
+        peak at N = 512 (64 trials; tracemalloc, 1.06 MB measured) and at
+        most 0.8 MB at N = 1,024 (16 trials; 0.54 MB): a trial keeps its
+        noise correlated and its channel as D pulse samples per cluster, so
+        no array has N rows per trial (one (T, N, beam) array alone is
+        2.1 MB at 64 trials of N = 512 and 1.0 MB at 16 of N = 1,024)."""
+        cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=trials, plots=False,
+                               **overrides)
+        s = experiments.setup_experiment(cfg)
+        assert experiments._chunk_trials(s) == trials
+
+        def chunk(s, snr, _):
+            draws = [experiments._tdm_draw(s, snr, rng)
+                     for rng in experiments._trial_rngs(cfg, 0, range(trials))]
+            return experiments._tdm_compute(s, snr, draws)
+
+        assert _compute_peak(chunk, s, None) <= budget
 
     @pytest.mark.parametrize("snr,bound", [(10.0, 1e-13), (30.0, 1e-13), (100.0, 1e-9)])
     def test_rate_step_matches_svd_oracle(self, snr, bound, monkeypatch):

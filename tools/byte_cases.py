@@ -18,7 +18,11 @@ at 9 trials and seeds 0-2, at the default elevation range and under
 -90:90; the same three at channel.n_clusters = 4 and = 6 (the rate's tap
 planes grow with the square of the cluster count) at 9 trials and seeds 0-2;
 maee_vs_snr at arrays.n_x = 6, arrays.n_y = 7 and seeds 0-2, whose estimates
-reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm and
+reach the (0, 0) transmit direction that _fill_angles fills; pilot_vs_tdm at
+seeds 0-2 and its golden trial count with pilot.dc_zero = true,
+channel.bandwidth = 250mhz and = desk, channel.subpaths = 4 and
+channel.n_clusters = 6 (each changes the lag table or the pulse samples), and
+at 65 trials (one 64-trial chunk and a remainder of 1); pilot_vs_tdm and
 the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
 counts; every family at seed 2**32 + 1, whose stream entropy spans two
 words, at its golden trial count; the four chunks families at their
@@ -36,6 +40,9 @@ from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment  
 from test_golden import CHUNKS, CHUNKS_FAMILIES, EL90, GOLDEN_TRIALS  # noqa: E402
 
 RATE_FAMILIES = ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
+TDM_VARIANTS = {"-dc0": {"dc_zero": True}, "-250mhz": {"bandwidth": "250mhz"},
+                "-desk": {"bandwidth": "desk"}, "-sub4": {"subpaths": 4},
+                "-nc6": {"n_clusters": 6}}
 VARIANTS = {"": {}, "-ns2": {"n_s": 2}, "-sub4": {"subpaths": 4},
             "-ns2-sub4": {"n_s": 2, "subpaths": 4}}
 BIG_SEED = 2 ** 32 + 1
@@ -50,6 +57,11 @@ def cases():
         yield f"maee_vs_snr-s{seed}-nx6-ny7", {"experiment": "maee_vs_snr", "seed": seed,
                                              "trials": GOLDEN_TRIALS["maee_vs_snr"],
                                              "n_x": 6, "n_y": 7}
+        tdm = {"experiment": "pilot_vs_tdm", "seed": seed,
+               "trials": GOLDEN_TRIALS["pilot_vs_tdm"]}
+        for name, extra in TDM_VARIANTS.items():
+            yield f"pilot_vs_tdm-s{seed}{name}", {**tdm, **extra}
+        yield f"pilot_vs_tdm-s{seed}-t65", {**tdm, "trials": 65}
         for family in ("pilot_vs_tdm", *RATE_FAMILIES):
             yield f"{family}-s{seed}-snr-10", {"experiment": family, "seed": seed,
                                                "trials": GOLDEN_TRIALS[family],
