@@ -251,8 +251,10 @@ def _steered(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross
     a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
     a_t = upa_steering(sf.mu_x.ravel(), sf.mu_y.ravel(), arrays.n_x,
                        arrays.n_y).T.reshape(*lead, arrays.n_tx)
-    if cross:
-        v = (np.eye(2)[:, None, :] * a_t[..., None, :, None]).reshape(*lead, -1, 2)
+    if cross:  # I_2 kron a_t: a_t in two diagonal blocks, exact zeros off them
+        v = np.zeros((*lead, 2, arrays.n_tx, 2), dtype=a_t.dtype)
+        v[..., 0, :, 0] = v[..., 1, :, 1] = a_t
+        v = v.reshape(*lead, -1, 2)
     else:
         v = a_t[..., None]
     return SteeredPaths(taps, g, a_r, v, tuple(np.ravel(a)[dominant] for a in angles))
@@ -333,15 +335,19 @@ def _visible(mu_x: np.ndarray, mu_y: np.ndarray, nu: np.ndarray,
             aoa_from_nu(nu, arrays))
 
 
-def _rician_draws(rng: np.random.Generator, n_nlos: int) -> tuple[float, np.ndarray]:
-    """A Rician realization's draws: the LOS phase (a fraction of a turn),
-    then per NLOS path the gain's real and imaginary parts and the uniform
-    fractions of its mu_x, mu_y and nu ranges, as an (n_nlos, 5) array."""
-    phase = rng.random()
-    draws = np.empty((n_nlos, 5))
-    for row in draws:
-        rng.standard_normal(out=row[:2])
-        rng.random(out=row[2:])
+def _rician_draws(rngs, n_nlos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rician realizations' draws, trial t's from rngs[t]: the LOS phase (a
+    fraction of a turn), then per NLOS path the gain's real and imaginary
+    parts and the uniform fractions of its mu_x, mu_y and nu ranges. Returns
+    the phases (T,) and the NLOS rows (T, n_nlos, 5), each generator call
+    writing into its row."""
+    phase = np.empty(len(rngs))
+    draws = np.empty((len(rngs), n_nlos, 5))
+    for t, (rng, gains, fracs) in enumerate(zip(rngs, draws[..., :2], draws[..., 2:])):
+        phase[t] = rng.random()
+        for g, f in zip(gains, fracs):
+            rng.standard_normal(out=g)
+            rng.random(out=f)
     return phase, draws
 
 
@@ -378,8 +384,8 @@ def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
     if n_nlos < 0:
         raise ValueError("n_nlos must be >= 0")
     rng = np.random.default_rng() if rng is None else rng
-    phase, draws = _rician_draws(rng, n_nlos)
-    g, angles = _rician_paths(arrays, tuple(los_angles), phase, draws, k_factor_db,
+    phase, draws = _rician_draws([rng], n_nlos)
+    g, angles = _rician_paths(arrays, tuple(los_angles), phase[0], draws[0], k_factor_db,
                               nlos_mu_ranges)
     return _realization(np.ones((1, len(g))), angles, g, arrays,
                         dominant=slice(1))  # the LOS path
@@ -406,20 +412,29 @@ class ClusterProfile:
         CrossPolConfig(self.chi, self.varsigma)  # InvalidChi for a bad chi
 
 
-def _clustered_draws(profile: ClusterProfile, rng: np.random.Generator):
-    """A clustered realization's draws, in order: the exponential delays of
-    every cluster but the first, then per cluster the uniform fractions of
-    the (mu_x, mu_y, nu) sector centers, the (mu_x, mu_y, nu) x subpath
-    Laplacian offsets, the exponential subpath powers and per subpath the
-    real and imaginary parts of g_vv, g_vh, g_hv, g_hh. Returned as arrays
-    (nc - 1,), (nc, 3), (nc, ns, 3) (the offsets subpath-major),
-    (nc, ns) and (nc, ns, 8)."""
-    delays = rng.exponential(profile.delay_spread, size=profile.n_clusters - 1)
-    ns = profile.subpaths_per_cluster
-    draws = [(rng.random(3), rng.laplace(0.0, profile.angle_spread, size=(3, ns)).T,
-              rng.exponential(1.0, size=ns), rng.normal(size=(ns, 8)))
-             for _ in range(profile.n_clusters)]
-    return (delays, *(np.array(d) for d in zip(*draws)))
+def _clustered_draws(profile: ClusterProfile, rngs):
+    """Clustered realizations' draws, trial t's from rngs[t], in order: the
+    exponential delays of every cluster but the first, then per cluster the
+    uniform fractions of the (mu_x, mu_y, nu) sector centers, the (mu_x,
+    mu_y, nu) x subpath Laplacian offsets, the exponential subpath powers and
+    per subpath the real and imaginary parts of g_vv, g_vh, g_hv, g_hh.
+    Returned as arrays (T, nc - 1), (T, nc, 3), (T, nc, ns, 3) (the offsets
+    subpath-major), (T, nc, ns) and (T, nc, ns, 8), each call writing into
+    its trial's row."""
+    nc, ns = profile.n_clusters, profile.subpaths_per_cluster
+    n = len(rngs)
+    delays, unit, sub_p = np.empty((n, nc - 1)), np.empty((n, nc, 3)), np.empty((n, nc, ns))
+    offsets, parts = np.empty((n, nc, ns, 3)), np.empty((n, nc, ns, 8))
+    for t, rng in enumerate(rngs):
+        # exponential(scale) is scale times a standard exponential, bit for bit
+        rng.standard_exponential(out=delays[t])
+        for c in range(nc):
+            rng.random(out=unit[t, c])
+            offsets[t, c] = rng.laplace(0.0, profile.angle_spread, size=(3, ns)).T
+            rng.standard_exponential(out=sub_p[t, c])
+            parts[t, c] = rng.normal(size=(ns, 8))
+    delays *= profile.delay_spread
+    return delays, unit, offsets, sub_p, parts
 
 
 def _clustered_paths(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm: OfdmConfig):
@@ -499,4 +514,5 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     Gaussian subpath gains. Total mean path power is normalized to 1. The
     strongest subpath of each cluster is that cluster's ground truth. Co-pol
     arrays see the vv gains only."""
-    return _clustered_realization(profile, _clustered_draws(profile, rng), arrays, ofdm)
+    draws = [d[0] for d in _clustered_draws(profile, [rng])]
+    return _clustered_realization(profile, draws, arrays, ofdm)

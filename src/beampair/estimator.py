@@ -152,9 +152,11 @@ def _noise_like(shape, sigma: float, rng: np.random.Generator,
     return _complex_noise(z[:, 0], z[:, 1], sigma).reshape(*batch, *dims)
 
 
-def _complex_noise(re: np.ndarray, im: np.ndarray, sigma: float) -> np.ndarray:
-    """sigma * (re + 1j im) / sqrt 2 from standard normals re and im."""
-    out = np.empty(re.shape, dtype=complex)
+def _complex_noise(re: np.ndarray, im: np.ndarray, sigma: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """sigma * (re + 1j im) / sqrt 2 from standard normals re and im,
+    written into `out` when given."""
+    out = np.empty(re.shape, dtype=complex) if out is None else out
     out.real, out.imag = re, im
     out *= sigma  # the bits of sigma * (re + 1j im) / sqrt 2: numpy divides
     out *= 1 / np.sqrt(2)  # a complex by a real as a product with the reciprocal
@@ -348,16 +350,17 @@ def tag_probing(idx, members: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _slot_noise(rx_idx: np.ndarray, n_t: int, rx_book: AxisBook, n: int, sigma: float,
-                rng: np.random.Generator):
+                rng: np.random.Generator, out: np.ndarray | None = None):
     """Element noise of every (tx probing, rx probing) slot of one trial's
     plan, in one draw, projected by the slot's combiner: (n_t, m_t, N,
-    m_rf) for receive plan rx_idx (m_t, m_rf); None when sigma is 0, which
-    draws nothing."""
+    m_rf) for receive plan rx_idx (m_t, m_rf), written into `out` when
+    given; None when sigma is 0, which draws nothing."""
     if sigma == 0:
         return None
     w_conj = np.ascontiguousarray(
         np.take(rx_book.matrix, rx_idx, axis=1).transpose(1, 0, 2).conj())
-    return _noise_like((n, len(rx_book.matrix)), sigma, rng, batch=(n_t, len(rx_idx))) @ w_conj
+    return np.matmul(_noise_like((n, len(rx_book.matrix)), sigma, rng, batch=(n_t, len(rx_idx))),
+                     w_conj, out=out)
 
 
 # One stage's (tx probing, rx probing) slots of R rows (trials, or the
@@ -374,12 +377,13 @@ _Slots = namedtuple("_Slots", "tx_idx rx_idx wh gram noise")
 
 def _slots(tx_idx: np.ndarray, rx_idx: np.ndarray, pilots: PilotAssignment,
            tx_book: AxisBook, rx_book: AxisBook, rho: np.ndarray,
-           noise: list | None) -> _Slots:
+           noise: np.ndarray | None) -> _Slots:
     """The _Slots of plans tx_idx and rx_idx, tagged from tx_book's pair
     membership table, under delay taps rho (N, L), or per trial (T, N, L)
-    with R a multiple of T (the rows trial-major), and with one (n_t, m_t,
-    N, m_rf) noise array per row (see _slot_noise) when given. The gathers
-    keep picks C-ordered, so each row's combiner is laid out as alone."""
+    with R a multiple of T (the rows trial-major), and with every row's
+    slot noise (see _slot_noise), (R, n_t, m_t, N, m_rf), when given. The
+    gathers keep picks C-ordered, so each row's combiner is laid out as
+    alone."""
     n_rows, n_t, n_rf = tx_idx.shape
     if rho.shape[-2] != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
@@ -390,7 +394,7 @@ def _slots(tx_idx: np.ndarray, rx_idx: np.ndarray, pilots: PilotAssignment,
                   *_grams(rho, x.reshape(pilots.n, n_rows, n_t, n_rf), noise))
 
 
-def _grams(rho: np.ndarray, x: np.ndarray, noise: list | None) -> tuple:
+def _grams(rho: np.ndarray, x: np.ndarray, noise: np.ndarray | None) -> tuple:
     """The pilot Grams and noise correlations of _Slots from the taps rho,
     the references x (N, R, n_t, n_rf) of every row's tx probings and the
     rows' noise, or None. Made one tx probing of every row at a time, so
@@ -467,32 +471,51 @@ def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
             f"{missing[trial == trial[0]].tolist()} unprobed{where}")
 
 
+# estimate_multipath's draws of T trials (see _multipath_draws): the
+# azimuth stage's slot noise (T, n_t, m_t, N, m_rf), None at sigma 0; and,
+# when the elevation stage runs, each selected path's plan el_plan, a
+# ProbingPlan of (T, P, n_el_t, n_rf) and (T, P, m_t, m_rf), and its slot
+# noise el_noise (T, P, n_el_t, m_t, N, m_rf), None at sigma 0; both None
+# when the stage is skipped.
+MultipathDraws = namedtuple("MultipathDraws", "noise el_plan el_noise")
+
+
 def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: float,
-                     n_select: int, rng: np.random.Generator) -> tuple:
-    """One trial's draws of estimate_multipath, in its order: the azimuth
-    stage's slot noise (see _slot_noise), then, when the elevation stage
-    runs (every polarization has more than one elevation beam), per
-    selected path the seed of its elevation plan and that plan's slot
-    noise. Returns (noise, [(elevation plan, noise) per path]). Which beam
-    indices a plan picks does not depend on where the elevation beams
-    point, so the plans come from `codebooks` itself."""
+                     n_select: int, rngs) -> MultipathDraws:
+    """The MultipathDraws of a plan stacked over T trials, trial t's from
+    rngs[t] and every draw of trial t before trial t + 1's, in
+    estimate_multipath's order: the azimuth stage's slot noise (see
+    _slot_noise), then, when the elevation stage runs (every polarization
+    has more than one elevation beam), per selected path the seed of its
+    elevation plan and that plan's slot noise. Which beam indices a plan
+    picks does not depend on where the elevation beams point, so the plans
+    come from `codebooks` itself."""
     rx_book = codebooks.books["receive"]
-    (n_t, n_rf), (m_t, m_rf) = plan.tx_idx.shape, plan.rx_idx.shape
-    el_draws = []
-    draws = (_slot_noise(plan.rx_idx, n_t, rx_book, n, sigma, rng), el_draws)
+    (n_trials, n_t, n_rf), (_, m_t, m_rf) = plan.tx_idx.shape, plan.rx_idx.shape
+    m = (m_t, n, m_rf)
+    noise = None if sigma == 0 else np.empty((n_trials, n_t, *m), dtype=complex)
     el_beams = codebooks.books["elevation"].by_pol
+    el_plan = el_noise = None
     if all(len(idx) > 1 for idx in el_beams.values()):
         cross = codebooks.config.arrays.polarization_mode == "cross"
         slots = max(n_rf // 2 if cross else n_rf, 1)
         n_el_t = max(1, math.ceil(max(map(len, el_beams.values())) / slots))
         layout = "split-half" if cross and n_rf % 2 == 0 else "free"
-        for _ in range(min(n_select, len(codebooks.books["azimuth"].pols))):
-            el_plan = random_probing_plan(codebooks, n_el_t, m_t, n_rf, m_rf,
-                                          int(rng.integers(2 ** 31)), layout=layout,
-                                          tx_axis="elevation")
-            el_draws.append(
-                (el_plan, _slot_noise(el_plan.rx_idx, n_el_t, rx_book, n, sigma, rng)))
-    return draws
+        paths = min(n_select, len(codebooks.books["azimuth"].pols))
+        el_plan = ProbingPlan(np.empty((n_trials, paths, n_el_t, n_rf), dtype=int),
+                              np.empty((n_trials, paths, m_t, m_rf), dtype=int))
+        el_noise = None if sigma == 0 else np.empty((n_trials, paths, n_el_t, *m), dtype=complex)
+    for t, rng in enumerate(rngs):
+        _slot_noise(plan.rx_idx[t], n_t, rx_book, n, sigma, rng,
+                    None if noise is None else noise[t])
+        for p in range(0 if el_plan is None else el_plan.tx_idx.shape[1]):
+            one = random_probing_plan(codebooks, n_el_t, m_t, n_rf, m_rf,
+                                      int(rng.integers(2 ** 31)), layout=layout,
+                                      tx_axis="elevation")
+            el_plan.tx_idx[t, p], el_plan.rx_idx[t, p] = one.tx_idx, one.rx_idx
+            _slot_noise(one.rx_idx, n_el_t, rx_book, n, sigma, rng,
+                        None if el_noise is None else el_noise[t, p])
+    return MultipathDraws(noise, el_plan, el_noise)
 
 
 # estimate_multipath's probing of T trials as far as it holds across
@@ -506,14 +529,14 @@ MultipathProbing = namedtuple("MultipathProbing", "azimuth vfq elevation")
 
 
 def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
-                       codebooks: CodebookSet, draws: list | None, gamma: float | None = None,
-                       n_select: int = 1, rng: np.random.Generator | None = None
-                       ) -> MultipathProbing:
+                       codebooks: CodebookSet, draws: MultipathDraws | None,
+                       gamma: float | None = None, n_select: int = 1,
+                       rng: np.random.Generator | None = None) -> MultipathProbing:
     """The MultipathProbing of a plan stacked over T trials, (T, n_t, n_rf)
     and (T, m_t, m_rf), on `channel`, a stacked realization or anything else
     with its clusters' delay taps and transmit factors v
     (channel.SteeredPaths). The plan must probe every azimuth and receive
-    beam (InfeasibleCoverage otherwise). `draws` holds each trial's draws
+    beam (InfeasibleCoverage otherwise). `draws` holds the trials' draws
     (see _multipath_draws); when None, they are drawn from rng at gamma,
     trial by trial, after that check. The elevation plans get the pilots of
     the elevation pair table, which does not depend on where the beams are
@@ -524,22 +547,17 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
     rho = _per_path(channel.taps, channel.v.shape[-3])
     if draws is None:
         rng = np.random.default_rng() if rng is None else rng
-        sigma = _sigma_from_gamma(gamma)
-        draws = [_multipath_draws(codebooks, ProbingPlan(tx, rx), rho.shape[-2], sigma,
-                                  n_select, rng) for tx, rx in zip(plan.tx_idx, plan.rx_idx)]
-    az_noise = [az for az, _ in draws]
-    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, rho,
-                     None if az_noise[0] is None else az_noise)
-    el_draws = [d for _, trial_draws in draws for d in trial_draws]  # trial-major
+        draws = _multipath_draws(codebooks, plan, rho.shape[-2], _sigma_from_gamma(gamma),
+                                 n_select, [rng] * len(plan.tx_idx))
+    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, rho, draws.noise)
     elevation = None
-    if el_draws:
+    if draws.el_plan is not None:
         el_book = codebooks.books["elevation"]
         el_pilots = assign_pilots(range(len(el_book.pairs)), pilots.n, p=pilots.p,
                                   coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
-        el_plans, el_noise = zip(*el_draws)
-        elevation = _slots(
-            *(np.stack([getattr(p, a) for p in el_plans]) for a in ("tx_idx", "rx_idx")),
-            el_pilots, el_book, rx_book, rho, None if el_noise[0] is None else el_noise)
+        rows = [a if a is None else a.reshape(-1, *a.shape[2:])  # (trial, path) rows
+                for a in (draws.el_plan.tx_idx, draws.el_plan.rx_idx, draws.el_noise)]
+        elevation = _slots(rows[0], rows[1], el_pilots, el_book, rx_book, rho, rows[2])
     return MultipathProbing(
         azimuth, _vfq(channel.v, _precoders(az_book, plan.tx_idx), azimuth.gram), elevation)
 

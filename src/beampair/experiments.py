@@ -7,8 +7,9 @@ p = 6, roots 25/29/34, 3-bit differential quantizer).
 
 Each family is a setup -> draw -> compute -> reduce declaration (Family)
 run by one loop, which alone makes the per-trial RNG streams and walks the
-trials in chunks (see CHUNK_ROWS), each chunk at every point: a draw
-step per trial on its own stream, then one compute step over the chunk.
+trials in chunks (see CHUNK_ROWS), each chunk at every point: one draw
+step over the chunk's streams, which writes each trial's draws into row t
+of arrays with a leading trial axis, then one compute step over them.
 Trial t of point i draws from the stream of
 SeedSequence([master_seed, family_id, i, t]), state for state; the loop
 seeds a chunk's streams in one array pass (see _trial_rngs). A robustness
@@ -35,8 +36,8 @@ from .channel import (ChannelRealization, ClusterProfile, OfdmConfig, _clustered
                       _rician_paths, pulse_samples)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
                        ProbingPlan, build_codebooks, random_probing_plan)
-from .estimator import (_abp_rows, _fill_angles, _gob_rows, _multipath_draws,
-                        _multipath_probing, _noise_like, _sigma_from_gamma, _sweep,
+from .estimator import (_abp_rows, _complex_noise, _fill_angles, _gob_rows,
+                        _multipath_draws, _multipath_probing, _sigma_from_gamma, _sweep,
                         estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct_differential,
                        reconstruct_direct, worst_case_error)
@@ -65,8 +66,9 @@ STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 # (trial_rows, see _chunk_trials), and at least one. Larger chunks amortize
 # more of the per-trial numpy dispatch, but a chunk's arrays grow with trials
 # x rows, so the one bound holds a compute step near one size in every
-# family: a pilot_vs_tdm trial holds N subcarrier rows, so 4,096 / 512 = 8
-# trials at N = 512 and 4 at N = 1,024; a rate trial's probing, built once
+# family: a pilot_vs_tdm trial holds D pulse-sample rows, so 4,096 / 64 = 64
+# trials at D = 64 and 16 at D = 256, fewer where its paths' transmit factors
+# weigh more (see _tdm_setup); a rate trial's probing, built once
 # per chunk, stacks one tx probing's slot noise at a time, one N-row block
 # per rx probing, to correlate it with the pilots (per profile it builds
 # nothing per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing; a
@@ -443,8 +445,8 @@ def _cluster_profile(cfg: ExperimentConfig, codebooks) -> ClusterProfile:
 
 
 # ---------------------------------------------------------------------------
-# families: setup(cfg) -> draw(setup, point, rng) per trial
-# -> compute(setup, point, draws) per chunk and point -> reduce(setup, results)
+# families: setup(cfg) -> draw(setup, point, rngs) and compute(setup, point,
+# draws) per chunk and point -> reduce(setup, results)
 
 _DOMAINS = ("elevation", "azimuth", "receive", "theta", "phi", "psi")
 
@@ -461,7 +463,7 @@ def _maee_setup(cfg: ExperimentConfig):
     n_rx = len(cbs.books["receive"].pols)
     return SimpleNamespace(
         cfg=cfg, points=snr_grid(cfg), arrays=arrays, cbs=cbs, cov=cov,
-        lo=lo.tolist(), width=(hi - lo).tolist(),
+        lo=lo, width=hi - lo,
         nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]},
         # the sweep normals of a trial's two schemes, as _sweep_normals draws them
         normals=(2, 2, 1, n_rx, cbs.grid.shape[1]),
@@ -469,35 +471,44 @@ def _maee_setup(cfg: ExperimentConfig):
         trial_rows=(1 + cfg.n_nlos) * n_rx)
 
 
-def _maee_draw(s, snr: float, rng) -> tuple:
-    """One trial's draws, in the order of the per-trial flow: the true
-    spatial frequencies (mu_x redrawn while (mu_x, mu_y) = (0, 0)), the
-    Rician channel's draws, then the normals of the ABP and the GoB sweep
-    noise (None at infinite SNR, the only SNR without noise). The three
-    uniforms are one random(3) scaled as rng.uniform(lo, hi) scales its
-    one: lo + (hi - lo) * r."""
-    mu_x, mu_y, nu = (lo + w * r for lo, w, r in zip(s.lo, s.width, rng.random(3).tolist()))
-    while mu_x == 0.0 and mu_y == 0.0:
-        mu_x = rng.uniform(*s.cov["elevation"])
-    phase, nlos = _rician_draws(rng, s.cfg.n_nlos)
-    normals = None if snr == math.inf else rng.standard_normal(s.normals)
-    return (mu_x, mu_y, nu), phase, nlos, normals
+def _maee_draw(s, snr: float, rngs) -> tuple:
+    """A chunk's draws, trial t's from rngs[t] in the order of the per-trial
+    flow: the true spatial frequencies (T, 3) (mu_x redrawn while (mu_x,
+    mu_y) = (0, 0)), the Rician channel's draws (see _rician_draws), then
+    the normals of the ABP and the GoB sweep noise (T, scheme, ...) (None at
+    infinite SNR, the only SNR without noise). The three uniforms are one
+    random(3) scaled as rng.uniform(lo, hi) scales its one: lo + (hi - lo)
+    * r. A trial draws nothing between them and a redraw, so the redraws
+    follow the chunk's uniforms."""
+    mus = np.empty((len(rngs), 3))
+    for rng, row in zip(rngs, mus):
+        rng.random(out=row)
+    mus = s.lo + s.width * mus
+    for t in np.flatnonzero((mus[:, 0] == 0.0) & (mus[:, 1] == 0.0)):
+        while mus[t, 0] == 0.0 and mus[t, 1] == 0.0:
+            mus[t, 0] = rngs[t].uniform(*s.cov["elevation"])
+    phase, nlos = _rician_draws(rngs, s.cfg.n_nlos)
+    normals = None
+    if snr != math.inf:
+        normals = np.empty((len(rngs), *s.normals))
+        for rng, row in zip(rngs, normals):
+            rng.standard_normal(out=row)
+    return mus, phase, nlos, normals
 
 
-def _maee_compute(s, snr: float, draws: list) -> np.ndarray:
+def _maee_compute(s, snr: float, draws: tuple) -> np.ndarray:
     """True, ABP-estimated and GoB-estimated directions of a chunk of
     trials, (T, 3, 6) in _DOMAINS order: one stacked Rician realization,
     one sweep pass for both schemes' noise draws."""
-    mus, phase, nlos, normals = zip(*draws)
-    truth = _fill_angles(np.array(mus), s.arrays)  # no (0, 0): the draw redraws it
-    g, angles = _rician_paths(s.arrays, truth[:, 3:].T, np.array(phase), np.array(nlos),
+    mus, phase, nlos, normals = draws
+    truth = _fill_angles(mus, s.arrays)  # no (0, 0): the draw redraws it
+    g, angles = _rician_paths(s.arrays, truth[:, 3:].T, phase, nlos,
                               s.cfg.k_factor_db, s.nlos_ranges)
     chan = _realization(np.ones((1, g.shape[-1])), angles, g, s.arrays)
-    if normals[0] is None:  # infinite SNR: both schemes read the noiseless sweep
+    if normals is None:  # infinite SNR: both schemes read the noiseless sweep
         abp_s = gob_s = _sweep(chan, s.cbs)[0]
     else:  # normals (T, scheme, ...) -> (scheme, T, ...): one sweep per scheme
-        both, _ = _sweep(chan, s.cbs, np.array(normals).swapaxes(0, 1),
-                         10.0 ** (snr / 10.0))
+        both, _ = _sweep(chan, s.cbs, normals.swapaxes(0, 1), 10.0 ** (snr / 10.0))
         abp_s, gob_s = ({ax: v[i] for ax, v in both.items()} for i in (0, 1))
     return np.stack([truth, _abp_rows(abp_s, s.cbs)[0], _gob_rows(gob_s, s.cbs)], axis=1)
 
@@ -531,10 +542,15 @@ def _maqe_setup(cfg: ExperimentConfig):
         trial_rows=1)
 
 
-def _maqe_draw(s, book, rng) -> tuple:
-    """One trial's pair center and the estimate drawn inside its pair."""
-    center = float(book.centers[rng.integers(len(book.centers))])
-    return center, center + rng.uniform(-book.delta, book.delta)
+def _maqe_draw(s, book, rngs) -> np.ndarray:
+    """A chunk's pair centers and the estimates drawn inside their pairs,
+    (T, 2), trial t's from rngs[t]."""
+    out = np.empty((len(rngs), 2))
+    for rng, row in zip(rngs, out):
+        row[0] = book.centers[rng.integers(len(book.centers))]
+        row[1] = rng.uniform(-book.delta, book.delta)
+    out[:, 1] += out[:, 0]
+    return out
 
 
 def _differential_errors(mu, center, delta: float, bits: int) -> np.ndarray:
@@ -542,10 +558,10 @@ def _differential_errors(mu, center, delta: float, bits: int) -> np.ndarray:
     return np.abs(reconstruct_differential(index, center, delta, bits) - mu)
 
 
-def _maqe_compute(s, book, draws: list) -> np.ndarray:
+def _maqe_compute(s, book, draws: np.ndarray) -> np.ndarray:
     """Differential and direct quantization errors of a chunk of trials,
     (T, 2)."""
-    center, mu = np.array(draws).T
+    center, mu = draws.T
     bits = s.cfg.bits + 1  # the direct scheme at the differential word's bits_total
     direct = reconstruct_direct(quantize_direct(mu, s.sector, bits), s.sector, bits)
     return np.stack([_differential_errors(mu, center, book.delta, s.cfg.bits),
@@ -613,7 +629,8 @@ def _tdm_setup(cfg: ExperimentConfig):
     DFT of the reference products at the D delays of the cyclic prefix.
     `lags` holds R (D, beam^2) as real and imaginary columns, so a chunk's
     Grams are one real matmul over the D pulse samples; a trial holds no
-    N-row array, only those D samples per cluster (`trial_rows`)."""
+    N-row array, only those D samples per cluster and its paths' steering
+    factors (`trial_rows`)."""
     arrays = _arrays(cfg, "cross")
     ofdm = OfdmConfig.profile(cfg.bandwidth or "125mhz")
     cbs = _codebooks(cfg, arrays)
@@ -632,6 +649,7 @@ def _tdm_setup(cfg: ExperimentConfig):
         cfg=cfg, points=snr_grid(cfg), arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
         x=x,
+        x_conj=x.conj(),
         lags=lags[: ofdm.cp_length].view(float),  # (D, 2 beam^2)
         # each reference's count of nonzero entries: N, less the DC
         # subcarrier where dc_zero nulled it
@@ -639,20 +657,35 @@ def _tdm_setup(cfg: ExperimentConfig):
         f=az.matrix[:, beams],
         w=(mid_v + mid_h) / np.sqrt(2),
         profile=_cluster_profile(cfg, cbs),
-        trial_rows=ofdm.cp_length)
+        # D pulse-sample rows, or 2/3 of a row per path and transmit element
+        # where that is more: the paths' transmit factors v and the conjugate
+        # copy that the cluster products take of them (8 N_t complex values a
+        # path) set a chunk's peak, so the count grows with L N_t from the
+        # default 3 paths of 32 elements, where the two counts agree (64)
+        trial_rows=max(ofdm.cp_length, 2 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 3))
 
 
-def _tdm_draw(s, snr: float, rng) -> tuple:
-    """One trial's draws, in the order of the per-trial flow: the clustered
-    channel's, then the noise rows (N,) of the pilot and of each TDM slot,
-    returned already correlated with the references, z = (1 + beam, beam)."""
+def _tdm_draw(s, snr: float, rngs) -> tuple:
+    """A chunk's draws, trial t's from rngs[t] in the order of the
+    per-trial flow: the clustered channel's (see _clustered_draws), then
+    the noise rows (N,) of the pilot and of each TDM slot, returned already
+    correlated with the references, z (T, 1 + beam, beam). Every trial's
+    rows pass through one normal buffer and one complex buffer, assembled
+    as _complex_noise assembles them, and each trial is correlated alone,
+    as a (1 + beam, N) @ (N, beam) product into its row of z."""
     sigma = _sigma_from_gamma(10.0 ** (snr / 10.0))
-    channel = _clustered_draws(s.profile, rng)
-    noise = _noise_like(s.ofdm.n_subcarriers, sigma, rng, batch=(1 + len(s.tags),))
-    return channel, noise @ s.x.conj()
+    channel = _clustered_draws(s.profile, rngs)
+    n_b = len(s.tags)
+    normals = np.empty((1 + n_b, 2, s.ofdm.n_subcarriers))
+    noise = np.empty((1 + n_b, s.ofdm.n_subcarriers), dtype=complex)
+    z = np.empty((len(rngs), 1 + n_b, n_b), dtype=complex)
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=normals)
+        np.matmul(_complex_noise(normals[:, 0], normals[:, 1], sigma, noise), s.x_conj, out=row)
+    return channel, z
 
 
-def _tdm_compute(s, snr: float, draws: list) -> np.ndarray:
+def _tdm_compute(s, snr: float, draws: tuple) -> np.ndarray:
     """Per-beam correlation amplitudes of the pilot and the TDM scheme for a
     chunk of trials, (T, scheme, beam), in the delay domain (see
     _tdm_setup): each cluster's Gram G_c = sum_d p_d(tau_c) R[d] from one
@@ -660,14 +693,13 @@ def _tdm_compute(s, snr: float, draws: list) -> np.ndarray:
     |sum_c sum_j P_c[j] G_c[j, b] + z_0[b]| / n_b and the TDM slots'
     |sum_c P_c[b] G_c[b, b] + z_{1+b}[b]| / n_b. Each trial's amplitudes
     are those of a one-trial chunk bit for bit."""
-    channel, z = zip(*draws)
-    chan = _clustered_columns(s.profile, [np.array(d) for d in zip(*channel)],
-                              s.arrays, s.ofdm, pulse_samples).realization(s.profile)
+    channel, z = draws
+    chan = _clustered_columns(s.profile, channel, s.arrays, s.ofdm,
+                              pulse_samples).realization(s.profile)
     p = chan.clustered(s.w[:, None], s.f)[..., 0, :]  # (T, C, beam)
     n_t, n_c, n_b = p.shape
     pulses = chan.taps.swapaxes(-1, -2).reshape(n_t * n_c, -1)  # (T C, D)
     grams = (pulses @ s.lags).view(complex).reshape(n_t, n_c, n_b, n_b)
-    z = np.array(z)
     pilot = (p.reshape(n_t, 1, -1) @ grams.reshape(n_t, -1, n_b))[:, 0] + z[:, 0]
     tdm = (p * np.diagonal(grams, axis1=-2, axis2=-1)).sum(axis=1) \
         + np.diagonal(z[:, 1:], axis1=-2, axis2=-1)
@@ -725,7 +757,8 @@ def _rate_setup(cfg: ExperimentConfig):
             raise ConfigError(f"probing.{side} gives {slots} slots for {beams} beams")
     try:  # and each path's elevation plan every elevation beam, as a noiseless trial shows
         plan = random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, 0, layout="free")
-        _multipath_draws(cbs, plan, 1, 0.0, 1, np.random.default_rng(0))
+        _multipath_draws(cbs, ProbingPlan(plan.tx_idx[None], plan.rx_idx[None]), 1, 0.0, 1,
+                         [np.random.default_rng(0)])
     except InfeasibleCoverage as exc:
         raise ConfigError(f"elevation stage at overhead.n_s = {cfg.n_s}: {exc}") from exc
     profile = _cluster_profile(cfg, cbs)
@@ -738,18 +771,24 @@ def _rate_setup(cfg: ExperimentConfig):
         trial_rows=m_t * ofdm.n_subcarriers)
 
 
-def _rate_draw(s, snr: float, rng) -> tuple:
-    """One rate trial's draws at an SNR, in the order of the per-trial
-    flow: the clustered channel's, the probing plan's seed and its plan,
-    then estimate_multipath's (see estimator._multipath_draws). They read
-    the cluster profile's draw sizes and the SNR, never chi or varsigma, so
-    they serve every profile of s.profiles."""
-    channel = _clustered_draws(s.profile, rng)
-    plan = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
-                               int(rng.integers(2 ** 31)), layout="free")
+def _rate_draw(s, snr: float, rngs) -> tuple:
+    """A chunk of rate trials' draws at an SNR, trial t's from rngs[t] in
+    the order of the per-trial flow: the clustered channel's (see
+    _clustered_draws), the probing plan's seed and its plan, stacked as
+    (T, n_t, n_rf) and (T, m_t, m_rf), then estimate_multipath's (see
+    estimator._multipath_draws). They read the cluster profile's draw sizes
+    and the SNR, never chi or varsigma, so they serve every profile of
+    s.profiles."""
+    channel = _clustered_draws(s.profile, rngs)
+    plan = ProbingPlan(np.empty((len(rngs), s.n_t, s.n_rf), dtype=int),
+                       np.empty((len(rngs), s.m_t, s.m_rf), dtype=int))
+    for t, rng in enumerate(rngs):
+        one = random_probing_plan(s.cbs, s.n_t, s.m_t, s.n_rf, s.m_rf,
+                                  int(rng.integers(2 ** 31)), layout="free")
+        plan.tx_idx[t], plan.rx_idx[t] = one.tx_idx, one.rx_idx
     sigma = _sigma_from_gamma(10.0 ** (snr / 10.0))
     return channel, plan, _multipath_draws(s.cbs, plan, s.ofdm.n_subcarriers, sigma,
-                                           s.n_select, rng)
+                                           s.n_select, rngs)
 
 
 def _gob_directions(rep, cbs) -> np.ndarray:
@@ -768,7 +807,7 @@ def _gob_directions(rep, cbs) -> np.ndarray:
 _SCHEMES = ("perfect", "abp", "gob")
 
 
-def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
+def _rate_compute(s, snr: float, draws: tuple) -> np.ndarray:
     """Spectral efficiency of a chunk of trials at an SNR under each profile
     of s.profiles (its chi and varsigma), steered at the true dominant
     directions, at the ABP estimates and at the GoB estimates, (T, profile,
@@ -782,11 +821,9 @@ def _rate_compute(s, snr: float, draws: list) -> np.ndarray:
     estimated path j mod P. Then every profile's directions are beamformed
     in one call and rated in one call, on the realizations' receive factors
     stacked over profiles, so that the tap planes serve every profile."""
-    channel, plans, estimator_draws = zip(*draws)
-    n, n_s, gamma = len(draws), s.cfg.n_s, 10.0 ** (snr / 10.0)
-    paths = _clustered_steered(s.profile, [np.array(d) for d in zip(*channel)],
-                               s.arrays, s.ofdm)
-    plan = ProbingPlan(np.array([p.tx_idx for p in plans]), np.array([p.rx_idx for p in plans]))
+    channel, plan, estimator_draws = draws
+    n, n_s, gamma = len(plan.tx_idx), s.cfg.n_s, 10.0 ** (snr / 10.0)
+    paths = _clustered_steered(s.profile, channel, s.arrays, s.ofdm)
     probing = _multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws)
     truth = spatial_frequencies([a[:, :n_s] for a in paths.dominant_angles], s.arrays)
     perfect = np.stack([truth.mu_x, truth.mu_y, truth.nu], axis=-1)  # (T, n_s, 3)
@@ -885,11 +922,12 @@ _RATE = {"snr_db", "polarization", "n_s", "n_t", "m_t", "n_select", *_CODEBOOK, 
 _RUN = {"experiment", "trials", "seed", "plots"}
 
 # An experiment family. setup(cfg) builds once everything the trials share,
-# plus `points`, the sweep; draw(setup, point, rng) makes one Monte-Carlo
-# trial's draws from its stream; compute(setup, point, draws) turns a chunk
-# of trials' draws, in trial order, into an array with one leading row per
-# trial, and leaves the draws as they were; reduce(setup, results),
-# results[i] being point i's rows in trial order, builds the tables.
+# plus `points`, the sweep; draw(setup, point, rngs) makes a chunk of
+# Monte-Carlo trials' draws, trial t's from its stream rngs[t], into arrays
+# whose row t is trial t's; compute(setup, point, draws) turns them into an
+# array with one leading row per trial, and leaves the draws as they were;
+# reduce(setup, results), results[i] being point i's rows in trial order,
+# builds the tables.
 # `reads` holds the config fields the family reads besides _RUN.
 Family = namedtuple("Family", "setup draw compute reduce reads")
 FAMILIES = {
@@ -1007,7 +1045,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> dict:
             trials = range(start, min(start + chunk, cfg.trials))
             for pi, point in enumerate(s.points):
                 try:
-                    draws = [family.draw(s, point, rng) for rng in _trial_rngs(cfg, pi, trials)]
+                    draws = family.draw(s, point, _trial_rngs(cfg, pi, trials))
                     rows = family.compute(s, point, draws)
                     if not np.isfinite(rows).all():
                         raise FloatingPointError("a trial's result is not finite")

@@ -43,12 +43,17 @@ def _steering(angles, arrays):
             upa_steering(sf.mu_x, sf.mu_y, arrays.n_x, arrays.n_y).conj())
 
 
+def first(draws) -> list:
+    """Trial 0's row of each array of a chunk's draws."""
+    return [d[0] for d in draws]
+
+
 def rician_with_paths(los, k_factor_db, n_nlos, seed):
     """A co-pol Rician realization on a generator seeded `seed`, and its
     per-path gains (L,) and angle rows (L, 3), LOS first, from the same
     draws on a second generator."""
     real = rician_narrowband(CO, los, k_factor_db, n_nlos, np.random.default_rng(seed))
-    draws = _rician_draws(np.random.default_rng(seed), n_nlos)
+    draws = first(_rician_draws([np.random.default_rng(seed)], n_nlos))
     g, angles = _rician_paths(CO, tuple(los), *draws, k_factor_db, None)
     return real, g, np.column_stack(angles)
 
@@ -330,7 +335,8 @@ class TestRician:
         acc = 0.0
         trials = 4000
         for _ in range(trials):
-            g, _ = _rician_paths(CO, (0.3, 0.4, 0.2), *_rician_draws(rng, 4), 6.0, None)
+            g, _ = _rician_paths(CO, (0.3, 0.4, 0.2), *first(_rician_draws([rng], 4)), 6.0,
+                                 None)
             acc += sum(abs(g) ** 2)
         assert abs(acc / trials - 1.0) < 0.03
 
@@ -342,10 +348,9 @@ class TestRician:
         los = [random_angles(rng) for _ in range(5)]
         singles = [rician_narrowband(CO, a, 6.0, 4, np.random.default_rng(t))
                    for t, a in enumerate(los)]
-        phase, draws = zip(*(_rician_draws(np.random.default_rng(t), 4)
-                             for t in range(5)))
-        g, angles = _rician_paths(CO, np.array([tuple(a) for a in los]).T,
-                                  np.array(phase), np.array(draws), 6.0, None)
+        phase, draws = _rician_draws([np.random.default_rng(t) for t in range(5)], 4)
+        g, angles = _rician_paths(CO, np.array([tuple(a) for a in los]).T, phase, draws, 6.0,
+                                  None)
         stacked = _realization(np.ones((1, 5)), angles, g, CO)
         assert stacked.shape == (1, 2, 6)
         w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
@@ -360,7 +365,7 @@ class TestRician:
         rng = np.random.default_rng(18)
         ranges = {"mu_x": (0.1, 0.3), "mu_y": (-0.2, 0.0), "nu": (0.5, 0.6)}
         for _ in range(50):
-            _, angles = _rician_paths(CO, (0.3, 0.4, 0.2), *_rician_draws(rng, 6), 10.0,
+            _, angles = _rician_paths(CO, (0.3, 0.4, 0.2), *first(_rician_draws([rng], 6)), 10.0,
                                       ranges)
             sf = spatial_frequencies([a[1:] for a in angles], CO)
             assert np.all((0.1 - 1e-9 <= sf.mu_x) & (sf.mu_x <= 0.3 + 1e-9))
@@ -381,8 +386,8 @@ class TestClustered:
             real = clustered_channel_generate(prof, rng, CROSS, OFDM)
             assert real.h.shape == (64, 4, 12)
             assert [a.shape for a in real.dominant_angles] == [(3,)] * 3
-            g, delays, angles, best = _clustered_paths(prof, _clustered_draws(prof, rng),
-                                                       CROSS, OFDM)
+            g, delays, angles, best = _clustered_paths(
+                prof, first(_clustered_draws(prof, [rng])), CROSS, OFDM)
             assert g.shape == (12, 4) and [a.shape for a in angles] == [(12,)] * 3
             assert best.shape == (3,) and delays.shape == (3,)
             assert delays[0] == 0.0
@@ -395,7 +400,7 @@ class TestClustered:
         prof = ClusterProfile(n_clusters=2, subpaths_per_cluster=3)
         acc, trials = 0.0, 3000
         for _ in range(trials):
-            g = _clustered_paths(prof, _clustered_draws(prof, rng), CROSS, OFDM)[0]
+            g = _clustered_paths(prof, first(_clustered_draws(prof, [rng])), CROSS, OFDM)[0]
             acc += (abs(g) ** 2).sum()
         # four i.i.d. complex gains per path share the subpath power budget
         assert abs(acc / trials - 4.0) < 0.15
@@ -416,8 +421,8 @@ class TestClustered:
         for byte. Trial 0's tensor is also the masked Kronecker reference
         (cross-pol) of its explicit paths."""
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
-        draws = [_clustered_draws(prof, np.random.default_rng(t)) for t in range(5)]
-        stacked = _clustered_realization(prof, [np.array(d) for d in zip(*draws)], arrays, OFDM)
+        draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(5)])
+        stacked = _clustered_realization(prof, draws, arrays, OFDM)
         assert stacked.rho.shape == (5, 64, 3 * subpaths)
         rng = np.random.default_rng(23)
         w = rng.normal(size=(stacked.shape[1], 2)) + 1j * rng.normal(size=(stacked.shape[1], 2))
@@ -434,7 +439,7 @@ class TestClustered:
                                     single.dominant_angles)):
                 assert mine.shape == want.shape and mine.tobytes() == want.tobytes()
         if arrays is CROSS:
-            g, delays, angles, _ = _clustered_paths(prof, draws[0], CROSS, OFDM)
+            g, delays, angles, _ = _clustered_paths(prof, first(draws), CROSS, OFDM)
             paths = [PathParams(*g[i], delays[i // subpaths], AngleSet(*(a[i] for a in angles)))
                      for i in range(len(g))]
             ref = crosspol_direct(paths, CROSS, OFDM, CrossPolConfig(prof.chi, prof.varsigma))
@@ -445,7 +450,8 @@ class TestClustered:
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4,
                               mu_y_range=(-0.4, 0.4))
         for _ in range(30):
-            angles = _clustered_paths(prof, _clustered_draws(prof, rng), CROSS, OFDM)[2]
+            angles = _clustered_paths(prof, first(_clustered_draws(prof, [rng])), CROSS,
+                                      OFDM)[2]
             sf = spatial_frequencies(angles, CROSS)
             assert np.all(abs(sf.mu_y) <= 0.4 + 1e-9)
 
@@ -505,24 +511,28 @@ def _scalar_generate(profile, rng, arrays, ofdm):
                    [q * (rc * p.g_hv * c + p.g_hh * s), q * (-rc * p.g_hv * s + p.g_hh * c)]]
                   for p in paths])
     u = (g[:, :, None, :] * a_r[:, None, :, None]).reshape(len(paths), -1, 2)
-    v = (np.eye(2)[None, :, None, :] * a_t[:, None, :, None]).reshape(len(paths), -1, 2)
+    v = np.zeros((len(paths), 2, a_t.shape[1], 2), dtype=complex)  # I_2 kron a_t
+    v[:, 0, :, 0] = v[:, 1, :, 1] = a_t
+    v = v.reshape(len(paths), -1, 2)
     return paths, dominant, rho, u, v
 
 
 class TestDrawOrder:
     @pytest.mark.parametrize("n_nlos", [0, 1, 5])
     def test_rician_draws_match_scalar_calls(self, n_nlos):
-        """The Rician draws are the scalar calls they replaced, in their
-        order: the LOS phase, then per NLOS path two normals and three
-        uniforms; same numbers to the last bit, same generator state."""
-        for seed in range(25):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            phase, draws = _rician_draws(rng, n_nlos)
-            assert phase == ref_rng.random()
+        """The Rician draws of 25 trials, one generator each, are the scalar
+        calls they replaced, in their order on each generator: the LOS
+        phase, then per NLOS path two normals and three uniforms; same
+        numbers to the last bit, same generator states."""
+        rngs = [np.random.default_rng(seed) for seed in range(25)]
+        phase, draws = _rician_draws(rngs, n_nlos)
+        assert phase.shape == (25,) and draws.shape == (25, n_nlos, 5)
+        for seed, rng in enumerate(rngs):
+            ref_rng = np.random.default_rng(seed)
+            assert phase[seed] == ref_rng.random()
             want = [(ref_rng.normal(), ref_rng.normal(), ref_rng.random(),
                      ref_rng.random(), ref_rng.random()) for _ in range(n_nlos)]
-            assert draws.shape == (n_nlos, 5)
-            assert draws.tobytes() == np.array(want).reshape(n_nlos, 5).tobytes()
+            assert draws[seed].tobytes() == np.array(want).reshape(n_nlos, 5).tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("n_clusters", [1, 5])
@@ -540,8 +550,8 @@ class TestDrawOrder:
                                   **extra)
             for seed in range(25):
                 rng, real_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
-                g, delays, angles, best = _clustered_paths(prof, _clustered_draws(prof, rng),
-                                                           arrays, OFDM)
+                g, delays, angles, best = _clustered_paths(
+                    prof, first(_clustered_draws(prof, [rng])), arrays, OFDM)
                 real = clustered_channel_generate(prof, real_rng, arrays, OFDM)
                 paths, dominant, rho, u, v = _scalar_generate(prof, ref_rng, arrays, OFDM)
                 want_angles = np.array([tuple(p.angles) for p in paths]).T

@@ -1195,15 +1195,16 @@ def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
                               p=pilots.p, coprime_with=pilots.coprime_with,
                               dc_zero=pilots.dc_zero)
     out = []
-    for t, (_, el_draws) in enumerate(draws):
+    el_plan, el_noise = draws.el_plan, draws.el_noise
+    for t in range(len(el_plan.tx_idx)):
         trial = ChannelRealization(  # trial t, as a stack of one
             channel.rho[t:t + 1] if channel.rho.ndim == 3 else channel.rho,
             channel.u[t:t + 1], channel.v[t:t + 1], ())
-        for p, (el_plan, el_noise) in enumerate(el_draws):
+        for p in range(el_plan.tx_idx.shape[1]):
             el_book = _axis_book(codebooks.config, "elevation", float(mu_y[t, p]))
             el_tx, _, el_totals = _batched(
-                trial, el_plan.tx_idx[None], el_plan.rx_idx[None], el_pilots, el_book,
-                rx_book, None if el_noise is None else [el_noise])
+                trial, el_plan.tx_idx[t, p][None], el_plan.rx_idx[t, p][None], el_pilots,
+                el_book, rx_book, None if el_noise is None else el_noise[t, p][None])
             if el_totals.sum() <= 0:
                 out.append(None)
                 continue
@@ -1244,8 +1245,7 @@ def test_elevation_stage_matches_the_per_path_loop(arrays, n_rf, layout, gamma):
                          for a in ("tx_idx", "rx_idx")))
     got_rng, want_rng = np.random.default_rng(69), np.random.default_rng(69)
     got = estimate_multipath(stack, plan, pilots, gamma, 2, got_rng, codebooks=cbs)
-    draws = [_multipath_draws(cbs, p, 64, _sigma_from_gamma(gamma), 2, want_rng)
-             for p in plans]
+    draws = _multipath_draws(cbs, plan, 64, _sigma_from_gamma(gamma), 2, [want_rng] * 3)
     mu_y = np.array([g.mu_y for g in got.paths]).reshape(3, 2)
     want = _elevation_stage_loop(stack, draws, mu_y, cbs, pilots)
     assert len(got.paths) == len(want) == 6 and None not in want

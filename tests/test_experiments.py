@@ -503,30 +503,39 @@ def _rates(s, profile, snr: float, rng) -> dict:
 
 
 def _draw_bytes(draws) -> list:
-    """The arrays of a draw step's output, in order, as bytes: through
-    tuples, lists and dataclasses (a ProbingPlan); any other value as it
-    is."""
-    if isinstance(draws, np.ndarray):
-        return [draws.tobytes()]
-    if dataclasses.is_dataclass(draws):
-        return _draw_bytes([getattr(draws, f.name) for f in fields(draws)])
-    if isinstance(draws, (tuple, list)):
-        return [b for d in draws for b in _draw_bytes(d)]
-    return [draws]
+    """The arrays of a draw step's output, in order, as bytes (see
+    _draw_arrays); a None as it is."""
+    return [a if a is None else a.tobytes() for a in _draw_arrays(draws)]
 
 
 def _draws_against_reference(cfg: ExperimentConfig, draw, trial, point, trials: int):
-    """`trials` draw steps at point 0 and the reference per-trial flow on
-    the same streams; asserts that each draw step leaves its generator where
-    the reference leaves it and returns (setup, draws, reference results)."""
+    """The draw step of a `trials`-trial chunk at point 0 and the reference
+    per-trial flow on the same streams; asserts that the draw step leaves
+    each trial's generator where the reference leaves it and returns
+    (setup, draws, reference results)."""
     s = experiments.setup_experiment(cfg)
-    draws, want = [], []
     rngs, ref_rngs = (experiments._trial_rngs(cfg, 0, range(trials)) for _ in range(2))
+    draws = draw(s, point, rngs)
+    want = [trial(s, point, ref_rng) for ref_rng in ref_rngs]
     for t, rng, ref_rng in zip(range(trials), rngs, ref_rngs):
-        draws.append(draw(s, point, rng))
-        want.append(trial(s, point, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
     return s, draws, np.array(want, dtype=float)
+
+
+def _draw_arrays(draws) -> list:
+    """The arrays of a draw step's output, in order, through tuples and
+    dataclasses (a ProbingPlan); a None (a draw that was not made) as it
+    is."""
+    if draws is None or isinstance(draws, np.ndarray):
+        return [draws]
+    if dataclasses.is_dataclass(draws):
+        return _draw_arrays(tuple(getattr(draws, f.name) for f in fields(draws)))
+    return [a for d in draws for a in _draw_arrays(d)]
+
+
+def _trials_of(draws) -> int:
+    """The trial count of a chunk's draws: the leading axis of its arrays."""
+    return len(_draw_arrays(draws)[0])
 
 
 class TestChunks:
@@ -559,12 +568,14 @@ class TestChunks:
         {}, {"dc_zero": True}, {"bandwidth": "250mhz"}, {"subpaths": 4}])
     def test_tdm_chunk_equals_per_trial_flow(self, snr, overrides):
         """A pilot_vs_tdm chunk's amplitudes (T, scheme, beam) are those of
-        one-trial compute steps, byte for byte, and each draw step leaves
-        its generator where the per-trial flow leaves it."""
+        one-trial draw and compute steps, byte for byte, and the draw step
+        leaves each generator where the per-trial flow leaves it."""
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=9, plots=False, **overrides)
         s, draws, _ = _draws_against_reference(cfg, experiments._tdm_draw, _tdm_trial, snr, 9)
         got = experiments._tdm_compute(s, snr, draws)
-        want = np.array([experiments._tdm_compute(s, snr, [d])[0] for d in draws])
+        want = np.array([
+            experiments._tdm_compute(s, snr, experiments._tdm_draw(s, snr, [rng]))[0]
+            for rng in experiments._trial_rngs(cfg, 0, range(9))])
         assert got.shape == want.shape == (9, 2, 4)
         assert got.tobytes() == want.tobytes()
 
@@ -613,7 +624,7 @@ class TestChunks:
                                         "robustness_mismatch"])
     def test_rate_chunk_equals_per_trial_flow(self, family, overrides, snr):
         """A rate chunk's rates (T, profile, scheme) are the per-trial
-        flow's, byte for byte, and each draw step leaves its generator where
+        flow's, byte for byte, and the draw step leaves each generator where
         the flow leaves it. A robustness family's chunk is drawn once, at
         its one SNR point, and each profile's column is checked against the
         per-trial flow under that profile. With probing.n_select at 1 and 5
@@ -648,8 +659,7 @@ class TestChunks:
         over that profile alone."""
         cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
-        draws = [experiments._rate_draw(s, 10.0, rng)
-                 for rng in experiments._trial_rngs(cfg, 0, range(4))]
+        draws = experiments._rate_draw(s, 10.0, experiments._trial_rngs(cfg, 0, range(4)))
         got = experiments._rate_compute(s, 10.0, draws)
         for i, profile in enumerate(s.profiles):
             alone = SimpleNamespace(**{**vars(s), "profiles": [profile]})
@@ -670,8 +680,7 @@ class TestChunks:
         cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         steps = experiments.FAMILIES[family]
-        draws = [steps.draw(s, s.points[0], rng)
-                 for rng in experiments._trial_rngs(cfg, 0, range(4))]
+        draws = steps.draw(s, s.points[0], experiments._trial_rngs(cfg, 0, range(4)))
         before = _draw_bytes(draws)
         steps.compute(s, s.points[0], draws)
         assert _draw_bytes(draws) == before
@@ -739,20 +748,21 @@ class TestChunks:
         assert s.points == (10.0,) and len(s.profiles) == 4
         swept = [SimpleNamespace(**{**vars(s), "profile": p}) for p in s.profiles]
         for t in range(3):
-            rngs = [experiments._trial_rngs(cfg, 0, [t])[0] for _ in range(5)]
-            draws = [_draw_bytes(steps.draw(setup, 10.0, rng))
-                     for setup, rng in zip([s, *swept], rngs)]
+            rngs = [experiments._trial_rngs(cfg, 0, [t]) for _ in range(5)]
+            draws = [_draw_bytes(steps.draw(setup, 10.0, chunk))
+                     for setup, chunk in zip([s, *swept], rngs)]
             assert all(d == draws[0] for d in draws[1:])
-            assert all(r.bit_generator.state == rngs[0].bit_generator.state for r in rngs[1:])
+            assert all(r[0].bit_generator.state == rngs[0][0].bit_generator.state
+                       for r in rngs[1:])
         drawn = []
 
-        def draw(s, point, rng):
-            drawn.append(point)
-            return steps.draw(s, point, rng)
+        def draw(s, point, rngs):
+            drawn.append((point, len(rngs)))
+            return steps.draw(s, point, rngs)
 
         monkeypatch.setitem(experiments.FAMILIES, family, steps._replace(draw=draw))
         run_experiment(cfg, str(tmp_path))
-        assert drawn == [10.0] * 6
+        assert drawn == [(10.0, 6)]
 
     @pytest.mark.parametrize("family,trials", [
         ("maee_vs_snr", 20), ("maqe_bits", 20), ("pilot_vs_tdm", 20), ("norm_se_vs_snr", 3),
@@ -793,13 +803,15 @@ class TestChunks:
 
     @pytest.mark.parametrize("family,line,size", [
         ("pilot_vs_tdm", "", 64), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 16),
+        ("pilot_vs_tdm", "channel.subpaths = 4", 16),
         ("norm_se_vs_snr", "", 8), ("robustness_xpd", "", 8),
         ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 170),
         ("maee_vs_snr", "channel.n_nlos = 0", 1024), ("maqe_bits", "", 4096)])
     def test_chunk_holds_at_most_chunk_rows(self, family, line, size, tmp_path, monkeypatch):
         """A chunk holds CHUNK_ROWS // the rows of a trial: a pilot_vs_tdm
         trial holds D pulse-sample rows (64 trials at D = 64, 16 at the
-        250mhz profile's D = 256), a rate
+        250mhz profile's D = 256), or 2/3 of a row per path and transmit
+        element where that is more (16 trials at 12 paths of 32), a rate
         trial one N-row block per rx probing (2 at N = 256 give 8 trials,
         also at n_s = 2, whose 3 tx probings are correlated one at a time),
         a maee_vs_snr trial one block of 4 receive beams per path (6 paths
@@ -813,13 +825,109 @@ class TestChunks:
         family_steps = experiments.FAMILIES[family]
 
         def compute(s, point, draws):
-            chunks.append(len(draws))
+            chunks.append(_trials_of(draws))
             return family_steps.compute(s, point, draws)
 
         monkeypatch.setitem(experiments.FAMILIES, family, family_steps._replace(compute=compute))
         run_experiment(validate_config(f"experiment = {family}\ntrials = 70\n{line}\n"
                                        "plots = false\n"), str(tmp_path))
         assert chunks == [size] * (70 // size) + [70 % size]
+
+    @pytest.mark.parametrize("family,trials,calls", [
+        ("pilot_vs_tdm", 60, [(10.0, 60)]),
+        ("maee_vs_snr", 171, [(10.0, 170), (15.0, 170), (20.0, 170),
+                              (10.0, 1), (15.0, 1), (20.0, 1)])])
+    def test_one_draw_call_per_chunk_and_point(self, family, trials, calls, tmp_path,
+                                               monkeypatch):
+        """run_experiment calls a family's draw step once per chunk and point,
+        with the chunk's generators: the benchmark's 60-trial pilot_vs_tdm
+        run once, a 171-trial maee_vs_snr run twice per SNR point (170 + 1)."""
+        steps, made = experiments.FAMILIES[family], []
+
+        def draw(s, point, rngs):
+            made.append((point, len(rngs)))
+            return steps.draw(s, point, rngs)
+
+        monkeypatch.setitem(experiments.FAMILIES, family, steps._replace(draw=draw))
+        run_experiment(ExperimentConfig(experiment=family, trials=trials, plots=False),
+                       str(tmp_path))
+        assert made == calls
+
+    @pytest.mark.parametrize("family,overrides,snr", [
+        ("maee_vs_snr", {}, 10.0), ("maee_vs_snr", {}, math.inf), ("maqe_bits", {}, None),
+        ("pilot_vs_tdm", {}, 10.0), ("pilot_vs_tdm", {}, math.inf),
+        *((f, o, 10.0) for f in ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
+          for o in ({}, {"el_range_deg": (-90.0, 90.0)}))],
+        ids=["maee_vs_snr", "maee_vs_snr-inf", "maqe_bits", "pilot_vs_tdm", "pilot_vs_tdm-inf",
+             "norm_se_vs_snr", "norm_se_vs_snr-el90", "robustness_xpd", "robustness_xpd-el90",
+             "robustness_mismatch", "robustness_mismatch-el90"])
+    @pytest.mark.parametrize("chunk", ["first", "remainder"])
+    def test_chunk_draws_are_chunks_of_one(self, family, overrides, snr, chunk):
+        """The stream contract of a draw step: a chunk's draws are those of
+        its trials drawn as chunks of one, array for array and bit for bit
+        (trial t's rows in row t), and every generator ends in the same
+        state, for a first chunk and for the 3-trial remainder after a full
+        one. At infinite SNR maee_vs_snr draws no sweep normals, and
+        pilot_vs_tdm still draws its noise and scales it by 0; under a
+        -90:90 elevation range the rate draws hold the elevation plans and
+        noise."""
+        cfg = ExperimentConfig(experiment=family, plots=False, **overrides)
+        s, steps = experiments.setup_experiment(cfg), experiments.FAMILIES[family]
+        point = s.points[0] if snr is None else snr
+        size = experiments._chunk_trials(s)
+        trials = range(4) if chunk == "first" else range(size, size + 3)
+        rngs, one_rngs = (experiments._trial_rngs(cfg, 0, trials) for _ in range(2))
+        got = _draw_arrays(steps.draw(s, point, rngs))
+        ones = [_draw_arrays(steps.draw(s, point, [rng])) for rng in one_rngs]
+        for k, arr in enumerate(got):
+            parts = [one[k] for one in ones]
+            if arr is None:
+                assert all(p is None for p in parts), f"array {k}"
+                continue
+            want = np.concatenate(parts)
+            assert arr.dtype == want.dtype and arr.shape == want.shape, f"array {k}"
+            assert arr.tobytes() == want.tobytes(), f"array {k}"
+        for t, rng, one in zip(trials, rngs, one_rngs):
+            assert rng.bit_generator.state == one.bit_generator.state, f"trial {t}"
+        if family == "maee_vs_snr":
+            assert (got[-1] is None) == (snr == math.inf)
+        if family == "pilot_vs_tdm" and snr == math.inf:  # the 10 dB draws, noise times 0
+            noisy_rngs = experiments._trial_rngs(cfg, 0, trials)
+            noisy = _draw_arrays(steps.draw(s, 10.0, noisy_rngs))
+            assert not got[-1].any() and noisy[-1].all()
+            assert [a.tobytes() for a in got[:-1]] == [a.tobytes() for a in noisy[:-1]]
+            assert all(a.bit_generator.state == b.bit_generator.state
+                       for a, b in zip(rngs, noisy_rngs))
+
+    def test_maee_redraw_inside_a_chunk(self):
+        """A trial whose uniforms give (mu_x, mu_y) = (0, 0) redraws mu_x
+        from its own generator before its Rician draws, inside a chunk as in
+        a chunk of one: the same draws bit for bit and the same generator
+        states, and the other trials untouched. A generator whose first
+        uniforms are 0.5 lands on (0, 0) in a sector of -1..1."""
+        class Centered(np.random.Generator):
+            def __init__(self, seed):
+                super().__init__(np.random.PCG64(seed))
+                self.first = True
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                if self.first and out is not None:  # the draw step's uniforms
+                    self.first = False
+                    super().random(out=out)
+                    out[:2] = 0.5
+                    return out
+                return super().random(size, dtype, out)
+
+        s = experiments.setup_experiment(ExperimentConfig(plots=False))
+        s = SimpleNamespace(**{**vars(s), "lo": np.full(3, -1.0), "width": np.full(3, 2.0)})
+        rngs, ones = ([np.random.default_rng(0), Centered(1), np.random.default_rng(2)]
+                      for _ in range(2))
+        got = experiments._maee_draw(s, 10.0, rngs)
+        want = [experiments._maee_draw(s, 10.0, [rng]) for rng in ones]
+        for k, arr in enumerate(got):
+            assert arr.tobytes() == np.concatenate([w[k] for w in want]).tobytes(), f"array {k}"
+        assert got[0][1, 0] != 0.0 and got[0][1, 1] == 0.0
+        assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(rngs, ones))
 
     def test_maee_benchmark_point_is_one_compute_step(self, tmp_path, monkeypatch):
         """The benchmark's maee_vs_snr run, 150 trials at 3 SNR points, is
@@ -828,7 +936,7 @@ class TestChunks:
         steps = experiments.FAMILIES["maee_vs_snr"]
 
         def compute(s, point, draws):
-            calls.append(len(draws))
+            calls.append(_trials_of(draws))
             return steps.compute(s, point, draws)
 
         def counted_sweep(*args, **kwargs):
@@ -858,30 +966,35 @@ class TestChunks:
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
         assert chunk == 8
-        draws = [experiments._rate_draw(s, s.points[0], rng)
-                 for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
+        draws = experiments._rate_draw(s, s.points[0],
+                                       experiments._trial_rngs(cfg, 0, range(chunk)))
         assert _compute_peak(experiments._rate_compute, s, draws) <= budget
 
-    @pytest.mark.parametrize("overrides,trials,budget", [({}, 64, 1.4e6),
-                                                         ({"bandwidth": "250mhz"}, 16, 0.8e6)],
-                             ids=["125mhz", "250mhz"])
+    @pytest.mark.parametrize("overrides,trials,budget", [
+        ({}, 64, 1.4e6), ({"bandwidth": "250mhz"}, 16, 0.8e6), ({"n_clusters": 6}, 32, 1.4e6),
+        ({"subpaths": 4}, 16, 1.4e6), ({"n_clusters": 6, "subpaths": 4}, 8, 1.4e6)],
+        ids=["125mhz", "250mhz", "n_clusters6", "subpaths4", "n_clusters6-subpaths4"])
     def test_tdm_chunk_peak_memory(self, overrides, trials, budget):
         """One pilot_vs_tdm chunk at the size that _chunk_trials picks, its
-        draw steps and its compute step, allocates at most 1.4 MB at its
-        peak at N = 512 (64 trials; tracemalloc, 1.06 MB measured) and at
-        most 0.8 MB at N = 1,024 (16 trials; 0.54 MB): a trial keeps its
+        draw step and its compute step, allocates at most 1.4 MB at its
+        peak at N = 512 (64 trials; tracemalloc, 1.01 MB measured) and at
+        most 0.8 MB at N = 1,024 (16 trials; 0.52 MB): a trial keeps its
         noise correlated and its channel as D pulse samples per cluster, so
         no array has N rows per trial (one (T, N, beam) array alone is
-        2.1 MB at 64 trials of N = 512 and 1.0 MB at 16 of N = 1,024)."""
+        2.1 MB at 64 trials of N = 512 and 1.0 MB at 16 of N = 1,024). The
+        paths' transmit factors grow with the paths, and a trial counts
+        them too, so that 6 clusters (32 trials, 1.00 MB), 4 subpaths
+        (16 trials, 0.91 MB) and both (8 trials, 0.91 MB) stay in the
+        bound; counted as D rows, a 64-trial chunk of them peaked at 2.05,
+        3.70 and 7.32 MB."""
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=trials, plots=False,
                                **overrides)
         s = experiments.setup_experiment(cfg)
         assert experiments._chunk_trials(s) == trials
 
         def chunk(s, snr, _):
-            draws = [experiments._tdm_draw(s, snr, rng)
-                     for rng in experiments._trial_rngs(cfg, 0, range(trials))]
-            return experiments._tdm_compute(s, snr, draws)
+            rngs = experiments._trial_rngs(cfg, 0, range(trials))
+            return experiments._tdm_compute(s, snr, experiments._tdm_draw(s, snr, rngs))
 
         assert _compute_peak(chunk, s, None) <= budget
 
@@ -895,8 +1008,7 @@ class TestChunks:
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, snr_db=(snr,),
                                plots=False)
         s = experiments.setup_experiment(cfg)
-        draws = [experiments._rate_draw(s, snr, rng)
-                 for rng in experiments._trial_rngs(cfg, 0, range(8))]
+        draws = experiments._rate_draw(s, snr, experiments._trial_rngs(cfg, 0, range(8)))
         calls = []
 
         def recording(chan, f, w, gamma, n_s):
@@ -922,8 +1034,8 @@ class TestChunks:
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
         assert chunk == 170
-        draws = [experiments._maee_draw(s, s.points[0], rng)
-                 for rng in experiments._trial_rngs(cfg, 0, range(chunk))]
+        draws = experiments._maee_draw(s, s.points[0],
+                                       experiments._trial_rngs(cfg, 0, range(chunk)))
         assert _compute_peak(experiments._maee_compute, s, draws) <= 2.4e6
 
     def test_tdm_reduce_names_a_beam_without_tdm_amplitude(self):

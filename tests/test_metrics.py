@@ -230,9 +230,8 @@ class TestSpectralEfficiency:
         ungrouped, one tap column per path (C = L), agree to 1e-12."""
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
         arrays = ArrayConfig(2, 4, 3, polarization_mode=mode)
-        draws = [_clustered_draws(prof, np.random.default_rng(90 + t)) for t in range(4)]
-        chan = _clustered_realization(prof, [np.array(d) for d in zip(*draws)], arrays,
-                                      OfdmConfig(32, 8))
+        draws = _clustered_draws(prof, [np.random.default_rng(90 + t) for t in range(4)])
+        chan = _clustered_realization(prof, draws, arrays, OfdmConfig(32, 8))
         assert chan.taps.shape == (4, 32, 3) and chan.u.shape[1] == 3 * subpaths
         rng = np.random.default_rng(91)
         m, n_t = chan.shape[1:]
@@ -294,8 +293,8 @@ class TestSpectralEfficiency:
         prof = ClusterProfile(n_clusters=n_c, subpaths_per_cluster=2)
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
         ofdm = OfdmConfig(n, 8)
-        draws = [_clustered_draws(prof, np.random.default_rng(t)) for t in range(7)]
-        stack = _clustered_realization(prof, [np.array(d) for d in zip(*draws)], arrays, ofdm)
+        draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(7)])
+        stack = _clustered_realization(prof, draws, arrays, ofdm)
         rng = np.random.default_rng(89)
         f = rng.normal(size=(3, 7, 16, n_s)) + 1j * rng.normal(size=(3, 7, 16, n_s))
         w = rng.normal(size=(3, 7, 6, n_s)) + 1j * rng.normal(size=(3, 7, 6, n_s))
@@ -406,8 +405,7 @@ class TestBuildBeamformers:
         cfg = experiments.ExperimentConfig(experiment="norm_se_vs_snr", trials=3,
                                            plots=False)
         s = experiments.setup_experiment(cfg)
-        draws = [experiments._rate_draw(s, 10.0, np.random.default_rng(88 + t))
-                 for t in range(3)]
+        draws = experiments._rate_draw(s, 10.0, [np.random.default_rng(88 + t) for t in range(3)])
         calls = []
 
         def counted(fn, *names):

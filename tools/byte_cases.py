@@ -27,9 +27,16 @@ the rate families at a set snr_db = -10 and seeds 0-2, at their golden trial
 counts; every family at seed 2**32 + 1, whose stream entropy spans two
 words, at its golden trial count; the four chunks families at their
 golden overrides (150 trials, seed 1: one chunk per point for maee_vs_snr,
-several for the others); and maee_vs_snr at 171 trials and seeds 0-2, one
-170-trial chunk and a remainder of 1."""
+several for the others); maee_vs_snr at 171 trials and seeds 0-2, one
+170-trial chunk and a remainder of 1; and at seeds 0-2, every family with
+trials at 1 trial (a chunk of one), maee_vs_snr and pilot_vs_tdm at
+snr_db = inf and their golden trial counts (maee_vs_snr then draws no
+sweep normals, pilot_vs_tdm draws its noise and scales it by 0), and
+pilot_vs_tdm with channel.n_clusters = 6 and channel.subpaths = 4 at its
+golden trial count (24 paths a trial, which shrink its chunk). 320 cases
+in all."""
 
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +47,7 @@ from beampair.experiments import EXPERIMENTS, ExperimentConfig, run_experiment  
 from test_golden import CHUNKS, CHUNKS_FAMILIES, EL90, GOLDEN_TRIALS  # noqa: E402
 
 RATE_FAMILIES = ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
+TRIAL_FAMILIES = [f for f in EXPERIMENTS if f != "pilot_correlation"]
 TDM_VARIANTS = {"-dc0": {"dc_zero": True}, "-250mhz": {"bandwidth": "250mhz"},
                 "-desk": {"bandwidth": "desk"}, "-sub4": {"subpaths": 4},
                 "-nc6": {"n_clusters": 6}}
@@ -84,6 +92,13 @@ def cases():
                 yield f"{family}-s{seed}-t9-nc{n_clusters}", {**base, "n_clusters": n_clusters}
         yield f"maee_vs_snr-s{seed}-t171", {"experiment": "maee_vs_snr", "seed": seed,
                                             "trials": 171}
+        for family in TRIAL_FAMILIES:
+            yield f"{family}-s{seed}-t1", {"experiment": family, "seed": seed, "trials": 1}
+        for family in ("maee_vs_snr", "pilot_vs_tdm"):
+            yield f"{family}-s{seed}-snr-inf", {"experiment": family, "seed": seed,
+                                                "trials": GOLDEN_TRIALS[family],
+                                                "snr_db": (math.inf,)}
+        yield f"pilot_vs_tdm-s{seed}-nc6-sub4", {**tdm, "n_clusters": 6, "subpaths": 4}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": GOLDEN_TRIALS[family]}
