@@ -489,8 +489,11 @@ def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: f
     has more than one elevation beam), per selected path the seed of its
     elevation plan and that plan's slot noise. Which beam indices a plan
     picks does not depend on where the elevation beams point, so the plans
-    come from `codebooks` itself."""
+    come from `codebooks` itself. The plan must probe every azimuth and
+    receive beam (InfeasibleCoverage otherwise), checked before any draw."""
     rx_book = codebooks.books["receive"]
+    _require_coverage(plan.tx_idx, codebooks.books["azimuth"])
+    _require_coverage(plan.rx_idx, rx_book)
     (n_trials, n_t, n_rf), (_, m_t, m_rf) = plan.tx_idx.shape, plan.rx_idx.shape
     m = (m_t, n, m_rf)
     noise = None if sigma == 0 else np.empty((n_trials, n_t, *m), dtype=complex)
@@ -529,26 +532,16 @@ MultipathProbing = namedtuple("MultipathProbing", "azimuth vfq elevation")
 
 
 def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
-                       codebooks: CodebookSet, draws: MultipathDraws | None,
-                       gamma: float | None = None, n_select: int = 1,
-                       rng: np.random.Generator | None = None) -> MultipathProbing:
+                       codebooks: CodebookSet, draws: MultipathDraws) -> MultipathProbing:
     """The MultipathProbing of a plan stacked over T trials, (T, n_t, n_rf)
     and (T, m_t, m_rf), on `channel`, a stacked realization or anything else
     with its clusters' delay taps and transmit factors v
-    (channel.SteeredPaths). The plan must probe every azimuth and receive
-    beam (InfeasibleCoverage otherwise). `draws` holds the trials' draws
-    (see _multipath_draws); when None, they are drawn from rng at gamma,
-    trial by trial, after that check. The elevation plans get the pilots of
+    (channel.SteeredPaths), from the trials' draws (see _multipath_draws,
+    which checks the plan's coverage). The elevation plans get the pilots of
     the elevation pair table, which does not depend on where the beams are
     steered."""
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
-    _require_coverage(plan.tx_idx, az_book)
-    _require_coverage(plan.rx_idx, rx_book)
     rho = _per_path(channel.taps, channel.v.shape[-3])
-    if draws is None:
-        rng = np.random.default_rng() if rng is None else rng
-        draws = _multipath_draws(codebooks, plan, rho.shape[-2], _sigma_from_gamma(gamma),
-                                 n_select, [rng] * len(plan.tx_idx))
     azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, rho, draws.noise)
     elevation = None
     if draws.el_plan is not None:
@@ -595,8 +588,10 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         channel = ChannelRealization(channel.taps, channel.u[None], channel.v[None], ())
         probing_plan = ProbingPlan(probing_plan.tx_idx[None], probing_plan.rx_idx[None])
     if draws is None:
-        draws = _multipath_probing(channel, probing_plan, pilots, codebooks, None, gamma,
-                                   n_select, rng)
+        rng = np.random.default_rng() if rng is None else rng
+        draws = _multipath_probing(channel, probing_plan, pilots, codebooks, _multipath_draws(
+            codebooks, probing_plan, channel.taps.shape[-2], _sigma_from_gamma(gamma),
+            n_select, [rng] * len(probing_plan.tx_idx)))
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
     (n_trials, n_t, n_rf), (_, m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape
 

@@ -71,7 +71,8 @@ STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 # weigh more (see _tdm_setup); a rate trial's probing, built once
 # per chunk, stacks one tx probing's slot noise at a time, one N-row block
 # per rx probing, to correlate it with the pilots (per profile it builds
-# nothing per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing; a
+# nothing per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing,
+# fewer where its paths weigh more (see _rate_setup); a
 # maee_vs_snr trial sweeps one receive-beam block per path, (1 + 5) x 4 = 24
 # rows at the defaults, so 170 trials; a maqe_bits trial is one row. See
 # README for the throughput and peak-memory trade-offs that set the value.
@@ -648,7 +649,6 @@ def _tdm_setup(cfg: ExperimentConfig):
     return SimpleNamespace(
         cfg=cfg, points=snr_grid(cfg), arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
-        x=x,
         x_conj=x.conj(),
         lags=lags[: ofdm.cp_length].view(float),  # (D, 2 beam^2)
         # each reference's count of nonzero entries: N, less the DC
@@ -767,8 +767,13 @@ def _rate_setup(cfg: ExperimentConfig):
         profile=profile, profiles=[profile], n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
         n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
         # the probing correlates one tx probing's slot noise at a time: one
-        # (N, m_rf) block per rx probing
-        trial_rows=m_t * ofdm.n_subcarriers)
+        # (N, m_rf) block per rx probing; or 3/2 of a row per path and
+        # transmit element where that is more: the steered paths and their
+        # receive factors under every profile grow with the paths, and an
+        # 8-trial chunk of 24 paths peaked at 2.68 MB against 1.38 MB at the
+        # default 3 paths (96 rows, so the default chunk stays at 8 trials)
+        trial_rows=max(m_t * ofdm.n_subcarriers,
+                       3 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 2))
 
 
 def _rate_draw(s, snr: float, rngs) -> tuple:

@@ -30,7 +30,7 @@ from beampair.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   emit_outputs, load_config, parse_snr_grid,
                                   run_experiment, validate_config)
 
-GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "cases")
 
 # ---------------------------------------------------------------------------
 # SNR grid parsing
@@ -394,7 +394,7 @@ class TestFamilies:
             def __getattr__(self, name):
                 return lambda *args, **kwargs: calls.append((name, args))
 
-        with open(os.path.join(GOLDEN_DIR, f"{family}.csv"), newline="",
+        with open(os.path.join(GOLDEN_DIR, f"{family}-s0.csv"), newline="",
                   encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh))
         experiments._plot_one(StubAxis(), family, ResultTable(family, header, rows))
@@ -457,13 +457,14 @@ def _tdm_trial(s, snr: float, rng) -> np.ndarray:
     of the pilot and the TDM scheme, (scheme, beam)."""
     sigma = math.sqrt(1.0 / 10.0 ** (snr / 10.0))
     n = s.ofdm.n_subcarriers
+    x = s.x_conj.conj()
     chan = clustered_channel_generate(s.profile, rng, s.arrays, s.ofdm)
-    y_beam = chan.beamformed(s.w[:, None], s.f)[:, 0, :] * s.x
+    y_beam = chan.beamformed(s.w[:, None], s.f)[:, 0, :] * x
     noise = _noise_like(n, sigma, rng, batch=(1 + len(s.tags),))  # pilot, then slots
     y_pilot = y_beam.sum(axis=1) + noise[0]
     y_tdm = y_beam + noise[1:].T
-    return np.array([np.abs(correlate_zero_lag(y_pilot, s.x, normalized=True)),
-                     np.abs(np.diag(correlate_zero_lag(y_tdm, s.x, normalized=True)))])
+    return np.array([np.abs(correlate_zero_lag(y_pilot, x, normalized=True)),
+                     np.abs(np.diag(correlate_zero_lag(y_tdm, x, normalized=True)))])
 
 
 def _gob_triples(report, cbs):
@@ -949,23 +950,32 @@ class TestChunks:
                        str(tmp_path))
         assert calls == [150, "sweep"] * 3
 
-    @pytest.mark.parametrize("overrides,budget", [({}, 2.0e6),
-                                                  ({"el_range_deg": (-90.0, 90.0)}, 2.7e6)],
-                             ids=["default", "el90"])
-    def test_rate_chunk_peak_memory(self, overrides, budget):
+    @pytest.mark.parametrize("overrides,trials,budget", [
+        ({}, 8, 2.0e6), ({"el_range_deg": (-90.0, 90.0)}, 8, 2.7e6),
+        ({"n_clusters": 6}, 8, 2.0e6), ({"subpaths": 4}, 7, 2.0e6),
+        ({"n_clusters": 6, "subpaths": 4}, 3, 2.0e6),
+        ({"n_clusters": 6, "subpaths": 4, "el_range_deg": (-90.0, 90.0)}, 3, 2.7e6)],
+        ids=["default", "el90", "n_clusters6", "subpaths4", "n_clusters6-subpaths4",
+             "n_clusters6-subpaths4-el90"])
+    def test_rate_chunk_peak_memory(self, overrides, trials, budget):
         """One robustness_xpd compute step at the chunk size that
         _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
-        (tracemalloc; 1.39 MB measured), and at most 2.7 MB where the
-        elevation stage runs (2.26 MB), so that a larger chunk cannot undo
+        (tracemalloc; 1.38 MB measured), and at most 2.7 MB where the
+        elevation stage runs (2.25 MB), so that a larger chunk cannot undo
         the lean kernels: the probing builds its pilot Grams and noise
         correlations one tx probing at a time (every elevation probing at
         once peaks at 4.07 MB) and per profile builds nothing per
         subcarrier, and the rate holds one slice of tap planes and Gram
-        entries at a time (no H_TR at all)."""
-        cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False, **overrides)
+        entries at a time (no H_TR at all). A trial counts its paths too,
+        so that 6 clusters (8 trials, 1.67 MB), 4 subpaths (7 trials,
+        1.74 MB) and both (3 trials, 1.26 MB; 1.54 MB with the elevation
+        stage) stay in the bounds; at 8 trials 4 subpaths peaked at
+        1.96 MB and both at 2.68 MB (4.06 MB with the elevation stage)."""
+        cfg = ExperimentConfig(experiment="robustness_xpd", trials=trials, plots=False,
+                               **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
-        assert chunk == 8
+        assert chunk == trials
         draws = experiments._rate_draw(s, s.points[0],
                                        experiments._trial_rngs(cfg, 0, range(chunk)))
         assert _compute_peak(experiments._rate_compute, s, draws) <= budget
