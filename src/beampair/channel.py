@@ -2,7 +2,8 @@
 
 Co-polarized and cross-polarized multi-path models, the narrowband Rician
 model, and a lightweight clustered generator. A realization is stored as its
-path factors, H[k] = sum_l rho[k, l] u_l v_l^H, built from per-path arrays
+path factors, H[k] = sum_l rho[k, l] u_l (I_q kron v_l)^H with q the number
+of polarizations and v_l the transmit steering, built from per-path arrays
 of gains, delays and angles (explicit PathParams are one source of them);
 every beamformed quantity W^H H[k] F is computed from those factors, and the
 dense per-subcarrier tensor is built only when read, so tests can rebuild it
@@ -124,20 +125,21 @@ def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
 
 @dataclass
 class ChannelRealization:
-    """Path-domain channel: H[k] = sum_l rho[k, l] u_l v_l^H.
+    """Path-domain channel: H[k] = sum_l rho[k, l] u_l (I_q kron v_l)^H.
 
     The L paths fall in C clusters of L / C consecutive paths, and the paths
     of a cluster share one delay-tap column: taps (N, C) holds the columns,
     rho[k, l] = taps[k, l // (L / C)] (a realization without clusters has one
-    column per path, C = L). u (L, M, q) and v (L, N_t, q) hold the receive
-    and transmit factors, M and N_t the full (cross-pol stacked) dimensions.
-    Co-pol and narrowband paths have q = 1 (u_l = g a_r, v_l = a_t);
-    cross-pol paths have q = 2 (u_l = G_eff kron a_r, v_l = I_2 kron a_t),
-    which places the vv/vh/hv/hh blocks in the
+    column per path, C = L). u (L, M, q) holds the receive factors, M the
+    full (cross-pol stacked) dimension, and v (L, N_t) the transmit steering
+    a_t of each of the q transmit polarizations, N_t = n_x n_y. Co-pol and
+    narrowband paths have q = 1 (u_l = g a_r); cross-pol paths have q = 2
+    (u_l = G_eff kron a_r, transmit factor I_2 kron a_t), which places the
+    vv/vh/hv/hh blocks in the
     top-left/top-right/bottom-left/bottom-right. dominant_angles holds the
     (theta, phi, psi) arrays (K,) of the paths that are the realization's
     ground truth, strongest first (empty for explicit paths). A stacked
-    realization holds T trials' factors u (T, L, M, q) and v (T, L, N_t, q),
+    realization holds T trials' factors u (T, L, M, q) and v (T, L, N_t),
     over one taps (N, C) or per-trial taps (T, N, C), and any dominant
     angles as (T, K) arrays; axes of u before the trial axis are batch axes
     (the rate step stacks the profiles of a sweep on one).
@@ -157,15 +159,17 @@ class ChannelRealization:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(N, M, N_t) of the dense tensor (per trial when stacked), without
-        building it."""
-        return self.taps.shape[-2], self.u.shape[-2], self.v.shape[-2]
+        """(N, M, q N_t) of the dense tensor (per trial when stacked),
+        without building it."""
+        return self.taps.shape[-2], self.u.shape[-2], self.u.shape[-1] * self.v.shape[-1]
 
     @cached_property
     def h(self) -> np.ndarray:
-        """Dense (N, M, N_t) tensor ((T, N, M, N_t) when stacked), built on
-        first read; the experiments never read it, the oracles and tests do."""
-        per_path = self.u @ self.v.conj().swapaxes(-1, -2)
+        """Dense (N, M, q N_t) tensor ((T, N, M, q N_t) when stacked), built
+        on first read; the experiments never read it, the oracles and tests
+        do. Path l's u_l (I_q kron v_l)^H holds u_l[:, p] v_l^H in block p."""
+        per_path = (self.u[..., None] * self.v.conj()[..., None, None, :]).reshape(
+            *self.u.shape[:-1], -1)
         *batch, n_paths, m, n_t = per_path.shape
         return (self.rho @ per_path.reshape(*batch, n_paths, m * n_t)).reshape(*batch, -1, m, n_t)
 
@@ -181,13 +185,13 @@ class ChannelRealization:
     def clustered(self, w: np.ndarray, f: np.ndarray) -> np.ndarray:
         """P_c = W^H (sum_{l in c} u_l v_l^H) F of every cluster c, (..., C,
         i, j): each cluster's subpaths and polarizations summed in one
-        matmul. Batch axes of w (..., M, i) and f (..., N_t, j), and a
+        matmul. Batch axes of w (..., M, i) and f (..., q N_t, j), and a
         stacked realization's trial axis, broadcast as in matmul, bit for
         bit."""
         if (w.shape[-2], f.shape[-2]) != self.shape[1:]:
             raise DimensionMismatch(
                 f"beamformers {w.shape}, {f.shape} do not match the channel {self.shape}")
-        vf = _precoded(self.v, f)  # (..., L, q, j)
+        vf = _precoded(self.v, f, self.u.shape[-1])  # (..., L, q, j)
         wu = np.swapaxes(w.conj(), -1, -2)[..., None, :, :] @ self.u  # (..., L, i, q)
         n_c = self.taps.shape[-1]
         *batch, n_paths, i, q = wu.shape
@@ -203,20 +207,30 @@ def _per_path(taps: np.ndarray, n_paths: int) -> np.ndarray:
     return taps if n_c == n_paths else np.repeat(taps, n_paths // n_c, axis=-1)
 
 
-def _precoded(v: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """V^H F per path, (..., L, q, j), of transmit factors v (..., L, N_t, q)
-    and precoders f (..., N_t, j), batch axes broadcasting as in matmul."""
-    return v.conj().swapaxes(-1, -2) @ f[..., None, :, :]
+def _precoded(v: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
+    """(I_q kron v_l)^H F per path, (..., L, q, j), of transmit steering v
+    (..., L, N_t) and precoders f (..., q N_t, j) read as q blocks F_p of
+    N_t rows: row p is v_l^H F_p. Batch axes broadcast as in matmul. Bit for
+    bit the dense product (its zeros add exact zeros) where matmul runs the
+    same BLAS kernel: per path at q = 1, per block of L rows at q = 2 (the
+    dense (2, 2 N_t) @ (2 N_t, j) of each path, at L, j > 1)."""
+    n_t = v.shape[-1]
+    if f.shape[-2] != q * n_t:
+        raise DimensionMismatch(f"precoders {f.shape} do not have {q} blocks of {n_t} rows")
+    v = v.conj()
+    if q == 1:
+        return v[..., None, :] @ f[..., None, :, :]
+    return np.stack([v @ f[..., p * n_t:(p + 1) * n_t, :] for p in range(q)], axis=-2)
 
 
 @dataclass(frozen=True)
 class SteeredPaths:
     """A realization less its receive factors u: the clusters' delay taps,
     the raw gains g ((..., L) co-pol, (..., L, 2, 2) cross-pol), the receive
-    steering a_r (..., L, M), the transmit factors v and the dominant angles,
-    as in ChannelRealization. None of them reads chi or varsigma, so the
-    points of a sweep over those share one SteeredPaths and differ only in
-    realization(xp)."""
+    steering a_r (..., L, M), the transmit steering v (..., L, N_t) and the
+    dominant angles, as in ChannelRealization. None of them reads chi or
+    varsigma, so the points of a sweep over those share one SteeredPaths and
+    differ only in realization(xp)."""
 
     taps: np.ndarray
     g: np.ndarray
@@ -226,9 +240,10 @@ class SteeredPaths:
 
     def realization(self, xp) -> ChannelRealization:
         """The realization under cross-pol settings xp (anything with chi and
-        varsigma: a CrossPolConfig or a ClusterProfile); co-pol paths (q = 1)
-        take their gains as they are and ignore xp."""
-        if self.v.shape[-1] == 1:
+        varsigma: a CrossPolConfig or a ClusterProfile); co-pol paths, whose
+        g has one axis less than v, take their gains as they are (q = 1)
+        and ignore xp."""
+        if self.g.ndim < self.v.ndim:
             u = (self.g[..., None] * self.a_r)[..., None]
         else:
             e = _effective(self.g, xp)
@@ -236,12 +251,12 @@ class SteeredPaths:
         return ChannelRealization(self.taps, u, self.v, self.dominant_angles)
 
 
-def _steered(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross: bool,
+def _steered(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
              dominant=slice(0)) -> SteeredPaths:
     """Steered paths of L paths from their clusters' delay-tap columns taps
     (N, C) (see ChannelRealization), their angles ((L,) arrays theta, phi,
     psi) and raw gains g, with one steering call per side for all paths:
-    co-pol transmit factors, or cross-pol ones (I_2 kron a_t) when `cross`.
+    the transmit steering a_t is v, for co- and cross-pol alike.
     `dominant` indexes the paths whose angles are the ground truth (none by
     default). Angles and gains with leading axes (T, L) give the paths of T
     stacked trials, and so do per-trial delay taps (T, N, C); `dominant`
@@ -251,21 +266,7 @@ def _steered(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig, cross
     a_r = ula_steering(sf.nu.ravel(), arrays.m_tot).T.reshape(*lead, arrays.m_tot)
     a_t = upa_steering(sf.mu_x.ravel(), sf.mu_y.ravel(), arrays.n_x,
                        arrays.n_y).T.reshape(*lead, arrays.n_tx)
-    if cross:  # I_2 kron a_t: a_t in two diagonal blocks, exact zeros off them
-        v = np.zeros((*lead, 2, arrays.n_tx, 2), dtype=a_t.dtype)
-        v[..., 0, :, 0] = v[..., 1, :, 1] = a_t
-        v = v.reshape(*lead, -1, 2)
-    else:
-        v = a_t[..., None]
-    return SteeredPaths(taps, g, a_r, v, tuple(np.ravel(a)[dominant] for a in angles))
-
-
-def _realization(taps: np.ndarray, angles, g: np.ndarray, arrays: ArrayConfig,
-                 xp: CrossPolConfig | None = None, dominant=slice(0)) -> ChannelRealization:
-    """Realization of paths as in _steered: co-pol when xp is None (g holds
-    the (L,) vv gains), cross-pol with the effective gains of the raw
-    (L, 2, 2) g otherwise."""
-    return _steered(taps, angles, g, arrays, xp is not None, dominant).realization(xp)
+    return SteeredPaths(taps, g, a_r, a_t, tuple(np.ravel(a)[dominant] for a in angles))
 
 
 def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
@@ -280,7 +281,7 @@ def _from_paths(paths: list[PathParams], arrays: ArrayConfig, ofdm: OfdmConfig,
         g = np.array([[[p.g_vv, p.g_vh], [p.g_hv, p.g_hh]] for p in paths], dtype=complex)
     taus, col = np.unique([p.tau for p in paths], return_inverse=True)
     rho = np.take(pulse_coefficients(taus, ofdm), col, axis=1)
-    return _realization(rho, angles, g, arrays, xp)
+    return _steered(rho, angles, g, arrays).realization(xp)
 
 
 def copol_frequency_response(paths: list[PathParams], arrays: ArrayConfig,
@@ -387,8 +388,8 @@ def rician_narrowband(arrays: ArrayConfig, los_angles: AngleSet,
     phase, draws = _rician_draws([rng], n_nlos)
     g, angles = _rician_paths(arrays, tuple(los_angles), phase[0], draws[0], k_factor_db,
                               nlos_mu_ranges)
-    return _realization(np.ones((1, len(g))), angles, g, arrays,
-                        dominant=slice(1))  # the LOS path
+    return _steered(np.ones((1, len(g))), angles, g, arrays,
+                    dominant=slice(1)).realization(None)  # the LOS path
 
 
 @dataclass(frozen=True)
@@ -487,9 +488,8 @@ def _clustered_columns(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm
     # one delay-tap column per cluster, shared by its subpaths; the taps
     # (rows, T, nc) of stacked trials are read as (T, rows, nc), without a copy
     taps = columns(delays, ofdm).swapaxes(0, -2)
-    cross = arrays.polarization_mode == "cross"
-    g = g.reshape(*g.shape[:-1], 2, 2) if cross else g[..., 0]
-    return _steered(taps, angles, g, arrays, cross, dominant=best)
+    g = g.reshape(*g.shape[:-1], 2, 2) if arrays.polarization_mode == "cross" else g[..., 0]
+    return _steered(taps, angles, g, arrays, dominant=best)
 
 
 def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
@@ -497,13 +497,6 @@ def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
     """Clustered steered paths (see _clustered_columns) with their delay
     taps, (T, N, n_clusters)."""
     return _clustered_columns(profile, draws, arrays, ofdm, pulse_coefficients)
-
-
-def _clustered_realization(profile: ClusterProfile, draws, arrays: ArrayConfig,
-                           ofdm: OfdmConfig) -> ChannelRealization:
-    """Realization of clustered draws (see _clustered_steered) under the
-    profile's chi and varsigma."""
-    return _clustered_steered(profile, draws, arrays, ofdm).realization(profile)
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
@@ -515,4 +508,4 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     strongest subpath of each cluster is that cluster's ground truth. Co-pol
     arrays see the vv gains only."""
     draws = [d[0] for d in _clustered_draws(profile, [rng])]
-    return _clustered_realization(profile, draws, arrays, ofdm)
+    return _clustered_steered(profile, draws, arrays, ofdm).realization(profile)

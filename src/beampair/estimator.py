@@ -432,12 +432,12 @@ def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
     return f.reshape(n_rows, -1, n_t, n_rf).transpose(0, 2, 1, 3)
 
 
-def _vfq(v: np.ndarray, f: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """V_l^H F Q_l per row, tx probing and path, (R, n_t, L q, n_rf) with
-    the paths' q rows path-major, of transmit factors v (R, L, N_t, q),
-    precoders f (R, n_t, N_t, n_rf) (see _precoders) and pilot Grams gram
-    (see _Slots)."""
-    vfq = _precoded(v[:, None], f) @ gram
+def _vfq(v: np.ndarray, f: np.ndarray, gram: np.ndarray, q: int) -> np.ndarray:
+    """(I_q kron v_l)^H F Q_l per row, tx probing and path, (R, n_t, L q,
+    n_rf) with the paths' q rows path-major, of transmit steering v (R, L,
+    N_t), precoders f (R, n_t, q N_t, n_rf) (see _precoders and
+    channel._precoded) and pilot Grams gram (see _Slots)."""
+    vfq = _precoded(v[:, None], f, q) @ gram
     return vfq.reshape(*vfq.shape[:2], -1, vfq.shape[-1])
 
 
@@ -535,13 +535,14 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
                        codebooks: CodebookSet, draws: MultipathDraws) -> MultipathProbing:
     """The MultipathProbing of a plan stacked over T trials, (T, n_t, n_rf)
     and (T, m_t, m_rf), on `channel`, a stacked realization or anything else
-    with its clusters' delay taps and transmit factors v
+    with its clusters' delay taps and transmit steering v (T, L, N_t)
     (channel.SteeredPaths), from the trials' draws (see _multipath_draws,
-    which checks the plan's coverage). The elevation plans get the pilots of
-    the elevation pair table, which does not depend on where the beams are
+    which checks the plan's coverage). The codebooks' polarizations set q,
+    the transmit factors' I_q. The elevation plans get the pilots of the
+    elevation pair table, which does not depend on where the beams are
     steered."""
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
-    rho = _per_path(channel.taps, channel.v.shape[-3])
+    rho = _per_path(channel.taps, channel.v.shape[-2])
     azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, rho, draws.noise)
     elevation = None
     if draws.el_plan is not None:
@@ -551,8 +552,9 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
         rows = [a if a is None else a.reshape(-1, *a.shape[2:])  # (trial, path) rows
                 for a in (draws.el_plan.tx_idx, draws.el_plan.rx_idx, draws.el_noise)]
         elevation = _slots(rows[0], rows[1], el_pilots, el_book, rx_book, rho, rows[2])
+    q = len(codebooks.config.arrays.pols)
     return MultipathProbing(
-        azimuth, _vfq(channel.v, _precoders(az_book, plan.tx_idx), azimuth.gram), elevation)
+        azimuth, _vfq(channel.v, _precoders(az_book, plan.tx_idx), azimuth.gram, q), elevation)
 
 
 def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
@@ -623,7 +625,8 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
         el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
         trial = np.repeat(np.arange(n_trials), n_paths)
         el_tx = _probe(
-            ul[trial], el, _vfq(channel.v[trial], _precoders(el_book, el.tx_idx), el.gram),
+            ul[trial], el,
+            _vfq(channel.v[trial], _precoders(el_book, el.tx_idx), el.gram, channel.u.shape[-1]),
             el_book, rx_book)[0]
         # a row whose sweep collects no energy has no winner: NoSignal
         mus.reshape(-1, 3)[:, 0], pairs["elevation"], zetas["elevation"] = _pair_and_invert(

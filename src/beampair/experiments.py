@@ -32,8 +32,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channel import (ChannelRealization, ClusterProfile, OfdmConfig, _clustered_draws,
-                      _clustered_columns, _clustered_steered, _realization, _rician_draws,
-                      _rician_paths, pulse_samples)
+                      _clustered_columns, _clustered_steered, _rician_draws,
+                      _rician_paths, _steered, pulse_samples)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
                        ProbingPlan, build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _complex_noise, _fill_angles, _gob_rows,
@@ -67,14 +67,15 @@ STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 # more of the per-trial numpy dispatch, but a chunk's arrays grow with trials
 # x rows, so the one bound holds a compute step near one size in every
 # family: a pilot_vs_tdm trial holds D pulse-sample rows, so 4,096 / 64 = 64
-# trials at D = 64 and 16 at D = 256, fewer where its paths' transmit factors
-# weigh more (see _tdm_setup); a rate trial's probing, built once
+# trials at D = 64 and 16 at D = 256, fewer where its paths weigh more (see
+# _tdm_setup); a rate trial's probing, built once
 # per chunk, stacks one tx probing's slot noise at a time, one N-row block
 # per rx probing, to correlate it with the pilots (per profile it builds
 # nothing per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing,
 # fewer where its paths weigh more (see _rate_setup); a
-# maee_vs_snr trial sweeps one receive-beam block per path, (1 + 5) x 4 = 24
-# rows at the defaults, so 170 trials; a maqe_bits trial is one row. See
+# maee_vs_snr trial sweeps one receive-beam block per path or per two grid
+# columns, (1 + 5) x 4 = 24 rows at the defaults, so 170 trials (see
+# _maee_setup); a maqe_bits trial is one row. See
 # README for the throughput and peak-memory trade-offs that set the value.
 CHUNK_ROWS = 4096
 
@@ -468,8 +469,9 @@ def _maee_setup(cfg: ExperimentConfig):
         nlos_ranges={"mu_x": cov["elevation"], "mu_y": cov["azimuth"], "nu": cov["receive"]},
         # the sweep normals of a trial's two schemes, as _sweep_normals draws them
         normals=(2, 2, 1, n_rx, cbs.grid.shape[1]),
-        # the sweep beamforms each path on every receive beam
-        trial_rows=(1 + cfg.n_nlos) * n_rx)
+        # per receive beam, the sweep's row of each path over the transmit
+        # grid, or half a row per grid column where that is more
+        trial_rows=n_rx * max(1 + cfg.n_nlos, cbs.grid.shape[1] // 2))
 
 
 def _maee_draw(s, snr: float, rngs) -> tuple:
@@ -505,7 +507,7 @@ def _maee_compute(s, snr: float, draws: tuple) -> np.ndarray:
     truth = _fill_angles(mus, s.arrays)  # no (0, 0): the draw redraws it
     g, angles = _rician_paths(s.arrays, truth[:, 3:].T, phase, nlos,
                               s.cfg.k_factor_db, s.nlos_ranges)
-    chan = _realization(np.ones((1, g.shape[-1])), angles, g, s.arrays)
+    chan = _steered(np.ones((1, g.shape[-1])), angles, g, s.arrays).realization(None)
     if normals is None:  # infinite SNR: both schemes read the noiseless sweep
         abp_s = gob_s = _sweep(chan, s.cbs)[0]
     else:  # normals (T, scheme, ...) -> (scheme, T, ...): one sweep per scheme
@@ -658,10 +660,10 @@ def _tdm_setup(cfg: ExperimentConfig):
         w=(mid_v + mid_h) / np.sqrt(2),
         profile=_cluster_profile(cfg, cbs),
         # D pulse-sample rows, or 2/3 of a row per path and transmit element
-        # where that is more: the paths' transmit factors v and the conjugate
-        # copy that the cluster products take of them (8 N_t complex values a
-        # path) set a chunk's peak, so the count grows with L N_t from the
-        # default 3 paths of 32 elements, where the two counts agree (64)
+        # where that is more: a chunk's peak grows with its paths' factors,
+        # about 1.4 KB a path at 32 elements (a 64-trial chunk peaked at
+        # 0.62 MB at the default 3 paths, where the two counts agree (64),
+        # and at 1.44 MB at 12), so the count grows with L N_t
         trial_rows=max(ofdm.cp_length, 2 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 3))
 
 

@@ -10,8 +10,8 @@ from beampair.channel import (ClusterProfile, CrossPolConfig,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
                               pulse_coefficients, pulse_samples, rician_narrowband,
-                              _clustered_draws, _clustered_paths, _clustered_realization,
-                              _effective, _realization, _rician_draws, _rician_paths)
+                              _clustered_draws, _clustered_paths, _clustered_steered,
+                              _effective, _precoded, _rician_draws, _rician_paths, _steered)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
 
@@ -308,6 +308,36 @@ class TestFrequencyResponse:
         with pytest.raises(DimensionMismatch):
             real.beamformed(np.ones((2, 1)), np.ones((5, 1)))
 
+    @pytest.mark.parametrize("arrays", [
+        CO, CROSS, ArrayConfig(n_x=8, n_y=16, m_tot=4, polarization_mode="cross")],
+        ids=["co", "cross", "cross-8x16"])
+    def test_precoded_is_the_dense_product(self, arrays):
+        """_precoded's per-block products v_l^H F_p of the transmit steering
+        v are the dense (I_q kron v_l)^H F bit for bit, per trial and on 5
+        stacked trials, with per-trial precoders and with one set shared by
+        every trial; precoders without q N_t rows are rejected."""
+        prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4)
+        draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(5)])
+        v = _clustered_steered(prof, draws, arrays, OFDM).v
+        q, n_t = len(arrays.pols), arrays.n_tx
+        assert v.shape == (5, 12, n_t)
+        dense = np.zeros((5, 12, q, n_t, q), dtype=complex)  # I_q kron v_l
+        for p in range(q):
+            dense[..., p, :, p] = v
+        dense = dense.reshape(5, 12, -1, q).conj().swapaxes(-1, -2)
+        rng = np.random.default_rng(24)
+        f = rng.normal(size=(5, q * n_t, 3)) + 1j * rng.normal(size=(5, q * n_t, 3))
+        for per_trial in (f, f[0]):
+            want = dense @ per_trial[..., None, :, :]
+            got = _precoded(v, per_trial, q)
+            assert got.shape == want.shape == (5, 12, q, 3)
+            assert got.tobytes() == want.tobytes()
+            for t in range(5):
+                one = _precoded(v[t], per_trial[t] if per_trial.ndim == 3 else per_trial, q)
+                assert one.tobytes() == want[t].tobytes()
+        with pytest.raises(DimensionMismatch, match="blocks"):
+            _precoded(v, f[:, 1:], q)
+
     def test_mode_guards(self):
         p = [PathParams.single_pol(1.0, 0.0, AngleSet(0.1, 0.2, 0.3))]
         with pytest.raises(DimensionMismatch):
@@ -351,7 +381,7 @@ class TestRician:
         phase, draws = _rician_draws([np.random.default_rng(t) for t in range(5)], 4)
         g, angles = _rician_paths(CO, np.array([tuple(a) for a in los]).T, phase, draws, 6.0,
                                   None)
-        stacked = _realization(np.ones((1, 5)), angles, g, CO)
+        stacked = _steered(np.ones((1, 5)), angles, g, CO).realization(None)
         assert stacked.shape == (1, 2, 6)
         w = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
         f = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
@@ -422,7 +452,7 @@ class TestClustered:
         (cross-pol) of its explicit paths."""
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
         draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(5)])
-        stacked = _clustered_realization(prof, draws, arrays, OFDM)
+        stacked = _clustered_steered(prof, draws, arrays, OFDM).realization(prof)
         assert stacked.rho.shape == (5, 64, 3 * subpaths)
         rng = np.random.default_rng(23)
         w = rng.normal(size=(stacked.shape[1], 2)) + 1j * rng.normal(size=(stacked.shape[1], 2))
@@ -459,7 +489,7 @@ class TestClustered:
 def _scalar_generate(profile, rng, arrays, ofdm):
     """clustered_channel_generate written out as a per-cluster, per-subpath
     loop of scalar draws and scalar geometry, with per-path delay taps and
-    gains: (paths, dominant angles, rho, u, v)."""
+    gains: (paths, dominant angles, rho, u, v), v the transmit steering."""
     nc, ns = profile.n_clusters, profile.subpaths_per_cluster
     delays = np.concatenate([[0.0], rng.exponential(profile.delay_spread, size=nc - 1)]) \
         if nc > 1 else np.zeros(1)
@@ -504,17 +534,14 @@ def _scalar_generate(profile, rng, arrays, ofdm):
                        arrays.n_x, arrays.n_y).T
     if arrays.polarization_mode == "co":
         g = np.array([p.g_vv for p in paths], dtype=complex)
-        return paths, dominant, rho, (g[:, None] * a_r)[:, :, None], a_t[:, :, None]
+        return paths, dominant, rho, (g[:, None] * a_r)[:, :, None], a_t
     q, rc = np.sqrt(1.0 / (1.0 + profile.chi)), np.sqrt(profile.chi)
     c, s = np.cos(profile.varsigma), np.sin(profile.varsigma)
     g = np.array([[[q * (p.g_vv * c + rc * p.g_vh * s), q * (-p.g_vv * s + rc * p.g_vh * c)],
                    [q * (rc * p.g_hv * c + p.g_hh * s), q * (-rc * p.g_hv * s + p.g_hh * c)]]
                   for p in paths])
     u = (g[:, :, None, :] * a_r[:, None, :, None]).reshape(len(paths), -1, 2)
-    v = np.zeros((len(paths), 2, a_t.shape[1], 2), dtype=complex)  # I_2 kron a_t
-    v[:, 0, :, 0] = v[:, 1, :, 1] = a_t
-    v = v.reshape(len(paths), -1, 2)
-    return paths, dominant, rho, u, v
+    return paths, dominant, rho, u, a_t  # the transmit factor I_2 kron a_t
 
 
 class TestDrawOrder:

@@ -421,7 +421,7 @@ class TestSinglePath:
         cbs = build_codebooks(CodebookConfig(arrays=CO))
         dead = ChannelRealization(taps=np.ones((1, 1)),
                                   u=np.zeros((1, 4, 1), dtype=complex),
-                                  v=np.ones((1, 32, 1), dtype=complex),
+                                  v=np.ones((1, 32), dtype=complex),
                                   dominant_angles=())
         with pytest.raises(NoSignal):
             estimate_single_path(dead, cbs)
@@ -1001,8 +1001,8 @@ def _batched(channel, tx_idx, rx_idx, pilots, tx_book, rx_book, noise):
     a stacked realization, their slots and V^H F Q made for this one call."""
     slots = _slots(tx_idx, rx_idx, pilots, tx_book, rx_book, channel.rho, noise)
     ul = channel.u.swapaxes(-3, -2).reshape(len(channel.u), channel.u.shape[-2], -1)
-    return _probe(ul, slots, _vfq(channel.v, _precoders(tx_book, tx_idx), slots.gram),
-                  tx_book, rx_book)
+    vfq = _vfq(channel.v, _precoders(tx_book, tx_idx), slots.gram, channel.u.shape[-1])
+    return _probe(ul, slots, vfq, tx_book, rx_book)
 
 
 def _slot_normals(plan, n: int, m: int, sigma: float, rng):
@@ -1032,11 +1032,16 @@ def _accumulate(sums, s, mt: int, t_idx, r_idx) -> None:
 def _probe_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
     """Per-slot reference for the probe kernel on one trial, in the path
     domain: per tx probing the pilot Grams Q_l = sum_k rho[k, l] x_k x_k^H
-    and V_l^H F Q_l, per (tx, rx) slot the correlation sum_l (W^H u_l)
-    V_l^H F Q_l plus the slot's projected noise correlated with the pilots,
-    |.|^2 and np.add.at accumulation."""
+    and V_l^H F Q_l, with the transmit factor V_l = I_q kron v_l built
+    dense, per (tx, rx) slot the correlation sum_l (W^H u_l) V_l^H F Q_l
+    plus the slot's projected noise correlated with the pilots, |.|^2 and
+    np.add.at accumulation."""
     n, m, _ = channel.shape
-    rho, u, v = channel.rho, channel.u, channel.v
+    rho, u, q = channel.rho, channel.u, channel.u.shape[-1]
+    v = np.zeros((len(u), q, channel.v.shape[-1], q), dtype=complex)  # I_q kron v_l, dense
+    for p in range(q):
+        v[:, p, :, p] = channel.v
+    v = v.reshape(len(u), -1, q)
     tx_idx, rx_idx = plan.tx_idx.tolist(), plan.rx_idx.tolist()
     sums = _sums(tx_book, rx_book, len(rx_idx))
     w_all = np.take(rx_book.matrix, np.concatenate(rx_idx), axis=1)
@@ -1131,7 +1136,8 @@ def test_probing_matches_the_per_slot_loop(sigma, layout, tx_axis, n_t, m_t,
                                            n_rf, m_rf):
     """The batched probing of two trials, each with its own channel and plan,
     gives each trial the per-slot loop's strengths and probing totals bit
-    for bit, both in the path domain, and drawing the trials' slot noise in
+    for bit, both in the path domain (the loop on the dense transmit
+    factors I_q kron v_l), and drawing the trials' slot noise in
     turn leaves the generator where the loops leave it, on free and
     split-half plans, azimuth and elevation books, m_rf = 1, and one tx
     probing (n_t = 1) as well as several, whose Grams and noise

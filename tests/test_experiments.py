@@ -807,7 +807,7 @@ class TestChunks:
         ("pilot_vs_tdm", "channel.subpaths = 4", 16),
         ("norm_se_vs_snr", "", 8), ("robustness_xpd", "", 8),
         ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 170),
-        ("maee_vs_snr", "channel.n_nlos = 0", 1024), ("maqe_bits", "", 4096)])
+        ("maee_vs_snr", "channel.n_nlos = 0", 170), ("maqe_bits", "", 4096)])
     def test_chunk_holds_at_most_chunk_rows(self, family, line, size, tmp_path, monkeypatch):
         """A chunk holds CHUNK_ROWS // the rows of a trial: a pilot_vs_tdm
         trial holds D pulse-sample rows (64 trials at D = 64, 16 at the
@@ -815,9 +815,10 @@ class TestChunks:
         element where that is more (16 trials at 12 paths of 32), a rate
         trial one N-row block per rx probing (2 at N = 256 give 8 trials,
         also at n_s = 2, whose 3 tx probings are correlated one at a time),
-        a maee_vs_snr trial one block of 4 receive beams per path (6 paths
-        give 170 trials, the LOS path alone 1,024), a maqe_bits trial one
-        row."""
+        a maee_vs_snr trial one block of 4 receive beams per path or per
+        two transmit grid columns, whichever is more (6 paths or the 12
+        default columns give 170 trials, also for the LOS path alone), a
+        maqe_bits trial one row."""
         cfg = validate_config(f"experiment = {family}\n{line}\n")
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == size
         if family != "pilot_vs_tdm":
@@ -981,22 +982,23 @@ class TestChunks:
         assert _compute_peak(experiments._rate_compute, s, draws) <= budget
 
     @pytest.mark.parametrize("overrides,trials,budget", [
-        ({}, 64, 1.4e6), ({"bandwidth": "250mhz"}, 16, 0.8e6), ({"n_clusters": 6}, 32, 1.4e6),
-        ({"subpaths": 4}, 16, 1.4e6), ({"n_clusters": 6, "subpaths": 4}, 8, 1.4e6)],
+        ({}, 64, 1.0e6), ({"bandwidth": "250mhz"}, 16, 0.8e6), ({"n_clusters": 6}, 32, 1.0e6),
+        ({"subpaths": 4}, 16, 1.0e6), ({"n_clusters": 6, "subpaths": 4}, 8, 1.0e6)],
         ids=["125mhz", "250mhz", "n_clusters6", "subpaths4", "n_clusters6-subpaths4"])
     def test_tdm_chunk_peak_memory(self, overrides, trials, budget):
         """One pilot_vs_tdm chunk at the size that _chunk_trials picks, its
-        draw step and its compute step, allocates at most 1.4 MB at its
-        peak at N = 512 (64 trials; tracemalloc, 1.01 MB measured) and at
-        most 0.8 MB at N = 1,024 (16 trials; 0.52 MB): a trial keeps its
+        draw step and its compute step, allocates at most 1.0 MB at its
+        peak at N = 512 (64 trials; tracemalloc, 0.62 MB measured) and at
+        most 0.8 MB at N = 1,024 (16 trials; 0.53 MB): a trial keeps its
         noise correlated and its channel as D pulse samples per cluster, so
         no array has N rows per trial (one (T, N, beam) array alone is
-        2.1 MB at 64 trials of N = 512 and 1.0 MB at 16 of N = 1,024). The
-        paths' transmit factors grow with the paths, and a trial counts
-        them too, so that 6 clusters (32 trials, 1.00 MB), 4 subpaths
-        (16 trials, 0.91 MB) and both (8 trials, 0.91 MB) stay in the
-        bound; counted as D rows, a 64-trial chunk of them peaked at 2.05,
-        3.70 and 7.32 MB."""
+        2.1 MB at 64 trials of N = 512 and 1.0 MB at 16 of N = 1,024), and
+        its paths' transmit factors as the steering a_t, without the
+        I_2 kron a_t zeros (1.06 MB at the default with them). The paths'
+        factors grow with the paths, and a trial counts them too, so that
+        6 clusters (32 trials, 0.59 MB), 4 subpaths (16 trials, 0.43 MB)
+        and both (8 trials, 0.42 MB) stay in the bound; counted as D rows,
+        a 64-trial chunk of them peaked at 1.17, 1.44 and 2.80 MB."""
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=trials, plots=False,
                                **overrides)
         s = experiments.setup_experiment(cfg)
@@ -1034,16 +1036,25 @@ class TestChunks:
                        axis=-1) / np.log(2.0)
         assert np.max(np.abs(got - want) / want) <= bound
 
-    def test_maee_chunk_peak_memory(self):
+    @pytest.mark.parametrize("overrides,trials", [
+        ({}, 170), ({"n_nlos": 0}, 170), ({"n_x": 8, "n_y": 16}, 46), ({"n_x": 8}, 85),
+        ({"m_tot": 8}, 85), ({"n_nlos": 11}, 85), ({"n_x": 6, "n_y": 7}, 146)],
+        ids=["default", "n_nlos0", "8x16", "n_x8", "m_tot8", "n_nlos11", "6x7"])
+    def test_maee_chunk_peak_memory(self, overrides, trials):
         """One maee_vs_snr compute step at the chunk size that _chunk_trials
-        picks (170 trials) allocates at most 2.4 MB at its peak
-        (tracemalloc; 2.08 MB measured), so that the row budget keeps the
-        narrowband chunk bounded: all 500 default trials in one step peak
-        at 6.12 MB."""
-        cfg = ExperimentConfig(experiment="maee_vs_snr", plots=False)
+        picks (170 trials at the default) allocates at most 2.4 MB at its
+        peak (tracemalloc; 1.68 MB measured), so that the row budget keeps
+        the narrowband chunk bounded: all 500 default trials in one step
+        peak at 6.12 MB. A trial counts the transmit grid's columns too, so
+        that the LOS path alone (170 trials, 0.77 MB), an 8 x 16 array
+        (46 trials, 1.59 MB), n_x = 8 (85, 1.59 MB) and a 6 x 7 array (146,
+        1.80 MB) stay in the bound; counted by paths alone they got 1,024,
+        170, 170 and 170 trials and peaked at 4.62, 5.86, 3.19 and
+        2.09 MB."""
+        cfg = ExperimentConfig(experiment="maee_vs_snr", plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
-        assert chunk == 170
+        assert chunk == trials
         draws = experiments._maee_draw(s, s.points[0],
                                        experiments._trial_rngs(cfg, 0, range(chunk)))
         assert _compute_peak(experiments._maee_compute, s, draws) <= 2.4e6

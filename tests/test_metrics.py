@@ -8,7 +8,7 @@ from beampair import metrics
 from beampair import experiments
 from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig,
                               DimensionMismatch, OfdmConfig, PathParams, _clustered_draws,
-                              _clustered_realization, clustered_channel_generate,
+                              _clustered_steered, clustered_channel_generate,
                               copol_frequency_response, crosspol_frequency_response)
 from beampair.codebook import rx_beam_vector, tx_beam_vector
 from beampair.geometry import (AngleSet, ArrayConfig,
@@ -125,7 +125,7 @@ def _as_realization(h) -> ChannelRealization:
     h = h[None] if h.ndim == 2 else h
     k, m, n_t = h.shape
     u = h.transpose(0, 2, 1).reshape(k * n_t, m, 1)
-    v = np.tile(np.eye(n_t, dtype=complex)[:, :, None], (k, 1, 1))
+    v = np.tile(np.eye(n_t, dtype=complex), (k, 1))
     return ChannelRealization(np.eye(k, dtype=complex), u, v, ())
 
 
@@ -231,7 +231,7 @@ class TestSpectralEfficiency:
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
         arrays = ArrayConfig(2, 4, 3, polarization_mode=mode)
         draws = _clustered_draws(prof, [np.random.default_rng(90 + t) for t in range(4)])
-        chan = _clustered_realization(prof, draws, arrays, OfdmConfig(32, 8))
+        chan = _clustered_steered(prof, draws, arrays, OfdmConfig(32, 8)).realization(prof)
         assert chan.taps.shape == (4, 32, 3) and chan.u.shape[1] == 3 * subpaths
         rng = np.random.default_rng(91)
         m, n_t = chan.shape[1:]
@@ -294,7 +294,7 @@ class TestSpectralEfficiency:
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
         ofdm = OfdmConfig(n, 8)
         draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(7)])
-        stack = _clustered_realization(prof, draws, arrays, ofdm)
+        stack = _clustered_steered(prof, draws, arrays, ofdm).realization(prof)
         rng = np.random.default_rng(89)
         f = rng.normal(size=(3, 7, 16, n_s)) + 1j * rng.normal(size=(3, 7, 16, n_s))
         w = rng.normal(size=(3, 7, 6, n_s)) + 1j * rng.normal(size=(3, 7, 6, n_s))

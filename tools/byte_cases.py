@@ -41,7 +41,12 @@ family with trials at 1 trial (a chunk of one), maee_vs_snr and pilot_vs_tdm
 at snr_db = inf and their base trial counts (maee_vs_snr then draws no sweep
 normals, pilot_vs_tdm draws its noise and scales it by 0), and pilot_vs_tdm
 with channel.n_clusters = 6 and channel.subpaths = 4 at its base trial count
-(24 paths a trial, which shrink its chunk). 338 cases in all."""
+(24 paths a trial, which shrink its chunk); and at seeds 0-2 on an
+arrays.n_x = 8, arrays.n_y = 16 transmit array (128 elements a
+polarization, 44 transmit grid columns), each over one full chunk and a
+remainder of 1: maee_vs_snr at 47 trials, with and without
+channel.n_nlos = 0, pilot_vs_tdm at 17, and the rate families at 8, at the
+default elevation range and under -90:90. 365 cases in all."""
 
 import math
 import shutil
@@ -124,6 +129,16 @@ def cases():
                                                 "trials": TRIALS[family],
                                                 "snr_db": (math.inf,)}
         yield f"pilot_vs_tdm-s{seed}-nc6-sub4", {**tdm, "n_clusters": 6, "subpaths": 4}
+        big = {"seed": seed, "n_x": 8, "n_y": 16}
+        maee = {**big, "experiment": "maee_vs_snr", "trials": 47}
+        yield f"maee_vs_snr-s{seed}-t47-nx8-ny16", maee
+        yield f"maee_vs_snr-s{seed}-t47-nx8-ny16-nlos0", {**maee, "n_nlos": 0}
+        yield f"pilot_vs_tdm-s{seed}-t17-nx8-ny16", {**big, "experiment": "pilot_vs_tdm",
+                                                     "trials": 17}
+        for family in RATE_FAMILIES:
+            rate = {**big, "experiment": family, "trials": 8}
+            yield f"{family}-s{seed}-t8-nx8-ny16", rate
+            yield f"{family}-s{seed}-t8-el90-nx8-ny16", {**rate, **EL90}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": TRIALS[family]}
