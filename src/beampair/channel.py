@@ -154,8 +154,9 @@ class ChannelRealization:
 
     @property
     def rho(self) -> np.ndarray:
-        """Per-path delay taps (N, L), or (T, N, L) stacked."""
-        return _per_path(self.taps, self.u.shape[-3])
+        """Per-path delay taps (N, L), or (T, N, L) stacked: each cluster's
+        column repeated for its L / C paths (the dense oracle h reads them)."""
+        return np.repeat(self.taps, self.u.shape[-3] // self.taps.shape[-1], axis=-1)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -198,13 +199,6 @@ class ChannelRealization:
         # a cluster's subpaths side by side: (..., C, i, S q) and (..., C, S q, j)
         wu = wu.reshape(*batch, n_c, n_paths // n_c, i, q).swapaxes(-3, -2)
         return wu.reshape(*batch, n_c, i, -1) @ vf.reshape(*vf.shape[:-3], n_c, -1, vf.shape[-1])
-
-
-def _per_path(taps: np.ndarray, n_paths: int) -> np.ndarray:
-    """Delay taps (..., N, L) of L paths in clusters of consecutive paths
-    from the clusters' columns taps (..., N, C): taps itself when C = L."""
-    n_c = taps.shape[-1]
-    return taps if n_c == n_paths else np.repeat(taps, n_paths // n_c, axis=-1)
 
 
 def _precoded(v: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
@@ -481,7 +475,7 @@ def _clustered_columns(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm
     delays share one `columns` call, and each side one steering call. The
     profile's chi and varsigma are not read. With pulse_samples the taps
     are each cluster's D pulse samples, the delay domain, whose length-N
-    DFT are the subcarrier taps (see _clustered_steered): the cluster
+    DFT are the subcarrier taps (pulse_coefficients): the cluster
     products (clustered) are the same, but rho, h and beamformed would read
     the D samples as subcarriers."""
     g, delays, angles, best = _clustered_paths(profile, draws, arrays, ofdm)
@@ -490,13 +484,6 @@ def _clustered_columns(profile: ClusterProfile, draws, arrays: ArrayConfig, ofdm
     taps = columns(delays, ofdm).swapaxes(0, -2)
     g = g.reshape(*g.shape[:-1], 2, 2) if arrays.polarization_mode == "cross" else g[..., 0]
     return _steered(taps, angles, g, arrays, dominant=best)
-
-
-def _clustered_steered(profile: ClusterProfile, draws, arrays: ArrayConfig,
-                       ofdm: OfdmConfig) -> SteeredPaths:
-    """Clustered steered paths (see _clustered_columns) with their delay
-    taps, (T, N, n_clusters)."""
-    return _clustered_columns(profile, draws, arrays, ofdm, pulse_coefficients)
 
 
 def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator,
@@ -508,4 +495,5 @@ def clustered_channel_generate(profile: ClusterProfile, rng: np.random.Generator
     strongest subpath of each cluster is that cluster's ground truth. Co-pol
     arrays see the vv gains only."""
     draws = [d[0] for d in _clustered_draws(profile, [rng])]
-    return _clustered_steered(profile, draws, arrays, ofdm).realization(profile)
+    return _clustered_columns(profile, draws, arrays, ofdm,
+                              pulse_coefficients).realization(profile)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, DimensionMismatch, _per_path, _precoded
+from .channel import ChannelRealization, DimensionMismatch, _precoded
 from .codebook import (AXES, AxisBook, CodebookSet, InfeasibleCoverage, ProbingPlan,
                        _axis_book, random_probing_plan)
 from .codebook import tx_beam_vector  # noqa: F401  (perfbench's tracer test)
@@ -368,52 +368,53 @@ def _slot_noise(rx_idx: np.ndarray, n_t: int, rx_book: AxisBook, n: int, sigma: 
 # factors u nor the steering of the transmit beams reaches them: plans tx_idx
 # (R, n_t, n_rf) and rx_idx (R, m_t, m_rf), the gathered combiners'
 # conjugate transposes wh (R, m_t m_rf, M), each tx probing's tap-weighted
-# pilot Grams gram (R, n_t, L, n_rf, n_rf), Q_l[j, j'] = sum_k rho[k, l]
-# x[k, j] x*[k, j'] over the probing's references x, and the correlations of
-# the projected slot noise n with them, sum_k n[k, r] x*[k, j'], as noise
-# (R, n_t, m_t, m_rf, n_rf), or None.
+# pilot Grams gram (R, n_t, C, n_rf, n_rf), one per cluster and shared by
+# its subpaths, Q_c[j, j'] = sum_k taps[k, c] x[k, j] x*[k, j'] over the
+# probing's references x, and the correlations of the projected slot noise
+# n with them, sum_k n[k, r] x*[k, j'], as noise (R, n_t, m_t, m_rf, n_rf),
+# or None.
 _Slots = namedtuple("_Slots", "tx_idx rx_idx wh gram noise")
 
 
 def _slots(tx_idx: np.ndarray, rx_idx: np.ndarray, pilots: PilotAssignment,
-           tx_book: AxisBook, rx_book: AxisBook, rho: np.ndarray,
+           tx_book: AxisBook, rx_book: AxisBook, taps: np.ndarray,
            noise: np.ndarray | None) -> _Slots:
     """The _Slots of plans tx_idx and rx_idx, tagged from tx_book's pair
-    membership table, under delay taps rho (N, L), or per trial (T, N, L)
-    with R a multiple of T (the rows trial-major), and with every row's
-    slot noise (see _slot_noise), (R, n_t, m_t, N, m_rf), when given. The
-    gathers keep picks C-ordered, so each row's combiner is laid out as
+    membership table, under the clusters' delay taps (N, C), or per trial
+    (T, N, C) with R a multiple of T (the rows trial-major), and with every
+    row's slot noise (see _slot_noise), (R, n_t, m_t, N, m_rf), when given.
+    The gathers keep picks C-ordered, so each row's combiner is laid out as
     alone."""
     n_rows, n_t, n_rf = tx_idx.shape
-    if rho.shape[-2] != pilots.n:
+    if taps.shape[-2] != pilots.n:
         raise DimensionMismatch("pilot length must equal the subcarrier count")
     x = pilots.references([tag for t_idx in tx_idx.reshape(-1, n_rf)
                            for tag in tag_probing(t_idx, tx_book.members)])
     w = np.take(rx_book.matrix, rx_idx.reshape(n_rows, -1), axis=1).transpose(1, 2, 0)
     return _Slots(tx_idx, rx_idx, np.ascontiguousarray(w).conj(),
-                  *_grams(rho, x.reshape(pilots.n, n_rows, n_t, n_rf), noise))
+                  *_grams(taps, x.reshape(pilots.n, n_rows, n_t, n_rf), noise))
 
 
-def _grams(rho: np.ndarray, x: np.ndarray, noise: np.ndarray | None) -> tuple:
-    """The pilot Grams and noise correlations of _Slots from the taps rho,
-    the references x (N, R, n_t, n_rf) of every row's tx probings and the
-    rows' noise, or None. Made one tx probing of every row at a time, so
-    that only its (N, n_rf^2) pilot products and m_t N-row noise blocks per
-    row are held; each product keeps the operand layout of a one-row,
-    one-probing product, so batching moves no bit."""
+def _grams(taps: np.ndarray, x: np.ndarray, noise: np.ndarray | None) -> tuple:
+    """The pilot Grams and noise correlations of _Slots from the clusters'
+    taps, the references x (N, R, n_t, n_rf) of every row's tx probings
+    and the rows' noise, or None. Made one tx probing of every row at a
+    time, so that only its (N, n_rf^2) pilot products and m_t N-row noise
+    blocks per row are held; each product keeps the operand layout of a
+    one-row, one-probing product, so batching moves no bit."""
     n, n_rows, n_t, n_rf = x.shape
-    n_taps = len(rho) if rho.ndim == 3 else 1
+    n_taps = len(taps) if taps.ndim == 3 else 1
     per = n_rows // n_taps  # consecutive rows that share a tap set
     # (tap set, probing of its rows, n_rf, N): each probing's references as
     # rows, so that the pilot products run along N
     x = np.ascontiguousarray(x.transpose(1, 2, 3, 0)).reshape(n_taps, per * n_t, n_rf, n)
-    gram = np.empty((n_taps, per * n_t, rho.shape[-1], n_rf * n_rf), dtype=complex)
+    gram = np.empty((n_taps, per * n_t, taps.shape[-1], n_rf * n_rf), dtype=complex)
     corr = None if noise is None else \
         np.empty((n_taps, per * n_t, len(noise[0][0]), noise[0].shape[-1], n_rf), dtype=complex)
     for p in range(per * n_t):
         xc = x[:, p].conj()
-        gram[:, p] = (  # sum_k x[k, j] x*[k, j'] rho[k, l], as (tap set, l, j j')
-            (x[:, p, :, None] * xc[:, None]).reshape(n_taps, -1, n) @ rho).swapaxes(-1, -2)
+        gram[:, p] = (  # sum_k x[k, j] x*[k, j'] taps[k, c], as (tap set, c, j j')
+            (x[:, p, :, None] * xc[:, None]).reshape(n_taps, -1, n) @ taps).swapaxes(-1, -2)
         if noise is not None:  # probing t of row `row` of every tap set
             row, t = divmod(p, n_t)
             z = np.stack([noise[g * per + row][t] for g in range(n_taps)])
@@ -433,12 +434,14 @@ def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
 
 
 def _vfq(v: np.ndarray, f: np.ndarray, gram: np.ndarray, q: int) -> np.ndarray:
-    """(I_q kron v_l)^H F Q_l per row, tx probing and path, (R, n_t, L q,
-    n_rf) with the paths' q rows path-major, of transmit steering v (R, L,
-    N_t), precoders f (R, n_t, q N_t, n_rf) (see _precoders and
-    channel._precoded) and pilot Grams gram (see _Slots)."""
-    vfq = _precoded(v[:, None], f, q) @ gram
-    return vfq.reshape(*vfq.shape[:2], -1, vfq.shape[-1])
+    """(I_q kron v_l)^H F Q_c per row, tx probing and path l of cluster c,
+    (R, n_t, L q, n_rf) with the paths' q rows path-major, of transmit
+    steering v (R, L, N_t), precoders f (R, n_t, q N_t, n_rf) (see
+    _precoders and channel._precoded) and the C clusters' pilot Grams gram
+    (see _Slots): a cluster's S subpaths' S q rows in one product."""
+    vf = _precoded(v[:, None], f, q)  # (R, n_t, L, q, n_rf)
+    n_rows, n_t, _, _, n_rf = vf.shape
+    return (vf.reshape(n_rows, n_t, gram.shape[2], -1, n_rf) @ gram).reshape(n_rows, n_t, -1, n_rf)
 
 
 def _probe(ul: np.ndarray, slots: _Slots, vfq: np.ndarray, tx_book: AxisBook,
@@ -535,15 +538,16 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
                        codebooks: CodebookSet, draws: MultipathDraws) -> MultipathProbing:
     """The MultipathProbing of a plan stacked over T trials, (T, n_t, n_rf)
     and (T, m_t, m_rf), on `channel`, a stacked realization or anything else
-    with its clusters' delay taps and transmit steering v (T, L, N_t)
+    with its clusters' delay taps (N, C) or (T, N, C), read as stored (one
+    pilot Gram per cluster), and transmit steering v (T, L, N_t)
     (channel.SteeredPaths), from the trials' draws (see _multipath_draws,
     which checks the plan's coverage). The codebooks' polarizations set q,
     the transmit factors' I_q. The elevation plans get the pilots of the
     elevation pair table, which does not depend on where the beams are
     steered."""
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
-    rho = _per_path(channel.taps, channel.v.shape[-2])
-    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, rho, draws.noise)
+    azimuth = _slots(plan.tx_idx, plan.rx_idx, pilots, az_book, rx_book, channel.taps,
+                     draws.noise)
     elevation = None
     if draws.el_plan is not None:
         el_book = codebooks.books["elevation"]
@@ -551,7 +555,7 @@ def _multipath_probing(channel, plan: ProbingPlan, pilots: PilotAssignment,
                                   coprime_with=pilots.coprime_with, dc_zero=pilots.dc_zero)
         rows = [a if a is None else a.reshape(-1, *a.shape[2:])  # (trial, path) rows
                 for a in (draws.el_plan.tx_idx, draws.el_plan.rx_idx, draws.el_noise)]
-        elevation = _slots(rows[0], rows[1], el_pilots, el_book, rx_book, rho, rows[2])
+        elevation = _slots(rows[0], rows[1], el_pilots, el_book, rx_book, channel.taps, rows[2])
     q = len(codebooks.config.arrays.pols)
     return MultipathProbing(
         azimuth, _vfq(channel.v, _precoders(az_book, plan.tx_idx), azimuth.gram, q), elevation)

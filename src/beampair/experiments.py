@@ -32,8 +32,8 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channel import (ChannelRealization, ClusterProfile, OfdmConfig, _clustered_draws,
-                      _clustered_columns, _clustered_steered, _rician_draws,
-                      _rician_paths, _steered, pulse_samples)
+                      _clustered_columns, _rician_draws, _rician_paths, _steered,
+                      pulse_coefficients, pulse_samples)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
                        ProbingPlan, build_codebooks, random_probing_plan)
 from .estimator import (_abp_rows, _complex_noise, _fill_angles, _gob_rows,
@@ -67,15 +67,15 @@ STREAMS_TO_PROBINGS = {2: (20, 20), 3: (30, 25)}
 # more of the per-trial numpy dispatch, but a chunk's arrays grow with trials
 # x rows, so the one bound holds a compute step near one size in every
 # family: a pilot_vs_tdm trial holds D pulse-sample rows, so 4,096 / 64 = 64
-# trials at D = 64 and 16 at D = 256, fewer where its paths weigh more (see
-# _tdm_setup); a rate trial's probing, built once
-# per chunk, stacks one tx probing's slot noise at a time, one N-row block
-# per rx probing, to correlate it with the pilots (per profile it builds
-# nothing per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing,
-# fewer where its paths weigh more (see _rate_setup); a
-# maee_vs_snr trial sweeps one receive-beam block per path or per two grid
-# columns, (1 + 5) x 4 = 24 rows at the defaults, so 170 trials (see
-# _maee_setup); a maqe_bits trial is one row. See
+# trials at D = 64 and 16 at D = 256, fewer where its paths or clusters
+# weigh more (see _tdm_setup); a rate trial's probing, built once per chunk,
+# stacks one tx probing's slot noise at a time, one N-row block per rx
+# probing, to correlate it with the pilots (per profile it builds nothing
+# per subcarrier), so 4,096 / (2 x 256) = 8 at the default probing, fewer
+# where its paths or clusters weigh more (see _rate_setup); a maee_vs_snr
+# trial sweeps one receive-beam block per path, per two grid columns or per
+# 12 of its per-path products, (1 + 5) x 4 = 24 rows at the defaults, so
+# 170 trials (see _maee_setup); a maqe_bits trial is one row. See
 # README for the throughput and peak-memory trade-offs that set the value.
 CHUNK_ROWS = 4096
 
@@ -470,8 +470,10 @@ def _maee_setup(cfg: ExperimentConfig):
         # the sweep normals of a trial's two schemes, as _sweep_normals draws them
         normals=(2, 2, 1, n_rx, cbs.grid.shape[1]),
         # per receive beam, the sweep's row of each path over the transmit
-        # grid, or half a row per grid column where that is more
-        trial_rows=n_rx * max(1 + cfg.n_nlos, cbs.grid.shape[1] // 2))
+        # grid, or half a row per grid column, or a row per 12 of the sweep's
+        # per-path products (1 + n_nlos, grid columns), whichever is more
+        trial_rows=n_rx * max(1 + cfg.n_nlos, cbs.grid.shape[1] // 2,
+                              (1 + cfg.n_nlos) * cbs.grid.shape[1] // 12))
 
 
 def _maee_draw(s, snr: float, rngs) -> tuple:
@@ -660,11 +662,11 @@ def _tdm_setup(cfg: ExperimentConfig):
         w=(mid_v + mid_h) / np.sqrt(2),
         profile=_cluster_profile(cfg, cbs),
         # D pulse-sample rows, or 2/3 of a row per path and transmit element
-        # where that is more: a chunk's peak grows with its paths' factors,
-        # about 1.4 KB a path at 32 elements (a 64-trial chunk peaked at
-        # 0.62 MB at the default 3 paths, where the two counts agree (64),
-        # and at 1.44 MB at 12), so the count grows with L N_t
-        trial_rows=max(ofdm.cp_length, 2 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 3))
+        # (the paths' factors, about 1.4 KB a path at 32 elements: a 64-trial
+        # chunk peaked at 0.62 MB at the default 3 paths and 1.44 MB at 12),
+        # or a row per 3 of the C x D pulse samples, whichever is more
+        trial_rows=max(ofdm.cp_length, 2 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 3,
+                       ofdm.cp_length * cfg.n_clusters // 3))
 
 
 def _tdm_draw(s, snr: float, rngs) -> tuple:
@@ -770,12 +772,13 @@ def _rate_setup(cfg: ExperimentConfig):
         n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
         # the probing correlates one tx probing's slot noise at a time: one
         # (N, m_rf) block per rx probing; or 3/2 of a row per path and
-        # transmit element where that is more: the steered paths and their
-        # receive factors under every profile grow with the paths, and an
-        # 8-trial chunk of 24 paths peaked at 2.68 MB against 1.38 MB at the
-        # default 3 paths (96 rows, so the default chunk stays at 8 trials)
+        # transmit element (the paths' factors under every profile: an
+        # 8-trial chunk of 24 paths peaked at 2.68 MB, 1.38 MB at 3 paths);
+        # or a row per 30 of the rate's C^2 tap planes and coefficients per
+        # subcarrier; whichever is more (the default chunk stays at 8 trials)
         trial_rows=max(m_t * ofdm.n_subcarriers,
-                       3 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 2))
+                       3 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 2,
+                       cfg.n_clusters ** 2 * ofdm.n_subcarriers // 30))
 
 
 def _rate_draw(s, snr: float, rngs) -> tuple:
@@ -830,7 +833,7 @@ def _rate_compute(s, snr: float, draws: tuple) -> np.ndarray:
     stacked over profiles, so that the tap planes serve every profile."""
     channel, plan, estimator_draws = draws
     n, n_s, gamma = len(plan.tx_idx), s.cfg.n_s, 10.0 ** (snr / 10.0)
-    paths = _clustered_steered(s.profile, channel, s.arrays, s.ofdm)
+    paths = _clustered_columns(s.profile, channel, s.arrays, s.ofdm, pulse_coefficients)
     probing = _multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws)
     truth = spatial_frequencies([a[:, :n_s] for a in paths.dominant_angles], s.arrays)
     perfect = np.stack([truth.mu_x, truth.mu_y, truth.nu], axis=-1)  # (T, n_s, 3)

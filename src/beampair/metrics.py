@@ -59,13 +59,13 @@ class OverheadModel:
         return n_rf * n_tx * m_rf * m_rx
 
 
-# Values per slice of spectral_efficiency: a slice covers whole trials (the
-# last batch axis), as many as hold SE_VALUES float64 values (0.5 MB) of tap
-# planes, Gram entries and coefficient row products, and at least one, so
-# that the planes and coefficients of many clusters are never all held at
-# once. A robustness rate chunk (4 profiles x 3 schemes per trial) at 3
-# clusters and 3 streams holds some 33,000 values per trial, so it runs
-# trial by trial; norm_se_vs_snr (3 schemes) takes 6 trials a slice.
+# Values per slice of spectral_efficiency: as many whole trials (the last
+# batch axis) as hold SE_VALUES float64 values (0.5 MB) of tap planes, Gram
+# entries, their copy in _logdet and coefficient row products, or one trial
+# and as many of its subcarriers as hold them. A robustness rate chunk (4
+# profiles x 3 schemes a trial) at 3 clusters, 3 streams and N = 256 holds
+# some 60,500 values a trial, so it runs trial by trial; norm_se_vs_snr (3
+# schemes) takes 3 trials a slice.
 SE_VALUES = 2 ** 16
 
 
@@ -97,16 +97,20 @@ def spectral_efficiency(channel: ChannelRealization, f_rf: np.ndarray, w_rf: np.
     if taps.ndim == 2:
         taps = taps[None]  # one tap set for every entry
     n_sub, per = taps.shape[-1], math.prod(p.shape[:-4])  # entries per trial
-    # a trial's tap planes, and per entry its Gram entries and the row
-    # products of its coefficients
-    step = max(1, SE_VALUES // (n_c * n_c * n_sub
-                                + per * n_r * n_r * (n_sub + n_c * n_c * n_j)))
+    # per trial and subcarrier its tap planes, and per entry its Gram entries
+    # and their copy in _logdet; per trial the row products of coefficients
+    plane, coef_values = n_c * n_c + 2 * per * n_r * n_r, per * n_r * n_r * n_c * n_c * n_j
+    step = SE_VALUES // (plane * n_sub + coef_values)
+    block = n_sub if step else max(1, (SE_VALUES - coef_values) // plane)
+    step = max(1, step)
     logdet = np.empty((*p.shape[:-3], n_sub))
     for t in range(0, p.shape[-4], step):
         coef = _coefficients(p[..., t:t + step, :, :, :])
         coef *= gamma / n_s
-        planes = _tap_planes(taps[t:t + step] if len(taps) > 1 else taps)
-        logdet[..., t:t + step, :] = _logdet(coef @ planes, n_r)
+        rows = taps[t:t + step] if len(taps) > 1 else taps
+        for k in range(0, n_sub, block):
+            logdet[..., t:t + step, k:k + block] = _logdet(
+                coef @ _tap_planes(rows[..., k:k + block]), n_r)
     rate = np.mean(logdet / np.log(2.0), axis=-1)
     return rate if batch else float(rate[0])
 

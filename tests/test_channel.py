@@ -10,7 +10,7 @@ from beampair.channel import (ClusterProfile, CrossPolConfig,
                               clustered_channel_generate, copol_frequency_response,
                               crosspol_direct, crosspol_frequency_response,
                               pulse_coefficients, pulse_samples, rician_narrowband,
-                              _clustered_draws, _clustered_paths, _clustered_steered,
+                              _clustered_columns, _clustered_draws, _clustered_paths,
                               _effective, _precoded, _rician_draws, _rician_paths, _steered)
 from beampair.geometry import (AngleSet, ArrayConfig, angles_from_spatial_frequencies,
                                aoa_from_nu, spatial_frequencies, ula_steering, upa_steering)
@@ -318,7 +318,7 @@ class TestFrequencyResponse:
         every trial; precoders without q N_t rows are rejected."""
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4)
         draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(5)])
-        v = _clustered_steered(prof, draws, arrays, OFDM).v
+        v = _clustered_columns(prof, draws, arrays, OFDM, pulse_coefficients).v
         q, n_t = len(arrays.pols), arrays.n_tx
         assert v.shape == (5, 12, n_t)
         dense = np.zeros((5, 12, q, n_t, q), dtype=complex)  # I_q kron v_l
@@ -452,7 +452,8 @@ class TestClustered:
         (cross-pol) of its explicit paths."""
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
         draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(5)])
-        stacked = _clustered_steered(prof, draws, arrays, OFDM).realization(prof)
+        stacked = _clustered_columns(prof, draws, arrays, OFDM,
+                                     pulse_coefficients).realization(prof)
         assert stacked.rho.shape == (5, 64, 3 * subpaths)
         rng = np.random.default_rng(23)
         w = rng.normal(size=(stacked.shape[1], 2)) + 1j * rng.normal(size=(stacked.shape[1], 2))

@@ -12,9 +12,10 @@ import pytest
 
 import beampair.codebook
 import beampair.pilot
-from beampair.channel import (ChannelRealization, CrossPolConfig, OfdmConfig,
-                              PathParams, copol_frequency_response,
-                              crosspol_frequency_response, rician_narrowband)
+from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig, OfdmConfig,
+                              PathParams, _clustered_columns, _clustered_draws,
+                              copol_frequency_response, crosspol_frequency_response,
+                              pulse_coefficients, rician_narrowband)
 from beampair.codebook import (AXES, CodebookConfig, InfeasibleCoverage, ProbingPlan,
                                _axis_book, build_codebooks, random_probing_plan, rx_beam_vector,
                                tx_beam_vector)
@@ -22,7 +23,7 @@ from beampair.estimator import (BothZero, InsufficientNeighbors, NoSignal,
                                 estimate_multipath, estimate_single_path,
                                 gob_estimate, invert_ratio, ratio_closed_form,
                                 ratio_metric, received_symbol, tag_probing,
-                                _fill_angles, _multipath_draws, _noise_like,
+                                _fill_angles, _multipath_draws, _multipath_probing, _noise_like,
                                 _pair_and_invert, _precoders, _probe, _sigma_from_gamma,
                                 _slot_noise, _slots, _sweep, _vfq, _winner)
 from beampair.channel import DimensionMismatch
@@ -999,7 +1000,7 @@ class TestMultipath:
 def _batched(channel, tx_idx, rx_idx, pilots, tx_book, rx_book, noise):
     """The probe kernel on plans tx_idx and rx_idx stacked over the rows of
     a stacked realization, their slots and V^H F Q made for this one call."""
-    slots = _slots(tx_idx, rx_idx, pilots, tx_book, rx_book, channel.rho, noise)
+    slots = _slots(tx_idx, rx_idx, pilots, tx_book, rx_book, channel.taps, noise)
     ul = channel.u.swapaxes(-3, -2).reshape(len(channel.u), channel.u.shape[-2], -1)
     vfq = _vfq(channel.v, _precoders(tx_book, tx_idx), slots.gram, channel.u.shape[-1])
     return _probe(ul, slots, vfq, tx_book, rx_book)
@@ -1031,13 +1032,13 @@ def _accumulate(sums, s, mt: int, t_idx, r_idx) -> None:
 
 def _probe_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
     """Per-slot reference for the probe kernel on one trial, in the path
-    domain: per tx probing the pilot Grams Q_l = sum_k rho[k, l] x_k x_k^H
-    and V_l^H F Q_l, with the transmit factor V_l = I_q kron v_l built
-    dense, per (tx, rx) slot the correlation sum_l (W^H u_l) V_l^H F Q_l
-    plus the slot's projected noise correlated with the pilots, |.|^2 and
-    np.add.at accumulation."""
+    domain: per tx probing each cluster's pilot Gram Q_c = sum_k taps[k, c]
+    x_k x_k^H and, per path l of cluster c, V_l^H F Q_c, with the transmit
+    factor V_l = I_q kron v_l built dense, per (tx, rx) slot the correlation
+    sum_l (W^H u_l) V_l^H F Q_c plus the slot's projected noise correlated
+    with the pilots, |.|^2 and np.add.at accumulation."""
     n, m, _ = channel.shape
-    rho, u, q = channel.rho, channel.u, channel.u.shape[-1]
+    taps, u, q = channel.taps, channel.u, channel.u.shape[-1]
     v = np.zeros((len(u), q, channel.v.shape[-1], q), dtype=complex)  # I_q kron v_l, dense
     for p in range(q):
         v[:, p, :, p] = channel.v
@@ -1051,8 +1052,8 @@ def _probe_loop(channel, plan, pilots, tx_book, rx_book, sigma, rng):
     for nt, t_idx in enumerate(tx_idx):
         x = np.ascontiguousarray(pilots.references(tag_probing(t_idx, tx_book.members)).T)
         xc = x.conj()  # (n_rf, N), as the references' conjugates
-        gram = ((x[:, None] * xc[None]).reshape(-1, n) @ rho).T.reshape(
-            -1, len(t_idx), len(t_idx))
+        gram = np.repeat(((x[:, None] * xc[None]).reshape(-1, n) @ taps).T.reshape(
+            -1, len(t_idx), len(t_idx)), len(u) // taps.shape[-1], axis=0)  # Q_c per path
         vf = v.conj().swapaxes(-1, -2) @ np.take(tx_book.matrix, t_idx, axis=1)
         corr_all = wu @ (vf @ gram).reshape(-1, len(t_idx))
         for mt, (r_idx, corr) in enumerate(zip(rx_idx, np.split(corr_all, splits))):
@@ -1204,7 +1205,7 @@ def _elevation_stage_loop(channel, draws, mu_y, codebooks, pilots) -> list:
     el_plan, el_noise = draws.el_plan, draws.el_noise
     for t in range(len(el_plan.tx_idx)):
         trial = ChannelRealization(  # trial t, as a stack of one
-            channel.rho[t:t + 1] if channel.rho.ndim == 3 else channel.rho,
+            channel.taps[t:t + 1] if channel.taps.ndim == 3 else channel.taps,
             channel.u[t:t + 1], channel.v[t:t + 1], ())
         for p in range(el_plan.tx_idx.shape[1]):
             el_book = _axis_book(codebooks.config, "elevation", float(mu_y[t, p]))
@@ -1259,6 +1260,56 @@ def test_elevation_stage_matches_the_per_path_loop(arrays, n_rf, layout, gamma):
         assert _bits(g.mu_x) == _bits(mu_x)
         assert g.pairs["elevation"] == k and _bits(g.zetas["elevation"]) == _bits(zeta)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("gamma", [None, 10.0], ids=["noiseless", "noisy"])
+def test_subpaths_share_their_cluster_gram(gamma):
+    """Two stacked trials of 3 clusters of 4 subpaths under a full
+    elevation range: both stages' pilot Grams have one entry per cluster (3,
+    not 12 paths) on their path axis; the azimuth probing gives each trial
+    the per-slot loop's strengths and probing totals, and the elevation
+    stage each (trial, path) row the per-row loop's mu_x, pair id and zeta,
+    bit for bit. The same paths ungrouped (one tap column, and one Gram,
+    per path) give the same pairs and estimates within 1e-12: the Grams'
+    products over N, per cluster or per path, may round apart."""
+    prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4)
+    cbs = build_codebooks(CodebookConfig(arrays=CROSS, el_range=(-np.pi / 2, np.pi / 2)))
+    az_book, rx_book = cbs.books["azimuth"], cbs.books["receive"]
+    pilots = assign_pilots(range(len(az_book.pairs)), 64, p=1)
+    draws = _clustered_draws(prof, [np.random.default_rng(70 + t) for t in range(2)])
+    stack = _clustered_columns(prof, draws, CROSS, OfdmConfig(64, 16),
+                               pulse_coefficients).realization(prof)
+    ungrouped = ChannelRealization(stack.rho, stack.u, stack.v, ())
+    plans = [random_probing_plan(cbs, 6, 4, 3, 2, seed=seed, layout="free") for seed in (0, 1)]
+    plan = ProbingPlan(*(np.stack([getattr(p, a) for p in plans])
+                         for a in ("tx_idx", "rx_idx")))
+    sigma = _sigma_from_gamma(gamma)
+    # each trial's noise from its own generator, the azimuth slots' first
+    est_draws = _multipath_draws(cbs, plan, 64, sigma, 2,
+                                 [np.random.default_rng(71 + t) for t in range(2)])
+    probings = [_multipath_probing(c, plan, pilots, cbs, est_draws) for c in (stack, ungrouped)]
+    assert stack.v.shape[1] == 12 and stack.taps.shape[-1] == 3
+    for probing, n_c in zip(probings, (3, 12)):
+        assert probing.azimuth.gram.shape[2] == probing.elevation.gram.shape[2] == n_c
+    ul = stack.u.swapaxes(-3, -2).reshape(2, stack.u.shape[-2], -1)
+    got = _probe(ul, probings[0].azimuth, probings[0].vfq, az_book, rx_book)
+    for t, plan_t in enumerate(plans):
+        trial = ChannelRealization(stack.taps[t], stack.u[t], stack.v[t], ())
+        want = _probe_loop(trial, plan_t, pilots, az_book, rx_book, sigma,
+                           np.random.default_rng(71 + t))
+        for g, w in zip(got, want):
+            assert g[t].tobytes() == w.tobytes()
+    reports = [estimate_multipath(c, plan, pilots, gamma, 2, codebooks=cbs, draws=probing)
+               for c, probing in zip((stack, ungrouped), probings)]
+    want = _elevation_stage_loop(stack, est_draws, reports[0].est[:, 1].reshape(2, 2), cbs,
+                                 pilots)
+    assert None not in want
+    for g, (mu_x, k, zeta) in zip(reports[0].paths, want):
+        assert _bits(g.mu_x) == _bits(mu_x)
+        assert g.pairs["elevation"] == k and _bits(g.zetas["elevation"]) == _bits(zeta)
+    for axis in AXES:
+        assert reports[0].pairs[axis].tolist() == reports[1].pairs[axis].tolist()
+    assert np.allclose(reports[0].est, reports[1].est, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,18 @@ def _maee_trial(s, snr: float, rng) -> list:
     return out
 
 
+EL90 = (-90.0, 90.0)
+
+
+def _peak_case(trials, *budget, **overrides):
+    """A chunk-peak case of `overrides` at `trials` trials a chunk (and a
+    budget, where the test takes one), its id from the overrides: the
+    bandwidth by name, el90 for -90:90 and key plus value for the rest."""
+    parts = [v if k == "bandwidth" else "el90" if k == "el_range_deg" else f"{k}{v}"
+             for k, v in overrides.items()]
+    return pytest.param(overrides, trials, *budget, id="-".join(parts))
+
+
 def _compute_peak(compute, s, draws) -> int:
     """The tracemalloc peak, in bytes, of one compute step over draws at the
     setup's first point, after a first call has made numpy's first-call
@@ -608,7 +620,8 @@ class TestChunks:
             calls.append(args)
             return coefficients(*args, **kwargs)
 
-        monkeypatch.setattr(channel, "pulse_coefficients", counted)
+        for owner in (channel, experiments):
+            monkeypatch.setattr(owner, "pulse_coefficients", counted)
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=3, plots=False)
         run_experiment(cfg, str(tmp_path))
         assert calls == []
@@ -703,7 +716,7 @@ class TestChunks:
 
             monkeypatch.setattr(owner, name, count)
 
-        for owner, name in ((channel, "_clustered_paths"), (channel, "pulse_coefficients"),
+        for owner, name in ((channel, "_clustered_paths"), (experiments, "pulse_coefficients"),
                             (estimator, "tag_probing"), (estimator, "_grams"),
                             (experiments, "estimate_multipath")):
             counting(owner, name)
@@ -955,14 +968,35 @@ class TestChunks:
         ({}, 8, 2.0e6), ({"el_range_deg": (-90.0, 90.0)}, 8, 2.7e6),
         ({"n_clusters": 6}, 8, 2.0e6), ({"subpaths": 4}, 7, 2.0e6),
         ({"n_clusters": 6, "subpaths": 4}, 3, 2.0e6),
-        ({"n_clusters": 6, "subpaths": 4, "el_range_deg": (-90.0, 90.0)}, 3, 2.7e6)],
+        ({"n_clusters": 6, "subpaths": 4, "el_range_deg": (-90.0, 90.0)}, 3, 2.7e6),
+        _peak_case(2, 2.0e6, n_clusters=3, bandwidth="250mhz"),
+        _peak_case(2, 2.0e6, n_clusters=5, subpaths=2, bandwidth="250mhz"),
+        _peak_case(1, 2.0e6, n_clusters=10, subpaths=4, bandwidth="250mhz"),
+        _peak_case(1, 2.7e6, n_clusters=8, bandwidth="250mhz", el_range_deg=EL90),
+        _peak_case(2, 2.7e6, n_clusters=6, subpaths=4, bandwidth="250mhz", el_range_deg=EL90),
+        _peak_case(1, 2.7e6, n_clusters=10, subpaths=4, bandwidth="250mhz", el_range_deg=EL90),
+        _peak_case(8, 2.7e6, n_clusters=5, subpaths=2, el_range_deg=EL90),
+        _peak_case(4, 2.7e6, n_clusters=5, subpaths=3, bandwidth="125mhz", el_range_deg=EL90),
+        _peak_case(4, 2.7e6, n_clusters=5, subpaths=4, bandwidth="125mhz", el_range_deg=EL90),
+        _peak_case(2, 2.7e6, n_clusters=10, subpaths=2, bandwidth="125mhz", el_range_deg=EL90),
+        _peak_case(4, 2.0e6, n_clusters=6, subpaths=3, bandwidth="125mhz"),
+        _peak_case(3, 2.0e6, n_clusters=8, subpaths=2, bandwidth="125mhz"),
+        _peak_case(3, 2.0e6, n_clusters=8, subpaths=3, bandwidth="125mhz"),
+        _peak_case(4, 2.0e6, n_clusters=10),
+        _peak_case(4, 2.7e6, n_clusters=10, el_range_deg=EL90),
+        _peak_case(4, 2.0e6, n_clusters=10, subpaths=2),
+        _peak_case(8, 2.7e6, n_x=8, n_y=8),
+        _peak_case(7, 2.7e6, n_x=8, n_y=16)],
         ids=["default", "el90", "n_clusters6", "subpaths4", "n_clusters6-subpaths4",
-             "n_clusters6-subpaths4-el90"])
+             "n_clusters6-subpaths4-el90"] + [None] * 18)
     def test_rate_chunk_peak_memory(self, overrides, trials, budget):
         """One robustness_xpd compute step at the chunk size that
         _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
         (tracemalloc; 1.38 MB measured), and at most 2.7 MB where the
-        elevation stage runs (2.25 MB), so that a larger chunk cannot undo
+        elevation stage runs (2.25 MB): under -90:90, or at the default
+        range on an 8-element elevation axis (arrays.n_x = 8), which has two
+        elevation beams a polarization (8 x 8: 8 trials, 2.23 MB; 8 x 16: 7
+        trials, 2.36 MB). The budgets hold so that a larger chunk cannot undo
         the lean kernels: the probing builds its pilot Grams and noise
         correlations one tx probing at a time (every elevation probing at
         once peaks at 4.07 MB) and per profile builds nothing per
@@ -971,20 +1005,39 @@ class TestChunks:
         so that 6 clusters (8 trials, 1.67 MB), 4 subpaths (7 trials,
         1.74 MB) and both (3 trials, 1.26 MB; 1.54 MB with the elevation
         stage) stay in the bounds; at 8 trials 4 subpaths peaked at
-        1.96 MB and both at 2.68 MB (4.06 MB with the elevation stage)."""
+        1.96 MB and both at 2.68 MB (4.06 MB with the elevation stage).
+        The other cases span 3-10 clusters of 1-4 subpaths at N = 256 to
+        1,024, each a config that overran its bound while a cluster's
+        subpaths each had a pilot Gram, the rate sliced whole trials only
+        and a trial did not count the rate's C^2 tap planes (up to 3.87 MB
+        at 10 clusters of 4 subpaths at N = 1,024 under -90:90; 1.52 MB
+        now, in 1-trial chunks)."""
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=trials, plots=False,
                                **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
         assert chunk == trials
+        el_beams = s.cbs.books["elevation"].by_pol.values()
+        assert all(len(idx) > 1 for idx in el_beams) == (budget == 2.7e6)
         draws = experiments._rate_draw(s, s.points[0],
                                        experiments._trial_rngs(cfg, 0, range(chunk)))
         assert _compute_peak(experiments._rate_compute, s, draws) <= budget
 
     @pytest.mark.parametrize("overrides,trials,budget", [
         ({}, 64, 1.0e6), ({"bandwidth": "250mhz"}, 16, 0.8e6), ({"n_clusters": 6}, 32, 1.0e6),
-        ({"subpaths": 4}, 16, 1.0e6), ({"n_clusters": 6, "subpaths": 4}, 8, 1.0e6)],
-        ids=["125mhz", "250mhz", "n_clusters6", "subpaths4", "n_clusters6-subpaths4"])
+        ({"subpaths": 4}, 16, 1.0e6), ({"n_clusters": 6, "subpaths": 4}, 8, 1.0e6),
+        _peak_case(16, 0.8e6, n_clusters=1, bandwidth="250mhz"),
+        _peak_case(16, 0.8e6, n_clusters=2, bandwidth="250mhz"),
+        _peak_case(9, 0.8e6, n_clusters=5, bandwidth="250mhz"),
+        _peak_case(9, 0.8e6, n_clusters=5, subpaths=2, bandwidth="250mhz"),
+        _peak_case(8, 0.8e6, n_clusters=6, bandwidth="250mhz"),
+        _peak_case(8, 0.8e6, n_clusters=6, subpaths=2, bandwidth="250mhz"),
+        _peak_case(6, 0.8e6, n_clusters=8, bandwidth="250mhz"),
+        _peak_case(6, 0.8e6, n_clusters=8, subpaths=2, bandwidth="250mhz"),
+        _peak_case(4, 0.8e6, n_clusters=10, bandwidth="250mhz"),
+        _peak_case(4, 0.8e6, n_clusters=10, subpaths=2, bandwidth="250mhz")],
+        ids=["125mhz", "250mhz", "n_clusters6", "subpaths4", "n_clusters6-subpaths4"]
+        + [None] * 10)
     def test_tdm_chunk_peak_memory(self, overrides, trials, budget):
         """One pilot_vs_tdm chunk at the size that _chunk_trials picks, its
         draw step and its compute step, allocates at most 1.0 MB at its
@@ -998,7 +1051,11 @@ class TestChunks:
         factors grow with the paths, and a trial counts them too, so that
         6 clusters (32 trials, 0.59 MB), 4 subpaths (16 trials, 0.43 MB)
         and both (8 trials, 0.42 MB) stay in the bound; counted as D rows,
-        a 64-trial chunk of them peaked at 1.17, 1.44 and 2.80 MB."""
+        a 64-trial chunk of them peaked at 1.17, 1.44 and 2.80 MB. A trial
+        counts its clusters' D pulse samples too, so that 5-10 clusters at
+        N = 1,024 (D = 256) stay in the bound (9 to 4 trials, at most
+        0.54 MB); at 16 trials they peaked at 0.88-1.74 MB. One and two
+        clusters there keep 16 trials (0.19 and 0.36 MB)."""
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=trials, plots=False,
                                **overrides)
         s = experiments.setup_experiment(cfg)
@@ -1038,8 +1095,14 @@ class TestChunks:
 
     @pytest.mark.parametrize("overrides,trials", [
         ({}, 170), ({"n_nlos": 0}, 170), ({"n_x": 8, "n_y": 16}, 46), ({"n_x": 8}, 85),
-        ({"m_tot": 8}, 85), ({"n_nlos": 11}, 85), ({"n_x": 6, "n_y": 7}, 146)],
-        ids=["default", "n_nlos0", "8x16", "n_x8", "m_tot8", "n_nlos11", "6x7"])
+        ({"m_tot": 8}, 85), ({"n_nlos": 11}, 85), ({"n_x": 6, "n_y": 7}, 146),
+        _peak_case(42, n_nlos=11, n_x=8), _peak_case(21, n_nlos=11, n_x=8, m_tot=8),
+        _peak_case(23, n_nlos=11, n_x=8, n_y=16),
+        _peak_case(11, n_nlos=11, n_x=8, n_y=16, m_tot=8),
+        _peak_case(24, n_nlos=20, n_x=8), _peak_case(12, n_nlos=20, n_x=8, m_tot=8),
+        _peak_case(13, n_nlos=20, n_x=8, n_y=16),
+        _peak_case(6, n_nlos=20, n_x=8, n_y=16, m_tot=8)],
+        ids=["default", "n_nlos0", "8x16", "n_x8", "m_tot8", "n_nlos11", "6x7"] + [None] * 8)
     def test_maee_chunk_peak_memory(self, overrides, trials):
         """One maee_vs_snr compute step at the chunk size that _chunk_trials
         picks (170 trials at the default) allocates at most 2.4 MB at its
@@ -1050,7 +1113,11 @@ class TestChunks:
         (46 trials, 1.59 MB), n_x = 8 (85, 1.59 MB) and a 6 x 7 array (146,
         1.80 MB) stay in the bound; counted by paths alone they got 1,024,
         170, 170 and 170 trials and peaked at 4.62, 5.86, 3.19 and
-        2.09 MB."""
+        2.09 MB. It counts the sweep's per-path products (1 + n_nlos,
+        receive beams, grid columns) too, so that 11 and 20 NLOS paths on an
+        8 x 8 or 8 x 16 array (42 to 6 trials, at most 1.59 MB) stay in the
+        bound; without them they got twice the trials or more and peaked at
+        2.40-5.55 MB."""
         cfg = ExperimentConfig(experiment="maee_vs_snr", plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)

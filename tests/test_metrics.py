@@ -7,9 +7,10 @@ import pytest
 from beampair import metrics
 from beampair import experiments
 from beampair.channel import (ChannelRealization, ClusterProfile, CrossPolConfig,
-                              DimensionMismatch, OfdmConfig, PathParams, _clustered_draws,
-                              _clustered_steered, clustered_channel_generate,
-                              copol_frequency_response, crosspol_frequency_response)
+                              DimensionMismatch, OfdmConfig, PathParams, _clustered_columns,
+                              _clustered_draws, clustered_channel_generate,
+                              copol_frequency_response, crosspol_frequency_response,
+                              pulse_coefficients)
 from beampair.codebook import rx_beam_vector, tx_beam_vector
 from beampair.geometry import (AngleSet, ArrayConfig,
                                angles_from_spatial_frequencies, aoa_from_nu)
@@ -231,7 +232,8 @@ class TestSpectralEfficiency:
         prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=subpaths)
         arrays = ArrayConfig(2, 4, 3, polarization_mode=mode)
         draws = _clustered_draws(prof, [np.random.default_rng(90 + t) for t in range(4)])
-        chan = _clustered_steered(prof, draws, arrays, OfdmConfig(32, 8)).realization(prof)
+        chan = _clustered_columns(prof, draws, arrays, OfdmConfig(32, 8),
+                                  pulse_coefficients).realization(prof)
         assert chan.taps.shape == (4, 32, 3) and chan.u.shape[1] == 3 * subpaths
         rng = np.random.default_rng(91)
         m, n_t = chan.shape[1:]
@@ -277,16 +279,24 @@ class TestSpectralEfficiency:
             with pytest.raises(ValueError, match="finite"):
                 spectral_efficiency(h, np.eye(2), np.eye(2), gamma, 2)
 
+    @staticmethod
+    def _slice(per, n, n_s, n_c):
+        """(trials, subcarriers) a slice, as spectral_efficiency counts
+        values: per trial and subcarrier the tap planes, and per entry the
+        Gram entries and their copy; per trial the coefficient products."""
+        plane, coef = n_c * n_c + 2 * per * n_s * n_s, per * n_s * n_s * n_c * n_c * n_s
+        step = metrics.SE_VALUES // (plane * n + coef)
+        return (step, n) if step else (1, (metrics.SE_VALUES - coef) // plane)
+
     def test_lane_slices_move_no_bit(self):
         """Batches wider than one slice of SE_VALUES values, and no multiple
         of it, give each entry the bytes of its own call: 3 beamformer sets
-        x 7 stacked trials of 4 clusters at 200 subcarriers (slices of 6
-        trials), and 15 sets on one of those trials (slices of 12 sets)."""
+        x 7 stacked trials of 4 clusters at 200 subcarriers (slices of 4
+        trials), and 15 sets on one of those trials (slices of 9 sets)."""
         n, n_s, n_c = 200, 3, 4
 
-        def step(per):  # trials a slice, as spectral_efficiency counts values
-            return metrics.SE_VALUES // (n_c * n_c * n
-                                         + per * n_s * n_s * (n + n_c * n_c * n_s))
+        def step(per):  # trials a slice
+            return self._slice(per, n, n_s, n_c)[0]
 
         for per, entries in ((3, 7), (1, 15)):
             assert 1 < step(per) < entries and entries % step(per)
@@ -294,7 +304,7 @@ class TestSpectralEfficiency:
         arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
         ofdm = OfdmConfig(n, 8)
         draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(7)])
-        stack = _clustered_steered(prof, draws, arrays, ofdm).realization(prof)
+        stack = _clustered_columns(prof, draws, arrays, ofdm, pulse_coefficients).realization(prof)
         rng = np.random.default_rng(89)
         f = rng.normal(size=(3, 7, 16, n_s)) + 1j * rng.normal(size=(3, 7, 16, n_s))
         w = rng.normal(size=(3, 7, 6, n_s)) + 1j * rng.normal(size=(3, 7, 6, n_s))
@@ -312,6 +322,39 @@ class TestSpectralEfficiency:
         for i in range(15):
             want = spectral_efficiency(chans[0], f[i], w[i], 10.0, n_s)
             assert rates[i].tobytes() == np.float64(want).tobytes()
+
+    def test_subcarrier_blocks_move_no_bit(self, monkeypatch):
+        """A trial that holds more than SE_VALUES values runs in blocks of
+        its subcarriers, and each entry keeps the bytes of its own call: 12
+        beamformer sets x 2 stacked trials of 4 clusters at 1,000
+        subcarriers (blocks of 260, the last of 220), where one set alone
+        is one block of all 1,000."""
+        n, n_s, n_c = 1000, 3, 4
+        assert self._slice(12, n, n_s, n_c) == (1, 260)
+        assert self._slice(1, n, n_s, n_c) == (1, n)
+        prof = ClusterProfile(n_clusters=n_c, subpaths_per_cluster=2)
+        arrays = ArrayConfig(2, 4, 3, polarization_mode="cross")
+        ofdm = OfdmConfig(n, 8)
+        draws = _clustered_draws(prof, [np.random.default_rng(t) for t in range(2)])
+        stack = _clustered_columns(prof, draws, arrays, ofdm,
+                                   pulse_coefficients).realization(prof)
+        rng = np.random.default_rng(92)
+        f = rng.normal(size=(12, 2, 16, n_s)) + 1j * rng.normal(size=(12, 2, 16, n_s))
+        w = rng.normal(size=(12, 2, 6, n_s)) + 1j * rng.normal(size=(12, 2, 6, n_s))
+        blocks, tap_planes = [], metrics._tap_planes
+
+        def recording(taps):
+            blocks.append(taps.shape[-1])
+            return tap_planes(taps)
+
+        monkeypatch.setattr(metrics, "_tap_planes", recording)
+        rates = spectral_efficiency(stack, f, w, 10.0, n_s)
+        assert rates.shape == (12, 2) and blocks == [260, 260, 260, 220] * 2
+        for t in range(2):
+            chan = clustered_channel_generate(prof, np.random.default_rng(t), arrays, ofdm)
+            for i in range(12):
+                want = spectral_efficiency(chan, f[i, t], w[i, t], 10.0, n_s)
+                assert rates[i, t].tobytes() == np.float64(want).tobytes()
 
     def test_channel_realization_input(self):
         arrays = ArrayConfig(2, 4, 2)
