@@ -152,11 +152,9 @@ def _noise_like(shape, sigma: float, rng: np.random.Generator,
     return _complex_noise(z[:, 0], z[:, 1], sigma).reshape(*batch, *dims)
 
 
-def _complex_noise(re: np.ndarray, im: np.ndarray, sigma: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """sigma * (re + 1j im) / sqrt 2 from standard normals re and im,
-    written into `out` when given."""
-    out = np.empty(re.shape, dtype=complex) if out is None else out
+def _complex_noise(re: np.ndarray, im: np.ndarray, sigma: float) -> np.ndarray:
+    """sigma * (re + 1j im) / sqrt 2 from standard normals re and im."""
+    out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     out *= sigma  # the bits of sigma * (re + 1j im) / sqrt 2: numpy divides
     out *= 1 / np.sqrt(2)  # a complex by a real as a product with the reciprocal

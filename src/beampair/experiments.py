@@ -36,7 +36,7 @@ from .channel import (ChannelRealization, ClusterProfile, OfdmConfig, _clustered
                       pulse_coefficients, pulse_samples)
 from .codebook import (AXES, AxisBook, CodebookConfig, CodebookSet, InfeasibleCoverage,
                        ProbingPlan, build_codebooks, random_probing_plan)
-from .estimator import (_abp_rows, _complex_noise, _fill_angles, _gob_rows,
+from .estimator import (_abp_rows, _fill_angles, _gob_rows,
                         _multipath_draws, _multipath_probing, _sigma_from_gamma, _sweep,
                         estimate_multipath)
 from .feedback import (quantize_differential, quantize_direct, reconstruct_differential,
@@ -645,7 +645,7 @@ def _tdm_setup(cfg: ExperimentConfig):
                            root_pool=cfg.roots, p=cfg.p,
                            coprime_with=cfg.coprime_with, dc_zero=cfg.dc_zero)
     x = pilots.references(tags)  # (N, beam)
-    n = ofdm.n_subcarriers
+    n, n_paths = ofdm.n_subcarriers, cfg.n_clusters * cfg.subpaths
     lags = np.fft.fft((x[:, :, None] * x.conj()[:, None, :]).reshape(n, -1), axis=0)
     # single-RF combiner spanning both polarization element groups so the
     # horizontally polarized probing beams are not leakage-suppressed
@@ -653,7 +653,7 @@ def _tdm_setup(cfg: ExperimentConfig):
     return SimpleNamespace(
         cfg=cfg, points=snr_grid(cfg), arrays=arrays, ofdm=ofdm, tags=tags,
         roots=[pilots.roots[a] for a, _ in tags],
-        x_conj=x.conj(),
+        x_conj=x.conj().view(float),  # (N, 2 beam): each x*'s real, imaginary parts
         lags=lags[: ofdm.cp_length].view(float),  # (D, 2 beam^2)
         # each reference's count of nonzero entries: N, less the DC
         # subcarrier where dc_zero nulled it
@@ -664,29 +664,33 @@ def _tdm_setup(cfg: ExperimentConfig):
         # D pulse-sample rows, or 2/3 of a row per path and transmit element
         # (the paths' factors, about 1.4 KB a path at 32 elements: a 64-trial
         # chunk peaked at 0.62 MB at the default 3 paths and 1.44 MB at 12),
-        # or a row per 3 of the C x D pulse samples, whichever is more
-        trial_rows=max(ofdm.cp_length, 2 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 3,
-                       ofdm.cp_length * cfg.n_clusters // 3))
+        # or 4/3 of a row per path and receive element (its receive factors
+        # u, (L, 2 M, 2), and the steering a_r they come from: a 64-trial
+        # chunk peaked at 1.08 MB at M = 32 and 1.57 MB at 64), or a row per
+        # 3 of the C x D pulse samples, whichever is more
+        trial_rows=max(ofdm.cp_length, 2 * n_paths * arrays.n_tx // 3,
+                       4 * n_paths * arrays.m_tot // 3, ofdm.cp_length * cfg.n_clusters // 3))
 
 
 def _tdm_draw(s, snr: float, rngs) -> tuple:
     """A chunk's draws, trial t's from rngs[t] in the order of the
     per-trial flow: the clustered channel's (see _clustered_draws), then
     the noise rows (N,) of the pilot and of each TDM slot, returned already
-    correlated with the references, z (T, 1 + beam, beam). Every trial's
-    rows pass through one normal buffer and one complex buffer, assembled
-    as _complex_noise assembles them, and each trial is correlated alone,
-    as a (1 + beam, N) @ (N, beam) product into its row of z."""
+    correlated with the references, z (T, 1 + beam, beam). Each trial's
+    normals (1 + beam, 2, N), real parts before imaginary ones, meet x* as
+    they are drawn, in one real (2 (1 + beam), N) @ (N, 2 beam) product; the
+    chunk takes z = sigma / sqrt 2 ((re x*_r - im x*_i) + 1j (re x*_i +
+    im x*_r)) from those products at once: no complex noise row is formed."""
     sigma = _sigma_from_gamma(10.0 ** (snr / 10.0))
     channel = _clustered_draws(s.profile, rngs)
     n_b = len(s.tags)
-    normals = np.empty((1 + n_b, 2, s.ofdm.n_subcarriers))
-    noise = np.empty((1 + n_b, s.ofdm.n_subcarriers), dtype=complex)
-    z = np.empty((len(rngs), 1 + n_b, n_b), dtype=complex)
-    for rng, row in zip(rngs, z):
+    normals = np.empty((2 * (1 + n_b), s.ofdm.n_subcarriers))
+    p = np.empty((len(rngs), 1 + n_b, 2, n_b, 2))  # (T, row, re/im, beam, x*_r/x*_i)
+    for rng, row in zip(rngs, p.reshape(len(rngs), len(normals), -1)):
         rng.standard_normal(out=normals)
-        np.matmul(_complex_noise(normals[:, 0], normals[:, 1], sigma, noise), s.x_conj, out=row)
-    return channel, z
+        np.matmul(normals, s.x_conj, out=row)
+    z = (p[..., 0, :, 0] - p[..., 1, :, 1]) + 1j * (p[..., 0, :, 1] + p[..., 1, :, 0])
+    return channel, z * (sigma / np.sqrt(2))
 
 
 def _tdm_compute(s, snr: float, draws: tuple) -> np.ndarray:

@@ -469,7 +469,7 @@ def _tdm_trial(s, snr: float, rng) -> np.ndarray:
     of the pilot and the TDM scheme, (scheme, beam)."""
     sigma = math.sqrt(1.0 / 10.0 ** (snr / 10.0))
     n = s.ofdm.n_subcarriers
-    x = s.x_conj.conj()
+    x = s.x_conj.view(complex).conj()
     chan = clustered_channel_generate(s.profile, rng, s.arrays, s.ofdm)
     y_beam = chan.beamformed(s.w[:, None], s.f)[:, 0, :] * x
     noise = _noise_like(n, sigma, rng, batch=(1 + len(s.tags),))  # pilot, then slots
@@ -608,6 +608,31 @@ class TestChunks:
         got = experiments._tdm_compute(s, snr, draws)
         assert got.shape == want.shape == (9, 2, 4)
         assert np.max(np.abs(got - want) / want) <= 1e-12
+
+    @pytest.mark.parametrize("snr", [10.0, -10.0, math.inf])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dc_zero": True}, {"bandwidth": "250mhz"}, {"bandwidth": "desk"}, {"m_tot": 32}],
+        ids=["default", "dc_zero", "250mhz", "desk", "m_tot32"])
+    def test_tdm_noise_correlation_matches_complex_oracle(self, snr, overrides):
+        """The draw step's noise correlations z (T, 1 + beam, beam), taken
+        from real products of the normals, agree per entry with the complex
+        noise rows (N,) of the same streams correlated by a complex product
+        with x* to within N eps sum_k |n_k| |x_k|, the textbook bound of a
+        length-N dot product, and leave each generator where that flow
+        does."""
+        cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=9, plots=False, **overrides)
+        s = experiments.setup_experiment(cfg)
+        rngs, ref_rngs = (experiments._trial_rngs(cfg, 0, range(9)) for _ in range(2))
+        _, got = experiments._tdm_draw(s, snr, rngs)
+        sigma = math.sqrt(1.0 / 10.0 ** (snr / 10.0))
+        n, x_conj = s.ofdm.n_subcarriers, s.x_conj.view(complex)  # (N, beam)
+        for t, rng, ref_rng in zip(range(9), rngs, ref_rngs):
+            channel._clustered_draws(s.profile, [ref_rng])
+            noise = _noise_like(n, sigma, ref_rng, batch=(1 + len(s.tags),))
+            want = noise @ x_conj
+            bound = n * np.finfo(float).eps * (np.abs(noise) @ np.abs(x_conj))
+            assert np.all(np.abs(got[t] - want) <= bound), f"trial {t}"
+            assert rng.bit_generator.state == ref_rng.bit_generator.state, f"trial {t}"
 
     def test_tdm_run_never_builds_subcarrier_taps(self, tmp_path, monkeypatch):
         """A pilot_vs_tdm run reads each cluster's D pulse samples only: it
@@ -817,7 +842,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("family,line,size", [
         ("pilot_vs_tdm", "", 64), ("pilot_vs_tdm", "channel.bandwidth = 250mhz", 16),
-        ("pilot_vs_tdm", "channel.subpaths = 4", 16),
+        ("pilot_vs_tdm", "channel.subpaths = 4", 16), ("pilot_vs_tdm", "arrays.m_tot = 32", 32),
         ("norm_se_vs_snr", "", 8), ("robustness_xpd", "", 8),
         ("norm_se_vs_snr", "overhead.n_s = 2", 8), ("maee_vs_snr", "", 170),
         ("maee_vs_snr", "channel.n_nlos = 0", 170), ("maqe_bits", "", 4096)])
@@ -825,8 +850,9 @@ class TestChunks:
         """A chunk holds CHUNK_ROWS // the rows of a trial: a pilot_vs_tdm
         trial holds D pulse-sample rows (64 trials at D = 64, 16 at the
         250mhz profile's D = 256), or 2/3 of a row per path and transmit
-        element where that is more (16 trials at 12 paths of 32), a rate
-        trial one N-row block per rx probing (2 at N = 256 give 8 trials,
+        element where that is more (16 trials at 12 paths of 32), or 4/3 of
+        a row per path and receive element (32 trials at 3 paths of 32
+        receive elements), a rate trial one N-row block per rx probing (2 at N = 256 give 8 trials,
         also at n_s = 2, whose 3 tx probings are correlated one at a time),
         a maee_vs_snr trial one block of 4 receive beams per path or per
         two transmit grid columns, whichever is more (6 paths or the 12
@@ -986,9 +1012,11 @@ class TestChunks:
         _peak_case(4, 2.7e6, n_clusters=10, el_range_deg=EL90),
         _peak_case(4, 2.0e6, n_clusters=10, subpaths=2),
         _peak_case(8, 2.7e6, n_x=8, n_y=8),
-        _peak_case(7, 2.7e6, n_x=8, n_y=16)],
+        _peak_case(7, 2.7e6, n_x=8, n_y=16),
+        _peak_case(2, 2.0e6, m_tot=16), _peak_case(1, 2.0e6, m_tot=32),
+        _peak_case(1, 2.0e6, m_tot=64)],
         ids=["default", "el90", "n_clusters6", "subpaths4", "n_clusters6-subpaths4",
-             "n_clusters6-subpaths4-el90"] + [None] * 18)
+             "n_clusters6-subpaths4-el90"] + [None] * 21)
     def test_rate_chunk_peak_memory(self, overrides, trials, budget):
         """One robustness_xpd compute step at the chunk size that
         _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
@@ -1011,7 +1039,8 @@ class TestChunks:
         subpaths each had a pilot Gram, the rate sliced whole trials only
         and a trial did not count the rate's C^2 tap planes (up to 3.87 MB
         at 10 clusters of 4 subpaths at N = 1,024 under -90:90; 1.52 MB
-        now, in 1-trial chunks)."""
+        now, in 1-trial chunks). Receive arrays of arrays.m_tot = 16, 32 and
+        64 (2, 1 and 1 trials) peak at 0.79, 0.72 and 0.91 MB."""
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=trials, plots=False,
                                **overrides)
         s = experiments.setup_experiment(cfg)
@@ -1035,9 +1064,12 @@ class TestChunks:
         _peak_case(6, 0.8e6, n_clusters=8, bandwidth="250mhz"),
         _peak_case(6, 0.8e6, n_clusters=8, subpaths=2, bandwidth="250mhz"),
         _peak_case(4, 0.8e6, n_clusters=10, bandwidth="250mhz"),
-        _peak_case(4, 0.8e6, n_clusters=10, subpaths=2, bandwidth="250mhz")],
+        _peak_case(4, 0.8e6, n_clusters=10, subpaths=2, bandwidth="250mhz"),
+        _peak_case(64, 1.0e6, m_tot=16), _peak_case(32, 1.0e6, m_tot=32),
+        _peak_case(16, 1.0e6, m_tot=64), _peak_case(16, 1.0e6, m_tot=32, n_clusters=6),
+        _peak_case(16, 0.8e6, m_tot=64, bandwidth="250mhz")],
         ids=["125mhz", "250mhz", "n_clusters6", "subpaths4", "n_clusters6-subpaths4"]
-        + [None] * 10)
+        + [None] * 15)
     def test_tdm_chunk_peak_memory(self, overrides, trials, budget):
         """One pilot_vs_tdm chunk at the size that _chunk_trials picks, its
         draw step and its compute step, allocates at most 1.0 MB at its
@@ -1055,7 +1087,12 @@ class TestChunks:
         counts its clusters' D pulse samples too, so that 5-10 clusters at
         N = 1,024 (D = 256) stay in the bound (9 to 4 trials, at most
         0.54 MB); at 16 trials they peaked at 0.88-1.74 MB. One and two
-        clusters there keep 16 trials (0.19 and 0.36 MB)."""
+        clusters there keep 16 trials (0.19 and 0.36 MB). A trial counts its
+        paths' receive factors too, so that arrays.m_tot = 32 (32 trials,
+        0.67 MB), 64 (16 trials, 0.59 MB) and 32 with 6 clusters (16 trials,
+        0.65 MB) stay in the bound; counted without them, their chunks of 64,
+        64 and 32 trials peaked at 1.08, 1.57 and 1.04 MB. m_tot = 16 keeps
+        64 trials (0.83 MB), and 64 at N = 1,024 keeps 16 (0.67 MB)."""
         cfg = ExperimentConfig(experiment="pilot_vs_tdm", trials=trials, plots=False,
                                **overrides)
         s = experiments.setup_experiment(cfg)
@@ -1101,8 +1138,9 @@ class TestChunks:
         _peak_case(11, n_nlos=11, n_x=8, n_y=16, m_tot=8),
         _peak_case(24, n_nlos=20, n_x=8), _peak_case(12, n_nlos=20, n_x=8, m_tot=8),
         _peak_case(13, n_nlos=20, n_x=8, n_y=16),
-        _peak_case(6, n_nlos=20, n_x=8, n_y=16, m_tot=8)],
-        ids=["default", "n_nlos0", "8x16", "n_x8", "m_tot8", "n_nlos11", "6x7"] + [None] * 8)
+        _peak_case(6, n_nlos=20, n_x=8, n_y=16, m_tot=8),
+        _peak_case(42, m_tot=16), _peak_case(21, m_tot=32), _peak_case(10, m_tot=64)],
+        ids=["default", "n_nlos0", "8x16", "n_x8", "m_tot8", "n_nlos11", "6x7"] + [None] * 11)
     def test_maee_chunk_peak_memory(self, overrides, trials):
         """One maee_vs_snr compute step at the chunk size that _chunk_trials
         picks (170 trials at the default) allocates at most 2.4 MB at its
@@ -1117,7 +1155,8 @@ class TestChunks:
         receive beams, grid columns) too, so that 11 and 20 NLOS paths on an
         8 x 8 or 8 x 16 array (42 to 6 trials, at most 1.59 MB) stay in the
         bound; without them they got twice the trials or more and peaked at
-        2.40-5.55 MB."""
+        2.40-5.55 MB. Receive arrays of arrays.m_tot = 16, 32 and 64 (42, 21
+        and 10 trials) peak at 1.11, 1.04 and 0.96 MB."""
         cfg = ExperimentConfig(experiment="maee_vs_snr", plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)

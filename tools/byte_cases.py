@@ -46,7 +46,10 @@ arrays.n_x = 8, arrays.n_y = 16 transmit array (128 elements a
 polarization, 44 transmit grid columns), each over one full chunk and a
 remainder of 1: maee_vs_snr at 47 trials, with and without
 channel.n_nlos = 0, pilot_vs_tdm at 17, and the rate families at 8, at the
-default elevation range and under -90:90. 365 cases in all."""
+default elevation range and under -90:90; and pilot_vs_tdm at seeds 0-2 on a
+32-element receive array (arrays.m_tot = 32, whose receive factors shrink
+its chunk to 32 trials) at 33 trials, one full chunk and a remainder of 1.
+368 cases in all."""
 
 import math
 import shutil
@@ -139,6 +142,7 @@ def cases():
             rate = {**big, "experiment": family, "trials": 8}
             yield f"{family}-s{seed}-t8-nx8-ny16", rate
             yield f"{family}-s{seed}-t8-el90-nx8-ny16", {**rate, **EL90}
+        yield f"pilot_vs_tdm-s{seed}-t33-mtot32", {**tdm, "trials": 33, "m_tot": 32}
     for family in EXPERIMENTS:
         yield f"{family}-s{BIG_SEED}", {"experiment": family, "seed": BIG_SEED,
                                         "trials": TRIALS[family]}
