@@ -114,13 +114,17 @@ def _effective(g: np.ndarray, xp: CrossPolConfig) -> np.ndarray:
     """Effective gains [[vv, vh], [hv, hh]] of raw gains g (..., 2, 2) in the
     same layout: the power-imbalance mask [[1, rc], [rc, 1]] (rc =
     sqrt(chi)), then the polarization mismatch rotation of each row, then
-    the power scaling q = sqrt(1 / (1 + chi))."""
-    rc = np.sqrt(xp.chi)
-    c, s = np.cos(xp.varsigma), np.sin(xp.varsigma)
-    masked = g * np.array([[1.0, rc], [rc, 1.0]])
+    the power scaling q = sqrt(1 / (1 + chi)). xp's chi and varsigma are
+    floats, or arrays of one shape (a sweep's profiles) whose axes then
+    lead g's: one set of effective gains per entry, each as its floats
+    give it."""
+    # chi and varsigma against the rows (..., 2) of g
+    chi, vs = (np.reshape(a, np.shape(a) + (1,) * (g.ndim - 1)) for a in (xp.chi, xp.varsigma))
+    c, s = np.cos(vs), np.sin(vs)
+    masked = g * np.where(np.eye(2, dtype=bool), 1.0, np.sqrt(chi)[..., None])
     left, right = masked[..., 0], masked[..., 1]
     rotated = np.stack([left * c + right * s, right * c - left * s], axis=-1)
-    return np.sqrt(1.0 / (1.0 + xp.chi)) * rotated
+    return np.sqrt(1.0 / (1.0 + chi[..., None])) * rotated
 
 
 @dataclass
@@ -234,14 +238,18 @@ class SteeredPaths:
 
     def realization(self, xp) -> ChannelRealization:
         """The realization under cross-pol settings xp (anything with chi and
-        varsigma: a CrossPolConfig or a ClusterProfile); co-pol paths, whose
-        g has one axis less than v, take their gains as they are (q = 1)
-        and ignore xp."""
+        varsigma: a CrossPolConfig or a ClusterProfile, or equal-shape
+        arrays of them, whose axes then lead u's: u (P, T, L, M, q) for P
+        profiles of T stacked trials, everything else shared); co-pol
+        paths, whose g has one axis less than v, take their gains as they
+        are (q = 1) under every entry of xp, one u seen through xp's axes."""
         if self.g.ndim < self.v.ndim:
             u = (self.g[..., None] * self.a_r)[..., None]
+            lead = () if xp is None else np.shape(xp.chi)
+            u = np.broadcast_to(u, lead + u.shape) if lead else u
         else:
             e = _effective(self.g, xp)
-            u = (e[..., None, :] * self.a_r[..., None, :, None]).reshape(*self.g.shape[:-2], -1, 2)
+            u = (e[..., None, :] * self.a_r[..., None, :, None]).reshape(*e.shape[:-2], -1, 2)
         return ChannelRealization(self.taps, u, self.v, self.dominant_angles)
 
 

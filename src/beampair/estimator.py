@@ -210,14 +210,16 @@ def _sweep(channel: ChannelRealization, codebooks: CodebookSet, normals=None,
     return strengths, n_rx * n_grid
 
 
-def _binned(idx: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Per row of weights (rows, ...), its weights summed into `size` bins
-    by idx, which broadcasts against the row: (rows, size). One bincount
-    for all rows, row t's bins offset by t * size."""
-    row = np.arange(len(weights)).reshape(-1, *(1,) * (weights.ndim - 1))
+def _binned(idx: np.ndarray, weights: np.ndarray, size: int, lead: int = 1) -> np.ndarray:
+    """Per row of weights (*rows, ...), whose first `lead` axes index the
+    rows, its weights summed into `size` bins by idx, which broadcasts
+    against weights: (*rows, size). One bincount for all rows, row t's bins
+    offset by t * size, the rows counted in C order."""
+    rows = weights.shape[:lead]
+    row = np.arange(math.prod(rows)).reshape(*rows, *(1,) * (weights.ndim - lead))
     bins = np.broadcast_to(idx + size * row, weights.shape)
     return np.bincount(bins.ravel(), weights=weights.ravel(),
-                       minlength=len(weights) * size).reshape(len(weights), size)
+                       minlength=row.size * size).reshape(*rows, size)
 
 
 def _winner(s: np.ndarray, among=None) -> np.ndarray:
@@ -422,43 +424,51 @@ def _grams(taps: np.ndarray, x: np.ndarray, noise: np.ndarray | None) -> tuple:
 
 
 def _precoders(tx_book: AxisBook, tx_idx: np.ndarray) -> np.ndarray:
-    """The transmit beams of plans tx_idx (R, n_t, n_rf), (R, n_t, N_t, n_rf),
-    from a book of one matrix or one per row (see AxisBook); each row's
-    precoders (N_t, n_t, n_rf) are laid out as alone."""
+    """The transmit beams of plans tx_idx (R, n_t, n_rf), (..., R, n_t, N_t,
+    n_rf), from a book of one matrix, or of one per row and batch entry,
+    (..., R, N_t, beams) (see AxisBook); each row's precoders (N_t, n_t,
+    n_rf) are laid out as alone."""
     n_rows, n_t, n_rf = tx_idx.shape
-    f = np.take_along_axis(tx_book.matrix.reshape(-1, *tx_book.matrix.shape[-2:]),
-                           tx_idx.reshape(n_rows, 1, -1), axis=-1)
-    return f.reshape(n_rows, -1, n_t, n_rf).transpose(0, 2, 1, 3)
+    book = tx_book.matrix if tx_book.matrix.ndim > 2 else tx_book.matrix[None]
+    f = np.take_along_axis(book, tx_idx.reshape(*(1,) * (book.ndim - 3), n_rows, 1, -1), axis=-1)
+    return f.reshape(*f.shape[:-1], n_t, n_rf).swapaxes(-3, -2)
 
 
 def _vfq(v: np.ndarray, f: np.ndarray, gram: np.ndarray, q: int) -> np.ndarray:
     """(I_q kron v_l)^H F Q_c per row, tx probing and path l of cluster c,
-    (R, n_t, L q, n_rf) with the paths' q rows path-major, of transmit
-    steering v (R, L, N_t), precoders f (R, n_t, q N_t, n_rf) (see
+    (..., R, n_t, L q, n_rf) with the paths' q rows path-major, of transmit
+    steering v (R, L, N_t), precoders f (..., R, n_t, q N_t, n_rf) (see
     _precoders and channel._precoded) and the C clusters' pilot Grams gram
-    (see _Slots): a cluster's S subpaths' S q rows in one product."""
-    vf = _precoded(v[:, None], f, q)  # (R, n_t, L, q, n_rf)
-    n_rows, n_t, _, _, n_rf = vf.shape
-    return (vf.reshape(n_rows, n_t, gram.shape[2], -1, n_rf) @ gram).reshape(n_rows, n_t, -1, n_rf)
+    (see _Slots): a cluster's S subpaths' S q rows in one product. Batch
+    axes of f share v and gram."""
+    vf = _precoded(v[:, None], f, q)  # (..., R, n_t, L, q, n_rf)
+    lead, n_rf = vf.shape[:-3], vf.shape[-1]
+    return (vf.reshape(*lead, gram.shape[2], -1, n_rf) @ gram).reshape(*lead, -1, n_rf)
 
 
 def _probe(ul: np.ndarray, slots: _Slots, vfq: np.ndarray, tx_book: AxisBook,
            rx_book: AxisBook):
     """Run every slot of R rows in the path domain: receive branch r's
     correlation with reference j' is sum_l (W^H u_l)(V_l^H F Q_l)[r, j']
-    plus the slots' noise correlation, from the rows' receive factors ul
-    (R, M, L q) (u's paths side by side, path-major) and vfq (see _vfq).
-    Sums |corr|^2 per transmit beam and receive beam (indexed by book
-    column) and per receive probing, in slot order: (R, beams), (R, beams),
-    (R, m_t). Nothing per subcarrier is built."""
+    plus the slots' noise correlation, from the receive factors ul (..., T,
+    M, L q) of the rows' T trials (u's paths side by side, path-major; each
+    trial's R / T rows consecutive) and vfq (see _vfq), (R, ...) or (...,
+    R, ...). Batch axes of ul share the slots. Sums |corr|^2 per transmit
+    beam and receive beam (indexed by book column) and per receive probing,
+    in slot order: (..., R, beams), (..., R, beams), (..., R, m_t). Nothing
+    per subcarrier is built."""
     (n_rows, n_t, n_rf), (_, m_t, m_rf) = slots.tx_idx.shape, slots.rx_idx.shape
-    corr = ((slots.wh @ ul)[:, None] @ vfq).reshape(n_rows, n_t, m_t, m_rf, n_rf)
+    *lead, n_trials, _, n_lq = ul.shape
+    wh = slots.wh.reshape(n_trials, -1, *slots.wh.shape[1:])  # (T, R / T, m_t m_rf, M)
+    wu = (wh @ ul[..., None, :, :]).reshape(*lead, n_rows, 1, -1, n_lq)
+    corr = (wu @ vfq).reshape(*lead, n_rows, n_t, m_t, m_rf, n_rf)
     if slots.noise is not None:
         corr += slots.noise
     s = np.abs(corr) ** 2
-    return (_binned(slots.tx_idx[:, :, None], s.sum(axis=3), len(tx_book.pols)),
-            _binned(slots.rx_idx[:, None], s.sum(axis=4), len(rx_book.pols)),
-            _binned(np.arange(m_t), s.reshape(n_rows, n_t, m_t, -1).sum(axis=3), m_t))
+    rows = len(lead) + 1
+    return (_binned(slots.tx_idx[:, :, None], s.sum(axis=-2), len(tx_book.pols), rows),
+            _binned(slots.rx_idx[:, None], s.sum(axis=-1), len(rx_book.pols), rows),
+            _binned(np.arange(m_t), s.reshape(*s.shape[:-2], -1).sum(axis=-1), m_t, rows))
 
 
 def _require_coverage(idx: np.ndarray, book: AxisBook) -> None:
@@ -524,11 +534,13 @@ def _multipath_draws(codebooks: CodebookSet, plan: ProbingPlan, n: int, sigma: f
 
 # estimate_multipath's probing of T trials as far as it holds across
 # realizations that share their delay taps and transmit factors v (the
-# points of a sweep that changes only the receive factors u): the azimuth
-# stage's slots and their V^H F Q (see _vfq), and the elevation stage's
-# slots, None where that stage is skipped; its beams are steered at each
-# profile's azimuth estimates, so only their V^H F is left per profile.
-# Made by _multipath_probing.
+# profiles of a sweep, which change only the receive factors u): the
+# azimuth stage's slots and their V^H F Q (see _vfq), and the elevation
+# stage's slots, None where that stage is skipped; its beams are steered at
+# each row's azimuth estimate, so only their steered book and V^H F are
+# left per profile. Its arrays have the trial axis and no profile axis; a
+# realization whose u stacks the profiles ahead of the trial axis reads
+# them broadcast. Made by _multipath_probing.
 MultipathProbing = namedtuple("MultipathProbing", "azimuth vfq elevation")
 
 
@@ -579,17 +591,21 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     A realization stacked over T trials, with a plan whose index arrays
     carry the same leading trial axis, (T, n_t, n_rf) and (T, m_t, m_rf),
     is estimated in one pass: the report holds the T x n_select estimates,
-    trial-major, and its iterations the trials' total. `draws` is None, for
-    noise and elevation plans drawn from rng at gamma trial by trial (see
-    _multipath_draws), or the MultipathProbing that _multipath_probing made
-    of pre-drawn ones, for realizations with this one's taps and v, which
-    several calls then share. A one-trial realization and plan are the
-    T = 1 case.
+    trial-major, and its iterations the trials' total. Axes of u before the
+    trial axis, u (..., T, L, M, q), are batch axes (the rate step stacks a
+    sweep's profiles on one): each batch entry is estimated on the same
+    plan, draws and probing, and the report holds its rows batch-major,
+    each entry's as alone. `draws` is None, for noise and elevation plans
+    drawn from rng at gamma trial by trial (see _multipath_draws), or the
+    MultipathProbing that _multipath_probing made of pre-drawn ones, for
+    realizations with this one's taps and v. A one-trial realization and
+    plan are the T = 1 case.
     """
     if n_select < 1:
         raise ValueError("n_select must be >= 1")
     if probing_plan.tx_idx.ndim == 2:  # one trial: a stack of one
-        channel = ChannelRealization(channel.taps, channel.u[None], channel.v[None], ())
+        channel = ChannelRealization(channel.taps, channel.u[..., None, :, :, :], channel.v[None],
+                                     ())
         probing_plan = ProbingPlan(probing_plan.tx_idx[None], probing_plan.rx_idx[None])
     if draws is None:
         rng = np.random.default_rng() if rng is None else rng
@@ -599,42 +615,47 @@ def estimate_multipath(channel: ChannelRealization, probing_plan: ProbingPlan,
     az_book, rx_book = codebooks.books["azimuth"], codebooks.books["receive"]
     (n_trials, n_t, n_rf), (_, m_t, m_rf) = probing_plan.tx_idx.shape, probing_plan.rx_idx.shape
 
-    # u's paths side by side, (T, M, L q), for every slot's W^H u
-    ul = channel.u.swapaxes(-3, -2).reshape(n_trials, channel.u.shape[-2], -1)
+    # u's paths side by side, (..., T, M, L q), for every slot's W^H u
+    ul = channel.u.swapaxes(-3, -2).reshape(*channel.u.shape[:-3], channel.u.shape[-2], -1)
     tx_s, rx_s, totals = _probe(ul, draws.azimuth, draws.vfq, az_book, rx_book)
     if (totals.sum(axis=-1) <= 0).any():
         raise NoSignal("no correlated energy in any probing")
 
     best_mt = np.argmax(totals, axis=-1)
     rx_winner = _winner(rx_s, probing_plan.rx_idx[np.arange(n_trials), best_mt])
-    nu, rx_k, rx_zeta = _pair_and_invert(rx_s, rx_winner, rx_book)
+    # from here on (batch entry, trial) rows, batch-major
+    nu, rx_k, rx_zeta = _pair_and_invert(rx_s.reshape(-1, rx_s.shape[-1]), rx_winner.ravel(),
+                                         rx_book)
+    tx_s = tx_s.reshape(-1, tx_s.shape[-1])
     mu_y, az_k, az_zeta = _pair_and_invert(
         tx_s, np.argsort(-tx_s, kind="stable")[:, :n_select], az_book)
-    n_paths = mu_y.shape[1]
-    mus = np.empty((n_trials, n_paths, 3))  # (mu_x, mu_y, nu) per path
+    n_rows, n_paths = mu_y.shape
+    mus = np.empty((n_rows, n_paths, 3))  # (mu_x, mu_y, nu) per path
     # mu_x is the elevation range center unless the elevation stage runs
     mus[..., 0] = 0.5 * sum(codebooks.config.el_range)
     mus[..., 1], mus[..., 2] = mu_y, nu[:, None]
     pairs = {"azimuth": az_k.ravel(), "receive": np.repeat(rx_k, n_paths),
-             "elevation": np.full(n_trials * n_paths, -1)}
+             "elevation": np.full(n_rows * n_paths, -1)}
     zetas = {"azimuth": az_zeta.ravel(), "receive": np.repeat(rx_zeta, n_paths),
-             "elevation": np.full(n_trials * n_paths, math.nan)}
+             "elevation": np.full(n_rows * n_paths, math.nan)}
 
     el = draws.elevation
     if el is not None:
-        # one elevation sweep per (trial, path) row, its beams steered at the
-        # row's azimuth estimate; the pair ids, and so the pilots, stay the same
-        el_book = _axis_book(codebooks.config, "elevation", mu_y.ravel())
+        # one elevation sweep per (trial, path) row of each batch entry, its
+        # beams steered at the row's azimuth estimate; the pair ids, and so
+        # the pilots, stay the same
+        el_book = _axis_book(codebooks.config, "elevation",
+                             mu_y.reshape(*channel.u.shape[:-4], n_trials * n_paths))
         trial = np.repeat(np.arange(n_trials), n_paths)
         el_tx = _probe(
-            ul[trial], el,
+            ul, el,
             _vfq(channel.v[trial], _precoders(el_book, el.tx_idx), el.gram, channel.u.shape[-1]),
-            el_book, rx_book)[0]
+            el_book, rx_book)[0].reshape(n_rows * n_paths, -1)
         # a row whose sweep collects no energy has no winner: NoSignal
         mus.reshape(-1, 3)[:, 0], pairs["elevation"], zetas["elevation"] = _pair_and_invert(
             el_tx, _winner(el_tx), el_book)
 
-    probings = n_trials * n_t + (0 if el is None else el.tx_idx.shape[0] * el.tx_idx.shape[1])
-    iters = n_rf * probings * m_rf * m_t
+    probings = n_t + (0 if el is None else n_paths * el.tx_idx.shape[1])  # per row
+    iters = n_rf * n_rows * probings * m_rf * m_t
     return EstimationReport(_fill_angles(mus, codebooks.config.arrays).reshape(-1, 6),
                             pairs, zetas, iters, "abp")

@@ -732,11 +732,21 @@ def _tdm_reduce(s, results):
     return {"pilot_vs_tdm": table}
 
 
+# robustness sweeps: the swept cluster-profile field, its values as written in
+# the row tags, and their conversion to the profile's units
+_SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.radians),
+           "robustness_xpd": ("chi", (0.0, 0.1, 0.2, 0.4), float)}
+
+
 def _rate_setup(cfg: ExperimentConfig):
     """What the rate families' trials share: one point per SNR, codebooks
     whose azimuth and receive beams all pair, pilots, the cluster profile,
-    the `profiles` each chunk is rated under (here that one) and probing
-    sizes. An unset probing key takes its default; a set one must be >= 1.
+    the `profiles` each chunk is rated under and probing sizes. A
+    robustness family has one profile per value of its sweep (_SWEEPS), the
+    cluster profile with that value, at its one SNR point: the swept
+    parameters reach nothing else, so each chunk's draws, codebooks and
+    pilots serve every profile. norm_se_vs_snr has the cluster profile
+    alone. An unset probing key takes its default; a set one must be >= 1.
     The rate at infinite SNR is unbounded, so every SNR must be finite."""
     points = snr_grid(cfg)
     if not all(map(math.isfinite, points)):
@@ -763,26 +773,36 @@ def _rate_setup(cfg: ExperimentConfig):
     for side, slots, beams in (("n_t", n_t * n_rf, merged_az), ("m_t", m_t * m_rf, merged_rx)):
         if slots < beams:
             raise ConfigError(f"probing.{side} gives {slots} slots for {beams} beams")
+    n_select = cfg.n_s if cfg.n_select is None else cfg.n_select
     try:  # and each path's elevation plan every elevation beam, as a noiseless trial shows
         plan = random_probing_plan(cbs, n_t, m_t, n_rf, m_rf, 0, layout="free")
-        _multipath_draws(cbs, ProbingPlan(plan.tx_idx[None], plan.rx_idx[None]), 1, 0.0, 1,
-                         [np.random.default_rng(0)])
+        el_plan = _multipath_draws(cbs, ProbingPlan(plan.tx_idx[None], plan.rx_idx[None]), 1,
+                                   0.0, n_select, [np.random.default_rng(0)]).el_plan
     except InfeasibleCoverage as exc:
         raise ConfigError(f"elevation stage at overhead.n_s = {cfg.n_s}: {exc}") from exc
     profile = _cluster_profile(cfg, cbs)
+    param, values, to_profile = _SWEEPS.get(cfg.experiment, (None, (), None))
+    profiles = [replace(profile, **{param: to_profile(v)}) for v in values] or [profile]
+    # the elevation stage's steered book (q N_t, beams) and precoders (q N_t,
+    # its plan's n_el_t n_rf columns) of every profile and path
+    el_book = cbs.books["elevation"]
+    el_values = 0 if el_plan is None else len(profiles) * len(el_book.matrix) * (
+        el_plan.tx_idx.shape[1] * len(el_book.pols) + el_plan.tx_idx.size)
     return SimpleNamespace(
         cfg=cfg, points=points, arrays=arrays, ofdm=ofdm, cbs=cbs, pilots=pilots,
-        profile=profile, profiles=[profile], n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
-        n_select=cfg.n_s if cfg.n_select is None else cfg.n_select,
+        profile=profile, profiles=profiles, n_rf=n_rf, m_rf=m_rf, n_t=n_t, m_t=m_t,
+        n_select=n_select,
         # the probing correlates one tx probing's slot noise at a time: one
         # (N, m_rf) block per rx probing; or 3/2 of a row per path and
         # transmit element (the paths' factors under every profile: an
         # 8-trial chunk of 24 paths peaked at 2.68 MB, 1.38 MB at 3 paths);
         # or a row per 30 of the rate's C^2 tap planes and coefficients per
-        # subcarrier; whichever is more (the default chunk stays at 8 trials)
+        # subcarrier; or a row per 30 of the elevation stage's values (4
+        # profiles at 8 x 16: 7 trials peaked at 4.08 MB); whichever is
+        # more (the default chunk stays at 8 trials)
         trial_rows=max(m_t * ofdm.n_subcarriers,
                        3 * cfg.n_clusters * cfg.subpaths * arrays.n_tx // 2,
-                       cfg.n_clusters ** 2 * ofdm.n_subcarriers // 30))
+                       cfg.n_clusters ** 2 * ofdm.n_subcarriers // 30, el_values // 30))
 
 
 def _rate_draw(s, snr: float, rngs) -> tuple:
@@ -822,35 +842,37 @@ _SCHEMES = ("perfect", "abp", "gob")
 
 
 def _rate_compute(s, snr: float, draws: tuple) -> np.ndarray:
-    """Spectral efficiency of a chunk of trials at an SNR under each profile
-    of s.profiles (its chi and varsigma), steered at the true dominant
-    directions, at the ABP estimates and at the GoB estimates, (T, profile,
-    scheme) in _SCHEMES order. What no profile reaches is built once: the
-    stacked steered paths (path parameters, delay taps and steering), the
-    stacked plan, estimate_multipath's probing (coverage checks, pilot tags,
-    combiners, each stage's tap-weighted pilot Grams and noise
-    correlations, the azimuth stage's V^H F Q) and the true directions.
-    Per profile: one stacked realization, one estimate_multipath pass and
-    one (scheme, trial, stream) direction array, stream j of ABP and GoB at
-    estimated path j mod P. Then every profile's directions are beamformed
-    in one call and rated in one call, on the realizations' receive factors
-    stacked over profiles, so that the tap planes serve every profile."""
+    """Spectral efficiency of a chunk of trials at an SNR under each of the
+    P profiles of s.profiles (its chi and varsigma), steered at the true
+    dominant directions, at the ABP estimates and at the GoB estimates, (T,
+    profile, scheme) in _SCHEMES order, in one pass over the profiles: the
+    steered paths (path parameters, delay taps and steering), the plan,
+    estimate_multipath's probing (coverage checks, pilot tags, combiners,
+    each stage's tap-weighted pilot Grams and noise correlations, the
+    azimuth stage's V^H F Q) and the true directions are built once and
+    shared by every profile. One realization carries the profiles on a
+    leading axis of its receive factors u (P, T, L, M, q), which alone the
+    profiles reach; one estimate_multipath pass estimates every (profile,
+    trial) row; and one (profile, scheme, trial, stream) direction array,
+    stream j of ABP and GoB at estimated path j mod P, is beamformed in one
+    call and rated in one call, so that the tap planes serve every
+    profile."""
     channel, plan, estimator_draws = draws
     n, n_s, gamma = len(plan.tx_idx), s.cfg.n_s, 10.0 ** (snr / 10.0)
     paths = _clustered_columns(s.profile, channel, s.arrays, s.ofdm, pulse_coefficients)
     probing = _multipath_probing(paths, plan, s.pilots, s.cbs, estimator_draws)
     truth = spatial_frequencies([a[:, :n_s] for a in paths.dominant_angles], s.arrays)
     perfect = np.stack([truth.mu_x, truth.mu_y, truth.nu], axis=-1)  # (T, n_s, 3)
-    dirs, u = [], []
-    for profile in s.profiles:
-        chan = paths.realization(profile)
-        rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
-                                 draws=probing)
-        est = np.stack([rep.est[:, :3], _gob_directions(rep, s.cbs)]).reshape(2, n, -1, 3)
-        dirs.append(np.concatenate([perfect[None], est[:, :, np.arange(n_s) % est.shape[2]]]))
-        u.append(chan.u[None])  # (1 scheme, T, L, M, q)
-    f, w = build_rf_beamformers(np.array(dirs), s.arrays)  # (profile, scheme, trial, ., n_s)
-    chans = ChannelRealization(paths.taps, np.array(u), paths.v, ())
+    chan = paths.realization(SimpleNamespace(
+        **{key: np.array([getattr(p, key) for p in s.profiles]) for key in ("chi", "varsigma")}))
+    rep = estimate_multipath(chan, plan, s.pilots, gamma, s.n_select, codebooks=s.cbs,
+                             draws=probing)
+    est = np.stack([rep.est[:, :3], _gob_directions(rep, s.cbs)]).reshape(
+        2, len(s.profiles), n, -1, 3).swapaxes(0, 1)  # (profile, scheme, trial, path, 3)
+    dirs = np.concatenate([np.broadcast_to(perfect, (len(s.profiles), 1, *perfect.shape)),
+                           est[..., np.arange(n_s) % est.shape[-2], :]], axis=1)
+    f, w = build_rf_beamformers(dirs, s.arrays)  # (profile, scheme, trial, ., n_s)
+    chans = ChannelRealization(paths.taps, chan.u[:, None], paths.v, ())
     return np.moveaxis(spectral_efficiency(chans, f, w, gamma, n_s), -1, 0)
 
 
@@ -896,22 +918,6 @@ def _norm_se_reduce(s, results):
     return {"norm_se_vs_snr": table}
 
 
-# robustness sweeps: the swept cluster-profile field, its values as written in
-# the row tags, and their conversion to the profile's units
-_SWEEPS = {"robustness_mismatch": ("varsigma", (0.0, 10.0, 20.0, 30.0), math.radians),
-           "robustness_xpd": ("chi", (0.0, 0.1, 0.2, 0.4), float)}
-
-
-def _robustness_setup(cfg: ExperimentConfig):
-    """One profile per sweep value, the cluster profile with that value, at
-    the one SNR point. The swept parameters reach nothing else, so each
-    chunk's draws, codebooks and pilots serve every profile."""
-    param, values, to_profile = _SWEEPS[cfg.experiment]
-    s = _rate_setup(cfg)
-    s.profiles = [replace(s.profile, **{param: to_profile(v)}) for v in values]
-    return s
-
-
 def _robustness_reduce(s, results):
     name = s.cfg.experiment
     param, values, *_ = _SWEEPS[name]
@@ -955,9 +961,9 @@ FAMILIES = {
     "norm_se_vs_snr": Family(_norm_se_setup, _rate_draw, _rate_compute, _norm_se_reduce,
                              {"epsilon_t", "t_tot", "n_bm", "m_bm", "n_tx_total",
                               "m_rx_total", *_RATE}),
-    "robustness_mismatch": Family(_robustness_setup, _rate_draw, _rate_compute,
-                                  _robustness_reduce, _RATE - {"varsigma_deg"}),
-    "robustness_xpd": Family(_robustness_setup, _rate_draw, _rate_compute, _robustness_reduce,
+    "robustness_mismatch": Family(_rate_setup, _rate_draw, _rate_compute, _robustness_reduce,
+                                  _RATE - {"varsigma_deg"}),
+    "robustness_xpd": Family(_rate_setup, _rate_draw, _rate_compute, _robustness_reduce,
                              _RATE - {"chi"}),
 }
 

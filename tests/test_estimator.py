@@ -6,6 +6,7 @@ import math
 import re
 import sys
 from collections import namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1310,6 +1311,46 @@ def test_subpaths_share_their_cluster_gram(gamma):
     for axis in AXES:
         assert reports[0].pairs[axis].tolist() == reports[1].pairs[axis].tolist()
     assert np.allclose(reports[0].est, reports[1].est, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("arrays,el_range", [
+    (CROSS, None), (CROSS, (-np.pi / 2, np.pi / 2)), (CO, (-np.pi / 2, np.pi / 2))],
+    ids=["cross", "cross-el90", "co-el90"])
+def test_profile_axis_estimates_each_profile_as_alone(arrays, el_range):
+    """Two noisy stacked trials of 3 clusters of 4 subpaths realized under
+    three (chi, varsigma) settings at once: u carries them on a leading
+    axis, each entry the bytes of that setting's own realization, and one
+    estimate_multipath over the stack on the shared probing gives each
+    setting's block of rows (estimates, pair ids, zetas) the bytes of an
+    estimate of that setting alone, and P times its iterations."""
+    prof = ClusterProfile(n_clusters=3, subpaths_per_cluster=4)
+    cbs = build_codebooks(CodebookConfig(arrays=arrays, **({} if el_range is None else
+                                                           {"el_range": el_range})))
+    pilots = assign_pilots(range(len(cbs.books["azimuth"].pairs)), 64, p=1)
+    paths = _clustered_columns(prof, _clustered_draws(prof, [np.random.default_rng(80 + t)
+                                                             for t in range(2)]),
+                               arrays, OfdmConfig(64, 16), pulse_coefficients)
+    plans = [random_probing_plan(cbs, 6, 4, 3, 2, seed=seed, layout="free") for seed in (0, 1)]
+    plan = ProbingPlan(*(np.stack([getattr(p, a) for p in plans])
+                         for a in ("tx_idx", "rx_idx")))
+    probing = _multipath_probing(paths, plan, pilots, cbs, _multipath_draws(
+        cbs, plan, 64, _sigma_from_gamma(10.0), 3, [np.random.default_rng(82 + t)
+                                                    for t in range(2)]))
+    settings = [CrossPolConfig(0.0, 0.0), CrossPolConfig(0.3, 0.2), CrossPolConfig(0.1, -0.7)]
+    stacked = paths.realization(SimpleNamespace(chi=np.array([x.chi for x in settings]),
+                                                varsigma=np.array([x.varsigma for x in settings])))
+    got = estimate_multipath(stacked, plan, pilots, 10.0, 3, codebooks=cbs, draws=probing)
+    assert stacked.u.shape[:2] == (3, 2) and got.est.shape == (3 * 2 * 3, 6)
+    for i, xp in enumerate(settings):
+        alone = paths.realization(xp)
+        assert stacked.u[i].tobytes() == alone.u.tobytes()
+        want = estimate_multipath(alone, plan, pilots, 10.0, 3, codebooks=cbs, draws=probing)
+        rows = slice(i * 6, (i + 1) * 6)
+        assert got.est[rows].tobytes() == want.est.tobytes(), f"setting {i}"
+        for axis in AXES:
+            assert got.pairs[axis][rows].tolist() == want.pairs[axis].tolist()
+            assert got.zetas[axis][rows].tobytes() == want.zetas[axis].tobytes()
+        assert got.iterations == 3 * want.iterations
 
 
 # ---------------------------------------------------------------------------

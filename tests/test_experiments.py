@@ -338,16 +338,17 @@ class TestFamilies:
                                              "trials have no positive perfect rate"):
             experiments._robustness_reduce(s, [trials])
 
-    @pytest.mark.parametrize("family,owner,name,trials", [
-        ("norm_se_vs_snr", SteeredPaths, "realization", 3),
-        ("pilot_vs_tdm", SteeredPaths, "realization", 3)],
+    @pytest.mark.parametrize("family,owner,name,lead", [
+        ("norm_se_vs_snr", SteeredPaths, "realization", (1, 3)),
+        ("pilot_vs_tdm", SteeredPaths, "realization", (3,))],
         ids=["norm_se_vs_snr", "pilot_vs_tdm"])
-    def test_trials_never_build_the_dense_tensor(self, family, owner, name, trials, tmp_path,
+    def test_trials_never_build_the_dense_tensor(self, family, owner, name, lead, tmp_path,
                                                  monkeypatch):
         """Estimation, rate and pilot correlation work from the path factors:
         neither the stacked realization of a rate chunk (estimate + three
-        rates) nor that of a pilot_vs_tdm chunk (all 3 trials each, over
-        their pulse samples) reads its dense h."""
+        rates, its receive factors stacked over the one profile) nor that of
+        a pilot_vs_tdm chunk (all 3 trials each, over their pulse samples)
+        reads its dense h."""
         made = []
         maker = getattr(owner, name)
 
@@ -356,11 +357,11 @@ class TestFamilies:
             return made[-1]
 
         monkeypatch.setattr(owner, name, recording)
-        cfg = validate_config(f"experiment = {family}\ntrials = {trials}\n"
+        cfg = validate_config(f"experiment = {family}\ntrials = {lead[-1]}\n"
                               "snr_db = 10\nplots = false\n")
         run_experiment(cfg, str(tmp_path))
         assert len(made) == 1
-        assert made[0].u.shape[:-3] == (trials,)
+        assert made[0].u.shape[:-3] == lead
         assert "h" not in made[0].__dict__
 
     def test_plot_emitted(self, tmp_path):
@@ -434,8 +435,8 @@ def _peak_case(trials, *budget, **overrides):
     """A chunk-peak case of `overrides` at `trials` trials a chunk (and a
     budget, where the test takes one), its id from the overrides: the
     bandwidth by name, el90 for -90:90 and key plus value for the rest."""
-    parts = [v if k == "bandwidth" else "el90" if k == "el_range_deg" else f"{k}{v}"
-             for k, v in overrides.items()]
+    parts = [v if k in ("bandwidth", "experiment", "polarization") else
+             "el90" if k == "el_range_deg" else f"{k}{v}" for k, v in overrides.items()]
     return pytest.param(overrides, trials, *budget, id="-".join(parts))
 
 
@@ -688,14 +689,21 @@ class TestChunks:
             assert want.shape == (6, 3)
             assert got[:, i].tobytes() == want.tobytes(), f"profile {i}"
 
-    @pytest.mark.parametrize("overrides", [{}, {"el_range_deg": (-90.0, 90.0)}],
-                             ids=["default", "el90"])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"el_range_deg": EL90}, {"n_x": 8}, {"polarization": "co", "el_range_deg": EL90},
+        {"n_select": 1}, {"n_select": 5}, {"n_s": 1}, {"n_s": 2},
+        {"n_clusters": 6, "subpaths": 4}],
+        ids=["default", "el90", "n_x8", "co-el90", "n_select1", "n_select5", "n_s1", "n_s2",
+             "n_clusters6-subpaths4"])
     @pytest.mark.parametrize("family", ["robustness_xpd", "robustness_mismatch"])
     def test_each_profile_column_is_a_compute_over_that_profile(self, family, overrides):
         """The profiles of one rate compute step share the chunk's paths,
         plan, probing and true directions, and none changes them for the
         next: each profile's column equals, byte for byte, a compute step
-        over that profile alone."""
+        over that profile alone. The cases are the shapes where the profile
+        axis could pick another matmul kernel: the elevation stage at the
+        default range (8 elevation elements), co-pol, fewer and more paths
+        than streams, one and two streams and 24 paths a trial."""
         cfg = ExperimentConfig(experiment=family, trials=4, plots=False, **overrides)
         s = experiments.setup_experiment(cfg)
         draws = experiments._rate_draw(s, 10.0, experiments._trial_rngs(cfg, 0, range(4)))
@@ -725,11 +733,11 @@ class TestChunks:
         assert _draw_bytes(draws) == before
 
     def test_sweep_invariant_work_runs_once_per_chunk(self, tmp_path, monkeypatch):
-        """An 8-trial robustness_xpd run is 1 chunk x 4 points: the path
-        parameters, delay taps, pilot tags, and the azimuth stage's pilot
-        Grams and noise correlations are made per chunk (1 path, tap and
-        Gram call, 8 trials x 2 tx probings = 16 tags), the estimate per
-        point (4 calls)."""
+        """An 8-trial robustness_xpd run is 1 chunk x 4 points, and all of
+        it runs once per chunk: the path parameters, delay taps, pilot tags,
+        the azimuth stage's pilot Grams and noise correlations (1 path, tap
+        and Gram call, 8 trials x 2 tx probings = 16 tags), the realization
+        of the 4 profiles stacked (1 call) and their estimate (1 call)."""
         counts = {}
 
         def counting(owner, name):
@@ -743,13 +751,14 @@ class TestChunks:
 
         for owner, name in ((channel, "_clustered_paths"), (experiments, "pulse_coefficients"),
                             (estimator, "tag_probing"), (estimator, "_grams"),
-                            (experiments, "estimate_multipath")):
+                            (experiments, "estimate_multipath"),
+                            (channel.SteeredPaths, "realization")):
             counting(owner, name)
         cfg = ExperimentConfig(experiment="robustness_xpd", trials=8, plots=False)
         assert experiments._chunk_trials(experiments.setup_experiment(cfg)) == 8
         run_experiment(cfg, str(tmp_path))
         assert counts == {"_clustered_paths": 1, "pulse_coefficients": 1, "tag_probing": 16,
-                          "_grams": 1, "estimate_multipath": 4}
+                          "_grams": 1, "estimate_multipath": 1, "realization": 1}
 
     def test_rate_steps_build_no_path_objects(self, tmp_path, monkeypatch):
         """An 8-trial robustness_xpd run reads its estimates as arrays from
@@ -1012,23 +1021,37 @@ class TestChunks:
         _peak_case(4, 2.7e6, n_clusters=10, el_range_deg=EL90),
         _peak_case(4, 2.0e6, n_clusters=10, subpaths=2),
         _peak_case(8, 2.7e6, n_x=8, n_y=8),
-        _peak_case(7, 2.7e6, n_x=8, n_y=16),
+        _peak_case(4, 2.7e6, n_x=8, n_y=16),
         _peak_case(2, 2.0e6, m_tot=16), _peak_case(1, 2.0e6, m_tot=32),
-        _peak_case(1, 2.0e6, m_tot=64)],
+        _peak_case(1, 2.0e6, m_tot=64),
+        _peak_case(4, 2.7e6, experiment="robustness_mismatch", n_x=8, n_y=16),
+        _peak_case(2, 2.7e6, experiment="robustness_mismatch", n_x=8, n_y=16,
+                   el_range_deg=EL90),
+        _peak_case(4, 2.7e6, n_x=8, n_y=8, el_range_deg=EL90),
+        _peak_case(2, 2.7e6, n_x=8, n_y=16, el_range_deg=EL90),
+        _peak_case(4, 2.7e6, n_x=8, n_y=8, n_select=5),
+        _peak_case(4, 2.7e6, polarization="co", n_x=8, n_y=16, el_range_deg=EL90)],
         ids=["default", "el90", "n_clusters6", "subpaths4", "n_clusters6-subpaths4",
-             "n_clusters6-subpaths4-el90"] + [None] * 21)
+             "n_clusters6-subpaths4-el90"] + [None] * 27)
     def test_rate_chunk_peak_memory(self, overrides, trials, budget):
         """One robustness_xpd compute step at the chunk size that
         _chunk_trials picks (8 trials) allocates at most 2.0 MB at its peak
         (tracemalloc; 1.38 MB measured), and at most 2.7 MB where the
         elevation stage runs (2.25 MB): under -90:90, or at the default
         range on an 8-element elevation axis (arrays.n_x = 8), which has two
-        elevation beams a polarization (8 x 8: 8 trials, 2.23 MB; 8 x 16: 7
-        trials, 2.36 MB). The budgets hold so that a larger chunk cannot undo
+        elevation beams a polarization (8 x 8: 8 trials, 2.51 MB; 8 x 16: 4
+        trials, 2.40 MB). The elevation stage steers its book and gathers its
+        precoders for every profile and (trial, path) row in one pass, so a
+        trial counts those values too. Without that count, 8 x 16 ran 7
+        trials at 4.08 MB (either sweep), and 7 trials at 7.64 MB under
+        -90:90; 8 x 8 under -90:90, and with 5 paths, ran 8 trials at 4.61
+        and 4.03 MB; and co-pol 8 x 16 under -90:90 ran 7 trials at 3.49 MB.
+        With it they run 4, 2, 4, 4 and 4 trials, at 2.40, 2.25, 2.35, 2.05
+        and 2.08 MB. The budgets hold so that a larger chunk cannot undo
         the lean kernels: the probing builds its pilot Grams and noise
         correlations one tx probing at a time (every elevation probing at
-        once peaks at 4.07 MB) and per profile builds nothing per
-        subcarrier, and the rate holds one slice of tap planes and Gram
+        once peaks at 4.07 MB) and builds nothing per subcarrier, and the
+        rate holds one slice of tap planes and Gram
         entries at a time (no H_TR at all). A trial counts its paths too,
         so that 6 clusters (8 trials, 1.67 MB), 4 subpaths (7 trials,
         1.74 MB) and both (3 trials, 1.26 MB; 1.54 MB with the elevation
@@ -1041,8 +1064,8 @@ class TestChunks:
         at 10 clusters of 4 subpaths at N = 1,024 under -90:90; 1.52 MB
         now, in 1-trial chunks). Receive arrays of arrays.m_tot = 16, 32 and
         64 (2, 1 and 1 trials) peak at 0.79, 0.72 and 0.91 MB."""
-        cfg = ExperimentConfig(experiment="robustness_xpd", trials=trials, plots=False,
-                               **overrides)
+        cfg = ExperimentConfig(**{"experiment": "robustness_xpd", **overrides}, trials=trials,
+                               plots=False)
         s = experiments.setup_experiment(cfg)
         chunk = experiments._chunk_trials(s)
         assert chunk == trials

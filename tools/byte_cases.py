@@ -25,7 +25,11 @@ three at channel.n_clusters = 4 and = 6 (the rate's tap planes grow with the
 square of the cluster count) at 9 trials and seeds 0-2; the same three at
 channel.n_clusters = 6 with channel.subpaths = 4 (24 paths a trial, which
 shrink the rate chunk to 3 trials) at 9 trials and seeds 0-2, at the default
-elevation range and under -90:90; maee_vs_snr at arrays.n_x = 6,
+elevation range and under -90:90; robustness_xpd and robustness_mismatch
+at 9 trials and seeds 0-2 with overhead.n_s = 1, alone and on one path
+(channel.n_clusters = 1, channel.subpaths = 1), whose one-stream products
+are matrix-vector shapes (norm_se_vs_snr rejects n_s = 1 without probing
+totals); maee_vs_snr at arrays.n_x = 6,
 arrays.n_y = 7 and seeds 0-2, whose estimates reach the (0, 0) transmit
 direction that _fill_angles fills; pilot_vs_tdm at seeds 0-2 and its base trial count with
 pilot.dc_zero = true, channel.bandwidth = 250mhz and = desk,
@@ -49,7 +53,7 @@ channel.n_nlos = 0, pilot_vs_tdm at 17, and the rate families at 8, at the
 default elevation range and under -90:90; and pilot_vs_tdm at seeds 0-2 on a
 32-element receive array (arrays.m_tot = 32, whose receive factors shrink
 its chunk to 32 trials) at 33 trials, one full chunk and a remainder of 1.
-368 cases in all."""
+380 cases in all."""
 
 import math
 import shutil
@@ -77,6 +81,7 @@ TRIALS = {
 EL90 = {"el_range_deg": (-90.0, 90.0)}
 CHUNKS_FAMILIES = ("maee_vs_snr", "pilot_vs_tdm", "norm_se_vs_snr", "robustness_xpd")
 RATE_FAMILIES = ("norm_se_vs_snr", "robustness_xpd", "robustness_mismatch")
+ROBUSTNESS_FAMILIES = RATE_FAMILIES[1:]
 TRIAL_FAMILIES = [f for f in EXPERIMENTS if f != "pilot_correlation"]
 TDM_VARIANTS = {"-dc0": {"dc_zero": True}, "-250mhz": {"bandwidth": "250mhz"},
                 "-desk": {"bandwidth": "desk"}, "-sub4": {"subpaths": 4},
@@ -123,6 +128,10 @@ def cases():
             paths = {**base, "n_clusters": 6, "subpaths": 4}
             yield f"{family}-s{seed}-t9-nc6-sub4", paths
             yield f"{family}-s{seed}-t9-el90-nc6-sub4", {**paths, **EL90}
+        for family in ROBUSTNESS_FAMILIES:
+            one = {"experiment": family, "seed": seed, "trials": 9, "n_s": 1}
+            yield f"{family}-s{seed}-t9-ns1", one
+            yield f"{family}-s{seed}-t9-ns1-nc1-sub1", {**one, "n_clusters": 1, "subpaths": 1}
         yield f"maee_vs_snr-s{seed}-t171", {"experiment": "maee_vs_snr", "seed": seed,
                                             "trials": 171}
         for family in TRIAL_FAMILIES:
